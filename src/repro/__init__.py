@@ -26,218 +26,152 @@ Quickstart::
     print(verify_schedule(grid, build.schedule, delta))
 """
 
-from .analysis import (
-    GradientField,
-    descent_path,
-    gradient_field,
-    gradient_successor,
-    predicts_capture,
-    refinement_footprint,
-)
-from .attacker import (
-    AttackerSpec,
-    AttackerState,
-    AvoidRecentlyVisited,
-    EavesdropperAgent,
-    FollowAnyHeard,
-    FollowFirstHeard,
-    HeardMessage,
-    paper_attacker,
-)
-from .app import OperationalResult, run_operational_phase
-from .core import (
-    DasCheckResult,
-    DasViolation,
-    SafetyPeriod,
-    Schedule,
-    capture_time_periods,
-    capture_time_seconds,
-    check_strong_das,
-    check_weak_das,
-    is_non_colliding,
-    is_strong_das,
-    is_weak_das,
-    safety_period,
-    simulation_time_bound,
-)
-from .das import (
-    DasProtocolConfig,
-    DasSetupResult,
-    centralized_das_schedule,
-    run_das_setup,
-)
-from .errors import (
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    ScheduleError,
-    SimulationError,
-    TopologyError,
-    VerificationError,
-)
-from .experiments import (
-    PAPER,
-    PAPER_SIZES,
-    ExperimentConfig,
-    ExperimentRunner,
-    format_figure5,
-    format_table1,
-    headline_reduction,
-    measure_setup_overhead,
-    run_figure5,
-)
-from .app import (
-    DutyCycle,
-    NodeDeath,
-    NodeSleep,
-    SourcePlan,
-)
-from .mac import TdmaDriver, TdmaFrame
-from .metrics import (
-    CaptureStats,
-    FirstCaptureStats,
-    MessageOverhead,
-    PerSourceCapture,
-    aggregation_stats,
-    capture_stats,
-    first_capture_stats,
-    per_source_capture_stats,
-)
-from .scenarios import (
-    ScenarioOutcome,
-    ScenarioRunner,
-    ScenarioSpec,
-    TopologySpec,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
-from .simulator import (
-    BernoulliNoise,
-    CasinoLabNoise,
-    IdealNoise,
-    NoiseModel,
-    Process,
-    Simulator,
-)
-from .slp import (
-    SlpBuildResult,
-    SlpParameters,
-    SlpProtocolConfig,
-    SlpSetupResult,
-    build_slp_schedule,
-    run_slp_setup,
-)
-from .topology import (
-    GridTopology,
-    LineTopology,
-    RingTopology,
-    Topology,
-    paper_grid,
-    random_geometric_topology,
-)
-from .verification import (
-    VerificationResult,
-    generate_attacker_traces,
-    is_slp_aware_das,
-    minimum_capture_period,
-    verify_schedule,
-)
-from .version import __version__
+import importlib
+from typing import List
 
-__all__ = [
-    "AttackerSpec",
-    "AttackerState",
-    "AvoidRecentlyVisited",
-    "BernoulliNoise",
-    "CaptureStats",
-    "CasinoLabNoise",
-    "ConfigurationError",
-    "DasCheckResult",
-    "DasProtocolConfig",
-    "DasSetupResult",
-    "DasViolation",
-    "DutyCycle",
-    "EavesdropperAgent",
-    "ExperimentConfig",
-    "ExperimentRunner",
-    "FirstCaptureStats",
-    "FollowAnyHeard",
-    "FollowFirstHeard",
-    "GradientField",
-    "GridTopology",
-    "HeardMessage",
-    "IdealNoise",
-    "LineTopology",
-    "MessageOverhead",
-    "NodeDeath",
-    "NodeSleep",
-    "NoiseModel",
-    "OperationalResult",
-    "PAPER",
-    "PAPER_SIZES",
-    "PerSourceCapture",
-    "Process",
-    "ProtocolError",
-    "ReproError",
-    "RingTopology",
-    "SafetyPeriod",
-    "ScenarioOutcome",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "Schedule",
-    "ScheduleError",
-    "SimulationError",
-    "Simulator",
-    "SourcePlan",
-    "SlpBuildResult",
-    "SlpParameters",
-    "SlpProtocolConfig",
-    "SlpSetupResult",
-    "TdmaDriver",
-    "TdmaFrame",
-    "Topology",
-    "TopologyError",
-    "TopologySpec",
-    "VerificationError",
-    "VerificationResult",
-    "__version__",
-    "aggregation_stats",
-    "build_slp_schedule",
-    "capture_stats",
-    "capture_time_periods",
-    "capture_time_seconds",
-    "centralized_das_schedule",
-    "check_strong_das",
-    "check_weak_das",
-    "descent_path",
-    "first_capture_stats",
-    "format_figure5",
-    "format_table1",
-    "generate_attacker_traces",
-    "get_scenario",
-    "gradient_field",
-    "gradient_successor",
-    "headline_reduction",
-    "is_non_colliding",
-    "is_slp_aware_das",
-    "is_strong_das",
-    "is_weak_das",
-    "measure_setup_overhead",
-    "minimum_capture_period",
-    "paper_attacker",
-    "paper_grid",
-    "per_source_capture_stats",
-    "predicts_capture",
-    "random_geometric_topology",
-    "refinement_footprint",
-    "register_scenario",
-    "run_das_setup",
-    "run_figure5",
-    "run_operational_phase",
-    "run_slp_setup",
-    "safety_period",
-    "scenario_names",
-    "simulation_time_bound",
-    "verify_schedule",
-]
+#: Submodule -> the public names it defines.  Each name is imported on
+#: first access (PEP 562), so importing one submodule of the package
+#: does not load every other one.
+_EXPORTS = {
+    "analysis": (
+        "GradientField",
+        "descent_path",
+        "gradient_field",
+        "gradient_successor",
+        "predicts_capture",
+        "refinement_footprint",
+    ),
+    "attacker": (
+        "AttackerSpec",
+        "AttackerState",
+        "AvoidRecentlyVisited",
+        "EavesdropperAgent",
+        "FollowAnyHeard",
+        "FollowFirstHeard",
+        "HeardMessage",
+        "paper_attacker",
+    ),
+    "app": (
+        "OperationalResult",
+        "run_operational_phase",
+        "DutyCycle",
+        "NodeDeath",
+        "NodeSleep",
+        "SourcePlan",
+    ),
+    "core": (
+        "DasCheckResult",
+        "DasViolation",
+        "SafetyPeriod",
+        "Schedule",
+        "capture_time_periods",
+        "capture_time_seconds",
+        "check_strong_das",
+        "check_weak_das",
+        "is_non_colliding",
+        "is_strong_das",
+        "is_weak_das",
+        "safety_period",
+        "simulation_time_bound",
+    ),
+    "das": (
+        "DasProtocolConfig",
+        "DasSetupResult",
+        "centralized_das_schedule",
+        "run_das_setup",
+    ),
+    "errors": (
+        "ConfigurationError",
+        "ProtocolError",
+        "ReproError",
+        "ScheduleError",
+        "SimulationError",
+        "TopologyError",
+        "VerificationError",
+    ),
+    "experiments": (
+        "PAPER",
+        "PAPER_SIZES",
+        "ExperimentConfig",
+        "ExperimentRunner",
+        "format_figure5",
+        "format_table1",
+        "headline_reduction",
+        "measure_setup_overhead",
+        "run_figure5",
+    ),
+    "mac": (
+        "TdmaDriver",
+        "TdmaFrame",
+    ),
+    "metrics": (
+        "CaptureStats",
+        "FirstCaptureStats",
+        "MessageOverhead",
+        "PerSourceCapture",
+        "aggregation_stats",
+        "capture_stats",
+        "first_capture_stats",
+        "per_source_capture_stats",
+    ),
+    "scenarios": (
+        "ScenarioOutcome",
+        "ScenarioRunner",
+        "ScenarioSpec",
+        "TopologySpec",
+        "get_scenario",
+        "register_scenario",
+        "scenario_names",
+    ),
+    "simulator": (
+        "BernoulliNoise",
+        "CasinoLabNoise",
+        "IdealNoise",
+        "NoiseModel",
+        "Process",
+        "Simulator",
+    ),
+    "slp": (
+        "SlpBuildResult",
+        "SlpParameters",
+        "SlpProtocolConfig",
+        "SlpSetupResult",
+        "build_slp_schedule",
+        "run_slp_setup",
+    ),
+    "topology": (
+        "GridTopology",
+        "LineTopology",
+        "RingTopology",
+        "Topology",
+        "paper_grid",
+        "random_geometric_topology",
+    ),
+    "verification": (
+        "VerificationResult",
+        "generate_attacker_traces",
+        "is_slp_aware_das",
+        "minimum_capture_period",
+        "verify_schedule",
+    ),
+    "version": (
+        "__version__",
+    ),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str) -> object:
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import networkx as nx
-
 from ..topology import NodeId, Topology
 from .schedule import Schedule
 
@@ -155,10 +153,21 @@ def _has_path_avoiding(topology: Topology, start: NodeId, goal: NodeId, avoid: N
     """
     if start == goal:
         return True
-    reduced = nx.restricted_view(topology.graph, [avoid], [])
-    if start not in reduced or goal not in reduced:
+    if avoid in (start, goal) or start not in topology or goal not in topology:
         return False
-    return nx.has_path(reduced, start, goal)
+    seen = {start, avoid}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for other in topology.neighbours(node):
+                if other == goal:
+                    return True
+                if other not in seen:
+                    seen.add(other)
+                    nxt.append(other)
+        frontier = nxt
+    return False
 
 
 def check_strong_das(topology: Topology, schedule: Schedule) -> DasCheckResult:

@@ -53,11 +53,9 @@ def topology_fingerprint(topology: Topology) -> str:
     identically regardless of name or construction path; adding,
     removing or rewiring any link changes the fingerprint.
     """
-    graph = topology.graph
     digest = hashlib.sha256()
-    digest.update(repr(tuple(sorted(graph.nodes))).encode())
-    edges = tuple(sorted(tuple(sorted(edge)) for edge in graph.edges))
-    digest.update(repr(edges).encode())
+    digest.update(repr(topology.nodes).encode())
+    digest.update(repr(topology.edges).encode())
     digest.update(repr(topology.sink).encode())
     return digest.hexdigest()
 

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import pickle
 import sqlite3
+from contextlib import contextmanager
 from hashlib import sha256
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from ..core import Schedule
 
@@ -84,10 +85,21 @@ class ScheduleStore:
         """The backing database file."""
         return self._path
 
-    def _connect(self) -> sqlite3.Connection:
+    @contextmanager
+    def _connect(self) -> Iterator[sqlite3.Connection]:
+        """A fresh connection that commits (or rolls back) and closes.
+
+        Closing matters: an unclosed connection sits in a reference
+        cycle until the cyclic GC frees it, so the heap grows with every
+        call, and a forked child can inherit it open.
+        """
         conn = sqlite3.connect(self._path, timeout=30.0)
-        conn.execute("PRAGMA busy_timeout = 30000")
-        return conn
+        try:
+            conn.execute("PRAGMA busy_timeout = 30000")
+            with conn:
+                yield conn
+        finally:
+            conn.close()
 
     def get(self, key: Tuple) -> Optional[Schedule]:
         """The stored schedule for ``key``, or ``None``."""

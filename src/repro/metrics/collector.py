@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import ConfigurationError
 
 
@@ -34,6 +32,8 @@ def summarise(values: Sequence[float]) -> Summary:
     """Compute a :class:`Summary` over a non-empty sample."""
     if not values:
         raise ConfigurationError("cannot summarise an empty sample")
+    import numpy as np  # deferred: keeps numpy off the CLI start-up path
+
     arr = np.asarray(values, dtype=float)
     return Summary(
         n=len(arr),

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..app import OperationalResult
 from ..errors import ConfigurationError
 
@@ -51,6 +49,8 @@ def aggregation_stats(results: Sequence[OperationalResult]) -> AggregationStats:
     """Fold the per-run aggregation ratios into :class:`AggregationStats`."""
     if not results:
         raise ConfigurationError("cannot aggregate zero runs")
+    import numpy as np  # deferred: keeps numpy off the CLI start-up path
+
     ratios = np.array([r.aggregation_ratio for r in results], dtype=float)
     return AggregationStats(
         runs=len(results),

@@ -8,9 +8,10 @@ Design rules, all in service of "a restart never loses a job":
   ``created=False``.  Dedup is a property of the schema, not of any
   in-memory index that a crash could lose.
 * **Per-call connections** — every method opens its own connection
-  (with a generous busy timeout), making the store object safe to use
-  from the HTTP handler threads and the scheduler thread concurrently,
-  and trivially correct across fork.
+  (with a generous busy timeout) and closes it before returning, making
+  the store object safe to use from the HTTP handler threads and the
+  scheduler thread concurrently, and trivially correct across fork: no
+  open connection is ever left for a child to inherit.
 * **Atomic claims** — :meth:`claim_next` moves ``queued → running``
   inside a single ``UPDATE … WHERE state='queued'`` guarded by an
   immediate transaction, so two scheduler threads (or a scheduler
@@ -32,8 +33,9 @@ Design rules, all in service of "a restart never loses a job":
 from __future__ import annotations
 
 import sqlite3
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ..storage import atomic_write_text
 from .state import (
@@ -90,10 +92,21 @@ class JobStore:
         """The result-blob file backing one job's report bytes."""
         return self._results_dir / f"{job_id}.json"
 
-    def _connect(self) -> sqlite3.Connection:
+    @contextmanager
+    def _connect(self) -> Iterator[sqlite3.Connection]:
+        """A fresh connection that commits (or rolls back) and closes.
+
+        Closing matters: an unclosed connection sits in a reference
+        cycle until the cyclic GC frees it, so the heap grows with every
+        call, and a forked child can inherit it open.
+        """
         conn = sqlite3.connect(self._path, timeout=30.0)
-        conn.execute("PRAGMA busy_timeout = 30000")
-        return conn
+        try:
+            conn.execute("PRAGMA busy_timeout = 30000")
+            with conn:
+                yield conn
+        finally:
+            conn.close()
 
     # ------------------------------------------------------------------
     # Submission (dedup by construction)

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .node import Coordinate, NodeId
-from .topology import Topology
+from .topology import Adjacency, Topology, add_edge
 
 #: Node spacing used by the paper's evaluation, in metres.
 PAPER_NODE_SPACING_M = 4.5
@@ -58,24 +56,24 @@ class GridTopology(Topology):
         self._size = size
         self._spacing = spacing
 
-        graph = nx.Graph()
+        adj: Adjacency = {}
         positions = {}
         for row in range(size):
             for col in range(size):
                 node = row * size + col
-                graph.add_node(node)
+                adj[node] = {}
                 positions[node] = Coordinate(col * spacing, row * spacing)
                 if col > 0:
-                    graph.add_edge(node, node - 1)
+                    add_edge(adj, node, node - 1)
                 if row > 0:
-                    graph.add_edge(node, node - size)
+                    add_edge(adj, node, node - size)
 
         if sink is None:
             sink = (size // 2) * size + (size // 2)
         if source is None:
             source = 0
         super().__init__(
-            graph,
+            adj,
             sink=sink,
             source=source,
             positions=positions,

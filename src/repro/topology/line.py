@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .node import Coordinate, NodeId
-from .topology import Topology
+from .topology import Adjacency, Topology, add_edge
 
 
 class LineTopology(Topology):
@@ -36,14 +34,16 @@ class LineTopology(Topology):
         if spacing <= 0:
             raise TopologyError("line spacing must be positive")
         self._length = length
-        graph = nx.path_graph(length)
+        adj: Adjacency = {n: {} for n in range(length)}
+        for n in range(length - 1):
+            add_edge(adj, n, n + 1)
         positions = {n: Coordinate(n * spacing, 0.0) for n in range(length)}
         if sink is None:
             sink = length - 1
         if source is None:
             source = 0 if sink != 0 else length - 1
         super().__init__(
-            graph,
+            adj,
             sink=sink,
             source=source,
             positions=positions,

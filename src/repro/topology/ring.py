@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .node import Coordinate, NodeId
-from .topology import Topology
+from .topology import Adjacency, Topology, add_edge
 
 
 class RingTopology(Topology):
@@ -37,7 +35,10 @@ class RingTopology(Topology):
         if radius <= 0:
             raise TopologyError("ring radius must be positive")
         self._length = length
-        graph = nx.cycle_graph(length)
+        adj: Adjacency = {n: {} for n in range(length)}
+        for n in range(length - 1):
+            add_edge(adj, n, n + 1)
+        add_edge(adj, length - 1, 0)
         positions = {}
         for n in range(length):
             angle = 2.0 * math.pi * n / length
@@ -47,7 +48,7 @@ class RingTopology(Topology):
         if source is None:
             source = (sink + length // 2) % length
         super().__init__(
-            graph,
+            adj,
             sink=sink,
             source=source,
             positions=positions,

@@ -2,8 +2,8 @@
 
 The paper models a WSN as an undirected graph ``G = (V, E)`` whose
 vertices are sensor nodes and whose edges are symmetric communication
-links (§III-A).  :class:`Topology` wraps a :mod:`networkx` graph and adds
-the queries the scheduling and privacy algorithms need:
+links (§III-A).  :class:`Topology` owns that graph as a plain adjacency
+map and adds the queries the scheduling and privacy algorithms need:
 
 * 1-hop neighbourhoods,
 * 2-hop *collision* neighbourhoods ``CG(n)`` (Definition 1),
@@ -13,24 +13,67 @@ the queries the scheduling and privacy algorithms need:
 Instances are immutable after construction: the algorithms in this
 library never rewire a network mid-run, and immutability lets expensive
 derived data (BFS distance maps, 2-hop sets) be cached safely.
+
+:mod:`networkx` is not needed to build or query a topology; it is
+imported only when a caller asks for :attr:`Topology.graph` (an export
+for plotting and interop) or :meth:`Topology.shortest_paths_to_sink`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import TopologyError
 from .node import Coordinate, NodeId
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
+#: Node -> neighbours, both levels in insertion order (values unused).
+Adjacency = Dict[NodeId, Dict[NodeId, None]]
+
+
+def add_edge(adj: Adjacency, a: NodeId, b: NodeId) -> None:
+    """Link ``a`` and ``b`` in ``adj`` exactly as ``nx.Graph.add_edge``
+    would: a new endpoint is appended as a node (``a`` first), and each
+    endpoint joins the end of the other's neighbour row if not yet there.
+    """
+    adj.setdefault(a, {})[b] = None
+    adj.setdefault(b, {})[a] = None
+
+
+def _reachable(adj: Mapping[NodeId, Iterable[NodeId]], start: NodeId) -> set:
+    """The set of nodes reachable from ``start`` (BFS)."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for other in adj[node]:
+                if other not in seen:
+                    seen.add(other)
+                    nxt.append(other)
+        frontier = nxt
+    return seen
 
 
 class TopologyMetrics:
     """Array-backed distance/structure metrics for one topology.
 
     Built lazily, in one pass, from a single BFS over an int-indexed
-    adjacency structure — the "compiled tables" counterpart of the
-    per-call :mod:`networkx` queries the algorithms used to issue.
+    adjacency structure — the "compiled tables" counterpart of per-call
+    graph queries.
     Nodes are mapped to dense indices (sorted order) once; every metric
     is then a plain list indexed by node index:
 
@@ -39,24 +82,22 @@ class TopologyMetrics:
       closer to the sink), precomputed for all nodes in one sweep;
     * :meth:`distance_row` — a BFS row from an arbitrary root, cached
       per root (this is what turns :meth:`Topology.hop_distance` from
-      one networkx shortest-path call *per query* into one BFS *per
-      root*).
+      one shortest-path search *per query* into one BFS *per root*).
 
     The structure is derived state: :meth:`Topology.__getstate__`
     excludes it from pickle exactly like the other caches, so worker
-    processes rebuild it deterministically from the graph.
+    processes rebuild it deterministically from the adjacency.
     """
 
     __slots__ = ("order", "index", "adj", "neighbour_ids", "sink_row", "spc", "_rows")
 
-    def __init__(self, graph: nx.Graph, sink: NodeId) -> None:
-        self.order: Tuple[NodeId, ...] = tuple(sorted(graph.nodes))
+    def __init__(self, adj: Mapping[NodeId, Iterable[NodeId]], sink: NodeId) -> None:
+        self.order: Tuple[NodeId, ...] = tuple(sorted(adj))
         index = {node: i for i, node in enumerate(self.order)}
         self.index: Dict[NodeId, int] = index
         #: int-indexed adjacency (sorted neighbour order, as indices).
         self.adj: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(index[m] for m in sorted(graph.neighbors(node)))
-            for node in self.order
+            tuple(index[m] for m in sorted(adj[node])) for node in self.order
         )
         #: the same adjacency as NodeId tuples (shared with neighbours()).
         self.neighbour_ids: Tuple[Tuple[NodeId, ...], ...] = tuple(
@@ -123,7 +164,9 @@ class Topology:
     Parameters
     ----------
     graph:
-        The undirected communication graph.  A defensive copy is taken.
+        The undirected communication graph, as any mapping from a node
+        to its neighbours (a :class:`networkx.Graph` is one).  A
+        defensive copy is taken.
     sink:
         The node that collects aggregated data (the base station).
     source:
@@ -140,45 +183,54 @@ class Topology:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: Mapping[NodeId, Iterable[NodeId]],
         sink: NodeId,
         source: Optional[NodeId] = None,
         positions: Optional[Mapping[NodeId, Coordinate]] = None,
         name: str = "topology",
     ) -> None:
-        if graph.number_of_nodes() == 0:
+        # Re-add every edge in the order the input iterates, as
+        # ``nx.freeze(graph.copy())`` did: neighbour order feeds the 2-hop
+        # sets whose iteration order the schedule repair tie-breaks see.
+        adj: Adjacency = {node: {} for node in graph}
+        for a in graph:
+            for b in graph[a]:
+                add_edge(adj, a, b)
+        if not adj:
             raise TopologyError("a topology must contain at least one node")
-        if not nx.is_connected(graph):
+        if len(_reachable(adj, next(iter(adj)))) != len(adj):
             raise TopologyError("the communication graph must be connected")
-        if sink not in graph:
+        if sink not in adj:
             raise TopologyError(f"sink {sink!r} is not a node of the graph")
-        if source is not None and source not in graph:
+        if source is not None and source not in adj:
             raise TopologyError(f"source {source!r} is not a node of the graph")
         if source is not None and source == sink:
             raise TopologyError("source and sink must be distinct nodes")
 
-        self._graph = nx.freeze(graph.copy())
+        self._adj = adj
         self._sink = sink
         self._source = source
         self._name = name
         if positions is None:
             self._positions: Dict[NodeId, Coordinate] = {}
         else:
-            self._positions = {n: positions[n] for n in graph.nodes}
+            self._positions = {n: positions[n] for n in adj}
 
         # Derived caches, computed lazily.
         self._two_hop: Dict[NodeId, FrozenSet[NodeId]] = {}
         self._metrics: Optional[TopologyMetrics] = None
         self._neighbour_cache: Dict[NodeId, Tuple[NodeId, ...]] = {}
+        self._nx_graph: Optional["nx.Graph"] = None
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle without the derived caches.
 
         The caches (2-hop sets, neighbour tuples, the array-backed
-        :class:`TopologyMetrics`) are rebuilt deterministically on
-        demand, and excluding them matters for more than size: pickling
-        a ``frozenset`` does not preserve its internal layout, so its
-        *iteration order* can change across a round-trip.  Algorithms
+        :class:`TopologyMetrics`, the networkx export) are rebuilt
+        deterministically on demand, and excluding them matters for more
+        than size: pickling a ``frozenset`` does not preserve its internal
+        layout, so its *iteration order* can change across a round-trip.
+        Algorithms
         that iterate 2-hop sets (e.g. the schedule repair fixpoint's
         tie-breaks) would then diverge between an in-process topology
         and one shipped to a worker process.  A worker that rebuilds the
@@ -189,6 +241,7 @@ class Topology:
         state["_two_hop"] = {}
         state["_metrics"] = None
         state["_neighbour_cache"] = {}
+        state["_nx_graph"] = None
         return state
 
     @property
@@ -196,7 +249,7 @@ class Topology:
         """The array-backed metric tables (built on first use)."""
         metrics = self._metrics
         if metrics is None:
-            metrics = TopologyMetrics(self._graph, self._sink)
+            metrics = TopologyMetrics(self._adj, self._sink)
             self._metrics = metrics
         return metrics
 
@@ -204,9 +257,21 @@ class Topology:
     # Basic structure
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying (frozen) :class:`networkx.Graph`."""
-        return self._graph
+    def graph(self) -> "nx.Graph":
+        """A frozen :class:`networkx.Graph` export (built on first use).
+
+        Nodes and neighbour rows iterate in the topology's own order.
+        """
+        graph = self._nx_graph
+        if graph is None:
+            import networkx as nx
+
+            graph = nx.Graph()
+            graph.add_nodes_from(self._adj)
+            graph.add_edges_from((a, b) for a, row in self._adj.items() for b in row)
+            graph = nx.freeze(graph)
+            self._nx_graph = graph
+        return graph
 
     @property
     def name(self) -> str:
@@ -233,7 +298,7 @@ class Topology:
     def with_source(self, source: NodeId) -> "Topology":
         """Return a copy of this topology with a different source node."""
         return Topology(
-            nx.Graph(self._graph),
+            self._adj,
             sink=self._sink,
             source=source,
             positions=self._positions or None,
@@ -243,20 +308,27 @@ class Topology:
     @property
     def nodes(self) -> Tuple[NodeId, ...]:
         """All node identifiers, in sorted order."""
-        return tuple(sorted(self._graph.nodes))
+        return tuple(sorted(self._adj))
 
     @property
     def num_nodes(self) -> int:
         """Number of nodes ``|V|``."""
-        return self._graph.number_of_nodes()
+        return len(self._adj)
 
     @property
     def num_edges(self) -> int:
         """Number of communication links ``|E|``."""
-        return self._graph.number_of_edges()
+        return len(self.edges)
+
+    @property
+    def edges(self) -> Tuple[Tuple[NodeId, NodeId], ...]:
+        """Every link once, as a ``(low, high)`` pair, in sorted order."""
+        return tuple(
+            sorted({(a, b) if a <= b else (b, a) for a, row in self._adj.items() for b in row})
+        )
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._graph
+        return node in self._adj
 
     def __iter__(self) -> Iterator[NodeId]:
         return iter(self.nodes)
@@ -275,7 +347,7 @@ class Topology:
     # Neighbourhoods
     # ------------------------------------------------------------------
     def _require_node(self, node: NodeId) -> None:
-        if node not in self._graph:
+        if node not in self._adj:
             raise TopologyError(f"node {node!r} is not part of topology {self._name!r}")
 
     def neighbours(self, node: NodeId) -> Tuple[NodeId, ...]:
@@ -304,10 +376,14 @@ class Topology:
         if cached is not None:
             return cached
         self._require_node(node)
+        adj = self._adj
         reach = {node}
-        for first in self._graph.neighbors(node):
+        for first in adj[node]:
             reach.add(first)
-            reach.update(self._graph.neighbors(first))
+            # Through an iterator, not the dict itself: set.update pre-sizes
+            # its table for a dict argument, which would change the
+            # frozenset's iteration order.
+            reach.update(iter(adj[first]))
         reach.discard(node)
         result = frozenset(reach)
         self._two_hop[node] = result
@@ -317,7 +393,7 @@ class Topology:
         """Whether nodes ``a`` and ``b`` share a communication link."""
         self._require_node(a)
         self._require_node(b)
-        return self._graph.has_edge(a, b)
+        return b in self._adj[a]
 
     # ------------------------------------------------------------------
     # Distances and paths
@@ -358,7 +434,8 @@ class Topology:
 
     def diameter(self) -> int:
         """Graph diameter in hops (longest shortest path)."""
-        return nx.diameter(self._graph)
+        metrics = self.metrics
+        return max(max(metrics._bfs(i)) for i in range(len(metrics.order)))
 
     def shortest_path_children(self, node: NodeId) -> Tuple[NodeId, ...]:
         """Neighbours of ``node`` that are one hop *closer* to the sink.
@@ -376,9 +453,11 @@ class Topology:
         return metrics.spc[index]
 
     def shortest_paths_to_sink(self, node: NodeId) -> List[List[NodeId]]:
-        """All shortest paths from ``node`` to the sink."""
+        """All shortest paths from ``node`` to the sink, in networkx's order."""
+        import networkx as nx
+
         self._require_node(node)
-        return [list(p) for p in nx.all_shortest_paths(self._graph, node, self._sink)]
+        return [list(p) for p in nx.all_shortest_paths(self.graph, node, self._sink)]
 
     def bfs_layers(self) -> List[List[NodeId]]:
         """Nodes grouped by hop distance from the sink (layer 0 = sink)."""
@@ -420,9 +499,10 @@ class Topology:
         name: str = "custom",
     ) -> "Topology":
         """Build a topology from an explicit edge list."""
-        graph = nx.Graph()
-        graph.add_edges_from(edges)
-        return Topology(graph, sink=sink, source=source, name=name)
+        adj: Adjacency = {}
+        for a, b in edges:
+            add_edge(adj, a, b)
+        return Topology(adj, sink=sink, source=source, name=name)
 
     @staticmethod
     def from_unit_disk(
@@ -440,11 +520,10 @@ class Topology:
         """
         if communication_range <= 0:
             raise TopologyError("communication range must be positive")
-        graph = nx.Graph()
-        graph.add_nodes_from(positions)
+        adj: Adjacency = {node: {} for node in positions}
         ids: Sequence[NodeId] = sorted(positions)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
                 if positions[a].distance_to(positions[b]) <= communication_range:
-                    graph.add_edge(a, b)
-        return Topology(graph, sink=sink, source=source, positions=positions, name=name)
+                    add_edge(adj, a, b)
+        return Topology(adj, sink=sink, source=source, positions=positions, name=name)

@@ -159,6 +159,28 @@ class TestJobStore:
         assert restarted.get(record.job_id).state == QUEUED
         assert restarted.recover() == 0
 
+    def test_connections_are_closed_after_each_call(self, tmp_path):
+        # An unclosed sqlite3 connection sits in a reference cycle, so
+        # with the cyclic GC off every leaked one stays visible here.
+        import gc
+        import sqlite3
+
+        store = JobStore(tmp_path / "jobs.sqlite")
+        record, _ = store.submit(make_record())
+
+        def live_connections():
+            return sum(isinstance(o, sqlite3.Connection) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_connections()
+            for _ in range(50):
+                assert store.get(record.job_id).job_id == record.job_id
+            assert live_connections() == before
+        finally:
+            gc.enable()
+
     def test_check_transition_rejects_unknown_states(self):
         with pytest.raises(ConfigurationError):
             check_transition(QUEUED, "paused")
