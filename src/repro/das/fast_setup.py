@@ -149,7 +149,7 @@ class FastSetupState:
         "pparents", "others", "children_mask",
         "from_mask", "is_start", "is_decoy", "search_forwarded",
         "redirect_length", "search_sent", "change_sent",
-        "rounds_run",
+        "rounds_run", "phase1_sends", "phase1_unassigned",
     )
 
     def __init__(self, topology: Topology) -> None:
@@ -189,6 +189,12 @@ class FastSetupState:
         self.search_sent: List[int] = [0] * n
         self.change_sent: List[int] = [0] * n
         self.rounds_run = 0
+        #: SLP runs only: the Phase 1 -> Phase 2 boundary snapshot, taken
+        #: at the top of round MSP before its guarded actions — the SEND
+        #: count and the ids still without a slot, i.e. exactly what a
+        #: protectionless run of the same seed ends with.
+        self.phase1_sends: Optional[int] = None
+        self.phase1_unassigned: Optional[Tuple[NodeId, ...]] = None
 
     # ------------------------------------------------------------------
     def _mask_ids(self, mask: int) -> List[NodeId]:
@@ -211,6 +217,7 @@ class FastSetupState:
         """
         index = self.index
         slp = None
+        phase1_unassigned = frozenset(self.phase1_unassigned or ())
         for node, proc in processes.items():
             i = index[node]
             proc.slot = self.slot[i]
@@ -240,6 +247,9 @@ class FastSetupState:
                 proc.redirect_length = self.redirect_length[i]
                 proc.search_sent = self.search_sent[i]
                 proc.change_sent = self.change_sent[i]
+                proc.unassigned_after_phase1 = node in phase1_unassigned
+                if i == self.sink_idx:
+                    proc.phase1_sends = self.phase1_sends
 
 
 def run_fast_setup(
@@ -654,11 +664,16 @@ def run_fast_setup(
         uniform = rng.uniform
         for rnd in range(rounds):
             state.rounds_run = rnd
-            if tracer is not None and slp and rnd == msp:
-                tracer.end(phase_span)
-                phase_span = tracer.begin(
-                    "setup.phase23", search_distance=search_distance
+            if slp and rnd == msp:
+                state.phase1_sends = sends
+                state.phase1_unassigned = tuple(
+                    order[i] for i in node_range if slot[i] is None
                 )
+                if tracer is not None:
+                    tracer.end(phase_span)
+                    phase_span = tracer.begin(
+                        "setup.phase23", search_distance=search_distance
+                    )
             # --- boundary: guarded actions + jitter draws, in the heap's
             # ROUND-event order (ascending node id, preserved round over
             # round because each firing re-schedules its own successor).

@@ -429,6 +429,14 @@ def resolve_setup_kernel(setup_kernel: Optional[str], owner: str) -> str:
     return resolved
 
 
+def unassigned_error(unassigned) -> ProtocolError:
+    """The error for a Phase 1 that left ``unassigned`` nodes slotless."""
+    return ProtocolError(
+        f"{len(unassigned)} nodes never obtained a slot during setup "
+        f"(first few: {sorted(unassigned)[:5]})"
+    )
+
+
 def run_das_setup(
     topology: Topology,
     config: Optional[DasProtocolConfig] = None,
@@ -481,10 +489,7 @@ def run_das_setup(
 
     unassigned = [n for n, p in processes.items() if not p.assigned]
     if unassigned:
-        raise ProtocolError(
-            f"{len(unassigned)} nodes never obtained a slot during setup "
-            f"(first few: {sorted(unassigned)[:5]})"
-        )
+        raise unassigned_error(unassigned)
 
     raw_slots = {n: p.slot for n, p in processes.items()}
     parents = {n: p.parent for n, p in processes.items()}

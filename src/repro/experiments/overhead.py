@@ -1,8 +1,12 @@
 """The message-overhead experiment (§I / §VII: "negligible overhead").
 
-Runs the two distributed setups — protectionless Phase 1 and the full
-3-phase SLP protocol — under identical seeds and counts every broadcast,
-yielding the :class:`~repro.metrics.MessageOverhead` the claim is about.
+Compares the two distributed setups — protectionless Phase 1 and the
+full 3-phase SLP protocol — under identical seeds by counting every
+broadcast, yielding the :class:`~repro.metrics.MessageOverhead` the
+claim is about.  Only the SLP setup is simulated: its first ``MSP``
+rounds *are* the protectionless run of the same seed (same RNG stream,
+same jitter and noise draws; the search starts at round ``MSP``), so the
+baseline is read off the SLP run at the Phase 1 → Phase 2 boundary.
 
 Seeds are independent, so the sweep optionally fans out over a process
 pool (``workers``); per-seed measurements come back in seed order and
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..das import run_das_setup
+from ..das.protocol import unassigned_error
 from ..metrics import MessageOverhead
 from ..simulator import NoiseModel
 from ..slp import SlpProtocolConfig, run_slp_setup
@@ -31,6 +36,8 @@ class OverheadMeasurement:
 
     topology_name: str
     per_seed: Tuple[MessageOverhead, ...]
+    #: the seed of each ``per_seed`` entry, in the same order.
+    seeds: Tuple[int, ...]
 
     @property
     def mean_extra_messages(self) -> float:
@@ -96,20 +103,32 @@ def _measure_one_seed_impl(
     setup_kernel: Optional[str] = None,
 ) -> MessageOverhead:
     das_cfg = parameters.das_config(setup_periods=setup_periods)
-    baseline = run_das_setup(
-        topology, config=das_cfg, seed=seed, noise=noise, setup_kernel=setup_kernel
-    )
-    slp_cfg = SlpProtocolConfig(
-        das=das_cfg,
-        search_distance=search_distance,
-        change_length=parameters.change_length(topology, search_distance),
-        refinement_periods=refinement_periods,
-    )
-    slp = run_slp_setup(
-        topology, config=slp_cfg, seed=seed, noise=noise, setup_kernel=setup_kernel
-    )
+    try:
+        slp_cfg = SlpProtocolConfig(
+            das=das_cfg,
+            search_distance=search_distance,
+            change_length=parameters.change_length(topology, search_distance),
+            refinement_periods=refinement_periods,
+        )
+        slp = run_slp_setup(
+            topology, config=slp_cfg, seed=seed, noise=noise, setup_kernel=setup_kernel
+        )
+    except Exception:
+        # A failed SLP run leaves no Phase 1 snapshot.  Replay the
+        # protectionless run so a seed whose Phase 1 fails raises that
+        # error, as when the baseline was measured first.
+        run_das_setup(
+            topology, config=das_cfg, seed=seed, noise=noise, setup_kernel=setup_kernel
+        )
+        raise
+    # Counts are read; let refcounting free the run right away instead
+    # of leaving its reference cycles to the cyclic collector.
+    slp.simulator.close()
+    if slp.phase1_unassigned:
+        # The protectionless run of this seed would have failed here.
+        raise unassigned_error(slp.phase1_unassigned)
     return MessageOverhead(
-        baseline_messages=baseline.messages_sent,
+        baseline_messages=slp.phase1_messages,
         slp_messages=slp.messages_sent,
         search_messages=slp.search_messages,
         change_messages=slp.change_messages,
@@ -129,10 +148,18 @@ def measure_setup_overhead(
 ) -> OverheadMeasurement:
     """Measure SLP setup overhead over protectionless setup.
 
+    Each seed runs one distributed SLP setup.  The protectionless
+    baseline is that run's Phase 1 prefix: the broadcasts sent before
+    the sink starts the search at round ``MSP``, which equal
+    ``run_das_setup(...).messages_sent`` for the same seed
+    (``tests/test_overhead_prefix.py`` pins this).  A seed raises
+    :class:`~repro.errors.ProtocolError` exactly when either of the two
+    setups would: with ``run_das_setup``'s message when Phase 1 leaves
+    nodes without a slot, even if refinement would assign them later.
+
     ``setup_periods`` defaults to the paper's MSP (80); tests pass a
-    smaller value to keep runtime down — overhead ratios are unaffected
-    because both protocols share the same Phase 1.  ``workers`` spreads
-    the seeds over that many processes (``None`` or ``1`` = serial).
+    smaller value to keep runtime down.  ``workers`` spreads the seeds
+    over that many processes (``None`` or ``1`` = serial).
     ``setup_kernel`` selects the setup engine (``"fast"``/``"legacy"``/
     ``None`` for the default; bit-identical either way).
     """
@@ -170,6 +197,7 @@ def measure_setup_overhead(
     return OverheadMeasurement(
         topology_name=topology.name,
         per_seed=tuple(measurements),
+        seeds=tuple(seeds),
     )
 
 
@@ -182,9 +210,9 @@ def format_overhead(measurement: OverheadMeasurement) -> str:
         f"{'Seed':<6} {'Baseline':>10} {'SLP':>10} {'Extra':>8} {'Overhead':>10}",
         "-" * 48,
     ]
-    for i, m in enumerate(measurement.per_seed):
+    for seed, m in zip(measurement.seeds, measurement.per_seed):
         lines.append(
-            f"{i:<6} {m.baseline_messages:>10} {m.slp_messages:>10} "
+            f"{seed:<6} {m.baseline_messages:>10} {m.slp_messages:>10} "
             f"{m.extra_messages:>8} {m.overhead_percent:>9.1f}%"
         )
     lines.append("-" * 48)

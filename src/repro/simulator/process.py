@@ -73,6 +73,16 @@ class Process:
             )
         self._sim = simulator
 
+    def unbind(self) -> None:
+        """Detach from the engine, dropping pending timers and arrivals.
+
+        Called by :meth:`Simulator.close`; the protocol state stays
+        readable.
+        """
+        self._sim = None
+        self._timers.clear()
+        self._channel.clear()
+
     # ------------------------------------------------------------------
     # Lifecycle hooks (subclass API)
     # ------------------------------------------------------------------

@@ -341,6 +341,14 @@ class RadioMedium:
                 trace.bump(trace_kinds.DELIVER)
             callback(sender, message, now)
 
+    def close(self) -> None:
+        """Forget the engine and every attached receiver (see
+        :meth:`Simulator.close`)."""
+        self._receivers.clear()
+        self._fanout_cache.clear()
+        self._eavesdroppers = []
+        self._sim = None
+
     def reset(self) -> None:
         """Clear per-run medium state (noise chains, collision clocks)."""
         self._noise.reset()

@@ -104,6 +104,10 @@ class SlpNodeProcess(DasNodeProcess):
         # per-message SEND trace records.
         self.search_sent = 0
         self.change_sent = 0
+        # The Phase 1 -> Phase 2 boundary, recorded as round MSP begins:
+        # up to here the run is a protectionless run of the same seed.
+        self.unassigned_after_phase1 = False
+        self.phase1_sends: Optional[int] = None  # sink only: SENDs before startS
 
     # ------------------------------------------------------------------
     # Round structure
@@ -112,9 +116,17 @@ class SlpNodeProcess(DasNodeProcess):
         return self._slp.das.setup_periods + self._slp.refinement_periods
 
     def _begin_round(self) -> None:
-        starting_round = self._round
+        phase1_over = self._round == self._slp.das.setup_periods
+        if phase1_over:
+            # Before this node's own round-MSP guarded action: slots are
+            # only ever taken there, so this is the node's slot state at
+            # the end of Phase 1 whatever lower ids did at this instant.
+            self.unassigned_after_phase1 = self.slot is None
         super()._begin_round()
-        if self._is_sink and starting_round == self._slp.das.setup_periods:
+        if self._is_sink and phase1_over:
+            # Lower ids' round-MSP events only arm timers, so every
+            # SEND so far is a Phase 1 broadcast.
+            self.phase1_sends = self.sim.trace.count(SEND)
             self._start_search()
 
     # ------------------------------------------------------------------
@@ -310,6 +322,13 @@ class SlpSetupResult:
         The Phase 2 selected node, if one emerged.
     decoy_path:
         Nodes recruited onto the decoy path.
+    phase1_messages:
+        Broadcasts sent before the sink's ``startS`` (round ``MSP``).
+        Phase 1 of an SLP run is a protectionless run of the same seed,
+        so this equals ``run_das_setup(...).messages_sent``.
+    phase1_unassigned:
+        Ids (ascending) still without a slot when Phase 1 ended — the
+        nodes ``run_das_setup`` of the same seed would report.
     """
 
     schedule: Schedule
@@ -319,6 +338,8 @@ class SlpSetupResult:
     change_messages: int
     start_node: Optional[NodeId]
     decoy_path: tuple
+    phase1_messages: int
+    phase1_unassigned: tuple
 
 
 def run_slp_setup(
@@ -417,4 +438,8 @@ def run_slp_setup(
         change_messages=change_count,
         start_node=start_nodes[0] if start_nodes else None,
         decoy_path=decoys,
+        phase1_messages=processes[topology.sink].phase1_sends,
+        phase1_unassigned=tuple(
+            sorted(n for n, p in processes.items() if p.unassigned_after_phase1)
+        ),
     )

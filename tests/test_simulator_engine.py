@@ -1,5 +1,7 @@
 """Unit tests for the discrete event engine."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -205,6 +207,30 @@ class TestSimulator:
         sim.schedule_at(0.0, lambda: None)
         sim.run()
         assert order == [0, 1, 2]
+
+    def test_close_breaks_cycles_and_is_idempotent(self):
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulator(self.topo())
+            procs = [Process(n) for n in range(3)]
+            for proc in procs:
+                sim.register_process(proc)
+                proc.set_timer("tick", 5.0)
+                proc.broadcast("hello")
+            sim.run(until=1.0)
+            sim.close()
+            sim.close()
+            assert sim.trace.count("send") == 3
+            assert sim.pending_events == 0
+            assert not sim.step()  # nothing restarts after close
+            assert not procs[0].timer_pending("tick")
+            del sim, procs, proc
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        with pytest.raises(SimulationError, match="not registered"):
+            Process(0).sim
 
 
 class TestProcessTimers:
