@@ -6,11 +6,13 @@ The crash-consistency story against *real processes*:
 1. start the sweep service as a subprocess and submit the
    paper-baseline sweep over HTTP;
 2. a :class:`~repro.experiments.FaultPlan` in the subprocess
-   environment tears the first checkpoint append (the worker lands
-   half a line, fsyncs it, and dies — ``SIGKILL`` mid-write); the
-   moment the fault's marker appears, this script ``SIGKILL``\\ s the
-   whole service, so the data dir is left exactly as a crashed box
-   would leave it: a running job row and checkpoint debris;
+   environment tears the first checkpoint append (the service's lease
+   board lands half a line, fsyncs it, and the service dies —
+   ``SIGKILL`` mid-write); the moment the fault's marker appears, this
+   script ``SIGKILL``\\ s the service too, so the data dir is left
+   exactly as a crashed box would leave it: a running job row and
+   checkpoint debris — and the forked workers of the dead service must
+   notice and exit within 5 s;
 3. ``repro service fsck --data-dir`` must *find* the damage (exit 1:
    a stale running job plus the torn/corrupt checkpoint line) and
    ``--repair`` must fix it conservatively (demote to queued, rewrite
@@ -20,7 +22,8 @@ The crash-consistency story against *real processes*:
    injects ENOSPC into the result-blob write — the service re-queues
    the job, notes the degradation, and self-heals on retry;
 5. the served report must be byte-identical to a direct in-process
-   ``ScenarioRunner`` run.
+   ``ScenarioRunner`` run, and the drained service must leave no
+   worker behind.
 
 Exit code 0 iff every check passes.  A correctness drill for the
 storage layer, shaped like ``service_smoke.py`` one layer down.
@@ -52,6 +55,39 @@ def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+def children_of(pid: int) -> set:
+    """The child pids of ``pid``, read from every thread's
+    ``/proc/<pid>/task/<tid>/children`` (empty once it is gone)."""
+    children = set()
+    try:
+        for task in os.listdir(f"/proc/{pid}/task"):
+            with open(f"/proc/{pid}/task/{task}/children") as handle:
+                children.update(int(child) for child in handle.read().split())
+    except (OSError, ValueError):
+        pass
+    return children
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def all_exited(pids: set, timeout: float = 5.0) -> bool:
+    """Whether every process in ``pids`` exits within ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while any(running(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 def start_service(data_dir: Path, port: int, env: dict) -> subprocess.Popen:
@@ -140,16 +176,21 @@ def main() -> int:
             check("submission_created", submitted["created"] is True)
 
             # The torn-write fault fires inside the durable-append seam:
-            # the worker lands half a line and dies.  Its marker file is
-            # the signal to SIGKILL the whole service right there.
+            # the board lands half a line and the service dies.  Its
+            # marker file is the signal to SIGKILL the service right
+            # there (if it is not gone already).
+            workers: set = set()
             deadline = time.monotonic() + 120.0
             while not (markers / "torn-sweep-").exists():
+                workers |= children_of(process.pid)
                 if time.monotonic() > deadline:
                     break
                 time.sleep(0.005)
             check("torn_write_fired", (markers / "torn-sweep-").exists())
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=30.0)
+            check("first_life_forked_workers", bool(workers))
+            check("dead_service_left_no_workers", all_exited(workers))
         finally:
             if process.poll() is None:
                 process.kill()
@@ -160,7 +201,7 @@ def main() -> int:
         kinds = {f["kind"] for f in report.get("findings", [])}
         check("fsck_flags_damage_with_exit_1", code == 1)
         check("fsck_finds_stale_running_job", "stale_running_job" in kinds)
-        # The torn line survives at rest unless the respawned pool beat
+        # The torn line survives at rest unless a later append beat
         # the SIGKILL to the weld — in which case the debris is a
         # corrupt mid-file line instead.  Either way fsck must see it.
         check(
@@ -186,7 +227,9 @@ def main() -> int:
             wait_for_health(client, time.monotonic() + 30.0)
             deadline = time.monotonic() + 300.0
             status = {"state": "unknown"}
+            workers = set()
             while True:
+                workers |= children_of(process.pid)
                 status = client.status(job)
                 if status["state"] in ("done", "failed", "quarantined"):
                     break
@@ -197,6 +240,7 @@ def main() -> int:
             check("enospc_fired", (markers / "enospc-results_").exists())
             served = client.result_text(job)
             check("report_byte_identical_to_direct_run", served == expected)
+            workers |= children_of(process.pid)
         finally:
             process.terminate()
             try:
@@ -204,6 +248,8 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
+        check("second_life_forked_workers", bool(workers))
+        check("drained_service_left_no_workers", all_exited(workers))
 
     if not all(checks.values()):
         failed = [name for name, passed in checks.items() if not passed]

@@ -7,13 +7,17 @@ Runs the full robustness story against *real processes*:
 2. submit the paper-baseline sweep over HTTP, plus a duplicate (must
    dedup) and a malformed submission (must 400);
 3. a :class:`~repro.experiments.FaultPlan` in the subprocess
-   environment kills a shard worker mid-job (``crash_seeds``) and then
-   halts the whole service mid-job (``halt_seeds`` — the ``kill -9``
-   stand-in, leaving the job record ``running``);
+   environment kills one of the service's forked local workers mid-job
+   (``crash_seeds``: it dies holding its lease, is charged a ``crash``
+   attempt and respawned) and then halts the whole service mid-job
+   (``halt_seeds`` — the ``kill -9`` stand-in, leaving the job record
+   ``running``);
 4. restart the service over the same ``--data-dir``; recovery re-queues
    the job and the shard scheduler finishes only the missing seeds;
 5. poll to completion and diff the served report against a direct
-   in-process ``ScenarioRunner`` run — the bytes must be identical.
+   in-process ``ScenarioRunner`` run — the bytes must be identical;
+6. after each life, every worker the service forked must be gone
+   within 5 s — a leaked worker fails the drill.
 
 Exit code 0 iff every check passes.  No timing, no BENCH json: this is
 a correctness drill, shaped like ``bench.py --chaos`` but one layer up.
@@ -37,7 +41,7 @@ from repro.scenarios import ScenarioRunner  # noqa: E402
 from repro.service import ServiceClient, ServiceError  # noqa: E402
 
 SEEDS = 8
-CRASH_SEED = 2  # a shard worker dies here (BrokenProcessPool drill)
+CRASH_SEED = 2  # a local worker dies here, holding its lease
 HALT_SEED = 5  # the whole service "dies" before this seed's shard
 
 
@@ -45,6 +49,39 @@ def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+def children_of(pid: int) -> set:
+    """The child pids of ``pid``, read from every thread's
+    ``/proc/<pid>/task/<tid>/children`` (empty once it is gone)."""
+    children = set()
+    try:
+        for task in os.listdir(f"/proc/{pid}/task"):
+            with open(f"/proc/{pid}/task/{task}/children") as handle:
+                children.update(int(child) for child in handle.read().split())
+    except (OSError, ValueError):
+        pass
+    return children
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def all_exited(pids: set, timeout: float = 5.0) -> bool:
+    """Whether every process in ``pids`` exits within ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while any(running(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 def start_service(data_dir: Path, port: int, env: dict) -> subprocess.Popen:
@@ -123,9 +160,17 @@ def main() -> int:
 
             # The injected halt stops the service mid-job; the CLI loop
             # notices, drains and exits on its own — that exit is the
-            # drill's "the process died" event.
-            process.wait(timeout=120.0)
+            # drill's "the process died" event.  Note every worker it
+            # forked on the way (the one that crashed, its respawn).
+            workers: set = set()
+            deadline = time.monotonic() + 120.0
+            while process.poll() is None and time.monotonic() < deadline:
+                workers |= children_of(process.pid)
+                time.sleep(0.02)
+            process.wait(timeout=30.0)
             check("service_died_mid_job", process.returncode == 0)
+            check("first_life_forked_workers", len(workers) >= 2)
+            check("first_life_left_no_workers", all_exited(workers))
         finally:
             if process.poll() is None:
                 process.kill()
@@ -140,7 +185,9 @@ def main() -> int:
         try:
             wait_for_health(client, time.monotonic() + 30.0)
             deadline = time.monotonic() + 300.0
+            workers = set()
             while True:
+                workers |= children_of(process.pid)
                 status = client.status(job)
                 if status["state"] in ("done", "failed", "quarantined"):
                     break
@@ -150,6 +197,7 @@ def main() -> int:
             check("resumed_job_done", status["state"] == "done")
             served = client.result_text(job)
             check("report_byte_identical_to_direct_run", served == expected)
+            workers |= children_of(process.pid)
         finally:
             process.terminate()
             try:
@@ -157,6 +205,8 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait()
+        check("second_life_forked_workers", len(workers) >= 2)
+        check("drained_service_left_no_workers", all_exited(workers))
 
     if not all(checks.values()):
         failed = [name for name, passed in checks.items() if not passed]

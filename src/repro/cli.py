@@ -611,8 +611,7 @@ def _cmd_service_workers(args: argparse.Namespace) -> int:
         return 2
     workers = summary.get("workers") or []
     if not summary.get("remote", False):
-        print("service is not in remote mode (no worker fleet)")
-        return 0
+        print("service is not in remote mode (its own forked workers lease shards)")
     if not workers:
         print("no workers have claimed shards yet")
         return 0
@@ -887,7 +886,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-workers",
         type=int,
         default=2,
-        help="worker processes (= concurrently running shards)",
+        help="local worker processes the service forks at its first job "
+        "and keeps for its lifetime (= concurrently running shards; "
+        "ignored with --remote)",
     )
     svc_start.add_argument(
         "--shards-per-job",
@@ -900,9 +901,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="seconds a shard may go without completing a seed before "
-        "its pool is presumed hung and rebuilt (stall timeout, not a "
-        "total-duration cap)",
+        help="the lease timeout: seconds a leased shard may go without "
+        "landing a seed (a stall timeout, not a total-duration cap; "
+        "default 60). A local worker past it is killed, charged a "
+        "'timeout' attempt and respawned; a remote lease is re-queued "
+        "blame-free",
     )
     svc_start.add_argument(
         "--max-attempts",
@@ -921,9 +924,9 @@ def build_parser() -> argparse.ArgumentParser:
     svc_start.add_argument(
         "--remote",
         action="store_true",
-        help="run shards on remote workers ('worker start --connect') "
-        "leasing over HTTP instead of a local process pool; "
-        "--shard-timeout becomes the lease timeout (default 60s)",
+        help="fork no local workers: shards run only on 'worker start "
+        "--connect' processes leasing over HTTP (local workers lease "
+        "through the same endpoints)",
     )
     svc_start.add_argument(
         "--max-jobs",
@@ -966,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     svc_workers = service_sub.add_parser(
         "workers",
-        help="show the remote worker fleet (held shards, seeds landed, "
+        help="show the worker fleet (held shards, seeds landed, "
         "upload recency) from the service's lease board",
     )
     svc_workers.add_argument("--url", default=DEFAULT_SERVICE_URL, help=url_help)

@@ -12,12 +12,12 @@ Fault kinds
 -----------
 ``crash_seeds``
     The worker process calls ``os._exit`` before running the seed —
-    the hard failure mode that breaks the whole pool
-    (``BrokenProcessPool``).  Fires once per seed (see *once-only
-    faults* below) so the supervisor's respawn-and-retry can succeed.
+    the hard failure mode (a chunk pool breaks; a service's local
+    worker dies holding its lease).  Fires once per seed (see
+    *once-only faults* below) so respawn-and-retry can succeed.
 ``hang_seeds``
     The worker sleeps ``hang_seconds`` before running the seed,
-    simulating a wedged worker; the supervisor's chunk timeout is the
+    simulating a wedged worker; the chunk or lease timeout is the
     only thing that can recover.  Fires once per seed.
 ``transient_seeds``
     The worker raises :class:`InjectedFault` on the *first* attempt at
@@ -35,8 +35,8 @@ Fault kinds
     the drill target for the runtime kernel-divergence guard: a
     silently wrong fast kernel that only a legacy re-run can expose.
 ``halt_seeds``
-    The *scheduler process* raises :class:`ServiceHalt` before
-    dispatching any shard containing the seed — the in-process stand-in
+    The *service process* raises :class:`ServiceHalt` as its lease
+    board hands out any shard containing the seed — the in-process stand-in
     for ``kill -9`` of the sweep service itself, leaving the job's
     record ``running`` and its checkpoint partial, exactly as a dead
     process would.  Fires once per seed; the restart-and-resume drill
@@ -151,7 +151,8 @@ class FaultPlan:
     """A declarative, environment-carried set of fault injections.
 
     Activate with :meth:`activated` (a context manager) *before* the
-    worker pool is created so child processes inherit the environment;
+    worker pool is created (for a local-mode service: before its first
+    job forks the workers) so child processes inherit the environment;
     the sweep engine's fault points then consult
     :func:`active_fault_plan` in whichever process they run.
     """
@@ -267,9 +268,8 @@ class FaultPlan:
                 )
 
     def before_shard(self, seeds: Sequence[int]) -> None:
-        """Service-side fault point, called before a shard is handed to
-        the shard scheduler's pool (simulates the service process dying
-        mid-job)."""
+        """Service-side fault point, called before the lease board hands
+        a shard out (simulates the service process dying mid-job)."""
         for seed in seeds:
             if seed in self.halt_seeds and self._once("halt", seed):
                 raise ServiceHalt(

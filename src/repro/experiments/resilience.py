@@ -4,7 +4,11 @@ The parallel sweep engine's original failure story was all-or-nothing:
 one crashed or hung pool worker aborted the whole sweep and threw away
 every completed seed.  This module gives the experiment layer the same
 degrade-gracefully-or-fail-loudly discipline the paper demands of its
-setup phase, in four pieces:
+setup phase, in five pieces:
+
+:class:`Ladder`
+    The one retry → bisect → quarantine policy, shared by the chunk
+    supervisor below and the service's lease board.
 
 :class:`WorkerSupervisor`
     Drives per-chunk futures with a configurable timeout, retries
@@ -130,8 +134,8 @@ class FailedRun:
     attempts:
         Attempts made at the final (single-seed) isolation level.
     kind:
-        ``"crash"`` (worker death broke the pool), ``"timeout"`` (hung
-        past the chunk timeout), ``"error"`` (the run raised), or
+        ``"crash"`` (the worker process died), ``"timeout"`` (hung
+        past the chunk or lease timeout), ``"error"`` (the run raised), or
         ``"submit"`` (the chunk could not even be dispatched, e.g. a
         pickling failure).
     error:
@@ -163,6 +167,84 @@ class GuardReport:
 # ----------------------------------------------------------------------
 # Worker supervision
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Rung:
+    """One decision of the :class:`Ladder` for a failed unit of seeds.
+
+    ``requeue`` lists ``(seeds, attempt)`` units to queue again (one on
+    a retry, two halves on a bisection, none on quarantine); ``delay``
+    is the back-off they owe; ``failure`` is the quarantine record.
+    """
+
+    requeue: Tuple[Tuple[Tuple[int, ...], int], ...]
+    delay: float
+    failure: Optional[FailedRun] = None
+
+
+class Ladder:
+    """The one retry → bisect → quarantine policy every executor uses.
+
+    Pure decision logic: given a failed unit's seeds, the attempt that
+    failed and the failure kind, :meth:`climb` says what happens next
+    and never touches a queue or a clock.  A unit with attempts left is
+    retried with the :class:`RetryPolicy` backoff; a unit out of
+    attempts is *bisected* (both halves start fresh at attempt 1 — its
+    seeds are suspects, not convicts — after the same backoff); a
+    single seed out of attempts is quarantined as a :class:`FailedRun`.
+    Repeated failures therefore isolate the poison seed while its
+    former unit-mates complete normally.
+
+    Each decision is counted under ``<namespace>.{retries, timeouts,
+    bisections, quarantined}`` and, when tracing, marked with a
+    ``<unit>.{retry, bisect, quarantine}`` instant.  The chunk
+    supervisor uses ``("supervisor", "chunk")``, the service's lease
+    board ``("service", "shard")``.
+    """
+
+    def __init__(
+        self,
+        retry: Optional[RetryPolicy] = None,
+        namespace: str = "supervisor",
+        unit: str = "chunk",
+    ) -> None:
+        self._retry = retry if retry is not None else RetryPolicy()
+        self._namespace = namespace
+        self._unit = unit
+
+    def climb(
+        self, seeds: Tuple[int, ...], attempt: int, kind: str, error: str
+    ) -> Rung:
+        """Charge ``attempt`` at ``seeds`` (failure ``kind``, last
+        error ``error``) and decide the unit's next step."""
+        registry = default_registry()
+        tracer = active_tracer()
+        ns, unit = self._namespace, self._unit
+        if kind == "timeout":
+            registry.inc(f"{ns}.timeouts")
+        if attempt < self._retry.max_attempts:
+            registry.inc(f"{ns}.retries")
+            if tracer is not None:
+                tracer.instant(
+                    f"{unit}.retry", seeds=list(seeds), attempt=attempt, kind=kind
+                )
+            return Rung(
+                ((seeds, attempt + 1),), self._retry.delay(attempt, key=seeds[0])
+            )
+        if len(seeds) > 1:
+            registry.inc(f"{ns}.bisections")
+            if tracer is not None:
+                tracer.instant(f"{unit}.bisect", seeds=list(seeds))
+            mid = len(seeds) // 2
+            return Rung(
+                ((seeds[:mid], 1), (seeds[mid:], 1)),
+                self._retry.delay(attempt, key=seeds[0]),
+            )
+        registry.inc(f"{ns}.quarantined")
+        if tracer is not None:
+            tracer.instant(f"{unit}.quarantine", seed=seeds[0], kind=kind)
+        return Rung((), 0.0, FailedRun(seeds[0], attempt, kind, error))
+
+
 class _Task:
     """One chunk of seeds queued for (re-)execution."""
 
@@ -221,7 +303,7 @@ class WorkerSupervisor:
             )
         self._submit = submit
         self._respawn = respawn
-        self._retry = retry if retry is not None else RetryPolicy()
+        self._ladder = Ladder(retry, "supervisor", "chunk")
         self._chunk_timeout = chunk_timeout
         self._on_result = on_result
         self._sleep = sleep
@@ -362,48 +444,15 @@ class WorkerSupervisor:
         queue: Deque[_Task],
         failures: List[FailedRun],
     ) -> float:
-        """Requeue, split, or quarantine a failed task; return the
-        backoff its round owes."""
-        registry = default_registry()
-        tracer = active_tracer()
-        if task.attempt < self._retry.max_attempts:
-            registry.inc("supervisor.retries")
-            if kind == "timeout":
-                registry.inc("supervisor.timeouts")
-            if tracer is not None:
-                tracer.instant(
-                    "chunk.retry",
-                    seeds=list(task.seeds),
-                    attempt=task.attempt,
-                    kind=kind,
-                )
-            queue.append(_Task(task.seeds, task.attempt + 1))
-            return self._retry.delay(task.attempt, key=task.seeds[0])
-        if len(task.seeds) > 1:
-            # Out of attempts as a chunk: bisect to isolate the poison
-            # seed.  Halves start fresh — their seeds are merely
-            # suspects, not convicts.
-            registry.inc("supervisor.bisections")
-            if tracer is not None:
-                tracer.instant("chunk.bisect", seeds=list(task.seeds))
-            mid = len(task.seeds) // 2
-            queue.append(_Task(task.seeds[:mid], 1))
-            queue.append(_Task(task.seeds[mid:], 1))
-            return self._retry.delay(task.attempt, key=task.seeds[0])
-        registry.inc("supervisor.quarantined")
-        if tracer is not None:
-            tracer.instant(
-                "chunk.quarantine", seed=task.seeds[0], kind=kind
-            )
-        failures.append(
-            FailedRun(
-                seed=task.seeds[0],
-                attempts=task.attempt,
-                kind=kind,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        """Requeue, split, or quarantine a failed task as the
+        :class:`Ladder` decides; return the backoff its round owes."""
+        rung = self._ladder.climb(
+            task.seeds, task.attempt, kind, f"{type(exc).__name__}: {exc}"
         )
-        return 0.0
+        queue.extend(_Task(seeds, attempt) for seeds, attempt in rung.requeue)
+        if rung.failure is not None:
+            failures.append(rung.failure)
+        return rung.delay
 
 
 # ----------------------------------------------------------------------

@@ -9,19 +9,23 @@ assembled from the substrates the earlier PRs built:
 * :mod:`repro.service.store` — the durable SQLite
   :class:`JobStore` (dedup by primary key, atomic claims, crash
   recovery via ``running→queued``);
-* :mod:`repro.service.scheduler` — the :class:`ShardScheduler`:
-  seed-range shards on supervised worker pools with heartbeat-aware
-  timeouts, retry/backoff, bisection down to quarantined poison seeds,
-  and checkpoint-merged reports bit-identical to serial runs;
+* :mod:`repro.service.scheduler` — the one :class:`ShardScheduler`:
+  a job's missing seeds as seed-range shards on the lease board,
+  a recovery pass for seeds lost on disk, and checkpoint-merged
+  reports bit-identical to serial runs (:class:`RemoteShardScheduler`
+  is its former name);
 * :mod:`repro.service.api` — :class:`SweepService`, the stdlib
   ``ThreadingHTTPServer`` front (submit/status/result, shard leases,
-  graceful drain, ``--max-jobs`` concurrent dispatch);
-* :mod:`repro.service.transport` — the server side of the multi-host
-  worker transport: the :class:`ShardBoard` lease table (claims,
-  idempotent seed uploads that double as heartbeats, blame-free
-  revocation of stalled leases) and the :class:`RemoteShardScheduler`
-  that supervises a job through it;
-* :mod:`repro.service.worker` — the remote worker
+  graceful drain, ``--max-jobs`` concurrent dispatch) and, in local
+  mode, the fleet of workers it forks at its first job and
+  supervises: a dead worker is charged a ``crash`` attempt, a wedged
+  one is killed and charged ``timeout``, both are respawned;
+* :mod:`repro.service.transport` — the :class:`ShardBoard` lease
+  table every worker pulls from (claims, idempotent seed uploads that
+  double as heartbeats, failures charged through the one
+  :class:`~repro.experiments.Ladder`, blame-free revocation of stalled
+  remote leases);
+* :mod:`repro.service.worker` — the pull worker, local or remote
   (``repro worker start --connect``): :class:`WorkerTransport` with
   explicit timeouts, bounded retry/backoff and the injected network
   chaos, and the :class:`ShardWorker` pull-execute-upload loop with
@@ -36,7 +40,7 @@ assembled from the substrates the earlier PRs built:
   demote inconsistent jobs to ``queued``) so a restart reconverges.
 
 The robustness contract, enforced by the chaos drills: worker death
-(local pool or remote ``kill -9``), service death, network drops,
+(local or remote ``kill -9``), service death, network drops,
 delays, duplicated uploads, partitions, duplicate submissions and
 malformed specs never produce a report that differs from an
 uninterrupted serial run — jobs either finish byte-identically or fail
@@ -46,8 +50,13 @@ loudly with structured quarantine records.
 from .api import SweepService
 from .client import ServiceClient, ServiceError
 from .fsck import fsck_data_dir
-from .scheduler import JobInterrupted, ShardScheduler, lower_job
-from .transport import RemoteShardScheduler, ShardBoard
+from .scheduler import (
+    JobInterrupted,
+    RemoteShardScheduler,
+    ShardScheduler,
+    lower_job,
+)
+from .transport import ShardBoard
 from .worker import ShardWorker, TransportError, WorkerTransport, worker_main
 from .state import (
     DONE,

@@ -7,13 +7,21 @@ long-running process:
   (validated first — a malformed spec is a ``400``, never a crash, and
   a duplicate dedups to the existing job by content-addressed id);
 * a dispatcher thread drains the queue FIFO, running up to
-  ``max_jobs`` jobs concurrently (default 1 — the PR 8 behaviour),
-  each on its own scheduler: the local
-  :class:`~repro.service.scheduler.ShardScheduler` (a process pool in
-  this host), or with ``remote=True`` the
-  :class:`~repro.service.transport.RemoteShardScheduler`, which
-  publishes shard leases for ``repro worker start --connect`` workers
-  on any host to claim over HTTP;
+  ``max_jobs`` jobs concurrently (default 1) through the one
+  :class:`~repro.service.scheduler.ShardScheduler`, which publishes
+  each job's shards on the service's
+  :class:`~repro.service.transport.ShardBoard` for pull workers to
+  lease over HTTP.  In local mode (the default) the service forks
+  ``shard_workers`` such workers itself, at the first job, and keeps
+  them for its lifetime; with ``remote=True`` it forks none and
+  ``repro worker start --connect`` processes on any host do the work;
+* the same dispatcher tick supervises lease health with one lease
+  timeout (``shard_timeout``, default
+  :data:`~repro.service.transport.DEFAULT_LEASE_TIMEOUT`): a local
+  worker that dies holding a lease is charged a ``crash`` attempt and
+  respawned; one whose lease lands no seed within the timeout is
+  killed, charged ``timeout`` and respawned; a remote lease that
+  times out is re-queued blame-free;
 * ``GET /jobs/<id>`` serves the state machine plus live per-shard
   progress and the ``service.*`` slice of the telemetry metrics
   snapshot; ``GET /jobs/<id>/result`` serves the finished report's
@@ -36,8 +44,7 @@ HTTP endpoints::
     GET  /workers                lease-board fleet summary (held shards,
                                  seeds landed, upload recency per worker)
     POST /shards/claim           {"worker": id} → a shard lease, or
-                                 {"shard": null} (remote mode only: 409
-                                 otherwise)
+                                 {"shard": null}
     POST /shards/<id>/seeds      {"job", "worker", "seed", "result"} or the
                                  batched {"job", "worker", "seeds": [{"seed",
                                  "result"}, ...]} — the durability write +
@@ -60,8 +67,12 @@ service targets.
 
 from __future__ import annotations
 
+import gc
 import hmac
 import json
+import multiprocessing
+import os
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -69,12 +80,18 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, ReproError, StorageError, invalid_field
-from ..experiments import RetryPolicy, ServiceHalt, SweepCheckpoint
+from ..experiments import (
+    RetryPolicy,
+    ServiceHalt,
+    SweepCheckpoint,
+    configure_schedule_cache,
+)
 from ..scenarios import ScenarioSpec, get_scenario
 from ..storage import atomic_write_bytes
 from ..telemetry import default_registry
 from .scheduler import JobInterrupted, ShardScheduler, lower_job
-from .transport import RemoteShardScheduler, ShardBoard
+from .transport import DEFAULT_LEASE_TIMEOUT, ShardBoard
+from .worker import ShardWorker
 from .state import (
     DONE,
     FAILED,
@@ -119,24 +136,46 @@ class SweepService:
                 "SweepService", "max_jobs", max_jobs,
                 "the dispatcher needs at least one job slot",
             )
+        if not remote and shard_workers < 1:
+            raise invalid_field(
+                "SweepService", "shard_workers", shard_workers,
+                "local mode needs at least one worker",
+            )
+        if shard_timeout is not None and shard_timeout <= 0:
+            raise invalid_field(
+                "SweepService", "shard_timeout", shard_timeout,
+                "the lease timeout must be positive",
+            )
         self._data_dir = Path(data_dir)
         self._data_dir.mkdir(parents=True, exist_ok=True)
         self._store = JobStore(self._data_dir / "jobs.sqlite")
         self._shard_workers = shard_workers
-        self._shards_per_job = shards_per_job
-        self._shard_timeout = shard_timeout
+        self._lease_timeout = (
+            shard_timeout if shard_timeout is not None else DEFAULT_LEASE_TIMEOUT
+        )
         self._retry = retry
-        self._schedule_store = schedule_store
+        self._schedule_store = (
+            str(schedule_store) if schedule_store is not None else None
+        )
         self._poll_interval = poll_interval
         self._remote = remote
         self._max_jobs = max_jobs
-        # Remote mode: one lease board shared by every job scheduler,
-        # appending into the same checkpoint store the local path uses.
-        self._board: Optional[ShardBoard] = (
-            ShardBoard(SweepCheckpoint(self._data_dir / "checkpoints"))
-            if remote
-            else None
+        # One lease board shared by every job, appending into the
+        # checkpoint store; one scheduler publishing jobs on it.
+        self._board = ShardBoard(SweepCheckpoint(self._data_dir / "checkpoints"))
+        if shards_per_job is None and not remote:
+            shards_per_job = 2 * shard_workers
+        self._scheduler = ShardScheduler(
+            self._board,
+            shards_per_job=shards_per_job,
+            retry=retry,
+            poll_interval=poll_interval,
         )
+        # Local mode's forked workers by id (ids are never reused: a
+        # respawned worker gets a fresh one, so a stale upload from the
+        # dead one can never renew the new one's lease).
+        self._fleet: Dict[str, multiprocessing.process.BaseProcess] = {}
+        self._spawned = 0
         self._host = host
         self._port = port
         self._stop = threading.Event()
@@ -144,8 +183,6 @@ class SweepService:
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._drain_thread: Optional[threading.Thread] = None
-        self._active_lock = threading.Lock()
-        self._active_schedulers: list = []
         self.halted = False  # set by the chaos harness's ServiceHalt
         #: Shared secret for mutating endpoints (None = open service).
         self.token = token
@@ -206,42 +243,118 @@ class SweepService:
         return self
 
     def drain(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown (the SIGTERM path): stop accepting HTTP,
-        stop every running job's shards (checkpointed seeds survive),
-        re-queue them, and return once the threads have stopped."""
+        """Graceful shutdown (the SIGTERM path): stop every running
+        job's shards (checkpointed seeds survive) and re-queue the jobs,
+        drain and reap the local workers, stop serving HTTP, and return
+        once the threads have stopped."""
         self._stop.set()
+        if self._drain_thread is not None:
+            self._drain_thread.join(timeout=timeout)
+        self._stop_fleet()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
-        if self._drain_thread is not None:
-            self._drain_thread.join(timeout=timeout)
-        with self._active_lock:
-            leftovers = list(self._active_schedulers)
-        for scheduler in leftovers:
-            scheduler.close(kill=True)
 
-    def _make_scheduler(self):
-        """One scheduler per running job: a fresh local pool, or the
-        remote lease front over the shared board."""
-        if self._remote:
-            return RemoteShardScheduler(
-                self._data_dir,
-                self._board,
-                shards_per_job=self._shards_per_job,
-                shard_timeout=self._shard_timeout,
-                retry=self._retry,
-                poll_interval=self._poll_interval,
-            )
-        return ShardScheduler(
-            self._data_dir,
-            shard_workers=self._shard_workers,
-            shards_per_job=self._shards_per_job,
-            shard_timeout=self._shard_timeout,
-            retry=self._retry,
-            schedule_store=self._schedule_store,
-            poll_interval=self._poll_interval,
+    # ------------------------------------------------------------------
+    # The local worker fleet (local mode only)
+    # ------------------------------------------------------------------
+    def _spawn_worker(self) -> None:
+        """Fork one local worker: the :class:`ShardWorker` loop against
+        this service's own URL."""
+        self._spawned += 1
+        worker_id = f"local-{self._spawned}"
+        process = multiprocessing.get_context("fork").Process(
+            target=self._local_worker,
+            args=(worker_id, self.url, os.getpid()),
+            name=f"sweep-{worker_id}",
+            daemon=True,
         )
+        # The child must never finalize objects inherited from this
+        # threaded process: its collector closing an SQLite connection
+        # that another thread held mid-call at the fork would wait on
+        # that lock forever.  Frozen objects sit in the permanent
+        # generation, which the child's collector skips.
+        gc.freeze()
+        try:
+            process.start()
+        finally:
+            gc.unfreeze()
+        self._fleet[worker_id] = process
+
+    def _local_worker(self, worker_id: str, url: str, parent: int) -> None:
+        """A local worker's process body (runs in the forked child)."""
+        if self._httpd is not None:
+            self._httpd.socket.close()  # the parent's listener, not ours
+        if self._schedule_store is not None:
+            configure_schedule_cache(store=self._schedule_store)
+        worker = ShardWorker(
+            url,
+            worker_id=worker_id,
+            poll_interval=self._poll_interval,
+            retry=self._retry,
+            token=self.token,
+        )
+
+        # The inherited handlers (the CLI's) would only set the dead
+        # copy of the parent's stop event: drain like `worker start`.
+        def _on_signal(signum: int, frame: object) -> None:
+            worker.request_stop()
+
+        signal.signal(signal.SIGTERM, _on_signal)
+        signal.signal(signal.SIGINT, _on_signal)
+        threading.Thread(
+            target=_exit_when_orphaned, args=(parent,), daemon=True
+        ).start()
+        worker.run()
+
+    def _supervise_leases(self) -> None:
+        """One tick of lease supervision, under one lease timeout.
+
+        A local worker that died is charged a ``crash`` attempt on every
+        lease it held; one whose lease landed no seed within the timeout
+        is killed and charged ``timeout``; either is respawned under a
+        fresh id.  Stalled remote leases are re-queued blame-free.
+        """
+        now = time.monotonic()
+        if self._fleet:
+            stale = self._board.stale_workers(self._lease_timeout, now)
+            for worker_id, process in list(self._fleet.items()):
+                if not process.is_alive():
+                    kind = "crash"
+                    error = (
+                        f"WorkerDied: local worker {worker_id} exited "
+                        f"with code {process.exitcode}"
+                    )
+                elif worker_id in stale:
+                    process.kill()
+                    kind = "timeout"
+                    error = (
+                        f"TimeoutError: no seed landed in "
+                        f"{self._lease_timeout}s"
+                    )
+                else:
+                    continue
+                process.join()
+                del self._fleet[worker_id]
+                self._board.fail_worker(worker_id, kind, error)
+                default_registry().inc("service.respawns")
+                self._spawn_worker()
+        self._board.revoke_stale(self._lease_timeout, now, spare=self._fleet)
+
+    def _stop_fleet(self, timeout: float = 5.0) -> None:
+        """SIGTERM every local worker (each finishes its seed in flight
+        and hands its lease back), then reap; stragglers are killed."""
+        fleet = list(self._fleet.values())
+        self._fleet.clear()
+        for process in fleet:
+            process.terminate()
+        deadline = time.monotonic() + timeout
+        for process in fleet:
+            process.join(max(0.0, deadline - time.monotonic()))
+            if process.is_alive():
+                process.kill()
+                process.join()
 
     # ------------------------------------------------------------------
     # Submission (shared by HTTP and any in-process caller)
@@ -354,14 +467,10 @@ class SweepService:
             pass
 
     # ------------------------------------------------------------------
-    # The remote-worker lease API (HTTP handler threads land here)
+    # The worker lease API (HTTP handler threads land here)
     # ------------------------------------------------------------------
     def claim_shard(self, payload: object) -> Tuple[int, Dict[str, object]]:
         """``POST /shards/claim``: lease the next ready shard."""
-        if self._board is None:
-            return 409, {
-                "error": "service is not in remote mode (start with --remote)"
-            }
         if not isinstance(payload, dict):
             return 400, {"error": "the claim body must be a JSON object"}
         worker = payload.get("worker")
@@ -376,10 +485,6 @@ class SweepService:
         self, shard_id: str, action: str, payload: object
     ) -> Tuple[int, Dict[str, object]]:
         """``POST /shards/<id>/{seeds,fail,release,done}``."""
-        if self._board is None:
-            return 409, {
-                "error": "service is not in remote mode (start with --remote)"
-            }
         if not isinstance(payload, dict):
             return 400, {"error": "the body must be a JSON object"}
         job = payload.get("job")
@@ -387,56 +492,40 @@ class SweepService:
         if not isinstance(job, str) or not isinstance(worker, str):
             return 400, {"error": "'job' and 'worker' must be strings"}
         if action == "seeds":
-            if "seeds" in payload:
-                # Batched upload: a list of {"seed", "result"} entries,
-                # answered entry-by-entry with the same per-seed dedup
-                # replies a single upload gets.
-                entries = payload.get("seeds")
-                if not isinstance(entries, list) or not entries:
-                    return 400, {
-                        "error": "'seeds' must be a non-empty list of "
-                        "{'seed', 'result'} entries"
-                    }
-                pairs = []
-                for entry in entries:
-                    if not isinstance(entry, dict):
-                        return 400, {"error": "each batch entry must be an object"}
-                    seed = entry.get("seed")
-                    result = entry.get("result")
-                    if not isinstance(seed, int) or isinstance(seed, bool):
-                        return 400, {"error": "'seed' must be an integer"}
-                    if not isinstance(result, dict):
-                        return 400, {"error": "'result' must be a result document"}
-                    pairs.append((seed, result))
-                replies = []
-                for seed, result in pairs:
-                    try:
-                        replies.append(
-                            self._board.record_seed(
-                                job, shard_id, worker, seed, result
-                            )
-                        )
-                    except (KeyError, TypeError, ValueError) as exc:
-                        return 400, {
-                            "error": f"malformed result document: "
-                            f"{type(exc).__name__}: {exc}"
-                        }
-                return 200, {"results": replies}
-            seed = payload.get("seed")
-            result = payload.get("result")
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                return 400, {"error": "'seed' must be an integer"}
-            if not isinstance(result, dict):
-                return 400, {"error": "'result' must be a result document"}
-            try:
-                reply = self._board.record_seed(job, shard_id, worker, seed, result)
-            except (KeyError, TypeError, ValueError) as exc:
-                # A malformed result document must not poison the board.
+            # One {"seed", "result"} upload, or a batch of them under
+            # "seeds" answered entry-by-entry with the same per-seed
+            # dedup replies a single upload gets.
+            batched = "seeds" in payload
+            entries = payload.get("seeds") if batched else [payload]
+            if not isinstance(entries, list) or not entries:
                 return 400, {
-                    "error": f"malformed result document: "
-                    f"{type(exc).__name__}: {exc}"
+                    "error": "'seeds' must be a non-empty list of "
+                    "{'seed', 'result'} entries"
                 }
-            return 200, reply
+            pairs = []
+            for entry in entries:
+                if not isinstance(entry, dict):
+                    return 400, {"error": "each batch entry must be an object"}
+                seed = entry.get("seed")
+                result = entry.get("result")
+                if not isinstance(seed, int) or isinstance(seed, bool):
+                    return 400, {"error": "'seed' must be an integer"}
+                if not isinstance(result, dict):
+                    return 400, {"error": "'result' must be a result document"}
+                pairs.append((seed, result))
+            replies = []
+            for seed, result in pairs:
+                try:
+                    replies.append(
+                        self._board.record_seed(job, shard_id, worker, seed, result)
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    # A malformed result document must not poison the board.
+                    return 400, {
+                        "error": f"malformed result document: "
+                        f"{type(exc).__name__}: {exc}"
+                    }
+            return 200, {"results": replies} if batched else replies[0]
         if action == "fail":
             error = payload.get("error")
             if not isinstance(error, str):
@@ -478,31 +567,36 @@ class SweepService:
     def workers_summary(self) -> Dict[str, object]:
         """The fleet view behind ``GET /workers``: every worker the
         lease board has seen, with held shards and upload recency."""
-        workers = self._board.workers() if self._board is not None else []
-        return {"remote": self._board is not None, "workers": workers}
+        return {"remote": self._remote, "workers": self._board.workers()}
 
     # ------------------------------------------------------------------
     # The scheduler loop
     # ------------------------------------------------------------------
     def _drain_loop(self) -> None:
-        """The dispatcher: claim queued jobs and run up to
-        ``max_jobs`` of them concurrently, each on its own thread and
-        scheduler.  With the default ``max_jobs=1`` this degenerates to
-        the old one-job FIFO (claims are atomic either way)."""
+        """The dispatcher: supervise the leases, claim queued jobs and
+        run up to ``max_jobs`` of them concurrently, each on its own
+        thread.  With the default ``max_jobs=1`` this is a one-job FIFO
+        (claims are atomic either way)."""
         threads: list = []
         while not self._stop.is_set():
+            self._supervise_leases()
             threads = [t for t in threads if t.is_alive()]
             if len(threads) >= self._max_jobs:
-                self._stop.wait(0.05)
+                self._stop.wait(self._poll_interval)
                 continue
             if time.monotonic() < self._storage_retry_at:
                 # Disk pressure: don't busy-loop claim/fail cycles.
-                self._stop.wait(0.05)
+                self._stop.wait(self._poll_interval)
                 continue
             job = self._store.claim_next()
             if job is None:
-                self._stop.wait(0.05)
+                self._stop.wait(self._poll_interval)
                 continue
+            if not self._remote and not self._fleet:
+                # Forked lazily: a service that never runs a job never
+                # pays for workers.
+                for _ in range(self._shard_workers):
+                    self._spawn_worker()
             thread = threading.Thread(
                 target=self._run_one,
                 args=(job,),
@@ -515,12 +609,9 @@ class SweepService:
             thread.join(timeout=30.0)
 
     def _run_one(self, job: JobRecord) -> None:
-        scheduler = self._make_scheduler()
-        with self._active_lock:
-            self._active_schedulers.append(scheduler)
         try:
             spec = job.spec()
-            outcome = scheduler.run_job(
+            outcome = self._scheduler.run_job(
                 spec,
                 repeats=job.repeats,
                 base_seed=job.base_seed,
@@ -560,11 +651,15 @@ class SweepService:
             else:
                 self._storage_error = None
         finally:
-            with self._active_lock:
-                if scheduler in self._active_schedulers:
-                    self._active_schedulers.remove(scheduler)
-            scheduler.close(kill=True)
             self._progress.pop(job.job_id, None)
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """A local worker's watchdog: once the service that forked it is
+    gone (``kill -9`` included), nobody can take its uploads — exit."""
+    while os.getppid() == parent:
+        time.sleep(0.25)
+    os._exit(0)
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -1,29 +1,25 @@
 """The shard scheduler: supervised, checkpointed execution of one job.
 
-This promotes PR 6's chunk-level supervision to the service's shard
-layer.  A job's seed range is split into contiguous *shards*
+A job's seed range is split into contiguous *shards*
 (:func:`~repro.experiments.seed_chunks` — the same balanced partition
-the parallel runner uses), and each shard runs as one supervised task
-on a worker-process pool:
+the parallel runner uses) and published on the service's
+:class:`~repro.service.transport.ShardBoard`, where pull workers lease
+them: the service's own forked local workers, ``repro worker start
+--connect`` processes on any host, or both.  Whoever runs a shard:
 
-* every completed seed is appended to the job's
-  :class:`~repro.experiments.SweepCheckpoint` *from inside the worker*,
-  so the append doubles as the shard's **heartbeat** — the scheduler
-  measures progress by counting the shard's seeds in the store, and a
-  ``shard_timeout`` fires only when a shard makes *no* progress for
-  that long (a long job that keeps landing seeds is never killed);
-* a failed shard is retried with the
-  :class:`~repro.experiments.RetryPolicy` backoff (exponential,
-  deterministic jitter), a broken pool is respawned, a hung pool is
-  killed and respawned;
-* a shard out of attempts is **bisected** — repeated failures isolate
-  the poison seed, which is quarantined as a
+* every completed seed is uploaded and appended to the job's
+  :class:`~repro.experiments.SweepCheckpoint` *by the board*, so the
+  append doubles as the lease's **heartbeat**;
+* a failed, crashed or timed-out shard walks the one
+  :class:`~repro.experiments.Ladder` — retry with backoff, then
+  **bisection** until the poison seed is isolated and quarantined as a
   :class:`~repro.experiments.FailedRun` on the job record while its
   former shard-mates complete normally;
-* because workers skip seeds already in the store, a retried or
-  resumed shard re-runs only what is missing — and because every run
-  re-seeds from scratch, the merged report is bit-identical to an
-  uninterrupted serial sweep, which the chaos drills assert literally.
+* because leases only ever carry seeds missing from the store, a
+  retried or resumed shard re-runs only what is missing — and because
+  every run re-seeds from scratch, the merged report is bit-identical
+  to an uninterrupted serial sweep, which the chaos drills assert
+  literally.
 
 The scheduler itself holds no job state worth preserving: kill the
 process at any instant and the (job store, checkpoint store) pair on
@@ -33,24 +29,12 @@ disk is sufficient to resume.
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import replace
-from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
-
-from collections import deque
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import invalid_field, sweep_failed
-from ..experiments import (
-    ExperimentConfig,
-    ExperimentRunner,
-    FailedRun,
-    RetryPolicy,
-    SweepCheckpoint,
-    active_fault_plan,
-    configure_schedule_cache,
-    seed_chunks,
-)
+from ..app import OperationalResult
+from ..experiments import ExperimentConfig, FailedRun, RetryPolicy, seed_chunks
 from ..metrics import (
     capture_stats,
     first_capture_stats,
@@ -59,6 +43,10 @@ from ..metrics import (
 from ..scenarios import ScenarioOutcome, ScenarioSpec
 from ..telemetry import default_registry
 from ..topology import Topology
+from .state import job_key
+
+if TYPE_CHECKING:  # the board module imports this one
+    from .transport import ShardBoard
 
 
 class JobInterrupted(Exception):
@@ -90,65 +78,20 @@ def lower_job(
     return topology, config
 
 
-def _run_shard(
-    spec_json: str,
-    repeats: Optional[int],
-    base_seed: Optional[int],
-    kernel: Optional[str],
-    setup_kernel: Optional[str],
-    seeds: Tuple[int, ...],
-    checkpoint_root: str,
-    schedule_store_path: Optional[str] = None,
-) -> int:
-    """Worker entry point: run one shard's missing seeds.
-
-    Module-level so it pickles by reference under every pool start
-    method.  Seeds already in the checkpoint are skipped (that is what
-    makes retries and resumes cheap and idempotent); each completed
-    seed is appended immediately — the append is both the durability
-    write and the heartbeat the parent watches.  Returns the number of
-    seeds actually run.
-    """
-    spec = ScenarioSpec.from_json(spec_json)
-    topology, config = lower_job(spec, repeats, base_seed, kernel, setup_kernel)
-    if schedule_store_path is not None:
-        configure_schedule_cache(store=schedule_store_path)
-    checkpoint = SweepCheckpoint(checkpoint_root)
-    key = checkpoint.key_for(topology, config)
-    done = checkpoint.load(key)
-    plan = active_fault_plan()
-    runner = ExperimentRunner(topology)
-    ran = 0
-    for seed in seeds:
-        if seed in done:
-            continue
-        if plan is not None:
-            # Chaos-only fault point (crash/hang/transient/poison).
-            plan.before_seed(seed)
-        result = runner.run_once(config, seed)
-        checkpoint.append(key, seed, result)
-        ran += 1
-    return ran
-
-
 def merge_outcome(
     spec: ScenarioSpec,
     topology: Topology,
     config: ExperimentConfig,
-    checkpoint: SweepCheckpoint,
-    key: str,
+    on_disk: Dict[int, OperationalResult],
     seeds: List[int],
     failures: List[FailedRun],
     max_attempts: int,
 ) -> ScenarioOutcome:
-    """Seed-ordered reassembly of the checkpointed results into the
-    same :class:`~repro.scenarios.ScenarioOutcome` a direct
+    """Seed-ordered reassembly of the checkpointed results (``on_disk``)
+    into the same :class:`~repro.scenarios.ScenarioOutcome` a direct
     ``ScenarioRunner.run`` builds — the report bytes cannot tell the
-    difference, which is the whole point.  Shared by the local
-    :class:`ShardScheduler` and the remote
-    :class:`~repro.service.transport.RemoteShardScheduler`: however the
-    seeds travelled, the merge is the same."""
-    on_disk = checkpoint.load(key)
+    difference, which is the whole point: however the seeds travelled,
+    the merge is the same."""
     quarantined = {f.seed for f in failures}
     survivors = [s for s in seeds if s not in quarantined]
     lost = [s for s in survivors if s not in on_disk]
@@ -180,131 +123,49 @@ def merge_outcome(
     )
 
 
-class _Shard:
-    """One shard queued for (re-)execution."""
-
-    __slots__ = ("seeds", "attempt", "ready_at")
-
-    def __init__(self, seeds: Tuple[int, ...], attempt: int, ready_at: float = 0.0):
-        self.seeds = seeds
-        self.attempt = attempt
-        self.ready_at = ready_at
-
-
-class _Flight:
-    """One shard currently on the pool, with its heartbeat bookkeeping."""
-
-    __slots__ = ("shard", "future", "progress", "last_advance")
-
-    def __init__(self, shard: _Shard, future: Future, now: float):
-        self.shard = shard
-        self.future = future
-        self.progress = 0
-        self.last_advance = now
-
-
 class ShardScheduler:
-    """Executes one job at a time across a supervised worker pool.
+    """Executes one job through the shard board's pull workers.
+
+    ``run_job`` publishes the job's missing seeds as shards, waits for
+    the board to report every seed durable or quarantined, gives seeds
+    that vanished from disk one recovery pass, and merges the
+    checkpoint into the report.  Lease health (timeouts, dead local
+    workers) is the service's fleet supervision, not this loop's.
 
     Parameters
     ----------
-    data_dir:
-        The service's data directory; the per-seed checkpoint store
-        lives under ``<data_dir>/checkpoints``.
-    shard_workers:
-        Worker processes (and therefore concurrently running shards).
+    board:
+        The service's lease table; its checkpoint store is the job's.
     shards_per_job:
-        How many shards to split a job's missing seeds into
-        (default ``2 × shard_workers`` — enough slack that one slow
-        shard does not straggle the whole job).
+        How many shards to split a job's missing seeds into (default 4;
+        the service passes ``2 x shard_workers`` in local mode).
     retry:
-        Backoff schedule for shard retries (default
+        The ladder's backoff schedule (default
         :class:`~repro.experiments.RetryPolicy`\\ ()).
-    shard_timeout:
-        Seconds a shard may go *without completing a seed* before its
-        pool is presumed hung, killed and respawned (``None`` disables
-        the watchdog).  This is a stall timeout, not a total-duration
-        timeout — a shard landing seeds is never killed.
-    schedule_store:
-        Optional path to a shared on-disk schedule store; shard workers
-        attach it so concurrent jobs over one topology dedup builds.
     poll_interval:
-        The supervision loop's tick (seconds).
+        The loop's tick (seconds).
     """
 
     def __init__(
         self,
-        data_dir: Union[str, Path],
-        shard_workers: int = 2,
+        board: "ShardBoard",
         shards_per_job: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
-        shard_timeout: Optional[float] = None,
-        schedule_store: Optional[Union[str, Path]] = None,
         poll_interval: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if shard_workers < 1:
+        if shards_per_job is not None and shards_per_job < 1:
             raise invalid_field(
-                "ShardScheduler", "shard_workers", shard_workers,
-                "the scheduler needs at least one worker",
+                "ShardScheduler", "shards_per_job", shards_per_job,
+                "a job needs at least one shard",
             )
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise invalid_field(
-                "ShardScheduler", "shard_timeout", shard_timeout,
-                "a timeout must be positive (None disables it)",
-            )
-        self._data_dir = Path(data_dir)
-        self._checkpoint = SweepCheckpoint(self._data_dir / "checkpoints")
-        self._workers = shard_workers
-        self._shards_per_job = shards_per_job or 2 * shard_workers
+        self._board = board
+        self._checkpoint = board.checkpoint
+        self._shards_per_job = shards_per_job or 4
         self._retry = retry if retry is not None else RetryPolicy()
-        self._shard_timeout = shard_timeout
-        self._schedule_store = (
-            str(schedule_store) if schedule_store is not None else None
-        )
         self._poll = poll_interval
         self._sleep = sleep
-        self._executor: Optional[ProcessPoolExecutor] = None
 
-    # ------------------------------------------------------------------
-    # Pool lifecycle (mechanism; the run loop owns policy)
-    # ------------------------------------------------------------------
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self._workers)
-        return self._executor
-
-    @staticmethod
-    def _terminate_processes(executor: ProcessPoolExecutor) -> None:
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except (OSError, ValueError):  # already gone
-                pass
-
-    def _respawn(self, kill: bool) -> None:
-        default_registry().inc("service.respawns")
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            if kill:
-                self._terminate_processes(executor)
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def close(self, kill: bool = False) -> None:
-        """Shut the worker pool down (idempotent; a fresh pool is
-        spawned on demand if the scheduler is reused)."""
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            if kill:
-                self._terminate_processes(executor)
-            executor.shutdown(wait=not kill, cancel_futures=True)
-
-    # ------------------------------------------------------------------
-    # The job loop
-    # ------------------------------------------------------------------
     def run_job(
         self,
         spec: ScenarioSpec,
@@ -317,275 +178,104 @@ class ShardScheduler:
     ) -> ScenarioOutcome:
         """Run one job to completion (or quarantine) and merge its report.
 
-        ``stop`` is an optional ``threading.Event``: once set, the pool
-        is killed and :class:`JobInterrupted` raised — the graceful
-        drain path (finished seeds are already durable).
-        ``on_progress`` receives ``{"seeds_done", "seeds_total",
-        "shards": [...]}`` snapshots, which the HTTP status endpoint
-        serves.
+        ``stop`` is an optional ``threading.Event``: once set, the job
+        is withdrawn from the board and :class:`JobInterrupted` raised —
+        the graceful drain path (finished seeds are already durable).
+        ``on_progress`` receives the board's ``{"seeds_done",
+        "seeds_total", "shards": [...], ...}`` snapshots, which the
+        HTTP status endpoint serves.
         """
         topology, config = lower_job(spec, repeats, base_seed, kernel, setup_kernel)
         key = self._checkpoint.key_for(topology, config)
         seeds = [config.base_seed + i for i in range(config.repeats)]
-        done = self._checkpoint.load(key)
-        missing = [s for s in seeds if s not in done]
-
+        job_id = job_key(spec, config.repeats, config.base_seed, kernel, setup_kernel)
         registry = default_registry()
         registry.gauge("service.job.seeds_total", len(seeds))
 
-        failures: List[FailedRun] = []
-        if missing:
-            failures = self._supervise(
-                spec, config, key, missing, len(seeds),
-                kernel, setup_kernel, stop, on_progress,
-            )
-
-        # A shard can report success while an append was silently
-        # corrupted (a lying disk — the chaos drill's
-        # ``corrupt_checkpoint_seeds``): the line digest makes the
-        # loader drop such records, so any seed still missing gets one
-        # recovery pass before the merge is allowed to fail the job.
-        quarantined = {f.seed for f in failures}
         on_disk = self._checkpoint.load(key)
-        leftover = [
-            s for s in seeds if s not in quarantined and s not in on_disk
-        ]
-        if leftover:
-            registry.inc("service.recovery_passes")
-            failures = failures + self._supervise(
-                spec, config, key, leftover, len(seeds),
-                kernel, setup_kernel, stop, on_progress,
+        failures: List[FailedRun] = []
+        for recovery in (False, True):
+            quarantined = {f.seed for f in failures}
+            missing = [
+                s for s in seeds if s not in on_disk and s not in quarantined
+            ]
+            if not missing:
+                break
+            if recovery:
+                # The board saw these seeds land, yet they are not on
+                # disk: an append was silently corrupted (a lying disk —
+                # the chaos drill's ``corrupt_checkpoint_seeds``) and the
+                # line digest made the loader drop it.  Reopen them once
+                # before the merge is allowed to fail the job.
+                registry.inc("service.recovery_passes")
+            failures = sorted(
+                failures
+                + self._supervise(
+                    job_id, spec, config, key, missing, set(on_disk),
+                    kernel, setup_kernel, stop, on_progress,
+                ),
+                key=lambda f: f.seed,
             )
-            failures.sort(key=lambda f: f.seed)
-
-        return self._merge(spec, topology, config, key, seeds, failures)
+            on_disk = self._checkpoint.load(key)
+        return merge_outcome(
+            spec, topology, config, on_disk, seeds, failures,
+            self._retry.max_attempts,
+        )
 
     def _supervise(
         self,
+        job_id: str,
         spec: ScenarioSpec,
         config: ExperimentConfig,
         key: str,
         missing: List[int],
-        total: int,
+        done: Set[int],
         kernel: Optional[str],
         setup_kernel: Optional[str],
         stop,
         on_progress,
     ) -> List[FailedRun]:
+        """Publish ``missing`` on the board and wait until every seed is
+        durable or quarantined; returns the quarantine records."""
         registry = default_registry()
-        plan = active_fault_plan()
-        spec_json = spec.to_json(indent=None)
-        pending: Deque[_Shard] = deque(
-            _Shard(chunk, 1)
-            for chunk in seed_chunks(missing, self._shards_per_job)
-            if chunk
+        shards = [
+            chunk for chunk in seed_chunks(missing, self._shards_per_job) if chunk
+        ]
+        registry.inc("service.shards", len(shards))
+        self._board.open_job(
+            job_id, spec.to_json(indent=None), config.repeats,
+            config.base_seed, kernel, setup_kernel, key,
+            self._retry, shards, done,
         )
-        in_flight: List[_Flight] = []
-        failures: List[FailedRun] = []
-
-        def submit_args(shard: _Shard):
-            return (
-                spec_json,
-                config.repeats,
-                config.base_seed,
-                kernel,
-                setup_kernel,
-                shard.seeds,
-                str(self._checkpoint.root),
-                self._schedule_store,
-            )
-
         try:
-            while pending or in_flight:
+            while not self._board.job_finished(job_id):
                 if stop is not None and stop.is_set():
                     raise JobInterrupted("service drain requested")
-                now = time.monotonic()
-
-                # Dispatch ready shards while the pool has capacity.
-                dispatched = True
-                while dispatched and len(in_flight) < self._workers:
-                    dispatched = False
-                    for _ in range(len(pending)):
-                        shard = pending.popleft()
-                        if shard.ready_at > now:
-                            pending.append(shard)
-                            continue
-                        if plan is not None:
-                            # ServiceHalt (the kill -9 stand-in) must
-                            # escape the whole scheduler: BaseException,
-                            # raised before any supervision wraps it.
-                            plan.before_shard(shard.seeds)
-                        try:
-                            if plan is not None:
-                                plan.before_submit(shard.seeds)
-                            future = self._ensure_executor().submit(
-                                _run_shard, *submit_args(shard)
-                            )
-                        except BrokenExecutor as exc:
-                            self._respawn(False)
-                            self._retry_or_fail(
-                                shard, exc, "crash", pending, failures, now
-                            )
-                        except Exception as exc:
-                            self._retry_or_fail(
-                                shard, exc, "submit", pending, failures, now
-                            )
-                        else:
-                            registry.inc("service.shards")
-                            in_flight.append(_Flight(shard, future, now))
-                            dispatched = True
-                        break
-
-                # Harvest finished shards.
-                pool_broke = False
-                for flight in list(in_flight):
-                    if not flight.future.done():
-                        continue
-                    in_flight.remove(flight)
-                    if flight.future.cancelled():
-                        pending.append(
-                            _Shard(flight.shard.seeds, flight.shard.attempt)
-                        )
-                        continue
-                    exc = flight.future.exception()
-                    if exc is None:
-                        continue  # results are in the checkpoint
-                    now = time.monotonic()
-                    if isinstance(exc, BrokenExecutor):
-                        pool_broke = True
-                        self._retry_or_fail(
-                            flight.shard, exc, "crash", pending, failures, now
-                        )
-                    else:
-                        self._retry_or_fail(
-                            flight.shard, exc, "error", pending, failures, now
-                        )
-                if pool_broke:
-                    # Every sibling future on the dead pool fails with
-                    # BrokenExecutor too (harvested above or next tick);
-                    # discard the executor so redispatch gets a new one.
-                    self._respawn(False)
-
-                # Heartbeats: progress is "my seeds in the store".
-                done_seeds = (
-                    set(self._checkpoint.load(key))
-                    if (in_flight or on_progress is not None)
-                    else set()
-                )
-                now = time.monotonic()
-                stalled: Optional[_Flight] = None
-                for flight in in_flight:
-                    progress = sum(
-                        1 for s in flight.shard.seeds if s in done_seeds
+                halt = self._board.halt_of(job_id)
+                if halt is not None:
+                    raise halt
+                progress = self._board.progress(job_id)
+                if progress is not None:
+                    registry.gauge(
+                        "service.job.seeds_done", progress["seeds_done"]
                     )
-                    if progress > flight.progress:
-                        flight.progress = progress
-                        flight.last_advance = now
-                    elif (
-                        self._shard_timeout is not None
-                        and now - flight.last_advance > self._shard_timeout
-                    ):
-                        stalled = flight
-                if stalled is not None:
-                    # Kill the pool to reclaim the wedged worker; the
-                    # stalled shard is charged an attempt, its innocent
-                    # neighbours are re-queued without blame.
-                    registry.inc("service.timeouts")
-                    self._respawn(True)
-                    in_flight.remove(stalled)
-                    self._retry_or_fail(
-                        stalled.shard,
-                        TimeoutError(
-                            f"no seed completed in {self._shard_timeout}s"
-                        ),
-                        "timeout",
-                        pending,
-                        failures,
-                        now,
+                    registry.gauge(
+                        "service.job.shards_active", len(progress["shards"])
                     )
-                    for flight in in_flight:
-                        pending.append(
-                            _Shard(flight.shard.seeds, flight.shard.attempt)
-                        )
-                    in_flight.clear()
-
-                if on_progress is not None or in_flight or pending:
-                    seeds_done = len(done_seeds)
-                    registry.gauge("service.job.seeds_done", seeds_done)
-                    registry.gauge("service.job.shards_active", len(in_flight))
                     if on_progress is not None:
-                        on_progress(
-                            {
-                                "seeds_done": seeds_done,
-                                "seeds_total": total,
-                                "shards": [
-                                    {
-                                        "seeds": len(f.shard.seeds),
-                                        "done": f.progress,
-                                        "attempt": f.shard.attempt,
-                                    }
-                                    for f in in_flight
-                                ],
-                            }
-                        )
+                        on_progress(progress)
+                self._sleep(self._poll)
+            return self._board.take_failures(job_id)
+        finally:
+            self._board.close_job(job_id)
 
-                if pending or in_flight:
-                    self._sleep(self._poll)
-        except BaseException:
-            # Drain, ServiceHalt, KeyboardInterrupt: never leave workers
-            # running a job nobody will collect.
-            self.close(kill=True)
-            raise
 
-        failures.sort(key=lambda f: f.seed)
-        return failures
+class RemoteShardScheduler(ShardScheduler):
+    """The pre-unification name of :class:`ShardScheduler`.
 
-    def _retry_or_fail(
-        self,
-        shard: _Shard,
-        exc: BaseException,
-        kind: str,
-        pending: Deque[_Shard],
-        failures: List[FailedRun],
-        now: float,
-    ) -> None:
-        """Requeue (with backoff), bisect, or quarantine — the same
-        policy ladder as chunk supervision, one layer up."""
-        registry = default_registry()
-        if shard.attempt < self._retry.max_attempts:
-            registry.inc("service.retries")
-            delay = self._retry.delay(shard.attempt, key=shard.seeds[0])
-            pending.append(
-                _Shard(shard.seeds, shard.attempt + 1, ready_at=now + delay)
-            )
-            return
-        if len(shard.seeds) > 1:
-            registry.inc("service.bisections")
-            mid = len(shard.seeds) // 2
-            pending.append(_Shard(shard.seeds[:mid], 1))
-            pending.append(_Shard(shard.seeds[mid:], 1))
-            return
-        registry.inc("service.quarantined")
-        failures.append(
-            FailedRun(
-                seed=shard.seeds[0],
-                attempts=shard.attempt,
-                kind=kind,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        )
+    Kept as a subclass with its *own* ``run_job`` attribute (not a bare
+    alias): tools that instrument each class's ``__dict__["run_job"]``
+    would otherwise wrap one function twice and count it double.
+    """
 
-    # ------------------------------------------------------------------
-    def _merge(
-        self,
-        spec: ScenarioSpec,
-        topology: Topology,
-        config: ExperimentConfig,
-        key: str,
-        seeds: List[int],
-        failures: List[FailedRun],
-    ) -> ScenarioOutcome:
-        return merge_outcome(
-            spec, topology, config, self._checkpoint, key, seeds,
-            failures, self._retry.max_attempts,
-        )
+    run_job = ShardScheduler.run_job

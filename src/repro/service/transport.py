@@ -1,35 +1,29 @@
-"""Server side of the multi-host worker transport: leases over HTTP.
+"""The shard board: the service's lease table, served over HTTP.
 
-PR 8's :class:`~repro.service.scheduler.ShardScheduler` runs a job's
-shards on a *local* process pool and reads their heartbeats out of the
-job's :class:`~repro.experiments.SweepCheckpoint`.  This module is the
-same supervision contract with a network in the middle:
+Every job the :class:`~repro.service.scheduler.ShardScheduler` runs is
+published here as shards, and pull workers lease them with ``POST
+/shards/claim`` — the service's own forked local workers and ``repro
+worker start --connect`` processes on any host alike, through the same
+endpoints:
 
-* the :class:`ShardBoard` is the service's lease table — remote workers
-  ``POST /shards/claim`` to borrow a shard, and every completed seed
-  they ``POST /shards/<id>/seeds`` is appended to the job's checkpoint
-  *server-side*, so the durability write doubles as the lease renewal
-  exactly the way the local scheduler's checkpoint-append doubles as
-  the heartbeat;
-* a lease that lands no seed for ``shard_timeout`` seconds is revoked
-  and its shard re-queued **blame-free** — a stalled lease blames the
-  network or the worker (death, partition), never the seeds, which is
-  the stall-not-duration discipline one layer out;
+* every completed seed a worker ``POST /shards/<id>/seeds`` is appended
+  to the job's checkpoint *server-side*, so the durability write
+  doubles as the lease renewal;
 * seed uploads are **idempotent**: the board dedups by
   ``(job, shard, seed)`` (a seed already durable is never appended
   again), so a duplicated, replayed or post-revocation-stale upload is
   harmless and a revoked lease can never double-count a seed;
-* worker-*reported* failures (the run raised) walk the same
-  retry-with-backoff → bisect → quarantine ladder as local shards, so
-  poison seeds end as the same structured
-  :class:`~repro.experiments.FailedRun` records.
-
-:class:`RemoteShardScheduler` is the drop-in counterpart of the local
-scheduler: ``run_job`` opens the job on the board, watches lease
-health, and merges the checkpoint through the shared
-:func:`~repro.service.scheduler.merge_outcome` — so a report produced
-by remote workers is byte-identical to a local-pool run and to an
-uninterrupted serial run, which the chaos drills assert literally.
+* failures are charged through the one
+  :class:`~repro.experiments.Ladder` (retry with backoff → bisect →
+  quarantine as a :class:`~repro.experiments.FailedRun`):
+  :meth:`ShardBoard.fail_shard` for a run that raised (``error``),
+  :meth:`ShardBoard.fail_worker` for every lease of a local worker
+  that died (``crash``) or wedged past the lease timeout
+  (``timeout``);
+* a remote lease that lands no seed within the lease timeout, and a
+  lease handed back by a draining worker, are re-queued **blame-free**
+  (same attempt): a silent remote worker convicts the network or the
+  worker, never the seeds.
 
 The board holds no state worth preserving: kill the service at any
 instant and the (job store, checkpoint store) pair on disk is still
@@ -42,26 +36,21 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Collection, Deque, Dict, List, Optional, Set, Tuple
 
-from ..errors import invalid_field
 from ..experiments import (
     FailedRun,
+    Ladder,
     RetryPolicy,
+    ServiceHalt,
     SweepCheckpoint,
     active_fault_plan,
     result_from_dict,
-    seed_chunks,
 )
-from ..scenarios import ScenarioOutcome, ScenarioSpec
 from ..telemetry import default_registry
-from .scheduler import JobInterrupted, lower_job, merge_outcome
-from .state import job_key
 
-#: Lease timeout applied in remote mode when the operator gives none:
-#: a dead or partitioned worker must never wedge a job forever, so
-#: unlike the local scheduler the watchdog cannot default to "off".
+#: The lease timeout when the operator gives none (``--shard-timeout``):
+#: a dead, wedged or partitioned worker must never wedge a job forever.
 DEFAULT_LEASE_TIMEOUT = 60.0
 
 
@@ -93,8 +82,8 @@ class _BoardJob:
 
     __slots__ = (
         "job_id", "spec_json", "repeats", "base_seed", "kernel",
-        "setup_kernel", "key", "retry", "outstanding", "done",
-        "quarantined", "pending", "leases", "failures", "next_shard",
+        "setup_kernel", "key", "ladder", "outstanding", "done",
+        "quarantined", "pending", "leases", "failures", "next_shard", "halt",
     )
 
     def __init__(
@@ -117,7 +106,7 @@ class _BoardJob:
         self.kernel = kernel
         self.setup_kernel = setup_kernel
         self.key = key
-        self.retry = retry
+        self.ladder = Ladder(retry, "service", "shard")
         self.outstanding: Set[int] = {s for chunk in shards for s in chunk}
         self.done: Set[int] = set(done)
         self.quarantined: Set[int] = set()
@@ -127,18 +116,27 @@ class _BoardJob:
         self.leases: Dict[str, _Lease] = {}
         self.failures: List[FailedRun] = []
         self.next_shard = 0
+        # The chaos harness's service halt, raised at a lease grant and
+        # re-raised by the job's scheduler thread.
+        self.halt: Optional[ServiceHalt] = None
 
     def finished(self) -> bool:
         return self.outstanding <= (self.done | self.quarantined)
 
+    def missing(self, seeds: Tuple[int, ...]) -> Tuple[int, ...]:
+        """``seeds`` neither durable nor quarantined yet."""
+        return tuple(
+            s for s in seeds if s not in self.done and s not in self.quarantined
+        )
+
 
 class ShardBoard:
-    """The service's lease table: shards out for claim by remote workers.
+    """The service's lease table: shards out for claim by pull workers.
 
-    Thread-safe (HTTP handler threads claim/upload while a scheduler
-    thread supervises); supports several concurrently open jobs —
-    claims drain jobs in open order, so ``--max-jobs`` and remote
-    workers compose.  The checkpoint append inside :meth:`record_seed`
+    Thread-safe (HTTP handler threads claim/upload while scheduler and
+    fleet threads supervise); supports several concurrently open jobs —
+    claims drain jobs in open order, so ``--max-jobs`` and the worker
+    fleet compose.  The checkpoint append inside :meth:`record_seed`
     runs under the board lock, which also serialises writers to one
     job's checkpoint file.
     """
@@ -151,6 +149,11 @@ class ShardBoard:
         # has ever seen this process lifetime (leases are ephemeral, so
         # this is observability state, never scheduling state).
         self._worker_stats: Dict[str, Dict[str, float]] = {}
+
+    @property
+    def checkpoint(self) -> SweepCheckpoint:
+        """The per-seed checkpoint store the board appends into."""
+        return self._checkpoint
 
     def _stats_for(self, worker: str) -> Dict[str, float]:
         stats = self._worker_stats.get(worker)
@@ -175,7 +178,7 @@ class ShardBoard:
         shards: List[Tuple[int, ...]],
         done: Set[int],
     ) -> None:
-        """Publish one job's missing shards for remote claim."""
+        """Publish one job's missing shards for claim."""
         with self._lock:
             self._jobs[job_id] = _BoardJob(
                 job_id, spec_json, repeats, base_seed, kernel,
@@ -203,17 +206,48 @@ class ShardBoard:
                 return []
             return sorted(job.failures, key=lambda f: f.seed)
 
-    def revoke_stale(self, timeout: float, now: Optional[float] = None) -> int:
+    def halt_of(self, job_id: str) -> Optional[ServiceHalt]:
+        """The injected service halt a lease grant of this job hit."""
+        with self._lock:
+            job = self._jobs.get(job_id)
+            return None if job is None else job.halt
+
+    def stale_workers(
+        self, timeout: float, now: Optional[float] = None
+    ) -> Set[str]:
+        """Workers holding a lease that has landed no seed for
+        ``timeout`` seconds."""
+        now = time.monotonic() if now is None else now
+        with self._lock:
+            return {
+                lease.worker
+                for job in self._jobs.values()
+                for lease in job.leases.values()
+                if now - lease.last_advance > timeout
+            }
+
+    def revoke_stale(
+        self,
+        timeout: float,
+        now: Optional[float] = None,
+        spare: Collection[str] = (),
+    ) -> int:
         """Revoke every lease that has landed no seed for ``timeout``
         seconds and re-queue its shard *blame-free* (same attempt
-        number): a stalled lease convicts the worker or the network,
-        never the seeds.  Returns the number of leases revoked."""
+        number): a stalled remote lease convicts the worker or the
+        network, never the seeds.  Leases of the workers in ``spare``
+        (the service's local fleet, which is killed and charged through
+        :meth:`fail_worker` instead) are left alone.  Returns the number
+        of leases revoked."""
         now = time.monotonic() if now is None else now
         revoked = 0
         with self._lock:
             for job in self._jobs.values():
                 for lease in list(job.leases.values()):
-                    if now - lease.last_advance <= timeout:
+                    if (
+                        now - lease.last_advance <= timeout
+                        or lease.worker in spare
+                    ):
                         continue
                     del job.leases[lease.shard_id]
                     job.pending.append(
@@ -285,19 +319,28 @@ class ShardBoard:
         ever costs its still-missing seeds.
         """
         now = time.monotonic() if now is None else now
+        plan = active_fault_plan()
         with self._lock:
             for job in self._jobs.values():
+                if job.halt is not None:
+                    continue
                 for _ in range(len(job.pending)):
                     shard = job.pending.popleft()
                     if shard.ready_at > now:
                         job.pending.append(shard)
                         continue
-                    missing = tuple(
-                        s for s in shard.seeds
-                        if s not in job.done and s not in job.quarantined
-                    )
+                    missing = job.missing(shard.seeds)
                     if not missing:
                         continue  # satisfied while queued; drop it
+                    if plan is not None:
+                        try:
+                            # The kill -9 stand-in: the service "dies"
+                            # as it hands this shard out.
+                            plan.before_shard(missing)
+                        except ServiceHalt as halt:
+                            job.halt = halt
+                            job.pending.appendleft(shard)
+                            return None
                     shard.seeds = missing
                     job.next_shard += 1
                     shard_id = f"{job.job_id[:12]}.{job.next_shard}"
@@ -371,9 +414,7 @@ class ShardBoard:
         self, job_id: str, shard_id: str, worker: str, error: str
     ) -> Dict[str, object]:
         """A worker-reported shard failure (the run raised): charge the
-        shard an attempt and walk the retry → bisect → quarantine
-        ladder, exactly as the local scheduler's ``_retry_or_fail``."""
-        registry = default_registry()
+        shard an ``error`` attempt on the :class:`Ladder`."""
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
@@ -384,37 +425,37 @@ class ShardBoard:
                 # again, double-charging it would blame it twice.
                 return {"known": True, "stale": True}
             del job.leases[shard_id]
-            shard = lease.shard
-            now = time.monotonic()
-            missing = tuple(
-                s for s in shard.seeds
-                if s not in job.done and s not in job.quarantined
-            )
-            if not missing:
-                return {"known": True, "stale": False}
-            if shard.attempt < job.retry.max_attempts:
-                registry.inc("service.remote.retries")
-                delay = job.retry.delay(shard.attempt, key=missing[0])
-                job.pending.append(
-                    _BoardShard(missing, shard.attempt + 1, now + delay)
-                )
-            elif len(missing) > 1:
-                registry.inc("service.remote.bisections")
-                mid = len(missing) // 2
-                job.pending.append(_BoardShard(missing[:mid], 1))
-                job.pending.append(_BoardShard(missing[mid:], 1))
-            else:
-                registry.inc("service.remote.quarantined")
-                job.quarantined.add(missing[0])
-                job.failures.append(
-                    FailedRun(
-                        seed=missing[0],
-                        attempts=shard.attempt,
-                        kind="error",
-                        error=error,
-                    )
-                )
+            self._charge(job, lease.shard, "error", error)
         return {"known": True, "stale": False}
+
+    def fail_worker(self, worker: str, kind: str, error: str) -> int:
+        """Charge every lease ``worker`` holds one ``kind`` attempt (a
+        local worker that died, ``crash``, or was killed wedged,
+        ``timeout``).  Returns the number of leases charged."""
+        charged = 0
+        with self._lock:
+            for job in self._jobs.values():
+                for lease in list(job.leases.values()):
+                    if lease.worker == worker:
+                        del job.leases[lease.shard_id]
+                        self._charge(job, lease.shard, kind, error)
+                        charged += 1
+        return charged
+
+    @staticmethod
+    def _charge(job: _BoardJob, shard: _BoardShard, kind: str, error: str) -> None:
+        """Queue what the ladder decides for a failed shard's
+        still-missing seeds (board lock held)."""
+        missing = job.missing(shard.seeds)
+        if not missing:
+            return
+        rung = job.ladder.climb(missing, shard.attempt, kind, error)
+        ready_at = time.monotonic() + rung.delay
+        for seeds, attempt in rung.requeue:
+            job.pending.append(_BoardShard(seeds, attempt, ready_at))
+        if rung.failure is not None:
+            job.quarantined.add(rung.failure.seed)
+            job.failures.append(rung.failure)
 
     def release_shard(
         self, job_id: str, shard_id: str, worker: str
@@ -429,10 +470,7 @@ class ShardBoard:
             if lease is None or lease.worker != worker:
                 return {"known": True, "stale": True}
             del job.leases[shard_id]
-            missing = tuple(
-                s for s in lease.shard.seeds
-                if s not in job.done and s not in job.quarantined
-            )
+            missing = job.missing(lease.shard.seeds)
             if missing:
                 job.pending.append(
                     _BoardShard(missing, lease.shard.attempt, time.monotonic())
@@ -454,141 +492,3 @@ class ShardBoard:
             if lease is not None and lease.worker == worker:
                 del job.leases[shard_id]
         return {"known": job_id in self._jobs}
-
-
-class RemoteShardScheduler:
-    """Executes one job through remote workers leasing from a board.
-
-    The drop-in remote counterpart of the local
-    :class:`~repro.service.scheduler.ShardScheduler` — same ``run_job``
-    signature, same merge, same byte-identity contract — but the
-    "pool" is whatever ``repro worker start --connect`` processes are
-    pulling from the service, on this host or any other.
-
-    Parameters mirror the local scheduler's where they apply;
-    ``shard_timeout`` becomes the lease timeout (default
-    :data:`DEFAULT_LEASE_TIMEOUT` rather than "off": a vanished remote
-    worker must never wedge a job).
-    """
-
-    def __init__(
-        self,
-        data_dir: Union[str, Path],
-        board: ShardBoard,
-        shards_per_job: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        shard_timeout: Optional[float] = None,
-        poll_interval: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise invalid_field(
-                "RemoteShardScheduler", "shard_timeout", shard_timeout,
-                "the lease timeout must be positive",
-            )
-        if shards_per_job is not None and shards_per_job < 1:
-            raise invalid_field(
-                "RemoteShardScheduler", "shards_per_job", shards_per_job,
-                "a job needs at least one shard",
-            )
-        self._checkpoint = SweepCheckpoint(Path(data_dir) / "checkpoints")
-        self._board = board
-        self._shards_per_job = shards_per_job or 4
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._lease_timeout = (
-            shard_timeout if shard_timeout is not None else DEFAULT_LEASE_TIMEOUT
-        )
-        self._poll = poll_interval
-        self._sleep = sleep
-
-    @property
-    def checkpoint(self) -> SweepCheckpoint:
-        """The per-seed checkpoint store the board appends into."""
-        return self._checkpoint
-
-    def close(self, kill: bool = False) -> None:
-        """Nothing to shut down locally: leases expire server-side and
-        workers outlive any one job (they just claim the next)."""
-
-    # ------------------------------------------------------------------
-    def run_job(
-        self,
-        spec: ScenarioSpec,
-        repeats: Optional[int] = None,
-        base_seed: Optional[int] = None,
-        kernel: Optional[str] = None,
-        setup_kernel: Optional[str] = None,
-        stop=None,
-        on_progress: Optional[Callable[[Dict[str, object]], None]] = None,
-    ) -> ScenarioOutcome:
-        """Run one job to completion (or quarantine) via remote leases
-        and merge its report (byte-identical to a serial run)."""
-        topology, config = lower_job(spec, repeats, base_seed, kernel, setup_kernel)
-        key = self._checkpoint.key_for(topology, config)
-        seeds = [config.base_seed + i for i in range(config.repeats)]
-        done = self._checkpoint.load(key)
-        missing = [s for s in seeds if s not in done]
-
-        default_registry().gauge("service.job.seeds_total", len(seeds))
-
-        failures: List[FailedRun] = []
-        if missing:
-            failures = self._supervise(
-                spec, config, key, missing, set(done),
-                kernel, setup_kernel, stop, on_progress,
-            )
-        return merge_outcome(
-            spec, topology, config, self._checkpoint, key, seeds,
-            failures, self._retry.max_attempts,
-        )
-
-    def _supervise(
-        self,
-        spec: ScenarioSpec,
-        config,
-        key: str,
-        missing: List[int],
-        done: Set[int],
-        kernel: Optional[str],
-        setup_kernel: Optional[str],
-        stop,
-        on_progress,
-    ) -> List[FailedRun]:
-        registry = default_registry()
-        plan = active_fault_plan()
-        shards = [
-            chunk
-            for chunk in seed_chunks(missing, self._shards_per_job)
-            if chunk
-        ]
-        if plan is not None:
-            for chunk in shards:
-                # Same kill -9 stand-in as the local scheduler: the
-                # halt escapes before the board ever sees the job.
-                plan.before_shard(chunk)
-        job_id = job_key(spec, config.repeats, config.base_seed, kernel, setup_kernel)
-        registry.inc("service.remote.shards", len(shards))
-        self._board.open_job(
-            job_id, spec.to_json(indent=None), config.repeats,
-            config.base_seed, kernel, setup_kernel, key,
-            self._retry, shards, done,
-        )
-        try:
-            while not self._board.job_finished(job_id):
-                if stop is not None and stop.is_set():
-                    raise JobInterrupted("service drain requested")
-                self._board.revoke_stale(self._lease_timeout)
-                progress = self._board.progress(job_id)
-                if progress is not None:
-                    registry.gauge(
-                        "service.job.seeds_done", progress["seeds_done"]
-                    )
-                    registry.gauge(
-                        "service.job.shards_active", len(progress["shards"])
-                    )
-                    if on_progress is not None:
-                        on_progress(progress)
-                self._sleep(self._poll)
-            return self._board.take_failures(job_id)
-        finally:
-            self._board.close_job(job_id)

@@ -1,13 +1,14 @@
-"""Remote shard workers: the pull-execute-upload loop behind
-``repro worker start --connect URL``.
+"""Shard workers: the pull-execute-upload loop behind ``repro worker
+start --connect URL`` and behind a local-mode service's forked workers.
 
-A worker is a plain process on any host that can reach the service:
+A worker is a plain process on any host that can reach the service (or
+a child the service forked, talking to it over loopback):
 
 * it ``POST /shards/claim``\\ s with a stable worker id, runs the
   leased shard's seeds through the exact
   :func:`~repro.service.scheduler.lower_job` +
-  :class:`~repro.experiments.ExperimentRunner` pipeline a local shard
-  worker would use (byte-identity starts at the lowering), and uploads
+  :class:`~repro.experiments.ExperimentRunner` pipeline a direct run
+  uses (byte-identity starts at the lowering), and uploads
   each finished seed immediately — the upload is the durability write
   *and* the lease heartbeat;
 * every HTTP call goes through :class:`WorkerTransport`: explicit
@@ -41,6 +42,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import nullcontext
 from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import ReproError
@@ -307,7 +309,7 @@ class ShardWorker:
             buffer.clear()
             return self._flush(job_id, shard_id, entries, plan)
 
-        with span if span is not None else _null_context():
+        with span if span is not None else nullcontext():
             for index, seed in enumerate(claim["seeds"]):
                 if self._stop.is_set():
                     if not flush():
@@ -316,7 +318,7 @@ class ShardWorker:
                     self._release(job_id, shard_id)
                     return executed
                 if plan is not None:
-                    # The same worker-side chaos points as pool workers
+                    # The same worker-side chaos points as chunk pool workers
                     # (crash/hang/transient/poison fire remotely too).
                     try:
                         plan.before_seed(seed)
@@ -462,14 +464,6 @@ class ShardWorker:
             self.transport.post(path, payload)
         except TransportError:
             pass
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
 
 
 def worker_main(

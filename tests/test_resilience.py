@@ -26,8 +26,10 @@ from repro.errors import ConfigurationError, SweepExecutionError, sweep_failed
 from repro.experiments import (
     ExperimentConfig,
     ExperimentRunner,
+    FailedRun,
     FaultPlan,
     InjectedFault,
+    Ladder,
     ParallelExperimentRunner,
     RetryPolicy,
     SweepCheckpoint,
@@ -38,6 +40,7 @@ from repro.experiments import (
 from repro.experiments import parallel as parallel_module
 from repro.experiments.runner import PROTECTIONLESS, SLP
 from repro.scenarios import ScenarioRunner
+from repro.telemetry import TelemetrySession
 from repro.topology import GridTopology
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.002)
@@ -120,6 +123,41 @@ class TestFaultPlan:
         assert corrupted.messages_sent == result.messages_sent + 1
         legacy = replace(config, kernel="legacy")
         assert plan.on_result(legacy, 0, result) is result
+
+
+class TestLadder:
+    @pytest.mark.parametrize(
+        "namespace, unit",
+        [("supervisor", "chunk"), ("service", "shard")],
+        ids=["chunk-supervisor", "shard-board"],
+    )
+    def test_decision_table(self, namespace, unit):
+        """Retry with backoff while attempts last, then bisect into
+        fresh halves (after the same backoff), then quarantine a lone
+        seed — counted and traced under the caller's names."""
+        retry = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=1.0)
+        ladder = Ladder(retry, namespace, unit)
+        with TelemetrySession(label="ladder") as session:
+            retried = ladder.climb((4, 5, 6), 1, "crash", "E: a")
+            bisected = ladder.climb((4, 5, 6), 2, "error", "E: b")
+            quarantined = ladder.climb((5,), 2, "timeout", "E: c")
+        assert retried.requeue == (((4, 5, 6), 2),)
+        assert retried.delay == retry.delay(1, key=4) > 0
+        assert retried.failure is None
+        assert bisected.requeue == (((4,), 1), ((5, 6), 1))
+        assert bisected.delay == retry.delay(2, key=4) > 0
+        assert bisected.failure is None
+        assert quarantined.requeue == ()
+        assert quarantined.delay == 0.0
+        assert quarantined.failure == FailedRun(5, 2, "timeout", "E: c")
+        counters = session.registry.snapshot()["counters"]
+        assert {
+            name: counters.get(f"{namespace}.{name}", 0)
+            for name in ("retries", "bisections", "quarantined", "timeouts")
+        } == {"retries": 1, "bisections": 1, "quarantined": 1, "timeouts": 1}
+        names = [s.name for s in session.tracer.spans()]
+        for step in ("retry", "bisect", "quarantine"):
+            assert f"{unit}.{step}" in names
 
 
 class TestResultRoundTrip:

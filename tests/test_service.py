@@ -11,6 +11,9 @@ The contracts under test, in increasing order of violence:
   uninterrupted serial run — including after a worker is killed
   mid-job (crash drill) and after the whole service "dies" and a
   fresh instance resumes from the same data dir (halt drill);
+* the local worker fleet follows the blame rules — a dead worker is
+  charged one ``crash`` attempt, a wedged one is killed and charged
+  ``timeout``, both are respawned — and dies with its service;
 * malformed submissions are a 400 over HTTP, never a crash, and the
   result endpoint serves the report's exact bytes.
 """
@@ -18,15 +21,27 @@ The contracts under test, in increasing order of violence:
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.experiments import FaultPlan, RetryPolicy, ServiceHalt
+from repro.experiments import (
+    FAULT_PLAN_ENV,
+    FaultPlan,
+    RetryPolicy,
+    ServiceHalt,
+    SweepCheckpoint,
+)
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario
 from repro.service import (
     DONE,
@@ -38,12 +53,14 @@ from repro.service import (
     JobStore,
     ServiceClient,
     ServiceError,
+    ShardBoard,
     ShardScheduler,
     SweepService,
     check_transition,
     job_key,
     lower_job,
 )
+from repro.telemetry import default_registry
 
 SEEDS = 5
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.002)
@@ -194,39 +211,47 @@ class TestJobStore:
 # The shard scheduler (no HTTP involved)
 # ----------------------------------------------------------------------
 class TestShardScheduler:
-    def test_clean_job_is_byte_identical_to_serial(self, tmp_path, direct):
-        scheduler = ShardScheduler(
-            tmp_path, shard_workers=2, retry=FAST_RETRY
-        )
+    def run_to_done(self, tmp_path):
+        service = start_service(tmp_path)
         try:
-            outcome = scheduler.run_job(
-                get_scenario("paper-baseline"), repeats=SEEDS
+            record, _ = service.submit(
+                {"scenario": "paper-baseline", "seeds": SEEDS}
+            )
+            wait_for(
+                lambda: service.store.get(record.job_id).state == DONE,
+                timeout=120.0,
             )
         finally:
-            scheduler.close()
-        assert not outcome.failures
-        assert outcome.to_json() == direct.to_json()
+            service.drain()
+        return service.store.get(record.job_id)
+
+    def test_clean_job_is_byte_identical_to_serial(self, tmp_path, direct):
+        assert self.run_to_done(tmp_path).result_json == direct.to_json()
 
     def test_second_run_merges_from_checkpoint(self, tmp_path, direct):
-        scheduler = ShardScheduler(
-            tmp_path, shard_workers=2, retry=FAST_RETRY
+        self.run_to_done(tmp_path)
+        # Every seed is checkpointed now: a scheduler over a board no
+        # worker ever polls must merge without executing anything.
+        board = ShardBoard(SweepCheckpoint(tmp_path / "svc" / "checkpoints"))
+        outcome = ShardScheduler(board, retry=FAST_RETRY).run_job(
+            get_scenario("paper-baseline"), repeats=SEEDS
         )
-        try:
-            scheduler.run_job(get_scenario("paper-baseline"), repeats=SEEDS)
-            # Every seed is checkpointed now; the re-run must merge
-            # without executing anything (progress shows 0 missing).
-            outcome = scheduler.run_job(
-                get_scenario("paper-baseline"), repeats=SEEDS
-            )
-        finally:
-            scheduler.close()
         assert outcome.to_json() == direct.to_json()
+        assert board.workers() == []
 
     def test_validates_parameters(self, tmp_path):
+        board = ShardBoard(SweepCheckpoint(tmp_path / "checkpoints"))
         with pytest.raises(ConfigurationError):
-            ShardScheduler(tmp_path, shard_workers=0)
+            ShardScheduler(board, shards_per_job=0)
         with pytest.raises(ConfigurationError):
-            ShardScheduler(tmp_path, shard_timeout=-1.0)
+            SweepService(tmp_path / "svc", shard_workers=0)
+        for timeout in (-1.0, 0.0):
+            with pytest.raises(ConfigurationError):
+                SweepService(tmp_path / "svc", shard_timeout=timeout)
+            with pytest.raises(ConfigurationError):
+                SweepService(tmp_path / "svc", remote=True, shard_timeout=timeout)
+        # Remote mode forks no local worker, so it needs none.
+        SweepService(tmp_path / "svc", remote=True, shard_workers=0)
 
     def test_lower_job_matches_scenario_runner(self):
         spec = get_scenario("paper-baseline")
@@ -388,6 +413,134 @@ class TestChaosDrills:
         # in the supervision ladder.
         assert not issubclass(ServiceHalt, Exception)
         assert issubclass(ServiceHalt, BaseException)
+
+
+# ----------------------------------------------------------------------
+# The local worker fleet: blame rules and lifetime
+# ----------------------------------------------------------------------
+def _children(pid):
+    """Child pids of ``pid`` (every thread's list, as /proc keeps them)."""
+    children = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        children.update(int(c) for c in (task / "children").read_text().split())
+    return children
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie waiting for its reaper does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def _responds(client):
+    try:
+        return client.health() == {"ok": True}
+    except ServiceError:
+        return False
+
+
+class TestLocalFleet:
+    def run_under(self, tmp_path, plan, **kwargs):
+        """Run one job to ``done`` under ``plan``; returns the final
+        record and the ``service.*`` counter deltas it caused."""
+        before = default_registry().snapshot()["counters"]
+        with plan.activated():
+            service = start_service(tmp_path, **kwargs)
+            try:
+                record, _ = service.submit(
+                    {"scenario": "paper-baseline", "seeds": SEEDS}
+                )
+                wait_for(
+                    lambda: service.store.get(record.job_id).state == DONE,
+                    timeout=120.0,
+                )
+            finally:
+                service.drain()
+        after = default_registry().snapshot()["counters"]
+        deltas = {
+            name: after.get(name, 0) - before.get(name, 0)
+            for name in (
+                "service.retries",
+                "service.respawns",
+                "service.timeouts",
+                "service.leases.revoked",
+            )
+        }
+        return service.store.get(record.job_id), deltas
+
+    def test_dead_worker_is_charged_one_crash_attempt(self, tmp_path, direct):
+        plan = FaultPlan(crash_seeds=(2,), marker_dir=str(tmp_path / "markers"))
+        final, deltas = self.run_under(tmp_path, plan)
+        assert (tmp_path / "markers" / "crash-2").exists()
+        assert final.result_json == direct.to_json()
+        assert deltas == {
+            "service.retries": 1,
+            "service.respawns": 1,
+            "service.timeouts": 0,
+            "service.leases.revoked": 0,
+        }
+
+    def test_wedged_worker_is_killed_and_charged_timeout(self, tmp_path, direct):
+        plan = FaultPlan(
+            hang_seeds=(2,),
+            hang_seconds=120.0,
+            marker_dir=str(tmp_path / "markers"),
+        )
+        started = time.monotonic()
+        final, deltas = self.run_under(tmp_path, plan, shard_timeout=2.0)
+        assert time.monotonic() - started < 60.0  # killed, not waited out
+        assert (tmp_path / "markers" / "hang-2").exists()
+        assert final.result_json == direct.to_json()
+        assert deltas == {
+            "service.retries": 1,
+            "service.respawns": 1,
+            "service.timeouts": 1,
+            "service.leases.revoked": 0,
+        }
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/task").is_dir(), reason="needs Linux /proc"
+    )
+    def test_sigkilled_service_takes_its_workers_along(self, tmp_path):
+        """``kill -9`` of ``repro service start`` mid-job: the forked
+        local workers notice they are orphans and exit."""
+        plan = FaultPlan(
+            hang_seeds=(1,),
+            hang_seconds=120.0,
+            marker_dir=str(tmp_path / "markers"),
+        )
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        env = dict(os.environ)
+        env[FAULT_PLAN_ENV] = plan.to_env()
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "service", "start",
+                "--data-dir", str(tmp_path / "svc"),
+                "--port", str(port),
+                "--shard-workers", "2",
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0)
+            wait_for(lambda: _responds(client), timeout=60.0)
+            client.submit({"scenario": "paper-baseline", "seeds": SEEDS})
+            # A worker is wedged inside the job: provably mid-job.
+            wait_for(lambda: (tmp_path / "markers" / "hang-1").exists())
+            workers = _children(process.pid)
+            assert len(workers) == 2
+        finally:
+            process.kill()
+            process.wait()
+        wait_for(lambda: not any(_alive(pid) for pid in workers), timeout=5.0)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import errno
 import json
+import multiprocessing
 import threading
 import time
 import urllib.error
@@ -316,19 +317,31 @@ class TestCliStorageExit:
 # ----------------------------------------------------------------------
 class TestServiceStorageChaos:
     def test_torn_checkpoint_append_is_byte_identical(self, tmp_path, direct):
-        """A pool worker is killed mid-checkpoint-append (the SIGKILL
-        stand-in lands half a line and exits); the pool is respawned,
-        the welded append recovers, and the report is byte-identical."""
+        """The service is killed mid-checkpoint-append (the SIGKILL
+        stand-in lands half a line and exits the process doing the
+        append — the service itself, since the board appends
+        server-side).  A restart over the same data dir welds the torn
+        line, re-runs the lost seed, and the report is byte-identical."""
         plan = FaultPlan(
             torn_writes=("sweep-",), marker_dir=str(tmp_path / "markers")
         )
+
+        def first_life():
+            start_service(tmp_path).submit(
+                {"scenario": "paper-baseline", "seeds": SEEDS}
+            )
+            time.sleep(120.0)  # the torn append ends this process first
+
         with plan.activated():
+            # The first life runs in a forked child, so the process the
+            # fault kills is not this test runner.
+            child = multiprocessing.get_context("fork").Process(target=first_life)
+            child.start()
+            child.join(timeout=120.0)
+            assert child.exitcode == 23  # died mid-append
             service = start_service(tmp_path)
             try:
-                record, created = service.submit(
-                    {"scenario": "paper-baseline", "seeds": SEEDS}
-                )
-                assert created
+                (record,) = service.store.list_jobs()
                 wait_for(
                     lambda: service.store.get(record.job_id).state == DONE,
                     timeout=120.0,

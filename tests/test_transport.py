@@ -344,15 +344,15 @@ class TestWorkerTransport:
         assert len(sleeps) == 2  # attempts 1 and 2 backed off; 3rd raised
 
     def test_http_answers_are_never_retried(self, tmp_path):
-        service = SweepService(tmp_path / "svc", port=0).start()  # not remote
+        service = SweepService(tmp_path / "svc", port=0).start()
         try:
             sleeps = []
             transport = WorkerTransport(
                 service.url, timeout=5.0, retry=FAST_RETRY, sleep=sleeps.append
             )
             with pytest.raises(TransportError) as excinfo:
-                transport.post("/shards/claim", {"worker": "w"})
-            assert excinfo.value.status == 409  # non-remote service says so
+                transport.post("/shards/claim", {"worker": ""})
+            assert excinfo.value.status == 400  # a claim needs a worker id
             assert sleeps == []  # an answer is not an outage
         finally:
             service.drain()
@@ -878,18 +878,9 @@ class TestRecoverEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# The RemoteShardScheduler's own contract
+# The scheduler's merge and recovery pass
 # ----------------------------------------------------------------------
 class TestRemoteShardScheduler:
-    def test_validates_parameters(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        board = ShardBoard(SweepCheckpoint(tmp_path / "c"))
-        with pytest.raises(ConfigurationError):
-            RemoteShardScheduler(tmp_path, board, shard_timeout=0.0)
-        with pytest.raises(ConfigurationError):
-            RemoteShardScheduler(tmp_path, board, shards_per_job=0)
-
     def test_fully_checkpointed_job_merges_without_workers(
         self, tmp_path, direct
     ):
@@ -903,6 +894,35 @@ class TestRemoteShardScheduler:
         for seed in range(SEEDS):
             checkpoint.append(key, seed, runner.run_once(config, seed))
         board = ShardBoard(checkpoint)
-        scheduler = RemoteShardScheduler(tmp_path, board, retry=FAST_RETRY)
+        scheduler = RemoteShardScheduler(board, retry=FAST_RETRY)
         outcome = scheduler.run_job(spec, repeats=SEEDS)
         assert outcome.to_json() == direct.to_json()
+
+    def test_corrupt_append_is_recovered_in_remote_mode(self, tmp_path):
+        """A seed's checkpoint line is mangled on append: the board saw
+        it land, the loader drops it, and the recovery pass reopens it
+        instead of failing the job."""
+        seeds = 6
+        direct = ScenarioRunner().run("paper-baseline", seeds=seeds)
+        plan = FaultPlan(
+            corrupt_checkpoint_seeds=(2,),
+            marker_dir=str(tmp_path / "markers"),
+        )
+        service = start_remote_service(tmp_path)
+        try:
+            with plan.activated():
+                client = ServiceClient(service.url)
+                reply = client.submit(
+                    {"scenario": "paper-baseline", "seeds": seeds}
+                )
+                worker, thread = start_worker_thread(service.url, "w0")
+                try:
+                    final = client.wait(reply["job"], timeout=120.0)
+                finally:
+                    worker.request_stop()
+                    thread.join(timeout=10.0)
+            assert (tmp_path / "markers" / "corrupt-2").exists()
+            assert final["state"] == "done", final.get("error")
+            assert client.result_text(reply["job"]) == direct.to_json() + "\n"
+        finally:
+            service.drain()
