@@ -26,7 +26,6 @@ from .runtime import (
     FAST_KERNEL,
     KERNELS,
     LEGACY_KERNEL,
-    OBJECT_KERNEL,
     OPERATIONAL_TRACE_KINDS,
     OperationalResult,
     run_operational_phase,
@@ -42,7 +41,6 @@ __all__ = [
     "LEGACY_KERNEL",
     "NodeDeath",
     "NodeSleep",
-    "OBJECT_KERNEL",
     "OPERATIONAL_TRACE_KINDS",
     "OperationalResult",
     "Perturbation",

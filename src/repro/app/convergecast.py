@@ -96,21 +96,10 @@ class ConvergecastNodeProcess(Process):
         self._pending = set() if self._is_sink else {self.node}
 
     def on_slot(self, period: int, slot: int, time: float) -> None:
-        """Broadcast this period's aggregate (every node, every period)."""
-        message = self.emit(period, slot)
-        if message is not None:
-            self.broadcast(message)
-
-    def emit(self, period: int, slot: int) -> Optional[AggregateMessage]:
-        """Build (and account) this slot's aggregate without transmitting.
-
-        Returns ``None`` when the node does not transmit (it is the sink,
-        or a perturbation muted it).  The operational fast kernel calls
-        this directly and hands the message to the radio itself; the TDMA
-        slot hook above is the same logic plus the broadcast.
-        """
+        """Broadcast this period's aggregate (every node, every period;
+        the sink and nodes a perturbation muted stay silent)."""
         if self._is_sink or self._asleep:
-            return None
+            return
         message = AggregateMessage(
             sender=self.node,
             period=period,
@@ -118,7 +107,7 @@ class ConvergecastNodeProcess(Process):
             origins=frozenset(self._pending),
         )
         self.messages_sent += 1
-        return message
+        self.broadcast(message)
 
     # ------------------------------------------------------------------
     # Radio
@@ -152,8 +141,8 @@ class ConvergecastNodeProcess(Process):
         The operational fast lane runs the transmit/aggregate chain on
         flat tables and hands each process its final state back here, so
         every post-run observation (``finish``, ``messages_sent``,
-        pending origins) reads exactly what the object-driven engines
-        would have left behind.
+        pending origins) reads exactly what the legacy engine would have
+        left behind.
         """
         self._current_period = period
         self._pending = pending

@@ -1,19 +1,22 @@
-"""The operational-phase fast kernel and its message-path fast lane.
+"""The operational-phase fast kernel: a flat slot timeline driving a
+table-driven message path.
 
-The legacy engine drives one evaluation run through the generic event
-heap: one ``_begin_period`` event per TDMA period, one slot event per
-sender per period, one delivery event per broadcast.  Profiling shows
-that for the paper's workloads this generic machinery — heap pushes and
-pops, ``Event`` dispatch, the per-period client/slot re-sorting in the
-TDMA driver — dominates run time, even though the TDMA operational
-phase is almost perfectly *regular*: every period replays the same slot
-timeline, and the only irregular events are scenario perturbations at
-period boundaries.
+There are two operational engines.  The **legacy** engine drives one
+evaluation run through the generic event heap: one ``_begin_period``
+event per TDMA period, one slot event per sender per period, one
+delivery event per broadcast.  It is the oracle the fast kernel is
+tested against and the fallback for runs the fast kernel cannot take.
+Profiling shows that for the paper's workloads this generic machinery —
+heap pushes and pops, ``Event`` dispatch, the per-period client/slot
+re-sorting in the TDMA driver — dominates run time, even though the
+TDMA operational phase is almost perfectly *regular*: every period
+replays the same slot timeline, and the only irregular events are
+scenario perturbations at period boundaries.
 
-:func:`run_fast_kernel` exploits that regularity.  It precomputes the
-period's slot timeline once — ``(slot, time offset, senders)`` groups in
-exactly the order the heap would fire them — and then executes periods
-with plain loops:
+The **fast** kernel (:func:`run_fast_kernel`) exploits that regularity.
+It precomputes the period's slot timeline once — ``(slot, time offset,
+senders)`` groups in exactly the order the heap would fire them — and
+then executes periods with plain loops:
 
 * period boundaries drain the event heap (perturbation steps keep using
   real events, so anything scheduled against the simulator still fires
@@ -25,34 +28,31 @@ with plain loops:
   ``(time, seq)`` heap produced, since deliveries lag transmissions by
   the propagation delay.
 
-On top of the flat timeline sits the **message-path fast lane**
-(:func:`compile_fast_lane`): when every process is a plain
-:class:`ConvergecastNodeProcess` and the trace is not retaining
-per-message records, the convergecast behaviour of the run is compiled
-into flat per-node forwarding tables — for each sender, the noise
-receiver-id block, the aggregation target sets of its fan-out, and its
-audibility set — and the whole transmit→noise→deliver→forward chain
-runs as a table-driven loop: no :class:`AggregateMessage` construction,
-no ``RadioMedium.transmit``/``deliver`` calls, no ``Process.deliver`` →
+The message path itself is the **fast lane** (:func:`compile_fast_lane`):
+the convergecast behaviour of the run is compiled into flat per-node
+forwarding tables — for each sender, the noise receiver-id block, the
+aggregation target sets of its fan-out, and its audibility set — and
+the whole transmit→noise→deliver→forward chain runs as a table-driven
+loop: no :class:`AggregateMessage` construction, no
+``RadioMedium.broadcast`` calls, no ``Process.deliver`` →
 ``on_receive`` dispatch.  Tables are rebuilt whenever the radio's
-attachment epoch moves (node death/sleep/wake perturbations), and the
-lane refuses — falling back to the object-driven loop — any run it
-cannot prove equivalent (see :func:`fast_lane_compilable`).
+attachment epoch moves (node death/sleep/wake perturbations).
 
-**Equivalence contract.**  A fast-kernel run — table lane or object
-lane — is bit-identical to a legacy run: same RNG draw order (noise
-decisions in neighbour order per broadcast, then the eavesdropper's
-audibility draw, then any attacker tie-break), same trace records and
-counters, same :class:`~repro.app.runtime.OperationalResult`.
+**Equivalence contract.**  A fast-kernel run is bit-identical to a
+legacy run: same RNG draw order (noise decisions in neighbour order per
+broadcast, then the eavesdropper's audibility draw, then any attacker
+tie-break), same trace records and counters, same
+:class:`~repro.app.runtime.OperationalResult`.
 ``tests/test_fast_kernel.py`` enforces this differentially for every
-registered scenario across all three kernels.  The kernel refuses
-geometries it cannot honour (see :func:`fast_kernel_supported`) and the
-harness falls back to the legacy engine for those.
+registered scenario on both engines.  The harness runs a ``"fast"``
+request on the legacy engine whenever the fast kernel cannot prove it
+equivalent: geometries it cannot honour (:func:`fast_kernel_supported`)
+and behaviours the lane cannot compile (:func:`fast_lane_compilable`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..attacker import EavesdropperAgent
 from ..attacker.decision import HeardMessage
@@ -139,11 +139,11 @@ def fast_lane_compilable(
     engages only when every behaviour it would bypass is the stock one:
 
     * every node process is exactly :class:`ConvergecastNodeProcess` —
-      a third-party subclass may override ``emit``/``on_receive`` and
-      must keep the object path;
+      a third-party subclass may override ``on_slot``/``on_receive`` and
+      must run on the legacy engine;
     * the eavesdropper is exactly :class:`EavesdropperAgent` (custom
       agents, including exotic ``capture_test`` wrappers that subclass
-      it, stay on the object path) and is the only listener attached;
+      it, run on the legacy engine) and is the only listener attached;
     * the trace is not retaining SEND/DELIVER/DROP records — those
       streams are per-message objects the lane deliberately never
       builds (counts are still maintained exactly);
@@ -193,7 +193,7 @@ def compile_fast_lane(
     ``index`` (sorted node order — the same order the pending-origin
     bitmasks are bit-indexed by), the receiver-id tuple fed to the noise
     block-draw (attached neighbours, in the exact order
-    :meth:`RadioMedium.transmit` uses), and — per receiver — either the
+    :meth:`RadioMedium.broadcast` uses), and — per receiver — either the
     receiver's dense index (when the receiver aggregates this sender's
     traffic: it is the sink, or the sender is one of its installed
     children) or ``-1`` (traffic heard and counted, never folded).
@@ -221,7 +221,7 @@ def compile_fast_lane(
     return tables, muted
 
 
-def _run_table_lane(
+def run_fast_kernel(
     sim: Simulator,
     frame: TdmaFrame,
     periods_budget: int,
@@ -230,7 +230,14 @@ def _run_table_lane(
     tracker: SourceTracker,
     timeline: Tuple[_SlotGroup, ...],
 ) -> int:
-    """Execute the operational phase on compiled forwarding tables.
+    """Execute the operational phase; returns the last period begun.
+
+    Mirrors ``TdmaDriver`` + ``Simulator.run`` on compiled forwarding
+    tables while keeping the heap for perturbation steps already
+    scheduled against ``sim``.  The caller must have checked
+    :func:`fast_kernel_supported` and :func:`fast_lane_compilable`
+    (with this ``timeline``, from :func:`build_slot_timeline`); see the
+    module docstring for the equivalence contract.
 
     The per-message chain — emit, noise block, eavesdropper audibility,
     fan-out, aggregation — runs as plain loops over the tables; the
@@ -247,8 +254,8 @@ def _run_table_lane(
     agent so times, periods and paths stay bit-identical.  State (send
     counts, trace totals, pending origins) is synced back onto the
     process objects and the trace recorder on every exit path, so
-    downstream accounting observes exactly what the object-driven
-    engines would have produced.
+    downstream accounting observes exactly what the legacy engine would
+    have produced.
     """
     radio = sim.radio
     trace = sim.trace
@@ -344,7 +351,7 @@ def _run_table_lane(
                 group_deliveries: List[Tuple[int, Tuple[int, ...]]] = []
                 for node in senders:
                     if node in muted:
-                        continue  # emit() would have returned None
+                        continue  # on_slot() would stay silent
                     s_idx, receiver_ids, targets = tables[node]
                     sent[s_idx] += 1
                     sends += 1
@@ -429,122 +436,3 @@ def _run_table_lane(
             processes[node].adopt_state(current_period, origins, sent[i])
         if period_span is not None:
             tracer.end(period_span)
-
-
-def _run_object_lane(
-    sim: Simulator,
-    frame: TdmaFrame,
-    periods_budget: int,
-    processes: Dict[NodeId, ConvergecastNodeProcess],
-    agent: EavesdropperAgent,
-    tracker: SourceTracker,
-    timeline: Tuple[_SlotGroup, ...],
-) -> int:
-    """The object-driven flat-timeline loop (no forwarding tables).
-
-    Runs every broadcast through :meth:`RadioMedium.transmit` /
-    :meth:`RadioMedium.deliver` and every arrival through
-    ``Process.deliver`` → ``on_receive``, so arbitrary process
-    subclasses, retained per-message traces and collision windows all
-    behave exactly as under the legacy heap.
-    """
-    radio = sim.radio
-    trace = sim.trace
-    record = trace.record
-    ordered_processes = [processes[node] for node in sorted(processes)]
-    period_length = frame.period_length
-    delay = radio.propagation_delay
-    transmit = radio.transmit
-    deliver = radio.deliver
-
-    current_period = 0
-    # Same one-open-span discipline as the table lane: the finally
-    # closes the last period's span on every exit path.
-    tracer = active_tracer()
-    period_span = None
-    try:
-        for period in range(periods_budget):
-            current_period = period
-            if tracer is not None:
-                if period_span is not None:
-                    tracer.end(period_span)
-                period_span = tracer.begin("operational.period", period=period)
-            boundary = period * period_length
-            # Perturbation steps were queued before anything else, so at a
-            # shared boundary timestamp the heap fires them first — run()
-            # drains everything due, then advances the clock to the boundary.
-            sim.run(until=boundary)
-
-            # Period-start hooks, in the legacy driver's client order: the
-            # attacker's NextP, the source-plan advance (a rotation landing
-            # on the attacker is a capture), then every node process.
-            record(boundary, PERIOD_START, period=period)
-            agent.on_period_start(period, boundary)
-            active = tracker.advance(period)
-            if not agent.captured and agent.location in active:
-                agent.register_capture(agent.location, boundary)
-            for process in ordered_processes:
-                process.on_period_start(period, boundary)
-            if agent.captured:
-                # The legacy engine stops before any slot event of this
-                # period fires; the boundary hooks above already ran.
-                return current_period
-
-            # Matches TdmaFrame.slot_start's left-to-right float addition:
-            # (period_start + dissemination) + (slot - 1) * slot_duration.
-            slot_base = boundary + frame.dissemination_duration
-            for slot, offset, senders in timeline:
-                slot_time = slot_base + offset
-                pending: List[Tuple[NodeId, object, tuple]] = []
-                for node in senders:
-                    message = processes[node].emit(period, slot)
-                    if message is None:  # the sink, or a muted/dead node
-                        continue
-                    surviving = transmit(node, message, slot_time)
-                    if surviving:
-                        pending.append((node, message, surviving))
-                    if agent.captured:
-                        # A capture ends the run after the event that caused
-                        # it: later senders of this slot never transmit and
-                        # buffered deliveries never fire, exactly as the
-                        # legacy loop stops with those events still queued.
-                        return current_period
-                if pending:
-                    deliver_time = slot_time + delay
-                    for sender, message, surviving in pending:
-                        deliver(sender, message, surviving, deliver_time)
-        return current_period
-    finally:
-        if period_span is not None:
-            tracer.end(period_span)
-
-
-def run_fast_kernel(
-    sim: Simulator,
-    frame: TdmaFrame,
-    periods_budget: int,
-    processes: Dict[NodeId, ConvergecastNodeProcess],
-    agent: EavesdropperAgent,
-    tracker: SourceTracker,
-    use_tables: bool = True,
-) -> int:
-    """Execute the operational phase; returns the last period begun.
-
-    Mirrors ``TdmaDriver`` + ``Simulator.run`` for the regular part of
-    the run while keeping the heap for perturbation steps already
-    scheduled against ``sim``.  With ``use_tables`` (the default) the
-    run goes through the table-driven message-path fast lane whenever
-    :func:`fast_lane_compilable` can prove it equivalent, and falls back
-    to the object-driven loop otherwise; ``use_tables=False`` forces the
-    object loop (the ``fast-object`` kernel — the bisection knob between
-    the lane and the flat timeline).  See the module docstring for the
-    equivalence contract.
-    """
-    timeline = build_slot_timeline(frame, processes)
-    if use_tables and fast_lane_compilable(sim, processes, agent, timeline):
-        return _run_table_lane(
-            sim, frame, periods_budget, processes, agent, tracker, timeline
-        )
-    return _run_object_lane(
-        sim, frame, periods_budget, processes, agent, tracker, timeline
-    )

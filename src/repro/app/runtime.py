@@ -43,19 +43,23 @@ from .dynamics import (
     SourceTracker,
     lower_perturbations,
 )
-from .fast_kernel import fast_kernel_supported, run_fast_kernel
+from .fast_kernel import (
+    build_slot_timeline,
+    fast_kernel_supported,
+    fast_lane_compilable,
+    run_fast_kernel,
+)
 
 #: Kernel identifiers for :func:`run_operational_phase`.
 FAST_KERNEL = "fast"
-OBJECT_KERNEL = "fast-object"
 LEGACY_KERNEL = "legacy"
-KERNELS = (FAST_KERNEL, OBJECT_KERNEL, LEGACY_KERNEL)
+KERNELS = (FAST_KERNEL, LEGACY_KERNEL)
 
-#: The kernel used when a call does not choose one.  All kernels are
-#: bit-identical (differentially tested), so the fastest is the
-#: default; ``fast-object`` (the flat timeline without the forwarding
-#: tables) and ``legacy`` (the event heap) remain selectable so a
-#: regression can be bisected to a layer.
+#: The kernel used when a call does not choose one.  The two engines
+#: are bit-identical (differentially tested), so the fast one is the
+#: default; ``legacy`` (the event heap) stays selectable as the oracle
+#: a regression is bisected against, and is the fallback for runs the
+#: fast kernel cannot take.
 DEFAULT_KERNEL = FAST_KERNEL
 
 
@@ -273,17 +277,18 @@ def run_operational_phase(
         applied at period boundaries before any event of the period.
         Perturbing the sink or a source-pool node is rejected.
     kernel:
-        ``"fast"`` (flat slot timeline + the table-driven message-path
-        fast lane, the default), ``"fast-object"`` (the flat timeline
-        with object-driven dispatch — the ``--no-fast-lane`` bisection
-        point) or ``"legacy"`` (the event-heap TDMA driver).  All are
-        bit-identical — same results, same RNG stream, same trace — so
-        the choice is a performance/bisection knob, not a semantic one.
-        ``None`` means :data:`DEFAULT_KERNEL`.  Frames the fast kernel
-        cannot honour (slot shorter than the propagation delay) fall
-        back to the legacy engine automatically, and runs the fast lane
-        cannot compile (process subclasses, retained per-message
-        traces) fall back to the object-driven loop.
+        One of two engines: ``"fast"`` (the flat slot timeline driving
+        the table-driven message-path fast lane, the default) or
+        ``"legacy"`` (the event-heap TDMA driver — the oracle, and the
+        fallback).  They are bit-identical — same results, same RNG
+        stream, same trace — so the choice is a performance/bisection
+        knob, not a semantic one.  ``None`` means
+        :data:`DEFAULT_KERNEL`.  A ``"fast"`` run the fast kernel cannot
+        take runs on the legacy engine: frames whose slot is shorter
+        than the propagation delay, and runs the lane cannot compile
+        (process or agent subclasses, retained SEND/DELIVER/DROP
+        traces, collision windows, same-slot audible senders; see
+        :func:`~repro.app.fast_kernel.fast_lane_compilable`).
     trace_out:
         Optional list the run's :class:`~repro.simulator.TraceRecorder`
         is appended to, for tests and tooling that need the trace of a
@@ -380,10 +385,15 @@ def run_operational_phase(
             sim.radio.detach(node)
             proc.sleep()
 
-    use_fast = resolved_kernel in (
-        FAST_KERNEL,
-        OBJECT_KERNEL,
-    ) and fast_kernel_supported(frame, sim.radio.propagation_delay)
+    for period, action, nodes in lower_perturbations(perturbations, periods_budget):
+        sim.schedule_at(frame.period_start(period), _apply_step, (action, nodes))
+
+    use_fast = resolved_kernel == FAST_KERNEL and fast_kernel_supported(
+        frame, sim.radio.propagation_delay
+    )
+    if use_fast:
+        timeline = build_slot_timeline(frame, processes)
+        use_fast = fast_lane_compilable(sim, processes, agent, timeline)
     tracer = active_tracer()
     phase_span = None
     if tracer is not None:
@@ -395,20 +405,8 @@ def run_operational_phase(
         )
     try:
         if use_fast:
-            for period, action, nodes in lower_perturbations(
-                perturbations, periods_budget
-            ):
-                sim.schedule_at(
-                    frame.period_start(period), _apply_step, (action, nodes)
-                )
             current_period = run_fast_kernel(
-                sim,
-                frame,
-                periods_budget,
-                processes,
-                agent,
-                tracker,
-                use_tables=resolved_kernel == FAST_KERNEL,
+                sim, frame, periods_budget, processes, agent, tracker, timeline
             )
         else:
             driver = TdmaDriver(sim, frame)
@@ -420,12 +418,6 @@ def run_operational_phase(
             # tracker advance (see _SourcePlanClient).
             driver.register(_AttackerTdmaAdapter(-2, agent), None)
             driver.register(_SourcePlanClient(-1, tracker, agent), None)
-            for period, action, nodes in lower_perturbations(
-                perturbations, periods_budget
-            ):
-                sim.schedule_at(
-                    frame.period_start(period), _apply_step, (action, nodes)
-                )
             driver.start(stop_after=periods_budget)
             sim.run(until=periods_budget * frame.period_length + 1e-9)
             current_period = driver.current_period
@@ -452,6 +444,9 @@ def run_operational_phase(
 
     if tracer is not None:
         sim.trace.publish_counts(default_registry())
+    # Break the engine's reference cycles so the run is freed by
+    # refcount; the trace stays readable (below, and for trace_out).
+    sim.close()
 
     return OperationalResult(
         captured=agent.captured,

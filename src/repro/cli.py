@@ -73,29 +73,37 @@ def _cmd_table1(_: argparse.Namespace) -> int:
     return 0
 
 
-def _kernel_of(args: argparse.Namespace) -> Optional[str]:
-    """The kernel override implied by ``--legacy-kernel``/``--no-fast-lane``.
+def _runner_options(args: argparse.Namespace) -> dict:
+    """Runner keyword arguments selected by the shared sweep flags.
 
-    ``--legacy-kernel`` selects the event-heap engine; ``--no-fast-lane``
-    keeps the fast kernel but disables its table-driven message lane
-    (the ``fast-object`` kernel) — the bisection point between the flat
-    timeline and the forwarding tables.
+    Maps whichever of them the subcommand declares — ``--workers``,
+    ``--legacy-kernel``, ``--legacy-setup-kernel``,
+    ``--no-schedule-cache``, ``--force-parallel`` and the resilience
+    flags — onto the keyword names :func:`run_figure5`,
+    :func:`measure_setup_overhead`, :class:`ScenarioRunner` and the
+    service's job payload share.  ``--no-schedule-cache`` also switches
+    this process's schedule cache off.
     """
-    if getattr(args, "legacy_kernel", False):
-        return "legacy"
-    if getattr(args, "no_fast_lane", False):
-        return "fast-object"
-    return None
-
-
-def _setup_kernel_of(args: argparse.Namespace) -> Optional[str]:
-    """The setup-phase engine implied by ``--legacy-setup-kernel``.
-
-    Selects the event-heap engine for distributed schedule builds
-    instead of the flat-round setup kernel (bit-identical; the knob
-    exists so a setup-phase regression can be bisected to a layer).
-    """
-    return "legacy" if getattr(args, "legacy_setup_kernel", False) else None
+    options = {}
+    if "legacy_kernel" in args:
+        options["kernel"] = "legacy" if args.legacy_kernel else None
+    if "legacy_setup_kernel" in args:
+        options["setup_kernel"] = "legacy" if args.legacy_setup_kernel else None
+    if "no_schedule_cache" in args:
+        options["use_schedule_cache"] = not args.no_schedule_cache
+        if args.no_schedule_cache:
+            configure_schedule_cache(enabled=False)
+    for name in (
+        "workers",
+        "force_parallel",
+        "checkpoint",
+        "resume",
+        "guard",
+        "chunk_timeout",
+    ):
+        if name in args:
+            options[name] = getattr(args, name)
+    return options
 
 
 def _status(args: argparse.Namespace, message: str) -> None:
@@ -172,8 +180,7 @@ def _quarantine_exit(failures, degraded: bool = False) -> int:
 
 
 def _cmd_figure5(args: argparse.Namespace) -> int:
-    if args.no_schedule_cache:
-        configure_schedule_cache(enabled=False)
+    options = _runner_options(args)
     with _telemetry_session(args, "cli.figure5"):
         # Each size runs both algorithms over the same repeats.
         reporter = _progress_reporter(
@@ -186,16 +193,9 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
                 repeats=args.repeats,
                 base_seed=args.seed,
                 noise=args.noise,
-                workers=args.workers,
-                kernel=_kernel_of(args),
-                setup_kernel=_setup_kernel_of(args),
-                use_schedule_cache=not args.no_schedule_cache,
                 use_distributed=args.distributed,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-                guard=args.guard,
-                chunk_timeout=args.chunk_timeout,
                 on_result=reporter.on_result if reporter is not None else None,
+                **options,
             )
         finally:
             if reporter is not None:
@@ -217,8 +217,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
             seeds=range(args.seeds),
             search_distance=args.search_distance,
             setup_periods=args.setup_periods,
-            workers=args.workers,
-            setup_kernel=_setup_kernel_of(args),
+            **_runner_options(args),
         )
     print(format_overhead(measurement))
     _report_telemetry(args)
@@ -307,22 +306,10 @@ def _cmd_scenario_list(_: argparse.Namespace) -> int:
 
 
 def _make_scenario_runner(args: argparse.Namespace) -> ScenarioRunner:
-    if args.no_schedule_cache:
-        configure_schedule_cache(enabled=False)
-    if getattr(args, "schedule_store", None) is not None:
+    options = _runner_options(args)
+    if args.schedule_store is not None:
         configure_schedule_cache(store=args.schedule_store)
-    return ScenarioRunner(
-        workers=args.workers,
-        force_parallel=args.force_parallel,
-        kernel=_kernel_of(args),
-        setup_kernel=_setup_kernel_of(args),
-        use_schedule_cache=not args.no_schedule_cache,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        guard=args.guard,
-        chunk_timeout=args.chunk_timeout,
-        progress=not getattr(args, "quiet", False),
-    )
+    return ScenarioRunner(progress=not args.quiet, **options)
 
 
 def _resolve_scenario(name: str):
@@ -525,10 +512,11 @@ def _cmd_service_submit(args: argparse.Namespace) -> int:
         payload["seeds"] = args.seeds
     if args.seed is not None:
         payload["base_seed"] = args.seed
-    if args.legacy_kernel:
-        payload["kernel"] = "legacy"
-    if args.legacy_setup_kernel:
-        payload["setup_kernel"] = "legacy"
+    payload.update(
+        (name, value)
+        for name, value in _runner_options(args).items()
+        if value is not None
+    )
     client = _service_client(args)
     try:
         reply = client.submit(payload)
@@ -631,6 +619,188 @@ def _cmd_service_workers(args: argparse.Namespace) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# Shared flag tables
+# ----------------------------------------------------------------------
+# Each factory returns a fresh parent parser, so a subcommand may
+# override a shared default with ``set_defaults`` (argparse shares the
+# parent's action objects with every child built from that instance).
+
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An empty parent parser composing ``parents``."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _quiet_flags() -> argparse.ArgumentParser:
+    flags = _flags()
+    flags.add_argument(
+        "--quiet",
+        action="store_true",
+        help="suppress status lines and live progress on stderr "
+        "(quarantine warnings stay visible)",
+    )
+    return flags
+
+
+def _observability_flags() -> argparse.ArgumentParser:
+    flags = _flags(_quiet_flags())
+    flags.add_argument(
+        "--telemetry",
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help="record spans and metrics for this run and write "
+        "spans.jsonl, trace.json (Chrome trace-event format, loads "
+        "in Perfetto) and metrics.json under DIR; off by default "
+        "and output bytes are identical either way",
+    )
+    return flags
+
+
+def _seed_flags() -> argparse.ArgumentParser:
+    flags = _flags()
+    flags.add_argument(
+        "--seed", type=int, default=None, help="the (first) seed"
+    )
+    return flags
+
+
+def _seeds_flags() -> argparse.ArgumentParser:
+    flags = _flags()
+    flags.add_argument(
+        "--seeds",
+        type=int,
+        default=None,
+        help="how many seeds to run (scenarios default to their repeats)",
+    )
+    return flags
+
+
+def _workers_flags() -> argparse.ArgumentParser:
+    flags = _flags()
+    flags.add_argument(
+        "--workers",
+        type=workers_argument,
+        default=None,
+        help="worker processes for seed sweeps "
+        "(default: serial; 0 = one per CPU)",
+    )
+    return flags
+
+
+def _setup_kernel_flags() -> argparse.ArgumentParser:
+    flags = _flags()
+    flags.add_argument(
+        "--legacy-setup-kernel",
+        action="store_true",
+        help="build distributed-setup schedules on the legacy event-heap "
+        "engine instead of the flat-round setup kernel "
+        "(bit-identical; for bisection)",
+    )
+    return flags
+
+
+def _kernel_flags() -> argparse.ArgumentParser:
+    flags = _flags(_setup_kernel_flags())
+    flags.add_argument(
+        "--legacy-kernel",
+        action="store_true",
+        help="run the operational phase on the legacy event-heap "
+        "kernel instead of the fast kernel (bit-identical; for bisection)",
+    )
+    return flags
+
+
+def _sweep_flags() -> argparse.ArgumentParser:
+    """What every seed sweep shares: figure5 and scenario run/compare."""
+    flags = _flags(
+        _seed_flags(), _workers_flags(), _kernel_flags(), _observability_flags()
+    )
+    flags.add_argument(
+        "--no-schedule-cache",
+        action="store_true",
+        help="disable the content-addressed schedule cache "
+        "(bit-identical; for bisection)",
+    )
+    flags.add_argument(
+        "--checkpoint",
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help="persist completed per-seed results under DIR so an "
+        "interrupted sweep can be resumed",
+    )
+    flags.add_argument(
+        "--resume",
+        action="store_true",
+        help="reuse results already in the --checkpoint store instead "
+        "of clearing it (bit-identical to an uninterrupted sweep)",
+    )
+    flags.add_argument(
+        "--guard",
+        choices=sorted(GUARD_MODES),
+        default=None,
+        help="re-run a sample of each sweep on the legacy engines; on "
+        "divergence, write a reproducer bundle and degrade the sweep "
+        "to legacy",
+    )
+    flags.add_argument(
+        "--chunk-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="seconds one parallel chunk may run before its worker is "
+        "presumed hung and the pool is rebuilt",
+    )
+    return flags
+
+
+def _scenario_sweep_flags() -> argparse.ArgumentParser:
+    """The sweep flags plus what only scenario sweeps take."""
+    flags = _flags(_sweep_flags(), _seeds_flags())
+    flags.add_argument(
+        "--force-parallel",
+        action="store_true",
+        help="honour --workers verbatim even where the worker policy "
+        "would fall back to the serial engine",
+    )
+    flags.add_argument(
+        "--schedule-store",
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help="attach a shared on-disk schedule store (SQLite) so "
+        "concurrent runs over one topology dedup schedule builds",
+    )
+    return flags
+
+
+def _grid_flags() -> argparse.ArgumentParser:
+    """One paper grid and its SLP search distance."""
+    flags = _flags()
+    flags.add_argument("--size", type=int, default=11, choices=PAPER_SIZES)
+    flags.add_argument("--search-distance", type=int, default=3)
+    return flags
+
+
+def _client_flags() -> argparse.ArgumentParser:
+    """How a service client reaches the service."""
+    flags = _flags()
+    flags.add_argument(
+        "--url",
+        default=DEFAULT_SERVICE_URL,
+        help=f"service base URL (default {DEFAULT_SERVICE_URL})",
+    )
+    flags.add_argument(
+        "--timeout",
+        type=float,
+        default=30.0,
+        help="client timeout in seconds (and --wait deadline)",
+    )
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -644,117 +814,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table1", help="print Table I").set_defaults(func=_cmd_table1)
 
-    workers_help = (
-        "worker processes for seed sweeps (default: serial; 0 = one per CPU)"
+    fig = sub.add_parser(
+        "figure5", help="regenerate a Figure 5 panel", parents=[_sweep_flags()]
     )
-    legacy_kernel_help = (
-        "run the operational phase on the legacy event-heap kernel "
-        "instead of the fast kernel (bit-identical; for bisection)"
-    )
-    no_cache_help = (
-        "disable the content-addressed schedule cache "
-        "(bit-identical; for bisection)"
-    )
-    no_fast_lane_help = (
-        "keep the fast kernel but disable its table-driven message-path "
-        "fast lane (bit-identical; for bisection)"
-    )
-    legacy_setup_kernel_help = (
-        "build distributed-setup schedules on the legacy event-heap "
-        "engine instead of the flat-round setup kernel "
-        "(bit-identical; for bisection)"
-    )
-
-    def add_resilience_arguments(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--checkpoint",
-            type=Path,
-            default=None,
-            metavar="DIR",
-            help="persist completed per-seed results under DIR so an "
-            "interrupted sweep can be resumed",
-        )
-        cmd.add_argument(
-            "--resume",
-            action="store_true",
-            help="reuse results already in the --checkpoint store instead "
-            "of clearing it (bit-identical to an uninterrupted sweep)",
-        )
-        cmd.add_argument(
-            "--guard",
-            choices=sorted(GUARD_MODES),
-            default=None,
-            help="re-run a sample of each sweep on the legacy engines; on "
-            "divergence, write a reproducer bundle and degrade the sweep "
-            "to legacy",
-        )
-        cmd.add_argument(
-            "--chunk-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="seconds one parallel chunk may run before its worker is "
-            "presumed hung and the pool is rebuilt",
-        )
-
-    def add_observability_arguments(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--telemetry",
-            type=Path,
-            default=None,
-            metavar="DIR",
-            help="record spans and metrics for this run and write "
-            "spans.jsonl, trace.json (Chrome trace-event format, loads "
-            "in Perfetto) and metrics.json under DIR; off by default "
-            "and output bytes are identical either way",
-        )
-        cmd.add_argument(
-            "--quiet",
-            action="store_true",
-            help="suppress status lines and live progress on stderr "
-            "(quarantine warnings stay visible)",
-        )
-
-    fig = sub.add_parser("figure5", help="regenerate a Figure 5 panel")
     fig.add_argument("--search-distance", type=int, default=3, choices=(3, 5))
     fig.add_argument("--repeats", type=int, default=30)
-    fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--sizes", type=int, nargs="+", default=list(PAPER_SIZES))
     fig.add_argument("--noise", choices=("casino", "ideal"), default="casino")
-    fig.add_argument("--workers", type=workers_argument, default=None, help=workers_help)
-    fig.add_argument("--legacy-kernel", action="store_true", help=legacy_kernel_help)
-    fig.add_argument("--no-fast-lane", action="store_true", help=no_fast_lane_help)
-    fig.add_argument(
-        "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
-    )
-    fig.add_argument("--no-schedule-cache", action="store_true", help=no_cache_help)
     fig.add_argument(
         "--distributed",
         action="store_true",
         help="build schedules with the full message-level setup protocols "
         "instead of the centralised pipeline",
     )
-    add_resilience_arguments(fig)
-    add_observability_arguments(fig)
-    fig.set_defaults(func=_cmd_figure5)
+    fig.set_defaults(func=_cmd_figure5, seed=0)
 
-    over = sub.add_parser("overhead", help="measure SLP setup overhead")
-    over.add_argument("--size", type=int, default=11, choices=PAPER_SIZES)
-    over.add_argument("--seeds", type=int, default=3)
-    over.add_argument("--search-distance", type=int, default=3)
-    over.add_argument("--setup-periods", type=int, default=None)
-    over.add_argument("--workers", type=workers_argument, default=None, help=workers_help)
-    over.add_argument(
-        "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
+    over = sub.add_parser(
+        "overhead",
+        help="measure SLP setup overhead",
+        parents=[
+            _grid_flags(),
+            _seeds_flags(),
+            _workers_flags(),
+            _setup_kernel_flags(),
+            _observability_flags(),
+        ],
     )
-    add_observability_arguments(over)
-    over.set_defaults(func=_cmd_overhead)
+    over.add_argument("--setup-periods", type=int, default=None)
+    over.set_defaults(func=_cmd_overhead, seeds=3)
 
-    ver = sub.add_parser("verify", help="run VerifySchedule (Algorithm 1)")
-    ver.add_argument("--size", type=int, default=11, choices=PAPER_SIZES)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--search-distance", type=int, default=3)
-    ver.set_defaults(func=_cmd_verify)
+    ver = sub.add_parser(
+        "verify",
+        help="run VerifySchedule (Algorithm 1)",
+        parents=[_grid_flags(), _seed_flags()],
+    )
+    ver.set_defaults(func=_cmd_verify, seed=0)
 
     scenario = sub.add_parser(
         "scenario", help="declarative workloads (multi-source, mobile, churn)"
@@ -777,39 +871,14 @@ def build_parser() -> argparse.ArgumentParser:
     scn_export.set_defaults(func=_cmd_scenario_export, quiet=False)
 
     scn_run = scenario_sub.add_parser(
-        "run", help="sweep one scenario and print a JSON report"
+        "run",
+        help="sweep one scenario and print a JSON report",
+        parents=[_scenario_sweep_flags()],
     )
     scn_run.add_argument(
         "name",
         help="registered scenario name (see 'list') or a path to a "
         "JSON spec document (see 'scenario export'/DESIGN.md)",
-    )
-    scn_run.add_argument(
-        "--seeds", type=int, default=None, help="override the scenario's repeats"
-    )
-    scn_run.add_argument("--seed", type=int, default=None, help="first seed")
-    scn_run.add_argument(
-        "--workers", type=workers_argument, default=None, help=workers_help
-    )
-    scn_run.add_argument(
-        "--force-parallel",
-        action="store_true",
-        help="honour --workers verbatim even where the worker policy "
-        "would fall back to the serial engine",
-    )
-    scn_run.add_argument("--legacy-kernel", action="store_true", help=legacy_kernel_help)
-    scn_run.add_argument("--no-fast-lane", action="store_true", help=no_fast_lane_help)
-    scn_run.add_argument(
-        "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
-    )
-    scn_run.add_argument("--no-schedule-cache", action="store_true", help=no_cache_help)
-    scn_run.add_argument(
-        "--schedule-store",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="attach a shared on-disk schedule store (SQLite) so "
-        "concurrent runs over one topology dedup schedule builds",
     )
     scn_run.add_argument(
         "--jsonl",
@@ -819,45 +888,16 @@ def build_parser() -> argparse.ArgumentParser:
     scn_run.add_argument(
         "--out", type=Path, default=None, help="write the report to a file"
     )
-    add_resilience_arguments(scn_run)
-    add_observability_arguments(scn_run)
     scn_run.set_defaults(func=_cmd_scenario_run)
 
     scn_cmp = scenario_sub.add_parser(
-        "compare", help="sweep several scenarios and tabulate capture ratios"
+        "compare",
+        help="sweep several scenarios and tabulate capture ratios",
+        parents=[_scenario_sweep_flags()],
     )
     scn_cmp.add_argument(
         "names", nargs="*", help="scenario names (default: every registered one)"
     )
-    scn_cmp.add_argument(
-        "--seeds", type=int, default=None, help="override each scenario's repeats"
-    )
-    scn_cmp.add_argument("--seed", type=int, default=None, help="first seed")
-    scn_cmp.add_argument(
-        "--workers", type=workers_argument, default=None, help=workers_help
-    )
-    scn_cmp.add_argument(
-        "--force-parallel",
-        action="store_true",
-        help="honour --workers verbatim even where the worker policy "
-        "would fall back to the serial engine",
-    )
-    scn_cmp.add_argument("--legacy-kernel", action="store_true", help=legacy_kernel_help)
-    scn_cmp.add_argument("--no-fast-lane", action="store_true", help=no_fast_lane_help)
-    scn_cmp.add_argument(
-        "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
-    )
-    scn_cmp.add_argument("--no-schedule-cache", action="store_true", help=no_cache_help)
-    scn_cmp.add_argument(
-        "--schedule-store",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="attach a shared on-disk schedule store (SQLite) so "
-        "concurrent runs over one topology dedup schedule builds",
-    )
-    add_resilience_arguments(scn_cmp)
-    add_observability_arguments(scn_cmp)
     scn_cmp.set_defaults(func=_cmd_scenario_compare)
 
     service = sub.add_parser(
@@ -867,11 +907,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service_sub = service.add_subparsers(dest="service_command", required=True)
 
-    url_help = f"service base URL (default {DEFAULT_SERVICE_URL})"
-    timeout_help = "client timeout in seconds (and --wait deadline)"
-
     svc_start = service_sub.add_parser(
-        "start", help="run the sweep service in the foreground"
+        "start",
+        help="run the sweep service in the foreground",
+        parents=[_quiet_flags()],
     )
     svc_start.add_argument(
         "--data-dir",
@@ -941,7 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(submits and shard traffic answer 401 without it; reads stay "
         "open)",
     )
-    svc_start.add_argument("--quiet", action="store_true")
     svc_start.set_defaults(func=_cmd_service_start)
 
     svc_fsck = service_sub.add_parser(
@@ -971,10 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workers",
         help="show the worker fleet (held shards, seeds landed, "
         "upload recency) from the service's lease board",
-    )
-    svc_workers.add_argument("--url", default=DEFAULT_SERVICE_URL, help=url_help)
-    svc_workers.add_argument(
-        "--timeout", type=float, default=30.0, help=timeout_help
+        parents=[_client_flags()],
     )
     svc_workers.set_defaults(func=_cmd_service_workers, quiet=False)
 
@@ -982,6 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gc",
         help="evict old terminal jobs' result blobs (records stay for "
         "dedup); run offline against the service's --data-dir",
+        parents=[_quiet_flags()],
     )
     svc_gc.add_argument(
         "--data-dir",
@@ -998,25 +1034,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep the N most recently submitted terminal results "
         "(ordering is the store's submit counter, never a wall clock)",
     )
-    svc_gc.add_argument("--quiet", action="store_true")
     svc_gc.set_defaults(func=_cmd_service_gc)
 
     svc_submit = service_sub.add_parser(
-        "submit", help="submit a scenario (name or spec JSON file) as a job"
+        "submit",
+        help="submit a scenario (name or spec JSON file) as a job",
+        parents=[
+            _client_flags(),
+            _seeds_flags(),
+            _seed_flags(),
+            _kernel_flags(),
+            _quiet_flags(),
+        ],
     )
     svc_submit.add_argument(
         "name", help="registered scenario name or path to a JSON spec document"
-    )
-    svc_submit.add_argument("--url", default=DEFAULT_SERVICE_URL, help=url_help)
-    svc_submit.add_argument(
-        "--seeds", type=int, default=None, help="override the scenario's repeats"
-    )
-    svc_submit.add_argument("--seed", type=int, default=None, help="first seed")
-    svc_submit.add_argument(
-        "--legacy-kernel", action="store_true", help=legacy_kernel_help
-    )
-    svc_submit.add_argument(
-        "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
     )
     svc_submit.add_argument(
         "--wait",
@@ -1025,38 +1057,27 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit codes as for 'scenario run')",
     )
     svc_submit.add_argument(
-        "--timeout", type=float, default=600.0, help=timeout_help
-    )
-    svc_submit.add_argument(
         "--token",
         default=None,
         help="bearer token for a 'service start --token' instance",
     )
-    svc_submit.add_argument("--quiet", action="store_true")
-    svc_submit.set_defaults(func=_cmd_service_submit)
+    svc_submit.set_defaults(func=_cmd_service_submit, timeout=600.0)
 
     svc_status = service_sub.add_parser(
-        "status", help="print one job's status document"
+        "status", help="print one job's status document", parents=[_client_flags()]
     )
     svc_status.add_argument("job", help="job id (from 'submit')")
-    svc_status.add_argument("--url", default=DEFAULT_SERVICE_URL, help=url_help)
-    svc_status.add_argument(
-        "--timeout", type=float, default=30.0, help=timeout_help
-    )
     svc_status.set_defaults(func=_cmd_service_status, quiet=False)
 
     svc_result = service_sub.add_parser(
-        "result", help="print (or save) one finished job's report"
+        "result",
+        help="print (or save) one finished job's report",
+        parents=[_client_flags(), _quiet_flags()],
     )
     svc_result.add_argument("job", help="job id (from 'submit')")
-    svc_result.add_argument("--url", default=DEFAULT_SERVICE_URL, help=url_help)
-    svc_result.add_argument(
-        "--timeout", type=float, default=30.0, help=timeout_help
-    )
     svc_result.add_argument(
         "--out", type=Path, default=None, help="write the report to a file"
     )
-    svc_result.add_argument("--quiet", action="store_true")
     svc_result.set_defaults(func=_cmd_service_result)
 
     worker = sub.add_parser(
@@ -1069,6 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
         "start",
         help="pull shard leases from a remote-mode service, run them, "
         "and upload results (SIGTERM drains gracefully)",
+        parents=[_quiet_flags()],
     )
     wrk_start.add_argument(
         "--connect",
@@ -1124,14 +1146,14 @@ def build_parser() -> argparse.ArgumentParser:
         "1: upload each seed as it finishes; the batch flushes at shard "
         "end and on drain either way)",
     )
-    wrk_start.add_argument("--quiet", action="store_true")
     wrk_start.set_defaults(func=_cmd_worker_start)
 
-    show = sub.add_parser("show", help="visualise a refined schedule")
-    show.add_argument("--size", type=int, default=11, choices=PAPER_SIZES)
-    show.add_argument("--seed", type=int, default=0)
-    show.add_argument("--search-distance", type=int, default=3)
-    show.set_defaults(func=_cmd_show)
+    show = sub.add_parser(
+        "show",
+        help="visualise a refined schedule",
+        parents=[_grid_flags(), _seed_flags()],
+    )
+    show.set_defaults(func=_cmd_show, seed=0)
 
     return parser
 

@@ -25,7 +25,7 @@ of the operational kernel in :mod:`repro.app.fast_kernel`:
   become ``|=`` and sibling ranks become a masked ``bit_count()``;
 * each broadcast draws its noise decisions through one
   :meth:`~repro.simulator.noise.NoiseModel.delivers_block` call (the
-  exact RNG stream of :meth:`RadioMedium.transmit`) and its surviving
+  exact RNG stream of :meth:`RadioMedium.broadcast`) and its surviving
   fan-out is buffered as a *deferred in-round delivery* — a FIFO whose
   ``(time, seq)`` entries are merged against the remaining transmissions
   of the round, reproducing the heap's interleaving exactly (a delivery
@@ -93,6 +93,17 @@ def search_ttl(search_distance: int) -> int:
     sites read one formula.
     """
     return 8 * search_distance + 32
+
+
+def unassigned_decoy_error(node: NodeId) -> ProtocolError:
+    """Phase 3 is about to recruit ``node`` onto the decoy path, but it
+    has no slot: Phase 1 ended (``setup_periods`` rounds) before the
+    node was assigned.  A decoy without a hop count or parent cannot be
+    refined, so both setup engines refuse the run here, identically."""
+    return ProtocolError(
+        f"Phase 3 would recruit node {node} as a decoy, but Phase 1 left "
+        "it without a slot (setup_periods too short for this topology)"
+    )
 
 
 def fast_setup_supported(
@@ -437,9 +448,9 @@ def run_fast_setup(
     def transmit(i: int, kind: str, payload, time: float, seq: int) -> int:
         """SEND accounting + noise block + deferred delivery push.
 
-        Mirrors ``RadioMedium.transmit`` + the delivery scheduling of
-        ``broadcast``: the noise decisions draw *now*, in neighbour
-        order, and the surviving fan-out is queued at ``time + delay``.
+        Mirrors ``RadioMedium.broadcast``: the noise decisions draw
+        *now*, in neighbour order, and the surviving fan-out is queued
+        at ``time + delay``.
         Returns the next free sequence number.
         """
         nonlocal sends, drops
@@ -622,6 +633,8 @@ def run_fast_setup(
                     for nb in self_neighbour_ids(r)
                     if nb != p and not (fmask >> index[nb]) & 1
                 ]
+                if candidates and slot[r] is None:
+                    raise unassigned_decoy_error(order[r])
                 if remaining > 0 and candidates:
                     state.is_decoy[r] = True
                     change_slot(r, base - 1, "decoy", time)

@@ -173,9 +173,9 @@ class ScenarioRunner:
         Bypass that fallback and honour ``workers`` verbatim (the CLI's
         ``--force-parallel``).
     kernel:
-        Operational kernel override (``"fast"``/``"fast-object"``/
-        ``"legacy"``/``None`` for the engine default); bit-identical
-        whichever is chosen.
+        Operational engine override: ``"fast"`` (the table lane),
+        ``"legacy"`` (the oracle and fallback) or ``None`` for the
+        engine default; bit-identical whichever is chosen.
     setup_kernel:
         Setup-phase engine override for scenarios whose schedules come
         from the distributed protocols (``"fast"``/``"legacy"``/``None``

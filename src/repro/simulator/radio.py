@@ -23,11 +23,7 @@ out to every surviving receiver when it fires, rather than one event
 per directed delivery, (c) draws all of a broadcast's noise decisions
 through :meth:`NoiseModel.delivers_block` in one call, and (d) bypasses
 trace-record construction entirely for kinds the recorder does not
-retain.  :meth:`RadioMedium.broadcast` is split into
-:meth:`RadioMedium.transmit` (send + noise + eavesdropping, returning
-the surviving fan-out) and :meth:`RadioMedium.deliver` (explicit-time
-fan-out) so the operational fast kernel can run both halves without the
-event heap.  None of this changes the event ordering or RNG draw
+retain.  None of this changes the event ordering or RNG draw
 sequence of a run: deliveries of one broadcast share a timestamp and
 fired back-to-back before under the ``(time, seq)`` order anyway, and
 noise draws happen at transmission time in neighbour order exactly as
@@ -203,7 +199,7 @@ class RadioMedium:
         """The current ``(fan-out, receiver ids)`` of ``sender``.
 
         The fan-out pairs each attached neighbour with its delivery
-        callback; the id tuple is exactly what :meth:`transmit` feeds
+        callback; the id tuple is exactly what :meth:`broadcast` feeds
         :meth:`NoiseModel.delivers_block`.  Valid until :attr:`epoch`
         moves (a node attached or detached)."""
         return self._fanout_of(sender)
@@ -218,30 +214,14 @@ class RadioMedium:
 
         Every attached neighbour receives an independent delivery (after
         noise); every eavesdropper whose location is the sender or one of
-        its neighbours overhears the frame at transmission time.
+        its neighbours overhears the frame at transmission time.  RNG
+        draw order: one block of noise decisions in neighbour order, then
+        one audibility decision per eavesdropper in range.
         """
         sim = self._sim
-        surviving = self.transmit(sender, message, sim.now)
-        if surviving:
-            sim.schedule_after(
-                self._propagation_delay,
-                self._deliver_batch,
-                (sender, message, surviving),
-            )
-
-    def transmit(self, sender: NodeId, message: Any, now: float) -> _Fanout:
-        """The transmission half of :meth:`broadcast`: draw noise for the
-        fan-out, let eavesdroppers overhear, and return the surviving
-        deliveries *without scheduling them*.
-
-        The operational fast kernel uses this to batch a whole TDMA
-        slot's deliveries itself; :meth:`broadcast` immediately schedules
-        the returned fan-out at ``propagation_delay``.  RNG draw order is
-        the historical one: one block of noise decisions in neighbour
-        order, then one audibility decision per eavesdropper in range.
-        """
-        rng = self._sim.rng
-        trace = self._sim.trace
+        now = sim.now
+        rng = sim.rng
+        trace = sim.trace
         noise = self._noise
         if self._keep_send:
             trace.record(now, trace_kinds.SEND, sender=sender, message=message)
@@ -285,29 +265,21 @@ class RadioMedium:
                         else:
                             trace.bump(trace_kinds.ATTACKER_HEAR)
                         eavesdropper.overhear(sender, message, now)
-        return surviving
+        if surviving:
+            sim.schedule_after(
+                self._propagation_delay,
+                self._deliver,
+                (sender, message, surviving),
+            )
 
-    def _deliver_batch(
-        self,
-        sender: NodeId,
-        message: Any,
-        deliveries: _Fanout,
-    ) -> None:
-        self.deliver(sender, message, deliveries, self._sim.now)
-
-    def deliver(
-        self,
-        sender: NodeId,
-        message: Any,
-        deliveries: _Fanout,
-        now: float,
-    ) -> None:
+    def _deliver(self, sender: NodeId, message: Any, deliveries: _Fanout) -> None:
         """Fan one broadcast out to all its surviving receivers.
 
         Receivers fire in neighbour order — identical to the order the
         per-receiver events of one broadcast popped in before batching,
         since they shared a timestamp and consecutive sequence numbers.
         """
+        now = self._sim.now
         trace = self._sim.trace
         window = self._collision_window
         keep_deliver = self._keep_deliver

@@ -28,6 +28,7 @@ from ..das.fast_setup import (
     fast_setup_supported,
     run_fast_setup,
     search_ttl,
+    unassigned_decoy_error,
 )
 from ..das.messages import NodeInfo
 from ..das.protocol import (
@@ -271,6 +272,8 @@ class SlpNodeProcess(DasNodeProcess):
             for n in sorted(self.my_neighbours)
             if n != self.parent and n not in self.from_set
         ]
+        if candidates and self.slot is None:
+            raise unassigned_decoy_error(self.node)
         if message.remaining > 0 and candidates:
             self.is_decoy = True
             self._change_slot(message.base_slot - 1, reason="decoy")

@@ -65,14 +65,13 @@ class TestCli:
         assert "Figure 5a" in out
 
     def test_figure5_kernel_bisection_flags_identical(self, capsys):
-        """--no-fast-lane and --legacy-kernel reproduce the default
-        output byte-for-byte (the bit-identity contract, end to end)."""
+        """--legacy-kernel reproduces the default output byte-for-byte
+        (the bit-identity contract, end to end)."""
         base_args = ["figure5", "--repeats", "2", "--sizes", "11", "--noise", "ideal"]
         assert main(base_args) == 0
         default_out = capsys.readouterr().out
-        for flag in ("--no-fast-lane", "--legacy-kernel"):
-            assert main(base_args + [flag]) == 0
-            assert capsys.readouterr().out == default_out
+        assert main(base_args + ["--legacy-kernel"]) == 0
+        assert capsys.readouterr().out == default_out
 
     def test_verify(self, capsys):
         assert main(["verify", "--size", "11", "--seed", "0"]) == 0

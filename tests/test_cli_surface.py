@@ -22,7 +22,6 @@ figure5 --distributed dest=distributed default=False type=None choices=None acti
 figure5 --guard dest=guard default=None type=None choices=['differential'] action=_StoreAction
 figure5 --legacy-kernel dest=legacy_kernel default=False type=None choices=None action=_StoreTrueAction
 figure5 --legacy-setup-kernel dest=legacy_setup_kernel default=False type=None choices=None action=_StoreTrueAction
-figure5 --no-fast-lane dest=no_fast_lane default=False type=None choices=None action=_StoreTrueAction
 figure5 --no-schedule-cache dest=no_schedule_cache default=False type=None choices=None action=_StoreTrueAction
 figure5 --noise dest=noise default='casino' type=None choices=('casino', 'ideal') action=_StoreAction
 figure5 --quiet dest=quiet default=False type=None choices=None action=_StoreTrueAction
@@ -50,7 +49,6 @@ scenario compare --force-parallel dest=force_parallel default=False type=None ch
 scenario compare --guard dest=guard default=None type=None choices=['differential'] action=_StoreAction
 scenario compare --legacy-kernel dest=legacy_kernel default=False type=None choices=None action=_StoreTrueAction
 scenario compare --legacy-setup-kernel dest=legacy_setup_kernel default=False type=None choices=None action=_StoreTrueAction
-scenario compare --no-fast-lane dest=no_fast_lane default=False type=None choices=None action=_StoreTrueAction
 scenario compare --no-schedule-cache dest=no_schedule_cache default=False type=None choices=None action=_StoreTrueAction
 scenario compare --quiet dest=quiet default=False type=None choices=None action=_StoreTrueAction
 scenario compare --resume dest=resume default=False type=None choices=None action=_StoreTrueAction
@@ -72,7 +70,6 @@ scenario run --guard dest=guard default=None type=None choices=['differential'] 
 scenario run --jsonl dest=jsonl default=False type=None choices=None action=_StoreTrueAction
 scenario run --legacy-kernel dest=legacy_kernel default=False type=None choices=None action=_StoreTrueAction
 scenario run --legacy-setup-kernel dest=legacy_setup_kernel default=False type=None choices=None action=_StoreTrueAction
-scenario run --no-fast-lane dest=no_fast_lane default=False type=None choices=None action=_StoreTrueAction
 scenario run --no-schedule-cache dest=no_schedule_cache default=False type=None choices=None action=_StoreTrueAction
 scenario run --out dest=out default=None type=Path choices=None action=_StoreAction
 scenario run --quiet dest=quiet default=False type=None choices=None action=_StoreTrueAction

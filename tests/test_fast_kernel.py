@@ -1,13 +1,14 @@
 """Differential tests for the operational-phase fast kernel.
 
-The contract: the fast kernel — with or without its table-driven
-message-path fast lane — is *bit-identical* to the legacy event-heap
-engine: same :class:`OperationalResult`, same trace counters, same
-retained records, same RNG consumption, for every workload the
-repository can express.  Every registered scenario is driven through
-all three kernels here; the serial/parallel identity of the fast
-kernel is additionally covered by ``tests/test_scenarios.py`` (the
-fast kernel is the default, so those sweeps already exercise it).
+The contract: there are two engines, and a ``"fast"`` run — on the
+table-driven lane, or sent to the legacy fallback when the lane cannot
+compile it — is *bit-identical* to the legacy event-heap engine: same
+:class:`OperationalResult`, same trace counters, same retained records,
+same RNG consumption, for every workload the repository can express.
+Every registered scenario is driven through both kernels here; the
+serial/parallel identity of the fast kernel is additionally covered by
+``tests/test_scenarios.py`` (the fast kernel is the default, so those
+sweeps already exercise it).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 from repro.app import (
     FAST_KERNEL,
     LEGACY_KERNEL,
-    OBJECT_KERNEL,
     ConvergecastNodeProcess,
     DutyCycle,
     NodeDeath,
@@ -38,11 +38,11 @@ from repro.scenarios import ScenarioRunner, get_scenario, scenario_names
 from repro.simulator import CasinoLabNoise
 
 #: Seeds per scenario for the differential sweep (kept small: the suite
-#: runs every registered scenario through all kernels).
+#: runs every registered scenario through both kernels).
 DIFF_SEEDS = 2
 
 #: Kernel order for differentials: the reference engine first.
-ALL_KERNELS = (LEGACY_KERNEL, OBJECT_KERNEL, FAST_KERNEL)
+ALL_KERNELS = (LEGACY_KERNEL, FAST_KERNEL)
 
 
 def _attacker_spec(r, h, m, decision):
@@ -89,7 +89,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("name", sorted(scenario_names()))
     def test_every_registered_scenario_is_bit_identical(self, name):
         """Results AND trace counters agree, per scenario, per seed,
-        across legacy / fast-object / fast (table lane) kernels."""
+        across the legacy and fast (table lane) kernels."""
         spec = get_scenario(name)
         topology = spec.build_topology()
         config = spec.to_config(repeats=DIFF_SEEDS)
@@ -113,8 +113,8 @@ class TestKernelEquivalence:
 
     def test_full_trace_records_are_identical(self, grid7):
         """With every kind retained, the record streams match too (the
-        fast lane declines retained per-message traces and the object
-        path must reproduce the exact record stream)."""
+        fast lane declines retained per-message traces, so the fast
+        request runs on the legacy fallback)."""
         schedule = centralized_das_schedule(grid7, seed=3)
         outcomes, traces = _run_all(
             grid7,
@@ -146,7 +146,7 @@ class TestKernelEquivalence:
 class TestFastLaneDynamics:
     """The fast lane × workload-dynamics interplay: perturbations must
     invalidate/patch the forwarding tables mid-run and stay bit-identical
-    to the object path and the legacy heap."""
+    to the legacy heap."""
 
     def _grid_nodes(self, topology):
         """A few perturbable nodes (not sink, not source)."""
@@ -324,7 +324,7 @@ class TestFastLaneCompilability:
     def test_audible_slot_sharing_is_not_compilable(self, grid5, grid5_schedule):
         """Two adjacent senders in one slot group (impossible under
         Def. 1, but expressible via a hand-built schedule) must force
-        the object path: live-set delivery would skip the emit-time
+        the legacy fallback: live-set delivery would skip the emit-time
         snapshot the legacy semantics require."""
         from repro.app import OPERATIONAL_TRACE_KINDS
 
@@ -340,21 +340,48 @@ class TestFastLaneCompilability:
         )
         assert not fast_lane_compilable(sim, processes, agent, timeline)
 
-    def test_default_run_uses_the_table_lane(self, grid5, grid5_schedule, monkeypatch):
-        """The default kernel actually engages the lane (not a silent
-        permanent fallback)."""
-        import repro.app.fast_kernel as fk
+    @pytest.mark.parametrize("name", sorted(scenario_names()))
+    def test_default_run_uses_the_table_lane(self, name, monkeypatch):
+        """Every registered scenario's default run engages the lane: a
+        silent drop to the legacy fallback would cost several times
+        the operational phase's run time."""
+        import repro.app.runtime as runtime
 
         calls = []
-        real = fk._run_table_lane
+        real = runtime.run_fast_kernel
 
         def spy(*args, **kwargs):
             calls.append(True)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(fk, "_run_table_lane", spy)
-        run_operational_phase(grid5, grid5_schedule, seed=0)
+        monkeypatch.setattr(runtime, "run_fast_kernel", spy)
+        spec = get_scenario(name)
+        topology = spec.build_topology()
+        config = spec.to_config(repeats=1)
+        ExperimentRunner(topology).run_once(config, config.base_seed)
         assert calls
+
+    def test_non_compilable_run_goes_to_the_legacy_engine(self, grid7):
+        """A fast request the lane cannot compile (retained per-message
+        trace) runs on the legacy engine — the phase span says so — and
+        returns the legacy result."""
+        from repro.telemetry import TelemetrySession
+
+        schedule = centralized_das_schedule(grid7, seed=3)
+        with TelemetrySession(directory=None) as session:
+            fast = run_operational_phase(
+                grid7, schedule, seed=3, kernel=FAST_KERNEL, trace_kinds=None
+            )
+        phases = [
+            span
+            for span in session.tracer.spans()
+            if span.name == "operational.phase"
+        ]
+        assert [span.attrs["fast"] for span in phases] == [False]
+        legacy = run_operational_phase(
+            grid7, schedule, seed=3, kernel=LEGACY_KERNEL, trace_kinds=None
+        )
+        assert fast == legacy
 
 
 class TestKernelSelection:
@@ -370,11 +397,10 @@ class TestKernelSelection:
         legacy = run_operational_phase(
             grid5, grid5_schedule, seed=1, frame=frame, kernel=LEGACY_KERNEL
         )
-        for kernel in (FAST_KERNEL, OBJECT_KERNEL):
-            fast = run_operational_phase(
-                grid5, grid5_schedule, seed=1, frame=frame, kernel=kernel
-            )
-            assert fast == legacy
+        fast = run_operational_phase(
+            grid5, grid5_schedule, seed=1, frame=frame, kernel=FAST_KERNEL
+        )
+        assert fast == legacy
 
     def test_supported_for_paper_frame(self):
         assert fast_kernel_supported(TdmaFrame(), 1e-4)

@@ -188,6 +188,40 @@ class TestProtocolErrors:
         assert errors[0] == errors[1]
         assert "never obtained a slot" in errors[0]
 
+    def test_short_msp_decoy_recruit_raises_identically(self):
+        """Grid 11 with MSP 10: Phase 1 ends with nodes still unassigned,
+        and on some seeds Phase 3 would recruit one onto the decoy path.
+        Per seed, both engines return identical results or raise the
+        same ProtocolError naming that node."""
+        from repro.experiments import PAPER
+        from repro.topology import paper_grid
+
+        config = SlpProtocolConfig(das=PAPER.das_config(setup_periods=10))
+        raised = completed = 0
+        for seed in range(8):
+            outcomes = []
+            for kernel in ("fast", "legacy"):
+                try:
+                    outcomes.append(
+                        run_slp_setup(
+                            paper_grid(11),
+                            config=config,
+                            seed=seed,
+                            setup_kernel=kernel,
+                        )
+                    )
+                except ProtocolError as exc:
+                    outcomes.append(str(exc))
+            fast, legacy = outcomes
+            if isinstance(legacy, str):
+                assert fast == legacy, seed
+                assert "would recruit node" in legacy
+                raised += 1
+            else:
+                _assert_identical(fast, legacy, attrs=SLP_ATTRS)
+                completed += 1
+        assert raised and completed  # both outcomes are exercised
+
     def test_invalid_setup_kernel_rejected(self, grid5):
         with pytest.raises(ConfigurationError, match="setup_kernel"):
             run_das_setup(grid5, seed=0, setup_kernel="warp")

@@ -341,6 +341,41 @@ class TestServiceHttp:
             service.drain()
 
 
+class TestRetiredKernel:
+    """``fast-object`` was an operational kernel once; data dirs and
+    clients may still name it."""
+
+    def test_submit_with_retired_kernel_is_400(self, tmp_path):
+        service = start_service(tmp_path)
+        try:
+            client = ServiceClient(service.url)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({"scenario": "paper-baseline", "kernel": "fast-object"})
+            assert excinfo.value.status == 400
+            assert service.store.list_jobs() == []
+        finally:
+            service.drain()
+
+    def test_queued_row_with_retired_kernel_fails_and_service_serves_on(
+        self, tmp_path
+    ):
+        """A row an older data dir left queued ends ``failed`` naming the
+        valid kernels; the next job still runs."""
+        old = JobStore(tmp_path / "svc" / "jobs.sqlite")
+        stale, _ = old.submit(make_record(repeats=2, kernel="fast-object"))
+        service = start_service(tmp_path)
+        try:
+            client = ServiceClient(service.url)
+            status = client.wait(stale.job_id, timeout=60.0)
+            assert status["state"] == "failed"
+            failed = service.store.get(stale.job_id)
+            assert "'fast', 'legacy'" in failed.error
+            fresh = client.submit({"scenario": "paper-baseline", "seeds": 2})
+            assert client.wait(fresh["job"], timeout=120.0)["state"] == "done"
+        finally:
+            service.drain()
+
+
 # ----------------------------------------------------------------------
 # Chaos drills
 # ----------------------------------------------------------------------

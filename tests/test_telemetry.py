@@ -293,7 +293,6 @@ class TestTelemetryNeutrality:
         "scenario, kernel",
         [
             ("paper-baseline", None),
-            ("paper-baseline", "fast-object"),
             ("paper-baseline", "legacy"),
             ("churn-10pct", None),
             ("churn-10pct", "legacy"),
