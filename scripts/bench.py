@@ -576,6 +576,10 @@ def find_previous_bench(quick: bool, exclude: Path) -> Optional[Path]:
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             continue
+        if "workloads" not in data:
+            # Another harness's record (e.g. perfbench pairs): nothing
+            # here to compare against.
+            continue
         if bool(data.get("meta", {}).get("quick")) != quick:
             continue
         if data.get("meta", {}).get("profiled"):

@@ -41,7 +41,8 @@ noise blocks in neighbour order at transmission time, search/refinement
 tie-breaks at delivery time), same ``Schedule``, same trace records and
 counters (``SLOT_ASSIGNED`` / ``SLOT_CHANGED`` / ``PHASE`` details
 included), same ``messages_sent``.  ``tests/test_fast_setup.py``
-enforces this differentially across topologies, noise models and seeds.
+enforces this differentially across topologies, noise models and seeds,
+including full-length runs at the paper's round counts.
 
 Two details make bit-identity subtle enough to deserve a note:
 
@@ -59,6 +60,30 @@ Two details make bit-identity subtle enough to deserve a note:
   strictly before the next round boundary; :func:`fast_setup_supported`
   checks the worst case statically and the harness falls back to the
   legacy engine otherwise (e.g. ``jitter_fraction == 1.0``).
+
+Rounds are *incremental*: work whose inputs did not change since the
+last round is skipped, and the skips are exact.  One per-node version
+counter, bumped by ``dirty`` at every write to state that the guard or
+the dissem snapshot reads (a ``Ninfo`` entry, a new ``myN`` member,
+``weak`` turning on, the node's own ``slot``/``hop``/``parent``), drives
+three rules:
+
+* *Guard skip.*  ``resolve_violations(i)`` runs at a boundary only when
+  ``i``'s version moved since its last check.  The guard draws no RNG,
+  records only when it repairs, and reads only ``i``'s own state, so an
+  unchanged node would repeat a no-op.  The version is recorded before
+  the call: a repair bumps it, and since one pass of the scans is not
+  idempotent the node is checked again next round.
+* *Snapshot reuse.*  A sender whose version is unchanged re-sends the
+  ``{self} ∪ myN`` snapshot it built last time.
+* *Re-merge skip.*  The snapshot carries the sender's version, and each
+  receiver skips the merge loop (``learned`` is false) for a version it
+  has already merged from that sender; the rest of the delivery — myN,
+  ``weak``, potential parents, ``Others``, children — still runs.
+  ``Ninfo`` entries move only one way: absent → ``(h, None)`` →
+  ``(h, s)`` → a lower ``s``, and nothing else ever rewrites another
+  node's entry.  A receiver therefore already dominates every snapshot
+  it has merged, and merging it again would adopt nothing.
 """
 
 from __future__ import annotations
@@ -331,6 +356,22 @@ def run_fast_setup(
     pending: deque = deque()
     EMPTY = (None, None)
 
+    #: Incremental rounds (see the module docstring): ``ver[i]`` counts
+    #: the writes to node state the guard or the dissem snapshot reads;
+    #: ``checked[i]`` is ``ver[i]`` at i's last guard check;
+    #: ``snap_ver`` / ``snaps`` cache each sender's last snapshot; and
+    #: ``merged_ver[r]`` maps a sender index to the version of the last
+    #: snapshot ``r`` merged from it.
+    ver = [0] * n
+    checked = [-1] * n
+    snap_ver = [-1] * n
+    snaps: List[Optional[tuple]] = [None] * n
+    merged_ver: List[Dict[int, int]] = [{} for _ in node_range]
+
+    def dirty(i: int) -> None:
+        """Mark node ``i``'s guard inputs and snapshot as changed."""
+        ver[i] += 1
+
     # ------------------------------------------------------------------
     # Figure 2 helpers over the arrays
     # ------------------------------------------------------------------
@@ -342,6 +383,7 @@ def run_fast_setup(
         cur = nin_i.get(n_id)
         if cur is None:
             nin_i[n_id] = (h, s)
+            dirty(i)
             if s is not None:
                 aview[i] |= 1 << n_idx
                 ms = minseen[i]
@@ -351,6 +393,7 @@ def run_fast_setup(
         if cur[1] is None:
             if s is not None:
                 nin_i[n_id] = (h, s)
+                dirty(i)
                 aview[i] |= 1 << n_idx
                 ms = minseen[i]
                 if ms is None or s < ms:
@@ -359,6 +402,7 @@ def run_fast_setup(
             return False
         if s is not None and s < cur[1]:
             nin_i[n_id] = (h, s)
+            dirty(i)
             if s < minseen[i]:
                 minseen[i] = s
             return True
@@ -370,6 +414,7 @@ def run_fast_setup(
             return
         slot[i] = new_slot
         nin[i][order[i]] = (hop[i], new_slot)
+        dirty(i)
         normal[i] = False
         quiet[i] = 0
         record(
@@ -402,6 +447,7 @@ def run_fast_setup(
         slot[i] = my_slot
         children_mask[i] = myn_mask[i] & ~aview[i]
         nin_i[order[i]] = (my_hop, my_slot)
+        dirty(i)
         aview[i] |= 1 << i
         quiet[i] = 0
         record(
@@ -560,20 +606,35 @@ def run_fast_setup(
         s_bit = 1 << s_idx
         next_seq = seq + 1
         if kind == "dissem":
-            s_entry, s_normal, s_parent, entries, unassigned = payload
+            s_ver, (s_entry, entries, unassigned), s_normal, s_parent = payload
             se_h, se_s = s_entry
             for r in surviving:
-                myn_set[r].add(s_id)
-                myn_mask[r] |= s_bit
-                learned = merge(r, s_id, s_idx, se_h, se_s)
-                for (n_id, n_idx, h, s) in entries:
-                    if merge(r, n_id, n_idx, h, s):
-                        learned = True
+                if s_id not in myn_set[r]:
+                    myn_set[r].add(s_id)
+                    myn_mask[r] |= s_bit
+                    dirty(r)
+                last = merged_ver[r]
+                if last.get(s_idx) == s_ver:
+                    # Already merged this exact snapshot; Ninfo entries
+                    # only move forward, so a re-merge adopts nothing.
+                    learned = False
+                else:
+                    last[s_idx] = s_ver
+                    learned = merge(r, s_id, s_idx, se_h, se_s)
+                    for (n_id, n_idx, h, s) in entries:
+                        if merge(r, n_id, n_idx, h, s):
+                            learned = True
                 if learned:
                     quiet[r] = 0
                 if not s_normal:
                     # receiveU: refinement reached this neighbourhood.
-                    weak[r] = True
+                    if not weak[r]:
+                        weak[r] = True
+                        # Kept, though redundant: the weak parent check is
+                        # implied by the strong scan that last passed (the
+                        # parent is a myN member at hop - 1, and no slot
+                        # ever reaches the sink's).
+                        dirty(r)
                     if (
                         parent[r] == s_id
                         and slot[r] is not None
@@ -590,15 +651,22 @@ def run_fast_setup(
                     children_mask[r] |= s_bit
         elif kind == "hello":
             for r in surviving:
-                myn_set[r].add(s_id)
-                myn_mask[r] |= s_bit
+                # Both bumps are kept, though redundant: hello rounds
+                # end before the first guard check and snapshot.
+                if s_id not in myn_set[r]:
+                    myn_set[r].add(s_id)
+                    myn_mask[r] |= s_bit
+                    dirty(r)
                 if s_id not in nin[r]:
                     nin[r][s_id] = EMPTY
+                    dirty(r)
         elif kind == "search":
             target, distance, ttl = payload
             for r in surviving:
                 from_mask[r] |= s_bit
-                weak[r] = True
+                if not weak[r]:
+                    weak[r] = True
+                    dirty(r)  # kept; see the receiveU note on redundancy
                 if target != order[r]:
                     continue
                 if distance > 0:
@@ -622,7 +690,9 @@ def run_fast_setup(
         else:  # change
             target, base, remaining = payload
             for r in surviving:
-                weak[r] = True
+                if not weak[r]:
+                    weak[r] = True
+                    dirty(r)  # kept; see the receiveU note on redundancy
                 from_mask[r] |= s_bit
                 if target != order[r]:
                     continue
@@ -670,11 +740,15 @@ def run_fast_setup(
         parent[sink_idx] = None
         slot[sink_idx] = cfg.num_slots
         nin[sink_idx][order[sink_idx]] = (0, cfg.num_slots)
+        # Kept, though redundant: precedes every guard check and snapshot.
+        dirty(sink_idx)
         aview[sink_idx] |= 1 << sink_idx
         record(0.0, SLOT_ASSIGNED, node=order[sink_idx], slot=cfg.num_slots)
 
         boundary = 0.0
-        uniform = rng.uniform
+        # ``rng.uniform(0.0, w)`` is ``0.0 + (w - 0.0) * rng.random()``:
+        # the same float as ``w * rng.random()``, one call fewer.
+        rand = rng.random
         for rnd in range(rounds):
             state.rounds_run = rnd
             if slp and rnd == msp:
@@ -697,9 +771,12 @@ def run_fast_setup(
                 if process_actions:
                     if slot[i] is None:
                         try_assign(i, boundary)
-                    if slot[i] is not None:
+                    if slot[i] is not None and checked[i] != ver[i]:
+                        # Recorded before the call: a repair bumps
+                        # ver[i], so the node is re-checked next round.
+                        checked[i] = ver[i]
                         resolve_violations(i, boundary)
-                txs.append((boundary + uniform(0.0, jitter_width), seq, i))
+                txs.append((boundary + jitter_width * rand(), seq, i))
                 seq += 2  # the TX push, then the next ROUND push
                 if slp and rnd == msp and i == sink_idx:
                     # Figure 3 `startS`, fired inside the sink's ROUND
@@ -750,29 +827,32 @@ def run_fast_setup(
                 # legacy dict's insertion order (own entry first, then
                 # the my_neighbours set's iteration order) — receivers
                 # create Ninfo entries in encounter order, and that
-                # order is observable through the collision scan.
-                nin_i = nin[i]
-                own = order[i]
-                own_entry = nin_i.get(own, EMPTY)
-                entries = (
-                    [(own, i, own_entry[0], own_entry[1])]
-                    if own_entry[0] is not None or own_entry[1] is not None
-                    else []
-                )
-                unassigned = 0
-                for nb in myn_set[i]:
-                    e = nin_i.get(nb, EMPTY)
-                    nb_idx = index[nb]
-                    if e[1] is None:
-                        unassigned |= 1 << nb_idx
-                    if e[0] is not None or e[1] is not None:
-                        entries.append((nb, nb_idx, e[0], e[1]))
+                # order is observable through the collision scan.  An
+                # unchanged version means an unchanged snapshot.
+                v = ver[i]
+                if snap_ver[i] == v:
+                    snap = snaps[i]
+                else:
+                    nin_i = nin[i]
+                    own = order[i]
+                    own_entry = nin_i.get(own, EMPTY)
+                    entries = (
+                        [(own, i, own_entry[0], own_entry[1])]
+                        if own_entry[0] is not None or own_entry[1] is not None
+                        else []
+                    )
+                    unassigned = 0
+                    for nb in myn_set[i]:
+                        e = nin_i.get(nb, EMPTY)
+                        nb_idx = index[nb]
+                        if e[1] is None:
+                            unassigned |= 1 << nb_idx
+                        if e[0] is not None or e[1] is not None:
+                            entries.append((nb, nb_idx, e[0], e[1]))
+                    snap = snaps[i] = (own_entry, entries, unassigned)
+                    snap_ver[i] = v
                 seq = transmit(
-                    i,
-                    "dissem",
-                    (own_entry, normal[i], parent[i], entries, unassigned),
-                    t,
-                    seq,
+                    i, "dissem", (v, snap, normal[i], parent[i]), t, seq
                 )
                 # The update has been announced; back to normal mode.
                 normal[i] = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -193,13 +194,35 @@ class TestRegressionGate:
 
     def test_find_previous_bench_matches_mode(self, bench, tmp_path, monkeypatch):
         monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)
-        (tmp_path / "BENCH_1.json").write_text(json.dumps({"meta": {"quick": False}}))
-        (tmp_path / "BENCH_2.json").write_text(json.dumps({"meta": {"quick": True}}))
+        (tmp_path / "BENCH_1.json").write_text(
+            json.dumps({"meta": {"quick": False}, "workloads": {}})
+        )
+        (tmp_path / "BENCH_2.json").write_text(
+            json.dumps({"meta": {"quick": True}, "workloads": {}})
+        )
         out = tmp_path / "BENCH_out.json"
         assert bench.find_previous_bench(True, exclude=out).name == "BENCH_2.json"
         assert bench.find_previous_bench(False, exclude=out).name == "BENCH_1.json"
         # A file is never its own baseline.
         assert bench.find_previous_bench(False, exclude=tmp_path / "BENCH_1.json") is None
+
+    def test_find_previous_bench_skips_other_harness_records(
+        self, bench, tmp_path, monkeypatch
+    ):
+        """A perfbench pairs record has no ``meta.quick`` and no
+        ``workloads``; taken as the full-mode baseline, it would turn
+        every comparison into ``n/a`` and switch the gate off."""
+        monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)
+        older = tmp_path / "BENCH_1.json"
+        older.write_text(json.dumps(_fake_suite(20.0) | {"meta": {}}))
+        newer = tmp_path / "BENCH_2.json"
+        newer.write_text(
+            json.dumps({"meta": {"harness": "perfbench"}, "pairs": {}})
+        )
+        os.utime(older, (1, 1))
+        out = tmp_path / "BENCH_out.json"
+        assert bench.find_previous_bench(False, exclude=out) == older
+        assert bench.find_previous_bench(True, exclude=out) is None
 
     def test_default_output_never_clobbers(self, bench, tmp_path, monkeypatch):
         monkeypatch.setattr(bench, "REPO_ROOT", tmp_path)

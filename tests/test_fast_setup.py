@@ -22,13 +22,15 @@ from repro.das import (
     run_das_setup,
 )
 from repro.errors import ConfigurationError, ProtocolError
-from repro.simulator import BernoulliNoise, CasinoLabNoise, IdealNoise
+from repro.experiments import PAPER
+from repro.simulator import BernoulliNoise, CasinoLabNoise, IdealNoise, NoiseModel
 from repro.simulator import trace as trace_kinds
 from repro.slp.distributed import SlpNodeProcess, SlpProtocolConfig, run_slp_setup
 from repro.topology import (
     GridTopology,
     LineTopology,
     RingTopology,
+    paper_grid,
     random_geometric_topology,
 )
 
@@ -171,6 +173,135 @@ class TestSlpDifferential:
         fast = run_slp_setup(GridTopology(7), seed=1, setup_kernel="fast")
         legacy = run_slp_setup(GridTopology(7), seed=1, setup_kernel="legacy")
         _assert_identical(fast, legacy, attrs=SLP_ATTRS)
+
+
+#: Topologies for the full-length cells: the paper's smallest grid and
+#: a sparse random deployment (irregular degrees, longer repair chains).
+FULL_LENGTH_TOPOLOGIES = {
+    "paper_grid11": lambda: paper_grid(11),
+    "random40": lambda: random_geometric_topology(
+        40, area_side=100.0, communication_range=30.0, seed=3
+    ),
+}
+
+
+def _outcome(run):
+    """A setup result, or the ProtocolError message it raised."""
+    try:
+        return run()
+    except ProtocolError as exc:
+        return str(exc)
+
+
+class TestFullLengthDifferential:
+    """Fast vs legacy at the paper's round counts (MSP 80, then 20
+    refinement rounds).  The 24-round configs above end before the
+    quiescent rounds in which stable nodes repeat their snapshots under
+    the DT timeout — the rounds where the kernel skips guard re-checks
+    and re-merges — so only full-length runs cover those skips."""
+
+    @pytest.mark.parametrize("topo_name", sorted(FULL_LENGTH_TOPOLOGIES))
+    @pytest.mark.parametrize("noise_name", sorted(NOISES))
+    def test_slp_paper_parameters(self, topo_name, noise_name):
+        make_topo = FULL_LENGTH_TOPOLOGIES[topo_name]
+        topology = make_topo()
+        config = SlpProtocolConfig(
+            das=PAPER.das_config(),
+            search_distance=3,
+            change_length=PAPER.change_length(topology, 3),
+            refinement_periods=20,
+        )
+        for seed in range(4):
+            fast, legacy = (
+                _outcome(
+                    lambda kernel=kernel: run_slp_setup(
+                        make_topo(),
+                        config=config,
+                        seed=seed,
+                        noise=NOISES[noise_name](),
+                        setup_kernel=kernel,
+                    )
+                )
+                for kernel in ("fast", "legacy")
+            )
+            if isinstance(legacy, str) or isinstance(fast, str):
+                assert fast == legacy, seed
+                continue
+            _assert_identical(fast, legacy, attrs=SLP_ATTRS)
+            assert fast.phase1_messages == legacy.phase1_messages
+            assert fast.phase1_unassigned == legacy.phase1_unassigned
+            assert fast.decoy_path == legacy.decoy_path
+
+    @pytest.mark.parametrize("topo_name", sorted(FULL_LENGTH_TOPOLOGIES))
+    @pytest.mark.parametrize("noise_name", sorted(NOISES))
+    def test_das_paper_parameters(self, topo_name, noise_name):
+        make_topo = FULL_LENGTH_TOPOLOGIES[topo_name]
+        for seed in range(4):
+            fast, legacy = (
+                _outcome(
+                    lambda kernel=kernel: run_das_setup(
+                        make_topo(),
+                        config=PAPER.das_config(),
+                        seed=seed,
+                        noise=NOISES[noise_name](),
+                        setup_kernel=kernel,
+                    )
+                )
+                for kernel in ("fast", "legacy")
+            )
+            if isinstance(legacy, str) or isinstance(fast, str):
+                assert fast == legacy, seed
+                continue
+            _assert_identical(fast, legacy)
+
+
+class _LinkOutage(NoiseModel):
+    """Drops one directed link for its sender's first ``count`` broadcasts.
+
+    Draws no RNG and keys on the per-sender broadcast count, which both
+    engines advance in the same order, so its decisions are identical
+    under either engine.
+    """
+
+    def __init__(self, link, count):
+        self.link = link
+        self.count = count
+        self.sent = {}
+
+    def reset(self):
+        self.sent = {}
+
+    def delivers(self, sender, receiver, rng):  # pragma: no cover - unused
+        return self.delivers_block(sender, (receiver,), rng)[0]
+
+    def delivers_block(self, sender, receivers, rng):
+        k = self.sent.get(sender, 0)
+        self.sent[sender] = k + 1
+        dark = k < self.count
+        return [not (dark and (sender, r) == self.link) for r in receivers]
+
+
+class TestIncrementalRounds:
+    @pytest.mark.parametrize("link", [(4, 14), (6, 14), (8, 13), (12, 0)])
+    def test_neighbour_first_heard_after_its_entry_is_known(self, link):
+        """The receiver misses its neighbour's hellos and first dissem
+        rounds, learns the neighbour's entry from a third node, and only
+        then hears it directly.  The neighbour joins ``myN`` while the
+        receiver's Ninfo stays unchanged, and that alone must refresh the
+        receiver's snapshot and re-arm its guard."""
+        make_topo = TOPOLOGIES["random16"]
+        for count in range(10, 17):
+            fast, legacy = (
+                run_das_setup(
+                    make_topo(),
+                    config=DAS_CFG,
+                    seed=0,
+                    noise=_LinkOutage(link, count),
+                    setup_kernel=kernel,
+                )
+                for kernel in ("fast", "legacy")
+            )
+            _assert_identical(fast, legacy)
 
 
 class TestProtocolErrors:
