@@ -15,7 +15,9 @@ The remote analogue of ``service_smoke.py``, against *real processes*:
    re-queued, and worker 2 finishes only the missing seeds;
 6. poll to completion and diff the served report against a direct
    in-process ``ScenarioRunner`` run — the bytes must be identical;
-7. ``SIGTERM`` worker 2 and require a graceful zero-exit drain.
+7. ``SIGTERM`` worker 2 and require a graceful zero-exit drain;
+8. start an idle worker with a 1 s poll, so it sits parked in a held
+   claim, and require that ``SIGTERM`` ends it with exit 0 within 2 s.
 
 Exit code 0 iff every check passes.  No timing, no BENCH json: this is
 a correctness drill for the lease board's partition-tolerance story.
@@ -42,6 +44,8 @@ from repro.service import ServiceClient, ServiceError  # noqa: E402
 SEEDS = 8
 HANG_SEED = 3  # worker 1 wedges before this seed, provably mid-shard
 LEASE_TIMEOUT = 2.0  # seconds of stall before the board revokes
+IDLE_POLL = 1.0  # the parked worker's claim hold
+DRAIN_BOUND = 2.0  # seconds from SIGTERM to a parked worker's exit
 
 
 def free_port() -> int:
@@ -65,13 +69,15 @@ def start_service(data_dir: Path, port: int, env: dict) -> subprocess.Popen:
     )
 
 
-def start_worker(url: str, worker_id: str, env: dict) -> subprocess.Popen:
+def start_worker(
+    url: str, worker_id: str, env: dict, poll: float = 0.05
+) -> subprocess.Popen:
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "worker", "start",
             "--connect", url,
             "--id", worker_id,
-            "--poll", "0.05",
+            "--poll", str(poll),
         ],
         env=env,
         cwd=REPO_ROOT,
@@ -117,7 +123,7 @@ def main() -> int:
         client = ServiceClient(url, timeout=10.0)
         hang_marker = marker_dir / f"hang-{HANG_SEED}"
 
-        service = start_worker_1 = worker_2 = None
+        service = start_worker_1 = worker_2 = idler = None
         try:
             service = start_service(data_dir, port, env)
             wait_for_health(client, time.monotonic() + 30.0)
@@ -166,8 +172,25 @@ def main() -> int:
             worker_2.terminate()
             worker_2.wait(timeout=30.0)
             check("sigterm_drains_gracefully", worker_2.returncode == 0)
+
+            # --- An idle worker parked in a held claim drains promptly.
+            idler = start_worker(url, "idler", env, poll=IDLE_POLL)
+            time.sleep(3.0)  # imported, and parked in a held claim
+            idler.terminate()
+            signalled = time.monotonic()
+            try:
+                idler.wait(timeout=30.0)
+            except subprocess.TimeoutExpired:
+                pass
+            drained_in = time.monotonic() - signalled
+            print(f"remote idle worker exited {drained_in:.2f}s after SIGTERM",
+                  file=sys.stderr)
+            check(
+                "sigterm_drains_promptly",
+                idler.returncode == 0 and drained_in < DRAIN_BOUND,
+            )
         finally:
-            for process in (start_worker_1, worker_2, service):
+            for process in (start_worker_1, worker_2, idler, service):
                 if process is not None and process.poll() is None:
                     process.terminate()
                     try:

@@ -17,7 +17,9 @@ Runs the full robustness story against *real processes*:
 5. poll to completion and diff the served report against a direct
    in-process ``ScenarioRunner`` run — the bytes must be identical;
 6. after each life, every worker the service forked must be gone
-   within 5 s — a leaked worker fails the drill.
+   within 5 s — a leaked worker fails the drill — and the drained
+   second life, service and workers alike, must be gone within 5 s of
+   its ``SIGTERM``.
 
 Exit code 0 iff every check passes.  No timing, no BENCH json: this is
 a correctness drill, shaped like ``bench.py --chaos`` but one layer up.
@@ -43,6 +45,7 @@ from repro.service import ServiceClient, ServiceError  # noqa: E402
 SEEDS = 8
 CRASH_SEED = 2  # a local worker dies here, holding its lease
 HALT_SEED = 5  # the whole service "dies" before this seed's shard
+DRAIN_BOUND = 5.0  # seconds from SIGTERM until service and workers are gone
 
 
 def free_port() -> int:
@@ -200,6 +203,7 @@ def main() -> int:
             workers |= children_of(process.pid)
         finally:
             process.terminate()
+            signalled = time.monotonic()
             try:
                 process.wait(timeout=30.0)
             except subprocess.TimeoutExpired:
@@ -207,6 +211,12 @@ def main() -> int:
                 process.wait()
         check("second_life_forked_workers", len(workers) >= 2)
         check("drained_service_left_no_workers", all_exited(workers))
+        drained_in = time.monotonic() - signalled
+        print(f"service drained in {drained_in:.2f}s", file=sys.stderr)
+        check(
+            "drained_service_gone_within_5s",
+            process.returncode == 0 and drained_in < DRAIN_BOUND,
+        )
 
     if not all(checks.values()):
         failed = [name for name, passed in checks.items() if not passed]

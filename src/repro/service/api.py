@@ -15,6 +15,11 @@ long-running process:
   ``shard_workers`` such workers itself, at the first job, and keeps
   them for its lifetime; with ``remote=True`` it forks none and
   ``repro worker start --connect`` processes on any host do the work;
+* nothing waits on a timer that an event can end: a submission, a
+  freed job slot and a drain wake the dispatcher; the board wakes
+  held claims and the scheduler; job transitions wake held status
+  reads.  ``poll_interval`` only bounds those waits, so lease
+  supervision and stop checks still run while nothing happens;
 * the same dispatcher tick supervises lease health with one lease
   timeout (``shard_timeout``, default
   :data:`~repro.service.transport.DEFAULT_LEASE_TIMEOUT`): a local
@@ -37,14 +42,20 @@ HTTP endpoints::
                                  → 201 created / 200 deduped / 400 invalid /
                                  503 while durable writes are failing
     GET  /jobs                   list all jobs (submission order)
-    GET  /jobs/<id>              status + progress + metrics
+    GET  /jobs/<id>[?wait=s]     status + progress + metrics; with wait,
+                                 held until the job's state differs from
+                                 its state on arrival (at most s seconds,
+                                 capped at MAX_HOLD; 400 if s is not a
+                                 non-negative number)
     GET  /jobs/<id>/result       finished report (409 until terminal,
                                  410 after gc eviction)
     GET  /healthz                liveness probe
     GET  /workers                lease-board fleet summary (held shards,
                                  seeds landed, upload recency per worker)
-    POST /shards/claim           {"worker": id} → a shard lease, or
-                                 {"shard": null}
+    POST /shards/claim           {"worker": id[, "wait": s]} → a shard
+                                 lease, or {"shard": null}; with wait, held
+                                 until a shard is claimable, s seconds pass
+                                 (capped at MAX_HOLD) or the service drains
     POST /shards/<id>/seeds      {"job", "worker", "seed", "result"} or the
                                  batched {"job", "worker", "seeds": [{"seed",
                                  "result"}, ...]} — the durability write +
@@ -77,7 +88,8 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
+from urllib.parse import parse_qs, urlsplit
 
 from ..errors import ConfigurationError, ReproError, StorageError, invalid_field
 from ..experiments import (
@@ -107,6 +119,22 @@ from .store import JobStore
 _SUBMIT_FIELDS = frozenset(
     {"scenario", "spec", "seeds", "base_seed", "kernel", "setup_kernel"}
 )
+
+#: The longest a held request (a claim, or a status read, with
+#: ``wait``) parks its handler thread, whatever the client asks for.
+MAX_HOLD = 30.0
+
+
+def _hold_seconds(value: object) -> float:
+    """A request's ``wait``: a non-negative number of seconds, capped at
+    :data:`MAX_HOLD` (``ValueError`` if not)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not value >= 0
+    ):
+        raise ValueError(f"'wait' must be a non-negative number, not {value!r}")
+    return min(float(value), MAX_HOLD)
 
 
 class SweepService:
@@ -179,6 +207,12 @@ class SweepService:
         self._host = host
         self._port = port
         self._stop = threading.Event()
+        # The dispatcher's wake-up (a submission, a freed slot, a drain)
+        # and the ids of the jobs holding its slots.
+        self._wake = threading.Event()
+        self._active: Set[str] = set()
+        # Notified on every job state transition (held status reads).
+        self._changed = threading.Condition()
         self._progress: Dict[str, Dict[str, object]] = {}
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
@@ -247,7 +281,7 @@ class SweepService:
         job's shards (checkpointed seeds survive) and re-queue the jobs,
         drain and reap the local workers, stop serving HTTP, and return
         once the threads have stopped."""
-        self._stop.set()
+        self._request_stop()
         if self._drain_thread is not None:
             self._drain_thread.join(timeout=timeout)
         self._stop_fleet()
@@ -255,6 +289,18 @@ class SweepService:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
+
+    def _request_stop(self) -> None:
+        """Set the stop flag and wake everything that waits on it."""
+        self._stop.set()
+        self._wake.set()
+        self._board.wake()
+        self._job_changed()
+
+    def _job_changed(self) -> None:
+        """Wake the held status reads (a job changed state)."""
+        with self._changed:
+            self._changed.notify_all()
 
     # ------------------------------------------------------------------
     # The local worker fleet (local mode only)
@@ -429,6 +475,7 @@ class SweepService:
             state=QUEUED,
         )
         record, created = self._store.submit(record)
+        self._wake.set()
         default_registry().inc(
             "service.submissions.created" if created else "service.submissions.deduped"
         )
@@ -470,13 +517,18 @@ class SweepService:
     # The worker lease API (HTTP handler threads land here)
     # ------------------------------------------------------------------
     def claim_shard(self, payload: object) -> Tuple[int, Dict[str, object]]:
-        """``POST /shards/claim``: lease the next ready shard."""
+        """``POST /shards/claim``: lease the next ready shard, held for
+        up to ``wait`` seconds until one is claimable."""
         if not isinstance(payload, dict):
             return 400, {"error": "the claim body must be a JSON object"}
         worker = payload.get("worker")
         if not isinstance(worker, str) or not worker:
             return 400, {"error": "a claim needs a non-empty 'worker' id"}
-        claim = self._board.claim(worker)
+        try:
+            wait = _hold_seconds(payload.get("wait", 0))
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
+        claim = self._board.hold_claim(worker, wait, self._stop)
         if claim is None:
             return 200, {"shard": None}
         return 200, claim
@@ -564,6 +616,24 @@ class SweepService:
         }
         return info
 
+    def wait_for_change(self, job_id: str, wait: float) -> None:
+        """Hold until the job's state differs from its state now, the
+        service stops, or ``wait`` seconds pass."""
+        record = self._store.get(job_id)
+        if record is None:
+            return
+
+        def changed() -> bool:
+            current = self._store.get(job_id)
+            return (
+                self._stop.is_set()
+                or current is None
+                or current.state != record.state
+            )
+
+        with self._changed:
+            self._changed.wait_for(changed, wait)
+
     def workers_summary(self) -> Dict[str, object]:
         """The fleet view behind ``GET /workers``: every worker the
         lease board has seen, with held shards and upload recency."""
@@ -576,13 +646,17 @@ class SweepService:
         """The dispatcher: supervise the leases, claim queued jobs and
         run up to ``max_jobs`` of them concurrently, each on its own
         thread.  With the default ``max_jobs=1`` this is a one-job FIFO
-        (claims are atomic either way)."""
+        (claims are atomic either way).  It sleeps until woken, at most
+        ``poll_interval`` so lease supervision keeps ticking."""
         threads: list = []
         while not self._stop.is_set():
+            # Cleared before the checks: a wake-up that lands during
+            # them makes the next wait return at once.
+            self._wake.clear()
             self._supervise_leases()
             threads = [t for t in threads if t.is_alive()]
-            if len(threads) >= self._max_jobs:
-                self._stop.wait(self._poll_interval)
+            if len(self._active) >= self._max_jobs:
+                self._wake.wait(self._poll_interval)
                 continue
             if time.monotonic() < self._storage_retry_at:
                 # Disk pressure: don't busy-loop claim/fail cycles.
@@ -590,8 +664,9 @@ class SweepService:
                 continue
             job = self._store.claim_next()
             if job is None:
-                self._stop.wait(self._poll_interval)
+                self._wake.wait(self._poll_interval)
                 continue
+            self._job_changed()
             if not self._remote and not self._fleet:
                 # Forked lazily: a service that never runs a job never
                 # pays for workers.
@@ -603,6 +678,7 @@ class SweepService:
                 name=f"sweep-job-{job.job_id[:8]}",
                 daemon=True,
             )
+            self._active.add(job.job_id)
             thread.start()
             threads.append(thread)
         for thread in threads:
@@ -628,7 +704,7 @@ class SweepService:
             # The chaos harness's kill -9 stand-in: die *without*
             # touching the job record — recovery must do that work.
             self.halted = True
-            self._stop.set()
+            self._request_stop()
         except StorageError as exc:
             # The disk failed a durability write mid-job: degrade and
             # re-queue (checked before ReproError — it is one, but the
@@ -652,6 +728,9 @@ class SweepService:
                 self._storage_error = None
         finally:
             self._progress.pop(job.job_id, None)
+            self._active.discard(job.job_id)
+            self._wake.set()
+            self._job_changed()
 
 
 def _exit_when_orphaned(parent: int) -> None:
@@ -760,7 +839,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
 
     def _route_get(self) -> None:
-        parts = [p for p in self.path.split("/") if p]
+        url = urlsplit(self.path)
+        parts = [p for p in url.path.split("/") if p]
         if parts == ["healthz"]:
             self._reply(200, {"ok": True})
             return
@@ -774,6 +854,14 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         if len(parts) == 2 and parts[0] == "jobs":
+            wait = parse_qs(url.query).get("wait")
+            if wait:
+                try:
+                    seconds = _hold_seconds(float(wait[-1]))
+                except ValueError as exc:
+                    self._reply(400, {"error": str(exc)})
+                    return
+                self._service.wait_for_change(parts[1], seconds)
             info = self._service.describe(parts[1])
             if info is None:
                 self._reply(404, {"error": f"unknown job {parts[1]!r}"})

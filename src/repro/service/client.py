@@ -178,16 +178,28 @@ class ServiceClient:
         timeout: float = 600.0,
         poll: float = 0.2,
     ) -> Dict:
-        """Poll until the job reaches a terminal state; returns the
+        """Wait until the job reaches a terminal state; returns the
         final status document.  Raises :class:`ServiceError` (status 0)
-        on deadline."""
+        on deadline.
+
+        Each status read is held server-side (``?wait=``) for up to
+        ``poll`` seconds until the job changes state.  An unchanged
+        state after an early answer (a service that does not hold)
+        sleeps out the rest of ``poll``, never past the deadline.
+        """
         deadline = time.monotonic() + timeout
+        previous = None
         while True:
-            status = self.status(job_id)
+            asked = time.monotonic()
+            hold = max(0.0, min(poll, deadline - asked, self._timeout / 2))
+            status = self._get(f"/jobs/{job_id}?wait={hold:.3f}")
             if status["state"] in ("done", "failed", "quarantined"):
                 return status
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise ServiceError(
                     0, f"job {job_id} still {status['state']} after {timeout}s"
                 )
-            time.sleep(poll)
+            if status["state"] == previous:
+                time.sleep(max(0.0, min(asked + poll, deadline) - now))
+            previous = status["state"]

@@ -28,7 +28,6 @@ disk is sufficient to resume.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
@@ -143,7 +142,9 @@ class ShardScheduler:
         The ladder's backoff schedule (default
         :class:`~repro.experiments.RetryPolicy`\\ ()).
     poll_interval:
-        The loop's tick (seconds).
+        The longest the loop waits (seconds) between checks of ``stop``
+        and publishing progress; the board wakes it the moment the job
+        finishes or halts.
     """
 
     def __init__(
@@ -152,7 +153,6 @@ class ShardScheduler:
         shards_per_job: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         poll_interval: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if shards_per_job is not None and shards_per_job < 1:
             raise invalid_field(
@@ -164,7 +164,6 @@ class ShardScheduler:
         self._shards_per_job = shards_per_job or 4
         self._retry = retry if retry is not None else RetryPolicy()
         self._poll = poll_interval
-        self._sleep = sleep
 
     def run_job(
         self,
@@ -264,7 +263,7 @@ class ShardScheduler:
                     )
                     if on_progress is not None:
                         on_progress(progress)
-                self._sleep(self._poll)
+                self._board.wait_finished(job_id, self._poll)
             return self._board.take_failures(job_id)
         finally:
             self._board.close_job(job_id)

@@ -23,7 +23,12 @@ endpoints:
 * a remote lease that lands no seed within the lease timeout, and a
   lease handed back by a draining worker, are re-queued **blame-free**
   (same attempt): a silent remote worker convicts the network or the
-  worker, never the seeds.
+  worker, never the seeds;
+* nobody polls the board: its lock is a condition, and every change a
+  waiter checks (a job opened or closed, a seed landed, a shard failed,
+  released, completed or revoked, a halt) wakes the waiters — held
+  claims (:meth:`ShardBoard.hold_claim`) and the scheduler waiting for
+  its job to finish (:meth:`ShardBoard.wait_finished`).
 
 The board holds no state worth preserving: kill the service at any
 instant and the (job store, checkpoint store) pair on disk is still
@@ -143,7 +148,9 @@ class ShardBoard:
 
     def __init__(self, checkpoint: SweepCheckpoint) -> None:
         self._checkpoint = checkpoint
-        self._lock = threading.Lock()
+        # The board's (reentrant) lock and its wake-up: every mutation
+        # a waiter checks notifies while holding it.
+        self._lock = threading.Condition()
         self._jobs: "OrderedDict[str, _BoardJob]" = OrderedDict()
         # Fleet bookkeeping for GET /workers: every worker id the board
         # has ever seen this process lifetime (leases are ephemeral, so
@@ -184,6 +191,7 @@ class ShardBoard:
                 job_id, spec_json, repeats, base_seed, kernel,
                 setup_kernel, key, retry, shards, done,
             )
+            self._lock.notify_all()
 
     def close_job(self, job_id: str) -> None:
         """Withdraw a job (finished, interrupted or halted).  Uploads
@@ -191,12 +199,32 @@ class ShardBoard:
         workers abandon the shard instead of reporting failures."""
         with self._lock:
             self._jobs.pop(job_id, None)
+            # No waiter needs this today (a job's own scheduler closes
+            # it, after its wait); kept so every board mutation wakes.
+            self._lock.notify_all()
 
     def job_finished(self, job_id: str) -> bool:
         """Whether every outstanding seed is durable or quarantined."""
         with self._lock:
             job = self._jobs.get(job_id)
             return job is None or job.finished()
+
+    def wait_finished(self, job_id: str, timeout: float) -> bool:
+        """Block until the job is finished or halted, or ``timeout``
+        seconds pass; returns whether it is finished."""
+
+        def settled() -> bool:
+            job = self._jobs.get(job_id)
+            return job is None or job.halt is not None or job.finished()
+
+        with self._lock:
+            self._lock.wait_for(settled, timeout)
+            return self.job_finished(job_id)
+
+    def wake(self) -> None:
+        """Wake every waiter to re-check (the service draining)."""
+        with self._lock:
+            self._lock.notify_all()
 
     def take_failures(self, job_id: str) -> List[FailedRun]:
         """The job's quarantine records, seed-ordered."""
@@ -254,6 +282,8 @@ class ShardBoard:
                         _BoardShard(lease.shard.seeds, lease.shard.attempt, now)
                     )
                     revoked += 1
+            if revoked:
+                self._lock.notify_all()
         if revoked:
             default_registry().inc("service.leases.revoked", revoked)
         return revoked
@@ -312,7 +342,8 @@ class ShardBoard:
     # Worker side (called from HTTP handler threads)
     # ------------------------------------------------------------------
     def claim(self, worker: str, now: Optional[float] = None) -> Optional[Dict[str, object]]:
-        """Lease the next ready shard to ``worker``, or ``None``.
+        """Lease the next ready shard to ``worker``, or ``None`` (never
+        blocks).
 
         Seeds that became durable since the shard was queued are
         filtered out of the lease — a re-queued or bisected shard only
@@ -340,6 +371,7 @@ class ShardBoard:
                         except ServiceHalt as halt:
                             job.halt = halt
                             job.pending.appendleft(shard)
+                            self._lock.notify_all()
                             return None
                     shard.seeds = missing
                     job.next_shard += 1
@@ -359,6 +391,28 @@ class ShardBoard:
                         "setup_kernel": job.setup_kernel,
                     }
         return None
+
+    def hold_claim(
+        self, worker: str, wait: float, stop: threading.Event
+    ) -> Optional[Dict[str, object]]:
+        """:meth:`claim`, held until a shard is claimable, ``wait``
+        seconds pass, or ``stop`` is set.  A shard backing off wakes
+        the hold at its ``ready_at``."""
+        deadline = time.monotonic() + wait
+        with self._lock:
+            while True:
+                now = time.monotonic()
+                claim = self.claim(worker, now)
+                if claim is not None or stop.is_set() or now >= deadline:
+                    return claim
+                ready = [
+                    shard.ready_at
+                    for job in self._jobs.values()
+                    if job.halt is None
+                    for shard in job.pending
+                    if shard.ready_at > now
+                ]
+                self._lock.wait(min([deadline, *ready]) - now)
 
     def record_seed(
         self,
@@ -398,6 +452,7 @@ class ShardBoard:
                 lease.last_advance = time.monotonic()
                 if all(s in job.done for s in lease.shard.seeds):
                     del job.leases[shard_id]
+            self._lock.notify_all()
         registry.inc(
             "service.uploads.duplicate" if duplicate else "service.uploads.accepted"
         )
@@ -426,6 +481,7 @@ class ShardBoard:
                 return {"known": True, "stale": True}
             del job.leases[shard_id]
             self._charge(job, lease.shard, "error", error)
+            self._lock.notify_all()
         return {"known": True, "stale": False}
 
     def fail_worker(self, worker: str, kind: str, error: str) -> int:
@@ -440,6 +496,8 @@ class ShardBoard:
                         del job.leases[lease.shard_id]
                         self._charge(job, lease.shard, kind, error)
                         charged += 1
+            if charged:
+                self._lock.notify_all()
         return charged
 
     @staticmethod
@@ -475,6 +533,7 @@ class ShardBoard:
                 job.pending.append(
                     _BoardShard(missing, lease.shard.attempt, time.monotonic())
                 )
+            self._lock.notify_all()
         default_registry().inc("service.leases.released")
         return {"known": True, "stale": False}
 
@@ -491,4 +550,7 @@ class ShardBoard:
             lease = job.leases.get(shard_id)
             if lease is not None and lease.worker == worker:
                 del job.leases[shard_id]
+                # No waiter checks leases today; kept so every board
+                # mutation wakes.
+                self._lock.notify_all()
         return {"known": job_id in self._jobs}

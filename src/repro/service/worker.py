@@ -173,6 +173,13 @@ class WorkerTransport:
 class ShardWorker:
     """The supervised pull-execute-upload loop of one remote worker.
 
+    Each claim is *held* server-side for up to ``poll_interval``
+    seconds (bounded by half the request ``timeout``) until a shard is
+    claimable, so an idle worker picks up new work the moment it is
+    published.  After an empty reply the worker sleeps only what is
+    left of its poll interval: a held claim loops at once, and a
+    service that answers at once is never spun against.
+
     ``idle_exit`` (seconds) makes the worker exit once no work has been
     claimable for that long — how the smoke drill's workers know the
     sweep is over; a daemon deployment simply omits it and polls
@@ -206,6 +213,7 @@ class ShardWorker:
             base_url, timeout=timeout, retry=retry, sleep=sleep, token=token
         )
         self._poll = poll_interval
+        self._hold = min(poll_interval, timeout / 2)
         self._idle_exit = idle_exit
         self._batch = max(1, int(upload_batch))
         self._stop = threading.Event()
@@ -230,6 +238,7 @@ class ShardWorker:
         executed = 0
         idle_since: Optional[float] = None
         while not self._stop.is_set():
+            asked = time.monotonic()
             claim = self._claim()
             if claim is None:
                 now = time.monotonic()
@@ -240,7 +249,7 @@ class ShardWorker:
                     and now - idle_since >= self._idle_exit
                 ):
                     break
-                self._stop.wait(self._poll)
+                self._stop.wait(max(0.0, asked + self._poll - now))
                 continue
             idle_since = None
             registry.inc("worker.shards")
@@ -248,11 +257,12 @@ class ShardWorker:
         return executed
 
     def _claim(self) -> Optional[Dict]:
-        """One claim attempt; any failure is just ``None`` (poll again
-        later — a worker outlives service restarts and partitions)."""
+        """One held claim attempt; any failure is just ``None`` (poll
+        again later — a worker outlives service restarts and
+        partitions)."""
         try:
             reply = self.transport.post(
-                "/shards/claim", {"worker": self.worker_id}
+                "/shards/claim", {"worker": self.worker_id, "wait": self._hold}
             )
         except TransportError:
             return None
