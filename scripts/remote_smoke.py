@@ -15,8 +15,10 @@ The remote analogue of ``service_smoke.py``, against *real processes*:
    re-queued, and worker 2 finishes only the missing seeds;
 6. poll to completion and diff the served report against a direct
    in-process ``ScenarioRunner`` run — the bytes must be identical;
-7. ``SIGTERM`` worker 2 and require a graceful zero-exit drain;
-8. start an idle worker with a 1 s poll, so it sits parked in a held
+7. require that the uploads and polls rode kept-alive connections (at
+   most one accepted connection per worker and client);
+8. ``SIGTERM`` worker 2 and require a graceful zero-exit drain;
+9. start an idle worker with a 1 s poll, so it sits parked in a held
    claim, and require that ``SIGTERM`` ends it with exit 0 within 2 s.
 
 Exit code 0 iff every check passes.  No timing, no BENCH json: this is
@@ -82,6 +84,21 @@ def start_worker(
         env=env,
         cwd=REPO_ROOT,
     )
+
+
+def connections_reused(status: dict, workers: int, clients: int) -> bool:
+    """Whether the service accepted at most one connection per worker
+    and client, and served several requests per connection — its
+    ``service.*`` counters, read off a job status document."""
+    counters = status.get("metrics", {}).get("counters", {})
+    accepted = counters.get("service.connections", 0)
+    requests = counters.get("service.requests", 0)
+    print(
+        f"{accepted:.0f} connections for {requests:.0f} requests "
+        f"({workers} workers, {clients} clients)",
+        file=sys.stderr,
+    )
+    return 0 < accepted <= workers + clients and 4 * accepted <= requests
 
 
 def wait_for_health(client: ServiceClient, deadline: float) -> None:
@@ -164,6 +181,10 @@ def main() -> int:
                 .get("service.leases.revoked", 0)
             )
             check("stalled_lease_was_revoked", revoked >= 1)
+            check(
+                "connections_are_reused",
+                connections_reused(status, workers=2, clients=1),
+            )
 
             served = client.result_text(job)
             check("report_byte_identical_to_direct_run", served == expected)

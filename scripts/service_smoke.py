@@ -19,7 +19,10 @@ Runs the full robustness story against *real processes*:
 6. after each life, every worker the service forked must be gone
    within 5 s — a leaked worker fails the drill — and the drained
    second life, service and workers alike, must be gone within 5 s of
-   its ``SIGTERM``.
+   its ``SIGTERM``;
+7. the second life's uploads and polls must ride kept-alive
+   connections: at most one accepted connection per forked worker and
+   client (respawns allowed for), far fewer than the requests served.
 
 Exit code 0 iff every check passes.  No timing, no BENCH json: this is
 a correctness drill, shaped like ``bench.py --chaos`` but one layer up.
@@ -99,6 +102,23 @@ def start_service(data_dir: Path, port: int, env: dict) -> subprocess.Popen:
         env=env,
         cwd=REPO_ROOT,
     )
+
+
+def connections_reused(status: dict, workers: int, clients: int) -> bool:
+    """Whether the service accepted at most one connection per worker
+    and client (plus one per respawn: a reconnect), and served several
+    requests per connection — its ``service.*`` counters, read off a
+    job status document."""
+    counters = status.get("metrics", {}).get("counters", {})
+    accepted = counters.get("service.connections", 0)
+    requests = counters.get("service.requests", 0)
+    reconnects = counters.get("service.respawns", 0)
+    print(
+        f"{accepted:.0f} connections for {requests:.0f} requests "
+        f"({workers} workers, {clients} clients, {reconnects:.0f} reconnects)",
+        file=sys.stderr,
+    )
+    return 0 < accepted <= workers + clients + reconnects and 4 * accepted <= requests
 
 
 def wait_for_health(client: ServiceClient, deadline: float) -> None:
@@ -201,6 +221,10 @@ def main() -> int:
             served = client.result_text(job)
             check("report_byte_identical_to_direct_run", served == expected)
             workers |= children_of(process.pid)
+            check(
+                "connections_are_reused",
+                connections_reused(status, workers=len(workers), clients=1),
+            )
         finally:
             process.terminate()
             signalled = time.monotonic()

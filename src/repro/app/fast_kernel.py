@@ -30,13 +30,16 @@ then executes periods with plain loops:
 
 The message path itself is the **fast lane** (:func:`compile_fast_lane`):
 the convergecast behaviour of the run is compiled into flat per-node
-forwarding tables — for each sender, the noise receiver-id block, the
-aggregation target sets of its fan-out, and its audibility set — and
-the whole transmit→noise→deliver→forward chain runs as a table-driven
-loop: no :class:`AggregateMessage` construction, no
-``RadioMedium.broadcast`` calls, no ``Process.deliver`` →
-``on_receive`` dispatch.  Tables are rebuilt whenever the radio's
-attachment epoch moves (node death/sleep/wake perturbations).
+forwarding tables — for each sender, the aggregation targets of its
+fan-out and the noise model's compiled drawer for that fan-out
+(:meth:`~repro.simulator.NoiseModel.compile_lane`) — and the whole
+transmit→noise→deliver→forward chain runs as a table-driven loop: no
+:class:`AggregateMessage` construction, no ``RadioMedium.broadcast``
+calls, no ``Process.deliver`` → ``on_receive`` dispatch.  Tables are
+compiled after the run's first ``sim.run()`` (which resets the noise
+model's per-link state, invalidating any drawer compiled earlier) and
+rebuilt whenever the radio's attachment epoch moves (node
+death/sleep/wake perturbations).
 
 **Equivalence contract.**  A fast-kernel run is bit-identical to a
 legacy run: same RNG draw order (noise decisions in neighbour order per
@@ -52,13 +55,14 @@ and behaviours the lane cannot compile (:func:`fast_lane_compilable`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..attacker import EavesdropperAgent
 from ..attacker.decision import HeardMessage
 from ..mac import TdmaFrame
 from ..simulator import PERIOD_START, Simulator
 from ..simulator import trace as trace_kinds
+from ..simulator.noise import LaneDrawer
 from ..telemetry import active_tracer
 from ..topology import NodeId
 from .convergecast import ConvergecastNodeProcess
@@ -69,11 +73,16 @@ _SlotGroup = Tuple[int, float, Tuple[NodeId, ...]]
 
 #: Per-sender forwarding-table entry:
 #: (the sender's dense node index,
-#:  receiver ids fed to the noise block-draw,
-#:  per-receiver aggregation targets — the receiver's dense node index
+#:  per-receiver aggregation targets: the receiver's dense node index
 #:  when it aggregates this sender's traffic, or ``-1`` when the
-#:  traffic is heard and counted but never folded).
-_LaneEntry = Tuple[int, Tuple[NodeId, ...], Tuple[int, ...]]
+#:  traffic is heard and counted but never folded,
+#:  the noise drawer mapping one broadcast to the targets it reached).
+_LaneEntry = Tuple[int, Tuple[int, ...], LaneDrawer]
+
+
+def _no_receivers(rng: object) -> Tuple[int, ...]:
+    """The drawer of a sender with no attached neighbour: no draws."""
+    return ()
 
 
 def fast_kernel_supported(frame: TdmaFrame, propagation_delay: float) -> bool:
@@ -191,19 +200,21 @@ def compile_fast_lane(
 
     For every transmitting node the table stores its dense index into
     ``index`` (sorted node order — the same order the pending-origin
-    bitmasks are bit-indexed by), the receiver-id tuple fed to the noise
-    block-draw (attached neighbours, in the exact order
-    :meth:`RadioMedium.broadcast` uses), and — per receiver — either the
+    bitmasks are bit-indexed by); per receiver (attached neighbours, in
+    the exact order :meth:`RadioMedium.broadcast` uses) either the
     receiver's dense index (when the receiver aggregates this sender's
     traffic: it is the sink, or the sender is one of its installed
-    children) or ``-1`` (traffic heard and counted, never folded).
-    Also returns the set of currently muted (asleep) nodes.
+    children) or ``-1`` (traffic heard and counted, never folded); and
+    the noise model's drawer for that fan-out.  Also returns the set of
+    currently muted (asleep) nodes.
 
-    Valid until the radio's attachment :attr:`~RadioMedium.epoch` moves;
-    the run loop recompiles after every perturbation boundary that
-    touched the medium.
+    Valid until the radio's attachment :attr:`~RadioMedium.epoch` moves
+    or the noise model resets; the run loop compiles after the run's
+    first ``sim.run()`` (the reset) and after every perturbation
+    boundary that touched the medium.
     """
     radio = sim.radio
+    compile_lane = radio.noise.compile_lane
     children_of = {node: proc._children for node, proc in processes.items()}
     tables: Dict[NodeId, _LaneEntry] = {}
     for node, proc in processes.items():
@@ -216,7 +227,12 @@ def compile_fast_lane(
             else -1
             for receiver, _callback in fanout
         )
-        tables[node] = (index[node], receiver_ids, targets)
+        draw = (
+            compile_lane(node, receiver_ids, targets)
+            if receiver_ids
+            else _no_receivers
+        )
+        tables[node] = (index[node], targets, draw)
     muted = {node for node, proc in processes.items() if proc.asleep}
     return tables, muted
 
@@ -261,9 +277,7 @@ def run_fast_kernel(
     trace = sim.trace
     record = trace.record
     rng = sim.rng
-    noise = radio.noise
-    delivers = noise.delivers
-    delivers_block = noise.delivers_block
+    delivers = radio.noise.delivers
     keep_hear = trace.wants(trace_kinds.ATTACKER_HEAR)
 
     nodes = sorted(processes)
@@ -276,8 +290,11 @@ def run_fast_kernel(
     pending: List[int] = [0] * len(nodes)
     sent: List[int] = [0] * len(nodes)
 
-    tables, muted = compile_fast_lane(sim, processes, sink, index)
-    built_epoch = radio.epoch
+    # Compiled at the first period boundary, after sim.run() has reset
+    # the noise model (a drawer compiled before the reset is stale).
+    tables: Dict[NodeId, _LaneEntry] = {}
+    muted: Set[NodeId] = set()
+    built_epoch = None
 
     # The attacker's compiled hear/decide state: its Figure 1 machine,
     # the R/M caps, a per-sender slot memo (one `slot_lookup` call per
@@ -289,13 +306,15 @@ def run_fast_kernel(
     m_cap = astate.spec.m
     amsgs = astate.messages
     slot_memo: Dict[NodeId, int] = {}
-    audible_rows: Dict[NodeId, frozenset] = {}
+    audible_rows: Dict[NodeId, FrozenSet[NodeId]] = {}
+    transmitters = frozenset(n for _s, _o, group in timeline for n in group)
 
-    def audibility_row(location: NodeId) -> frozenset:
+    def audibility_row(location: NodeId) -> FrozenSet[NodeId]:
+        # Audibility is symmetric (s is audible at l ⇔ l ∈ {s} ∪ N(s)
+        # ⇔ s ∈ {l} ∪ N(l)), so the row is one set intersection.
         row = audible_rows.get(location)
         if row is None:
-            audible_of = radio.audible_set
-            row = frozenset(s for s in tables if location in audible_of(s))
+            row = radio.audible_set(location) & transmitters
             audible_rows[location] = row
         return row
 
@@ -352,22 +371,14 @@ def run_fast_kernel(
                 for node in senders:
                     if node in muted:
                         continue  # on_slot() would stay silent
-                    s_idx, receiver_ids, targets = tables[node]
+                    s_idx, targets, draw = tables[node]
                     sent[s_idx] += 1
                     sends += 1
-                    if receiver_ids:
-                        flags = delivers_block(node, receiver_ids, rng)
-                        if all(flags):
-                            group_deliveries.append((pending[s_idx], targets))
-                        else:
-                            kept = tuple(
-                                target
-                                for target, flag in zip(targets, flags)
-                                if flag
-                            )
-                            drops += len(targets) - len(kept)
-                            if kept:
-                                group_deliveries.append((pending[s_idx], kept))
+                    kept = draw(rng)
+                    if kept is not targets:
+                        drops += len(targets) - len(kept)
+                    if kept:
+                        group_deliveries.append((pending[s_idx], kept))
                     if node in arow:
                         if delivers(node, -1, rng):
                             if keep_hear:

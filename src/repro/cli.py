@@ -31,14 +31,11 @@ from .experiments import (
     GUARD_MODES,
     PAPER,
     PAPER_SIZES,
-    format_figure5,
-    format_overhead,
+    configure_schedule_cache,
+    default_schedule_cache,
     format_table1,
-    measure_setup_overhead,
-    run_figure5,
     workers_argument,
 )
-from .experiments import configure_schedule_cache, default_schedule_cache
 from .scenarios import (
     ScenarioRunner,
     format_comparison,
@@ -51,8 +48,6 @@ from .slp import SlpParameters, build_slp_schedule
 from .storage import atomic_write_text
 from .telemetry import ProgressReporter, TelemetrySession
 from .topology import paper_grid
-from .verification import verify_schedule
-from .visualize import render_roles, render_slot_grid
 
 
 #: Exit code when a sweep could not produce any results at all
@@ -180,6 +175,8 @@ def _quarantine_exit(failures, degraded: bool = False) -> int:
 
 
 def _cmd_figure5(args: argparse.Namespace) -> int:
+    from .experiments.figure5 import format_figure5, run_figure5
+
     options = _runner_options(args)
     with _telemetry_session(args, "cli.figure5"):
         # Each size runs both algorithms over the same repeats.
@@ -210,6 +207,8 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    from .experiments.overhead import format_overhead, measure_setup_overhead
+
     topology = paper_grid(args.size)
     with _telemetry_session(args, "cli.overhead"):
         measurement = measure_setup_overhead(
@@ -225,6 +224,8 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import verify_schedule
+
     topology = paper_grid(args.size)
     frame = PAPER.frame()
     delta = safety_period(topology, frame.period_length).periods
@@ -250,6 +251,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
+    from .visualize import render_roles, render_slot_grid
+
     topology = paper_grid(args.size)
     baseline = centralized_das_schedule(topology, seed=args.seed)
     build = build_slp_schedule(

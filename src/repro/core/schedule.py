@@ -47,6 +47,10 @@ class Schedule:
     schedules (Phase 3 reassigns slots); the original is never mutated.
     """
 
+    #: parent → sorted children, built on the first :meth:`children_of`
+    #: (the schedule is immutable).
+    _children: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
+
     def __init__(
         self,
         slots: Mapping[NodeId, int],
@@ -85,6 +89,12 @@ class Schedule:
         }
         self._parents[sink] = None
         self._sink = sink
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle without the derived children index."""
+        state = self.__dict__.copy()
+        state.pop("_children", None)
+        return state
 
     # ------------------------------------------------------------------
     # Slot assignment view
@@ -159,9 +169,15 @@ class Schedule:
         """Return the nodes that chose ``node`` as their parent, sorted."""
         if node not in self._slots:
             raise ScheduleError(f"node {node!r} is not scheduled")
-        return tuple(
-            sorted(c for c, p in self._parents.items() if p == node)
-        )
+        children = self._children
+        if children is None:
+            grouped: Dict[NodeId, List[NodeId]] = {}
+            for child, parent in self._parents.items():
+                if parent is not None:
+                    grouped.setdefault(parent, []).append(child)
+            children = {p: tuple(sorted(cs)) for p, cs in grouped.items()}
+            self._children = children
+        return children.get(node, ())
 
     def slots(self) -> Dict[NodeId, int]:
         """A copy of the node → slot mapping."""

@@ -81,25 +81,11 @@ def _repair(
     lines, rings and random unit-disk graphs all converge in a handful
     of passes (asserted by the test-suite).
     """
-    sink = topology.sink
-    # Hoist the per-pass topology queries into flat tables once: the
-    # fixpoint re-reads the same structure every pass, and the per-call
-    # lookups used to dominate schedule construction.  ``tuple()`` of a
-    # cached frozenset preserves its iteration order, so the collision
-    # pairs are processed in exactly the order the direct iteration
-    # produced — that order feeds the tie-breaks and must not change.
-    nodes = [n for n in topology.nodes if n != sink]
-    spc = {
-        n: tuple(m for m in topology.shortest_path_children(n) if m != sink)
-        for n in nodes
-    }
-    collision_pairs = {
-        n: tuple(
-            m for m in topology.collision_neighbourhood(n) if m != sink and m > n
-        )
-        for n in nodes
-    }
-    hop = {n: topology.sink_distance(n) for n in topology.nodes}
+    # The per-pass topology queries as flat tables, built once per
+    # topology (see Topology.repair_tables): the fixpoint re-reads
+    # the same structure every pass and every seed.  The collision pairs
+    # keep the 2-hop sets' iteration order, which feeds the tie-breaks.
+    nodes, spc, collision_pairs, hop = topology.repair_tables()
     for _ in range(max_passes):
         changed = False
 

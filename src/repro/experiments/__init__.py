@@ -1,137 +1,108 @@
 """The paper's evaluation, reproducible: Table I parameters, the
-repeated-run experiment engine, Figure 5 and the overhead claim."""
+repeated-run experiment engine, Figure 5 and the overhead claim.
 
-from .config import (
-    PAPER,
-    PAPER_SIZES,
-    PaperParameters,
-    format_table1,
-    paper_topologies,
-)
-from .figure5 import (
-    Figure5Cell,
-    Figure5Result,
-    PAPER_FIGURE5_REFERENCE,
-    format_figure5,
-    headline_reduction,
-    run_figure5,
-)
-from .overhead import (
-    OverheadMeasurement,
-    format_overhead,
-    measure_setup_overhead,
-)
-from .faults import (
-    FAULT_PLAN_ENV,
-    FaultPlan,
-    InjectedFault,
-    ServiceHalt,
-    active_fault_plan,
-)
-from .parallel import (
-    MIN_NODE_RUNS_FOR_POOL,
-    ParallelExperimentRunner,
-    default_workers,
-    make_runner,
-    plan_workers,
-    seed_chunks,
-    workers_argument,
-)
-from .resilience import (
-    GUARD_DIFFERENTIAL,
-    GUARD_MODES,
-    FailedRun,
-    GuardReport,
-    Ladder,
-    RetryPolicy,
-    SweepCheckpoint,
-    WorkerSupervisor,
-    apply_divergence_guard,
-    decode_checkpoint_line,
-    encode_checkpoint_line,
-    guard_sample,
-    result_from_dict,
-    result_to_dict,
-    write_reproducer_bundle,
-)
-from .runner import (
-    ALGORITHMS,
-    PROTECTIONLESS,
-    SLP,
-    ExperimentConfig,
-    ExperimentOutcome,
-    ExperimentRunner,
-)
-from .schedule_cache import (
-    ScheduleCache,
-    configure_schedule_cache,
-    default_cache,
-    default_cache_stats,
-    default_schedule_cache,
-    reset_default_cache,
-    schedule_cache_enabled,
-    schedule_key,
-    topology_fingerprint,
-)
-from .schedule_store import ScheduleStore, store_key
+Names resolve lazily (PEP 562), as in the package root: a cold
+``scenario run`` loads the engine it uses, not the worker pool, the
+Figure 5 and overhead drivers or the SQLite schedule store.
+"""
 
-__all__ = [
-    "ALGORITHMS",
-    "ExperimentConfig",
-    "ExperimentOutcome",
-    "ExperimentRunner",
-    "FAULT_PLAN_ENV",
-    "FailedRun",
-    "FaultPlan",
-    "GUARD_DIFFERENTIAL",
-    "GUARD_MODES",
-    "GuardReport",
-    "InjectedFault",
-    "Ladder",
-    "RetryPolicy",
-    "ServiceHalt",
-    "SweepCheckpoint",
-    "WorkerSupervisor",
-    "active_fault_plan",
-    "apply_divergence_guard",
-    "decode_checkpoint_line",
-    "encode_checkpoint_line",
-    "guard_sample",
-    "result_from_dict",
-    "result_to_dict",
-    "write_reproducer_bundle",
-    "Figure5Cell",
-    "Figure5Result",
-    "MIN_NODE_RUNS_FOR_POOL",
-    "OverheadMeasurement",
-    "PAPER",
-    "PAPER_FIGURE5_REFERENCE",
-    "PAPER_SIZES",
-    "PROTECTIONLESS",
-    "ParallelExperimentRunner",
-    "PaperParameters",
-    "SLP",
-    "ScheduleCache",
-    "ScheduleStore",
-    "configure_schedule_cache",
-    "default_cache",
-    "default_cache_stats",
-    "default_schedule_cache",
-    "default_workers",
-    "reset_default_cache",
-    "format_figure5",
-    "format_overhead",
-    "format_table1",
-    "headline_reduction",
-    "make_runner",
-    "measure_setup_overhead",
-    "paper_topologies",
-    "plan_workers",
-    "run_figure5",
-    "schedule_cache_enabled",
-    "schedule_key",
-    "seed_chunks",
-    "store_key",
-    "topology_fingerprint",
-    "workers_argument",
-]
+import importlib
+from typing import List
+
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "config": (
+        "PAPER",
+        "PAPER_SIZES",
+        "PaperParameters",
+        "format_table1",
+        "paper_topologies",
+    ),
+    "figure5": (
+        "Figure5Cell",
+        "Figure5Result",
+        "PAPER_FIGURE5_REFERENCE",
+        "format_figure5",
+        "headline_reduction",
+        "run_figure5",
+    ),
+    "overhead": (
+        "OverheadMeasurement",
+        "format_overhead",
+        "measure_setup_overhead",
+    ),
+    "faults": (
+        "FAULT_PLAN_ENV",
+        "FaultPlan",
+        "InjectedFault",
+        "ServiceHalt",
+        "active_fault_plan",
+    ),
+    "parallel": (
+        "MIN_NODE_RUNS_FOR_POOL",
+        "ParallelExperimentRunner",
+        "default_workers",
+        "make_runner",
+        "plan_workers",
+        "seed_chunks",
+        "workers_argument",
+    ),
+    "resilience": (
+        "GUARD_DIFFERENTIAL",
+        "GUARD_MODES",
+        "FailedRun",
+        "GuardReport",
+        "Ladder",
+        "RetryPolicy",
+        "SweepCheckpoint",
+        "WorkerSupervisor",
+        "apply_divergence_guard",
+        "decode_checkpoint_line",
+        "encode_checkpoint_line",
+        "guard_sample",
+        "result_from_dict",
+        "result_to_dict",
+        "write_reproducer_bundle",
+    ),
+    "runner": (
+        "ALGORITHMS",
+        "PROTECTIONLESS",
+        "SLP",
+        "ExperimentConfig",
+        "ExperimentOutcome",
+        "ExperimentRunner",
+    ),
+    "schedule_cache": (
+        "ScheduleCache",
+        "configure_schedule_cache",
+        "default_cache",
+        "default_cache_stats",
+        "default_schedule_cache",
+        "reset_default_cache",
+        "schedule_cache_enabled",
+        "schedule_key",
+        "topology_fingerprint",
+    ),
+    "schedule_store": (
+        "ScheduleStore",
+        "store_key",
+    ),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str) -> object:
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -10,13 +10,10 @@ as the text equivalent of the paper's bar chart, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
-
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..attacker import AttackerSpec
 from ..errors import ConfigurationError
@@ -132,6 +129,8 @@ def run_figure5(
         # is paid once per figure, not once per cell.
         pool = None
         if workers is not None and workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
         for size in sizes:
             topology = paper_grid(size)

@@ -15,7 +15,6 @@ are identical to a serial sweep.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -166,6 +165,8 @@ def measure_setup_overhead(
     seeds = list(seeds)
     workers = resolve_workers(workers)
     if workers is not None and workers > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
             measurements = list(
                 pool.map(

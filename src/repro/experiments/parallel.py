@@ -26,8 +26,7 @@ execution.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..app import OperationalResult
 from ..core import Schedule
@@ -48,6 +47,9 @@ from .schedule_cache import (
     default_schedule_cache,
     schedule_cache_enabled,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 
 def default_workers() -> int:
@@ -258,7 +260,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         topology: Topology,
         workers: Optional[int] = None,
         chunks_per_worker: int = 4,
-        executor: Optional[ProcessPoolExecutor] = None,
+        executor: Optional["ProcessPoolExecutor"] = None,
         schedule_cache: Optional["ScheduleCache"] = None,
         retry_policy: Optional[RetryPolicy] = None,
         chunk_timeout: Optional[float] = None,
@@ -282,7 +284,7 @@ class ParallelExperimentRunner(ExperimentRunner):
             )
         self._workers = resolved
         self._chunks_per_worker = chunks_per_worker
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor: Optional["ProcessPoolExecutor"] = None
         self._external_executor = executor
         self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._chunk_timeout = chunk_timeout
@@ -320,15 +322,17 @@ class ParallelExperimentRunner(ExperimentRunner):
                 shipped[key] = schedule
         return shipped or None
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
+    def _ensure_executor(self) -> "ProcessPoolExecutor":
         if self._external_executor is not None:
             return self._external_executor
         if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(max_workers=self._workers)
         return self._executor
 
     @staticmethod
-    def _terminate_processes(executor: ProcessPoolExecutor) -> None:
+    def _terminate_processes(executor: "ProcessPoolExecutor") -> None:
         """Forcibly end a pool's worker processes (the only way to
         reclaim a hung worker; ``shutdown`` alone would wait forever)."""
         processes = getattr(executor, "_processes", None) or {}

@@ -30,9 +30,11 @@ assembled from the substrates the earlier PRs built:
   explicit timeouts, bounded retry/backoff and the injected network
   chaos, and the :class:`ShardWorker` pull-execute-upload loop with
   graceful SIGTERM drain;
-* :mod:`repro.service.client` — the urllib :class:`ServiceClient`
-  behind ``repro service submit|status|result`` (explicit timeouts,
-  bounded retry with backoff on connection failures);
+* :mod:`repro.service.client` — :class:`~repro.service.client.HttpChannel`,
+  the kept-alive HTTP/1.1 exchange helper every caller of the service
+  uses, and the :class:`ServiceClient` behind ``repro service
+  submit|status|result`` (explicit timeouts, bounded retry with
+  backoff on connection failures);
 * :mod:`repro.service.fsck` — :func:`fsck_data_dir`, the offline
   auditor behind ``repro service fsck [--repair]``: cross-checks job
   rows, checkpoint files and result blobs, reports every inconsistency

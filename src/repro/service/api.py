@@ -73,7 +73,18 @@ tokens get 401 via a constant-time compare; GETs stay open.
 
 The server is :class:`~http.server.ThreadingHTTPServer` — stdlib only,
 no new dependencies, good enough for the lab-scale concurrency the
-service targets.
+service targets.  It speaks HTTP/1.1 with kept-alive connections: a
+client (:class:`~repro.service.client.HttpChannel`) sends all of a
+thread's requests over one connection, so a worker's seed uploads pay
+one TCP connect and one handler thread between them, not one per
+request.  Each reply leaves in one buffered write on a ``TCP_NODELAY``
+socket (a reply split across two segments would wait out the peer's
+delayed ACK); a connection idle for longer than
+:data:`IDLE_TIMEOUT` is closed so a dead peer cannot pin its thread;
+:meth:`SweepService.drain` closes every open connection, so nothing
+keeps serving a stopped service.  Accepted connections and served
+requests are counted in the ``service.connections`` and
+``service.requests`` metrics.
 """
 
 from __future__ import annotations
@@ -84,6 +95,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -123,6 +135,11 @@ _SUBMIT_FIELDS = frozenset(
 #: The longest a held request (a claim, or a status read, with
 #: ``wait``) parks its handler thread, whatever the client asks for.
 MAX_HOLD = 30.0
+
+#: How long a kept-alive connection may sit idle between requests
+#: before the server closes it (above MAX_HOLD: a held request's
+#: client is waiting, not idle).
+IDLE_TIMEOUT = 2 * MAX_HOLD
 
 
 def _hold_seconds(value: object) -> float:
@@ -214,7 +231,7 @@ class SweepService:
         # Notified on every job state transition (held status reads).
         self._changed = threading.Condition()
         self._progress: Dict[str, Dict[str, object]] = {}
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_Server] = None
         self._http_thread: Optional[threading.Thread] = None
         self._drain_thread: Optional[threading.Thread] = None
         self.halted = False  # set by the chaos harness's ServiceHalt
@@ -265,11 +282,8 @@ class SweepService:
             target=self._drain_loop, name="sweep-scheduler", daemon=True
         )
         self._drain_thread.start()
-        self._httpd = ThreadingHTTPServer(
-            (self._host, self._port), _Handler
-        )
-        self._httpd.daemon_threads = True
-        self._httpd.service = self  # type: ignore[attr-defined]
+        self._httpd = _Server((self._host, self._port), _Handler)
+        self._httpd.service = self
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever, name="sweep-http", daemon=True
         )
@@ -279,8 +293,10 @@ class SweepService:
     def drain(self, timeout: float = 30.0) -> None:
         """Graceful shutdown (the SIGTERM path): stop every running
         job's shards (checkpointed seeds survive) and re-queue the jobs,
-        drain and reap the local workers, stop serving HTTP, and return
-        once the threads have stopped."""
+        drain and reap the local workers, stop serving HTTP (closing
+        every kept-alive connection: a client's next request fails over
+        exactly as a refused connect does), and return once the threads
+        have stopped."""
         self._request_stop()
         if self._drain_thread is not None:
             self._drain_thread.join(timeout=timeout)
@@ -288,6 +304,7 @@ class SweepService:
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
+            self._httpd.close_connections()
             self._httpd = None
 
     def _request_stop(self) -> None:
@@ -741,14 +758,58 @@ def _exit_when_orphaned(parent: int) -> None:
     os._exit(0)
 
 
+class _Server(ThreadingHTTPServer):
+    """The service's HTTP server: one daemon thread per connection, and
+    a registry of open connections so :meth:`SweepService.drain` can
+    close the kept-alive ones."""
+
+    daemon_threads = True
+    service: SweepService
+
+    def __init__(self, address: Tuple[str, int], handler: type) -> None:
+        super().__init__(address, handler)
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request: socket.socket, client_address: object) -> None:
+        default_registry().inc("service.connections")
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down: its handler thread reads
+        EOF and exits, its client sees the connection closed."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests onto the owning :class:`SweepService`."""
 
-    server: ThreadingHTTPServer  # with a .service attribute
+    server: _Server
+    #: Kept-alive connections (every reply carries a Content-Length).
+    protocol_version = "HTTP/1.1"
+    #: A buffered wfile on a TCP_NODELAY socket: each reply is flushed
+    #: as one write after the handler returns, and never waits for the
+    #: peer's delayed ACK.
+    wbufsize = -1
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT
 
     @property
     def _service(self) -> SweepService:
-        return self.server.service  # type: ignore[attr-defined]
+        return self.server.service
 
     def log_message(self, format: str, *args: object) -> None:
         """Silence the default stderr request log (the service's own
@@ -785,6 +846,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+        default_registry().inc("service.requests")
         try:
             length = int(self.headers.get("Content-Length", 0))
             raw = self.rfile.read(length)
@@ -833,6 +895,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(404, {"error": f"no such endpoint: {self.path}"})
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+        default_registry().inc("service.requests")
         try:
             self._route_get()
         except Exception as exc:

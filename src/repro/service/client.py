@@ -1,16 +1,25 @@
-"""A minimal stdlib client for the sweep service's HTTP API.
+"""A minimal stdlib client for the sweep service's HTTP API, and the
+one kept-alive HTTP/1.1 channel every service caller talks through.
 
-Used by the ``repro service submit|status|result`` CLI and the smoke
-drill; kept free of third-party dependencies (``urllib`` only) for the
-same reason the server is.  Every call returns the decoded JSON
-document; HTTP error statuses surface as :class:`ServiceError` with
-the server's ``error`` field as the message, so callers never parse
-HTML tracebacks (the server never sends any).
+:class:`HttpChannel` is the exchange helper shared by
+:class:`ServiceClient` (the ``repro service submit|status|result`` CLI
+and the drills) and the shard workers' :class:`~repro.service.worker.
+WorkerTransport`: one ``http.client`` connection per calling thread,
+opened on first use and kept alive across requests, so a stream of seed
+uploads pays one TCP connect instead of one per request.  A reused
+connection the peer has closed (its idle timeout, a restart, a drain)
+is retried once on a fresh connection; every other failure is the
+caller's to handle.  Stdlib only, for the same reason the server is.
 
-Hardening: every urllib call carries an explicit timeout, and
-*connection-level* failures (``ConnectionError``/``URLError``/socket
-timeouts — anywhere the request may never have arrived) are retried a
-bounded number of times with exponential backoff before surfacing as
+Every :class:`ServiceClient` call returns the decoded JSON document;
+HTTP error statuses surface as :class:`ServiceError` with the server's
+``error`` field as the message, so callers never parse HTML tracebacks
+(the server never sends any).
+
+Hardening: every exchange carries an explicit timeout, and
+*connection-level* failures (refused, reset, socket timeouts —
+anywhere the request may never have arrived) are retried a bounded
+number of times with exponential backoff before surfacing as
 :class:`ServiceError` with status 0.  HTTP error statuses are never
 retried: the server answered, and re-asking would not change the
 answer.  Retrying ``POST /jobs`` is safe because submission is
@@ -19,13 +28,17 @@ idempotent by construction (content-addressed job ids dedup).
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
+from urllib.parse import urlsplit
 
 from ..errors import ReproError
+
+#: What a failed exchange raises when no HTTP status came back.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 class ServiceError(ReproError):
@@ -34,6 +47,139 @@ class ServiceError(ReproError):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
+
+
+class HttpChannel:
+    """Kept-alive HTTP/1.1 exchanges with one service.
+
+    Each calling thread gets its own connection, opened on its first
+    request and reused by every later one.  :meth:`exchange` returns
+    the reply's status and body whatever the status; a failure with no
+    reply raises one of :data:`TRANSPORT_ERRORS`.  The one retry it
+    makes itself: a *reused* connection failing with a
+    ``ConnectionError`` (the peer closed it, usually while it sat idle:
+    an idle timeout, a restart, a drain) is replaced by a fresh one and
+    the request sent once more.  Every endpoint tolerates the repeat:
+    submissions and uploads dedup, and a lease nobody uses times out.
+    """
+
+    def __init__(self, base_url: str, timeout: float) -> None:
+        parts = urlsplit(base_url)
+        self._host = parts.hostname
+        self._port = parts.port or 80
+        self._prefix = parts.path.rstrip("/")
+        self._timeout = timeout
+        self._local = threading.local()
+
+    def exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Tuple[int, bytes]:
+        """One request/reply; returns ``(status, body)``."""
+        headers = headers or {}
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            try:
+                return self._round_trip(conn, method, path, body, headers)
+            except ConnectionError:
+                pass  # closed by the peer while idle: once more, fresh
+        conn = http.client.HTTPConnection(
+            self._host, self._port, timeout=self._timeout
+        )
+        self._local.conn = conn
+        return self._round_trip(conn, method, path, body, headers)
+
+    def _round_trip(
+        self,
+        conn: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> Tuple[int, bytes]:
+        try:
+            conn.request(method, self._prefix + path, body=body, headers=headers)
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            self.close()
+            raise
+        if response.will_close:
+            self.close()
+        return response.status, data
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request of
+        this thread opens a fresh one)."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
+
+
+def encode_request(
+    payload: Optional[Dict], token: Optional[str]
+) -> Tuple[str, Optional[bytes], Dict[str, str]]:
+    """The method, body and headers of one JSON API call: ``POST`` with
+    a JSON body when there is a payload, ``GET`` otherwise."""
+    headers = {"Accept": "application/json"}
+    data = None
+    if payload is not None:
+        data = json.dumps(payload).encode()
+        headers["Content-Type"] = "application/json"
+    if token is not None:
+        headers["Authorization"] = f"Bearer {token}"
+    return ("GET" if data is None else "POST"), data, headers
+
+
+def error_message(status: int, body: bytes) -> str:
+    """The server's reason for an HTTP error status: the reply's
+    ``error`` (or ``state``) field when the body is a JSON document."""
+    try:
+        document = json.loads(body.decode())
+    except ValueError:
+        document = None
+    if isinstance(document, dict):
+        reason = document.get("error") or document.get("state")
+        if reason:
+            return str(reason)
+    return f"HTTP Error {status}"
+
+
+def _call(
+    channel: HttpChannel,
+    url: str,
+    path: str,
+    payload: Optional[Dict],
+    retries: int,
+    backoff: float,
+    sleep: Callable[[float], None],
+    token: Optional[str],
+) -> bytes:
+    """One API call with the client's retry policy; returns the body.
+
+    ``retries`` bounds the total attempts; attempt *n* failing at the
+    connection level sleeps ``backoff * 2**(n-1)`` before the next.
+    """
+    method, data, headers = encode_request(payload, token)
+    attempt = 0
+    while True:
+        attempt += 1
+        try:
+            status, body = channel.exchange(method, path, data, headers)
+        except TRANSPORT_ERRORS as exc:
+            if attempt >= max(retries, 1):
+                raise ServiceError(0, f"cannot reach {url}: {exc}") from None
+            sleep(backoff * (2 ** (attempt - 1)))
+            continue
+        if status >= 400:
+            # The server answered: an HTTP status is a result, not an
+            # outage — never retried.
+            raise ServiceError(status, error_message(status, body))
+        return body
 
 
 def _request_raw(
@@ -45,63 +191,15 @@ def _request_raw(
     sleep: Callable[[float], None] = time.sleep,
     token: Optional[str] = None,
 ) -> bytes:
-    """One HTTP exchange returning the raw response body.
-
-    ``retries`` bounds the total attempts; attempt *n* failing at the
-    connection level sleeps ``backoff * 2**(n-1)`` before the next.
-    """
-    data = None
-    headers = {"Accept": "application/json"}
-    if payload is not None:
-        data = json.dumps(payload).encode()
-        headers["Content-Type"] = "application/json"
-    if token is not None:
-        headers["Authorization"] = f"Bearer {token}"
-    attempt = 0
-    while True:
-        attempt += 1
-        request = urllib.request.Request(url, data=data, headers=headers)
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            # The server answered: an HTTP status is a result, not an
-            # outage — never retried.
-            try:
-                document = json.loads(exc.read().decode())
-                message = (
-                    document.get("error") or document.get("state") or str(exc)
-                )
-            except ValueError:
-                message = str(exc)
-            raise ServiceError(exc.code, message) from None
-        except OSError as exc:
-            # URLError (refused, unreachable, DNS), ConnectionError,
-            # socket timeouts: the retryable family.
-            if attempt >= max(retries, 1):
-                reason = getattr(exc, "reason", exc)
-                raise ServiceError(0, f"cannot reach {url}: {reason}") from None
-            sleep(backoff * (2 ** (attempt - 1)))
-
-
-def _request(
-    url: str,
-    payload: Optional[Dict] = None,
-    timeout: float = 30.0,
-    retries: int = 3,
-    backoff: float = 0.2,
-    token: Optional[str] = None,
-) -> Dict:
-    return json.loads(
-        _request_raw(
-            url,
-            payload,
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
-            token=token,
-        ).decode()
-    )
+    """One API call to a full ``url`` on a connection of its own,
+    returning the raw response body (see :func:`_call`)."""
+    parts = urlsplit(url)
+    channel = HttpChannel(f"{parts.scheme}://{parts.netloc}", timeout)
+    path = parts.path + (f"?{parts.query}" if parts.query else "")
+    try:
+        return _call(channel, url, path, payload, retries, backoff, sleep, token)
+    finally:
+        channel.close()
 
 
 class ServiceClient:
@@ -123,20 +221,26 @@ class ServiceClient:
         token: Optional[str] = None,
     ) -> None:
         self._base = base_url.rstrip("/")
-        self._timeout = timeout
         self._retries = retries
         self._backoff = backoff
         self._token = token
+        self._timeout = timeout
+        self._channel = HttpChannel(self._base, timeout)
+
+    def _raw(self, path: str, payload: Optional[Dict] = None) -> bytes:
+        return _call(
+            self._channel,
+            f"{self._base}{path}",
+            path,
+            payload,
+            self._retries,
+            self._backoff,
+            time.sleep,
+            self._token,
+        )
 
     def _get(self, path: str, payload: Optional[Dict] = None) -> Dict:
-        return _request(
-            f"{self._base}{path}",
-            payload,
-            timeout=self._timeout,
-            retries=self._retries,
-            backoff=self._backoff,
-            token=self._token,
-        )
+        return json.loads(self._raw(path, payload).decode())
 
     def health(self) -> Dict:
         """Liveness probe (``GET /healthz``)."""
@@ -164,13 +268,7 @@ class ServiceClient:
     def result_text(self, job_id: str) -> str:
         """The finished report's exact bytes, as text — for byte-level
         comparison against a direct run's ``to_json()``."""
-        return _request_raw(
-            f"{self._base}/jobs/{job_id}/result",
-            timeout=self._timeout,
-            retries=self._retries,
-            backoff=self._backoff,
-            token=self._token,
-        ).decode()
+        return self._raw(f"/jobs/{job_id}/result").decode()
 
     def wait(
         self,

@@ -11,7 +11,8 @@ a child the service forked, talking to it over loopback):
   uses (byte-identity starts at the lowering), and uploads
   each finished seed immediately — the upload is the durability write
   *and* the lease heartbeat;
-* every HTTP call goes through :class:`WorkerTransport`: explicit
+* every HTTP call goes through :class:`WorkerTransport`: one kept-alive
+  connection (:class:`~repro.service.client.HttpChannel`), explicit
   timeout, bounded retry with the deterministic
   :class:`~repro.experiments.RetryPolicy` backoff on *transport*
   errors (an HTTP status from the server is an answer, not an outage,
@@ -40,8 +41,6 @@ import signal
 import socket
 import threading
 import time
-import urllib.error
-import urllib.request
 from contextlib import nullcontext
 from typing import Callable, Dict, Optional, Tuple
 
@@ -54,6 +53,7 @@ from ..experiments import (
 )
 from ..scenarios import ScenarioSpec
 from ..telemetry import active_tracer, default_registry
+from .client import TRANSPORT_ERRORS, HttpChannel, encode_request, error_message
 from .scheduler import lower_job
 
 
@@ -91,12 +91,12 @@ class WorkerTransport:
         token: Optional[str] = None,
     ) -> None:
         self._base = base_url.rstrip("/")
-        self._timeout = timeout
         self._retry = retry if retry is not None else RetryPolicy()
         self._sleep = sleep
         self._token = token
         self._ordinal = 0
         self._partitioned_until = 0.0
+        self._channel = HttpChannel(self._base, timeout)
 
     @property
     def base_url(self) -> str:
@@ -143,31 +143,15 @@ class WorkerTransport:
                 raise TransportError(0, f"injected drop of request {ordinal}")
         if time.monotonic() < self._partitioned_until:
             raise TransportError(0, "worker is partitioned from the service")
-        data = json.dumps(payload).encode()
-        headers = {
-            "Content-Type": "application/json",
-            "Accept": "application/json",
-        }
-        if self._token is not None:
-            headers["Authorization"] = f"Bearer {self._token}"
-        request = urllib.request.Request(
-            f"{self._base}{path}", data=data, headers=headers
-        )
+        method, data, headers = encode_request(payload, self._token)
         try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as resp:
-                return json.loads(resp.read().decode())
-        except urllib.error.HTTPError as exc:
-            try:
-                document = json.loads(exc.read().decode())
-                message = document.get("error") or str(exc)
-            except ValueError:
-                message = str(exc)
-            raise TransportError(exc.code, message) from None
-        except OSError as exc:
-            # URLError (connection refused, DNS), ConnectionError,
-            # socket timeouts — everything retryable lands here.
-            reason = getattr(exc, "reason", exc)
-            raise TransportError(0, f"cannot reach {self._base}: {reason}") from None
+            status, body = self._channel.exchange(method, path, data, headers)
+        except TRANSPORT_ERRORS as exc:
+            # Refused, reset, timed out — everything retryable lands here.
+            raise TransportError(0, f"cannot reach {self._base}: {exc}") from None
+        if status >= 400:
+            raise TransportError(status, error_message(status, body))
+        return json.loads(body.decode())
 
 
 class ShardWorker:

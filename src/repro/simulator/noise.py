@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..topology import NodeId
+
+#: A compiled per-sender lane drawer: given the run's RNG, the lane
+#: targets whose frame arrived (the very ``targets`` tuple when all did).
+LaneDrawer = Callable[[random.Random], Tuple[int, ...]]
 
 
 class NoiseModel(ABC):
@@ -36,10 +40,11 @@ class NoiseModel(ABC):
     ) -> List[bool]:
         """Per-receiver outcomes for one broadcast, in receiver order.
 
-        The block form exists for the operational fast path: concrete
-        models override it with a loop that binds everything locally and
-        advances per-link state inline, removing the per-receiver method
-        dispatch of :meth:`delivers`.  **RNG contract:** the block MUST
+        The block form is what :meth:`RadioMedium.broadcast` and the
+        fast setup kernels draw through: concrete models override it
+        with a loop that binds everything locally and advances per-link
+        state inline, removing the per-receiver method dispatch of
+        :meth:`delivers`.  **RNG contract:** the block MUST
         consume the run's random stream exactly as ``[self.delivers(
         sender, r, rng) for r in receivers]`` would — same number of
         draws, same order — so a run is bit-identical whichever form the
@@ -48,6 +53,36 @@ class NoiseModel(ABC):
         :meth:`delivers` correct automatically.
         """
         return [self.delivers(sender, receiver, rng) for receiver in receivers]
+
+    def compile_lane(
+        self,
+        sender: NodeId,
+        receivers: Sequence[NodeId],
+        targets: Tuple[int, ...],
+    ) -> LaneDrawer:
+        """Compile one sender's broadcast for the operational fast lane.
+
+        ``targets`` pairs each receiver with the lane's opaque delivery
+        target; the returned drawer maps one broadcast to the targets
+        whose frame arrived — the ``targets`` tuple itself when every
+        frame did.  **RNG contract:** a drawer consumes the stream
+        exactly as ``delivers_block(sender, receivers, rng)`` would at
+        the same point of the run, and shares its per-link state.  A
+        drawer is valid until the next :meth:`reset`: compile after the
+        run's reset, never before.  This default is built on
+        :meth:`delivers_block`, so models that override only the
+        per-call hooks stay correct.
+        """
+        receivers = tuple(receivers)
+        delivers_block = self.delivers_block
+
+        def draw(rng: random.Random) -> Tuple[int, ...]:
+            flags = delivers_block(sender, receivers, rng)
+            if all(flags):
+                return targets
+            return tuple(t for t, flag in zip(targets, flags) if flag)
+
+        return draw
 
     def reset(self) -> None:
         """Clear any per-run state.  Called once per simulation run."""
@@ -64,6 +99,14 @@ class IdealNoise(NoiseModel):
     ) -> List[bool]:
         # No draws in either form: the per-call path never touches the RNG.
         return [True] * len(receivers)
+
+    def compile_lane(
+        self,
+        sender: NodeId,
+        receivers: Sequence[NodeId],
+        targets: Tuple[int, ...],
+    ) -> LaneDrawer:
+        return lambda rng: targets
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "IdealNoise()"
@@ -93,6 +136,22 @@ class BernoulliNoise(NoiseModel):
         loss = self.loss_probability
         rand = rng.random
         return [rand() >= loss for _ in receivers]
+
+    def compile_lane(
+        self,
+        sender: NodeId,
+        receivers: Sequence[NodeId],
+        targets: Tuple[int, ...],
+    ) -> LaneDrawer:
+        loss = self.loss_probability
+        size = len(targets)
+
+        def draw(rng: random.Random) -> Tuple[int, ...]:
+            rand = rng.random
+            kept = [t for t in targets if rand() >= loss]
+            return targets if len(kept) == size else tuple(kept)
+
+        return draw
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BernoulliNoise(loss_probability={self.loss_probability})"
@@ -138,8 +197,25 @@ class CasinoLabNoise(NoiseModel):
         self.bad_loss = bad_loss
         self.p_good_to_bad = p_good_to_bad
         self.p_bad_to_good = p_bad_to_good
-        #: per-directed-link state; True means the link is in the bad state.
-        self._bad: Dict[Tuple[NodeId, NodeId], bool] = {}
+        #: directed link -> dense link id, interned on a link's first
+        #: draw or lane compile; cleared (with the states) by reset().
+        self._link_ids: Dict[Tuple[NodeId, NodeId], int] = {}
+        #: per-link chain state by link id; True means the bad state.
+        self._states: List[bool] = []
+
+    @property
+    def _bad(self) -> Dict[Tuple[NodeId, NodeId], bool]:
+        """The per-link chain state as ``{link: bad}`` (introspection)."""
+        states = self._states
+        return {link: states[lid] for link, lid in self._link_ids.items()}
+
+    def _link_id(self, link: Tuple[NodeId, NodeId]) -> int:
+        lid = self._link_ids.get(link)
+        if lid is None:
+            lid = len(self._states)
+            self._link_ids[link] = lid
+            self._states.append(False)
+        return lid
 
     def expected_loss_rate(self) -> float:
         """Long-run average loss probability of a link (stationary mix)."""
@@ -147,8 +223,8 @@ class CasinoLabNoise(NoiseModel):
         return stationary_bad * self.bad_loss + (1 - stationary_bad) * self.good_loss
 
     def delivers(self, sender: NodeId, receiver: NodeId, rng: random.Random) -> bool:
-        link = (sender, receiver)
-        bad = self._bad.get(link, False)
+        lid = self._link_id((sender, receiver))
+        bad = self._states[lid]
         # Advance the chain once per frame on this link.
         if bad:
             if rng.random() < self.p_bad_to_good:
@@ -156,7 +232,7 @@ class CasinoLabNoise(NoiseModel):
         else:
             if rng.random() < self.p_good_to_bad:
                 bad = True
-        self._bad[link] = bad
+        self._states[lid] = bad
         loss = self.bad_loss if bad else self.good_loss
         return rng.random() >= loss
 
@@ -166,7 +242,8 @@ class CasinoLabNoise(NoiseModel):
         # Two draws per receiver (chain advance, then loss), in receiver
         # order — the same stream :meth:`delivers` consumes per call.
         rand = rng.random
-        bad_map = self._bad
+        link_ids = self._link_ids
+        states = self._states
         good_loss = self.good_loss
         bad_loss = self.bad_loss
         p_good_to_bad = self.p_good_to_bad
@@ -175,19 +252,66 @@ class CasinoLabNoise(NoiseModel):
         append = out.append
         for receiver in receivers:
             link = (sender, receiver)
-            bad = bad_map.get(link, False)
+            lid = link_ids.get(link)
+            if lid is None:
+                lid = len(states)
+                link_ids[link] = lid
+                states.append(False)
+            bad = states[lid]
             if bad:
                 if rand() < p_bad_to_good:
                     bad = False
             else:
                 if rand() < p_good_to_bad:
                     bad = True
-            bad_map[link] = bad
+            states[lid] = bad
             append(rand() >= (bad_loss if bad else good_loss))
         return out
 
+    def compile_lane(
+        self,
+        sender: NodeId,
+        receivers: Sequence[NodeId],
+        targets: Tuple[int, ...],
+    ) -> LaneDrawer:
+        # The drawer walks (link id, target) pairs over the shared state
+        # list: no link tuples, no dict traffic per frame.  Same draws,
+        # same order and same state as delivers_block.
+        link_id = self._link_id
+        lanes = tuple(zip([link_id((sender, r)) for r in receivers], targets))
+        states = self._states
+        good_loss = self.good_loss
+        bad_loss = self.bad_loss
+        p_good_to_bad = self.p_good_to_bad
+        p_bad_to_good = self.p_bad_to_good
+        size = len(targets)
+
+        def draw(rng: random.Random) -> Tuple[int, ...]:
+            rand = rng.random
+            kept = []
+            for lid, target in lanes:
+                if states[lid]:
+                    if rand() < p_bad_to_good:
+                        states[lid] = False
+                        loss = good_loss
+                    else:
+                        loss = bad_loss
+                elif rand() < p_good_to_bad:
+                    states[lid] = True
+                    loss = bad_loss
+                else:
+                    loss = good_loss
+                if rand() >= loss:
+                    kept.append(target)
+            return targets if len(kept) == size else tuple(kept)
+
+        return draw
+
     def reset(self) -> None:
-        self._bad.clear()
+        # In place: the ids and states start over, so a drawer compiled
+        # before this call is stale (see NoiseModel.compile_lane).
+        self._link_ids.clear()
+        self._states.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -116,21 +116,13 @@ def _cascade_and_collisions(
     Returns the number of repairs made (the update-phase overhead).
     """
     repairs = 0
-    sink = topology.sink
-    # Hoisted per-fixpoint tables (see das.centralized._repair): the
-    # parent map and tie-break keys never change while slots move, and
-    # ``tuple()`` of the cached frozenset keeps the collision pairs in
-    # exactly the iteration order the tie-breaks were computed under.
-    nodes = [n for n in topology.nodes if n != sink]
+    # Per-fixpoint tables: the parent map never changes while slots
+    # move; the collision pairs and tie-break hops are built once per
+    # topology (see das.centralized._repair).
+    tables = topology.repair_tables()
+    nodes, collision_pairs, hop = tables.nodes, tables.collision_pairs, tables.hop
     parent_of = {n: schedule.parent_of(n) for n in nodes}
     parented = [n for n in nodes if parent_of[n] is not None]
-    collision_pairs = {
-        n: tuple(
-            m for m in topology.collision_neighbourhood(n) if m != sink and m > n
-        )
-        for n in nodes
-    }
-    hop = {n: topology.sink_distance(n) for n in topology.nodes}
     changed = True
     guard = 20 * topology.num_nodes
     while changed:

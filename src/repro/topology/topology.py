@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -68,6 +70,23 @@ def _reachable(adj: Mapping[NodeId, Iterable[NodeId]], start: NodeId) -> set:
     return seen
 
 
+class RepairTables(NamedTuple):
+    """The per-topology inputs of the slot-repair fixpoints
+    (:func:`repro.das.centralized._repair` and the SLP update cascade),
+    which re-read the same structure every pass and every seed."""
+
+    #: every node but the sink, in sorted order.
+    nodes: Tuple[NodeId, ...]
+    #: node → its shortest-path children, the sink left out.
+    spc: Dict[NodeId, Tuple[NodeId, ...]]
+    #: node → the 2-hop neighbours ``m > node`` other than the sink, in
+    #: the iteration order of :meth:`Topology.collision_neighbourhood`
+    #: (the repair tie-breaks depend on it).
+    collision_pairs: Dict[NodeId, Tuple[NodeId, ...]]
+    #: node → hop distance to the sink.
+    hop: Dict[NodeId, int]
+
+
 class TopologyMetrics:
     """Array-backed distance/structure metrics for one topology.
 
@@ -82,16 +101,30 @@ class TopologyMetrics:
       closer to the sink), precomputed for all nodes in one sweep;
     * :meth:`distance_row` — a BFS row from an arbitrary root, cached
       per root (this is what turns :meth:`Topology.hop_distance` from
-      one shortest-path search *per query* into one BFS *per root*).
+      one shortest-path search *per query* into one BFS *per root*);
+    * :meth:`repair_tables` — the schedule-repair tables, built on
+      first use only.
 
     The structure is derived state: :meth:`Topology.__getstate__`
     excludes it from pickle exactly like the other caches, so worker
     processes rebuild it deterministically from the adjacency.
     """
 
-    __slots__ = ("order", "index", "adj", "neighbour_ids", "sink_row", "spc", "_rows")
+    __slots__ = (
+        "order",
+        "index",
+        "adj",
+        "neighbour_ids",
+        "sink_row",
+        "spc",
+        "_rows",
+        "_sink",
+        "_repair",
+    )
 
     def __init__(self, adj: Mapping[NodeId, Iterable[NodeId]], sink: NodeId) -> None:
+        self._sink = sink
+        self._repair: Optional[RepairTables] = None
         self.order: Tuple[NodeId, ...] = tuple(sorted(adj))
         index = {node: i for i, node in enumerate(self.order)}
         self.index: Dict[NodeId, int] = index
@@ -156,6 +189,32 @@ class TopologyMetrics:
         if row is not None:
             return row[a]
         return self.distance_row(a)[b]
+
+    def repair_tables(
+        self, two_hop: Callable[[NodeId], FrozenSet[NodeId]]
+    ) -> RepairTables:
+        """The slot-repair tables, built on first use from the 2-hop
+        query ``two_hop`` (every schedule build on this topology shares
+        them; see :meth:`Topology.repair_tables`)."""
+        tables = self._repair
+        if tables is None:
+            sink = self._sink
+            index = self.index
+            nodes = tuple(n for n in self.order if n != sink)
+            tables = RepairTables(
+                nodes=nodes,
+                spc={
+                    n: tuple(m for m in self.spc[index[n]] if m != sink)
+                    for n in nodes
+                },
+                collision_pairs={
+                    n: tuple(m for m in two_hop(n) if m != sink and m > n)
+                    for n in nodes
+                },
+                hop=dict(zip(self.order, self.sink_row)),
+            )
+            self._repair = tables
+        return tables
 
 
 class Topology:
@@ -388,6 +447,11 @@ class Topology:
         result = frozenset(reach)
         self._two_hop[node] = result
         return result
+
+    def repair_tables(self) -> RepairTables:
+        """The schedule-repair fixpoints' tables for this topology,
+        built once on first use and kept on :attr:`metrics`."""
+        return self.metrics.repair_tables(self.collision_neighbourhood)
 
     def are_linked(self, a: NodeId, b: NodeId) -> bool:
         """Whether nodes ``a`` and ``b`` share a communication link."""
