@@ -96,6 +96,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -782,6 +783,11 @@ class _Server(ThreadingHTTPServer):
             self._connections.discard(request)
         super().shutdown_request(request)
 
+    def handle_error(self, request: socket.socket, client_address: object) -> None:
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return  # the peer went away mid-exchange: nothing to report
+        super().handle_error(request, client_address)
+
     def close_connections(self) -> None:
         """Shut every open connection down: its handler thread reads
         EOF and exits, its client sees the connection closed."""
@@ -817,17 +823,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _reply(self, status: int, document: object) -> None:
-        body = json.dumps(document, sort_keys=True).encode() + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._reply_raw(status, json.dumps(document, sort_keys=True).encode() + b"\n")
 
     def _reply_raw(self, status: int, body: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -848,8 +851,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
         default_registry().inc("service.requests")
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length)
+            raw = self._read_body()
+            if raw is None:
+                return
             if not self._authorized():
                 self._reply(401, {"error": "missing or invalid bearer token"})
                 return
@@ -865,9 +869,33 @@ class _Handler(BaseHTTPRequestHandler):
         except ConfigurationError as exc:
             self._reply(400, {"error": str(exc)})
         except Exception as exc:  # never a crash, never a traceback page
-            self._reply(
-                500, {"error": f"{type(exc).__name__}: {exc}"}
-            )
+            self._fail(exc)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, read to its end so the kept-alive
+        connection stays in step; ``None`` (after replying and marking
+        the connection for close) when it cannot be: a chunked body or
+        a bad ``Content-Length`` would leave bytes the next request
+        parse would misread."""
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            self._reply(411, {"error": "send the body with a Content-Length"})
+            return None
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._reply(400, {"error": "invalid Content-Length"})
+            return None
+        return self.rfile.read(length)
+
+    def _fail(self, exc: Exception) -> None:
+        """A 500 reply, then close: the handler stopped part-way, so
+        the connection may hold an unread body or a half-built reply."""
+        self.close_connection = True
+        self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
 
     def _route_post(self, payload: object) -> None:
         parts = [p for p in self.path.split("/") if p]
@@ -896,10 +924,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         default_registry().inc("service.requests")
+        if "Transfer-Encoding" in self.headers or self.headers.get(
+            "Content-Length", "0"
+        ) != "0":
+            # A GET body is never read: close rather than parse it as
+            # the next request.
+            self.close_connection = True
         try:
             self._route_get()
         except Exception as exc:
-            self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+            self._fail(exc)
 
     def _route_get(self) -> None:
         url = urlsplit(self.path)

@@ -35,10 +35,16 @@ import time
 from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 
 #: What a failed exchange raises when no HTTP status came back.
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
+#: The connection class of each URL scheme a channel accepts.
+_CONNECTIONS = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
 
 
 class ServiceError(ReproError):
@@ -61,12 +67,28 @@ class HttpChannel:
     an idle timeout, a restart, a drain) is replaced by a fresh one and
     the request sent once more.  Every endpoint tolerates the repeat:
     submissions and uploads dedup, and a lease nobody uses times out.
+
+    ``base_url`` must be an ``http://`` or ``https://`` URL with a host;
+    anything else raises :class:`~repro.errors.ConfigurationError`
+    rather than being sent somewhere in cleartext.
     """
 
     def __init__(self, base_url: str, timeout: float) -> None:
         parts = urlsplit(base_url)
+        connection = _CONNECTIONS.get(parts.scheme)
+        if connection is None:
+            raise ConfigurationError(
+                f"service URL must start with http:// or https://, got {base_url!r}"
+            )
+        try:
+            port = parts.port
+        except ValueError as exc:
+            raise ConfigurationError(f"bad service URL {base_url!r}: {exc}") from None
+        if not parts.hostname:
+            raise ConfigurationError(f"service URL {base_url!r} names no host")
+        self._connection = connection
         self._host = parts.hostname
-        self._port = parts.port or 80
+        self._port = port  # None: the scheme's default port
         self._prefix = parts.path.rstrip("/")
         self._timeout = timeout
         self._local = threading.local()
@@ -86,9 +108,7 @@ class HttpChannel:
                 return self._round_trip(conn, method, path, body, headers)
             except ConnectionError:
                 pass  # closed by the peer while idle: once more, fresh
-        conn = http.client.HTTPConnection(
-            self._host, self._port, timeout=self._timeout
-        )
+        conn = self._connection(self._host, self._port, timeout=self._timeout)
         self._local.conn = conn
         return self._round_trip(conn, method, path, body, headers)
 

@@ -100,14 +100,6 @@ class IdealNoise(NoiseModel):
         # No draws in either form: the per-call path never touches the RNG.
         return [True] * len(receivers)
 
-    def compile_lane(
-        self,
-        sender: NodeId,
-        receivers: Sequence[NodeId],
-        targets: Tuple[int, ...],
-    ) -> LaneDrawer:
-        return lambda rng: targets
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "IdealNoise()"
 
@@ -136,22 +128,6 @@ class BernoulliNoise(NoiseModel):
         loss = self.loss_probability
         rand = rng.random
         return [rand() >= loss for _ in receivers]
-
-    def compile_lane(
-        self,
-        sender: NodeId,
-        receivers: Sequence[NodeId],
-        targets: Tuple[int, ...],
-    ) -> LaneDrawer:
-        loss = self.loss_probability
-        size = len(targets)
-
-        def draw(rng: random.Random) -> Tuple[int, ...]:
-            rand = rng.random
-            kept = [t for t in targets if rand() >= loss]
-            return targets if len(kept) == size else tuple(kept)
-
-        return draw
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BernoulliNoise(loss_probability={self.loss_probability})"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -101,9 +100,7 @@ class TopologyMetrics:
       closer to the sink), precomputed for all nodes in one sweep;
     * :meth:`distance_row` — a BFS row from an arbitrary root, cached
       per root (this is what turns :meth:`Topology.hop_distance` from
-      one shortest-path search *per query* into one BFS *per root*);
-    * :meth:`repair_tables` — the schedule-repair tables, built on
-      first use only.
+      one shortest-path search *per query* into one BFS *per root*).
 
     The structure is derived state: :meth:`Topology.__getstate__`
     excludes it from pickle exactly like the other caches, so worker
@@ -118,13 +115,9 @@ class TopologyMetrics:
         "sink_row",
         "spc",
         "_rows",
-        "_sink",
-        "_repair",
     )
 
     def __init__(self, adj: Mapping[NodeId, Iterable[NodeId]], sink: NodeId) -> None:
-        self._sink = sink
-        self._repair: Optional[RepairTables] = None
         self.order: Tuple[NodeId, ...] = tuple(sorted(adj))
         index = {node: i for i, node in enumerate(self.order)}
         self.index: Dict[NodeId, int] = index
@@ -190,32 +183,6 @@ class TopologyMetrics:
             return row[a]
         return self.distance_row(a)[b]
 
-    def repair_tables(
-        self, two_hop: Callable[[NodeId], FrozenSet[NodeId]]
-    ) -> RepairTables:
-        """The slot-repair tables, built on first use from the 2-hop
-        query ``two_hop`` (every schedule build on this topology shares
-        them; see :meth:`Topology.repair_tables`)."""
-        tables = self._repair
-        if tables is None:
-            sink = self._sink
-            index = self.index
-            nodes = tuple(n for n in self.order if n != sink)
-            tables = RepairTables(
-                nodes=nodes,
-                spc={
-                    n: tuple(m for m in self.spc[index[n]] if m != sink)
-                    for n in nodes
-                },
-                collision_pairs={
-                    n: tuple(m for m in two_hop(n) if m != sink and m > n)
-                    for n in nodes
-                },
-                hop=dict(zip(self.order, self.sink_row)),
-            )
-            self._repair = tables
-        return tables
-
 
 class Topology:
     """An immutable WSN topology with designated source and sink.
@@ -277,6 +244,7 @@ class Topology:
 
         # Derived caches, computed lazily.
         self._two_hop: Dict[NodeId, FrozenSet[NodeId]] = {}
+        self._repair: Optional[RepairTables] = None
         self._metrics: Optional[TopologyMetrics] = None
         self._neighbour_cache: Dict[NodeId, Tuple[NodeId, ...]] = {}
         self._nx_graph: Optional["nx.Graph"] = None
@@ -284,8 +252,8 @@ class Topology:
     def __getstate__(self) -> Dict[str, object]:
         """Pickle without the derived caches.
 
-        The caches (2-hop sets, neighbour tuples, the array-backed
-        :class:`TopologyMetrics`, the networkx export) are rebuilt
+        The caches (2-hop sets, the repair tables, neighbour tuples, the
+        array-backed :class:`TopologyMetrics`, the networkx export) are rebuilt
         deterministically on demand, and excluding them matters for more
         than size: pickling a ``frozenset`` does not preserve its internal
         layout, so its *iteration order* can change across a round-trip.
@@ -298,6 +266,7 @@ class Topology:
         """
         state = self.__dict__.copy()
         state["_two_hop"] = {}
+        state["_repair"] = None
         state["_metrics"] = None
         state["_neighbour_cache"] = {}
         state["_nx_graph"] = None
@@ -450,8 +419,28 @@ class Topology:
 
     def repair_tables(self) -> RepairTables:
         """The schedule-repair fixpoints' tables for this topology,
-        built once on first use and kept on :attr:`metrics`."""
-        return self.metrics.repair_tables(self.collision_neighbourhood)
+        built on first use (every schedule build on it shares them)."""
+        tables = self._repair
+        if tables is None:
+            sink = self._sink
+            metrics = self.metrics
+            index = metrics.index
+            two_hop = self.collision_neighbourhood
+            nodes = tuple(n for n in metrics.order if n != sink)
+            tables = RepairTables(
+                nodes=nodes,
+                spc={
+                    n: tuple(m for m in metrics.spc[index[n]] if m != sink)
+                    for n in nodes
+                },
+                collision_pairs={
+                    n: tuple(m for m in two_hop(n) if m != sink and m > n)
+                    for n in nodes
+                },
+                hop=dict(zip(metrics.order, metrics.sink_row)),
+            )
+            self._repair = tables
+        return tables
 
     def are_linked(self, a: NodeId, b: NodeId) -> bool:
         """Whether nodes ``a`` and ``b`` share a communication link."""

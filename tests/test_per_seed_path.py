@@ -27,6 +27,7 @@ Transport invariants (one kept-alive connection per client thread):
 from __future__ import annotations
 
 import random
+import re
 import socket
 import time
 
@@ -37,9 +38,11 @@ from hypothesis import strategies as st
 from repro.app import FAST_KERNEL, LEGACY_KERNEL, run_operational_phase
 from repro.core import Schedule
 from repro.das import centralized_das_schedule
+from repro.errors import ConfigurationError
 from repro.experiments import RetryPolicy
 from repro.service import (
     ServiceClient,
+    ServiceError,
     SweepService,
     TransportError,
     WorkerTransport,
@@ -291,3 +294,73 @@ class TestKeepAlive:
             )
         assert after_drain.value.status == refused.value.status == 0
         assert str(after_drain.value) == str(refused.value)
+
+    @staticmethod
+    def _replies(service, request: bytes):
+        """Send raw bytes on one connection; every status line the
+        server sends back before it closes the connection."""
+        port = int(service.url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(request)
+            data = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+        return re.findall(rb"HTTP/1\.1 (\d{3}) ", data)
+
+    @pytest.mark.parametrize(
+        "head, body",
+        [
+            (b"Transfer-Encoding: chunked", b"5\r\nhello\r\n0\r\n\r\n"),
+            (b"Content-Length: twelve", b"{}"),
+            (b"Content-Length: -1", b"{}"),
+        ],
+        ids=["chunked", "unparsable-length", "negative-length"],
+    )
+    def test_unread_body_closes_the_connection(self, tmp_path, head, body):
+        """A POST body the handler cannot read to its end is answered
+        once and the connection closed — the leftover bytes are never
+        parsed as a next request."""
+        service = SweepService(tmp_path / "svc", port=0, remote=True).start()
+        try:
+            second = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            request = b"POST /jobs HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n\r\n"
+            statuses = self._replies(service, request + body + second)
+            assert len(statuses) == 1 and statuses[0] in (b"400", b"411")
+        finally:
+            service.drain()
+
+    def test_well_formed_requests_share_the_connection(self, tmp_path):
+        service = SweepService(tmp_path / "svc", port=0, remote=True).start()
+        try:
+            post = b"POST /shards/claim HTTP/1.1\r\nHost: x\r\nContent-Length: 15\r\n\r\n"
+            last = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            statuses = self._replies(service, post + b'{"worker": "w"}' + last)
+            assert statuses == [b"200", b"200"]
+        finally:
+            service.drain()
+
+
+class TestServiceUrl:
+    @pytest.mark.parametrize(
+        "url",
+        ["ftp://127.0.0.1:8080", "127.0.0.1:8080", "localhost", "http://", "http://h:port"],
+    )
+    @pytest.mark.parametrize("make", [ServiceClient, WorkerTransport])
+    def test_unusable_urls_are_rejected_up_front(self, make, url):
+        with pytest.raises(ConfigurationError):
+            make(url)
+
+    def test_https_is_not_downgraded_to_cleartext(self, tmp_path):
+        """An https URL speaks TLS: against a plain-HTTP service the
+        handshake fails instead of the request going out in the clear."""
+        service = SweepService(tmp_path / "svc", port=0, remote=True).start()
+        try:
+            url = service.url.replace("http://", "https://")
+            with pytest.raises(ServiceError) as failed:
+                ServiceClient(url, retries=1, token="secret").health()
+            assert failed.value.status == 0
+        finally:
+            service.drain()
