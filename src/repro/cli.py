@@ -220,7 +220,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
         )
     print(format_overhead(measurement))
     _report_telemetry(args)
-    return 0
+    return _quarantine_exit(measurement.failures)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -10,8 +10,7 @@ as the text equivalent of the paper's bar chart, and
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -20,7 +19,7 @@ from ..errors import ConfigurationError
 from ..metrics import CaptureStats
 from ..topology import paper_grid
 from .config import PAPER, PAPER_SIZES, PaperParameters
-from .parallel import ParallelExperimentRunner, resolve_workers
+from .parallel import ParallelExperimentRunner
 from .resilience import FailedRun, SweepCheckpoint
 from .runner import PROTECTIONLESS, SLP, ExperimentConfig, ExperimentRunner
 
@@ -118,82 +117,62 @@ def run_figure5(
     ``on_result(seed, result)`` fires after every completed run across
     all sweeps of the panel (the CLI's live progress hook).
     """
-    workers = resolve_workers(workers)
     store = SweepCheckpoint(checkpoint) if checkpoint is not None else None
     bundle_dir = (
         str(Path(checkpoint) / "divergence") if checkpoint is not None else "divergence"
     )
+    protectionless = ExperimentConfig(
+        algorithm=PROTECTIONLESS,
+        repeats=repeats,
+        base_seed=base_seed,
+        noise=noise,
+        attacker=attacker,
+        parameters=parameters,
+        kernel=kernel,
+        setup_kernel=setup_kernel,
+        use_schedule_cache=use_schedule_cache,
+        use_distributed=use_distributed,
+    )
+    configs = (
+        protectionless,
+        replace(protectionless, algorithm=SLP, search_distance=search_distance),
+    )
     cells = []
-    with ExitStack() as stack:
-        # One pool serves every size and both algorithms: pool start-up
-        # is paid once per figure, not once per cell.
-        pool = None
-        if workers is not None and workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-        for size in sizes:
-            topology = paper_grid(size)
-            if pool is None:
-                runner: ExperimentRunner = ExperimentRunner(topology)
-            else:
-                runner = ParallelExperimentRunner(
-                    topology,
-                    workers=workers,
-                    executor=pool,
-                    chunk_timeout=chunk_timeout,
+    for size in sizes:
+        topology = paper_grid(size)
+        # Each size's runner owns its pool (started and stopped here);
+        # both algorithms of the cell share it.
+        runner = (
+            ExperimentRunner(topology)
+            if workers is None
+            else ParallelExperimentRunner(
+                topology, workers=workers, chunk_timeout=chunk_timeout
+            )
+        )
+        with runner:
+            base, slp = [
+                runner.run_resilient(
+                    config,
+                    checkpoint=store,
+                    resume=resume,
+                    guard=guard,
+                    bundle_dir=bundle_dir,
+                    on_result=on_result,
                 )
-            base = runner.run_resilient(
-                ExperimentConfig(
-                    algorithm=PROTECTIONLESS,
-                    repeats=repeats,
-                    base_seed=base_seed,
-                    noise=noise,
-                    attacker=attacker,
-                    parameters=parameters,
-                    kernel=kernel,
-                    setup_kernel=setup_kernel,
-                    use_schedule_cache=use_schedule_cache,
-                    use_distributed=use_distributed,
+                for config in configs
+            ]
+        cells.append(
+            Figure5Cell(
+                size=size,
+                protectionless=base.stats,
+                slp=slp.stats,
+                failures=tuple(base.failures) + tuple(slp.failures),
+                degraded=any(
+                    outcome.guard is not None and outcome.guard.degraded
+                    for outcome in (base, slp)
                 ),
-                checkpoint=store,
-                resume=resume,
-                guard=guard,
-                bundle_dir=bundle_dir,
-                on_result=on_result,
             )
-            slp = runner.run_resilient(
-                ExperimentConfig(
-                    algorithm=SLP,
-                    search_distance=search_distance,
-                    repeats=repeats,
-                    base_seed=base_seed,
-                    noise=noise,
-                    attacker=attacker,
-                    parameters=parameters,
-                    kernel=kernel,
-                    setup_kernel=setup_kernel,
-                    use_schedule_cache=use_schedule_cache,
-                    use_distributed=use_distributed,
-                ),
-                checkpoint=store,
-                resume=resume,
-                guard=guard,
-                bundle_dir=bundle_dir,
-                on_result=on_result,
-            )
-            cells.append(
-                Figure5Cell(
-                    size=size,
-                    protectionless=base.stats,
-                    slp=slp.stats,
-                    failures=tuple(base.failures) + tuple(slp.failures),
-                    degraded=any(
-                        outcome.guard is not None and outcome.guard.degraded
-                        for outcome in (base, slp)
-                    ),
-                )
-            )
+        )
     return Figure5Result(
         search_distance=search_distance,
         repeats=repeats,

@@ -21,12 +21,17 @@ and poison-seed isolation via chunk splitting — a failing worker
 quarantines at most its own seeds instead of aborting the sweep, and a
 sweep in which nothing fails is byte-identical to unsupervised
 execution.
+
+:class:`ParallelExperimentRunner` is the library's only pool owner.
+Any other per-seed function (the message-overhead experiment) runs on
+the same supervised pool through
+:meth:`ParallelExperimentRunner.map_seeds`.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..app import OperationalResult
 from ..core import Schedule
@@ -95,7 +100,7 @@ def plan_workers(
     verbatim (benchmarks measuring pool overhead itself need this).
     ``None`` stays serial, ``0`` means one per CPU, as everywhere else.
     """
-    resolved = resolve_workers(workers)
+    resolved = default_workers() if workers == 0 else workers
     if resolved is None or resolved <= 1:
         return 1
     if force_parallel:
@@ -146,7 +151,7 @@ def seed_chunks(seeds: Sequence[int], tasks: int) -> List[Tuple[int, ...]]:
     return chunks
 
 
-class ChunkResults(List[OperationalResult]):
+class ChunkResults(list):
     """One chunk's result list plus an optional telemetry payload.
 
     A ``list`` subclass, so the supervisor's seed↔result zip and every
@@ -159,25 +164,45 @@ class ChunkResults(List[OperationalResult]):
     telemetry: Optional[dict] = None
 
 
+class _SweepSeed:
+    """An operational sweep's per-seed function, as shipped to a worker.
+    Its first call preloads ``schedules`` (the chunk's schedules the
+    parent had already built) counter-neutrally into the worker's
+    default cache, so the worker reuses them instead of rebuilding."""
+
+    def __init__(
+        self,
+        topology: Topology,
+        config: ExperimentConfig,
+        schedules: Optional[Dict[Tuple, Schedule]] = None,
+    ) -> None:
+        self._topology = topology
+        self._config = config
+        self._schedules = schedules
+        self._runner: Optional[ExperimentRunner] = None
+
+    def __call__(self, seed: int) -> OperationalResult:
+        if self._runner is None:
+            if self._schedules:
+                default_schedule_cache().preload(self._schedules)
+            self._runner = ExperimentRunner(self._topology)
+        return self._runner.run_once(self._config, seed)
+
+
 def _run_seed_chunk(
-    topology: Topology,
-    config: ExperimentConfig,
-    seeds: Tuple[int, ...],
-    schedules: Optional[Dict[Tuple, Schedule]] = None,
-) -> List[OperationalResult]:
-    """Worker entry point: execute one contiguous chunk of seeds.
+    run_seed: Callable[[int], object], seeds: Tuple[int, ...], telemetry: bool
+) -> list:
+    """Worker entry point: ``run_seed`` over one contiguous chunk of seeds.
 
-    ``schedules`` carries any of the chunk's schedules the parent had
-    already built (keyed exactly as the worker's ``build_schedule``
-    lookups); they are preloaded counter-neutrally into this worker's
-    process-default cache so the worker reuses instead of rebuilding.
-    Module-level so it pickles by reference under every start method.
+    ``run_seed`` is any picklable per-seed function; the chaos fault
+    point fires before each seed.  Module-level so it pickles by
+    reference under every start method.
 
-    With ``config.telemetry`` set the chunk instruments itself — a
-    private tracer and registry for exactly this chunk's work — and
-    ships both back with the results as a :class:`ChunkResults`
-    payload, which the supervisor absorbs onto the parent's timeline
-    as a separate worker track.
+    With ``telemetry`` set the chunk instruments itself — a private
+    tracer and registry for exactly this chunk's work — and ships both
+    back with the results as a :class:`ChunkResults` payload, which the
+    supervisor absorbs onto the parent's timeline as a separate worker
+    track.
     """
     # An active tracer owned by *this* process means the chunk is
     # running inline under the parent session — its spans land on the
@@ -185,15 +210,15 @@ def _run_seed_chunk(
     # artefact of fork-start pools (the child inherits the parent's
     # module globals); the worker must still instrument itself.
     parent_tracer = active_tracer()
-    if not config.telemetry or (
+    if not telemetry or (
         parent_tracer is not None and parent_tracer.pid == os.getpid()
     ):
-        return _run_chunk_seeds(topology, config, seeds, schedules)
+        return _run_chunk_seeds(run_seed, seeds)
     tracer = SpanTracer()
     registry = MetricsRegistry()
     with use_registry(registry), tracing(tracer):
         with tracer.span("chunk.run", seeds=list(seeds)):
-            results = _run_chunk_seeds(topology, config, seeds, schedules)
+            results = _run_chunk_seeds(run_seed, seeds)
     payload = tracer.export_payload()
     payload["metrics"] = registry.snapshot()
     wrapped = ChunkResults(results)
@@ -202,21 +227,15 @@ def _run_seed_chunk(
 
 
 def _run_chunk_seeds(
-    topology: Topology,
-    config: ExperimentConfig,
-    seeds: Tuple[int, ...],
-    schedules: Optional[Dict[Tuple, Schedule]] = None,
-) -> List[OperationalResult]:
-    if schedules:
-        default_schedule_cache().preload(schedules)
+    run_seed: Callable[[int], object], seeds: Tuple[int, ...]
+) -> list:
     plan = active_fault_plan()
-    runner = ExperimentRunner(topology)
     results = []
     for seed in seeds:
         if plan is not None:
             # Chaos-only fault point (crash/hang/transient/poison).
             plan.before_seed(seed)
-        results.append(runner.run_once(config, seed))
+        results.append(run_seed(seed))
     return results
 
 
@@ -234,13 +253,6 @@ class ParallelExperimentRunner(ExperimentRunner):
     chunks_per_worker:
         Load-balancing granularity: each ``run`` splits its seeds into
         up to ``workers × chunks_per_worker`` tasks.
-    executor:
-        An externally owned pool to submit to, shared between runners
-        (e.g. one pool across every grid size of a figure).  The runner
-        never shuts an external pool down; without one, a pool is
-        created lazily on first use and reused across ``run`` calls
-        (pool start-up would otherwise dominate short sweeps) — close
-        it with :meth:`close` or use the runner as a context manager.
     schedule_cache:
         As on :class:`ExperimentRunner` — the parent-side cache
         consulted by ``build_schedule`` *and* mined for already-built
@@ -253,6 +265,10 @@ class ParallelExperimentRunner(ExperimentRunner):
         Seconds a chunk future may run before the pool is presumed
         hung, killed and respawned (``None``, the default, disables the
         timeout — a crash still recovers, a genuine hang does not).
+
+    The pool is created lazily on first use and reused across ``run``
+    calls (pool start-up would otherwise dominate short sweeps) — close
+    it with :meth:`close` or use the runner as a context manager.
     """
 
     def __init__(
@@ -260,7 +276,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         topology: Topology,
         workers: Optional[int] = None,
         chunks_per_worker: int = 4,
-        executor: Optional["ProcessPoolExecutor"] = None,
         schedule_cache: Optional["ScheduleCache"] = None,
         retry_policy: Optional[RetryPolicy] = None,
         chunk_timeout: Optional[float] = None,
@@ -285,7 +300,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         self._workers = resolved
         self._chunks_per_worker = chunks_per_worker
         self._executor: Optional["ProcessPoolExecutor"] = None
-        self._external_executor = executor
         self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._chunk_timeout = chunk_timeout
 
@@ -323,8 +337,6 @@ class ParallelExperimentRunner(ExperimentRunner):
         return shipped or None
 
     def _ensure_executor(self) -> "ProcessPoolExecutor":
-        if self._external_executor is not None:
-            return self._external_executor
         if self._executor is None:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -342,31 +354,12 @@ class ParallelExperimentRunner(ExperimentRunner):
             except (OSError, ValueError):  # already gone
                 pass
 
-    def _abandon_pool(self, kill: bool = False) -> None:
-        """Discard the current pool so the next submit gets a fresh one
-        (the supervisor's ``respawn`` hook).
-
-        A broken or hung *external* pool cannot be recovered here — it
-        belongs to the caller, who still shuts it down — so the runner
-        simply stops submitting to it and falls back to an owned
-        replacement.  ``kill=True`` additionally terminates an owned
-        pool's processes before the non-blocking shutdown.
-        """
-        if self._external_executor is not None:
-            self._external_executor = None
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            if kill:
-                self._terminate_processes(executor)
-            executor.shutdown(wait=False, cancel_futures=True)
-
     def close(self, kill: bool = False) -> None:
-        """Shut the owned worker pool down (an external ``executor`` is
-        left running).  Idempotent; the runner may be reused afterwards
-        (a fresh pool is spawned on demand).  ``kill=True`` cancels
-        pending futures, terminates the worker processes and does not
-        wait — the interrupt path, which must never orphan workers
+        """Shut the worker pool down; the next submit spawns a fresh one
+        (this is also the supervisor's ``respawn`` hook).  Idempotent.
+        ``kill=True`` cancels pending futures, terminates the worker
+        processes and does not wait — the only way to reclaim a hung
+        worker, and the interrupt path, which must never orphan workers
         behind a blocking shutdown."""
         executor = self._executor
         self._executor = None
@@ -387,34 +380,50 @@ class ParallelExperimentRunner(ExperimentRunner):
         )
         self.close(kill=interrupted)
 
-    def _submit_chunk(self, config: ExperimentConfig, seeds: Tuple[int, ...]):
-        """Dispatch one chunk to the current pool (the supervisor's
-        ``submit`` hook), shipping any already-built schedules."""
-        payload = self._cached_schedules_for(config, seeds)
-        return self._ensure_executor().submit(
-            _run_seed_chunk, self._topology, config, seeds, payload
-        )
-
     def _execute(
         self,
         config: ExperimentConfig,
         seeds: Sequence[int],
         on_result=None,
     ) -> Tuple[Dict[int, OperationalResult], Tuple[FailedRun, ...]]:
-        """Supervised pool execution of a seed sweep.
-
-        Chunks run as individually supervised futures (timeout, retry
-        with backoff, pool respawn, poison-seed isolation — see
-        :class:`~repro.experiments.resilience.WorkerSupervisor`);
-        results are keyed by seed, so the reassembled sweep is
-        bit-identical to a serial one whenever nothing fails.
-        """
+        """Supervised pool execution of a seed sweep; each chunk ships
+        the schedules the parent already built."""
         if self._workers == 1 or len(seeds) <= 1:
             return super()._execute(config, seeds, on_result)
+        return self.map_seeds(
+            lambda chunk: _SweepSeed(
+                self._topology, config, self._cached_schedules_for(config, chunk)
+            ),
+            seeds,
+            config.telemetry,
+            on_result,
+        )
+
+    def map_seeds(
+        self,
+        task_for: Callable[[Tuple[int, ...]], Callable[[int], object]],
+        seeds: Sequence[int],
+        telemetry: bool,
+        on_result=None,
+    ) -> Tuple[Dict[int, object], Tuple[FailedRun, ...]]:
+        """Run ``seeds`` on the pool in chunks; a worker runs the
+        picklable per-seed function ``task_for(chunk)`` over its chunk.
+
+        Chunks run as individually supervised futures (fault points,
+        timeout, retry with backoff, pool respawn, poison-seed
+        isolation — see
+        :class:`~repro.experiments.resilience.WorkerSupervisor`);
+        ``telemetry`` has workers ship their spans and metrics back.
+        Returns results keyed by seed, so the reassembled sweep is
+        bit-identical to a serial one whenever nothing fails, plus the
+        quarantine records.
+        """
         chunks = seed_chunks(list(seeds), self._workers * self._chunks_per_worker)
         supervisor = WorkerSupervisor(
-            submit=lambda chunk: self._submit_chunk(config, chunk),
-            respawn=self._abandon_pool,
+            submit=lambda chunk: self._ensure_executor().submit(
+                _run_seed_chunk, task_for(chunk), chunk, telemetry
+            ),
+            respawn=self.close,
             retry=self._retry_policy,
             chunk_timeout=self._chunk_timeout,
             on_result=on_result,
@@ -427,12 +436,6 @@ class ParallelExperimentRunner(ExperimentRunner):
             # sweep nobody will collect.
             self.close(kill=True)
             raise
-
-
-def resolve_workers(workers: Optional[int]) -> Optional[int]:
-    """Normalise a ``workers`` argument: ``0`` means one per CPU (the
-    CLI convention), anything else passes through unchanged."""
-    return default_workers() if workers == 0 else workers
 
 
 def make_runner(

@@ -66,7 +66,7 @@ from typing import (
 )
 
 from ..app import OperationalResult
-from ..errors import invalid_field
+from ..errors import SweepExecutionError, invalid_field, sweep_failed
 from ..storage import atomic_write_text, durable_append
 from ..telemetry import absorb_worker_payload, active_tracer, default_registry
 from .faults import active_fault_plan
@@ -245,6 +245,19 @@ class Ladder:
         return Rung((), 0.0, FailedRun(seeds[0], attempt, kind, error))
 
 
+def nothing_survived(
+    owner: str, seeds: Sequence[int], failures: Sequence[FailedRun]
+) -> SweepExecutionError:
+    """The error for a sweep of ``seeds`` that produced no result at
+    all, naming the quarantined seeds and the attempts they cost."""
+    return sweep_failed(
+        owner,
+        seeds=[f.seed for f in failures] or list(seeds),
+        attempts=max((f.attempts for f in failures), default=0),
+        detail=failures[0].error if failures else "no seeds executed",
+    )
+
+
 class _Task:
     """One chunk of seeds queued for (re-)execution."""
 
@@ -284,7 +297,9 @@ class WorkerSupervisor:
       former chunk-mates complete normally.
 
     Results are keyed by seed, so completion order — reshuffled by
-    every retry — cannot affect the reassembled sweep.
+    every retry — cannot affect the reassembled sweep.  The supervisor
+    never looks inside a result: a chunk's future resolves to one
+    result per seed, of whatever type the per-seed function returns.
     """
 
     def __init__(
@@ -293,7 +308,7 @@ class WorkerSupervisor:
         respawn: Callable[[bool], None],
         retry: Optional[RetryPolicy] = None,
         chunk_timeout: Optional[float] = None,
-        on_result: Optional[Callable[[int, OperationalResult], None]] = None,
+        on_result: Optional[Callable[[int, object], None]] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if chunk_timeout is not None and chunk_timeout <= 0:
@@ -311,13 +326,13 @@ class WorkerSupervisor:
 
     def execute(
         self, chunks: Sequence[Tuple[int, ...]]
-    ) -> Tuple[Dict[int, OperationalResult], Tuple[FailedRun, ...]]:
+    ) -> Tuple[Dict[int, object], Tuple[FailedRun, ...]]:
         """Run every chunk to completion or quarantine.
 
         Returns results keyed by seed plus the quarantine records,
         ordered by seed.
         """
-        results: Dict[int, OperationalResult] = {}
+        results: Dict[int, object] = {}
         failures: List[FailedRun] = []
         queue: Deque[_Task] = deque(
             _Task(tuple(chunk), 1) for chunk in chunks if chunk
@@ -423,8 +438,8 @@ class WorkerSupervisor:
     def _harvest(
         self,
         task: _Task,
-        chunk_results: Sequence[OperationalResult],
-        results: Dict[int, OperationalResult],
+        chunk_results: Sequence[object],
+        results: Dict[int, object],
     ) -> None:
         payload = getattr(chunk_results, "telemetry", None)
         if payload is not None:

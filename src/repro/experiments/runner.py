@@ -29,7 +29,7 @@ from ..attacker import AttackerSpec
 from ..core import Schedule
 from ..das import centralized_das_schedule, run_das_setup
 from ..das.protocol import resolve_setup_kernel
-from ..errors import invalid_field, sweep_failed
+from ..errors import invalid_field
 from ..metrics import CaptureStats, capture_stats
 from ..simulator import CasinoLabNoise, NoiseModel
 from ..slp import (
@@ -48,6 +48,7 @@ from .resilience import (
     GuardReport,
     SweepCheckpoint,
     apply_divergence_guard,
+    nothing_survived,
 )
 from .schedule_cache import (
     ScheduleCache,
@@ -426,12 +427,7 @@ class ExperimentRunner:
         fail loudly when nothing survived."""
         results = tuple(results_by_seed[s] for s in seeds if s in results_by_seed)
         if not results:
-            raise sweep_failed(
-                type(self).__name__,
-                seeds=[f.seed for f in failures] or list(seeds),
-                attempts=max((f.attempts for f in failures), default=0),
-                detail=failures[0].error if failures else "no seeds executed",
-            )
+            raise nothing_survived(type(self).__name__, seeds, failures)
         return ExperimentOutcome(
             config=config,
             topology_name=self._topology.name,

@@ -73,6 +73,15 @@ class TestCli:
         assert main(base_args + ["--legacy-kernel"]) == 0
         assert capsys.readouterr().out == default_out
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_overhead_without_seeds_is_a_usage_error(self, seeds, capsys):
+        """Same error line and exit status as ``figure5 --repeats 0``."""
+        assert main(["overhead", "--size", "11", "--seeds", seeds]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: measure_setup_overhead.seeds=[]")
+        assert main(["figure5", "--sizes", "11", "--repeats", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ExperimentConfig.repeats=0")
+
     def test_verify(self, capsys):
         assert main(["verify", "--size", "11", "--seed", "0"]) == 0
         out = capsys.readouterr().out

@@ -531,7 +531,7 @@ class TestScheduleShipping:
         """_run_seed_chunk with a shipped payload takes cache hits, not
         rebuilds — run in-process so the default cache is observable."""
         from repro.experiments import ExperimentRunner
-        from repro.experiments.parallel import _run_seed_chunk
+        from repro.experiments.parallel import _run_seed_chunk, _SweepSeed
         from repro.experiments.schedule_cache import (
             default_schedule_cache,
             reset_default_cache,
@@ -547,7 +547,9 @@ class TestScheduleShipping:
         }
         reset_default_cache()
         try:
-            results = _run_seed_chunk(grid5, config, (0, 1), shipped)
+            results = _run_seed_chunk(
+                _SweepSeed(grid5, config, shipped), (0, 1), telemetry=False
+            )
             stats = default_schedule_cache().stats()
             assert len(results) == 2
             assert stats["hits"] == 2  # both lookups found shipped entries

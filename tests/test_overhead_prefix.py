@@ -22,9 +22,9 @@ from repro.das import (
     fast_setup_supported,
     run_das_setup,
 )
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.experiments import PAPER, format_overhead, measure_setup_overhead
-from repro.experiments.overhead import _measure_one_seed
+from repro.experiments.overhead import _SetupComparison
 from repro.metrics import MessageOverhead
 from repro.simulator import SEND, BernoulliNoise, CasinoLabNoise, IdealNoise
 from repro.slp import SlpProtocolConfig, run_slp_setup
@@ -175,13 +175,12 @@ class TestMeasurement:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_seed_frees_its_simulator_by_refcount(self, kernel):
-        topology = paper_grid(11)
-        args = (3, 30, 20, None, PAPER, kernel)
-        _measure_one_seed(topology, 0, *args)  # warm lazy caches
+        measure = _SetupComparison(paper_grid(11), 3, 30, 20, None, PAPER, kernel)
+        measure(0)  # warm lazy caches
         gc.collect()
         gc.disable()
         try:
-            _measure_one_seed(topology, 1, *args)
+            measure(1)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -227,6 +226,12 @@ class TestPhase1FailureParity:
                 setup_periods=setup_periods, setup_kernel=kernel,
             )
         assert str(measured.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("workers", (None, 2))
+def test_empty_seed_list_rejected(workers):
+    with pytest.raises(ConfigurationError):
+        measure_setup_overhead(paper_grid(11), seeds=(), workers=workers)
 
 
 def test_format_prints_the_measured_seeds():

@@ -167,22 +167,17 @@ class TestSerialParallelIdentity:
         runner.close()
         runner.close()
 
-    def test_external_executor_is_shared_and_survives_close(self, grid5, grid7):
-        """One pool can serve runners for several topologies (the
-        figure-level pattern); close() must not shut it down."""
-        from concurrent.futures import ProcessPoolExecutor
+    def test_figure5_pooled_panel_matches_serial_cell_for_cell(self):
+        """Each size's runner owns its pool; the pooled panel must still
+        equal the serial one in every cell."""
+        from repro.experiments import run_figure5
 
-        cfg = ExperimentConfig(repeats=4, noise="ideal")
-        serial5 = ExperimentRunner(grid5).run(cfg)
-        serial7 = ExperimentRunner(grid7).run(cfg)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            for grid, serial in ((grid5, serial5), (grid7, serial7)):
-                runner = ParallelExperimentRunner(grid, workers=2, executor=pool)
-                assert runner.run(cfg).results == serial.results
-                runner.close()  # must leave the external pool running
-            # The pool still works after both runners closed.
-            again = ParallelExperimentRunner(grid5, workers=2, executor=pool)
-            assert again.run(cfg).results == serial5.results
+        kwargs = dict(sizes=(11, 15), repeats=4, noise="ideal")
+        serial = run_figure5(3, **kwargs)
+        pooled = run_figure5(3, workers=2, **kwargs)
+        assert [cell.size for cell in pooled.cells] == [11, 15]
+        for got, want in zip(pooled.cells, serial.cells):
+            assert got == want
 
 
 class TestTopologyPickleDeterminism:

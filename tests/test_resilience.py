@@ -22,7 +22,12 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import EXIT_QUARANTINED, EXIT_SWEEP_FAILED, main
-from repro.errors import ConfigurationError, SweepExecutionError, sweep_failed
+from repro.errors import (
+    ConfigurationError,
+    ProtocolError,
+    SweepExecutionError,
+    sweep_failed,
+)
 from repro.experiments import (
     ExperimentConfig,
     ExperimentRunner,
@@ -33,7 +38,9 @@ from repro.experiments import (
     ParallelExperimentRunner,
     RetryPolicy,
     SweepCheckpoint,
+    format_overhead,
     guard_sample,
+    measure_setup_overhead,
     result_from_dict,
     result_to_dict,
 )
@@ -41,7 +48,7 @@ from repro.experiments import parallel as parallel_module
 from repro.experiments.runner import PROTECTIONLESS, SLP
 from repro.scenarios import ScenarioRunner
 from repro.telemetry import TelemetrySession
-from repro.topology import GridTopology
+from repro.topology import GridTopology, paper_grid
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.002)
 
@@ -237,6 +244,76 @@ class TestSupervisedChaos:
             assert outcome.failures == ()
             assert outcome.results == serial.results
             assert outcome.stats == serial.stats
+
+
+OVERHEAD = dict(seeds=range(6), setup_periods=30)
+
+
+@pytest.fixture(scope="module")
+def serial_overhead():
+    return measure_setup_overhead(paper_grid(11), **OVERHEAD)
+
+
+class TestOverheadChaos:
+    """The overhead experiment runs on the same supervised pool as the
+    sweeps, so worker faults cost it no result either."""
+
+    def test_faulty_pool_matches_serial_except_poison(
+        self, serial_overhead, tmp_path
+    ):
+        plan = FaultPlan(
+            transient_seeds=(1,),
+            crash_seeds=(2,),
+            poison_seeds=(4,),
+            marker_dir=str(tmp_path),
+        )
+        with TelemetrySession(label="drill") as session, plan.activated():
+            measured = measure_setup_overhead(paper_grid(11), workers=2, **OVERHEAD)
+        counters = session.registry.snapshot()["counters"]
+        assert counters["supervisor.respawns"] >= 1  # the crash really hit
+        assert counters["supervisor.quarantined"] == 1
+        assert [f.seed for f in measured.failures] == [4]
+        failure = measured.failures[0]
+        assert failure.kind == "error"
+        assert "InjectedFault" in failure.error
+        assert measured.seeds == (0, 1, 2, 3, 5)
+        assert measured.per_seed == tuple(
+            m for seed, m in zip(serial_overhead.seeds, serial_overhead.per_seed)
+            if seed != 4
+        )
+        rows = format_overhead(measured).splitlines()
+        assert f"4      quarantined after {failure.attempts} attempt(s): error" in rows
+
+    def test_every_seed_poisoned_fails_loudly(self, tmp_path):
+        plan = FaultPlan(poison_seeds=(0, 1), marker_dir=str(tmp_path))
+        with plan.activated():
+            with pytest.raises(SweepExecutionError) as excinfo:
+                measure_setup_overhead(
+                    paper_grid(11), seeds=(0, 1), setup_periods=30, workers=2
+                )
+        assert excinfo.value.seeds == (0, 1)
+
+    def test_protocol_error_raised_serially_quarantined_pooled(self):
+        """A seed whose setup fails raises in a serial run; a pooled run
+        quarantines it like any other failing seed (here every seed fails,
+        so the pooled run raises ``SweepExecutionError``)."""
+        kwargs = dict(seeds=(0, 1), search_distance=2, setup_periods=5)
+        with pytest.raises(ProtocolError):
+            measure_setup_overhead(GridTopology(5), **kwargs)
+        with pytest.raises(SweepExecutionError) as excinfo:
+            measure_setup_overhead(GridTopology(5), workers=2, **kwargs)
+        assert "ProtocolError" in str(excinfo.value)
+
+    def test_cli_exit_codes(self, tmp_path, capsys):
+        argv = ["overhead", "--size", "11", "--setup-periods", "30", "--workers", "2"]
+        with FaultPlan(poison_seeds=(1,)).activated():
+            assert main(argv + ["--seeds", "3"]) == EXIT_QUARANTINED
+        captured = capsys.readouterr()
+        assert "1      quarantined after" in captured.out
+        assert "quarantined after retries: [1]" in captured.err
+        with FaultPlan(poison_seeds=(0, 1)).activated():
+            assert main(argv + ["--seeds", "2"]) == EXIT_SWEEP_FAILED
+        assert "sweep failed" in capsys.readouterr().err
 
 
 class TestSweepCheckpoint:

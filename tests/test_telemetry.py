@@ -447,3 +447,26 @@ class TestCliTelemetry:
         names = {s["name"] for s in spans}
         assert "overhead.seed" in names
         assert "setup.phase1" in names
+
+    def test_pooled_overhead_ships_worker_spans(self, tmp_path):
+        """A pooled run records the same work spans as a serial one: the
+        workers' spans ride back with their chunks.  Only the pool's own
+        bookkeeping (``chunk.dispatch`` instants, ``chunk.run`` worker
+        roots) is extra."""
+        from collections import Counter
+
+        def span_names(*extra):
+            telemetry = tmp_path / f"telemetry{len(extra)}"
+            argv = ["overhead", "--size", "11", "--seeds", "2", "--quiet"]
+            assert main(argv + ["--telemetry", str(telemetry), *extra]) == 0
+            lines = (telemetry / "spans.jsonl").read_text().splitlines()
+            return Counter(json.loads(line)["name"] for line in lines)
+
+        serial = span_names()
+        pooled = span_names("--workers", "2")
+        assert serial == Counter(
+            {"cli.overhead": 1, "overhead.seed": 2, "setup.phase1": 2, "setup.phase23": 2}
+        )
+        assert pooled["chunk.run"] >= 1  # the spans came from workers
+        work = Counter({n: c for n, c in pooled.items() if not n.startswith("chunk.")})
+        assert work == serial
