@@ -26,8 +26,40 @@ Quickstart::
     print(verify_schedule(grid, build.schedule, delta))
 """
 
-import importlib
-from typing import List
+import sys
+from typing import Callable, Dict, List, Sequence, Tuple
+
+
+def _lazy_exports(
+    package: str, exports: Dict[str, Sequence[str]]
+) -> Tuple[List[str], Callable[[str], object], Callable[[], List[str]]]:
+    """``(__all__, __getattr__, __dir__)`` for a package root whose
+    public names resolve on first access (PEP 562).
+
+    ``exports`` maps each submodule to the names it defines.  Importing
+    the package runs none of those submodules: a name's submodule is
+    imported when the name is first read, and the value is then cached
+    in the package namespace.  Every package root uses this, so a cold
+    CLI call compiles only the modules its subcommand runs.
+    """
+    source = {name: module for module, names in exports.items() for name in names}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> object:
+        module = source.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        # ``__import__``, not ``importlib.import_module``: only imports
+        # that go through it show up under ``-X importtime``.
+        value = getattr(__import__(f"{package}.{module}", fromlist=(name,)), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(source))
+
+    return sorted(source), __getattr__, __dir__
+
 
 #: Submodule -> the public names it defines.  Each name is imported on
 #: first access (PEP 562), so importing one submodule of the package
@@ -159,19 +191,4 @@ _EXPORTS = {
     ),
 }
 
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_SOURCE)
-
-
-def __getattr__(name: str) -> object:
-    module = _SOURCE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,20 +1,19 @@
 """Schedule analysis: the slot-gradient geometry behind the privacy
 results (descent paths, basins, refinement footprints)."""
 
-from .gradient import (
-    GradientField,
-    descent_path,
-    gradient_field,
-    gradient_successor,
-    predicts_capture,
-    refinement_footprint,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "GradientField",
-    "descent_path",
-    "gradient_field",
-    "gradient_successor",
-    "predicts_capture",
-    "refinement_footprint",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "gradient": (
+        "GradientField",
+        "descent_path",
+        "gradient_field",
+        "gradient_successor",
+        "predicts_capture",
+        "refinement_footprint",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

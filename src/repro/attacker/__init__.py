@@ -1,23 +1,25 @@
 """The distributed eavesdropping attacker (Figure 1 of the paper)."""
 
-from .decision import (
-    AvoidRecentlyVisited,
-    DecisionFunction,
-    FollowAnyHeard,
-    FollowFirstHeard,
-    HeardMessage,
-)
-from .eavesdropper import EavesdropperAgent
-from .model import AttackerSpec, AttackerState, paper_attacker
+from .. import _lazy_exports
 
-__all__ = [
-    "AttackerSpec",
-    "AttackerState",
-    "AvoidRecentlyVisited",
-    "DecisionFunction",
-    "EavesdropperAgent",
-    "FollowAnyHeard",
-    "FollowFirstHeard",
-    "HeardMessage",
-    "paper_attacker",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "decision": (
+        "AvoidRecentlyVisited",
+        "DecisionFunction",
+        "FollowAnyHeard",
+        "FollowFirstHeard",
+        "HeardMessage",
+    ),
+    "eavesdropper": (
+        "EavesdropperAgent",
+    ),
+    "model": (
+        "AttackerSpec",
+        "AttackerState",
+        "paper_attacker",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -24,30 +24,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional
 
-from .core import check_strong_das, check_weak_das, safety_period
-from .das import centralized_das_schedule
 from .errors import ConfigurationError, StorageError, SweepExecutionError
-from .experiments import (
-    GUARD_MODES,
-    PAPER,
-    PAPER_SIZES,
-    configure_schedule_cache,
-    default_schedule_cache,
-    format_table1,
-    workers_argument,
-)
-from .scenarios import (
-    ScenarioRunner,
-    format_comparison,
-    get_scenario,
-    iter_scenarios,
-    load_scenario_file,
-    scenario_names,
-)
-from .slp import SlpParameters, build_slp_schedule
-from .storage import atomic_write_text
-from .telemetry import ProgressReporter, TelemetrySession
-from .topology import paper_grid
 
 
 #: Exit code when a sweep could not produce any results at all
@@ -64,6 +41,8 @@ EXIT_STORAGE = 5
 
 
 def _cmd_table1(_: argparse.Namespace) -> int:
+    from .experiments.config import format_table1
+
     print(format_table1())
     return 0
 
@@ -87,6 +66,8 @@ def _runner_options(args: argparse.Namespace) -> dict:
     if "no_schedule_cache" in args:
         options["use_schedule_cache"] = not args.no_schedule_cache
         if args.no_schedule_cache:
+            from .experiments.schedule_cache import configure_schedule_cache
+
             configure_schedule_cache(enabled=False)
     for name in (
         "workers",
@@ -116,6 +97,8 @@ def _status(args: argparse.Namespace, message: str) -> None:
 def _print_cache_summary(args: argparse.Namespace) -> None:
     """One line of schedule-cache stats (this process's cache), so a
     perf regression can be bisected to the cache layer at a glance."""
+    from .experiments.schedule_cache import default_schedule_cache
+
     _status(args, default_schedule_cache().summary())
 
 
@@ -126,6 +109,8 @@ def _telemetry_session(args: argparse.Namespace, label: str):
     directory = getattr(args, "telemetry", None)
     if directory is None:
         return nullcontext(None)
+    from .telemetry import TelemetrySession
+
     return TelemetrySession(directory=directory, label=label)
 
 
@@ -140,13 +125,13 @@ def _report_telemetry(args: argparse.Namespace) -> None:
         )
 
 
-def _progress_reporter(
-    args: argparse.Namespace, total: int, label: str
-) -> Optional[ProgressReporter]:
+def _progress_reporter(args: argparse.Namespace, total: int, label: str):
     """A live progress reporter for ``total`` runs, or ``None`` under
     ``--quiet`` (the reporter itself stays silent on non-TTY stderr)."""
     if getattr(args, "quiet", False):
         return None
+    from .telemetry import ProgressReporter
+
     return ProgressReporter(total=total, label=label)
 
 
@@ -208,6 +193,7 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
     from .experiments.overhead import format_overhead, measure_setup_overhead
+    from .topology import paper_grid
 
     topology = paper_grid(args.size)
     with _telemetry_session(args, "cli.overhead"):
@@ -224,6 +210,11 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .core import safety_period
+    from .das import centralized_das_schedule
+    from .experiments.config import PAPER
+    from .slp import SlpParameters, build_slp_schedule
+    from .topology import paper_grid
     from .verification import verify_schedule
 
     topology = paper_grid(args.size)
@@ -251,6 +242,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
+    from .core import check_strong_das, check_weak_das
+    from .das import centralized_das_schedule
+    from .slp import SlpParameters, build_slp_schedule
+    from .topology import paper_grid
     from .visualize import render_roles, render_slot_grid
 
     topology = paper_grid(args.size)
@@ -285,18 +280,27 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario_export(args: argparse.Namespace) -> int:
-    spec = get_scenario(args.name)
-    payload = spec.to_json() + "\n"
+def _write_out(args: argparse.Namespace, payload: str) -> None:
+    """Write a report to ``--out`` (durably) or to stdout."""
     if args.out is not None:
+        from .storage import atomic_write_text
+
         atomic_write_text(args.out, payload)
         _status(args, f"wrote {args.out}")
     else:
         sys.stdout.write(payload)
+
+
+def _cmd_scenario_export(args: argparse.Namespace) -> int:
+    from .scenarios import get_scenario
+
+    _write_out(args, get_scenario(args.name).to_json() + "\n")
     return 0
 
 
 def _cmd_scenario_list(_: argparse.Namespace) -> int:
+    from .scenarios import iter_scenarios, scenario_names
+
     header = f"{'name':<22} {'summary'}"
     print(header)
     print("-" * 72)
@@ -308,9 +312,13 @@ def _cmd_scenario_list(_: argparse.Namespace) -> int:
     return 0
 
 
-def _make_scenario_runner(args: argparse.Namespace) -> ScenarioRunner:
+def _make_scenario_runner(args: argparse.Namespace):
+    from .scenarios import ScenarioRunner
+
     options = _runner_options(args)
     if args.schedule_store is not None:
+        from .experiments.schedule_cache import configure_schedule_cache
+
         configure_schedule_cache(store=args.schedule_store)
     return ScenarioRunner(progress=not args.quiet, **options)
 
@@ -320,6 +328,8 @@ def _resolve_scenario(name: str):
     spec document (recognised by a ``.json`` suffix or an existing
     file — ``scenario run specs/ablation.json`` just works)."""
     if name.endswith(".json") or Path(name).is_file():
+        from .scenarios import load_scenario_file
+
         return load_scenario_file(name)
     return name
 
@@ -330,15 +340,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         outcome = runner.run(
             _resolve_scenario(args.name), seeds=args.seeds, base_seed=args.seed
         )
-    if args.jsonl:
-        payload = outcome.to_jsonl()
-    else:
-        payload = outcome.to_json() + "\n"
-    if args.out is not None:
-        atomic_write_text(args.out, payload)
-        _status(args, f"wrote {args.out}")
-    else:
-        sys.stdout.write(payload)
+    _write_out(args, outcome.to_jsonl() if args.jsonl else outcome.to_json() + "\n")
     _print_cache_summary(args)
     _report_telemetry(args)
     return _quarantine_exit(
@@ -348,6 +350,8 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_compare(args: argparse.Namespace) -> int:
+    from .scenarios import format_comparison, scenario_names
+
     names = args.names if args.names else scenario_names()
     runner = _make_scenario_runner(args)
     with _telemetry_session(args, "cli.scenario-compare"):
@@ -566,11 +570,7 @@ def _cmd_service_result(args: argparse.Namespace) -> int:
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        atomic_write_text(args.out, text)
-        _status(args, f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(args, text)
     state = client.status(args.job)["state"]
     return _finished_exit(state)
 
@@ -681,6 +681,8 @@ def _seeds_flags() -> argparse.ArgumentParser:
 
 
 def _workers_flags() -> argparse.ArgumentParser:
+    from .experiments.options import workers_argument
+
     flags = _flags()
     flags.add_argument(
         "--workers",
@@ -717,6 +719,8 @@ def _kernel_flags() -> argparse.ArgumentParser:
 
 def _sweep_flags() -> argparse.ArgumentParser:
     """What every seed sweep shares: figure5 and scenario run/compare."""
+    from .experiments.options import GUARD_MODES
+
     flags = _flags(
         _seed_flags(), _workers_flags(), _kernel_flags(), _observability_flags()
     )
@@ -781,6 +785,8 @@ def _scenario_sweep_flags() -> argparse.ArgumentParser:
 
 def _grid_flags() -> argparse.ArgumentParser:
     """One paper grid and its SLP search distance."""
+    from .experiments.config import PAPER_SIZES
+
     flags = _flags()
     flags.add_argument("--size", type=int, default=11, choices=PAPER_SIZES)
     flags.add_argument("--search-distance", type=int, default=3)
@@ -806,6 +812,8 @@ def _client_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from .experiments.config import PAPER_SIZES
+
     parser = argparse.ArgumentParser(
         prog="repro-slp-das",
         description=(

@@ -6,50 +6,37 @@
   simulation time bound of §VI-B.
 """
 
-from .das_properties import (
-    COLLISION,
-    MISSING_SLOT,
-    ORDERING,
-    UNKNOWN_NODE,
-    DasCheckResult,
-    DasViolation,
-    check_strong_das,
-    check_weak_das,
-    first_violation,
-    is_non_colliding,
-    is_strong_das,
-    is_weak_das,
-)
-from .safety import (
-    PAPER_SAFETY_FACTOR,
-    PAPER_TIME_BOUND_FACTOR,
-    SafetyPeriod,
-    capture_time_periods,
-    capture_time_seconds,
-    safety_period,
-    simulation_time_bound,
-)
-from .schedule import Schedule
+from .. import _lazy_exports
 
-__all__ = [
-    "COLLISION",
-    "DasCheckResult",
-    "DasViolation",
-    "MISSING_SLOT",
-    "ORDERING",
-    "PAPER_SAFETY_FACTOR",
-    "PAPER_TIME_BOUND_FACTOR",
-    "SafetyPeriod",
-    "Schedule",
-    "UNKNOWN_NODE",
-    "capture_time_periods",
-    "capture_time_seconds",
-    "check_strong_das",
-    "check_weak_das",
-    "first_violation",
-    "is_non_colliding",
-    "is_strong_das",
-    "is_weak_das",
-    "safety_period",
-    "simulation_time_bound",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "das_properties": (
+        "COLLISION",
+        "MISSING_SLOT",
+        "ORDERING",
+        "UNKNOWN_NODE",
+        "DasCheckResult",
+        "DasViolation",
+        "check_strong_das",
+        "check_weak_das",
+        "first_violation",
+        "is_non_colliding",
+        "is_strong_das",
+        "is_weak_das",
+    ),
+    "safety": (
+        "PAPER_SAFETY_FACTOR",
+        "PAPER_TIME_BOUND_FACTOR",
+        "SafetyPeriod",
+        "capture_time_periods",
+        "capture_time_seconds",
+        "safety_period",
+        "simulation_time_bound",
+    ),
+    "schedule": (
+        "Schedule",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,30 +9,36 @@ Two routes to a schedule are provided:
   variance) without message exchange, for cheap experiment repeats.
 """
 
-from .centralized import DEFAULT_NUM_SLOTS, centralized_das_schedule
-from .fast_setup import (
-    DEFAULT_SETUP_KERNEL,
-    SETUP_KERNELS,
-    fast_setup_compilable,
-    fast_setup_supported,
-    run_fast_setup,
-)
-from .messages import DissemMessage, HelloMessage, NodeInfo
-from .protocol import DasNodeProcess, DasProtocolConfig, DasSetupResult, run_das_setup
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_NUM_SLOTS",
-    "DEFAULT_SETUP_KERNEL",
-    "DasNodeProcess",
-    "DasProtocolConfig",
-    "DasSetupResult",
-    "DissemMessage",
-    "HelloMessage",
-    "NodeInfo",
-    "SETUP_KERNELS",
-    "centralized_das_schedule",
-    "fast_setup_compilable",
-    "fast_setup_supported",
-    "run_das_setup",
-    "run_fast_setup",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "centralized": (
+        "DEFAULT_NUM_SLOTS",
+        "centralized_das_schedule",
+    ),
+    "fast_setup": (
+        "fast_setup_compilable",
+        "fast_setup_supported",
+        "run_fast_setup",
+    ),
+    "kernels": (
+        "DEFAULT_SETUP_KERNEL",
+        "SETUP_KERNELS",
+        "resolve_setup_kernel",
+    ),
+    "messages": (
+        "DissemMessage",
+        "HelloMessage",
+        "NodeInfo",
+    ),
+    "protocol": (
+        "DasNodeProcess",
+        "DasProtocolConfig",
+        "DasSetupResult",
+        "run_das_setup",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

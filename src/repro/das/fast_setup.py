@@ -98,17 +98,6 @@ from ..telemetry import active_tracer
 from ..topology import NodeId, Topology
 from .messages import NodeInfo
 
-#: Setup-engine identifiers for ``run_das_setup`` / ``run_slp_setup``.
-FAST_SETUP_KERNEL = "fast"
-LEGACY_SETUP_KERNEL = "legacy"
-SETUP_KERNELS = (FAST_SETUP_KERNEL, LEGACY_SETUP_KERNEL)
-
-#: The engine used when a call does not choose one.  Both engines are
-#: bit-identical (differentially tested), so the fastest is the default;
-#: ``legacy`` remains selectable so a regression can be bisected.
-DEFAULT_SETUP_KERNEL = FAST_SETUP_KERNEL
-
-
 def search_ttl(search_distance: int) -> int:
     """The Phase 2 search's hop budget for a given ``SD``.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 from ..core import Schedule
-from ..errors import ProtocolError, invalid_field
+from ..errors import ProtocolError
 from ..simulator import (
     IdealNoise,
     NoiseModel,
@@ -39,12 +39,11 @@ from ..simulator import (
 )
 from ..topology import NodeId, Topology
 from .fast_setup import (
-    DEFAULT_SETUP_KERNEL,
-    SETUP_KERNELS,
     fast_setup_compilable,
     fast_setup_supported,
     run_fast_setup,
 )
+from .kernels import resolve_setup_kernel
 from .messages import DissemMessage, HelloMessage, NodeInfo
 
 
@@ -414,19 +413,6 @@ class DasSetupResult:
     simulator: Simulator
     messages_sent: int
     rounds: int
-
-
-def resolve_setup_kernel(setup_kernel: Optional[str], owner: str) -> str:
-    """Validate a ``setup_kernel`` choice (``None`` = the default)."""
-    resolved = setup_kernel if setup_kernel is not None else DEFAULT_SETUP_KERNEL
-    if resolved not in SETUP_KERNELS:
-        raise invalid_field(
-            owner,
-            "setup_kernel",
-            setup_kernel,
-            f"pick one of {SETUP_KERNELS} (or None for the default)",
-        )
-    return resolved
 
 
 def unassigned_error(unassigned) -> ProtocolError:

@@ -6,8 +6,7 @@ Names resolve lazily (PEP 562), as in the package root: a cold
 Figure 5 and overhead drivers or the SQLite schedule store.
 """
 
-import importlib
-from typing import List
+from .. import _lazy_exports
 
 #: Submodule -> the public names it defines, each imported on first
 #: access.
@@ -33,24 +32,26 @@ _EXPORTS = {
         "measure_setup_overhead",
     ),
     "faults": (
-        "FAULT_PLAN_ENV",
         "FaultPlan",
         "InjectedFault",
         "ServiceHalt",
         "active_fault_plan",
     ),
+    "options": (
+        "FAULT_PLAN_ENV",
+        "GUARD_DIFFERENTIAL",
+        "GUARD_MODES",
+        "default_workers",
+        "workers_argument",
+    ),
     "parallel": (
         "MIN_NODE_RUNS_FOR_POOL",
         "ParallelExperimentRunner",
-        "default_workers",
         "make_runner",
         "plan_workers",
         "seed_chunks",
-        "workers_argument",
     ),
     "resilience": (
-        "GUARD_DIFFERENTIAL",
-        "GUARD_MODES",
         "FailedRun",
         "GuardReport",
         "Ladder",
@@ -90,19 +91,4 @@ _EXPORTS = {
     ),
 }
 
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_SOURCE)
-
-
-def __getattr__(name: str) -> object:
-    module = _SOURCE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

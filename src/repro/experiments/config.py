@@ -8,13 +8,15 @@ itself (the ``table1`` entry of the experiment index in DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..das import DasProtocolConfig
 from ..errors import invalid_field
-from ..mac import TdmaFrame
-from ..topology import Topology, paper_grid
+from ..mac.frame import TdmaFrame
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..das import DasProtocolConfig
+    from ..topology import Topology
 
 #: §VI-A: grid sizes of the evaluation.
 PAPER_SIZES: Tuple[int, ...] = (11, 15, 21)
@@ -79,6 +81,8 @@ class PaperParameters:
     def das_config(self, setup_periods: Optional[int] = None) -> DasProtocolConfig:
         """Phase 1 protocol parameters (``setup_periods`` overridable for
         fast test runs; defaults to the paper's MSP)."""
+        from ..das.protocol import DasProtocolConfig
+
         return DasProtocolConfig(
             dissemination_period=self.dissemination_period,
             num_slots=self.num_slots,
@@ -106,6 +110,8 @@ PAPER = PaperParameters()
 
 def paper_topologies() -> List[Topology]:
     """The three grids of §VI-A (source top-left, sink centre)."""
+    from ..topology import paper_grid
+
     return [paper_grid(size) for size in PAPER_SIZES]
 
 

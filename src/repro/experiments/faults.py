@@ -123,8 +123,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Tuple
 
-#: Environment variable carrying the active plan (JSON) to workers.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
+from .options import FAULT_PLAN_ENV
 
 
 class InjectedFault(RuntimeError):

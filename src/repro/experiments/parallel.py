@@ -45,8 +45,9 @@ from ..telemetry import (
 )
 from ..topology import Topology
 from .faults import active_fault_plan
+from .options import default_workers
 from .resilience import FailedRun, RetryPolicy, WorkerSupervisor
-from .runner import ExperimentConfig, ExperimentRunner
+from .runner import ExperimentConfig, ExperimentRunner, setup_protocols
 from .schedule_cache import (
     ScheduleCache,
     default_schedule_cache,
@@ -55,17 +56,6 @@ from .schedule_cache import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ProcessPoolExecutor
-
-
-def default_workers() -> int:
-    """The worker count used when none is given: one per CPU.
-
-    Robust to platforms where ``os.cpu_count()`` answers ``None``
-    (POSIX permits it): the fallback is one worker, never a crash or a
-    zero-sized pool.
-    """
-    count = os.cpu_count()
-    return max(count, 1) if count else 1
 
 
 #: Dispatch threshold for :func:`plan_workers`: a sweep whose total work
@@ -115,20 +105,6 @@ def plan_workers(
     ):
         return 1
     return effective
-
-
-def workers_argument(value: str) -> int:
-    """argparse converter for ``--workers`` flags, shared by the CLI and
-    the scripts: a positive process count, or ``0`` for one per CPU."""
-    import argparse
-
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if workers < 0:
-        raise argparse.ArgumentTypeError("--workers must be >= 0")
-    return default_workers() if workers == 0 else workers
 
 
 def seed_chunks(seeds: Sequence[int], tasks: int) -> List[Tuple[int, ...]]:
@@ -390,6 +366,8 @@ class ParallelExperimentRunner(ExperimentRunner):
         the schedules the parent already built."""
         if self._workers == 1 or len(seeds) <= 1:
             return super()._execute(config, seeds, on_result)
+        if config.use_distributed:
+            setup_protocols()  # imported here, so forked workers inherit it
         return self.map_seeds(
             lambda chunk: _SweepSeed(
                 self._topology, config, self._cached_schedules_for(config, chunk)

@@ -70,11 +70,8 @@ from ..errors import SweepExecutionError, invalid_field, sweep_failed
 from ..storage import atomic_write_text, durable_append
 from ..telemetry import absorb_worker_payload, active_tracer, default_registry
 from .faults import active_fault_plan
+from .options import GUARD_DIFFERENTIAL
 from .schedule_cache import topology_fingerprint
-
-#: Divergence-guard modes accepted by ``run_resilient``/the CLI.
-GUARD_DIFFERENTIAL = "differential"
-GUARD_MODES = (GUARD_DIFFERENTIAL,)
 
 #: Checkpoint on-disk format version; part of every store key so a
 #: format change can never silently merge with old entries.

@@ -15,8 +15,9 @@ full message-level setup instead, which the examples demonstrate.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from ..app import (
     KERNELS,
@@ -27,29 +28,16 @@ from ..app import (
 )
 from ..attacker import AttackerSpec
 from ..core import Schedule
-from ..das import centralized_das_schedule, run_das_setup
-from ..das.protocol import resolve_setup_kernel
+from ..das.centralized import centralized_das_schedule
+from ..das.kernels import resolve_setup_kernel
 from ..errors import invalid_field
 from ..metrics import CaptureStats, capture_stats
 from ..simulator import CasinoLabNoise, NoiseModel
-from ..slp import (
-    SlpParameters,
-    SlpProtocolConfig,
-    build_slp_schedule,
-    run_slp_setup,
-)
+from ..slp.protocol import SlpParameters, build_slp_schedule
 from ..telemetry import active_tracer, default_registry
 from ..topology import Topology
 from .config import PAPER, PaperParameters
-from .faults import active_fault_plan
-from .resilience import (
-    GUARD_MODES,
-    FailedRun,
-    GuardReport,
-    SweepCheckpoint,
-    apply_divergence_guard,
-    nothing_survived,
-)
+from .options import FAULT_PLAN_ENV, GUARD_MODES
 from .schedule_cache import (
     ScheduleCache,
     default_schedule_cache,
@@ -57,6 +45,22 @@ from .schedule_cache import (
     schedule_key,
     topology_fingerprint,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .resilience import FailedRun, GuardReport, SweepCheckpoint
+
+def setup_protocols():
+    """``(run_das_setup, SlpProtocolConfig, run_slp_setup)``: the
+    message-level setup stack, imported on first use.  Only
+    ``use_distributed`` sweeps run it, and no registered scenario is
+    one.  :class:`~repro.experiments.ParallelExperimentRunner` calls
+    this before it forks, so pool workers inherit the modules instead
+    of each compiling them."""
+    from ..das.protocol import run_das_setup
+    from ..slp.distributed import SlpProtocolConfig, run_slp_setup
+
+    return run_das_setup, SlpProtocolConfig, run_slp_setup
+
 
 #: Algorithm identifiers (the two bars of Figure 5).
 PROTECTIONLESS = "protectionless"
@@ -322,44 +326,49 @@ class ExperimentRunner:
             return self._build_schedule(config, seed)
 
     def _build_schedule(self, config: ExperimentConfig, seed: int) -> Schedule:
+        if config.use_distributed:
+            return self._run_setup(config, seed)
         params = config.parameters
         if config.algorithm == PROTECTIONLESS:
-            if config.use_distributed:
-                return run_das_setup(
-                    self._topology,
-                    config=params.das_config(),
-                    seed=seed,
-                    noise=config.make_noise(),
-                    setup_kernel=config.setup_kernel,
-                ).schedule
             return centralized_das_schedule(
                 self._topology,
                 num_slots=params.num_slots,
                 seed=seed,
                 jitter=config.schedule_jitter,
             )
-        # SLP DAS.
-        if config.use_distributed:
-            slp_config = SlpProtocolConfig(
-                das=params.das_config(),
-                search_distance=config.search_distance,
-                change_length=params.change_length(
-                    self._topology, config.search_distance
-                ),
-            )
-            return run_slp_setup(
-                self._topology,
-                config=slp_config,
-                seed=seed,
-                noise=config.make_noise(),
-                setup_kernel=config.setup_kernel,
-            ).schedule
         return build_slp_schedule(
             self._topology,
             SlpParameters(search_distance=config.search_distance),
             num_slots=params.num_slots,
             seed=seed,
             jitter=config.schedule_jitter,
+        ).schedule
+
+    def _run_setup(self, config: ExperimentConfig, seed: int) -> Schedule:
+        """The run's schedule from the message-level setup protocols."""
+        run_das_setup, SlpProtocolConfig, run_slp_setup = setup_protocols()
+        params = config.parameters
+        if config.algorithm == PROTECTIONLESS:
+            return run_das_setup(
+                self._topology,
+                config=params.das_config(),
+                seed=seed,
+                noise=config.make_noise(),
+                setup_kernel=config.setup_kernel,
+            ).schedule
+        slp_config = SlpProtocolConfig(
+            das=params.das_config(),
+            search_distance=config.search_distance,
+            change_length=params.change_length(
+                self._topology, config.search_distance
+            ),
+        )
+        return run_slp_setup(
+            self._topology,
+            config=slp_config,
+            seed=seed,
+            noise=config.make_noise(),
+            setup_kernel=config.setup_kernel,
         ).schedule
 
     # ------------------------------------------------------------------
@@ -388,12 +397,13 @@ class ExperimentRunner:
             perturbations=config.perturbations,
             kernel=config.kernel,
         )
-        plan = active_fault_plan()
-        if plan is not None:
+        if FAULT_PLAN_ENV in os.environ:
             # Chaos-only hook (one env lookup in production): lets the
             # fault harness corrupt a fast-kernel result so the
             # divergence guard has something real to catch.
-            result = plan.on_result(config, seed, result)
+            from .faults import active_fault_plan
+
+            result = active_fault_plan().on_result(config, seed, result)
         return result
 
     def _execute(
@@ -427,6 +437,8 @@ class ExperimentRunner:
         fail loudly when nothing survived."""
         results = tuple(results_by_seed[s] for s in seeds if s in results_by_seed)
         if not results:
+            from .resilience import nothing_survived
+
             raise nothing_survived(type(self).__name__, seeds, failures)
         return ExperimentOutcome(
             config=config,
@@ -556,6 +568,8 @@ class ExperimentRunner:
         else:
             outcome = self.run(config, on_result=on_result)
         if guard is not None:
+            from .resilience import apply_divergence_guard
+
             outcome = apply_divergence_guard(
                 self, config, outcome, sample=guard_sample, bundle_dir=bundle_dir
             )

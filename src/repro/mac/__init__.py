@@ -1,6 +1,17 @@
 """TDMA MAC layer: frame geometry and the slot-event driver."""
 
-from .frame import TdmaFrame
-from .tdma import TdmaClient, TdmaDriver
+from .. import _lazy_exports
 
-__all__ = ["TdmaClient", "TdmaDriver", "TdmaFrame"]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "frame": (
+        "TdmaFrame",
+    ),
+    "tdma": (
+        "TdmaClient",
+        "TdmaDriver",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,39 +1,37 @@
 """Evaluation metrics: capture ratio (Figure 5), message overhead
 (§VII's "negligible overhead" claim) and convergecast quality guards."""
 
-from .capture import (
-    CaptureStats,
-    FirstCaptureStats,
-    PerSourceCapture,
-    capture_stats,
-    first_capture_stats,
-    per_source_capture_stats,
-)
-from .collector import Summary, summarise
-from .energy import (
-    EnergyModel,
-    EnergyReport,
-    estimate_lifetime_periods,
-    measure_energy,
-)
-from .latency import AggregationStats, aggregation_stats, schedule_latency_periods
-from .overhead import MessageOverhead
+from .. import _lazy_exports
 
-__all__ = [
-    "AggregationStats",
-    "CaptureStats",
-    "EnergyModel",
-    "EnergyReport",
-    "FirstCaptureStats",
-    "MessageOverhead",
-    "PerSourceCapture",
-    "Summary",
-    "aggregation_stats",
-    "capture_stats",
-    "estimate_lifetime_periods",
-    "first_capture_stats",
-    "measure_energy",
-    "per_source_capture_stats",
-    "schedule_latency_periods",
-    "summarise",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "capture": (
+        "CaptureStats",
+        "FirstCaptureStats",
+        "PerSourceCapture",
+        "capture_stats",
+        "first_capture_stats",
+        "per_source_capture_stats",
+    ),
+    "collector": (
+        "Summary",
+        "summarise",
+    ),
+    "energy": (
+        "EnergyModel",
+        "EnergyReport",
+        "estimate_lifetime_periods",
+        "measure_energy",
+    ),
+    "latency": (
+        "AggregationStats",
+        "aggregation_stats",
+        "schedule_latency_periods",
+    ),
+    "overhead": (
+        "MessageOverhead",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -18,36 +18,31 @@ a declarative, named workload:
 CLI: ``repro-slp-das scenario list|run|compare``.
 """
 
-from .registry import (
-    get_scenario,
-    iter_scenarios,
-    register_scenario,
-    scenario_names,
-)
-from .runner import ScenarioOutcome, ScenarioRunner, format_comparison
-from .spec import (
-    DECISION_FUNCTIONS,
-    NOISE_REGIMES,
-    PERTURBATION_KINDS,
-    TOPOLOGY_FAMILIES,
-    ScenarioSpec,
-    TopologySpec,
-    load_scenario_file,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DECISION_FUNCTIONS",
-    "NOISE_REGIMES",
-    "PERTURBATION_KINDS",
-    "ScenarioOutcome",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "TOPOLOGY_FAMILIES",
-    "TopologySpec",
-    "format_comparison",
-    "get_scenario",
-    "iter_scenarios",
-    "load_scenario_file",
-    "register_scenario",
-    "scenario_names",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "registry": (
+        "get_scenario",
+        "iter_scenarios",
+        "register_scenario",
+        "scenario_names",
+    ),
+    "runner": (
+        "ScenarioOutcome",
+        "ScenarioRunner",
+        "format_comparison",
+    ),
+    "spec": (
+        "DECISION_FUNCTIONS",
+        "NOISE_REGIMES",
+        "PERTURBATION_KINDS",
+        "TOPOLOGY_FAMILIES",
+        "ScenarioSpec",
+        "TopologySpec",
+        "load_scenario_file",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -20,28 +20,18 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..app import OperationalResult
-from ..experiments import (
-    ExperimentConfig,
-    FailedRun,
-    GuardReport,
-    SweepCheckpoint,
-    make_runner,
-    plan_workers,
-)
-from ..metrics import (
-    CaptureStats,
-    FirstCaptureStats,
-    PerSourceCapture,
-    first_capture_stats,
-    per_source_capture_stats,
-)
-from ..telemetry import ProgressReporter
-from ..topology import NodeId
+from ..experiments.runner import ExperimentRunner
+from ..metrics.capture import first_capture_stats, per_source_capture_stats
 from .registry import get_scenario
 from .spec import ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..app import OperationalResult
+    from ..experiments import ExperimentConfig, FailedRun, GuardReport
+    from ..metrics import CaptureStats, FirstCaptureStats, PerSourceCapture
+    from ..topology import NodeId
 
 
 @dataclass(frozen=True)
@@ -225,7 +215,11 @@ class ScenarioRunner:
         self._kernel = kernel
         self._setup_kernel = setup_kernel
         self._use_schedule_cache = use_schedule_cache
-        self._checkpoint = SweepCheckpoint(checkpoint) if checkpoint else None
+        self._checkpoint = None
+        if checkpoint:
+            from ..experiments.resilience import SweepCheckpoint
+
+            self._checkpoint = SweepCheckpoint(checkpoint)
         self._resume = resume
         self._guard = guard
         self._chunk_timeout = chunk_timeout
@@ -250,6 +244,8 @@ class ScenarioRunner:
         same call :meth:`run` makes, so the answer cannot drift from
         the engine choice (the bench records it as ``workers_effective``).
         """
+        from ..experiments.parallel import plan_workers
+
         spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
         config = spec.to_config(repeats=seeds)
         return plan_workers(
@@ -293,18 +289,14 @@ class ScenarioRunner:
         reporter = None
         on_result = None
         if self._progress:
+            from ..telemetry import ProgressReporter
+
             reporter = ProgressReporter(
                 total=config.repeats, label=f"{spec.name}: "
             )
             on_result = reporter.on_result
         try:
-            with make_runner(
-                topology,
-                self._workers,
-                repeats=config.repeats,
-                force_parallel=self._force_parallel,
-                chunk_timeout=self._chunk_timeout,
-            ) as runner:
+            with self._runner_for(topology, config.repeats) as runner:
                 outcome = runner.run_resilient(
                     config,
                     checkpoint=self._checkpoint,
@@ -326,6 +318,22 @@ class ScenarioRunner:
             first_capture=first_capture_stats(outcome.results),
             failures=tuple(outcome.failures),
             guard=outcome.guard,
+        )
+
+    def _runner_for(self, topology, repeats: int) -> ExperimentRunner:
+        """The serial engine, or :func:`~repro.experiments.make_runner`'s
+        choice when more than one worker is requested (the pool code is
+        imported only then)."""
+        if self._workers is None or self._workers == 1:
+            return ExperimentRunner(topology)
+        from ..experiments.parallel import make_runner
+
+        return make_runner(
+            topology,
+            self._workers,
+            repeats=repeats,
+            force_parallel=self._force_parallel,
+            chunk_timeout=self._chunk_timeout,
         )
 
     def compare(

@@ -49,54 +49,51 @@ uninterrupted serial run — jobs either finish byte-identically or fail
 loudly with structured quarantine records.
 """
 
-from .api import SweepService
-from .client import ServiceClient, ServiceError
-from .fsck import fsck_data_dir
-from .scheduler import (
-    JobInterrupted,
-    RemoteShardScheduler,
-    ShardScheduler,
-    lower_job,
-)
-from .transport import ShardBoard
-from .worker import ShardWorker, TransportError, WorkerTransport, worker_main
-from .state import (
-    DONE,
-    FAILED,
-    JOB_STATES,
-    QUARANTINED,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    JobRecord,
-    check_transition,
-    job_key,
-)
-from .store import JobStore
+from .. import _lazy_exports
 
-__all__ = [
-    "DONE",
-    "FAILED",
-    "JOB_STATES",
-    "JobInterrupted",
-    "JobRecord",
-    "JobStore",
-    "QUARANTINED",
-    "QUEUED",
-    "RUNNING",
-    "RemoteShardScheduler",
-    "ServiceClient",
-    "ServiceError",
-    "ShardBoard",
-    "ShardScheduler",
-    "ShardWorker",
-    "SweepService",
-    "TERMINAL_STATES",
-    "TransportError",
-    "WorkerTransport",
-    "check_transition",
-    "fsck_data_dir",
-    "job_key",
-    "lower_job",
-    "worker_main",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "api": (
+        "SweepService",
+    ),
+    "client": (
+        "ServiceClient",
+        "ServiceError",
+    ),
+    "fsck": (
+        "fsck_data_dir",
+    ),
+    "scheduler": (
+        "JobInterrupted",
+        "RemoteShardScheduler",
+        "ShardScheduler",
+        "lower_job",
+    ),
+    "transport": (
+        "ShardBoard",
+    ),
+    "worker": (
+        "ShardWorker",
+        "TransportError",
+        "WorkerTransport",
+        "worker_main",
+    ),
+    "state": (
+        "DONE",
+        "FAILED",
+        "JOB_STATES",
+        "QUARANTINED",
+        "QUEUED",
+        "RUNNING",
+        "TERMINAL_STATES",
+        "JobRecord",
+        "check_transition",
+        "job_key",
+    ),
+    "store": (
+        "JobStore",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -6,56 +6,54 @@ shared radio medium with pluggable noise models, and structured run
 tracing from which all metrics are computed.
 """
 
-from .channel import Channel, Delivery
-from .event import Event, EventHandle
-from .event_queue import EventQueue
-from .noise import BernoulliNoise, CasinoLabNoise, IdealNoise, NoiseModel
-from .process import Process
-from .radio import Eavesdropper, RadioMedium
-from .simulator import Simulator
-from .trace import (
-    ATTACKER_HEAR,
-    ATTACKER_MOVE,
-    CAPTURE,
-    COLLIDE,
-    COUNTS_ONLY,
-    DELIVER,
-    DROP,
-    PERIOD_START,
-    PHASE,
-    SEND,
-    SLOT_ASSIGNED,
-    SLOT_CHANGED,
-    TraceRecord,
-    TraceRecorder,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ATTACKER_HEAR",
-    "ATTACKER_MOVE",
-    "BernoulliNoise",
-    "CAPTURE",
-    "COLLIDE",
-    "COUNTS_ONLY",
-    "CasinoLabNoise",
-    "Channel",
-    "DELIVER",
-    "DROP",
-    "Delivery",
-    "Eavesdropper",
-    "Event",
-    "EventHandle",
-    "EventQueue",
-    "IdealNoise",
-    "NoiseModel",
-    "PERIOD_START",
-    "PHASE",
-    "Process",
-    "RadioMedium",
-    "SEND",
-    "SLOT_ASSIGNED",
-    "SLOT_CHANGED",
-    "Simulator",
-    "TraceRecord",
-    "TraceRecorder",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "channel": (
+        "Channel",
+        "Delivery",
+    ),
+    "event": (
+        "Event",
+        "EventHandle",
+    ),
+    "event_queue": (
+        "EventQueue",
+    ),
+    "noise": (
+        "BernoulliNoise",
+        "CasinoLabNoise",
+        "IdealNoise",
+        "NoiseModel",
+    ),
+    "process": (
+        "Process",
+    ),
+    "radio": (
+        "Eavesdropper",
+        "RadioMedium",
+    ),
+    "simulator": (
+        "Simulator",
+    ),
+    "trace": (
+        "ATTACKER_HEAR",
+        "ATTACKER_MOVE",
+        "CAPTURE",
+        "COLLIDE",
+        "COUNTS_ONLY",
+        "DELIVER",
+        "DROP",
+        "PERIOD_START",
+        "PHASE",
+        "SEND",
+        "SLOT_ASSIGNED",
+        "SLOT_CHANGED",
+        "TraceRecord",
+        "TraceRecorder",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -7,37 +7,36 @@
   distributed 3-phase protocol on the simulator.
 """
 
-from .distributed import (
-    SlpNodeProcess,
-    SlpProtocolConfig,
-    SlpSetupResult,
-    run_slp_setup,
-)
-from .messages import ChangeMessage, SearchMessage
-from .protocol import (
-    PAPER_SEARCH_DISTANCES,
-    SlpBuildResult,
-    SlpParameters,
-    build_slp_schedule,
-    default_change_length,
-)
-from .refine import RefinementResult, refine_slots
-from .search import SearchResult, locate_redirection_node
+from .. import _lazy_exports
 
-__all__ = [
-    "ChangeMessage",
-    "PAPER_SEARCH_DISTANCES",
-    "RefinementResult",
-    "SearchMessage",
-    "SearchResult",
-    "SlpBuildResult",
-    "SlpNodeProcess",
-    "SlpParameters",
-    "SlpProtocolConfig",
-    "SlpSetupResult",
-    "build_slp_schedule",
-    "default_change_length",
-    "locate_redirection_node",
-    "refine_slots",
-    "run_slp_setup",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "distributed": (
+        "SlpNodeProcess",
+        "SlpProtocolConfig",
+        "SlpSetupResult",
+        "run_slp_setup",
+    ),
+    "messages": (
+        "ChangeMessage",
+        "SearchMessage",
+    ),
+    "protocol": (
+        "PAPER_SEARCH_DISTANCES",
+        "SlpBuildResult",
+        "SlpParameters",
+        "build_slp_schedule",
+        "default_change_length",
+    ),
+    "refine": (
+        "RefinementResult",
+        "refine_slots",
+    ),
+    "search": (
+        "SearchResult",
+        "locate_redirection_node",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -30,12 +30,9 @@ from ..das.fast_setup import (
     search_ttl,
     unassigned_decoy_error,
 )
+from ..das.kernels import resolve_setup_kernel
 from ..das.messages import NodeInfo
-from ..das.protocol import (
-    DasNodeProcess,
-    DasProtocolConfig,
-    resolve_setup_kernel,
-)
+from ..das.protocol import DasNodeProcess, DasProtocolConfig
 from ..errors import ProtocolError
 from ..simulator import (
     IdealNoise,

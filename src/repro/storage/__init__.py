@@ -7,18 +7,18 @@ the disk-fault chaos drill (``FaultPlan`` storage kinds) and the
 ``repro service fsck`` audit exhaustive rather than per-writer.
 """
 
-from .io import (
-    FSYNC_ENV,
-    atomic_write_bytes,
-    atomic_write_text,
-    durable_append,
-    fsync_enabled,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "FSYNC_ENV",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "durable_append",
-    "fsync_enabled",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "io": (
+        "FSYNC_ENV",
+        "atomic_write_bytes",
+        "atomic_write_text",
+        "durable_append",
+        "fsync_enabled",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

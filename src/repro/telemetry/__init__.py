@@ -7,32 +7,33 @@ touch the RNG stream or the clock, and telemetry-off runs stay
 byte-identical to uninstrumented builds.
 """
 
-from .progress import ProgressReporter
-from .registry import MetricsRegistry, default_registry, use_registry
-from .session import TelemetrySession, absorb_worker_payload, active_session
-from .spans import (
-    DEFAULT_MAX_SPANS,
-    Span,
-    SpanTracer,
-    active_tracer,
-    chrome_trace,
-    spans_jsonl,
-    tracing,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_MAX_SPANS",
-    "MetricsRegistry",
-    "ProgressReporter",
-    "Span",
-    "SpanTracer",
-    "TelemetrySession",
-    "absorb_worker_payload",
-    "active_session",
-    "active_tracer",
-    "chrome_trace",
-    "default_registry",
-    "spans_jsonl",
-    "tracing",
-    "use_registry",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "progress": (
+        "ProgressReporter",
+    ),
+    "registry": (
+        "MetricsRegistry",
+        "default_registry",
+        "use_registry",
+    ),
+    "session": (
+        "TelemetrySession",
+        "absorb_worker_payload",
+        "active_session",
+    ),
+    "spans": (
+        "DEFAULT_MAX_SPANS",
+        "Span",
+        "SpanTracer",
+        "active_tracer",
+        "chrome_trace",
+        "spans_jsonl",
+        "tracing",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

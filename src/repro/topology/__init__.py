@@ -6,24 +6,35 @@ This package provides the graph abstraction plus the concrete layouts
 used by the tests, examples and benchmark harness.
 """
 
-from .grid import PAPER_GRID_SIZES, PAPER_NODE_SPACING_M, GridTopology, paper_grid
-from .line import LineTopology
-from .node import Coordinate, NodeId, Placement
-from .random_geometric import random_geometric_topology
-from .ring import RingTopology
-from .topology import Topology, TopologyMetrics
+from .. import _lazy_exports
 
-__all__ = [
-    "Coordinate",
-    "GridTopology",
-    "LineTopology",
-    "NodeId",
-    "PAPER_GRID_SIZES",
-    "PAPER_NODE_SPACING_M",
-    "Placement",
-    "RingTopology",
-    "Topology",
-    "TopologyMetrics",
-    "paper_grid",
-    "random_geometric_topology",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "grid": (
+        "PAPER_GRID_SIZES",
+        "PAPER_NODE_SPACING_M",
+        "GridTopology",
+        "paper_grid",
+    ),
+    "line": (
+        "LineTopology",
+    ),
+    "node": (
+        "Coordinate",
+        "NodeId",
+        "Placement",
+    ),
+    "random_geometric": (
+        "random_geometric_topology",
+    ),
+    "ring": (
+        "RingTopology",
+    ),
+    "topology": (
+        "Topology",
+        "TopologyMetrics",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,30 +1,25 @@
 """Algorithm 1 — the ``VerifySchedule`` decision procedure and the
 attacker trace generator it is defined over."""
 
-from .traces import (
-    AttackerStep,
-    audible_senders,
-    generate_attacker_traces,
-    lowest_slot_neighbours,
-    valid_steps,
-)
-from .verify import (
-    VerificationResult,
-    is_slp_aware_das,
-    minimum_capture_period,
-    verify_schedule,
-    verify_schedule_all_starts,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AttackerStep",
-    "VerificationResult",
-    "audible_senders",
-    "generate_attacker_traces",
-    "is_slp_aware_das",
-    "lowest_slot_neighbours",
-    "minimum_capture_period",
-    "valid_steps",
-    "verify_schedule",
-    "verify_schedule_all_starts",
-]
+#: Submodule -> the public names it defines, each imported on first
+#: access.
+_EXPORTS = {
+    "traces": (
+        "AttackerStep",
+        "audible_senders",
+        "generate_attacker_traces",
+        "lowest_slot_neighbours",
+        "valid_steps",
+    ),
+    "verify": (
+        "VerificationResult",
+        "is_slp_aware_das",
+        "minimum_capture_period",
+        "verify_schedule",
+        "verify_schedule_all_starts",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,23 +1,36 @@
-"""A cold ``scenario run`` must not import numpy or networkx, nor the
-process-pool, SQLite or socket machinery.
+"""Import boundaries: a cold CLI call loads only what its subcommand runs.
 
-The scenario path needs none of them: numpy and networkx each cost
-~0.1 s of every cold CLI call and remote worker start, and a serial
-sweep builds no pool, opens no schedule store and talks to no service.
-The child interpreter runs the CLI under ``runpy`` and reports which of
-these modules ended up loaded.
+* A cold ``scenario run`` must not import numpy or networkx, nor the
+  process-pool, SQLite or socket machinery: numpy and networkx each cost
+  ~0.1 s of every cold CLI call and remote worker start, and a serial
+  sweep builds no pool, opens no schedule store and talks to no service.
+* Nor does it load the distributed setup stack, the chaos harness, the
+  supervision code or the service: no registered scenario builds its
+  schedules with the message-level protocols, and a serial sweep has no
+  worker to supervise.  Without bytecode caches every module a call
+  imports is compiled afresh, so each one is paid for on every call.
+* ``import repro.cli`` loads the parser and nothing else; each
+  subcommand imports its own dependencies.
+* The other way round, a process that forks workers imports the run
+  path *before* it forks, so the workers inherit it instead of each
+  compiling it again (DESIGN.md "Import boundaries").
 
-Run under ``python -X importtime -m pytest -s`` to pass the flag to the
-child, whose import profile then lands on stderr.
+The child interpreters run the CLI under ``runpy`` and report which
+modules ended up loaded.  Run under ``python -X importtime -m pytest -s``
+to pass the flag to the children, whose import profiles then land on
+stderr.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
+from typing import List, Tuple
 
 import pytest
 
@@ -30,50 +43,177 @@ HEAVY = ("numpy", "networkx")
 #: Loaded only where a pool is built, a store opened or a service called.
 MACHINERY = ("multiprocessing", "sqlite3", "socket")
 
-CHILD = f"""
+#: Loaded only by the subcommands and branches that run them.
+DEFERRED = (
+    "repro.das.protocol",
+    "repro.das.fast_setup",
+    "repro.das.messages",
+    "repro.slp.distributed",
+    "repro.slp.messages",
+    "repro.experiments.faults",
+    "repro.experiments.parallel",
+    "repro.experiments.resilience",
+    "repro.service",
+    "concurrent.futures",
+)
+
+#: The modules a seed executes.  A process that forks workers must have
+#: them loaded before it forks.
+RUN_PATH = (
+    "repro.experiments.runner",
+    "repro.app.fast_kernel",
+    "repro.app.runtime",
+    "repro.das.centralized",
+    "repro.slp.protocol",
+)
+
+#: What the distributed setup (the overhead experiment) adds to it.
+SETUP_PATH = ("repro.das.fast_setup", "repro.slp.distributed")
+
+#: Every package root whose public names resolve lazily.
+LAZY_ROOTS = (
+    "repro",
+    "repro.analysis",
+    "repro.app",
+    "repro.attacker",
+    "repro.core",
+    "repro.das",
+    "repro.experiments",
+    "repro.mac",
+    "repro.metrics",
+    "repro.scenarios",
+    "repro.service",
+    "repro.simulator",
+    "repro.slp",
+    "repro.storage",
+    "repro.telemetry",
+    "repro.topology",
+    "repro.verification",
+)
+
+CLI_CHILD = """
 import json, runpy, sys
-sys.argv = ["repro.cli", "scenario", "run", "paper-baseline", "--seeds", "2", "--quiet"]
+sys.argv = ["repro.cli"] + {argv!r}
 try:
     runpy.run_module("repro.cli", run_name="__main__")
 except SystemExit as exc:
-    if exc.code:
+    if exc.code not in {codes!r}:
         raise
-watched = sorted(
-    m for m in sys.modules if m.split(".")[0] in {HEAVY + MACHINERY!r}
-)
-print(json.dumps(watched))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-@pytest.fixture(scope="module")
-def cold_run_modules():
-    """The watched modules a cold ``scenario run`` loaded."""
+def _child_modules(code: str) -> Tuple[str, ...]:
+    """The modules loaded by a fresh interpreter running ``code``,
+    which must print ``sorted(sys.modules)`` as its last line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     flags = ["-X", "importtime"] if "importtime" in sys._xoptions else []
     result = subprocess.run(
-        [sys.executable, *flags, "-c", CHILD],
+        [sys.executable, *flags, "-c", code],
         stdout=subprocess.PIPE,
         text=True,
         env=env,
         timeout=300,
     )
     assert result.returncode == 0
-    return json.loads(result.stdout.strip().splitlines()[-1])
+    return tuple(json.loads(result.stdout.strip().splitlines()[-1]))
+
+
+@lru_cache(maxsize=None)
+def _cli_modules(argv: Tuple[str, ...], codes: Tuple[int, ...] = (0,)) -> Tuple[str, ...]:
+    """The modules a cold ``repro-slp-das <argv>`` call loaded."""
+    return _child_modules(CLI_CHILD.format(argv=list(argv), codes=codes))
+
+
+def _scenario_run(name: str) -> Tuple[str, ...]:
+    return _cli_modules(("scenario", "run", name, "--seeds", "2", "--quiet"))
+
+
+def _loaded(modules: Tuple[str, ...], names: Tuple[str, ...]) -> List[str]:
+    """The entries of ``names`` that ``modules`` holds, or holds a
+    submodule of."""
+    return [
+        name
+        for name in names
+        if any(m == name or m.startswith(name + ".") for m in modules)
+    ]
+
+
+@pytest.fixture(scope="module")
+def cold_run_modules():
+    """The modules a cold ``scenario run`` loaded."""
+    return _scenario_run("paper-baseline")
 
 
 def test_scenario_run_imports_no_numpy_or_networkx(cold_run_modules):
-    assert [m for m in cold_run_modules if m.split(".")[0] in HEAVY] == []
+    assert _loaded(cold_run_modules, HEAVY) == []
 
 
 def test_scenario_run_imports_no_pool_store_or_socket(cold_run_modules):
-    assert [m for m in cold_run_modules if m.split(".")[0] in MACHINERY] == []
+    assert _loaded(cold_run_modules, MACHINERY) == []
+
+
+@pytest.mark.parametrize("scenario", ["paper-baseline", "paper-baseline-slp"])
+def test_scenario_run_imports_only_the_run_path(scenario):
+    modules = _scenario_run(scenario)
+    assert _loaded(modules, DEFERRED) == []
+    assert _loaded(modules, RUN_PATH) == list(RUN_PATH)
+
+
+def test_import_cli_loads_only_the_parser_module():
+    modules = _child_modules(
+        "import json, sys\nimport repro.cli\nprint(json.dumps(sorted(sys.modules)))"
+    )
+    assert [m for m in modules if m.split(".")[0] == "repro"] == [
+        "repro",
+        "repro.cli",
+        "repro.errors",
+    ]
+
+
+def test_service_status_loads_no_run_path():
+    # Port 9 (discard) on loopback refuses the connection: exit 2.
+    modules = _cli_modules(
+        ("service", "status", "--url", "http://127.0.0.1:9", "job"), codes=(2,)
+    )
+    assert "repro.service.client" in modules
+    assert _loaded(
+        modules,
+        ("repro.app", "repro.simulator", "repro.das", "repro.experiments.runner"),
+    ) == []
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        ("from repro.service import SweepService", RUN_PATH + ("repro.scenarios.spec",)),
+        ("from repro.service import ShardWorker", RUN_PATH + ("repro.scenarios.spec",)),
+        (
+            "from repro.experiments import ParallelExperimentRunner\n"
+            "from repro.topology import GridTopology\n"
+            "ParallelExperimentRunner(GridTopology(3), workers=2).close()",
+            RUN_PATH,
+        ),
+        ("import repro.experiments.overhead", RUN_PATH + SETUP_PATH),
+    ],
+    ids=["service", "worker", "pool", "overhead"],
+)
+def test_forking_processes_load_the_run_path_before_forking(code, expected):
+    modules = _child_modules(
+        f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
+    )
+    assert _loaded(modules, expected) == list(expected)
 
 
 def test_every_public_name_resolves_and_is_listed():
-    listing = dir(repro)
-    for name in repro.__all__:
-        assert getattr(repro, name) is not None
-        assert name in listing
+    for root in LAZY_ROOTS:
+        package = importlib.import_module(root)
+        listing = dir(package)
+        for name in package.__all__:
+            assert getattr(package, name) is not None, (root, name)
+            assert name in listing, (root, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(package, "no_such_name")
