@@ -111,7 +111,6 @@ from ..experiments import (
     SweepCheckpoint,
     configure_schedule_cache,
 )
-from ..experiments.runner import setup_protocols
 from ..scenarios import ScenarioSpec, get_scenario
 from ..storage import atomic_write_bytes
 from ..telemetry import default_registry
@@ -327,7 +326,6 @@ class SweepService:
     def _spawn_worker(self) -> None:
         """Fork one local worker: the :class:`ShardWorker` loop against
         this service's own URL."""
-        setup_protocols()  # imported here, so forked workers inherit it
         self._spawned += 1
         worker_id = f"local-{self._spawned}"
         process = multiprocessing.get_context("fork").Process(
