@@ -39,7 +39,8 @@ calls, no ``Process.deliver`` → ``on_receive`` dispatch.  Tables are
 compiled after the run's first ``sim.run()`` (which resets the noise
 model's per-link state, invalidating any drawer compiled earlier) and
 rebuilt whenever the radio's attachment epoch moves (node
-death/sleep/wake perturbations).
+death/sleep/wake perturbations) — only the entries of the toggled
+nodes' neighbours, the only fan-outs a toggle changes.
 
 **Equivalence contract.**  A fast-kernel run is bit-identical to a
 legacy run: same RNG draw order (noise decisions in neighbour order per
@@ -55,7 +56,7 @@ and behaviours the lane cannot compile (:func:`fast_lane_compilable`).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..attacker import EavesdropperAgent
 from ..attacker.decision import HeardMessage
@@ -195,6 +196,7 @@ def compile_fast_lane(
     processes: Dict[NodeId, ConvergecastNodeProcess],
     sink: NodeId,
     index: Dict[NodeId, int],
+    senders: Optional[Collection[NodeId]] = None,
 ) -> Tuple[Dict[NodeId, _LaneEntry], Set[NodeId]]:
     """Compile the per-node forwarding tables for the current radio state.
 
@@ -206,24 +208,25 @@ def compile_fast_lane(
     traffic: it is the sink, or the sender is one of its installed
     children) or ``-1`` (traffic heard and counted, never folded); and
     the noise model's drawer for that fan-out.  Also returns the set of
-    currently muted (asleep) nodes.
+    currently muted (asleep) nodes.  ``senders`` limits the tables to
+    those nodes (default: every node).
 
     Valid until the radio's attachment :attr:`~RadioMedium.epoch` moves
     or the noise model resets; the run loop compiles after the run's
-    first ``sim.run()`` (the reset) and after every perturbation
-    boundary that touched the medium.
+    first ``sim.run()`` (the reset) and, after every perturbation
+    boundary that touched the medium, recompiles the entries of the
+    toggled nodes' neighbours.
     """
     radio = sim.radio
     compile_lane = radio.noise.compile_lane
-    children_of = {node: proc._children for node, proc in processes.items()}
     tables: Dict[NodeId, _LaneEntry] = {}
-    for node, proc in processes.items():
-        if proc.slot is None:
+    for node in processes if senders is None else sorted(senders):
+        if processes[node].slot is None:
             continue
         fanout, receiver_ids = radio.fanout(node)
         targets = tuple(
             index[receiver]
-            if (receiver == sink or node in children_of[receiver])
+            if (receiver == sink or node in processes[receiver]._children)
             else -1
             for receiver, _callback in fanout
         )
@@ -274,6 +277,7 @@ def run_fast_kernel(
     have produced.
     """
     radio = sim.radio
+    neighbours = radio.topology.neighbours
     trace = sim.trace
     record = trace.record
     rng = sim.rng
@@ -342,7 +346,18 @@ def run_fast_kernel(
             # run() drains everything due, then advances the clock.
             sim.run(until=boundary)
             if radio.epoch != built_epoch:
-                tables, muted = compile_fast_lane(sim, processes, sink, index)
+                # A toggled node changes only its neighbours' fan-outs.
+                stale = None
+                if built_epoch is not None:
+                    stale = {
+                        neighbour
+                        for node in radio.toggled_since(built_epoch)
+                        for neighbour in neighbours(node)
+                    }
+                recompiled, muted = compile_fast_lane(
+                    sim, processes, sink, index, stale
+                )
+                tables.update(recompiled)
                 built_epoch = radio.epoch
 
             # Period-start hooks, in the legacy driver's client order:

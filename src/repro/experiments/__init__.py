@@ -49,6 +49,9 @@ _EXPORTS = {
         "ParallelExperimentRunner",
         "make_runner",
         "plan_workers",
+    ),
+    "pool": (
+        "SeedPool",
         "seed_chunks",
     ),
     "resilience": (

@@ -9,18 +9,22 @@ same jitter and noise draws; the search starts at round ``MSP``), so the
 baseline is read off the SLP run at the Phase 1 → Phase 2 boundary.
 
 Seeds are independent, so the sweep optionally fans out over worker
-processes (``workers``) through
-:meth:`~repro.experiments.ParallelExperimentRunner.map_seeds` — the
-supervised pool every sweep uses, with its fault points, retries,
+processes (``workers``) on :class:`~repro.experiments.pool.SeedPool` —
+the supervised pool every sweep uses, with its fault points, retries,
 bisection, quarantine and worker telemetry.  Per-seed measurements come
 back in seed order and are identical to a serial sweep; a seed that
 fails every attempt is quarantined and listed in the report.
+
+The module imports the setup stack its seeds run and nothing of the
+operational engine.  The pool and its supervision are imported on the
+pooled branch only, before the pool forks, so a serial run loads none
+of them and pool workers inherit everything a seed executes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ..das import run_das_setup
 from ..das.protocol import unassigned_error
@@ -31,8 +35,10 @@ from ..slp import SlpProtocolConfig, run_slp_setup
 from ..telemetry import active_tracer
 from ..topology import Topology
 from .config import PAPER, PaperParameters
-from .parallel import ParallelExperimentRunner, default_workers
-from .resilience import FailedRun, nothing_survived
+from .options import default_workers
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .resilience import FailedRun
 
 
 @dataclass(frozen=True)
@@ -164,13 +170,16 @@ def measure_setup_overhead(
         topology, search_distance, setup_periods, refinement_periods, noise,
         parameters, setup_kernel,
     )
-    pool = 1 if workers is None else min(workers or default_workers(), len(seeds))
-    if pool <= 1:
+    processes = 1 if workers is None else min(workers or default_workers(), len(seeds))
+    if processes <= 1:
         return OverheadMeasurement(
             topology.name, tuple(measure(seed) for seed in seeds), tuple(seeds)
         )
-    with ParallelExperimentRunner(topology, workers=pool) as runner:
-        by_seed, failures = runner.map_seeds(
+    from .pool import SeedPool
+    from .resilience import nothing_survived
+
+    with SeedPool(workers=processes) as pool:
+        by_seed, failures = pool.map_seeds(
             lambda chunk: measure, seeds, active_tracer() is not None
         )
     if not by_seed:

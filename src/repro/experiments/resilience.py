@@ -55,6 +55,7 @@ from dataclasses import asdict, dataclass, replace
 from hashlib import sha256
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
@@ -65,13 +66,15 @@ from typing import (
     Union,
 )
 
-from ..app import OperationalResult
 from ..errors import SweepExecutionError, invalid_field, sweep_failed
 from ..storage import atomic_write_text, durable_append
 from ..telemetry import absorb_worker_payload, active_tracer, default_registry
 from .faults import active_fault_plan
 from .options import GUARD_DIFFERENTIAL
 from .schedule_cache import topology_fingerprint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..app import OperationalResult
 
 #: Checkpoint on-disk format version; part of every store key so a
 #: format change can never silently merge with old entries.
@@ -504,7 +507,11 @@ def decode_checkpoint_line(line: str) -> Tuple[int, OperationalResult]:
 
 def result_from_dict(data: Dict[str, object]) -> OperationalResult:
     """Invert :func:`result_to_dict` exactly (tuples restored, so a
-    round-tripped result compares equal to the original)."""
+    round-tripped result compares equal to the original).  Imports the
+    operational engine on first use: the pool that supervises the
+    setup-only overhead experiment never decodes a result."""
+    from ..app import OperationalResult
+
     return OperationalResult(
         captured=data["captured"],
         capture_period=data["capture_period"],

@@ -96,9 +96,11 @@ class RadioMedium:
         self._collision_window = collision_window
         self._receivers: Dict[NodeId, Callable[[NodeId, Any, float], None]] = {}
         self._eavesdroppers: List[Eavesdropper] = []
-        #: bumped on every attach/detach; fan-out consumers (the
-        #: operational fast lane) rebuild their tables when it moves.
-        self._epoch = 0
+        #: every node attached or detached, in order.  Its length is the
+        #: attachment epoch; fan-out consumers (the operational fast
+        #: lane) rebuild their tables when it moves, and only for the
+        #: neighbours of the nodes toggled since.
+        self._toggled: List[NodeId] = []
         #: receiver → time of last arrival, for the collision window.
         self._last_arrival: Dict[NodeId, float] = {}
         #: sender → (fan-out list, receiver-id tuple); invalidated on
@@ -140,7 +142,12 @@ class RadioMedium:
         or detaches from the medium.  Consumers holding compiled fan-out
         tables (the operational fast lane) compare epochs to know when
         to rebuild."""
-        return self._epoch
+        return len(self._toggled)
+
+    def toggled_since(self, epoch: int) -> Tuple[NodeId, ...]:
+        """The nodes attached or detached since ``epoch``, in order.  A
+        toggle changes only its neighbours' fan-outs."""
+        return tuple(self._toggled[epoch:])
 
     @property
     def eavesdroppers(self) -> Tuple[Eavesdropper, ...]:
@@ -156,13 +163,13 @@ class RadioMedium:
         """Register the delivery callback for ``node``'s channel."""
         self._receivers[node] = on_deliver
         self._fanout_cache.clear()
-        self._epoch += 1
+        self._toggled.append(node)
 
     def detach(self, node: NodeId) -> None:
         """Remove ``node`` from the medium (e.g. node failure injection)."""
         self._receivers.pop(node, None)
         self._fanout_cache.clear()
-        self._epoch += 1
+        self._toggled.append(node)
 
     def attach_eavesdropper(self, eavesdropper: Eavesdropper) -> None:
         """Let ``eavesdropper`` overhear transmissions near its location."""

@@ -191,6 +191,34 @@ class TestFastLaneDynamics:
             )
             _assert_identical(outcomes, traces)
 
+    def test_a_detach_recompiles_only_the_neighbours_lanes(self, grid7):
+        """A toggled node changes only its neighbours' fan-outs, so the
+        perturbation boundary recompiles exactly their lane entries."""
+        schedule = centralized_das_schedule(grid7, seed=5)
+        victim = self._grid_nodes(grid7)[10]
+        noise = CasinoLabNoise()
+        compiled = []
+        real = noise.compile_lane
+
+        def spy(sender, receivers, targets):
+            compiled.append(sender)
+            return real(sender, receivers, targets)
+
+        noise.compile_lane = spy
+        outcomes, traces = _run_all(
+            grid7,
+            schedule,
+            seed=1,
+            noise=noise,
+            perturbations=(NodeDeath(period=2, nodes=(victim,)),),
+        )
+        _assert_identical(outcomes, traces)
+        assert outcomes[0].periods_run > 2  # the detach really happened
+        senders = sorted(n for n in grid7.nodes if n != grid7.sink)
+        first, after = compiled[: len(senders)], compiled[len(senders) :]
+        assert sorted(first) == senders
+        assert after == [n for n in grid7.neighbours(victim) if n != grid7.sink]
+
     def test_mobile_source_rotation_capture_is_bit_identical(self, grid7):
         """A rotating source can capture by walking onto the attacker
         (a period-boundary capture with buffered state to sync)."""

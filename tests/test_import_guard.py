@@ -11,9 +11,12 @@
   imports is compiled afresh, so each one is paid for on every call.
 * ``import repro.cli`` loads the parser and nothing else; each
   subcommand imports its own dependencies.
-* The other way round, a process that forks workers imports the run
-  path *before* it forks, so the workers inherit it instead of each
-  compiling it again (DESIGN.md "Import boundaries").
+* The overhead experiment runs only the distributed setup kernels, so
+  it loads none of the operational engine, and a serial run loads no
+  pool, supervision or fault-plan code either.
+* The other way round, a process that forks workers imports what its
+  seeds execute *before* it forks, so the workers inherit it instead of
+  each compiling it again (DESIGN.md "Import boundaries").
 
 The child interpreters run the CLI under ``runpy`` and report which
 modules ended up loaded.  Run under ``python -X importtime -m pytest -s``
@@ -67,8 +70,37 @@ RUN_PATH = (
     "repro.slp.protocol",
 )
 
-#: What the distributed setup (the overhead experiment) adds to it.
+#: What the distributed setup (the overhead experiment) executes.
 SETUP_PATH = ("repro.das.fast_setup", "repro.slp.distributed")
+
+#: The operational engine and the code that drives it: the overhead
+#: experiment executes none of it.
+OPERATIONAL = (
+    "repro.app",
+    "repro.attacker",
+    "repro.scenarios",
+    "repro.experiments.runner",
+    "repro.experiments.parallel",
+    "repro.das.centralized",
+    "repro.slp.refine",
+    "repro.slp.search",
+)
+
+#: The pool and its supervision: a serial overhead run needs none of it.
+POOL = (
+    "repro.experiments.pool",
+    "repro.experiments.resilience",
+    "repro.experiments.faults",
+    "concurrent.futures",
+)
+
+#: A small overhead sweep, serial and on two workers (the pool forks).
+SERIAL_OVERHEAD = (
+    "from repro.experiments import measure_setup_overhead\n"
+    "from repro.topology import GridTopology\n"
+    "measure_setup_overhead(GridTopology(5), seeds=(0, 1), setup_periods=12)"
+)
+POOLED_OVERHEAD = SERIAL_OVERHEAD[:-1] + ", workers=2)"
 
 #: Every package root whose public names resolve lazily.
 LAZY_ROOTS = (
@@ -122,6 +154,13 @@ def _child_modules(code: str) -> Tuple[str, ...]:
     return tuple(json.loads(result.stdout.strip().splitlines()[-1]))
 
 
+def _modules_after(code: str) -> Tuple[str, ...]:
+    """The modules loaded by a fresh interpreter after running ``code``."""
+    return _child_modules(
+        f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
+    )
+
+
 @lru_cache(maxsize=None)
 def _cli_modules(argv: Tuple[str, ...], codes: Tuple[int, ...] = (0,)) -> Tuple[str, ...]:
     """The modules a cold ``repro-slp-das <argv>`` call loaded."""
@@ -164,9 +203,7 @@ def test_scenario_run_imports_only_the_run_path(scenario):
 
 
 def test_import_cli_loads_only_the_parser_module():
-    modules = _child_modules(
-        "import json, sys\nimport repro.cli\nprint(json.dumps(sorted(sys.modules)))"
-    )
+    modules = _modules_after("import repro.cli")
     assert [m for m in modules if m.split(".")[0] == "repro"] == [
         "repro",
         "repro.cli",
@@ -197,15 +234,27 @@ def test_service_status_loads_no_run_path():
             "ParallelExperimentRunner(GridTopology(3), workers=2).close()",
             RUN_PATH,
         ),
-        ("import repro.experiments.overhead", RUN_PATH + SETUP_PATH),
+        ("import repro.experiments.overhead", SETUP_PATH),
+        (POOLED_OVERHEAD, SETUP_PATH + ("repro.experiments.pool",)),
     ],
-    ids=["service", "worker", "pool", "overhead"],
+    ids=["service", "worker", "pool", "overhead", "overhead-pooled"],
 )
 def test_forking_processes_load_the_run_path_before_forking(code, expected):
-    modules = _child_modules(
-        f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
-    )
+    modules = _modules_after(code)
     assert _loaded(modules, expected) == list(expected)
+
+
+@pytest.mark.parametrize(
+    "code, absent",
+    [
+        ("import repro.experiments.overhead", OPERATIONAL),
+        (SERIAL_OVERHEAD, OPERATIONAL + POOL),
+        (POOLED_OVERHEAD, OPERATIONAL),
+    ],
+    ids=["import", "serial", "pooled"],
+)
+def test_overhead_loads_no_operational_engine(code, absent):
+    assert _loaded(_modules_after(code), absent) == []
 
 
 def test_every_public_name_resolves_and_is_listed():

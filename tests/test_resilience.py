@@ -17,6 +17,7 @@ The contracts under test, in roughly increasing order of violence:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -447,7 +448,7 @@ class TestScenarioReports:
 
 class TestLifecycleHardening:
     def test_default_workers_survives_unknown_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert parallel_module.default_workers() == 1
 
     def test_close_kill_terminates_pool(self, grid5, config):
