@@ -23,51 +23,19 @@ BENCH_SEEDS = (0, 1, 2)
 #: survive pytest's output capture (fresh tables per session).
 ARTIFACTS_PATH = Path(__file__).resolve().parent.parent / "benchmark_artifacts.txt"
 
-
-def _load_artifact_sections():
-    """The shared section grammar of the artefact file (one parser for
-    this suite and ``scripts/bench.py --profile``, so the two writers
-    cannot drift and clobber each other's sections)."""
-    import importlib.util
-
-    path = (
-        Path(__file__).resolve().parent.parent / "scripts" / "artifact_sections.py"
-    )
-    spec = importlib.util.spec_from_file_location("artifact_sections", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_artifact_sections = _load_artifact_sections()
-
-
-def _preserved_sections(text: str) -> str:
-    """The parts of the artefact file other writers own.
-
-    ``scripts/bench.py --profile`` appends its cProfile hotspot tables
-    under ``cProfile hotspots`` headers; those are kept verbatim while
-    this suite's own tables are dropped for regeneration (truncating
-    the whole file used to silently discard the profile tables).
-    """
-    return _artifact_sections.filter_sections(
-        text,
-        lambda title: title.startswith(_artifact_sections.PROFILE_SECTION_PREFIX),
-        keep_preamble=False,
-    )
+#: The bar above and below each artefact's title.
+BAR = "=" * 64
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_artifacts_file():
-    existing = ARTIFACTS_PATH.read_text() if ARTIFACTS_PATH.exists() else ""
-    ARTIFACTS_PATH.write_text(_preserved_sections(existing))
+    ARTIFACTS_PATH.write_text("")
     yield
 
 
 def emit(title: str, body: str) -> None:
     """Print a regenerated artefact and persist it to the artefact file."""
-    bar = _artifact_sections.BAR
-    text = f"\n{bar}\n{title}\n{bar}\n{body}\n"
+    text = f"\n{BAR}\n{title}\n{BAR}\n{body}\n"
     print(text)
     with ARTIFACTS_PATH.open("a") as handle:
         handle.write(text)

@@ -25,7 +25,8 @@ Runs the full robustness story against *real processes*:
    client (respawns allowed for), far fewer than the requests served.
 
 Exit code 0 iff every check passes.  No timing, no BENCH json: this is
-a correctness drill, shaped like ``bench.py --chaos`` but one layer up.
+a correctness drill, shaped like the chaos suite's sweep drill
+(``tests/test_resilience.py``) but one layer up.
 """
 
 from __future__ import annotations

@@ -41,14 +41,14 @@ _EXPORTS = {
         "FAULT_PLAN_ENV",
         "GUARD_DIFFERENTIAL",
         "GUARD_MODES",
+        "MIN_NODE_RUNS_FOR_POOL",
         "default_workers",
+        "plan_workers",
         "workers_argument",
     ),
     "parallel": (
-        "MIN_NODE_RUNS_FOR_POOL",
         "ParallelExperimentRunner",
         "make_runner",
-        "plan_workers",
     ),
     "pool": (
         "SeedPool",

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..app import OperationalResult
 from ..core import Schedule
 from ..topology import Topology
-from .options import default_workers
+from .options import default_workers, plan_workers  # noqa: F401 (re-exported)
 from .pool import SeedPool, _run_seed_chunk  # noqa: F401 (tests reach it here)
 from .resilience import FailedRun, RetryPolicy
 from .runner import ExperimentConfig, ExperimentRunner, setup_protocols
@@ -35,55 +35,6 @@ from .schedule_cache import (
     default_schedule_cache,
     schedule_cache_enabled,
 )
-
-
-#: Dispatch threshold for :func:`plan_workers`: a sweep whose total work
-#: (``repeats × nodes``) falls below this is cheaper to run serially
-#: than to pickle, ship and gather across a pool.  Calibrated on the
-#: tracked bench: the quick-mode scenario sweeps (4 × 121 node-runs)
-#: sit below it, the full sweeps (20-30 × 121+) above.
-MIN_NODE_RUNS_FOR_POOL = 1000
-
-
-def plan_workers(
-    workers: Optional[int],
-    repeats: Optional[int] = None,
-    topology: Optional[Topology] = None,
-    force_parallel: bool = False,
-) -> int:
-    """Resolve a requested worker count into an *effective* one.
-
-    Two situations make a process pool a net loss, both observed on the
-    tracked bench (``scenario_churn`` ran at 0.57× the serial speed with
-    4 workers on a 1-core container):
-
-    * more workers than usable cores — the pool adds pickling and
-      scheduling overhead while the extra processes just time-slice one
-      another; the count is capped at :func:`default_workers`;
-    * a sweep too small to amortise dispatch — when
-      ``repeats × topology nodes`` falls under
-      :data:`MIN_NODE_RUNS_FOR_POOL`, the whole sweep runs serially.
-
-    Returns the worker count to actually use (``1`` = serial).
-    ``force_parallel`` is the escape hatch: the requested count is used
-    verbatim (benchmarks measuring pool overhead itself need this).
-    ``None`` stays serial, ``0`` means one per CPU, as everywhere else.
-    """
-    resolved = default_workers() if workers == 0 else workers
-    if resolved is None or resolved <= 1:
-        return 1
-    if force_parallel:
-        return resolved
-    effective = min(resolved, default_workers())
-    if effective <= 1:
-        return 1
-    if (
-        repeats is not None
-        and topology is not None
-        and repeats * topology.num_nodes < MIN_NODE_RUNS_FOR_POOL
-    ):
-        return 1
-    return effective
 
 
 class _SweepSeed:

@@ -1,9 +1,9 @@
 """Content-addressed memoisation of schedule construction.
 
 The evaluation's outer loops rebuild DAS/SLP schedules far more often
-than they strictly need to: the bench's serial-vs-parallel identity
-checks sweep the same ``(topology, algorithm, parameters, seed)`` cells
-twice, ``scenario compare`` lowers many scenarios onto the same 11×11
+than they strictly need to: serial-vs-parallel identity checks sweep
+the same ``(topology, algorithm, parameters, seed)`` cells twice,
+``scenario compare`` lowers many scenarios onto the same 11×11
 grid with the same seeds, and the two panels of Figure 5 share every
 protectionless cell.  Schedule building is deterministic in exactly
 those inputs, so rebuilding is pure waste — ~10–15 % of a sweep run.
@@ -21,10 +21,10 @@ the same grid.
 Each process holds one default cache (:func:`default_schedule_cache`):
 the parent's for serial sweeps, one per worker for parallel sweeps
 (workers populate theirs on first use and keep it across chunks).
-Hit/miss counters make the cache observable — ``scripts/bench.py``
-reports them and the CLI prints a one-line summary — and
-``ExperimentConfig(use_schedule_cache=False)`` or the process-wide
-:func:`configure_schedule_cache` switch it off for bisection.
+Hit/miss counters make the cache observable (the CLI prints a one-line
+summary), and ``ExperimentConfig(use_schedule_cache=False)`` or the
+process-wide :func:`configure_schedule_cache` switch it off for
+bisection.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class ScheduleCache:
     runs (the operational harness derives its own compressed copy).
     ``maxsize`` bounds retained entries; the least recently *used* entry
     is evicted first.  ``hits``/``misses`` count lookups for the
-    observability surfaces (bench, CLI summary).
+    observability surfaces (telemetry, CLI summary).
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
@@ -150,7 +150,7 @@ class ScheduleCache:
         On an in-memory miss the store is consulted before building; a
         fetched schedule is installed in memory and counted as a
         *store hit*, not a miss — ``misses`` keeps meaning "a build
-        happened here" and the stats the bench reports stay truthful.
+        happened here" and the stats the CLI reports stay truthful.
         Every build is published back write-through, so concurrent
         processes over the same topology dedup to one build.
         """
@@ -209,7 +209,7 @@ class ScheduleCache:
         Does not bump hits/misses and does not refresh LRU recency —
         the parallel runner uses it to see which of a sweep's schedules
         are already built (to ship them to workers) without distorting
-        the accounting the bench reports.
+        the accounting the CLI reports.
         """
         return self._entries.get(key)
 
@@ -259,7 +259,7 @@ class ScheduleCache:
         return counters
 
     def summary(self) -> str:
-        """One line for CLI/bench output."""
+        """One line for CLI output."""
         store_hits = self._store.hits if self._store is not None else 0
         total = self.hits + store_hits + self.misses
         ratio = (100.0 * (self.hits + store_hits) / total) if total else 0.0

@@ -3,16 +3,16 @@
 :class:`ScenarioRunner` lowers a :class:`~repro.scenarios.ScenarioSpec`
 onto the existing serial/parallel experiment engine: build the
 topology, lower the spec to an :class:`~repro.experiments.ExperimentConfig`
-(which carries the source plan and perturbations), hand it to
-:func:`~repro.experiments.make_runner` and wrap the outcome with the
-scenario-level metrics (per-source capture ratios, first-capture
-aggregation).
+(which carries the source plan and perturbations), sweep it on the
+engine :func:`~repro.experiments.plan_workers` picks and wrap the
+outcome with the scenario-level metrics (per-source capture ratios,
+first-capture aggregation).
 
 Determinism contract: a scenario swept with ``workers=N`` produces the
 same per-run results, the same aggregate statistics and — because
 :meth:`ScenarioOutcome.to_json` contains no wall-clock data — the very
-same bytes of JSON as the serial sweep.  The test suite and
-``scripts/bench.py`` both enforce this.
+same bytes of JSON as the serial sweep.  ``tests/test_scenarios.py``
+enforces this for every registered scenario.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..experiments.options import plan_workers
 from ..experiments.runner import ExperimentRunner
 from ..metrics.capture import first_capture_stats, per_source_capture_stats
 from .registry import get_scenario
@@ -233,28 +234,6 @@ class ScenarioRunner:
         """The configured worker count (CLI convention)."""
         return self._workers
 
-    def effective_workers(
-        self,
-        scenario: Union[str, ScenarioSpec],
-        seeds: Optional[int] = None,
-    ) -> int:
-        """The worker count :meth:`run` will actually use for a sweep
-        (``1`` = serial): the configured request resolved through the
-        worker policy with this scenario's size and repeat count — the
-        same call :meth:`run` makes, so the answer cannot drift from
-        the engine choice (the bench records it as ``workers_effective``).
-        """
-        from ..experiments.parallel import plan_workers
-
-        spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        config = spec.to_config(repeats=seeds)
-        return plan_workers(
-            self._workers,
-            repeats=config.repeats,
-            topology=spec.build_topology(),
-            force_parallel=self._force_parallel,
-        )
-
     def run(
         self,
         scenario: Union[str, ScenarioSpec],
@@ -321,19 +300,21 @@ class ScenarioRunner:
         )
 
     def _runner_for(self, topology, repeats: int) -> ExperimentRunner:
-        """The serial engine, or :func:`~repro.experiments.make_runner`'s
-        choice when more than one worker is requested (the pool code is
-        imported only then)."""
-        if self._workers is None or self._workers == 1:
-            return ExperimentRunner(topology)
-        from ..experiments.parallel import make_runner
-
-        return make_runner(
-            topology,
+        """The serial engine, or a pool when the worker policy gives the
+        sweep more than one worker (the pool code is imported only
+        then)."""
+        workers = plan_workers(
             self._workers,
             repeats=repeats,
+            topology=topology,
             force_parallel=self._force_parallel,
-            chunk_timeout=self._chunk_timeout,
+        )
+        if workers == 1:
+            return ExperimentRunner(topology)
+        from ..experiments.parallel import ParallelExperimentRunner
+
+        return ParallelExperimentRunner(
+            topology, workers=workers, chunk_timeout=self._chunk_timeout
         )
 
     def compare(

@@ -103,8 +103,9 @@ class RadioMedium:
         self._toggled: List[NodeId] = []
         #: receiver → time of last arrival, for the collision window.
         self._last_arrival: Dict[NodeId, float] = {}
-        #: sender → (fan-out list, receiver-id tuple); invalidated on
-        #: attach/detach.  The id tuple feeds the noise block-draw.
+        #: sender → (fan-out list, receiver-id tuple); a toggled node's
+        #: neighbours' entries are dropped on attach/detach.  The id
+        #: tuple feeds the noise block-draw.
         self._fanout_cache: Dict[NodeId, Tuple[_Fanout, Tuple[NodeId, ...]]] = {}
         #: sender → {sender} ∪ neighbours; topology is immutable, so
         #: entries never need invalidating.
@@ -162,13 +163,21 @@ class RadioMedium:
     ) -> None:
         """Register the delivery callback for ``node``'s channel."""
         self._receivers[node] = on_deliver
-        self._fanout_cache.clear()
-        self._toggled.append(node)
+        self._toggle(node)
 
     def detach(self, node: NodeId) -> None:
         """Remove ``node`` from the medium (e.g. node failure injection)."""
         self._receivers.pop(node, None)
-        self._fanout_cache.clear()
+        self._toggle(node)
+
+    def _toggle(self, node: NodeId) -> None:
+        """Record a toggle and drop the fan-outs it changed: only those
+        of ``node``'s neighbours list it.  Attaching a run's processes
+        finds the cache empty and skips the walk."""
+        cache = self._fanout_cache
+        if cache:
+            for neighbour in self._topology.neighbours(node):
+                cache.pop(neighbour, None)
         self._toggled.append(node)
 
     def attach_eavesdropper(self, eavesdropper: Eavesdropper) -> None:

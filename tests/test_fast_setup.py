@@ -140,6 +140,15 @@ class TestDasDifferential:
         legacy = run_das_setup(GridTopology(7), seed=0, setup_kernel="legacy")
         _assert_identical(fast, legacy)
 
+    def test_paper_grid15_dissemination_matches_legacy(self):
+        """The paper's 15x15 grid at its Table I parameters, 20 rounds."""
+        config = PAPER.das_config(setup_periods=20)
+        fast, legacy = (
+            run_das_setup(paper_grid(15), config=config, seed=0, setup_kernel=kernel)
+            for kernel in ("fast", "legacy")
+        )
+        _assert_identical(fast, legacy)
+
 
 class TestSlpDifferential:
     @pytest.mark.parametrize("topo_name", ["grid5", "random16"])

@@ -195,9 +195,19 @@ def test_scenario_run_imports_no_pool_store_or_socket(cold_run_modules):
     assert _loaded(cold_run_modules, MACHINERY) == []
 
 
-@pytest.mark.parametrize("scenario", ["paper-baseline", "paper-baseline-slp"])
-def test_scenario_run_imports_only_the_run_path(scenario):
-    modules = _scenario_run(scenario)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("paper-baseline", "--seeds", "2"),
+        ("paper-baseline-slp", "--seeds", "2"),
+        # 4 x 121 node-runs is below MIN_NODE_RUNS_FOR_POOL: the worker
+        # policy runs the sweep serially, so no pool code may load.
+        ("paper-baseline", "--seeds", "4", "--workers", "2"),
+    ],
+    ids=["paper-baseline", "paper-baseline-slp", "workers-2-run-serially"],
+)
+def test_scenario_run_imports_only_the_run_path(argv):
+    modules = _cli_modules(("scenario", "run", *argv, "--quiet"))
     assert _loaded(modules, DEFERRED) == []
     assert _loaded(modules, RUN_PATH) == list(RUN_PATH)
 

@@ -26,7 +26,7 @@ from repro.experiments import (
     plan_workers,
     seed_chunks,
 )
-from repro.experiments import parallel as parallel_module
+from repro.experiments import options as options_module
 from repro.simulator import ATTACKER_MOVE, CAPTURE, CasinoLabNoise
 
 
@@ -96,23 +96,23 @@ class TestWorkerPolicy:
         assert plan_workers(1) == 1
 
     def test_capped_at_usable_cores(self, grid5, monkeypatch):
-        monkeypatch.setattr(parallel_module, "default_workers", lambda: 2)
+        monkeypatch.setattr(options_module, "default_workers", lambda: 2)
         assert plan_workers(8) == 2
 
     def test_single_core_falls_back_to_serial(self, grid5, monkeypatch):
-        monkeypatch.setattr(parallel_module, "default_workers", lambda: 1)
+        monkeypatch.setattr(options_module, "default_workers", lambda: 1)
         assert plan_workers(4) == 1
         assert type(make_runner(grid5, 4)) is ExperimentRunner
 
     def test_tiny_sweep_falls_back_to_serial(self, grid5, monkeypatch):
-        monkeypatch.setattr(parallel_module, "default_workers", lambda: 8)
+        monkeypatch.setattr(options_module, "default_workers", lambda: 8)
         # 2 repeats x 25 nodes is far below the dispatch threshold.
         assert plan_workers(4, repeats=2, topology=grid5) == 1
         big_enough = MIN_NODE_RUNS_FOR_POOL // grid5.num_nodes + 1
         assert plan_workers(4, repeats=big_enough, topology=grid5) == 4
 
     def test_force_parallel_is_verbatim(self, grid5, monkeypatch):
-        monkeypatch.setattr(parallel_module, "default_workers", lambda: 1)
+        monkeypatch.setattr(options_module, "default_workers", lambda: 1)
         assert plan_workers(4, repeats=1, topology=grid5, force_parallel=True) == 4
         runner = make_runner(grid5, 3, repeats=1, force_parallel=True)
         assert isinstance(runner, ParallelExperimentRunner)

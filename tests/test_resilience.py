@@ -236,6 +236,33 @@ class TestSupervisedChaos:
                     runner.run(config)
         assert excinfo.value.seeds == tuple(range(config.repeats))
 
+    def test_transient_crash_and_poison_in_one_sweep(self, tmp_path):
+        """The chaos drill: one 7x7 sweep meets a transient failure, a
+        worker crash and a poison seed.  The survivors equal the serial
+        sweep, only the poison seed is quarantined, and the stats cover
+        the survivors."""
+        topology = GridTopology(7)
+        config = ExperimentConfig(algorithm=PROTECTIONLESS, repeats=10, base_seed=0)
+        serial = ExperimentRunner(topology).run(config)
+        plan = FaultPlan(
+            transient_seeds=(1,),
+            crash_seeds=(4,),
+            poison_seeds=(7,),
+            marker_dir=str(tmp_path),
+        )
+        outcome = sweep_with_plan(
+            topology,
+            config,
+            plan,
+            retry_policy=RetryPolicy(max_attempts=4, base_delay=0.01),
+            chunk_timeout=60.0,
+        )
+        assert [f.seed for f in outcome.failures] == [7]
+        assert outcome.results == tuple(
+            r for i, r in enumerate(serial.results) if i != 7
+        )
+        assert outcome.stats.runs == config.repeats - 1
+
     def test_fault_free_supervised_sweep_identical_at_any_width(
         self, grid5, config, serial
     ):

@@ -251,6 +251,16 @@ class TestRunnerIntegration:
         )
         assert cached.results == uncached.results
 
+    def test_resweep_hits_every_build_and_is_identical(self, grid5):
+        cache = ScheduleCache()
+        runner = ExperimentRunner(grid5, schedule_cache=cache)
+        cfg = ExperimentConfig(repeats=4, noise="casino")
+        first = runner.run(cfg)
+        hits, misses = cache.hits, cache.misses
+        again = runner.run(cfg)
+        assert again.results == first.results
+        assert (cache.hits - hits, cache.misses) == (cfg.repeats, misses)
+
     def test_link_mutation_misses_through_the_runner(self, grid5):
         cache = ScheduleCache()
         cfg = ExperimentConfig(repeats=1)

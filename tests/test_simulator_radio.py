@@ -17,7 +17,7 @@ from repro.simulator import (
     SEND,
     Simulator,
 )
-from repro.topology import LineTopology
+from repro.topology import GridTopology, LineTopology
 
 
 class Recorder(Process):
@@ -96,6 +96,26 @@ class TestBroadcast:
         sim.schedule_at(0.5, lambda: sim.radio.broadcast(1, "x"))
         sim.run()
         assert procs[0].received and not procs[2].received
+
+    def test_a_toggle_rebuilds_only_the_neighbours_fanouts(self):
+        """Attaching or detaching a node changes only the fan-outs that
+        list it, its neighbours'; every other sender keeps its cached
+        fan-out, and every fan-out still lists exactly the attached
+        neighbours."""
+        topo = GridTopology(4)
+        sim = Simulator(topo)
+        procs = {n: Recorder(n) for n in topo.nodes}
+        for p in procs.values():
+            sim.register_process(p)
+        radio = sim.radio
+        for toggle in (lambda: radio.detach(5), lambda: radio.attach(5, procs[5].deliver)):
+            for n in topo.nodes:
+                radio.fanout(n)
+            toggle()
+            rebuilt = [n for n in topo.nodes if n not in radio._fanout_cache]
+            assert rebuilt == sorted(topo.neighbours(5))
+        for n in topo.nodes:
+            assert radio.fanout(n)[1] == topo.neighbours(n)
 
     def test_lossy_link_drops_traced(self):
         topo = LineTopology(2)
