@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -96,3 +97,54 @@ def test_output_name_never_overwrites(recorder, tmp_path):
         path.write_text("{}")
         names.append(path.name)
     assert names == ["BENCH_20261018.json", "BENCH_20261018b.json", "BENCH_20261018c.json"]
+
+
+DECLARED = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+@pytest.mark.parametrize("metric", DECLARED, ids=[m["name"] for m in DECLARED])
+def test_each_declared_metric_reads_its_direction_and_bound(recorder, metric):
+    """Twice the bound the wrong way is worse; half of it is not."""
+    better, bound = metric["better"], metric["bound"]
+    for step, expected in ((2 * bound, "worse"), (bound / 2, "within bound")):
+        factor = 1 + step if better == "lower" else 1 / (1 + step)
+        change = [v * factor for v in PARENT]
+        assert _verdict(recorder, PARENT, change, better, bound) == expected
+
+
+def test_record_workload_runs_the_plan_in_order(recorder, monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append((tree, seed))
+        value = 2.0 if tree == "change" else 1.0
+        return {}, {"failed": 0, "attempted": 5, "metrics": {"wall_s": {"value": value}}}
+
+    monkeypatch.setattr(recorder, "run_once", fake_run)
+    trees = {"parent": "parent", "change": "change"}
+    declared = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    record, _ = recorder.record_workload(
+        trees, "cli_cells", recorder.pair_plan(3, 40), 1.0, declared
+    )
+    assert calls == [("parent", 40), ("change", 40), ("change", 41),
+                     ("parent", 41), ("parent", 42), ("change", 42)]
+    assert record["seeds"] == [40, 41, 42]
+    assert record["attempted"] == {"parent": [5] * 3, "change": [5] * 3}
+    wall = record["metrics"]["wall_s"]
+    assert wall["values"] == {"parent": [1.0] * 3, "change": [2.0] * 3}
+    assert (wall["verdict"], wall["pairs_won"]) == ("worse", "0/3")
+    row = recorder.verdict_table({"cli_cells": record}).splitlines()[-1]
+    assert row == "| cli_cells | wall_s | 1 | 2 | +100.0% | 0/3 | worse |"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["HEAD", "--pairs", "1"], ["HEAD", "--pairs", "0"], ["HEAD", "--workloads", "nope"]],
+    ids=["one-pair", "no-pairs", "unknown-workload"],
+)
+def test_bad_arguments_are_usage_errors(recorder, argv, capsys):
+    """Rejected before any git call or perfbench run."""
+    with pytest.raises(SystemExit) as excinfo:
+        recorder.main(argv)
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -279,6 +279,19 @@ class TestScenarioCli:
         assert serial_out == parallel_out
         assert json.loads(serial_out)["scenario"] == "two-sources"
 
+    @pytest.mark.parametrize("name", ["churn-10pct", "duty-cycle"])
+    def test_legacy_kernel_prints_the_fast_kernels_bytes(self, name, capsys):
+        """Node toggles drop cached radio fan-outs mid-run; the legacy
+        engine's report must still match the fast kernel's byte for byte."""
+        from repro.cli import main
+
+        outputs = []
+        for extra in ([], ["--legacy-kernel"]):
+            assert main(["scenario", "run", name, "--seeds", "2", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["scenario"] == name
+
     def test_run_jsonl_to_file(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -97,7 +97,8 @@ class TestBroadcast:
         sim.run()
         assert procs[0].received and not procs[2].received
 
-    def test_a_toggle_rebuilds_only_the_neighbours_fanouts(self):
+    @pytest.mark.parametrize("node", [0, 1, 5], ids=["corner", "edge", "interior"])
+    def test_a_toggle_rebuilds_only_the_neighbours_fanouts(self, node):
         """Attaching or detaching a node changes only the fan-outs that
         list it, its neighbours'; every other sender keeps its cached
         fan-out, and every fan-out still lists exactly the attached
@@ -108,12 +109,15 @@ class TestBroadcast:
         for p in procs.values():
             sim.register_process(p)
         radio = sim.radio
-        for toggle in (lambda: radio.detach(5), lambda: radio.attach(5, procs[5].deliver)):
+        for toggle in (
+            lambda: radio.detach(node),
+            lambda: radio.attach(node, procs[node].deliver),
+        ):
             for n in topo.nodes:
                 radio.fanout(n)
             toggle()
             rebuilt = [n for n in topo.nodes if n not in radio._fanout_cache]
-            assert rebuilt == sorted(topo.neighbours(5))
+            assert rebuilt == sorted(topo.neighbours(node))
         for n in topo.nodes:
             assert radio.fanout(n)[1] == topo.neighbours(n)
 
