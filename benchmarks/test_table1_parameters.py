@@ -21,17 +21,3 @@ def test_table1_regeneration(benchmark):
     # frame's period equals the source period.
     assert max(schedule.slots().values()) <= PAPER.num_slots
     assert PAPER.frame().period_length == PAPER.source_period
-
-
-def test_table1_frame_arithmetic(benchmark):
-    """Benchmark the inverse frame mapping used on every radio event."""
-    frame = PAPER.frame()
-
-    def inverse_sweep():
-        total = 0
-        for i in range(1000):
-            period, slot = frame.position_of(i * 0.037)
-            total += period + (slot or 0)
-        return total
-
-    assert benchmark(inverse_sweep) > 0

@@ -223,6 +223,11 @@ def verdict_table(pairs: Dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
+def src_lines_line(parent: int, change: int) -> str:
+    """The net source-line change, printed with every verdict table."""
+    return f"src lines: parent {parent}, change {change} ({change - parent:+d})"
+
+
 def _at_least_two(value: str) -> int:
     pairs = int(value)
     if pairs < 2:
@@ -282,6 +287,7 @@ def main(argv=None) -> int:
     print(verdict_table(pairs))
     print(f"\nfailed checks: parent {failed[PARENT]}/{attempted[PARENT]}, "
           f"change {failed[CHANGE]}/{attempted[CHANGE]}")
+    print(src_lines_line(meta["parent"]["src_lines"], meta["change"]["src_lines"]))
     print(f"wrote {path.name}", file=sys.stderr)
     worse = any(
         m["verdict"] == "worse" for r in pairs.values() for m in r["metrics"].values()

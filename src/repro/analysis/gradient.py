@@ -93,12 +93,6 @@ class GradientField:
     basin_of: Dict[NodeId, NodeId]
     minima: Tuple[NodeId, ...]
 
-    def basin_members(self, minimum: NodeId) -> Tuple[NodeId, ...]:
-        """Every node whose descent drains to ``minimum``."""
-        return tuple(
-            sorted(n for n, b in self.basin_of.items() if b == minimum)
-        )
-
 
 def gradient_field(topology: Topology, schedule: Schedule) -> GradientField:
     """Compute the full gradient field (successors, basins, minima)."""

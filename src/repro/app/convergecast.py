@@ -13,7 +13,7 @@ it only accumulates and records per-period completeness.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from ..simulator import Process
 from ..topology import NodeId
@@ -126,12 +126,8 @@ class ConvergecastNodeProcess(Process):
         # A broadcast medium delivers everything; the aggregation layer
         # accepts only child traffic.  Children were learned during
         # Phase 1 (nodes announce their parent in DISSEM messages) and
-        # are installed here by the runtime harness from the schedule.
+        # are passed in by the runtime harness from the schedule.
         return sender in self._children
-
-    def set_children(self, children: Set[NodeId]) -> None:
-        """Install this node's aggregation children (runtime wiring)."""
-        self._children = set(children)
 
     def adopt_state(
         self, period: int, pending: Set[NodeId], sent_delta: int

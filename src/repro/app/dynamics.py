@@ -100,11 +100,6 @@ class SourcePlan:
                 )
 
     @property
-    def is_rotating(self) -> bool:
-        """Whether the asset moves between pool nodes over time."""
-        return self.rotation_period is not None
-
-    @property
     def primary(self) -> NodeId:
         """The first pool node — the source SLP schedule building protects."""
         return self.nodes[0]

@@ -36,8 +36,3 @@ class AggregateMessage:
     period: int
     slot: int
     origins: FrozenSet[NodeId]
-
-    @property
-    def aggregate_size(self) -> int:
-        """Number of readings folded into this message."""
-        return len(self.origins)

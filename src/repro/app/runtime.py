@@ -24,11 +24,9 @@ from ..core import Schedule, safety_period
 from ..errors import ConfigurationError, invalid_field
 from ..mac import TdmaDriver, TdmaFrame
 from ..simulator import (
-    ATTACKER_HEAR,
     ATTACKER_MOVE,
     CAPTURE,
     NoiseModel,
-    PERIOD_START,
     SEND,
     Simulator,
 )
@@ -107,11 +105,6 @@ class OperationalResult:
     aggregation_ratio: float
     captured_source: Optional[NodeId] = None
     source_pool: Tuple[NodeId, ...] = ()
-
-    @property
-    def survived(self) -> bool:
-        """Whether every source stayed hidden for the whole safety period."""
-        return not self.captured
 
 
 class _AttackerTdmaAdapter:

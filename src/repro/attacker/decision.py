@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence
 
 from ..topology import NodeId
 

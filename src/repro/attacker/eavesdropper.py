@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..simulator import ATTACKER_MOVE, CAPTURE, Simulator
-from ..topology import NodeId, Topology
+from ..topology import NodeId
 from .decision import HeardMessage
 from .model import AttackerSpec, AttackerState
 

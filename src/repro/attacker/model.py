@@ -10,8 +10,8 @@ tests drive the exact same logic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 from ..errors import invalid_field
 from ..topology import NodeId

@@ -456,10 +456,8 @@ def _cmd_service_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker_start(args: argparse.Namespace) -> int:
-    import signal
-
     from .experiments import RetryPolicy
-    from .service import ShardWorker
+    from .service import ShardWorker, worker_main
 
     retry = (
         RetryPolicy(max_attempts=args.max_attempts)
@@ -476,14 +474,8 @@ def _cmd_worker_start(args: argparse.Namespace) -> int:
         token=args.token,
         upload_batch=args.upload_batch,
     )
-
-    def _on_signal(signum: int, frame: object) -> None:
-        worker.request_stop()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
     _status(args, f"worker {worker.worker_id} pulling from {args.connect}")
-    executed = worker.run()
+    executed = worker_main(worker)
     _status(args, f"worker {worker.worker_id} exiting ({executed} seeds run)")
     return 0
 

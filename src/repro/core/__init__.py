@@ -20,7 +20,6 @@ _EXPORTS = {
         "DasViolation",
         "check_strong_das",
         "check_weak_das",
-        "first_violation",
         "is_non_colliding",
         "is_strong_das",
         "is_weak_das",

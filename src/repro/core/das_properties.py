@@ -13,7 +13,7 @@ procedure read like model-checker counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..topology import NodeId, Topology
 from .schedule import Schedule
@@ -254,8 +254,3 @@ def is_strong_das(topology: Topology, schedule: Schedule) -> bool:
 def is_weak_das(topology: Topology, schedule: Schedule) -> bool:
     """Boolean convenience wrapper around :func:`check_weak_das`."""
     return check_weak_das(topology, schedule).ok
-
-
-def first_violation(result: DasCheckResult) -> Optional[DasViolation]:
-    """The first violation of a check result, or ``None`` when valid."""
-    return result.violations[0] if result.violations else None

@@ -43,8 +43,8 @@ class Schedule:
         The sink node.  It must carry a slot (Figure 2 assigns it ``Δ``)
         strictly larger than every other node's slot.
 
-    Use :meth:`with_slot` / :meth:`with_slots` to derive refined
-    schedules (Phase 3 reassigns slots); the original is never mutated.
+    Use :meth:`with_slots` to derive refined schedules (Phase 3
+    reassigns slots); the original is never mutated.
     """
 
     #: parent → sorted children, built on the first :meth:`children_of`
@@ -206,54 +206,9 @@ class Schedule:
                 sets[slot - 1].add(node)
         return sets
 
-    def nodes_in_slot(self, slot: int) -> Tuple[NodeId, ...]:
-        """Return all senders assigned to ``slot`` (the sink never appears)."""
-        return tuple(
-            sorted(
-                n
-                for n, s in self._slots.items()
-                if s == slot and n != self._sink
-            )
-        )
-
-    def transmission_order(self) -> List[NodeId]:
-        """Senders in the order they fire within one TDMA period.
-
-        Ascending slot number; ties (which a collision-free schedule only
-        permits between mutually out-of-range nodes) break by identifier
-        for determinism.
-        """
-        return sorted(self.senders, key=lambda n: (self._slots[n], n))
-
-    def min_slot_neighbour(
-        self, topology: Topology, node: NodeId
-    ) -> Optional[NodeId]:
-        """The neighbour of ``node`` with the smallest slot — the one an
-        eavesdropper co-located with ``node`` hears *first* each period.
-
-        Returns ``None`` if no neighbour of ``node`` is scheduled to send.
-        Ties break by node identifier.
-        """
-        candidates = [
-            m
-            for m in topology.neighbours(node)
-            if m in self._slots and m != self._sink
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda m: (self._slots[m], m))
-
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
-    def with_slot(self, node: NodeId, slot: int) -> "Schedule":
-        """Return a copy of this schedule with ``node`` moved to ``slot``."""
-        new_slots = dict(self._slots)
-        if node not in new_slots:
-            raise ScheduleError(f"cannot reslot unscheduled node {node!r}")
-        new_slots[node] = slot
-        return Schedule(new_slots, self._parents, self._sink)
-
     def with_slots(self, changes: Mapping[NodeId, int]) -> "Schedule":
         """Return a copy with every ``node → slot`` change applied at once."""
         new_slots = dict(self._slots)
@@ -262,32 +217,6 @@ class Schedule:
                 raise ScheduleError(f"cannot reslot unscheduled node {node!r}")
             new_slots[node] = slot
         return Schedule(new_slots, self._parents, self._sink)
-
-    def with_parent(self, node: NodeId, parent: Optional[NodeId]) -> "Schedule":
-        """Return a copy with ``node``'s aggregation parent replaced."""
-        new_parents = dict(self._parents)
-        if node not in self._slots:
-            raise ScheduleError(f"cannot reparent unscheduled node {node!r}")
-        new_parents[node] = parent
-        return Schedule(self._slots, new_parents, self._sink)
-
-    def normalised(self) -> "Schedule":
-        """Return a copy with slots shifted so the minimum sender slot is 1.
-
-        Phase 3 refinement decrements slots and can push values toward the
-        bottom of the frame; normalising keeps the sender-set indices
-        compact without changing relative order (all the algorithms only
-        depend on slot *order*, never absolute values).
-        """
-        min_slot = min(self._slots.values())
-        shift = 1 - min_slot
-        if shift == 0:
-            return self
-        return Schedule(
-            {n: s + shift for n, s in self._slots.items()},
-            self._parents,
-            self._sink,
-        )
 
     def compressed(self) -> "Schedule":
         """Return a copy with slot values remapped to ``1..k`` (k = number

@@ -23,8 +23,7 @@ messages; the only global inputs are the constants of Table I.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from ..core import Schedule

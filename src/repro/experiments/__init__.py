@@ -16,7 +16,6 @@ _EXPORTS = {
         "PAPER_SIZES",
         "PaperParameters",
         "format_table1",
-        "paper_topologies",
     ),
     "figure5": (
         "Figure5Cell",
@@ -48,7 +47,6 @@ _EXPORTS = {
     ),
     "parallel": (
         "ParallelExperimentRunner",
-        "make_runner",
     ),
     "pool": (
         "SeedPool",
@@ -80,7 +78,6 @@ _EXPORTS = {
     "schedule_cache": (
         "ScheduleCache",
         "configure_schedule_cache",
-        "default_cache",
         "default_cache_stats",
         "default_schedule_cache",
         "reset_default_cache",

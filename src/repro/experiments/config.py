@@ -9,7 +9,7 @@ itself (the ``table1`` entry of the experiment index in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..errors import invalid_field
 from ..mac.frame import TdmaFrame
@@ -99,20 +99,9 @@ class PaperParameters:
         """Table I: ``CL = Δss − SD`` (at least one hop)."""
         return max(1, topology.source_sink_distance() - search_distance)
 
-    def simulation_bound_seconds(self, topology: Topology) -> float:
-        """§VI-B: ``number of nodes × source period × 4``."""
-        return topology.num_nodes * self.source_period * 4
-
 
 #: The canonical instance used across experiments and benchmarks.
 PAPER = PaperParameters()
-
-
-def paper_topologies() -> List[Topology]:
-    """The three grids of §VI-A (source top-left, sink centre)."""
-    from ..topology import paper_grid
-
-    return [paper_grid(size) for size in PAPER_SIZES]
 
 
 def format_table1() -> str:

@@ -26,7 +26,6 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..app import OperationalResult
 from ..core import Schedule
 from ..topology import Topology
-from .options import default_workers, plan_workers  # noqa: F401 (re-exported)
 from .pool import SeedPool, _run_seed_chunk  # noqa: F401 (tests reach it here)
 from .resilience import FailedRun, RetryPolicy
 from .runner import ExperimentConfig, ExperimentRunner, setup_protocols
@@ -152,44 +151,3 @@ class ParallelExperimentRunner(SeedPool, ExperimentRunner):
             config.telemetry,
             on_result,
         )
-
-
-def make_runner(
-    topology: Topology,
-    workers: Optional[int] = None,
-    repeats: Optional[int] = None,
-    force_parallel: bool = False,
-    retry_policy: Optional[RetryPolicy] = None,
-    chunk_timeout: Optional[float] = None,
-) -> ExperimentRunner:
-    """Build the right runner for a worker count.
-
-    ``None`` or ``1`` gives the serial :class:`ExperimentRunner`; ``0``
-    means one per CPU; any other count gives a
-    :class:`ParallelExperimentRunner`.  Both support the
-    context-manager protocol, so call sites can treat them uniformly::
-
-        with make_runner(topology, workers) as runner:
-            outcome = runner.run(config)
-
-    When the sweep size is known, pass ``repeats`` so
-    :func:`plan_workers` can fall back to the serial engine where a pool
-    would only add overhead (worker count above the core count, or a
-    sweep too small to amortise dispatch); ``force_parallel=True``
-    bypasses that policy and honours the requested count verbatim.
-    Results are bit-identical whichever engine is picked.
-    ``retry_policy`` and ``chunk_timeout`` configure the parallel
-    engine's supervision (ignored by the serial engine, which has no
-    workers to lose).
-    """
-    effective = plan_workers(
-        workers, repeats=repeats, topology=topology, force_parallel=force_parallel
-    )
-    if effective <= 1:
-        return ExperimentRunner(topology)
-    return ParallelExperimentRunner(
-        topology,
-        workers=effective,
-        retry_policy=retry_policy,
-        chunk_timeout=chunk_timeout,
-    )

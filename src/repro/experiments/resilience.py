@@ -107,11 +107,12 @@ class RetryPolicy:
                 "RetryPolicy", "max_attempts", self.max_attempts,
                 "a chunk must be attempted at least once",
             )
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise invalid_field(
-                "RetryPolicy", "base_delay", self.base_delay,
-                "delays cannot be negative",
-            )
+        for name in ("base_delay", "max_delay"):
+            if getattr(self, name) < 0:
+                raise invalid_field(
+                    "RetryPolicy", name, getattr(self, name),
+                    "delays cannot be negative",
+                )
 
     def delay(self, attempt: int, key: int = 0) -> float:
         """The back-off before retrying after failed ``attempt``."""
@@ -622,6 +623,10 @@ class SweepCheckpoint:
 # ----------------------------------------------------------------------
 # Runtime kernel-divergence guard
 # ----------------------------------------------------------------------
+#: Seeds of each guarded sweep re-run on the legacy engines.
+GUARD_SAMPLE = 3
+
+
 def guard_sample(seeds: Sequence[int], sample: int, base_seed: int) -> Tuple[int, ...]:
     """A deterministic sample of a sweep's seeds to re-check: drawn
     from the sweep's shape, not wall-clock, so the same sweep always
@@ -684,7 +689,6 @@ def apply_divergence_guard(
     runner,
     config,
     outcome,
-    sample: int = 3,
     bundle_dir: Union[str, Path] = "divergence",
 ):
     """Re-run a sampled subset of ``outcome``'s seeds on the legacy
@@ -707,7 +711,7 @@ def apply_divergence_guard(
         if config.base_seed + i not in quarantined
     ]
     by_seed = dict(zip(completed, outcome.results))
-    sampled = guard_sample(completed, sample, config.base_seed)
+    sampled = guard_sample(completed, GUARD_SAMPLE, config.base_seed)
     legacy_cfg = _legacy_config(config)
     probe = ExperimentRunner(runner.topology)
     mismatches: List[Tuple[int, OperationalResult, OperationalResult]] = []

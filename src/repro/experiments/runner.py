@@ -542,7 +542,6 @@ class ExperimentRunner:
         checkpoint: Optional[SweepCheckpoint] = None,
         resume: bool = False,
         guard: Optional[str] = None,
-        guard_sample: int = 3,
         bundle_dir: str = "divergence",
         on_result: Optional[Callable[[int, OperationalResult], None]] = None,
     ) -> ExperimentOutcome:
@@ -550,8 +549,8 @@ class ExperimentRunner:
         kernel-divergence guard composed over :meth:`run`.
 
         With every knob at its default this is exactly :meth:`run`.
-        ``guard="differential"`` re-runs ``guard_sample`` of the
-        sweep's seeds on the legacy engines after the sweep; a mismatch
+        ``guard="differential"`` re-runs a sample of the sweep's seeds
+        on the legacy engines after the sweep; a mismatch
         writes a reproducer bundle under ``bundle_dir`` and degrades
         the whole sweep to the legacy kernel (see
         :func:`~repro.experiments.resilience.apply_divergence_guard`).
@@ -571,6 +570,6 @@ class ExperimentRunner:
             from .resilience import apply_divergence_guard
 
             outcome = apply_divergence_guard(
-                self, config, outcome, sample=guard_sample, bundle_dir=bundle_dir
+                self, config, outcome, bundle_dir=bundle_dir
             )
         return outcome

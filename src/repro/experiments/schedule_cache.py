@@ -284,17 +284,6 @@ def default_schedule_cache() -> ScheduleCache:
     return _DEFAULT_CACHE
 
 
-def default_cache() -> ScheduleCache:
-    """Public accessor for the process-default cache.
-
-    Alias of :func:`default_schedule_cache`, kept as the short public
-    name so tooling never reaches for the private module state:
-    ``default_cache().stats()`` for the counters,
-    ``default_cache().summary()`` for the CLI one-liner.
-    """
-    return _DEFAULT_CACHE
-
-
 def default_cache_stats() -> Dict[str, int]:
     """Counter snapshot of the process-default cache
     (hits/misses/evictions/preloads/size)."""

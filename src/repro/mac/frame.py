@@ -7,15 +7,14 @@ each.  With the paper's defaults (``Pdiss = 0.5 s``, ``slots = 100``,
 ``Psrc``, so the source generates one message per period.
 
 :class:`TdmaFrame` is pure arithmetic: given the three parameters it
-answers "when does slot ``k`` of period ``p`` start?" and the inverse
-"which period/slot does time ``t`` fall in?".  All protocol timing is
-derived from it, so the frame structure lives in exactly one place.
+answers "when does slot ``k`` of period ``p`` start?".  All protocol
+timing is derived from it, so the frame structure lives in exactly one
+place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from ..errors import ConfigurationError, invalid_field
 
@@ -73,10 +72,6 @@ class TdmaFrame:
             raise ConfigurationError("period index cannot be negative")
         return period * self.period_length
 
-    def dissemination_start(self, period: int) -> float:
-        """Start of the dissemination window of ``period``."""
-        return self.period_start(period)
-
     def slot_start(self, period: int, slot: int) -> float:
         """Start time of slot ``slot`` (1-based) within ``period``."""
         if not 1 <= slot <= self.num_slots:
@@ -88,29 +83,6 @@ class TdmaFrame:
             + self.dissemination_duration
             + (slot - 1) * self.slot_duration
         )
-
-    # ------------------------------------------------------------------
-    # Inverse mapping: time → (period, slot)
-    # ------------------------------------------------------------------
-    def period_of(self, time: float) -> int:
-        """The period index containing simulated time ``time``."""
-        if time < 0:
-            raise ConfigurationError("time cannot be negative")
-        return int(time // self.period_length)
-
-    def slot_at(self, time: float) -> Optional[int]:
-        """The slot number active at ``time``, or ``None`` in dissemination."""
-        if time < 0:
-            raise ConfigurationError("time cannot be negative")
-        offset = time % self.period_length
-        if offset < self.dissemination_duration:
-            return None
-        slot = int((offset - self.dissemination_duration) // self.slot_duration) + 1
-        return min(slot, self.num_slots)
-
-    def position_of(self, time: float) -> Tuple[int, Optional[int]]:
-        """``(period, slot-or-None)`` for simulated time ``time``."""
-        return self.period_of(time), self.slot_at(time)
 
     def fits(self, slot: int) -> bool:
         """Whether ``slot`` lies within this frame."""

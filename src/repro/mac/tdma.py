@@ -12,7 +12,7 @@ MAC owns the timing, the application owns the payloads.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol
+from typing import TYPE_CHECKING, Dict, Optional, Protocol
 
 from ..errors import SimulationError
 from ..simulator import PERIOD_START
@@ -45,9 +45,7 @@ class TdmaDriver:
 
     The driver is started once with :meth:`start` and then self-schedules
     one period at a time — scheduling only the upcoming period keeps the
-    event queue small on long runs and lets slot reassignment (Phase 3)
-    take effect at the next period boundary, exactly as a real TDMA MAC
-    would apply a new schedule.
+    event queue small on long runs.
     """
 
     def __init__(self, simulator: "Simulator", frame: TdmaFrame) -> None:
@@ -86,19 +84,6 @@ class TdmaDriver:
         if slot is not None:
             self._slots[client.node] = slot
 
-    def reassign(self, node: NodeId, slot: Optional[int]) -> None:
-        """Change a client's slot; applied from the next period onward."""
-        if node not in self._clients:
-            raise SimulationError(f"no TDMA client registered at node {node}")
-        if slot is None:
-            self._slots.pop(node, None)
-            return
-        if not self._frame.fits(slot):
-            raise SimulationError(
-                f"slot {slot} does not fit a frame of {self._frame.num_slots} slots"
-            )
-        self._slots[node] = slot
-
     def slot_of(self, node: NodeId) -> Optional[int]:
         """The slot currently assigned to ``node``, if any."""
         return self._slots.get(node)
@@ -106,8 +91,8 @@ class TdmaDriver:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def start(self, first_period: int = 0, stop_after: Optional[int] = None) -> None:
-        """Begin firing events from ``first_period``.
+    def start(self, stop_after: Optional[int] = None) -> None:
+        """Begin firing events from period 0.
 
         ``stop_after`` bounds how many periods run (``None`` = until the
         simulation's own horizon ends the run).
@@ -116,12 +101,7 @@ class TdmaDriver:
             raise SimulationError("the TDMA driver is already running")
         self._running = True
         self._stop_after = stop_after
-        self._current_period = first_period
-        self._sim.schedule_at(
-            self._frame.period_start(first_period),
-            self._begin_period,
-            (first_period,),
-        )
+        self._sim.schedule_at(self._frame.period_start(0), self._begin_period, (0,))
 
     def _begin_period(self, period: int) -> None:
         self._current_period = period
@@ -129,8 +109,6 @@ class TdmaDriver:
         self._sim.trace.record(now, PERIOD_START, period=period)
         for node in sorted(self._clients):
             self._clients[node].on_period_start(period, now)
-        # Schedule this period's slot events using the *current* slot map
-        # (reassignments made during the previous period are now live).
         for node, slot in sorted(self._slots.items()):
             self._sim.schedule_at(
                 self._frame.slot_start(period, slot),
@@ -145,11 +123,4 @@ class TdmaDriver:
             )
 
     def _fire_slot(self, node: NodeId, period: int, slot: int) -> None:
-        # A reassignment during this period must not retract an already
-        # scheduled firing inconsistently: fire only if the slot still
-        # matches what the node holds.
-        if self._slots.get(node) != slot:
-            return
-        client = self._clients.get(node)
-        if client is not None:
-            client.on_slot(period, slot, self._sim.now)
+        self._clients[node].on_slot(period, slot, self._sim.now)

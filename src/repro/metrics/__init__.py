@@ -14,20 +14,9 @@ _EXPORTS = {
         "first_capture_stats",
         "per_source_capture_stats",
     ),
-    "collector": (
-        "Summary",
-        "summarise",
-    ),
-    "energy": (
-        "EnergyModel",
-        "EnergyReport",
-        "estimate_lifetime_periods",
-        "measure_energy",
-    ),
     "latency": (
         "AggregationStats",
         "aggregation_stats",
-        "schedule_latency_periods",
     ),
     "overhead": (
         "MessageOverhead",

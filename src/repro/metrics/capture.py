@@ -12,7 +12,6 @@ happens across a sweep).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,14 +43,6 @@ class CaptureStats:
     capture_ratio: float
     mean_capture_period: Optional[float]
     mean_attacker_moves: float
-
-    def confidence_interval(self, z: float = 1.96) -> Tuple[float, float]:
-        """Normal-approximation CI for the capture ratio (default 95%)."""
-        if self.runs == 0:
-            return (0.0, 0.0)
-        p = self.capture_ratio
-        half = z * math.sqrt(max(p * (1 - p), 0.0) / self.runs)
-        return (max(0.0, p - half), min(1.0, p + half))
 
     def reduction_versus(self, baseline: "CaptureStats") -> float:
         """Relative capture-ratio reduction against ``baseline`` (the

@@ -39,11 +39,6 @@ class AggregationStats:
     max_ratio: float
     std_ratio: float
 
-    @property
-    def lossless(self) -> bool:
-        """Whether every run achieved perfect aggregation."""
-        return self.min_ratio >= 1.0 - 1e-12
-
 
 def aggregation_stats(results: Sequence[OperationalResult]) -> AggregationStats:
     """Fold the per-run aggregation ratios into :class:`AggregationStats`."""
@@ -59,18 +54,3 @@ def aggregation_stats(results: Sequence[OperationalResult]) -> AggregationStats:
         max_ratio=float(ratios.max()),
         std_ratio=float(ratios.std()),
     )
-
-
-def schedule_latency_periods(max_slot: int, num_slots: int) -> float:
-    """Worst-case collection latency in periods for a schedule whose
-    deepest sender uses ``max_slot`` of a ``num_slots`` frame.
-
-    Every reading generated at a period's start reaches the sink by the
-    period's end in a valid DAS, so the latency is the fraction of the
-    period until the last sender slot fires.
-    """
-    if num_slots < 1 or max_slot < 1:
-        raise ConfigurationError("slot numbers must be positive")
-    if max_slot > num_slots:
-        raise ConfigurationError("max_slot cannot exceed the frame size")
-    return max_slot / num_slots

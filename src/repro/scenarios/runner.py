@@ -229,11 +229,6 @@ class ScenarioRunner:
             str(Path(checkpoint) / "divergence") if checkpoint else "divergence"
         )
 
-    @property
-    def workers(self) -> Optional[int]:
-        """The configured worker count (CLI convention)."""
-        return self._workers
-
     def run(
         self,
         scenario: Union[str, ScenarioSpec],

@@ -20,7 +20,7 @@ runners already know how to sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -340,10 +340,6 @@ class ScenarioSpec:
             max_periods=self.max_periods,
         )
 
-    def with_overrides(self, **changes: object) -> "ScenarioSpec":
-        """A copy of this spec with ``dataclasses.replace`` semantics."""
-        return replace(self, **changes)
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -469,15 +465,6 @@ class ScenarioSpec:
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The spec serialised as JSON (sorted keys)."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def canonical_json(self) -> str:
-        """The compact, key-sorted serialisation used wherever the spec
-        is hashed (the experiment service's content-addressed job keys):
-        two equal specs canonicalise to identical bytes however they
-        were spelled."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

@@ -202,26 +202,6 @@ def _call(
         return body
 
 
-def _request_raw(
-    url: str,
-    payload: Optional[Dict] = None,
-    timeout: float = 30.0,
-    retries: int = 3,
-    backoff: float = 0.2,
-    sleep: Callable[[float], None] = time.sleep,
-    token: Optional[str] = None,
-) -> bytes:
-    """One API call to a full ``url`` on a connection of its own,
-    returning the raw response body (see :func:`_call`)."""
-    parts = urlsplit(url)
-    channel = HttpChannel(f"{parts.scheme}://{parts.netloc}", timeout)
-    path = parts.path + (f"?{parts.query}" if parts.query else "")
-    try:
-        return _call(channel, url, path, payload, retries, backoff, sleep, token)
-    finally:
-        channel.close()
-
-
 class ServiceClient:
     """Talks to one running :class:`~repro.service.SweepService`.
 

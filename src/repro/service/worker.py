@@ -460,37 +460,14 @@ class ShardWorker:
             pass
 
 
-def worker_main(
-    base_url: str,
-    worker_id: Optional[str] = None,
-    poll_interval: float = 0.2,
-    timeout: float = 10.0,
-    idle_exit: Optional[float] = None,
-    max_attempts: Optional[int] = None,
-    token: Optional[str] = None,
-    upload_batch: int = 1,
-) -> int:
-    """Run one worker process to completion (the ``repro worker start``
-    entry point; module-level so test harnesses can spawn it directly).
-
-    SIGTERM and SIGINT trigger the graceful drain; returns 0.
-    """
-    retry = RetryPolicy(max_attempts=max_attempts) if max_attempts else None
-    worker = ShardWorker(
-        base_url,
-        worker_id=worker_id,
-        poll_interval=poll_interval,
-        timeout=timeout,
-        retry=retry,
-        idle_exit=idle_exit,
-        token=token,
-        upload_batch=upload_batch,
-    )
+def worker_main(worker: ShardWorker) -> int:
+    """Run ``worker`` as this process's main loop (the ``repro worker
+    start`` entry point): SIGTERM and SIGINT trigger the graceful drain.
+    Returns the number of seeds the worker ran."""
 
     def _on_signal(signum: int, frame: object) -> None:
         worker.request_stop()
 
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
-    worker.run()
-    return 0
+    return worker.run()

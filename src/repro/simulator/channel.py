@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Iterator, Optional
+from typing import Any, Deque, Iterator
 
 from ..errors import SimulationError
 from ..topology import NodeId
@@ -51,10 +51,6 @@ class Channel:
     def enqueue(self, delivery: Delivery) -> None:
         """Append a delivery at the tail (called by the radio)."""
         self._queue.append(delivery)
-
-    def head(self) -> Optional[Delivery]:
-        """Peek at the head of the queue without removing it."""
-        return self._queue[0] if self._queue else None
 
     def dequeue(self) -> Delivery:
         """Remove and return the head delivery (the ``rcv`` action)."""

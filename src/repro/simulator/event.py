@@ -31,13 +31,12 @@ class Event:
         seq: int,
         callback: Callable[..., None],
         args: Tuple[Any, ...] = (),
-        cancelled: bool = False,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.cancelled = cancelled
+        self.cancelled = False
         #: maintained by :class:`EventQueue` for its O(1) live count.
         self.in_queue = False
 

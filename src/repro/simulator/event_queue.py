@@ -10,8 +10,7 @@ Two hot-path refinements over the textbook version:
   resolved by C-level tuple comparison instead of a Python ``__lt__``
   (the comparator is the single most-called function in a sweep);
 * a live-event counter is maintained on push/pop/cancel, making
-  ``len(queue)`` — and therefore ``Simulator.pending_events`` — O(1)
-  instead of an O(n) scan.
+  ``len(queue)`` and ``empty`` O(1) instead of an O(n) scan.
 """
 
 from __future__ import annotations

@@ -179,12 +179,6 @@ class CasinoLabNoise(NoiseModel):
         #: per-link chain state by link id; True means the bad state.
         self._states: List[bool] = []
 
-    @property
-    def _bad(self) -> Dict[Tuple[NodeId, NodeId], bool]:
-        """The per-link chain state as ``{link: bad}`` (introspection)."""
-        states = self._states
-        return {link: states[lid] for link, lid in self._link_ids.items()}
-
     def _link_id(self, link: Tuple[NodeId, NodeId]) -> int:
         lid = self._link_ids.get(link)
         if lid is None:
@@ -192,11 +186,6 @@ class CasinoLabNoise(NoiseModel):
             self._link_ids[link] = lid
             self._states.append(False)
         return lid
-
-    def expected_loss_rate(self) -> float:
-        """Long-run average loss probability of a link (stationary mix)."""
-        stationary_bad = self.p_good_to_bad / (self.p_good_to_bad + self.p_bad_to_good)
-        return stationary_bad * self.bad_loss + (1 - stationary_bad) * self.good_loss
 
     def delivers(self, sender: NodeId, receiver: NodeId, rng: random.Random) -> bool:
         lid = self._link_id((sender, receiver))

@@ -121,11 +121,6 @@ class Process:
         if handle is not None:
             handle.cancel()
 
-    def timer_pending(self, name: str) -> bool:
-        """Whether the named timer is armed and not yet fired."""
-        handle = self._timers.get(name)
-        return handle is not None and not handle.cancelled
-
     # ------------------------------------------------------------------
     # Engine-facing plumbing
     # ------------------------------------------------------------------

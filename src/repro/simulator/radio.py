@@ -32,13 +32,11 @@ before.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Protocol, Tuple
 
 from ..topology import NodeId, Topology
 from . import trace as trace_kinds
 from .noise import IdealNoise, NoiseModel
-from .trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
@@ -183,10 +181,6 @@ class RadioMedium:
     def attach_eavesdropper(self, eavesdropper: Eavesdropper) -> None:
         """Let ``eavesdropper`` overhear transmissions near its location."""
         self._eavesdroppers.append(eavesdropper)
-
-    def detach_eavesdropper(self, eavesdropper: Eavesdropper) -> None:
-        """Stop delivering overheard frames to ``eavesdropper``."""
-        self._eavesdroppers = [e for e in self._eavesdroppers if e is not eavesdropper]
 
     # ------------------------------------------------------------------
     # Transmission

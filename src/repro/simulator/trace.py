@@ -8,7 +8,7 @@ clean and the accounting auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 #: Well-known event kinds emitted by the library.
 SEND = "send"
@@ -60,11 +60,6 @@ class TraceRecorder:
         self._records: List[TraceRecord] = []
         self._counts: Dict[str, int] = {}
 
-    @property
-    def counting_only(self) -> bool:
-        """``True`` when no kind is ever retained (``kinds=frozenset()``)."""
-        return self._kinds is not None and not self._kinds
-
     def wants(self, kind: str) -> bool:
         """Whether records of ``kind`` are retained (counts always are)."""
         return self._kinds is None or kind in self._kinds
@@ -104,9 +99,9 @@ class TraceRecorder:
         """A copy of all per-kind totals."""
         return dict(self._counts)
 
-    def publish_counts(self, registry, prefix: str = "trace.") -> None:
+    def publish_counts(self, registry) -> None:
         """Fold every per-kind total into a telemetry metrics registry
-        as ``<prefix><kind>`` counters.
+        as ``trace.<kind>`` counters.
 
         The recorder stays import-free of the telemetry package — any
         object with an ``inc(name, value)`` method works — so trace
@@ -114,7 +109,7 @@ class TraceRecorder:
         """
         inc = registry.inc
         for kind, total in self._counts.items():
-            inc(prefix + kind, total)
+            inc("trace." + kind, total)
 
     @property
     def records(self) -> List[TraceRecord]:
@@ -126,14 +121,6 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All retained records of one kind."""
-        return [r for r in self._records if r.kind == kind]
-
-    def where(self, predicate: Callable[[TraceRecord], bool]) -> List[TraceRecord]:
-        """All retained records satisfying ``predicate``."""
-        return [r for r in self._records if predicate(r)]
 
     def last(self, kind: str) -> Optional[TraceRecord]:
         """The most recent retained record of ``kind``, if any."""

@@ -23,7 +23,6 @@ _EXPORTS = {
     "session": (
         "TelemetrySession",
         "absorb_worker_payload",
-        "active_session",
     ),
     "spans": (
         "DEFAULT_MAX_SPANS",

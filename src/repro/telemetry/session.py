@@ -35,7 +35,6 @@ from ..errors import StorageError
 from ..storage import atomic_write_text
 from .registry import MetricsRegistry, default_registry, use_registry
 from .spans import (
-    DEFAULT_MAX_SPANS,
     SpanTracer,
     active_tracer,
     chrome_trace,
@@ -45,15 +44,10 @@ from .spans import (
 
 __all__ = [
     "TelemetrySession",
-    "active_session",
     "absorb_worker_payload",
 ]
 
 _ACTIVE_SESSION: Optional["TelemetrySession"] = None
-
-
-def active_session() -> Optional["TelemetrySession"]:
-    return _ACTIVE_SESSION
 
 
 def absorb_worker_payload(payload: Dict[str, Any]) -> None:
@@ -75,11 +69,10 @@ class TelemetrySession:
         self,
         directory: Optional[Union[str, Path]] = None,
         label: str = "telemetry",
-        max_spans: int = DEFAULT_MAX_SPANS,
     ) -> None:
         self.directory = Path(directory) if directory is not None else None
         self.label = label
-        self.tracer = SpanTracer(max_spans=max_spans)
+        self.tracer = SpanTracer()
         self.registry = MetricsRegistry()
         self._root = None
         self._tracing_ctx = None

@@ -61,12 +61,6 @@ class Span:
         self.depth = depth
         self.attrs = attrs
 
-    @property
-    def duration(self) -> Optional[float]:
-        if self.end is None:
-            return None
-        return self.end - self.start
-
     def to_dict(self) -> Dict[str, Any]:
         record: Dict[str, Any] = {
             "name": self.name,

@@ -102,11 +102,6 @@ class GridTopology(Topology):
             raise TopologyError(f"grid position ({row}, {col}) is out of bounds")
         return row * self._size + col
 
-    def corners(self) -> Tuple[NodeId, NodeId, NodeId, NodeId]:
-        """The four corner nodes: top-left, top-right, bottom-left, bottom-right."""
-        n = self._size
-        return (0, n - 1, n * (n - 1), n * n - 1)
-
 
 def paper_grid(size: int) -> GridTopology:
     """Return the exact grid used in the paper's evaluation.

@@ -31,10 +31,6 @@ class Coordinate:
         """Return the Euclidean distance to ``other`` in metres."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def manhattan_to(self, other: "Coordinate") -> float:
-        """Return the Manhattan (L1) distance to ``other`` in metres."""
-        return abs(self.x - other.x) + abs(self.y - other.y)
-
     def __iter__(self):
         yield self.x
         yield self.y

@@ -16,7 +16,7 @@ derived data (BFS distance maps, 2-hop sets) be cached safely.
 
 :mod:`networkx` is not needed to build or query a topology; it is
 imported only when a caller asks for :attr:`Topology.graph` (an export
-for plotting and interop) or :meth:`Topology.shortest_paths_to_sink`.
+for plotting and interop).
 """
 
 from __future__ import annotations
@@ -389,10 +389,6 @@ class Topology:
         self._neighbour_cache[node] = result
         return result
 
-    def degree(self, node: NodeId) -> int:
-        """Return the number of 1-hop neighbours of ``node``."""
-        return len(self.neighbours(node))
-
     def collision_neighbourhood(self, node: NodeId) -> FrozenSet[NodeId]:
         """Return ``CG(n)``: nodes within 2 hops of ``node``, excluding it.
 
@@ -485,11 +481,6 @@ class Topology:
             self._require_node(b)
         return metrics.distance(ia, ib)
 
-    def diameter(self) -> int:
-        """Graph diameter in hops (longest shortest path)."""
-        metrics = self.metrics
-        return max(max(metrics._bfs(i)) for i in range(len(metrics.order)))
-
     def shortest_path_children(self, node: NodeId) -> Tuple[NodeId, ...]:
         """Neighbours of ``node`` that are one hop *closer* to the sink.
 
@@ -505,13 +496,6 @@ class Topology:
             self._require_node(node)
         return metrics.spc[index]
 
-    def shortest_paths_to_sink(self, node: NodeId) -> List[List[NodeId]]:
-        """All shortest paths from ``node`` to the sink, in networkx's order."""
-        import networkx as nx
-
-        self._require_node(node)
-        return [list(p) for p in nx.all_shortest_paths(self.graph, node, self._sink)]
-
     def bfs_layers(self) -> List[List[NodeId]]:
         """Nodes grouped by hop distance from the sink (layer 0 = sink)."""
         metrics = self.metrics
@@ -524,10 +508,6 @@ class Topology:
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
-    @property
-    def has_positions(self) -> bool:
-        """Whether physical positions were provided."""
-        return bool(self._positions)
 
     def position(self, node: NodeId) -> Coordinate:
         """Physical position of ``node``; raises if unplaced."""

@@ -18,7 +18,6 @@ _EXPORTS = {
         "is_slp_aware_das",
         "minimum_capture_period",
         "verify_schedule",
-        "verify_schedule_all_starts",
     ),
 }
 

@@ -17,7 +17,7 @@ spends one of the ``M`` within-period moves (lines 11–12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..attacker import AttackerSpec, HeardMessage
 from ..core import Schedule

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..attacker import AttackerSpec, paper_attacker
-from ..core import Schedule, check_strong_das, check_weak_das
+from ..core import Schedule, check_weak_das
 from ..errors import VerificationError
 from ..topology import NodeId, Topology
 from .traces import valid_steps
@@ -187,56 +187,20 @@ def minimum_capture_period(
     return None if result.slp_aware else result.periods
 
 
-def verify_schedule_all_starts(
-    topology: Topology,
-    schedule: Schedule,
-    safety_period: int,
-    attacker: Optional[AttackerSpec] = None,
-    source: Optional[NodeId] = None,
-) -> Dict[NodeId, VerificationResult]:
-    """``VerifySchedule`` for every possible attacker start position.
-
-    The paper's eavesdropper is *distributed* — present at various
-    network positions — yet the evaluation (like the panda-hunter
-    tradition) starts it at the sink, where traffic converges.  This
-    extension quantifies the stronger model: the verdict per ``s0``.
-    The source itself is skipped (a capture by definition).
-
-    Returns a mapping ``start → VerificationResult``; a schedule is
-    robustly δ-SLP-aware only when every entry is.
-    """
-    src = source if source is not None else topology.source
-    results: Dict[NodeId, VerificationResult] = {}
-    for start in topology.nodes:
-        if start == src:
-            continue
-        results[start] = verify_schedule(
-            topology,
-            schedule,
-            safety_period,
-            attacker=attacker,
-            source=src,
-            start=start,
-        )
-    return results
-
-
 def is_slp_aware_das(
     topology: Topology,
     refined: Schedule,
     baseline: Schedule,
     attacker: Optional[AttackerSpec] = None,
-    require_strong: bool = False,
 ) -> bool:
-    """Definition 5: is ``refined`` a strong/weak SLP-aware DAS w.r.t.
+    """Definition 5: is ``refined`` a weak SLP-aware DAS w.r.t.
     ``baseline``?
 
-    Condition 1: ``refined`` is a strong (resp. weak) DAS.
+    Condition 1: ``refined`` is a weak DAS.
     Condition 2: its capture time strictly exceeds the baseline's
     (never-captured counts as infinite).
     """
-    check = check_strong_das if require_strong else check_weak_das
-    if not check(topology, refined).ok:
+    if not check_weak_das(topology, refined).ok:
         return False
     refined_capture = minimum_capture_period(topology, refined, attacker=attacker)
     baseline_capture = minimum_capture_period(topology, baseline, attacker=attacker)

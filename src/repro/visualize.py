@@ -18,7 +18,6 @@ def render_slot_grid(
     grid: GridTopology,
     schedule: Schedule,
     highlight: Optional[Iterable[NodeId]] = None,
-    cell_width: int = 5,
 ) -> str:
     """Render the slot assignment of a grid as fixed-width text.
 
@@ -38,7 +37,7 @@ def render_slot_grid(
                 text = f"{{{text}}}"
             elif node in marked:
                 text = f"[{text}]"
-            cells.append(text.rjust(cell_width))
+            cells.append(text.rjust(5))
         rows.append(" ".join(cells))
     return "\n".join(rows)
 

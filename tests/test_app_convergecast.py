@@ -80,7 +80,6 @@ class TestTransmission:
         proc.on_slot(0, 2, 0.6)
         assert len(sent) == 1
         assert sent[0].origins == frozenset({0, 1})
-        assert sent[0].aggregate_size == 2
         assert proc.messages_sent == 1
 
     def test_sink_never_transmits(self):
@@ -100,13 +99,6 @@ class TestTransmission:
 
 
 class TestWiring:
-    def test_set_children(self):
-        _, proc = make_process(node=1)
-        proc.set_children({0, 2})
-        proc.on_period_start(0, 0.0)
-        proc.on_receive(2, msg(2, 0, {2}), 0.5)
-        assert 2 in proc._pending
-
     def test_properties(self):
         _, proc = make_process(node=1, slot=7, is_source=True)
         assert proc.slot == 7

@@ -37,7 +37,7 @@ class TestSourcePlan:
     def test_single_is_static(self):
         plan = SourcePlan.single(3)
         assert plan.nodes == (3,)
-        assert not plan.is_rotating
+        assert plan.rotation_period is None
         assert plan.active_at(0) == plan.active_at(99) == (3,)
 
     def test_simultaneous_pool(self):

@@ -61,7 +61,7 @@ class TestCapture:
     def test_reversed_gradient_survives(self, line5):
         s = Schedule({0: 5, 1: 4, 2: 3, 3: 2, 4: 9}, {}, sink=4)
         result = run_operational_phase(line5, s)
-        assert result.survived
+        assert not result.captured
         assert result.periods_run == result.safety_periods
 
     def test_runtime_agrees_with_verifier_under_ideal_links(self, grid5):

@@ -9,7 +9,6 @@ from repro.core import (
     Schedule,
     check_strong_das,
     check_weak_das,
-    first_violation,
     is_non_colliding,
     is_strong_das,
     is_weak_das,
@@ -57,7 +56,7 @@ class TestStrongDas:
         assert not result.ok
         kinds = {v.kind for v in result.violations}
         assert kinds == {MISSING_SLOT}
-        assert first_violation(result).nodes == (3,)
+        assert result.violations[0].nodes == (3,)
 
     def test_ordering_violation_detected(self, line5):
         # Node 1 transmits after node 2, but 2 is on 1's shortest path.
@@ -101,7 +100,7 @@ class TestWeakDas:
         # is one of them.  Drop the *non-parent* one below node 0.
         parent = base.parent_of(0)
         other = next(m for m in grid5.shortest_path_children(0) if m != parent)
-        crafted = base.with_slot(other, 1).with_slot(0, 2)
+        crafted = base.with_slots({other: 1, 0: 2})
         # Repair any accidental collisions introduced by the crafting:
         # keep only the ordering aspect under test.
         strong = check_strong_das(grid5, crafted)

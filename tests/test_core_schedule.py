@@ -81,8 +81,10 @@ class TestAccessors:
     def test_equality_and_hash(self):
         assert small_schedule() == small_schedule()
         assert hash(small_schedule()) == hash(small_schedule())
-        assert small_schedule() != small_schedule().with_slot(0, 1) or True
-        assert small_schedule() != small_schedule().with_parent(0, 2)
+        assert small_schedule() != small_schedule().with_slots({0: 2})
+        assert small_schedule() != Schedule(
+            {0: 1, 1: 2, 2: 3, 3: 4}, {0: 2, 1: 2, 2: 3}, sink=3
+        )
 
 
 class TestSenderSets:
@@ -90,53 +92,25 @@ class TestSenderSets:
         sets = small_schedule().sender_sets()
         assert sets == [{0}, {1}, {2}]
 
-    def test_nodes_in_slot(self):
-        s = small_schedule()
-        assert s.nodes_in_slot(2) == (1,)
-        assert s.nodes_in_slot(4) == ()  # sink's slot: no senders
-
     def test_shared_slot_grouping(self):
         s = Schedule({0: 1, 1: 1, 2: 9}, {}, sink=2)
         assert s.sender_sets() == [{0, 1}]
-        assert s.nodes_in_slot(1) == (0, 1)
-
-    def test_transmission_order(self):
-        assert small_schedule().transmission_order() == [0, 1, 2]
-
-    def test_min_slot_neighbour(self, line5, line5_schedule):
-        # Node 3's neighbours are 2 and 4(sink); the sink never counts.
-        got = line5_schedule.min_slot_neighbour(line5, 3)
-        assert got == 2
 
 
 class TestDerivation:
-    def test_with_slot_returns_copy(self):
+    def test_with_slots_returns_copy(self):
         s = small_schedule()
-        t = s.with_slot(0, 2)
+        t = s.with_slots({0: 2})
         assert t.slot_of(0) == 2
         assert s.slot_of(0) == 1
 
-    def test_with_slot_unknown_node(self):
+    def test_with_slots_unknown_node(self):
         with pytest.raises(ScheduleError, match="unscheduled"):
-            small_schedule().with_slot(42, 1)
+            small_schedule().with_slots({42: 1})
 
     def test_with_slots_bulk(self):
         t = small_schedule().with_slots({0: 2, 1: 3})
         assert t.slot_of(0) == 2 and t.slot_of(1) == 3
-
-    def test_with_parent(self):
-        t = small_schedule().with_parent(0, 2)
-        assert t.parent_of(0) == 2
-
-    def test_normalised_shifts_to_one(self):
-        s = Schedule({0: 5, 1: 6, 2: 9}, {}, sink=2)
-        n = s.normalised()
-        assert n.slot_of(0) == 1
-        assert n.slot_of(2) == 5
-
-    def test_normalised_noop_when_already_low(self):
-        s = small_schedule()
-        assert s.normalised() is s
 
     def test_compressed_preserves_order_and_equality(self):
         s = Schedule({0: 3, 1: 3, 2: 17, 3: 40, 4: 99}, {}, sink=4)

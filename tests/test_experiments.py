@@ -13,7 +13,6 @@ from repro.experiments import (
     format_overhead,
     format_table1,
     measure_setup_overhead,
-    paper_topologies,
     run_figure5,
 )
 from repro.topology import GridTopology
@@ -45,18 +44,10 @@ class TestTable1:
         assert PAPER.change_length(grid, 3) == 7
         assert PAPER.change_length(grid, 5) == 5
 
-    def test_simulation_bound(self):
-        grid = GridTopology(11)
-        assert PAPER.simulation_bound_seconds(grid) == pytest.approx(121 * 5.5 * 4)
-
     def test_format_table1_lists_all_symbols(self):
         text = format_table1()
         for symbol in ("Psrc", "Pslot", "Pdiss", "slots", "MSP", "NDP", "DT", "SD", "CL"):
             assert symbol in text
-
-    def test_paper_topologies(self):
-        topos = paper_topologies()
-        assert [t.num_nodes for t in topos] == [121, 225, 441]
 
 
 class TestRunnerConfig:

@@ -105,8 +105,8 @@ def _assert_identical(fast, legacy, attrs=DAS_ATTRS):
     assert _counts(fast) == _counts(legacy)
     assert fast.simulator.trace.records == legacy.simulator.trace.records
     for node in legacy.simulator.topology.nodes:
-        fp = fast.simulator.process_at(node)
-        lp = legacy.simulator.process_at(node)
+        fp = fast.simulator._processes[node]
+        lp = legacy.simulator._processes[node]
         for attr in attrs:
             assert getattr(fp, attr) == getattr(lp, attr), (node, attr)
 

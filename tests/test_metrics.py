@@ -8,8 +8,6 @@ from repro.metrics import (
     MessageOverhead,
     aggregation_stats,
     capture_stats,
-    schedule_latency_periods,
-    summarise,
 )
 
 
@@ -56,14 +54,6 @@ class TestCaptureStats:
         with pytest.raises(ConfigurationError):
             capture_stats([])
 
-    def test_confidence_interval(self):
-        stats = capture_stats(
-            [make_result(captured=True, capture_period=1, path=(0, 1))] * 5
-            + [make_result()] * 15
-        )
-        low, high = stats.confidence_interval()
-        assert 0.0 <= low < stats.capture_ratio < high <= 1.0
-
     def test_reduction_versus(self):
         base = capture_stats(
             [make_result(captured=True, capture_period=1, path=(0, 1))] * 4
@@ -108,43 +98,7 @@ class TestAggregationStats:
         stats = aggregation_stats(results)
         assert stats.mean_ratio == pytest.approx(0.9)
         assert stats.min_ratio == pytest.approx(0.8)
-        assert not stats.lossless
-
-    def test_lossless(self):
-        stats = aggregation_stats([make_result(ratio=1.0)] * 3)
-        assert stats.lossless
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             aggregation_stats([])
-
-
-class TestLatency:
-    def test_fraction_of_period(self):
-        assert schedule_latency_periods(50, 100) == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            schedule_latency_periods(0, 100)
-        with pytest.raises(ConfigurationError):
-            schedule_latency_periods(101, 100)
-
-
-class TestSummarise:
-    def test_statistics(self):
-        s = summarise([1.0, 2.0, 3.0, 4.0])
-        assert s.mean == pytest.approx(2.5)
-        assert s.median == pytest.approx(2.5)
-        assert s.minimum == 1.0 and s.maximum == 4.0
-        assert s.n == 4
-
-    def test_single_value_std_zero(self):
-        assert summarise([5.0]).std == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            summarise([])
-
-    def test_format(self):
-        text = summarise([1.0, 2.0]).format(unit="ms")
-        assert "ms" in text and "n=2" in text

@@ -22,11 +22,11 @@ from repro.experiments import (
     ExperimentRunner,
     ParallelExperimentRunner,
     default_workers,
-    make_runner,
     plan_workers,
     seed_chunks,
 )
 from repro.experiments import options as options_module
+from repro.scenarios import ScenarioRunner
 from repro.simulator import ATTACKER_MOVE, CAPTURE, CasinoLabNoise
 
 
@@ -54,15 +54,19 @@ class TestSeedChunks:
             seed_chunks([1], 0)
 
 
-class TestMakeRunner:
+class TestEngineChoice:
+    """``ScenarioRunner`` runs a sweep on the engine ``plan_workers`` picks."""
+
     def test_serial_by_default(self, grid5):
-        assert type(make_runner(grid5)) is ExperimentRunner
-        assert type(make_runner(grid5, 1)) is ExperimentRunner
+        for workers in (None, 1):
+            assert plan_workers(workers) == 1
+            runner = ScenarioRunner(workers)._runner_for(grid5, 1)
+            assert type(runner) is ExperimentRunner
 
     def test_parallel_for_multiple_workers(self, grid5):
         # force_parallel bypasses the worker policy (which would pick
         # the serial engine on a single-core host).
-        with make_runner(grid5, 2, force_parallel=True) as runner:
+        with ScenarioRunner(2, force_parallel=True)._runner_for(grid5, 1) as runner:
             assert isinstance(runner, ParallelExperimentRunner)
             assert runner.workers == 2
 
@@ -72,12 +76,7 @@ class TestMakeRunner:
     def test_zero_workers_means_one_per_cpu(self, grid5):
         """The CLI convention holds at the library layer too."""
         assert ParallelExperimentRunner(grid5, workers=0).workers == default_workers()
-        runner = make_runner(grid5, 0)
-        if default_workers() == 1:
-            assert type(runner) is ExperimentRunner
-        else:
-            assert isinstance(runner, ParallelExperimentRunner)
-            runner.close()
+        assert plan_workers(0, force_parallel=True) == default_workers()
 
     def test_invalid_worker_count_rejected(self, grid5):
         with pytest.raises(ConfigurationError):
@@ -102,7 +101,7 @@ class TestWorkerPolicy:
     def test_single_core_falls_back_to_serial(self, grid5, monkeypatch):
         monkeypatch.setattr(options_module, "default_workers", lambda: 1)
         assert plan_workers(4) == 1
-        assert type(make_runner(grid5, 4)) is ExperimentRunner
+        assert type(ScenarioRunner(4)._runner_for(grid5, 1000)) is ExperimentRunner
 
     def test_tiny_sweep_falls_back_to_serial(self, grid5, monkeypatch):
         monkeypatch.setattr(options_module, "default_workers", lambda: 8)
@@ -114,16 +113,17 @@ class TestWorkerPolicy:
     def test_force_parallel_is_verbatim(self, grid5, monkeypatch):
         monkeypatch.setattr(options_module, "default_workers", lambda: 1)
         assert plan_workers(4, repeats=1, topology=grid5, force_parallel=True) == 4
-        runner = make_runner(grid5, 3, repeats=1, force_parallel=True)
+        runner = ScenarioRunner(3, force_parallel=True)._runner_for(grid5, 1)
         assert isinstance(runner, ParallelExperimentRunner)
         assert runner.workers == 3
 
     def test_policy_choice_never_changes_results(self, grid5):
         """A sweep the policy would serialize equals a forced-pool sweep."""
         cfg = ExperimentConfig(repeats=3, noise="casino")
-        with make_runner(grid5, 2, repeats=3) as policy_runner:
+        assert plan_workers(2, repeats=3, topology=grid5) == 1
+        with ExperimentRunner(grid5) as policy_runner:
             policy = policy_runner.run(cfg)
-        with make_runner(grid5, 2, force_parallel=True) as forced_runner:
+        with ParallelExperimentRunner(grid5, workers=2) as forced_runner:
             forced = forced_runner.run(cfg)
         assert policy.results == forced.results
         assert asdict(policy.stats) == asdict(forced.stats)

@@ -79,6 +79,14 @@ def test_failed_share(recorder):
     assert not recorder.failed_more({"parent": 0, "change": 0}, {"parent": 10, "change": 10})
 
 
+def test_src_lines_line_signs_the_net_change(recorder):
+    assert recorder.src_lines_line(20336, 19850) == (
+        "src lines: parent 20336, change 19850 (-486)"
+    )
+    assert recorder.src_lines_line(100, 104) == "src lines: parent 100, change 104 (+4)"
+    assert recorder.src_lines_line(100, 100) == "src lines: parent 100, change 100 (+0)"
+
+
 def test_pairs_alternate_and_each_gets_a_fresh_seed(recorder):
     plan = recorder.pair_plan(4, first_seed=700)
     assert [seed for seed, _ in plan] == [700, 701, 702, 703]

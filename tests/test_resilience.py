@@ -45,7 +45,7 @@ from repro.experiments import (
     result_from_dict,
     result_to_dict,
 )
-from repro.experiments import parallel as parallel_module
+from repro.experiments.options import default_workers
 from repro.experiments.runner import PROTECTIONLESS, SLP
 from repro.scenarios import ScenarioRunner
 from repro.telemetry import TelemetrySession
@@ -87,8 +87,10 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="base_delay=-1.0"):
             RetryPolicy(base_delay=-1.0)
+        with pytest.raises(ConfigurationError, match="max_delay=-1"):
+            RetryPolicy(max_delay=-1)
 
 
 class TestFaultPlan:
@@ -476,7 +478,7 @@ class TestScenarioReports:
 class TestLifecycleHardening:
     def test_default_workers_survives_unknown_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert parallel_module.default_workers() == 1
+        assert default_workers() == 1
 
     def test_close_kill_terminates_pool(self, grid5, config):
         runner = ParallelExperimentRunner(grid5, workers=2)

@@ -77,7 +77,7 @@ class TestScenarioSpec:
         assert spec.resolved_sources() == (0,)
         assert spec.workload_kind() == "static"
         plan = spec.source_plan()
-        assert plan.nodes == (0,) and not plan.is_rotating
+        assert plan.nodes == (0,) and plan.rotation_period is None
 
     def test_lowering_to_config(self):
         spec = ScenarioSpec(

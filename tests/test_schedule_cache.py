@@ -19,7 +19,6 @@ from repro.experiments import (
     ExperimentRunner,
     ScheduleCache,
     configure_schedule_cache,
-    default_cache,
     default_cache_stats,
     default_schedule_cache,
     reset_default_cache,
@@ -321,8 +320,6 @@ class TestUnseededBuilds:
 
 
 class TestDefaultCacheAccessors:
-    def test_default_cache_is_the_process_cache(self):
-        assert default_cache() is default_schedule_cache()
 
     def test_default_cache_stats_snapshot(self, grid5):
         before = default_cache_stats()

@@ -43,12 +43,6 @@ class TestChannel:
         with pytest.raises(SimulationError, match="empty channel"):
             Channel(owner=0).dequeue()
 
-    def test_head_peeks(self):
-        ch = Channel(owner=0)
-        ch.enqueue(Delivery(1, "a", 0.0))
-        assert ch.head().message == "a"
-        assert len(ch) == 1
-
     def test_drain(self):
         ch = Channel(owner=0)
         for i in range(3):
@@ -178,18 +172,6 @@ class TestEavesdropping:
         sim.run()
         assert spy.heard == [(1, "self")]
 
-    def test_detach_eavesdropper(self):
-        topo = LineTopology(3)
-        sim = Simulator(topo)
-        for n in topo.nodes:
-            sim.register_process(Recorder(n))
-        spy = self.Spy(location=1)
-        sim.radio.attach_eavesdropper(spy)
-        sim.radio.detach_eavesdropper(spy)
-        sim.schedule_at(0.5, lambda: sim.radio.broadcast(0, "x"))
-        sim.run()
-        assert spy.heard == []
-
 
 class TestNoiseModels:
     def test_ideal_always_delivers(self):
@@ -215,7 +197,10 @@ class TestNoiseModels:
         noise = CasinoLabNoise()
         outcomes = [noise.delivers(0, 1, rng) for _ in range(20000)]
         rate = 1 - sum(outcomes) / len(outcomes)
-        assert rate == pytest.approx(noise.expected_loss_rate(), abs=0.01)
+        # The chain's stationary mix of its two states' loss rates.
+        bad = noise.p_good_to_bad / (noise.p_good_to_bad + noise.p_bad_to_good)
+        expected = bad * noise.bad_loss + (1 - bad) * noise.good_loss
+        assert rate == pytest.approx(expected, abs=0.01)
 
     def test_casino_reset_clears_state(self):
         rng = random.Random(0)
@@ -223,7 +208,7 @@ class TestNoiseModels:
         for _ in range(100):
             noise.delivers(0, 1, rng)
         noise.reset()
-        assert noise._bad == {}
+        assert noise._link_ids == {} and noise._states == []
 
     def test_casino_validation(self):
         with pytest.raises(ConfigurationError):

@@ -30,20 +30,6 @@ class TestTraceRecorder:
         counts["a"] = 99
         assert t.count("a") == 1
 
-    def test_of_kind(self):
-        t = TraceRecorder()
-        t.record(0.0, "a", n=1)
-        t.record(1.0, "b", n=2)
-        t.record(2.0, "a", n=3)
-        assert [r.detail["n"] for r in t.of_kind("a")] == [1, 3]
-
-    def test_where(self):
-        t = TraceRecorder()
-        for i in range(5):
-            t.record(float(i), "tick", n=i)
-        late = t.where(lambda r: r.time >= 3.0)
-        assert [r.detail["n"] for r in late] == [3, 4]
-
     def test_last(self):
         t = TraceRecorder()
         t.record(0.0, "a", n=1)
@@ -72,23 +58,6 @@ class TestKindFiltering:
         assert len(t) == 3
         assert all(r.kind == "keep" for r in t)
 
-    def test_of_kind_on_filtered_recorder(self):
-        t = TraceRecorder(kinds=frozenset({"keep"}))
-        t.record(0.0, "keep", n=1)
-        t.record(1.0, "dropped", n=2)
-        t.record(2.0, "keep", n=3)
-        assert [r.detail["n"] for r in t.of_kind("keep")] == [1, 3]
-        assert t.of_kind("dropped") == []  # counted, never retained
-
-    def test_where_on_filtered_recorder(self):
-        t = TraceRecorder(kinds=frozenset({"keep"}))
-        for i in range(4):
-            t.record(float(i), "keep", n=i)
-            t.record(float(i), "dropped", n=i)
-        late = t.where(lambda r: r.time >= 2.0)
-        assert [r.detail["n"] for r in late] == [2, 3]
-        assert all(r.kind == "keep" for r in late)
-
     def test_last_skips_filtered_kinds(self):
         t = TraceRecorder(kinds=frozenset({"keep"}))
         t.record(0.0, "keep", n=1)
@@ -107,12 +76,6 @@ class TestKindFiltering:
 class TestCountingOnlyMode:
     """``kinds=frozenset()``: totals only, no record construction."""
 
-    def test_counts_only_flag(self):
-        assert TraceRecorder(kinds=COUNTS_ONLY).counting_only
-        assert TraceRecorder(kinds=frozenset()).counting_only
-        assert not TraceRecorder().counting_only
-        assert not TraceRecorder(kinds=frozenset({"x"})).counting_only
-
     def test_record_retains_nothing(self):
         t = TraceRecorder(kinds=COUNTS_ONLY)
         t.record(0.0, "a", x=1)
@@ -120,8 +83,6 @@ class TestCountingOnlyMode:
         assert len(t) == 0
         assert t.records == []
         assert t.counts() == {"a": 1, "b": 1}
-        assert t.of_kind("a") == []
-        assert t.where(lambda r: True) == []
         assert t.last("a") is None
 
     def test_wants_nothing(self):
@@ -147,4 +108,5 @@ class TestCountingOnlyMode:
         t.bump("a")
         t.clear()
         assert t.counts() == {}
-        assert t.counting_only  # mode survives a clear
+        t.record(0.0, "b")
+        assert len(t) == 0  # the counting-only mode survives a clear

@@ -151,16 +151,6 @@ class TestAdjacencyOrder:
 
 
 class TestQueriesMatchNetworkx:
-    def test_diameter(self, case):
-        topo, reference = case
-        assert topo.diameter() == nx.diameter(reference)
-
-    def test_shortest_paths_to_sink(self, case):
-        topo, reference = case
-        for node in list(reference)[::3]:
-            assert topo.shortest_paths_to_sink(node) == [
-                list(p) for p in nx.all_shortest_paths(reference, node, topo.sink)
-            ]
 
     @pytest.mark.parametrize("name", ["ring", "from-edges", "from-unit-disk", "grid5"])
     def test_path_avoiding_matches_restricted_view(self, name):

@@ -72,10 +72,6 @@ class TestGridQueries:
         with pytest.raises(TopologyError, match="out of bounds"):
             GridTopology(3).node_at(3, 0)
 
-    def test_corners(self):
-        g = GridTopology(5)
-        assert g.corners() == (0, 4, 20, 24)
-
     def test_sink_distance_is_manhattan(self):
         g = GridTopology(5)
         # hop distance from corner to centre = 2 + 2.

@@ -29,8 +29,8 @@ class TestLine:
 
     def test_interior_degree_is_two(self):
         line = LineTopology(5)
-        assert line.degree(0) == 1
-        assert line.degree(2) == 2
+        assert len(line.neighbours(0)) == 1
+        assert len(line.neighbours(2)) == 2
 
     def test_sink_override_moves_default_source(self):
         line = LineTopology(5, sink=0)
@@ -46,7 +46,7 @@ class TestLine:
 class TestRing:
     def test_every_node_has_degree_two(self):
         ring = RingTopology(6)
-        assert all(ring.degree(n) == 2 for n in ring.nodes)
+        assert all(len(ring.neighbours(n)) == 2 for n in ring.nodes)
 
     def test_source_is_antipodal(self):
         ring = RingTopology(8)

@@ -22,16 +22,6 @@ class TestCoordinate:
         a = Coordinate(12.0, 9.0)
         assert a.distance_to(a) == 0.0
 
-    def test_manhattan_distance(self):
-        a = Coordinate(0.0, 0.0)
-        b = Coordinate(3.0, 4.0)
-        assert a.manhattan_to(b) == pytest.approx(7.0)
-
-    def test_manhattan_dominates_euclidean(self):
-        a = Coordinate(-1.0, 2.0)
-        b = Coordinate(4.0, -3.5)
-        assert a.manhattan_to(b) >= a.distance_to(b)
-
     def test_unpacking(self):
         x, y = Coordinate(2.5, -1.0)
         assert (x, y) == (2.5, -1.0)

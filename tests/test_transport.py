@@ -103,6 +103,11 @@ class StopAfterFirstUpload(ShardWorker):
         return accepted
 
 
+def run_worker_process(url, worker_id):
+    """A spawned process's target: ``repro worker start``'s main loop."""
+    worker_main(ShardWorker(url, worker_id=worker_id, poll_interval=0.02))
+
+
 def wait_for(predicate, timeout=60.0, poll=0.02):
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -390,17 +395,16 @@ class TestWorkerTransport:
 # ----------------------------------------------------------------------
 class TestServiceClientHardening:
     def test_connection_errors_retry_then_surface(self):
-        from repro.service.client import _request_raw
+        from repro.service.client import HttpChannel, _call
 
+        url = "http://127.0.0.1:9"
+        channel = HttpChannel(url, timeout=0.2)
         sleeps = []
-        with pytest.raises(ServiceError) as excinfo:
-            _request_raw(
-                "http://127.0.0.1:9/healthz",
-                timeout=0.2,
-                retries=3,
-                backoff=0.001,
-                sleep=sleeps.append,
-            )
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                _call(channel, url, "/healthz", None, 3, 0.001, sleeps.append, None)
+        finally:
+            channel.close()
         assert excinfo.value.status == 0
         assert sleeps == [0.001, 0.002]  # bounded exponential backoff
 
@@ -579,9 +583,8 @@ class TestRemoteByteIdentity:
                 )
                 context = multiprocessing.get_context("spawn")
                 victim = context.Process(
-                    target=worker_main,
-                    args=(service.url,),
-                    kwargs={"worker_id": "victim", "poll_interval": 0.02},
+                    target=run_worker_process,
+                    args=(service.url, "victim"),
                     daemon=True,
                 )
                 victim.start()

@@ -184,29 +184,32 @@ class TestSlpAwareDas:
         assert improved / capturable >= 0.5
 
 
+def verify_from_every_start(topology, schedule, safety_period):
+    """``VerifySchedule`` verdicts keyed by every non-source start."""
+    return {
+        start: verify_schedule(topology, schedule, safety_period, start=start)
+        for start in topology.nodes
+        if start != topology.source
+    }
+
+
 class TestAllStarts:
     def test_every_non_source_start_verified(self, line5):
-        from repro.verification import verify_schedule_all_starts
-
         s = line_schedule(line5)
-        results = verify_schedule_all_starts(line5, s, safety_period=10)
+        results = verify_from_every_start(line5, s, safety_period=10)
         assert set(results) == set(line5.nodes) - {line5.source}
         # The gradient pulls every start toward the source on a line.
         assert all(not r.slp_aware for r in results.values())
 
     def test_adjacent_start_is_fast_capture(self, line5):
-        from repro.verification import verify_schedule_all_starts
-
         s = line_schedule(line5)
-        results = verify_schedule_all_starts(line5, s, safety_period=10)
+        results = verify_from_every_start(line5, s, safety_period=10)
         assert results[1].periods == 1
 
     def test_safe_schedule_safe_from_everywhere(self, line5):
-        from repro.verification import verify_schedule_all_starts
-
         # Reversed gradient: descent leads to the sink side, never node 0.
         s = Schedule({0: 5, 1: 4, 2: 3, 3: 2, 4: 9}, {}, sink=4)
-        results = verify_schedule_all_starts(line5, s, safety_period=20)
+        results = verify_from_every_start(line5, s, safety_period=20)
         # Node 1 is adjacent to the source, but the gradient points away;
         # its first-heard neighbour is never node 0... except node 1
         # itself hears node 0 (slot 5) only after node 2 (slot 3).
