@@ -19,13 +19,14 @@ definition dead, never alive.
 from __future__ import annotations
 
 import ast
+import textwrap
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 ENTRY_DIRS = ("examples", "scripts", "perfbench")
-PROBES = ROOT / "perfbench" / "probes.py"
+PROBES = Path("perfbench", "probes.py")
 
 #: ``module.qualname`` -> why the definition stays without a reader.
 ALLOWLIST: Dict[str, str] = {
@@ -61,8 +62,8 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _module_name(path: Path) -> str:
-    parts = path.relative_to(SRC).with_suffix("").parts
+def _module_name(path: Path, src: Path) -> str:
+    parts = path.relative_to(src).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -75,8 +76,8 @@ def _top_level(body: List[ast.stmt]) -> Iterator[ast.stmt]:
             yield node
 
 
-def _definitions(path: Path, tree: ast.Module) -> Iterator[Definition]:
-    module = _module_name(path)
+def _definitions(path: Path, src: Path, tree: ast.Module) -> Iterator[Definition]:
+    module = _module_name(path, src)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in _top_level(tree.body):
         if not isinstance(node, defs) or _is_dunder(node.name):
@@ -128,8 +129,8 @@ def _exports(package: Path) -> Dict[str, Tuple[str, ...]]:
     return {}
 
 
-def _root_exports() -> Set[str]:
-    return {name for names in _exports(SRC / "repro").values() for name in names}
+def _root_exports(src: Path) -> Set[str]:
+    return {name for names in _exports(src / "repro").values() for name in names}
 
 
 def _bound_names(module: Path) -> Set[str]:
@@ -150,29 +151,32 @@ def _bound_names(module: Path) -> Set[str]:
     return names
 
 
-def scan() -> Tuple[List[Definition], List[Definition]]:
-    """``(unreached, all definitions)`` before the allowlist applies."""
+def scan(root: Path = ROOT) -> Tuple[List[Definition], List[Definition]]:
+    """``(unreached, all definitions)`` of the tree at ``root``, before
+    the allowlist applies."""
+    src = root / "src"
+    probes = root / PROBES
     definitions: List[Definition] = []
     src_reads: Dict[str, List[Tuple[Path, int]]] = {}
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(src.rglob("*.py")):
         tree = _parse(path)
-        definitions.extend(_definitions(path, tree))
+        definitions.extend(_definitions(path, src, tree))
         for name, line in _reads(tree):
             src_reads.setdefault(name, []).append((path, line))
 
     entry_reads: Set[str] = set()
     for directory in ENTRY_DIRS:
-        for path in sorted((ROOT / directory).rglob("*.py")):
+        for path in sorted((root / directory).rglob("*.py")):
             tree = _parse(path)
             entry_reads.update(name for name, _ in _reads(tree))
-            if path == PROBES:
+            if path == probes:
                 entry_reads.update(
                     node.value
                     for node in ast.walk(tree)
                     if isinstance(node, ast.Constant) and isinstance(node.value, str)
                 )
 
-    exported = _root_exports()
+    exported = _root_exports(src)
     unreached = []
     for d in definitions:
         if d.name in entry_reads or (d.name in exported and not d.method):
@@ -225,3 +229,96 @@ def test_every_lazy_export_names_a_definition() -> None:
                 if name not in provided
             )
     assert not missing, "_EXPORTS entries with no definition:\n" + "\n".join(missing)
+
+
+def _unreached(root: Path, files: Dict[str, str]) -> Set[str]:
+    """The unreached qualnames of a tree made of ``files`` under ``root``."""
+    files = {"src/repro/__init__.py": "", **files}
+    for relative, text in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+    return {d.qualname for d in scan(root)[0]}
+
+
+class TestScanRules:
+    """The scan on small made-up trees: a rule that stopped holding
+    would let dead code through, or fail on live code."""
+
+    def test_a_definition_nothing_reads_is_unreached(self, tmp_path):
+        module = """
+            def used():
+                pass
+
+            def dead():
+                pass
+
+            used()
+        """
+        assert _unreached(tmp_path, {"src/repro/mod.py": module}) == {"repro.mod.dead"}
+
+    def test_a_read_inside_its_own_body_does_not_count(self, tmp_path):
+        module = """
+            def countdown(n):
+                return countdown(n - 1) if n else 0
+        """
+        assert _unreached(tmp_path, {"src/repro/mod.py": module}) == {
+            "repro.mod.countdown"
+        }
+
+    def test_entry_directories_read_but_tests_do_not(self, tmp_path):
+        module = """
+            class Api:
+                def run(self):
+                    pass
+
+                def probe(self):
+                    pass
+
+                def __repr__(self):
+                    return "Api()"
+        """
+        files = {
+            "src/repro/mod.py": module,
+            "examples/demo.py": "from repro.mod import Api\nApi().run()\n",
+            "tests/test_mod.py": "from repro.mod import Api\nApi().probe()\n",
+            "benchmarks/test_bench.py": "from repro.mod import Api\nApi().probe()\n",
+        }
+        assert _unreached(tmp_path, files) == {"repro.mod.Api.probe"}
+
+    def test_strings_read_only_in_the_probe_table(self, tmp_path):
+        module = """
+            def kernel():
+                pass
+
+            def named_elsewhere():
+                pass
+        """
+        files = {
+            "src/repro/mod.py": module,
+            "perfbench/probes.py": 'TARGETS = [("repro.mod", "kernel")]\n',
+            "perfbench/run.py": 'NOTE = "named_elsewhere"\n',
+        }
+        assert _unreached(tmp_path, files) == {"repro.mod.named_elsewhere"}
+
+    def test_root_exports_pass_module_level_names_not_methods(self, tmp_path):
+        module = """
+            def api():
+                pass
+
+            class Box:
+                def api(self):
+                    pass
+        """
+        files = {
+            "src/repro/__init__.py": '_EXPORTS = {"mod": ("api", "Box")}\n',
+            "src/repro/mod.py": module,
+        }
+        assert _unreached(tmp_path, files) == {"repro.mod.Box.api"}
+
+    def test_subpackage_exports_are_not_readers(self, tmp_path):
+        files = {
+            "src/repro/sub/__init__.py": '_EXPORTS = {"impl": ("helper",)}\n',
+            "src/repro/sub/impl.py": "def helper():\n    pass\n",
+        }
+        assert _unreached(tmp_path, files) == {"repro.sub.impl.helper"}

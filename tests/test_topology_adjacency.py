@@ -151,6 +151,70 @@ class TestAdjacencyOrder:
 
 
 class TestQueriesMatchNetworkx:
+    def test_neighbours_are_sorted_adjacency(self, case):
+        topo, reference = case
+        for node in reference:
+            assert topo.neighbours(node) == tuple(sorted(reference[node]))
+
+    def test_edges(self, case):
+        topo, reference = case
+        expected = sorted((min(a, b), max(a, b)) for a, b in reference.edges())
+        assert list(topo.edges) == expected
+
+    def test_sink_distance(self, case):
+        topo, reference = case
+        expected = nx.single_source_shortest_path_length(reference, topo.sink)
+        assert {node: topo.sink_distance(node) for node in reference} == expected
+
+    def test_source_sink_distance(self, case):
+        topo, reference = case
+        assert topo.source_sink_distance() == nx.shortest_path_length(
+            reference, topo.source, topo.sink
+        )
+
+    def test_hop_distance(self, case):
+        topo, reference = case
+        expected = dict(nx.all_pairs_shortest_path_length(reference))
+        for a in reference:
+            for b in reference:
+                assert topo.hop_distance(a, b) == expected[a][b]
+        assert max(
+            topo.hop_distance(a, b) for a in reference for b in reference
+        ) == nx.diameter(reference)
+
+    def test_shortest_path_children(self, case):
+        topo, reference = case
+        assert topo.shortest_path_children(topo.sink) == ()
+        for node in reference:
+            if node == topo.sink:
+                continue
+            first_hops = {
+                path[1] for path in nx.all_shortest_paths(reference, node, topo.sink)
+            }
+            assert topo.shortest_path_children(node) == tuple(sorted(first_hops))
+
+    def test_bfs_layers(self, case):
+        topo, reference = case
+        assert topo.bfs_layers() == [
+            sorted(layer) for layer in nx.bfs_layers(reference, topo.sink)
+        ]
+
+    def test_repair_tables(self, case):
+        topo, reference = case
+        sink = topo.sink
+        tables = topo.repair_tables()
+        assert tables.nodes == tuple(sorted(n for n in reference if n != sink))
+        assert tables.hop == nx.single_source_shortest_path_length(reference, sink)
+        for node in tables.nodes:
+            assert tables.spc[node] == tuple(
+                m for m in topo.shortest_path_children(node) if m != sink
+            )
+            within_two = nx.single_source_shortest_path_length(
+                reference, node, cutoff=2
+            )
+            assert set(tables.collision_pairs[node]) == {
+                m for m in within_two if m != sink and m > node
+            }
 
     @pytest.mark.parametrize("name", ["ring", "from-edges", "from-unit-disk", "grid5"])
     def test_path_avoiding_matches_restricted_view(self, name):
