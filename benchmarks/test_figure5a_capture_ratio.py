@@ -6,7 +6,7 @@ assertion is on the paper's *shape*: SLP DAS captures less, overall and
 on a majority of sizes (per-size, small-sample noise is tolerated).
 """
 
-from conftest import BENCH_REPEATS, emit
+from conftest import emit
 
 from repro.experiments import ExperimentConfig, ExperimentRunner, format_figure5
 from repro.topology import paper_grid

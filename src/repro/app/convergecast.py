@@ -9,14 +9,25 @@ period — the property the aggregation-completeness metric checks.
 
 The sink never transmits (Def. 2 excludes it from every sender set);
 it only accumulates and records per-period completeness.
+
+These process objects are the **legacy** operational engine
+(:func:`run_legacy_engine`): the event-heap oracle the fast kernel is
+tested against, and its fallback.  The fast kernel keeps node state in
+flat arrays, so a fast run loads neither this module nor the heap,
+process and TDMA driver modules it imports.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
-from ..simulator import Process
+from ..attacker import EavesdropperAgent
+from ..core import Schedule
+from ..mac import TdmaFrame
+from ..mac.tdma import TdmaDriver
+from ..simulator import Process, Simulator
 from ..topology import NodeId
+from .dynamics import PerturbationStep, SourcePlan, SourceTracker, apply_step
 from .messages import AggregateMessage
 
 
@@ -63,11 +74,6 @@ class ConvergecastNodeProcess(Process):
     def slot(self) -> Optional[int]:
         """The TDMA slot this node transmits in (``None`` for the sink)."""
         return self._slot
-
-    @property
-    def asleep(self) -> bool:
-        """Whether the node is currently muted by a perturbation."""
-        return self._asleep
 
     # ------------------------------------------------------------------
     # Perturbation hooks (driven by the scenario harness)
@@ -129,22 +135,126 @@ class ConvergecastNodeProcess(Process):
         # are passed in by the runtime harness from the schedule.
         return sender in self._children
 
-    def adopt_state(
-        self, period: int, pending: Set[NodeId], sent_delta: int
-    ) -> None:
-        """Install externally-evolved per-period state (fast-lane sync).
-
-        The operational fast lane runs the transmit/aggregate chain on
-        flat tables and hands each process its final state back here, so
-        every post-run observation (``finish``, ``messages_sent``,
-        pending origins) reads exactly what the legacy engine would have
-        left behind.
-        """
-        self._current_period = period
-        self._pending = pending
-        self.messages_sent += sent_delta
-
     def finish(self, period: int) -> None:
         """Flush the final period's sink accounting at run end."""
         if self._is_sink and self._current_period >= 0:
             self.collected_by_period[self._current_period] = len(self._pending)
+
+
+class _AttackerTdmaAdapter:
+    """Adapts an :class:`EavesdropperAgent` to the TDMA client protocol
+    so the driver delivers period boundaries (Figure 1's ``NextP``)."""
+
+    def __init__(self, node: NodeId, agent: EavesdropperAgent) -> None:
+        self._node = node
+        self._agent = agent
+
+    @property
+    def node(self) -> NodeId:
+        return self._node
+
+    def on_period_start(self, period: int, time: float) -> None:
+        self._agent.on_period_start(period, time)
+
+    def on_slot(self, period: int, slot: int, time: float) -> None:  # pragma: no cover
+        pass  # the attacker never transmits
+
+
+class _SourcePlanClient:
+    """TDMA client advancing the :class:`SourceTracker` each period.
+
+    Registered *after* the attacker adapter (larger node key) so the
+    attacker's ``NextP`` has already run when the tracker advances; a
+    rotation that lands the asset on the attacker's current position is
+    then registered as a capture under the new period index.
+    """
+
+    def __init__(
+        self, node: NodeId, tracker: SourceTracker, agent: EavesdropperAgent
+    ) -> None:
+        self._node = node
+        self._tracker = tracker
+        self._agent = agent
+
+    @property
+    def node(self) -> NodeId:
+        return self._node
+
+    def on_period_start(self, period: int, time: float) -> None:
+        active = self._tracker.advance(period)
+        if not self._agent.captured and self._agent.location in active:
+            self._agent.register_capture(self._agent.location, time)
+
+    def on_slot(self, period: int, slot: int, time: float) -> None:  # pragma: no cover
+        pass  # the plan client never transmits
+
+
+def run_legacy_engine(
+    sim: Simulator,
+    frame: TdmaFrame,
+    periods_budget: int,
+    schedule: Schedule,
+    plan: SourcePlan,
+    agent: EavesdropperAgent,
+    tracker: SourceTracker,
+    steps: Sequence[PerturbationStep],
+) -> Tuple[int, Dict[int, int]]:
+    """The legacy engine: per-node processes driven by the event heap
+    through a :class:`~repro.mac.TdmaDriver`.  Returns the last period
+    begun and the sink's per-period count of collected readings.
+
+    Only this engine (the oracle, and the fallback) builds the heap,
+    the driver and the process objects, so this module and the ones it
+    imports load only when a run takes it.
+    """
+    topology = sim.topology
+    pool_set = frozenset(plan.nodes)
+    processes: Dict[NodeId, ConvergecastNodeProcess] = {}
+    for node in topology.nodes:
+        is_sink = node == topology.sink
+        proc = ConvergecastNodeProcess(
+            node,
+            slot=None if is_sink else schedule.slot_of(node),
+            parent=schedule.parent_of(node),
+            is_sink=is_sink,
+            is_source=node in pool_set,
+            children=set(schedule.children_of(node)),
+        )
+        processes[node] = proc
+        sim.register_process(proc)
+
+    # Perturbation steps fire at the period boundary *before* the
+    # period's own processing: they are queued first, and the event
+    # queue breaks timestamp ties by insertion order.
+    dead: Set[NodeId] = set()
+    radio = sim.radio
+
+    def toggle(node: NodeId, awake: bool) -> None:
+        proc = processes[node]
+        if awake:
+            radio.attach(node, proc.deliver)
+            proc.wake()
+        else:
+            radio.detach(node)
+            proc.sleep()
+
+    for period, action, nodes in steps:
+        sim.schedule_at(
+            frame.period_start(period), apply_step, (action, nodes, dead, toggle)
+        )
+
+    driver = TdmaDriver(sim, frame)
+    for node, proc in processes.items():
+        driver.register(proc, proc.slot)
+    # The adapter and the source-plan client need their own client
+    # keys; negative identifiers never collide with a sensor node.
+    # The adapter sorts first so the attacker's NextP precedes the
+    # tracker advance (see _SourcePlanClient).
+    driver.register(_AttackerTdmaAdapter(-2, agent), None)
+    driver.register(_SourcePlanClient(-1, tracker, agent), None)
+    driver.start(stop_after=periods_budget)
+    sim.run(until=periods_budget * frame.period_length + 1e-9)
+    current_period = driver.current_period
+    sink_proc = processes[topology.sink]
+    sink_proc.finish(current_period)
+    return current_period, sink_proc.collected_by_period

@@ -25,7 +25,7 @@ period fires, so outcomes never depend on sub-period event ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Set, Tuple
 
 from ..errors import invalid_field
 from ..topology import NodeId
@@ -283,3 +283,28 @@ def lower_perturbations(
             steps.append((period, index, action, nodes))
     steps.sort(key=lambda s: (s[0], s[1]))
     return tuple((period, action, nodes) for period, _, action, nodes in steps)
+
+
+def apply_step(
+    action: str,
+    nodes: Tuple[NodeId, ...],
+    dead: Set[NodeId],
+    toggle: Callable[[NodeId, bool], None],
+) -> None:
+    """Apply one lowered step through ``toggle(node, awake)``.
+
+    The step semantics both operational engines share: ``sleep`` and
+    ``die`` take a node off the network (``die`` also records it in
+    ``dead``), and ``wake`` brings it back unless it is dead — death is
+    permanent, so a wake from an overlapping sleep schedule never
+    resurrects a crashed node.  ``toggle`` is the engine's own state
+    change (radio attachment plus the node's transmit mute).
+    """
+    for node in nodes:
+        if action == WAKE:
+            if node not in dead:
+                toggle(node, True)
+            continue
+        if action == DIE:
+            dead.add(node)
+        toggle(node, False)

@@ -18,11 +18,11 @@ It precomputes the period's slot timeline once — ``(slot, time offset,
 senders)`` groups in exactly the order the heap would fire them — and
 then executes periods with plain loops:
 
-* period boundaries drain the event heap (perturbation steps keep using
-  real events, so anything scheduled against the simulator still fires
-  at the right point);
+* period boundaries apply the run's lowered perturbation steps
+  (:data:`~repro.app.dynamics.PerturbationStep`) directly, through the
+  step semantics both engines share (:func:`~repro.app.dynamics.apply_step`);
 * period-start hooks run in the legacy client order (attacker ``NextP``,
-  source-plan advance, node processes in ascending node id);
+  source-plan advance, then the nodes' period resets);
 * each slot group's broadcasts are transmitted first and delivered
   *after* the whole group has transmitted — the order the
   ``(time, seq)`` heap produced, since deliveries lag transmissions by
@@ -35,12 +35,17 @@ fan-out and the noise model's compiled drawer for that fan-out
 (:meth:`~repro.simulator.NoiseModel.compile_lane`) — and the whole
 transmit→noise→deliver→forward chain runs as a table-driven loop: no
 :class:`AggregateMessage` construction, no ``RadioMedium.broadcast``
-calls, no ``Process.deliver`` → ``on_receive`` dispatch.  Tables are
-compiled after the run's first ``sim.run()`` (which resets the noise
-model's per-link state, invalidating any drawer compiled earlier) and
-rebuilt whenever the radio's attachment epoch moves (node
-death/sleep/wake perturbations) — only the entries of the toggled
-nodes' neighbours, the only fan-outs a toggle changes.
+calls, no ``Process.deliver`` → ``on_receive`` dispatch.  Node state
+(pending origins, mutes, deaths) lives in the kernel's own arrays, so
+the fast path builds no event heap, no ``TdmaDriver`` and no per-node
+process objects; those load only for the legacy engine.  Tables are
+compiled after the run resets the noise model's per-link state (a
+drawer compiled before the reset is stale): first from the topology's
+neighbour rows — at the start every node is attached, so a fan-out is
+just the neighbour order — and then, whenever the radio's attachment
+epoch moves (node death/sleep/wake perturbations), from the live radio
+for the toggled nodes' neighbours only, the only fan-outs a toggle
+changes.
 
 **Equivalence contract.**  A fast-kernel run is bit-identical to a
 legacy run: same RNG draw order (noise decisions in neighbour order per
@@ -51,23 +56,32 @@ tie-break), same trace records and counters, same
 registered scenario on both engines.  The harness runs a ``"fast"``
 request on the legacy engine whenever the fast kernel cannot prove it
 equivalent: geometries it cannot honour (:func:`fast_kernel_supported`)
-and behaviours the lane cannot compile (:func:`fast_lane_compilable`).
+and runs the lane cannot compile (:func:`fast_lane_compilable`).
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..attacker import EavesdropperAgent
 from ..attacker.decision import HeardMessage
 from ..mac import TdmaFrame
 from ..simulator import PERIOD_START, Simulator
 from ..simulator import trace as trace_kinds
-from ..simulator.noise import LaneDrawer
+from ..simulator.noise import LaneDrawer, NoiseModel
 from ..telemetry import active_tracer
 from ..topology import NodeId
-from .convergecast import ConvergecastNodeProcess
-from .dynamics import SourceTracker
+from .dynamics import PerturbationStep, SourceTracker, apply_step
 
 #: Timeline entry: (slot, offset from period start, senders in fire order).
 _SlotGroup = Tuple[int, float, Tuple[NodeId, ...]]
@@ -77,13 +91,19 @@ _SlotGroup = Tuple[int, float, Tuple[NodeId, ...]]
 #:  per-receiver aggregation targets: the receiver's dense node index
 #:  when it aggregates this sender's traffic, or ``-1`` when the
 #:  traffic is heard and counted but never folded,
-#:  the noise drawer mapping one broadcast to the targets it reached).
-_LaneEntry = Tuple[int, Tuple[int, ...], LaneDrawer]
+#:  the noise drawer mapping one broadcast to the targets it reached,
+#:  the targets that fold when every frame arrives: the non-negative ones).
+_LaneEntry = Tuple[int, Tuple[int, ...], LaneDrawer, Tuple[int, ...]]
 
 
 def _no_receivers(rng: object) -> Tuple[int, ...]:
     """The drawer of a sender with no attached neighbour: no draws."""
     return ()
+
+
+def _lane_delivered(sender: NodeId, message: object, time: float) -> None:
+    """The radio callback of a fast-path node: the lane delivers, so the
+    medium only tracks which nodes are attached."""
 
 
 def fast_kernel_supported(frame: TdmaFrame, propagation_delay: float) -> bool:
@@ -100,9 +120,10 @@ def fast_kernel_supported(frame: TdmaFrame, propagation_delay: float) -> bool:
 
 
 def build_slot_timeline(
-    frame: TdmaFrame, processes: Dict[NodeId, ConvergecastNodeProcess]
+    frame: TdmaFrame, slots: Mapping[NodeId, int]
 ) -> Tuple[_SlotGroup, ...]:
-    """Flatten the schedule into per-period slot groups, in fire order.
+    """Flatten the senders' ``slots`` into per-period slot groups, in
+    fire order.
 
     The legacy driver schedules one event per ``(node, slot)`` pair at
     ``slot_start(period, slot)``; the heap therefore fires slots in
@@ -119,10 +140,8 @@ def build_slot_timeline(
     timestamps by one ulp and break bit-identity with the legacy heap.
     """
     by_slot: Dict[int, List[NodeId]] = {}
-    for node, process in processes.items():
-        slot = process.slot
-        if slot is not None:
-            by_slot.setdefault(slot, []).append(node)
+    for node, slot in slots.items():
+        by_slot.setdefault(slot, []).append(node)
     slot_duration = frame.slot_duration
     return tuple(
         (
@@ -137,168 +156,171 @@ def build_slot_timeline(
 # ----------------------------------------------------------------------
 # The message-path fast lane
 # ----------------------------------------------------------------------
-def fast_lane_compilable(
-    sim: Simulator,
-    processes: Dict[NodeId, ConvergecastNodeProcess],
-    agent: EavesdropperAgent,
-    timeline: Tuple[_SlotGroup, ...],
-) -> bool:
-    """Whether the run's behaviour can be compiled into forwarding tables.
+def fast_lane_compilable(sim: Simulator, timeline: Tuple[_SlotGroup, ...]) -> bool:
+    """Whether the run can be compiled into forwarding tables.
 
-    The lane replaces object dispatch with precomputed tables, so it
-    engages only when every behaviour it would bypass is the stock one:
+    :func:`~repro.app.runtime.run_operational_phase` builds the medium,
+    the attacker and the node state itself, so only two properties of
+    a run can stop the lane:
 
-    * every node process is exactly :class:`ConvergecastNodeProcess` —
-      a third-party subclass may override ``on_slot``/``on_receive`` and
-      must run on the legacy engine;
-    * the eavesdropper is exactly :class:`EavesdropperAgent` (custom
-      agents, including exotic ``capture_test`` wrappers that subclass
-      it, run on the legacy engine) and is the only listener attached;
-    * the trace is not retaining SEND/DELIVER/DROP records — those
-      streams are per-message objects the lane deliberately never
-      builds (counts are still maintained exactly);
-    * the collision window is off (TDMA operation never uses it);
-    * no slot group contains a sender audible to another sender of the
-      same group.  Def. 1's 2-hop separation guarantees this for every
+    * the trace retains SEND/DELIVER/DROP records — those streams are
+      per-message objects the lane deliberately never builds (counts
+      are still maintained exactly);
+    * a slot group contains a sender audible to another sender of the
+      same group.  Def. 1's 2-hop separation rules this out for every
       schedule the library builds; it is what lets the lane union live
       pending sets at delivery time instead of snapshotting a frozen
       origins set per message, because no sender's aggregate can change
       between its transmission and its group's delivery.
     """
     trace = sim.trace
-    radio = sim.radio
-    if radio.collision_window > 0.0:
-        return False
     if (
         trace.wants(trace_kinds.SEND)
         or trace.wants(trace_kinds.DELIVER)
         or trace.wants(trace_kinds.DROP)
     ):
         return False
-    if type(agent) is not EavesdropperAgent:
-        return False
-    if radio.eavesdroppers != (agent,):
-        return False
-    if any(type(p) is not ConvergecastNodeProcess for p in processes.values()):
-        return False
+    neighbours = sim.topology.neighbours
     for _slot, _offset, senders in timeline:
-        group = frozenset(senders)
-        for node in senders:
-            # audible_set(node) is {node} ∪ neighbours(node): any other
-            # group member inside it would hear this sender.
-            if not (radio.audible_set(node) & group) <= {node}:
-                return False
+        if len(senders) > 1:
+            group = frozenset(senders)
+            for node in senders:
+                # A node is audible exactly at itself and its neighbours.
+                if not group.isdisjoint(neighbours(node)):
+                    return False
     return True
 
 
 def compile_fast_lane(
-    sim: Simulator,
-    processes: Dict[NodeId, ConvergecastNodeProcess],
+    noise: NoiseModel,
+    parents: Mapping[NodeId, Optional[NodeId]],
     sink: NodeId,
-    index: Dict[NodeId, int],
-    senders: Optional[Collection[NodeId]] = None,
-) -> Tuple[Dict[NodeId, _LaneEntry], Set[NodeId]]:
-    """Compile the per-node forwarding tables for the current radio state.
+    index: Mapping[NodeId, int],
+    fanouts: Iterable[Tuple[NodeId, Sequence[NodeId]]],
+) -> Dict[NodeId, _LaneEntry]:
+    """Compile the forwarding-table entries of ``(sender, receivers)``
+    fan-outs.
 
-    For every transmitting node the table stores its dense index into
-    ``index`` (sorted node order — the same order the pending-origin
-    bitmasks are bit-indexed by); per receiver (attached neighbours, in
-    the exact order :meth:`RadioMedium.broadcast` uses) either the
-    receiver's dense index (when the receiver aggregates this sender's
-    traffic: it is the sink, or the sender is one of its installed
-    children) or ``-1`` (traffic heard and counted, never folded); and
-    the noise model's drawer for that fan-out.  Also returns the set of
-    currently muted (asleep) nodes.  ``senders`` limits the tables to
-    those nodes (default: every node).
+    Each entry stores the sender's dense index into ``index`` (sorted
+    node order — the same order the pending-origin bitmasks are
+    bit-indexed by); per receiver (attached neighbours, in the exact
+    order :meth:`RadioMedium.broadcast` uses) either the receiver's
+    dense index (when the receiver aggregates this sender's traffic: it
+    is the sink or the sender's parent) or ``-1`` (traffic heard and
+    counted, never folded); the noise model's drawer for that fan-out;
+    and the targets that fold when every frame arrives.
 
-    Valid until the radio's attachment :attr:`~RadioMedium.epoch` moves
-    or the noise model resets; the run loop compiles after the run's
-    first ``sim.run()`` (the reset) and, after every perturbation
-    boundary that touched the medium, recompiles the entries of the
-    toggled nodes' neighbours.
+    An entry is valid until its fan-out changes (a neighbour attaches
+    or detaches) or the noise model resets; :func:`run_fast_kernel`
+    compiles after the reset and recompiles the toggled nodes'
+    neighbours after every perturbation boundary that touched the
+    medium.
     """
-    radio = sim.radio
-    compile_lane = radio.noise.compile_lane
+    compile_lane = noise.compile_lane
     tables: Dict[NodeId, _LaneEntry] = {}
-    for node in processes if senders is None else sorted(senders):
-        if processes[node].slot is None:
-            continue
-        fanout, receiver_ids = radio.fanout(node)
+    for node, receivers in fanouts:
+        parent = parents[node]
         targets = tuple(
-            index[receiver]
-            if (receiver == sink or node in processes[receiver]._children)
-            else -1
-            for receiver, _callback in fanout
+            index[receiver] if receiver == sink or receiver == parent else -1
+            for receiver in receivers
         )
         draw = (
-            compile_lane(node, receiver_ids, targets)
-            if receiver_ids
-            else _no_receivers
+            compile_lane(node, receivers, targets) if receivers else _no_receivers
         )
-        tables[node] = (index[node], targets, draw)
-    muted = {node for node, proc in processes.items() if proc.asleep}
-    return tables, muted
+        folds = tuple(target for target in targets if target >= 0)
+        tables[node] = (index[node], targets, draw, folds)
+    return tables
 
 
 def run_fast_kernel(
     sim: Simulator,
     frame: TdmaFrame,
     periods_budget: int,
-    processes: Dict[NodeId, ConvergecastNodeProcess],
+    parents: Mapping[NodeId, Optional[NodeId]],
     agent: EavesdropperAgent,
     tracker: SourceTracker,
     timeline: Tuple[_SlotGroup, ...],
-) -> int:
-    """Execute the operational phase; returns the last period begun.
+    steps: Sequence[PerturbationStep],
+) -> Tuple[int, Dict[int, int]]:
+    """Execute the operational phase; returns the last period begun and
+    the sink's per-period count of collected readings.
 
-    Mirrors ``TdmaDriver`` + ``Simulator.run`` on compiled forwarding
-    tables while keeping the heap for perturbation steps already
-    scheduled against ``sim``.  The caller must have checked
+    Mirrors ``TdmaDriver`` + ``Simulator.run`` of the legacy engine on
+    compiled forwarding tables, applying the lowered perturbation
+    ``steps`` at their period boundaries.  The caller must have checked
     :func:`fast_kernel_supported` and :func:`fast_lane_compilable`
     (with this ``timeline``, from :func:`build_slot_timeline`); see the
-    module docstring for the equivalence contract.
+    module docstring for the equivalence contract.  ``parents`` is the
+    compressed schedule's parent map (the sink maps to ``None``).
 
     The per-message chain — emit, noise block, eavesdropper audibility,
-    fan-out, aggregation — runs as plain loops over the tables; the
-    event heap is consulted only at period boundaries (perturbations).
+    fan-out, aggregation — runs as plain loops over the tables.
     The per-node pending origin sets live as node-indexed **bitmask
     ints** (bit *i* set ⇔ node ``nodes[i]``'s reading is aggregated),
     so a delivery's fold is one ``|=`` and the sink's per-period take is
-    one ``bit_count()``; real sets are reconstructed only at sync time.
+    one ``bit_count()``.
     The eavesdropper's hear path runs inline against a precomputed
     audibility row — the set of senders audible from the attacker's
     current location, rebuilt only when the attacker moves — and its
     ``ARcv`` buffering happens without a call; the rare ``Decide`` step
     (a move, an RNG tie-break, a capture test) delegates to the real
-    agent so times, periods and paths stay bit-identical.  State (send
-    counts, trace totals, pending origins) is synced back onto the
-    process objects and the trace recorder on every exit path, so
-    downstream accounting observes exactly what the legacy engine would
-    have produced.
+    agent so times, periods and paths stay bit-identical.  Message and
+    trace totals are flushed onto the trace recorder on every exit
+    path, so downstream accounting observes exactly what the legacy
+    engine would have produced.
     """
     radio = sim.radio
-    neighbours = radio.topology.neighbours
+    topology = radio.topology
+    neighbours = topology.neighbours
     trace = sim.trace
     record = trace.record
     rng = sim.rng
-    delivers = radio.noise.delivers
+    noise = radio.noise
+    delivers = noise.delivers
     keep_hear = trace.wants(trace_kinds.ATTACKER_HEAR)
 
-    nodes = sorted(processes)
-    index = {node: i for i, node in enumerate(nodes)}
-    sink = next(node for node in nodes if processes[node].is_sink)
+    metrics = topology.metrics
+    nodes = metrics.order
+    index = metrics.index
+    sink = topology.sink
     sink_idx = index[sink]
-    sink_collected = processes[sink].collected_by_period
+    collected: Dict[int, int] = {}
     #: per-node pending-origin bitmasks, and each node's own bit.
     own_bit = [0 if node == sink else (1 << i) for i, node in enumerate(nodes)]
     pending: List[int] = [0] * len(nodes)
-    sent: List[int] = [0] * len(nodes)
 
-    # Compiled at the first period boundary, after sim.run() has reset
-    # the noise model (a drawer compiled before the reset is stale).
-    tables: Dict[NodeId, _LaneEntry] = {}
+    # Node state: every node starts attached and awake; perturbation
+    # steps toggle the radio attachment and the transmit mute together.
     muted: Set[NodeId] = set()
-    built_epoch = None
+    dead: Set[NodeId] = set()
+    attach = radio.attach
+    detach = radio.detach
+
+    def toggle(node: NodeId, awake: bool) -> None:
+        if awake:
+            attach(node, _lane_delivered)
+            muted.discard(node)
+        else:
+            detach(node)
+            muted.add(node)
+
+    for node in nodes:
+        attach(node, _lane_delivered)
+    # The run's reset comes before any drawer is compiled.
+    radio.reset()
+    transmitters = frozenset(n for _s, _o, group in timeline for n in group)
+    # All attached: each fan-out is the topology's neighbour row.
+    neighbour_ids = metrics.neighbour_ids
+    tables = compile_fast_lane(
+        noise,
+        parents,
+        sink,
+        index,
+        ((node, neighbour_ids[index[node]]) for node in sorted(transmitters)),
+    )
+    built_epoch = radio.epoch
+    step_count = len(steps)
+    next_step = 0
 
     # The attacker's compiled hear/decide state: its Figure 1 machine,
     # the R/M caps, a per-sender slot memo (one `slot_lookup` call per
@@ -311,7 +333,6 @@ def run_fast_kernel(
     amsgs = astate.messages
     slot_memo: Dict[NodeId, int] = {}
     audible_rows: Dict[NodeId, FrozenSet[NodeId]] = {}
-    transmitters = frozenset(n for _s, _o, group in timeline for n in group)
 
     def audibility_row(location: NodeId) -> FrozenSet[NodeId]:
         # Audibility is symmetric (s is audible at l ⇔ l ∈ {s} ∪ N(s)
@@ -341,41 +362,50 @@ def run_fast_kernel(
                     tracer.end(period_span)
                 period_span = tracer.begin("operational.period", period=period)
             boundary = period * period_length
-            # Perturbation steps were queued before anything else, so at
-            # a shared boundary timestamp the heap fires them first —
-            # run() drains everything due, then advances the clock.
-            sim.run(until=boundary)
+            # Perturbation steps come first at their boundary, as the
+            # legacy heap fires them before the period's own events.
+            while next_step < step_count and steps[next_step][0] <= period:
+                _period, action, step_nodes = steps[next_step]
+                apply_step(action, step_nodes, dead, toggle)
+                next_step += 1
             if radio.epoch != built_epoch:
                 # A toggled node changes only its neighbours' fan-outs.
-                stale = None
-                if built_epoch is not None:
-                    stale = {
-                        neighbour
-                        for node in radio.toggled_since(built_epoch)
-                        for neighbour in neighbours(node)
-                    }
-                recompiled, muted = compile_fast_lane(
-                    sim, processes, sink, index, stale
+                stale = {
+                    neighbour
+                    for node in radio.toggled_since(built_epoch)
+                    for neighbour in neighbours(node)
+                }
+                fanout = radio.fanout
+                tables.update(
+                    compile_fast_lane(
+                        noise,
+                        parents,
+                        sink,
+                        index,
+                        (
+                            (node, fanout(node)[1])
+                            for node in sorted(stale & transmitters)
+                        ),
+                    )
                 )
-                tables.update(recompiled)
                 built_epoch = radio.epoch
 
             # Period-start hooks, in the legacy driver's client order:
             # the attacker's NextP, the source-plan advance (a rotation
             # landing on the attacker is a capture), then every node
-            # process (the resets below are its on_period_start).
+            # (the resets below are the legacy process's on_period_start).
             record(boundary, PERIOD_START, period=period)
             agent.on_period_start(period, boundary)
             active = tracker.advance(period)
             if not agent.captured and agent.location in active:
                 agent.register_capture(agent.location, boundary)
             if period > 0:
-                sink_collected[period - 1] = pending[sink_idx].bit_count()
+                collected[period - 1] = pending[sink_idx].bit_count()
             pending[:] = own_bit
             if agent.captured:
                 # The legacy engine stops before any slot event of this
                 # period fires; the boundary hooks above already ran.
-                return current_period
+                return current_period, collected
 
             # Matches TdmaFrame.slot_start's float-addition order:
             # (period_start + dissemination) + (slot - 1) * slot_duration.
@@ -383,17 +413,21 @@ def run_fast_kernel(
             for _slot, offset, senders in timeline:
                 slot_time = slot_base + offset
                 group_deliveries: List[Tuple[int, Tuple[int, ...]]] = []
+                group_arrivals = 0
                 for node in senders:
                     if node in muted:
                         continue  # on_slot() would stay silent
-                    s_idx, targets, draw = tables[node]
-                    sent[s_idx] += 1
+                    s_idx, targets, draw, folds = tables[node]
                     sends += 1
                     kept = draw(rng)
-                    if kept is not targets:
+                    if kept is targets:
+                        group_arrivals += len(targets)
+                    else:
                         drops += len(targets) - len(kept)
-                    if kept:
-                        group_deliveries.append((pending[s_idx], kept))
+                        group_arrivals += len(kept)
+                        folds = tuple(target for target in kept if target >= 0)
+                    if folds:
+                        group_deliveries.append((pending[s_idx], folds))
                     if node in arow:
                         if delivers(node, -1, rng):
                             if keep_hear:
@@ -429,7 +463,7 @@ def run_fast_kernel(
                                     # group's buffered deliveries never
                                     # fire, exactly as the legacy loop
                                     # stops with those events queued.
-                                    return current_period
+                                    return current_period, collected
                                 if astate.location != location:
                                     arow = audibility_row(astate.location)
                 # Deliver the whole group after it transmitted (the
@@ -440,25 +474,19 @@ def run_fast_kernel(
                 # the delivery-time value.  DELIVER is counted here, not
                 # at transmit time: a capture mid-group discards the
                 # buffered deliveries, and the legacy engine never
-                # counts undelivered ones.
-                for origins, kept_targets in group_deliveries:
-                    delivers_count += len(kept_targets)
-                    for target in kept_targets:
-                        if target >= 0:
-                            pending[target] |= origins
-        return current_period
+                # counts undelivered ones.  Only the folding targets are
+                # buffered; the others are just counted.
+                delivers_count += group_arrivals
+                for origins, folds in group_deliveries:
+                    for target in folds:
+                        pending[target] |= origins
+        return current_period, collected
     finally:
         trace.bump_many(trace_kinds.SEND, sends)
         trace.bump_many(trace_kinds.DELIVER, delivers_count)
         trace.bump_many(trace_kinds.DROP, drops)
         trace.bump_many(trace_kinds.ATTACKER_HEAR, hears)
-        for i, node in enumerate(nodes):
-            mask = pending[i]
-            origins = set()
-            while mask:
-                low = mask & -mask
-                origins.add(nodes[low.bit_length() - 1])
-                mask ^= low
-            processes[node].adopt_state(current_period, origins, sent[i])
+        # The sink's take of the period the run ended in.
+        collected[current_period] = pending[sink_idx].bit_count()
         if period_span is not None:
             tracer.end(period_span)

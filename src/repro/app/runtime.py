@@ -17,12 +17,12 @@ one-shot sleeps, recurring duty cycles) applied at period boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..attacker import AttackerSpec, EavesdropperAgent, paper_attacker
 from ..core import Schedule, safety_period
 from ..errors import ConfigurationError, invalid_field
-from ..mac import TdmaDriver, TdmaFrame
+from ..mac import TdmaFrame
 from ..simulator import (
     ATTACKER_MOVE,
     CAPTURE,
@@ -30,17 +30,9 @@ from ..simulator import (
     SEND,
     Simulator,
 )
-from ..telemetry import active_tracer, default_registry
+from ..telemetry import active_tracer
 from ..topology import NodeId, Topology
-from .convergecast import ConvergecastNodeProcess
-from .dynamics import (
-    DIE,
-    WAKE,
-    Perturbation,
-    SourcePlan,
-    SourceTracker,
-    lower_perturbations,
-)
+from .dynamics import Perturbation, SourcePlan, SourceTracker, lower_perturbations
 from .fast_kernel import (
     build_slot_timeline,
     fast_kernel_supported,
@@ -105,54 +97,6 @@ class OperationalResult:
     aggregation_ratio: float
     captured_source: Optional[NodeId] = None
     source_pool: Tuple[NodeId, ...] = ()
-
-
-class _AttackerTdmaAdapter:
-    """Adapts an :class:`EavesdropperAgent` to the TDMA client protocol
-    so the driver delivers period boundaries (Figure 1's ``NextP``)."""
-
-    def __init__(self, node: NodeId, agent: EavesdropperAgent) -> None:
-        self._node = node
-        self._agent = agent
-
-    @property
-    def node(self) -> NodeId:
-        return self._node
-
-    def on_period_start(self, period: int, time: float) -> None:
-        self._agent.on_period_start(period, time)
-
-    def on_slot(self, period: int, slot: int, time: float) -> None:  # pragma: no cover
-        pass  # the attacker never transmits
-
-
-class _SourcePlanClient:
-    """TDMA client advancing the :class:`SourceTracker` each period.
-
-    Registered *after* the attacker adapter (larger node key) so the
-    attacker's ``NextP`` has already run when the tracker advances; a
-    rotation that lands the asset on the attacker's current position is
-    then registered as a capture under the new period index.
-    """
-
-    def __init__(
-        self, node: NodeId, tracker: SourceTracker, agent: EavesdropperAgent
-    ) -> None:
-        self._node = node
-        self._tracker = tracker
-        self._agent = agent
-
-    @property
-    def node(self) -> NodeId:
-        return self._node
-
-    def on_period_start(self, period: int, time: float) -> None:
-        active = self._tracker.advance(period)
-        if not self._agent.captured and self._agent.location in active:
-            self._agent.register_capture(self._agent.location, time)
-
-    def on_slot(self, period: int, slot: int, time: float) -> None:  # pragma: no cover
-        pass  # the plan client never transmits
 
 
 #: Default retained trace kinds: only what the capture metrics read.
@@ -328,22 +272,6 @@ def run_operational_phase(
         seed=seed,
         trace_kinds=trace_kinds,
     )
-
-    pool_set = frozenset(source_pool)
-    processes: Dict[NodeId, ConvergecastNodeProcess] = {}
-    for node in topology.nodes:
-        is_sink = node == topology.sink
-        proc = ConvergecastNodeProcess(
-            node,
-            slot=None if is_sink else compressed.slot_of(node),
-            parent=compressed.parent_of(node),
-            is_sink=is_sink,
-            is_source=node in pool_set,
-            children=set(compressed.children_of(node)),
-        )
-        processes[node] = proc
-        sim.register_process(proc)
-
     tracker = SourceTracker(plan)
     start = attacker_start if attacker_start is not None else topology.sink
     agent = EavesdropperAgent(
@@ -356,37 +284,16 @@ def run_operational_phase(
         capture_test=tracker.is_source,
     )
     sim.radio.attach_eavesdropper(agent)
-
-    # Perturbation steps fire at the period boundary *before* the
-    # period's own processing: they are queued first, and the event
-    # queue breaks timestamp ties by insertion order (the fast kernel
-    # drains all due events before its boundary hooks).  Death is
-    # permanent: a wake step from an overlapping sleep schedule must
-    # not resurrect a crashed node.
-    dead: set = set()
-
-    def _apply_step(action: str, nodes: Tuple[NodeId, ...]) -> None:
-        for node in nodes:
-            proc = processes[node]
-            if action == WAKE:
-                if node not in dead:
-                    sim.radio.attach(node, proc.deliver)
-                    proc.wake()
-                continue
-            if action == DIE:
-                dead.add(node)
-            sim.radio.detach(node)
-            proc.sleep()
-
-    for period, action, nodes in lower_perturbations(perturbations, periods_budget):
-        sim.schedule_at(frame.period_start(period), _apply_step, (action, nodes))
+    steps = lower_perturbations(perturbations, periods_budget)
 
     use_fast = resolved_kernel == FAST_KERNEL and fast_kernel_supported(
         frame, sim.radio.propagation_delay
     )
     if use_fast:
-        timeline = build_slot_timeline(frame, processes)
-        use_fast = fast_lane_compilable(sim, processes, agent, timeline)
+        slots = compressed.slots()
+        del slots[topology.sink]  # the sink never transmits
+        timeline = build_slot_timeline(frame, slots)
+        use_fast = fast_lane_compilable(sim, timeline)
     tracer = active_tracer()
     phase_span = None
     if tracer is not None:
@@ -398,36 +305,34 @@ def run_operational_phase(
         )
     try:
         if use_fast:
-            current_period = run_fast_kernel(
-                sim, frame, periods_budget, processes, agent, tracker, timeline
+            current_period, collected = run_fast_kernel(
+                sim,
+                frame,
+                periods_budget,
+                compressed.parents(),
+                agent,
+                tracker,
+                timeline,
+                steps,
             )
         else:
-            driver = TdmaDriver(sim, frame)
-            for node, proc in processes.items():
-                driver.register(proc, proc.slot)
-            # The adapter and the source-plan client need their own client
-            # keys; negative identifiers never collide with a sensor node.
-            # The adapter sorts first so the attacker's NextP precedes the
-            # tracker advance (see _SourcePlanClient).
-            driver.register(_AttackerTdmaAdapter(-2, agent), None)
-            driver.register(_SourcePlanClient(-1, tracker, agent), None)
-            driver.start(stop_after=periods_budget)
-            sim.run(until=periods_budget * frame.period_length + 1e-9)
-            current_period = driver.current_period
+            from .convergecast import run_legacy_engine
+
+            current_period, collected = run_legacy_engine(
+                sim, frame, periods_budget, compressed, plan, agent, tracker, steps
+            )
     finally:
         if phase_span is not None:
             tracer.end(phase_span)
 
     periods_run = min(current_period + 1, periods_budget)
-    sink_proc = processes[topology.sink]
-    sink_proc.finish(current_period)
     expected = topology.num_nodes - 1
     # A capture stops the run mid-period; that truncated period carries
     # no meaningful aggregation count and is excluded from the mean.
     complete_through = current_period if agent.captured else periods_budget
     ratios = [
         count / expected
-        for period, count in sink_proc.collected_by_period.items()
+        for period, count in collected.items()
         if period < complete_through
     ]
     aggregation = sum(ratios) / len(ratios) if ratios else 0.0
@@ -436,6 +341,8 @@ def run_operational_phase(
         trace_out.append(sim.trace)
 
     if tracer is not None:
+        from ..telemetry import default_registry
+
         sim.trace.publish_counts(default_registry())
     # Break the engine's reference cycles so the run is freed by
     # refcount; the trace stays readable (below, and for trace_out).

@@ -617,29 +617,22 @@ def _cmd_service_workers(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Shared flag tables
 # ----------------------------------------------------------------------
-# Each factory returns a fresh parent parser, so a subcommand may
-# override a shared default with ``set_defaults`` (argparse shares the
-# parent's action objects with every child built from that instance).
+# Each table is a function adding its flags to one subcommand's parser,
+# so every subcommand owns fresh actions and may override a shared
+# default with ``set_defaults``.
 
 
-def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """An empty parent parser composing ``parents``."""
-    return argparse.ArgumentParser(add_help=False, parents=list(parents))
-
-
-def _quiet_flags() -> argparse.ArgumentParser:
-    flags = _flags()
+def _quiet_flags(flags: argparse.ArgumentParser) -> None:
     flags.add_argument(
         "--quiet",
         action="store_true",
         help="suppress status lines and live progress on stderr "
         "(quarantine warnings stay visible)",
     )
-    return flags
 
 
-def _observability_flags() -> argparse.ArgumentParser:
-    flags = _flags(_quiet_flags())
+def _observability_flags(flags: argparse.ArgumentParser) -> None:
+    _quiet_flags(flags)
     flags.add_argument(
         "--telemetry",
         type=Path,
@@ -650,32 +643,26 @@ def _observability_flags() -> argparse.ArgumentParser:
         "in Perfetto) and metrics.json under DIR; off by default "
         "and output bytes are identical either way",
     )
-    return flags
 
 
-def _seed_flags() -> argparse.ArgumentParser:
-    flags = _flags()
+def _seed_flags(flags: argparse.ArgumentParser) -> None:
     flags.add_argument(
         "--seed", type=int, default=None, help="the (first) seed"
     )
-    return flags
 
 
-def _seeds_flags() -> argparse.ArgumentParser:
-    flags = _flags()
+def _seeds_flags(flags: argparse.ArgumentParser) -> None:
     flags.add_argument(
         "--seeds",
         type=int,
         default=None,
         help="how many seeds to run (scenarios default to their repeats)",
     )
-    return flags
 
 
-def _workers_flags() -> argparse.ArgumentParser:
+def _workers_flags(flags: argparse.ArgumentParser) -> None:
     from .experiments.options import workers_argument
 
-    flags = _flags()
     flags.add_argument(
         "--workers",
         type=workers_argument,
@@ -683,11 +670,9 @@ def _workers_flags() -> argparse.ArgumentParser:
         help="worker processes for seed sweeps "
         "(default: serial; 0 = one per CPU)",
     )
-    return flags
 
 
-def _setup_kernel_flags() -> argparse.ArgumentParser:
-    flags = _flags()
+def _setup_kernel_flags(flags: argparse.ArgumentParser) -> None:
     flags.add_argument(
         "--legacy-setup-kernel",
         action="store_true",
@@ -695,27 +680,26 @@ def _setup_kernel_flags() -> argparse.ArgumentParser:
         "engine instead of the flat-round setup kernel "
         "(bit-identical; for bisection)",
     )
-    return flags
 
 
-def _kernel_flags() -> argparse.ArgumentParser:
-    flags = _flags(_setup_kernel_flags())
+def _kernel_flags(flags: argparse.ArgumentParser) -> None:
+    _setup_kernel_flags(flags)
     flags.add_argument(
         "--legacy-kernel",
         action="store_true",
         help="run the operational phase on the legacy event-heap "
         "kernel instead of the fast kernel (bit-identical; for bisection)",
     )
-    return flags
 
 
-def _sweep_flags() -> argparse.ArgumentParser:
+def _sweep_flags(flags: argparse.ArgumentParser) -> None:
     """What every seed sweep shares: figure5 and scenario run/compare."""
     from .experiments.options import GUARD_MODES
 
-    flags = _flags(
-        _seed_flags(), _workers_flags(), _kernel_flags(), _observability_flags()
-    )
+    _seed_flags(flags)
+    _workers_flags(flags)
+    _kernel_flags(flags)
+    _observability_flags(flags)
     flags.add_argument(
         "--no-schedule-cache",
         action="store_true",
@@ -752,12 +736,12 @@ def _sweep_flags() -> argparse.ArgumentParser:
         help="seconds one parallel chunk may run before its worker is "
         "presumed hung and the pool is rebuilt",
     )
-    return flags
 
 
-def _scenario_sweep_flags() -> argparse.ArgumentParser:
+def _scenario_sweep_flags(flags: argparse.ArgumentParser) -> None:
     """The sweep flags plus what only scenario sweeps take."""
-    flags = _flags(_sweep_flags(), _seeds_flags())
+    _sweep_flags(flags)
+    _seeds_flags(flags)
     flags.add_argument(
         "--force-parallel",
         action="store_true",
@@ -772,22 +756,18 @@ def _scenario_sweep_flags() -> argparse.ArgumentParser:
         help="attach a shared on-disk schedule store (SQLite) so "
         "concurrent runs over one topology dedup schedule builds",
     )
-    return flags
 
 
-def _grid_flags() -> argparse.ArgumentParser:
+def _grid_flags(flags: argparse.ArgumentParser) -> None:
     """One paper grid and its SLP search distance."""
     from .experiments.config import PAPER_SIZES
 
-    flags = _flags()
     flags.add_argument("--size", type=int, default=11, choices=PAPER_SIZES)
     flags.add_argument("--search-distance", type=int, default=3)
-    return flags
 
 
-def _client_flags() -> argparse.ArgumentParser:
+def _client_flags(flags: argparse.ArgumentParser) -> None:
     """How a service client reaches the service."""
-    flags = _flags()
     flags.add_argument(
         "--url",
         default=DEFAULT_SERVICE_URL,
@@ -799,7 +779,15 @@ def _client_flags() -> argparse.ArgumentParser:
         default=30.0,
         help="client timeout in seconds (and --wait deadline)",
     )
-    return flags
+
+
+def _subcommand(sub, name: str, flags=(), **kwargs) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` to ``sub`` with the shared flag tables
+    ``flags``, in order, ahead of its own arguments."""
+    parser = sub.add_parser(name, **kwargs)
+    for add_flags in flags:
+        add_flags(parser)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -817,8 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table1", help="print Table I").set_defaults(func=_cmd_table1)
 
-    fig = sub.add_parser(
-        "figure5", help="regenerate a Figure 5 panel", parents=[_sweep_flags()]
+    fig = _subcommand(
+        sub, "figure5", help="regenerate a Figure 5 panel", flags=(_sweep_flags,)
     )
     fig.add_argument("--search-distance", type=int, default=3, choices=(3, 5))
     fig.add_argument("--repeats", type=int, default=30)
@@ -832,24 +820,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig.set_defaults(func=_cmd_figure5, seed=0)
 
-    over = sub.add_parser(
+    over = _subcommand(
+        sub,
         "overhead",
         help="measure SLP setup overhead",
-        parents=[
-            _grid_flags(),
-            _seeds_flags(),
-            _workers_flags(),
-            _setup_kernel_flags(),
-            _observability_flags(),
-        ],
+        flags=(
+            _grid_flags,
+            _seeds_flags,
+            _workers_flags,
+            _setup_kernel_flags,
+            _observability_flags,
+        ),
     )
     over.add_argument("--setup-periods", type=int, default=None)
     over.set_defaults(func=_cmd_overhead, seeds=3)
 
-    ver = sub.add_parser(
+    ver = _subcommand(
+        sub,
         "verify",
         help="run VerifySchedule (Algorithm 1)",
-        parents=[_grid_flags(), _seed_flags()],
+        flags=(_grid_flags, _seed_flags),
     )
     ver.set_defaults(func=_cmd_verify, seed=0)
 
@@ -873,10 +863,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scn_export.set_defaults(func=_cmd_scenario_export, quiet=False)
 
-    scn_run = scenario_sub.add_parser(
+    scn_run = _subcommand(
+        scenario_sub,
         "run",
         help="sweep one scenario and print a JSON report",
-        parents=[_scenario_sweep_flags()],
+        flags=(_scenario_sweep_flags,),
     )
     scn_run.add_argument(
         "name",
@@ -893,10 +884,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scn_run.set_defaults(func=_cmd_scenario_run)
 
-    scn_cmp = scenario_sub.add_parser(
+    scn_cmp = _subcommand(
+        scenario_sub,
         "compare",
         help="sweep several scenarios and tabulate capture ratios",
-        parents=[_scenario_sweep_flags()],
+        flags=(_scenario_sweep_flags,),
     )
     scn_cmp.add_argument(
         "names", nargs="*", help="scenario names (default: every registered one)"
@@ -910,10 +902,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service_sub = service.add_subparsers(dest="service_command", required=True)
 
-    svc_start = service_sub.add_parser(
+    svc_start = _subcommand(
+        service_sub,
         "start",
         help="run the sweep service in the foreground",
-        parents=[_quiet_flags()],
+        flags=(_quiet_flags,),
     )
     svc_start.add_argument(
         "--data-dir",
@@ -1008,19 +1001,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svc_fsck.set_defaults(func=_cmd_service_fsck, quiet=False)
 
-    svc_workers = service_sub.add_parser(
+    svc_workers = _subcommand(
+        service_sub,
         "workers",
         help="show the worker fleet (held shards, seeds landed, "
         "upload recency) from the service's lease board",
-        parents=[_client_flags()],
+        flags=(_client_flags,),
     )
     svc_workers.set_defaults(func=_cmd_service_workers, quiet=False)
 
-    svc_gc = service_sub.add_parser(
+    svc_gc = _subcommand(
+        service_sub,
         "gc",
         help="evict old terminal jobs' result blobs (records stay for "
         "dedup); run offline against the service's --data-dir",
-        parents=[_quiet_flags()],
+        flags=(_quiet_flags,),
     )
     svc_gc.add_argument(
         "--data-dir",
@@ -1039,16 +1034,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svc_gc.set_defaults(func=_cmd_service_gc)
 
-    svc_submit = service_sub.add_parser(
+    svc_submit = _subcommand(
+        service_sub,
         "submit",
         help="submit a scenario (name or spec JSON file) as a job",
-        parents=[
-            _client_flags(),
-            _seeds_flags(),
-            _seed_flags(),
-            _kernel_flags(),
-            _quiet_flags(),
-        ],
+        flags=(
+            _client_flags,
+            _seeds_flags,
+            _seed_flags,
+            _kernel_flags,
+            _quiet_flags,
+        ),
     )
     svc_submit.add_argument(
         "name", help="registered scenario name or path to a JSON spec document"
@@ -1066,16 +1062,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svc_submit.set_defaults(func=_cmd_service_submit, timeout=600.0)
 
-    svc_status = service_sub.add_parser(
-        "status", help="print one job's status document", parents=[_client_flags()]
+    svc_status = _subcommand(
+        service_sub,
+        "status",
+        help="print one job's status document",
+        flags=(_client_flags,),
     )
     svc_status.add_argument("job", help="job id (from 'submit')")
     svc_status.set_defaults(func=_cmd_service_status, quiet=False)
 
-    svc_result = service_sub.add_parser(
+    svc_result = _subcommand(
+        service_sub,
         "result",
         help="print (or save) one finished job's report",
-        parents=[_client_flags(), _quiet_flags()],
+        flags=(_client_flags, _quiet_flags),
     )
     svc_result.add_argument("job", help="job id (from 'submit')")
     svc_result.add_argument(
@@ -1089,11 +1089,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_sub = worker.add_subparsers(dest="worker_command", required=True)
 
-    wrk_start = worker_sub.add_parser(
+    wrk_start = _subcommand(
+        worker_sub,
         "start",
         help="pull shard leases from a remote-mode service, run them, "
         "and upload results (SIGTERM drains gracefully)",
-        parents=[_quiet_flags()],
+        flags=(_quiet_flags,),
     )
     wrk_start.add_argument(
         "--connect",
@@ -1151,10 +1152,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wrk_start.set_defaults(func=_cmd_worker_start)
 
-    show = sub.add_parser(
+    show = _subcommand(
+        sub,
         "show",
         help="visualise a refined schedule",
-        parents=[_grid_flags(), _seed_flags()],
+        flags=(_grid_flags, _seed_flags),
     )
     show.set_defaults(func=_cmd_show, seed=0)
 

@@ -80,39 +80,79 @@ def _repair(
     whenever a stable assignment exists within the pass budget; grids,
     lines, rings and random unit-disk graphs all converge in a handful
     of passes (asserted by the test-suite).
+
+    Each pass checks the nodes in ascending order, condition 3 first,
+    but skips a check none of whose read slots moved since it last ran:
+    such a check finds nothing to repair.  A condition-3 check leaves
+    its node below every shortest-path child, and only a child's
+    decrement can undo that; a collision check that changed nothing
+    left its pairs distinct, and one that changed a slot it reads is
+    due again.  Every adjustment, its order and the pass count are
+    exactly those of full passes.
     """
-    # The per-pass topology queries as flat tables, built once per
-    # topology (see Topology.repair_tables): the fixpoint re-reads
-    # the same structure every pass and every seed.  The collision pairs
-    # keep the 2-hop sets' iteration order, which feeds the tie-breaks.
-    nodes, spc, collision_pairs, hop = topology.repair_tables()
+    # The per-pass topology queries as flat position-indexed tables,
+    # built once per topology (see Topology.repair_tables): the fixpoint
+    # re-reads the same structure every pass and every seed.  The
+    # collision pairs keep the 2-hop sets' iteration order, which feeds
+    # the tie-breaks.
+    tables = topology.repair_tables()
+    nodes = tables.nodes
+    spc = tables.spc_at
+    pairs = tables.pairs_at
+    hop = tables.hop_at
+    spc_readers = tables.spc_readers
+    pair_readers = tables.pair_readers
+    current = [slots[n] for n in nodes]
+    positions = range(len(nodes))
+    # Which checks are due: all at first, then the readers of every slot
+    # that moved.  A reader behind the pass's position is checked in the
+    # next pass, as a full pass would find it.
+    ordering_due = [True] * len(nodes)
+    collision_due = [True] * len(nodes)
     for _ in range(max_passes):
         changed = False
 
         # Def. 2 condition 3: every shortest-path-toward-sink neighbour
         # must transmit later, i.e. hold a strictly larger slot.
-        for n in nodes:
-            slot_n = slots[n]
-            for m in spc[n]:
-                if slot_n >= slots[m]:
-                    slot_n = slots[m] - 1
+        for i in positions:
+            if not ordering_due[i]:
+                continue
+            ordering_due[i] = False
+            slot_n = current[i]
+            for m in spc[i]:
+                if slot_n >= current[m]:
+                    slot_n = current[m] - 1
                     changed = True
-            if slot_n != slots[n]:
-                slots[n] = slot_n
+            if slot_n != current[i]:
+                current[i] = slot_n
+                for r in spc_readers[i]:
+                    ordering_due[r] = True
+                for r in pair_readers[i]:
+                    collision_due[r] = True
 
         # Def. 2 condition 4 via Def. 1: no slot shared within 2 hops.
         # The deeper node yields; at equal depth the lower-priority
         # (later-heard) node yields, as arrival order would dictate.
-        for n in nodes:
-            for m in collision_pairs[n]:
-                if slots[n] == slots[m]:
-                    key_n = (hop[n], priority[n], n)
-                    key_m = (hop[m], priority[m], m)
-                    loser = m if key_m > key_n else n
-                    slots[loser] -= 1
+        for i in positions:
+            if not collision_due[i]:
+                continue
+            collision_due[i] = False
+            for m in pairs[i]:
+                if current[i] == current[m]:
+                    n, k = nodes[i], nodes[m]
+                    key_n = (hop[i], priority[n], n)
+                    key_m = (hop[m], priority[k], k)
+                    loser = m if key_m > key_n else i
+                    current[loser] -= 1
                     changed = True
+                    for r in spc_readers[loser]:
+                        ordering_due[r] = True
+                    for r in pair_readers[loser]:
+                        collision_due[r] = True
 
         if not changed:
+            for n, slot in zip(nodes, current):
+                slots[n] = slot
             return
     raise ProtocolError(
         f"slot repair did not converge within {max_passes} passes "
@@ -158,6 +198,7 @@ def centralized_das_schedule(
     sink = topology.sink
     priority = _priorities(topology, rng)
     order = _wave_order(topology, priority)
+    hop = topology.repair_tables().hop
 
     slots: Dict[NodeId, int] = {sink: num_slots}
     parents: Dict[NodeId, Optional[NodeId]] = {sink: None}
@@ -177,7 +218,7 @@ def centralized_das_schedule(
         # arrival index stands in for "first heard" among equals.
         parent = min(
             assigned_neighbours,
-            key=lambda m: (topology.sink_distance(m), arrival_index[m], priority[m]),
+            key=lambda m: (hop[m], arrival_index[m], priority[m]),
         )
         # Sibling rank: how many children this parent has already served
         # (the position of `n` in the parent's Others set, in arrival terms).

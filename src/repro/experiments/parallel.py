@@ -28,7 +28,13 @@ from ..core import Schedule
 from ..topology import Topology
 from .pool import SeedPool, _run_seed_chunk  # noqa: F401 (tests reach it here)
 from .resilience import FailedRun, RetryPolicy
-from .runner import ExperimentConfig, ExperimentRunner, setup_protocols
+from .runner import (
+    SLP,
+    ExperimentConfig,
+    ExperimentRunner,
+    setup_protocols,
+    slp_schedule_builder,
+)
 from .schedule_cache import (
     ScheduleCache,
     default_schedule_cache,
@@ -141,8 +147,11 @@ class ParallelExperimentRunner(SeedPool, ExperimentRunner):
         the schedules the parent already built."""
         if self._workers == 1 or len(seeds) <= 1:
             return super()._execute(config, seeds, on_result)
+        # Imported here, so forked workers inherit what their seeds run.
         if config.use_distributed:
-            setup_protocols()  # imported here, so forked workers inherit it
+            setup_protocols()
+        elif config.algorithm == SLP:
+            slp_schedule_builder()
         return self.map_seeds(
             lambda chunk: _SweepSeed(
                 self._topology, config, self._cached_schedules_for(config, chunk)

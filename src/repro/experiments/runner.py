@@ -33,8 +33,7 @@ from ..das.kernels import resolve_setup_kernel
 from ..errors import invalid_field
 from ..metrics import CaptureStats, capture_stats
 from ..simulator import CasinoLabNoise, NoiseModel
-from ..slp.protocol import SlpParameters, build_slp_schedule
-from ..telemetry import active_tracer, default_registry
+from ..telemetry import active_tracer
 from ..topology import Topology
 from .config import PAPER, PaperParameters
 from .options import FAULT_PLAN_ENV, GUARD_MODES
@@ -60,6 +59,16 @@ def setup_protocols():
     from ..slp.distributed import SlpProtocolConfig, run_slp_setup
 
     return run_das_setup, SlpProtocolConfig, run_slp_setup
+
+
+def slp_schedule_builder():
+    """``(SlpParameters, build_slp_schedule)``: the centralised SLP
+    pipeline, imported on first use, so a protectionless sweep loads
+    no SLP code.  A process that forks workers for SLP seeds calls this
+    before it forks, so the workers inherit the modules."""
+    from ..slp.protocol import SlpParameters, build_slp_schedule
+
+    return SlpParameters, build_slp_schedule
 
 
 #: Algorithm identifiers (the two bars of Figure 5).
@@ -336,6 +345,7 @@ class ExperimentRunner:
                 seed=seed,
                 jitter=config.schedule_jitter,
             )
+        SlpParameters, build_slp_schedule = slp_schedule_builder()
         return build_slp_schedule(
             self._topology,
             SlpParameters(search_distance=config.search_distance),
@@ -461,6 +471,8 @@ class ExperimentRunner:
     ) -> None:
         """Fold one sweep's capture metrics into the registry.  Only
         called with telemetry active — rates read the span clock."""
+        from ..telemetry import default_registry
+
         registry = default_registry()
         stats = outcome.stats
         registry.inc("sweep.runs", stats.runs)

@@ -58,11 +58,6 @@ class TdmaDriver:
         self._current_period = 0
 
     @property
-    def frame(self) -> TdmaFrame:
-        """The frame geometry the driver follows."""
-        return self._frame
-
-    @property
     def current_period(self) -> int:
         """Index of the period currently being executed."""
         return self._current_period
@@ -83,10 +78,6 @@ class TdmaDriver:
         self._clients[client.node] = client
         if slot is not None:
             self._slots[client.node] = slot
-
-    def slot_of(self, node: NodeId) -> Optional[int]:
-        """The slot currently assigned to ``node``, if any."""
-        return self._slots.get(node)
 
     # ------------------------------------------------------------------
     # Execution

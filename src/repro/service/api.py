@@ -111,6 +111,7 @@ from ..experiments import (
     SweepCheckpoint,
     configure_schedule_cache,
 )
+from ..experiments.runner import slp_schedule_builder
 from ..scenarios import ScenarioSpec, get_scenario
 from ..storage import atomic_write_bytes
 from ..telemetry import default_registry
@@ -326,6 +327,9 @@ class SweepService:
     def _spawn_worker(self) -> None:
         """Fork one local worker: the :class:`ShardWorker` loop against
         this service's own URL."""
+        # Imported before the fork, so every worker inherits the SLP
+        # pipeline its SLP jobs run instead of compiling it again.
+        slp_schedule_builder()
         self._spawned += 1
         worker_id = f"local-{self._spawned}"
         process = multiprocessing.get_context("fork").Process(

@@ -239,36 +239,50 @@ class CasinoLabNoise(NoiseModel):
         receivers: Sequence[NodeId],
         targets: Tuple[int, ...],
     ) -> LaneDrawer:
-        # The drawer walks (link id, target) pairs over the shared state
+        # The drawer walks the sender's link ids over the shared state
         # list: no link tuples, no dict traffic per frame.  Same draws,
-        # same order and same state as delivers_block.
-        link_id = self._link_id
-        lanes = tuple(zip([link_id((sender, r)) for r in receivers], targets))
+        # same order and same state as delivers_block.  Nearly every
+        # frame arrives, so the loop only notes the rare lost lanes and
+        # returns ``targets`` itself when there are none.  The sender's
+        # links are interned here, inline: a run's first compile meets
+        # every one of them fresh.
+        link_ids = self._link_ids
         states = self._states
+        lids = []
+        for receiver in receivers:
+            fresh = len(states)
+            lid = link_ids.setdefault((sender, receiver), fresh)
+            if lid == fresh:
+                states.append(False)
+            lids.append(lid)
+        lanes = tuple(enumerate(lids))
         good_loss = self.good_loss
         bad_loss = self.bad_loss
         p_good_to_bad = self.p_good_to_bad
         p_bad_to_good = self.p_bad_to_good
-        size = len(targets)
 
         def draw(rng: random.Random) -> Tuple[int, ...]:
             rand = rng.random
-            kept = []
-            for lid, target in lanes:
+            lost = None
+            for lane, lid in lanes:
                 if states[lid]:
                     if rand() < p_bad_to_good:
                         states[lid] = False
-                        loss = good_loss
+                        arrived = rand() >= good_loss
                     else:
-                        loss = bad_loss
+                        arrived = rand() >= bad_loss
                 elif rand() < p_good_to_bad:
                     states[lid] = True
-                    loss = bad_loss
+                    arrived = rand() >= bad_loss
+                elif rand() >= good_loss:
+                    continue
                 else:
-                    loss = good_loss
-                if rand() >= loss:
-                    kept.append(target)
-            return targets if len(kept) == size else tuple(kept)
+                    arrived = False
+                if not arrived:
+                    lost = (lane,) if lost is None else lost + (lane,)
+            if lost is None:
+                return targets
+            return tuple(t for lane, t in enumerate(targets) if lane not in lost)
 
         return draw
 

@@ -148,11 +148,6 @@ class RadioMedium:
         toggle changes only its neighbours' fan-outs."""
         return tuple(self._toggled[epoch:])
 
-    @property
-    def eavesdroppers(self) -> Tuple[Eavesdropper, ...]:
-        """The currently attached eavesdroppers."""
-        return tuple(self._eavesdroppers)
-
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------

@@ -51,7 +51,7 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
-from ..errors import StorageError, storage_failure
+from ..errors import storage_failure
 
 __all__ = [
     "FSYNC_ENV",

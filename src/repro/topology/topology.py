@@ -84,6 +84,31 @@ class RepairTables(NamedTuple):
     collision_pairs: Dict[NodeId, Tuple[NodeId, ...]]
     #: node → hop distance to the sink.
     hop: Dict[NodeId, int]
+    #: The same structure by position (position *i* is ``nodes[i]``),
+    #: for the centralised fixpoint: ``spc`` and ``collision_pairs``
+    #: as position tuples, and the hop distances.
+    spc_at: Tuple[Tuple[int, ...], ...]
+    pairs_at: Tuple[Tuple[int, ...], ...]
+    hop_at: Tuple[int, ...]
+    #: position → the positions whose condition-3 check reads its slot
+    #: (the nodes listing it in ``spc``).
+    spc_readers: Tuple[Tuple[int, ...], ...]
+    #: position → the positions whose collision check reads its slot
+    #: (itself, and the nodes listing it in ``collision_pairs``).
+    pair_readers: Tuple[Tuple[int, ...], ...]
+
+
+def _readers(
+    reads: Sequence[Tuple[int, ...]], itself: bool
+) -> Tuple[Tuple[int, ...], ...]:
+    """Invert ``reads`` (position → the positions it reads): position →
+    the positions that read it, in ascending order, led by the position
+    itself when ``itself``."""
+    readers: List[List[int]] = [[i] if itself else [] for i in range(len(reads))]
+    for i, row in enumerate(reads):
+        for j in row:
+            readers[j].append(i)
+    return tuple(tuple(row) for row in readers)
 
 
 class TopologyMetrics:
@@ -423,17 +448,30 @@ class Topology:
             index = metrics.index
             two_hop = self.collision_neighbourhood
             nodes = tuple(n for n in metrics.order if n != sink)
+            spc = {
+                n: tuple(m for m in metrics.spc[index[n]] if m != sink)
+                for n in nodes
+            }
+            collision_pairs = {
+                n: tuple(m for m in two_hop(n) if m != sink and m > n)
+                for n in nodes
+            }
+            hop = dict(zip(metrics.order, metrics.sink_row))
+            position = {n: i for i, n in enumerate(nodes)}
+            spc_at = tuple(tuple(position[m] for m in spc[n]) for n in nodes)
+            pairs_at = tuple(
+                tuple(position[m] for m in collision_pairs[n]) for n in nodes
+            )
             tables = RepairTables(
                 nodes=nodes,
-                spc={
-                    n: tuple(m for m in metrics.spc[index[n]] if m != sink)
-                    for n in nodes
-                },
-                collision_pairs={
-                    n: tuple(m for m in two_hop(n) if m != sink and m > n)
-                    for n in nodes
-                },
-                hop=dict(zip(metrics.order, metrics.sink_row)),
+                spc=spc,
+                collision_pairs=collision_pairs,
+                hop=hop,
+                spc_at=spc_at,
+                pairs_at=pairs_at,
+                hop_at=tuple(hop[n] for n in nodes),
+                spc_readers=_readers(spc_at, itself=False),
+                pair_readers=_readers(pairs_at, itself=True),
             )
             self._repair = tables
         return tables

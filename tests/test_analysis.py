@@ -14,7 +14,7 @@ from repro.das import centralized_das_schedule
 from repro.errors import VerificationError
 from repro.mac import TdmaFrame
 from repro.slp import SlpParameters, build_slp_schedule
-from repro.topology import GridTopology, LineTopology
+from repro.topology import GridTopology
 from repro.verification import verify_schedule
 
 

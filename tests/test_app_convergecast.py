@@ -1,7 +1,5 @@
 """Direct unit tests for the convergecast node process."""
 
-import pytest
-
 from repro.app import AggregateMessage, ConvergecastNodeProcess
 from repro.simulator import Simulator
 from repro.topology import LineTopology

@@ -1,7 +1,5 @@
 """Direct unit tests for the runtime EavesdropperAgent."""
 
-import pytest
-
 from repro.attacker import AttackerSpec, EavesdropperAgent, paper_attacker
 from repro.simulator import ATTACKER_MOVE, CAPTURE, Simulator
 from repro.topology import LineTopology

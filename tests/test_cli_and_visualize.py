@@ -3,10 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.das import centralized_das_schedule
 from repro.errors import TopologyError
-from repro.slp import SlpParameters, build_slp_schedule
-from repro.topology import GridTopology
 from repro.visualize import render_attacker_path, render_roles, render_slot_grid
 
 

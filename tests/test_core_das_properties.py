@@ -1,7 +1,5 @@
 """Unit tests for the Definition 1-3 checkers."""
 
-import pytest
-
 from repro.core import (
     COLLISION,
     MISSING_SLOT,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import check_strong_das, check_weak_das, is_strong_das
+from repro.core import check_strong_das
 from repro.das import centralized_das_schedule
 from repro.errors import ProtocolError
 from repro.topology import (

@@ -7,7 +7,6 @@ from repro.das import (
     DasNodeProcess,
     DasProtocolConfig,
     DissemMessage,
-    HelloMessage,
     NodeInfo,
     run_das_setup,
 )

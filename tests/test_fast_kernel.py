@@ -13,14 +13,12 @@ sweeps already exercise it).
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import pytest
 
 from repro.app import (
     FAST_KERNEL,
     LEGACY_KERNEL,
-    ConvergecastNodeProcess,
     DutyCycle,
     NodeDeath,
     NodeSleep,
@@ -286,28 +284,14 @@ class TestFastLaneDynamics:
 
 class TestFastLaneCompilability:
     def _setup(self, topology, schedule, **kwargs):
-        """A simulator + processes + agent mirroring the runtime wiring,
-        for direct compile-gate checks."""
+        """A simulator + agent + slot timeline mirroring the runtime
+        wiring, for direct compile-gate checks."""
         from repro.app.dynamics import SourceTracker
         from repro.attacker import EavesdropperAgent, paper_attacker
         from repro.simulator import Simulator
 
         compressed = schedule.compressed()
         sim = Simulator(topology, seed=0, trace_kinds=kwargs.get("trace_kinds"))
-        processes = {}
-        for node in topology.nodes:
-            is_sink = node == topology.sink
-            cls = kwargs.get("process_cls", ConvergecastNodeProcess)
-            proc = cls(
-                node,
-                slot=None if is_sink else compressed.slot_of(node),
-                parent=compressed.parent_of(node),
-                is_sink=is_sink,
-                is_source=node == topology.source,
-                children=set(compressed.children_of(node)),
-            )
-            processes[node] = proc
-            sim.register_process(proc)
         tracker = SourceTracker(SourcePlan.single(topology.source))
         agent = EavesdropperAgent(
             sim,
@@ -318,36 +302,42 @@ class TestFastLaneCompilability:
             capture_test=tracker.is_source,
         )
         sim.radio.attach_eavesdropper(agent)
-        timeline = build_slot_timeline(TdmaFrame(), processes)
-        return sim, processes, agent, timeline
+        slots = compressed.slots()
+        del slots[topology.sink]
+        timeline = build_slot_timeline(TdmaFrame(), slots)
+        return sim, timeline
 
     def test_standard_run_is_compilable(self, grid5, grid5_schedule):
         from repro.app import OPERATIONAL_TRACE_KINDS
 
-        sim, processes, agent, timeline = self._setup(
+        sim, timeline = self._setup(
             grid5, grid5_schedule, trace_kinds=OPERATIONAL_TRACE_KINDS
         )
-        assert fast_lane_compilable(sim, processes, agent, timeline)
+        assert fast_lane_compilable(sim, timeline)
 
     def test_retained_message_trace_is_not_compilable(self, grid5, grid5_schedule):
-        sim, processes, agent, timeline = self._setup(
-            grid5, grid5_schedule, trace_kinds=None
+        sim, timeline = self._setup(grid5, grid5_schedule, trace_kinds=None)
+        assert not fast_lane_compilable(sim, timeline)
+
+    def test_fast_run_builds_no_process_objects(
+        self, grid5, grid5_schedule, monkeypatch
+    ):
+        """The fast path keeps node state in the kernel's arrays: a
+        fast run constructs no process object, and only the legacy
+        engine does."""
+        import repro.app.convergecast as convergecast
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a process object was built")
+
+        monkeypatch.setattr(
+            convergecast.ConvergecastNodeProcess, "__init__", refuse
         )
-        assert not fast_lane_compilable(sim, processes, agent, timeline)
-
-    def test_process_subclass_is_not_compilable(self, grid5, grid5_schedule):
-        from repro.app import OPERATIONAL_TRACE_KINDS
-
-        class CustomProcess(ConvergecastNodeProcess):
-            pass
-
-        sim, processes, agent, timeline = self._setup(
-            grid5,
-            grid5_schedule,
-            trace_kinds=OPERATIONAL_TRACE_KINDS,
-            process_cls=CustomProcess,
-        )
-        assert not fast_lane_compilable(sim, processes, agent, timeline)
+        run_operational_phase(grid5, grid5_schedule, seed=0, kernel=FAST_KERNEL)
+        with pytest.raises(AssertionError, match="process object"):
+            run_operational_phase(
+                grid5, grid5_schedule, seed=0, kernel=LEGACY_KERNEL
+            )
 
     def test_audible_slot_sharing_is_not_compilable(self, grid5, grid5_schedule):
         """Two adjacent senders in one slot group (impossible under
@@ -363,10 +353,10 @@ class TestFastLaneCompilability:
         n2 = [m for m in grid5.neighbours(n1) if m not in (a, grid5.sink)][0]
         slots[n2] = slots[n1]  # adjacent nodes, same slot
         shared = grid5_schedule.with_slots(slots)
-        sim, processes, agent, timeline = self._setup(
+        sim, timeline = self._setup(
             grid5, shared, trace_kinds=OPERATIONAL_TRACE_KINDS
         )
-        assert not fast_lane_compilable(sim, processes, agent, timeline)
+        assert not fast_lane_compilable(sim, timeline)
 
     @pytest.mark.parametrize("name", sorted(scenario_names()))
     def test_default_run_uses_the_table_lane(self, name, monkeypatch):
@@ -456,22 +446,11 @@ class TestKernelSelection:
 class TestSlotTimeline:
     def test_fire_order_matches_heap_order(self, grid5, grid5_schedule):
         """Groups ascend by slot; senders ascend within a group; the
-        sink (slot None) never appears."""
-        from repro.app import ConvergecastNodeProcess
-
-        compressed = grid5_schedule.compressed()
-        processes = {}
-        for node in grid5.nodes:
-            is_sink = node == grid5.sink
-            processes[node] = ConvergecastNodeProcess(
-                node,
-                slot=None if is_sink else compressed.slot_of(node),
-                parent=compressed.parent_of(node),
-                is_sink=is_sink,
-                is_source=node == grid5.source,
-            )
+        sink (which never transmits) never appears."""
+        slots = grid5_schedule.compressed().slots()
+        del slots[grid5.sink]
         frame = TdmaFrame()
-        timeline = build_slot_timeline(frame, processes)
+        timeline = build_slot_timeline(frame, slots)
         slots = [slot for slot, _, _ in timeline]
         assert slots == sorted(slots)
         seen = set()

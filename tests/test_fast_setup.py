@@ -25,7 +25,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.experiments import PAPER
 from repro.simulator import BernoulliNoise, CasinoLabNoise, IdealNoise, NoiseModel
 from repro.simulator import trace as trace_kinds
-from repro.slp.distributed import SlpNodeProcess, SlpProtocolConfig, run_slp_setup
+from repro.slp.distributed import SlpProtocolConfig, run_slp_setup
 from repro.topology import (
     GridTopology,
     LineTopology,

@@ -9,6 +9,11 @@
   schedules with the message-level protocols, and a serial sweep has no
   worker to supervise.  Without bytecode caches every module a call
   imports is compiled afresh, so each one is paid for on every call.
+* A fast-kernel run loads no legacy engine: the event heap, the
+  process objects, their channels and the TDMA driver load only for
+  ``--legacy-kernel`` (the oracle) and its fallbacks.  A protectionless
+  run loads no SLP code.  The repro source a cold protectionless call
+  compiles stays within a budget.
 * ``import repro.cli`` loads the parser and nothing else; each
   subcommand imports its own dependencies.
 * The overhead experiment runs only the distributed setup kernels, so
@@ -36,8 +41,6 @@ from pathlib import Path
 from typing import List, Tuple
 
 import pytest
-
-import repro
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,8 +70,27 @@ RUN_PATH = (
     "repro.app.fast_kernel",
     "repro.app.runtime",
     "repro.das.centralized",
-    "repro.slp.protocol",
 )
+
+#: What an SLP seed executes on top of the run path.
+SLP_PATH = ("repro.slp.protocol", "repro.slp.refine", "repro.slp.search")
+
+#: The legacy operational engine: the event heap, the process objects
+#: and their channels, the TDMA driver, and the convergecast processes
+#: it drives.  Only ``--legacy-kernel`` and the fallbacks run it.
+LEGACY_ENGINE = (
+    "repro.simulator.event",
+    "repro.simulator.event_queue",
+    "repro.simulator.channel",
+    "repro.simulator.process",
+    "repro.mac.tdma",
+    "repro.app.convergecast",
+)
+
+#: Bytes of repro source a cold ``scenario run paper-baseline --seeds 4``
+#: may load: the measured total (287,752 bytes in 42 modules) plus 5%.
+#: Without bytecode caches every byte is compiled on every call.
+SOURCE_BUDGET = 302_140
 
 #: What the distributed setup (the overhead experiment) executes.
 SETUP_PATH = ("repro.das.fast_setup", "repro.slp.distributed")
@@ -101,6 +123,15 @@ SERIAL_OVERHEAD = (
     "measure_setup_overhead(GridTopology(5), seeds=(0, 1), setup_periods=12)"
 )
 POOLED_OVERHEAD = SERIAL_OVERHEAD[:-1] + ", workers=2)"
+
+#: A pooled SLP sweep: the workers build every schedule, so the parent
+#: holds the SLP pipeline only if it imported it before forking.
+POOLED_SLP = (
+    "from repro.experiments import ExperimentConfig, ParallelExperimentRunner\n"
+    "from repro.topology import GridTopology\n"
+    "with ParallelExperimentRunner(GridTopology(5), workers=2) as runner:\n"
+    "    runner.run(ExperimentConfig(algorithm='slp', repeats=2))"
+)
 
 #: Every package root whose public names resolve lazily.
 LAZY_ROOTS = (
@@ -212,6 +243,44 @@ def test_scenario_run_imports_only_the_run_path(argv):
     assert _loaded(modules, RUN_PATH) == list(RUN_PATH)
 
 
+def test_protectionless_run_loads_no_legacy_engine_or_slp(cold_run_modules):
+    assert _loaded(cold_run_modules, LEGACY_ENGINE + ("repro.slp",)) == []
+
+
+def test_slp_run_loads_the_slp_pipeline_but_no_legacy_engine():
+    modules = _scenario_run("paper-baseline-slp")
+    assert _loaded(modules, SLP_PATH) == list(SLP_PATH)
+    assert _loaded(modules, LEGACY_ENGINE) == []
+
+
+def test_legacy_kernel_loads_the_legacy_engine():
+    argv = ("paper-baseline", "--seeds", "2", "--quiet", "--legacy-kernel")
+    modules = _cli_modules(("scenario", "run", *argv))
+    assert _loaded(modules, LEGACY_ENGINE) == list(LEGACY_ENGINE)
+
+
+def _source_size(module: str) -> int:
+    """Bytes of source behind a repro module name."""
+    path = SRC.joinpath(*module.split("."))
+    source = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    return source.stat().st_size
+
+
+def test_cold_run_source_stays_within_budget():
+    modules = _cli_modules(
+        ("scenario", "run", "paper-baseline", "--seeds", "4", "--quiet")
+    )
+    sizes = sorted(
+        (_source_size(m), m) for m in modules if m.split(".")[0] == "repro"
+    )
+    total = sum(size for size, _ in sizes)
+    assert total <= SOURCE_BUDGET, (
+        f"a cold protectionless run loads {total} bytes of repro source "
+        f"(budget {SOURCE_BUDGET}):\n"
+        + "\n".join(f"{size:>8} {module}" for size, module in sizes)
+    )
+
+
 def test_import_cli_loads_only_the_parser_module():
     modules = _modules_after("import repro.cli")
     assert [m for m in modules if m.split(".")[0] == "repro"] == [
@@ -244,10 +313,11 @@ def test_service_status_loads_no_run_path():
             "ParallelExperimentRunner(GridTopology(3), workers=2).close()",
             RUN_PATH,
         ),
+        (POOLED_SLP, RUN_PATH + SLP_PATH),
         ("import repro.experiments.overhead", SETUP_PATH),
         (POOLED_OVERHEAD, SETUP_PATH + ("repro.experiments.pool",)),
     ],
-    ids=["service", "worker", "pool", "overhead", "overhead-pooled"],
+    ids=["service", "worker", "pool", "pool-slp", "overhead", "overhead-pooled"],
 )
 def test_forking_processes_load_the_run_path_before_forking(code, expected):
     modules = _modules_after(code)

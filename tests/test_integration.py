@@ -13,7 +13,7 @@ from repro.core import check_strong_das, check_weak_das, safety_period
 from repro.das import DasProtocolConfig, run_das_setup
 from repro.experiments import measure_setup_overhead
 from repro.mac import TdmaFrame
-from repro.metrics import aggregation_stats, capture_stats
+from repro.metrics import aggregation_stats
 from repro.simulator import CasinoLabNoise
 from repro.slp import SlpProtocolConfig, run_slp_setup
 from repro.topology import GridTopology

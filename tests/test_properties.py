@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    Schedule,
     check_strong_das,
     check_weak_das,
     is_non_colliding,

@@ -6,7 +6,6 @@ from repro.core import check_weak_das
 from repro.das import DasProtocolConfig
 from repro.errors import ProtocolError
 from repro.slp import SlpProtocolConfig, run_slp_setup
-from repro.topology import GridTopology
 
 
 def fast_config(setup=35, refine=12, sd=2, cl=3) -> SlpProtocolConfig:

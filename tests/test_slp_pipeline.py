@@ -11,7 +11,7 @@ from repro.slp import (
     build_slp_schedule,
     default_change_length,
 )
-from repro.topology import GridTopology, paper_grid
+from repro.topology import paper_grid
 
 
 class TestParameters:

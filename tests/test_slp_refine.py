@@ -6,7 +6,6 @@ from repro.core import check_weak_das
 from repro.das import centralized_das_schedule
 from repro.errors import ProtocolError
 from repro.slp import locate_redirection_node, refine_slots
-from repro.topology import GridTopology
 
 
 def build(grid, seed, sd=3, cl=4):

@@ -7,7 +7,7 @@ import pytest
 from repro.das import centralized_das_schedule
 from repro.errors import ProtocolError
 from repro.slp import locate_redirection_node
-from repro.topology import GridTopology, LineTopology
+from repro.topology import LineTopology
 
 
 class TestSearch:

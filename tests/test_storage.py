@@ -48,7 +48,6 @@ from repro.service import (
     DONE,
     QUEUED,
     ServiceClient,
-    ServiceError,
     ShardWorker,
     SweepService,
     TransportError,

@@ -1,7 +1,5 @@
 """Unit tests for node identity and placement primitives."""
 
-import math
-
 import pytest
 
 from repro.topology import Coordinate, Placement
