@@ -2,8 +2,8 @@
 
 Two routes to a schedule are provided:
 
-* :func:`run_das_setup` — the faithful distributed protocol of Figure 2
-  executing inside the discrete event simulator;
+* :func:`run_das_setup` — the faithful distributed protocol of Figure 2,
+  on the flat-round setup kernel or the event-heap node processes;
 * :func:`centralized_das_schedule` — a seeded centralised generator that
   reproduces the same assignment rules (and the same arrival-order
   variance) without message exchange, for cheap experiment repeats.
@@ -19,7 +19,6 @@ _EXPORTS = {
         "centralized_das_schedule",
     ),
     "fast_setup": (
-        "fast_setup_compilable",
         "fast_setup_supported",
         "run_fast_setup",
     ),
@@ -33,8 +32,10 @@ _EXPORTS = {
         "HelloMessage",
         "NodeInfo",
     ),
-    "protocol": (
+    "process": (
         "DasNodeProcess",
+    ),
+    "protocol": (
         "DasProtocolConfig",
         "DasSetupResult",
         "run_das_setup",

@@ -23,17 +23,25 @@ of the operational kernel in :mod:`repro.app.fast_kernel`:
   view of ``Ninfo``, ``Others`` sets, children, the SLP ``from`` sets)
   are node-indexed **bitmask ints**, so ``_merge_entry`` set unions
   become ``|=`` and sibling ranks become a masked ``bit_count()``;
-* each broadcast draws its noise decisions through one
-  :meth:`~repro.simulator.noise.NoiseModel.delivers_block` call (the
-  exact RNG stream of :meth:`RadioMedium.broadcast`) and its surviving
-  fan-out is buffered as a *deferred in-round delivery* — a FIFO whose
-  ``(time, seq)`` entries are merged against the remaining transmissions
-  of the round, reproducing the heap's interleaving exactly (a delivery
-  landing between two jittered transmissions is processed between
-  them, and a search/change forward spawned *during* a delivery draws
-  its noise inline mid-fan-out, as the legacy ``broadcast`` call does);
+* each broadcast draws its noise decisions through the sender's
+  compiled lane drawer (``NoiseModel.compile_lane``: the exact RNG
+  stream of :meth:`RadioMedium.broadcast`), and its surviving fan-out
+  is buffered as a *deferred in-round delivery* — a FIFO whose
+  ``(time, seq)`` entries are merged against the remaining
+  transmissions of the round, reproducing the heap's interleaving
+  exactly (a delivery landing between two jittered transmissions is
+  processed between them, and a search/change forward spawned *during*
+  a delivery draws its noise inline mid-fan-out, as the legacy
+  ``broadcast`` call does);
 * the guarded assignment/self-repair actions (``_try_assign``,
   ``_resolve_violations``) run against the arrays at each boundary.
+
+No process object exists on this path: ``run_das_setup`` and
+``run_slp_setup`` read the schedule, the counts, the Phase 1 snapshot,
+the start node and the decoy path straight off the returned
+:class:`FastSetupState`, and register nothing on the radio.  The node
+processes of :mod:`repro.das.process` / :mod:`repro.slp.process`, their
+wire messages and the event heap load only for the legacy engine.
 
 **Equivalence contract.**  A fast-setup run is bit-identical to the
 legacy engine: same RNG draw order (per-node jitter in round order,
@@ -66,24 +74,43 @@ last round is skipped, and the skips are exact.  One per-node version
 counter, bumped by ``dirty`` at every write to state that the guard or
 the dissem snapshot reads (a ``Ninfo`` entry, a new ``myN`` member,
 ``weak`` turning on, the node's own ``slot``/``hop``/``parent``), drives
-three rules:
+four rules:
 
 * *Guard skip.*  ``resolve_violations(i)`` runs at a boundary only when
   ``i``'s version moved since its last check.  The guard draws no RNG,
   records only when it repairs, and reads only ``i``'s own state, so an
   unchanged node would repeat a no-op.  The version is recorded before
   the call: a repair bumps it, and since one pass of the scans is not
-  idempotent the node is checked again next round.
+  idempotent the node is checked again next round.  A boundary visits
+  only the nodes dirtied since the last guard pass and the unassigned
+  ones (whose ``try_assign`` may succeed on a new potential parent),
+  in ascending order: every other node's guard would do nothing.
+* *Silent rounds.*  After a boundary's guard pass, if every node is
+  quiet (``DT`` disseminations without news) and normal, every TX of the
+  round would be skipped by the dissemination economy, so nothing is
+  sent and nothing is delivered.  The round then only advances the RNG
+  by its ``n`` jitter draws and builds no transmission list.  The guards
+  draw no RNG and a node's guard touches only its own state, so outside
+  the hello rounds and the SLP ``startS`` round (where the sink's search
+  draws noise between two nodes' jitter draws) the draws may follow the
+  whole guard pass, whose end state is what each TX would test.
 * *Snapshot reuse.*  A sender whose version is unchanged re-sends the
   ``{self} ∪ myN`` snapshot it built last time.
-* *Re-merge skip.*  The snapshot carries the sender's version, and each
-  receiver skips the merge loop (``learned`` is false) for a version it
-  has already merged from that sender; the rest of the delivery — myN,
-  ``weak``, potential parents, ``Others``, children — still runs.
-  ``Ninfo`` entries move only one way: absent → ``(h, None)`` →
-  ``(h, s)`` → a lower ``s``, and nothing else ever rewrites another
-  node's entry.  A receiver therefore already dominates every snapshot
-  it has merged, and merging it again would adopt nothing.
+* *Delta merges.*  Each snapshot entry carries a stamp: the sender
+  version whose snapshot first carried the entry's current value.  A
+  receiver merges only the entries stamped after the version it last
+  merged from that sender (none for a repeated snapshot, only the ones
+  this snapshot first carries when it merged the previous one); the rest
+  of the delivery — myN, ``weak``, potential parents, ``Others``,
+  children — still runs.  ``Ninfo`` entries move only one way: absent
+  → ``(h, None)`` → ``(h, s)`` → a lower ``s``, and nothing else ever
+  rewrites another node's entry.  An entry stamped at or before that
+  version carried the same value in that snapshot, which the receiver
+  merged and therefore still dominates, so merging it again would adopt
+  nothing.  The merged entries keep snapshot order, so the receiver's
+  ``Ninfo`` grows in the same insertion order.  A stamp is kept while
+  the sender's entry is the same tuple object; every write makes a new
+  tuple, so a stamp is never older than the value it describes.
 """
 
 from __future__ import annotations
@@ -96,7 +123,6 @@ from ..simulator import PHASE, SLOT_ASSIGNED, SLOT_CHANGED, Simulator
 from ..simulator import trace as trace_kinds
 from ..telemetry import active_tracer
 from ..topology import NodeId, Topology
-from .messages import NodeInfo
 
 def search_ttl(search_distance: int) -> int:
     """The Phase 2 search's hop budget for a given ``SD``.
@@ -144,17 +170,6 @@ def fast_setup_supported(
         chain_hops += search_ttl(search_distance) + 2 + (change_length or 0)
     latest = config.jitter_fraction * period + chain_hops * propagation_delay
     return latest < period
-
-
-def fast_setup_compilable(processes: Dict[NodeId, object], exact_type: type) -> bool:
-    """Whether every process is *exactly* the stock protocol class.
-
-    The kernel bypasses ``on_receive`` / ``on_timer`` dispatch entirely,
-    so — like the operational lane's :func:`~repro.app.fast_kernel.\
-fast_lane_compilable` — it engages only when no subclass could have
-    overridden the behaviour it compiles away.
-    """
-    return all(type(p) is exact_type for p in processes.values())
 
 
 class FastSetupState:
@@ -232,50 +247,6 @@ class FastSetupState:
             mask ^= low
         return ids
 
-    def sync(self, processes: Dict[NodeId, object], total_rounds: int) -> None:
-        """Install the final state onto the (never-started) processes.
-
-        After this, every attribute the harness and the result
-        extraction read — ``slot``/``hop``/``parent``, ``my_neighbours``,
-        ``children``, ``ninfo``, the SLP flags and counters — matches
-        what a legacy run would have left behind.
-        """
-        index = self.index
-        slp = None
-        phase1_unassigned = frozenset(self.phase1_unassigned or ())
-        for node, proc in processes.items():
-            i = index[node]
-            proc.slot = self.slot[i]
-            proc.hop = self.hop[i]
-            proc.parent = self.parent[i]
-            proc.normal = self.normal[i]
-            proc.my_neighbours = self.myn_set[i]
-            proc.potential_parents = self.pparents[i]
-            proc.children = set(self._mask_ids(self.children_mask[i]))
-            proc.others = {
-                j: tuple(self._mask_ids(mask))
-                for j, mask in self.others[i].items()
-            }
-            proc.ninfo = {
-                n: NodeInfo(hop=h, slot=s) for n, (h, s) in self.nin[i].items()
-            }
-            proc._round = total_rounds
-            proc._quiet_rounds = self.quiet[i]
-            proc._weak_mode = self.weak[i]
-            if slp is None:
-                slp = hasattr(proc, "from_set")
-            if slp:
-                proc.from_set = set(self._mask_ids(self.from_mask[i]))
-                proc.is_start_node = self.is_start[i]
-                proc.is_decoy = self.is_decoy[i]
-                proc.search_forwarded = self.search_forwarded[i]
-                proc.redirect_length = self.redirect_length[i]
-                proc.search_sent = self.search_sent[i]
-                proc.change_sent = self.change_sent[i]
-                proc.unassigned_after_phase1 = node in phase1_unassigned
-                if i == self.sink_idx:
-                    proc.phase1_sends = self.phase1_sends
-
 
 def run_fast_setup(
     sim: Simulator,
@@ -303,7 +274,6 @@ def run_fast_setup(
     radio = sim.radio
     radio.reset()  # the legacy path resets via _start_processes
     noise = radio.noise
-    delivers_block = noise.delivers_block
     delay = radio.propagation_delay
 
     order = state.order
@@ -313,6 +283,12 @@ def run_fast_setup(
     n = len(order)
     node_range = range(n)
     sink_idx = state.sink_idx
+    # One compiled noise drawer per sender, after the reset (the
+    # ``compile_lane`` contract): it draws exactly what
+    # ``delivers_block`` would and returns the surviving receivers.
+    drawers = [
+        noise.compile_lane(order[i], nbr_ids[i], nbr_idx[i]) for i in node_range
+    ]
 
     slot = state.slot
     hop = state.hop
@@ -348,18 +324,37 @@ def run_fast_setup(
     #: Incremental rounds (see the module docstring): ``ver[i]`` counts
     #: the writes to node state the guard or the dissem snapshot reads;
     #: ``checked[i]`` is ``ver[i]`` at i's last guard check;
-    #: ``snap_ver`` / ``snaps`` cache each sender's last snapshot; and
-    #: ``merged_ver[r]`` maps a sender index to the version of the last
-    #: snapshot ``r`` merged from it.
+    #: ``snap_ver`` / ``snaps`` cache each sender's last snapshot;
+    #: ``carried[i]`` maps an entry's node index to the ``(value, stamp)``
+    #: of the value ``i``'s snapshots carry for it, stamped with the
+    #: version that first carried it; and ``merged_ver[r]`` maps a sender
+    #: index to the version of the last snapshot ``r`` merged from it.
     ver = [0] * n
     checked = [-1] * n
     snap_ver = [-1] * n
     snaps: List[Optional[tuple]] = [None] * n
+    carried: List[Dict[int, tuple]] = [{} for _ in node_range]
     merged_ver: List[Dict[int, int]] = [{} for _ in node_range]
+
+    #: nodes dirtied since the last guard pass, and the unassigned ones
+    #: (ascending): the only nodes a guard pass can act on.
+    stale = set()
+    waiting = [i for i in node_range if i != sink_idx]
 
     def dirty(i: int) -> None:
         """Mark node ``i``'s guard inputs and snapshot as changed."""
         ver[i] += 1
+        stale.add(i)
+
+    def guard(i: int, time: float) -> None:
+        """Node ``i``'s guarded actions at a round boundary."""
+        if slot[i] is None:
+            try_assign(i, time)
+        if slot[i] is not None and checked[i] != ver[i]:
+            # Recorded before the call: a repair bumps ver[i], so the
+            # node is re-checked next round.
+            checked[i] = ver[i]
+            resolve_violations(i, time)
 
     # ------------------------------------------------------------------
     # Figure 2 helpers over the arrays
@@ -490,17 +485,11 @@ def run_fast_setup(
         """
         nonlocal sends, drops
         sends += 1
-        receivers = nbr_ids[i]
-        if not receivers:
+        fanout = nbr_idx[i]
+        if not fanout:
             return seq
-        flags = delivers_block(order[i], receivers, rng)
-        if all(flags):
-            surviving = nbr_idx[i]
-        else:
-            surviving = tuple(
-                r for r, flag in zip(nbr_idx[i], flags) if flag
-            )
-            drops += len(flags) - len(surviving)
+        surviving = drawers[i](rng)
+        drops += len(fanout) - len(surviving)
         if surviving:
             pending.append((time + delay, seq, kind, i, surviving, payload))
             return seq + 1
@@ -595,24 +584,32 @@ def run_fast_setup(
         s_bit = 1 << s_idx
         next_seq = seq + 1
         if kind == "dissem":
-            s_ver, (s_entry, entries, unassigned), s_normal, s_parent = payload
-            se_h, se_s = s_entry
+            s_ver, snap, s_normal, s_parent = payload
+            prev_ver, own_stamp, (se_h, se_s), entries, fresh, unassigned = snap
             for r in surviving:
                 if s_id not in myn_set[r]:
                     myn_set[r].add(s_id)
                     myn_mask[r] |= s_bit
                     dirty(r)
+                # Delta merge: only the entries stamped after the last
+                # snapshot r merged from this sender (none for a repeat).
                 last = merged_ver[r]
-                if last.get(s_idx) == s_ver:
-                    # Already merged this exact snapshot; Ninfo entries
-                    # only move forward, so a re-merge adopts nothing.
-                    learned = False
-                else:
+                seen = last.get(s_idx, -1)
+                learned = False
+                if seen != s_ver:
                     last[s_idx] = s_ver
-                    learned = merge(r, s_id, s_idx, se_h, se_s)
-                    for (n_id, n_idx, h, s) in entries:
-                        if merge(r, n_id, n_idx, h, s):
-                            learned = True
+                    if own_stamp > seen:
+                        learned = merge(r, s_id, s_idx, se_h, se_s)
+                    if seen == prev_ver:
+                        # r merged the sender's previous snapshot: only
+                        # the entries this one first carries are new.
+                        for (stamp, n_id, n_idx, h, s) in fresh:
+                            if merge(r, n_id, n_idx, h, s):
+                                learned = True
+                    else:
+                        for (stamp, n_id, n_idx, h, s) in entries:
+                            if stamp > seen and merge(r, n_id, n_idx, h, s):
+                                learned = True
                 if learned:
                     quiet[r] = 0
                 if not s_normal:
@@ -753,48 +750,70 @@ def run_fast_setup(
             # --- boundary: guarded actions + jitter draws, in the heap's
             # ROUND-event order (ascending node id, preserved round over
             # round because each firing re-schedules its own successor).
+            # A guard acts only on an unassigned node or one dirtied
+            # since its last check, and draws no RNG, so outside the
+            # hello rounds and the startS round (whose search draws noise
+            # between two nodes' jitter) the guards run on those nodes
+            # alone, and the draws follow the guard pass.
+            hello_round = rnd < ndp
             txs: List[Tuple[float, int, int]] = []
             seq = 0
-            process_actions = rnd >= ndp
-            for i in node_range:
-                if process_actions:
-                    if slot[i] is None:
-                        try_assign(i, boundary)
-                    if slot[i] is not None and checked[i] != ver[i]:
-                        # Recorded before the call: a repair bumps
-                        # ver[i], so the node is re-checked next round.
-                        checked[i] = ver[i]
-                        resolve_violations(i, boundary)
-                txs.append((boundary + jitter_width * rand(), seq, i))
-                seq += 2  # the TX push, then the next ROUND push
-                if slp and rnd == msp and i == sink_idx:
-                    # Figure 3 `startS`, fired inside the sink's ROUND
-                    # event right after it re-armed its timers.
-                    target = min_slot_child(sink_idx)
-                    if target is None:
-                        raise ProtocolError(
-                            "the sink has no assigned children to search via"
+            if hello_round or (slp and rnd == msp):
+                if not hello_round:
+                    stale.clear()
+                for i in node_range:
+                    if not hello_round:
+                        guard(i, boundary)
+                    txs.append((boundary + jitter_width * rand(), seq, i))
+                    seq += 2  # the TX push, then the next ROUND push
+                    if slp and rnd == msp and i == sink_idx:
+                        # Figure 3 `startS`, fired inside the sink's ROUND
+                        # event right after it re-armed its timers.
+                        target = min_slot_child(sink_idx)
+                        if target is None:
+                            raise ProtocolError(
+                                "the sink has no assigned children to search via"
+                            )
+                        record(
+                            boundary,
+                            PHASE,
+                            phase="search-start",
+                            node=order[sink_idx],
+                            target=target,
                         )
-                    record(
-                        boundary,
-                        PHASE,
-                        phase="search-start",
-                        node=order[sink_idx],
-                        target=target,
-                    )
-                    state.search_sent[sink_idx] += 1
-                    seq = transmit(
-                        sink_idx,
-                        "search",
-                        (target, search_distance, search_ttl(search_distance)),
-                        boundary,
-                        seq,
-                    )
+                        state.search_sent[sink_idx] += 1
+                        seq = transmit(
+                            sink_idx,
+                            "search",
+                            (target, search_distance, search_ttl(search_distance)),
+                            boundary,
+                            seq,
+                        )
+            else:
+                todo = sorted(stale.union(waiting))
+                stale.clear()
+                for i in todo:
+                    guard(i, boundary)
+                # Some node fails the TX's own DT test: a loud round.
+                if min(quiet) < timeout or not all(normal):
+                    txs = [
+                        (boundary + jitter_width * rand(), 2 * i, i)
+                        for i in node_range
+                    ]
+                    seq = 2 * n
+                else:
+                    # Silent round: every node is quiet and normal, so
+                    # each TX would be skipped and nothing is delivered.
+                    # Only the n jitter draws remain; ``random()`` takes
+                    # two 32-bit words of the generator, and
+                    # ``getrandbits(64 * n)`` takes exactly 2n.
+                    rng.getrandbits(64 * n)
+            if waiting and not hello_round:
+                waiting = [i for i in waiting if slot[i] is None]
 
             # --- in-round: merge jittered transmissions with deferred
             # deliveries in exact (time, seq) order.
             txs.sort()
-            hello_round = rnd + 1 <= ndp
             qi = 0
             ntx = len(txs)
             while qi < ntx or pending:
@@ -823,22 +842,31 @@ def run_fast_setup(
                     snap = snaps[i]
                 else:
                     nin_i = nin[i]
-                    own = order[i]
-                    own_entry = nin_i.get(own, EMPTY)
-                    entries = (
-                        [(own, i, own_entry[0], own_entry[1])]
-                        if own_entry[0] is not None or own_entry[1] is not None
-                        else []
-                    )
+                    carried_i = carried[i]
+                    own_entry = nin_i.get(order[i], EMPTY)
+                    # An entry keeps its stamp while it carries the same
+                    # value object; every Ninfo write is a new tuple.
+                    prev = carried_i.get(i)
+                    if prev is None or prev[0] is not own_entry:
+                        prev = carried_i[i] = (own_entry, v)
+                    own_stamp = prev[1]
+                    entries = []
                     unassigned = 0
                     for nb in myn_set[i]:
                         e = nin_i.get(nb, EMPTY)
                         nb_idx = index[nb]
                         if e[1] is None:
                             unassigned |= 1 << nb_idx
-                        if e[0] is not None or e[1] is not None:
-                            entries.append((nb, nb_idx, e[0], e[1]))
-                    snap = snaps[i] = (own_entry, entries, unassigned)
+                            if e[0] is None:
+                                continue  # (⊥, ⊥): nothing to merge
+                        prev = carried_i.get(nb_idx)
+                        if prev is None or prev[0] is not e:
+                            prev = carried_i[nb_idx] = (e, v)
+                        entries.append((prev[1], nb, nb_idx, e[0], e[1]))
+                    fresh = [entry for entry in entries if entry[0] == v]
+                    snap = snaps[i] = (
+                        snap_ver[i], own_stamp, own_entry, entries, fresh, unassigned
+                    )
                     snap_ver[i] = v
                 seq = transmit(
                     i, "dissem", (v, snap, normal[i], parent[i]), t, seq

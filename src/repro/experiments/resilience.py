@@ -51,7 +51,7 @@ import random
 import time
 from collections import deque
 from concurrent.futures import BrokenExecutor, CancelledError, Future
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from hashlib import sha256
 from pathlib import Path
 from typing import (
@@ -475,8 +475,21 @@ class WorkerSupervisor:
 # Result (de)serialisation — the checkpoint store's line format
 # ----------------------------------------------------------------------
 def result_to_dict(result: OperationalResult) -> Dict[str, object]:
-    """An :class:`OperationalResult` as JSON-ready primitives."""
-    return asdict(result)
+    """An :class:`OperationalResult` as JSON-ready primitives: what
+    ``dataclasses.asdict`` returns, built field by field instead of by
+    its recursive deep copy (every field is a scalar or a tuple of ids)."""
+    return {
+        "captured": result.captured,
+        "capture_period": result.capture_period,
+        "capture_time": result.capture_time,
+        "periods_run": result.periods_run,
+        "safety_periods": result.safety_periods,
+        "attacker_path": result.attacker_path,
+        "messages_sent": result.messages_sent,
+        "aggregation_ratio": result.aggregation_ratio,
+        "captured_source": result.captured_source,
+        "source_pool": result.source_pool,
+    }
 
 
 def encode_checkpoint_line(seed: int, result: OperationalResult) -> str:

@@ -23,6 +23,11 @@ from .. import _lazy_exports
 #: Submodule -> the public names it defines, each imported on first
 #: access.
 _EXPORTS = {
+    "codec": (
+        "DECISION_FUNCTIONS",
+        "PERTURBATION_KINDS",
+        "load_scenario_file",
+    ),
     "registry": (
         "get_scenario",
         "iter_scenarios",
@@ -35,13 +40,10 @@ _EXPORTS = {
         "format_comparison",
     ),
     "spec": (
-        "DECISION_FUNCTIONS",
         "NOISE_REGIMES",
-        "PERTURBATION_KINDS",
         "TOPOLOGY_FAMILIES",
         "ScenarioSpec",
         "TopologySpec",
-        "load_scenario_file",
     ),
 }
 

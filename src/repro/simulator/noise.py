@@ -100,6 +100,15 @@ class IdealNoise(NoiseModel):
         # No draws in either form: the per-call path never touches the RNG.
         return [True] * len(receivers)
 
+    def compile_lane(
+        self,
+        sender: NodeId,
+        receivers: Sequence[NodeId],
+        targets: Tuple[int, ...],
+    ) -> LaneDrawer:
+        # Every frame arrives and nothing is drawn.
+        return lambda rng: targets
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "IdealNoise()"
 

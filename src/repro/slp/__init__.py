@@ -13,7 +13,6 @@ from .. import _lazy_exports
 #: access.
 _EXPORTS = {
     "distributed": (
-        "SlpNodeProcess",
         "SlpProtocolConfig",
         "SlpSetupResult",
         "run_slp_setup",
@@ -21,6 +20,9 @@ _EXPORTS = {
     "messages": (
         "ChangeMessage",
         "SearchMessage",
+    ),
+    "process": (
+        "SlpNodeProcess",
     ),
     "protocol": (
         "PAPER_SEARCH_DISTANCES",

@@ -88,7 +88,7 @@ def _attacker_next(
     search's stated purpose — finding "a suitable location in the
     network for where redirection can occur" on the attacker's route.
     The literal child-based walk is implemented by the distributed
-    :class:`~repro.slp.distributed.SlpNodeProcess`.
+    :class:`~repro.slp.process.SlpNodeProcess`.
     """
     audible = [
         m for m in topology.neighbours(node) if m != topology.sink

@@ -175,8 +175,13 @@ def durable_append(
         fsync = fsync_enabled()
     payload = (line + "\n").encode("utf-8")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a+b") as handle:
+        try:
+            handle = open(path, "a+b")
+        except FileNotFoundError:
+            # The first record of a log in a directory not made yet.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = open(path, "a+b")
+        with handle:
             handle.seek(0, os.SEEK_END)
             if handle.tell() > 0:
                 handle.seek(-1, os.SEEK_END)

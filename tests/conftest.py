@@ -61,3 +61,36 @@ def grid5_schedule(grid5: GridTopology) -> Schedule:
 def line5_schedule(line5: LineTopology) -> Schedule:
     """The canonical line schedule: slots descend away from the sink."""
     return centralized_das_schedule(line5, seed=None, jitter=False)
+
+
+@pytest.fixture
+def setup_engines(monkeypatch) -> dict:
+    """The final engine state of every distributed setup run in the test.
+
+    Maps each run's simulator (``result.simulator``) to what its engine
+    left behind: the fast kernel's
+    :class:`~repro.das.fast_setup.FastSetupState`, or the process
+    engine's ``{node: process}``.  The fast path builds no process
+    objects, so this is how tests see its per-node state.
+    """
+    import repro.das.fast_setup as fast_setup
+    import repro.das.process as process
+    import repro.das.protocol as protocol
+    import repro.slp.distributed as distributed
+
+    engines = {}
+    run_fast_setup = fast_setup.run_fast_setup
+    run_process_engine = process.run_process_engine
+
+    def fast(sim, *args, **kwargs):
+        engines[sim] = run_fast_setup(sim, *args, **kwargs)
+        return engines[sim]
+
+    def legacy(sim, *args, **kwargs):
+        engines[sim] = run_process_engine(sim, *args, **kwargs)
+        return engines[sim]
+
+    monkeypatch.setattr(protocol, "run_fast_setup", fast)
+    monkeypatch.setattr(distributed, "run_fast_setup", fast)
+    monkeypatch.setattr(process, "run_process_engine", legacy)
+    return engines

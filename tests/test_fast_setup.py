@@ -11,16 +11,21 @@ for protocol subclasses and round geometries it cannot prove safe.
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.das.fast_setup as fs
 from repro.das import (
     DasNodeProcess,
     DasProtocolConfig,
-    fast_setup_compilable,
     fast_setup_supported,
     run_das_setup,
 )
+from repro.das.messages import NodeInfo
 from repro.errors import ConfigurationError, ProtocolError
 from repro.experiments import PAPER
 from repro.simulator import BernoulliNoise, CasinoLabNoise, IdealNoise, NoiseModel
@@ -30,6 +35,7 @@ from repro.topology import (
     GridTopology,
     LineTopology,
     RingTopology,
+    Topology,
     paper_grid,
     random_geometric_topology,
 )
@@ -98,23 +104,56 @@ def _counts(result):
     return {kind: result.simulator.trace.count(kind) for kind in COUNTED_KINDS}
 
 
-def _assert_identical(fast, legacy, attrs=DAS_ATTRS):
+def _state_view(state, node):
+    """The final process attributes a fast run stands for: the legacy
+    engine's ``DAS_ATTRS``/``SLP_ATTRS``, mapped from the kernel's
+    arrays, masks and ordered containers."""
+    i = state.index[node]
+    ids = state._mask_ids
+    return {
+        "slot": state.slot[i],
+        "hop": state.hop[i],
+        "parent": state.parent[i],
+        "normal": state.normal[i],
+        "my_neighbours": state.myn_set[i],
+        "potential_parents": state.pparents[i],
+        "children": set(ids(state.children_mask[i])),
+        "others": {j: tuple(ids(mask)) for j, mask in state.others[i].items()},
+        "ninfo": {n: NodeInfo(hop=h, slot=s) for n, (h, s) in state.nin[i].items()},
+        "_round": state.rounds_run,
+        "_quiet_rounds": state.quiet[i],
+        "_weak_mode": state.weak[i],
+        "from_set": set(ids(state.from_mask[i])),
+        "is_start_node": state.is_start[i],
+        "is_decoy": state.is_decoy[i],
+        "search_forwarded": state.search_forwarded[i],
+        "redirect_length": state.redirect_length[i],
+        "search_sent": state.search_sent[i],
+        "change_sent": state.change_sent[i],
+    }
+
+
+def _assert_identical(engines, fast, legacy, attrs=DAS_ATTRS):
+    """``fast`` and ``legacy`` agree on everything observable;
+    ``engines`` is the ``setup_engines`` record of both runs."""
     assert fast.schedule.slots() == legacy.schedule.slots()
     assert fast.schedule.parents() == legacy.schedule.parents()
     assert fast.messages_sent == legacy.messages_sent
     assert _counts(fast) == _counts(legacy)
     assert fast.simulator.trace.records == legacy.simulator.trace.records
-    for node in legacy.simulator.topology.nodes:
-        fp = fast.simulator._processes[node]
-        lp = legacy.simulator._processes[node]
+    state = engines[fast.simulator]
+    processes = engines[legacy.simulator]
+    assert sorted(processes) == sorted(state.order)
+    for node, process in processes.items():
+        view = _state_view(state, node)
         for attr in attrs:
-            assert getattr(fp, attr) == getattr(lp, attr), (node, attr)
+            assert view[attr] == getattr(process, attr), (node, attr)
 
 
 class TestDasDifferential:
     @pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("noise_name", sorted(NOISES))
-    def test_fast_matches_legacy(self, topo_name, noise_name):
+    def test_fast_matches_legacy(self, topo_name, noise_name, setup_engines):
         make_topo = TOPOLOGIES[topo_name]
         make_noise = NOISES[noise_name]
         for seed in SEEDS:
@@ -132,28 +171,28 @@ class TestDasDifferential:
                 noise=make_noise(),
                 setup_kernel="legacy",
             )
-            _assert_identical(fast, legacy)
+            _assert_identical(setup_engines, fast, legacy)
 
-    def test_default_config_matches_legacy(self, grid7):
+    def test_default_config_matches_legacy(self, grid7, setup_engines):
         """One cell at the paper's full Table I parameters (80 rounds)."""
         fast = run_das_setup(GridTopology(7), seed=0, setup_kernel="fast")
         legacy = run_das_setup(GridTopology(7), seed=0, setup_kernel="legacy")
-        _assert_identical(fast, legacy)
+        _assert_identical(setup_engines, fast, legacy)
 
-    def test_paper_grid15_dissemination_matches_legacy(self):
+    def test_paper_grid15_dissemination_matches_legacy(self, setup_engines):
         """The paper's 15x15 grid at its Table I parameters, 20 rounds."""
         config = PAPER.das_config(setup_periods=20)
         fast, legacy = (
             run_das_setup(paper_grid(15), config=config, seed=0, setup_kernel=kernel)
             for kernel in ("fast", "legacy")
         )
-        _assert_identical(fast, legacy)
+        _assert_identical(setup_engines, fast, legacy)
 
 
 class TestSlpDifferential:
     @pytest.mark.parametrize("topo_name", ["grid5", "random16"])
     @pytest.mark.parametrize("noise_name", sorted(NOISES))
-    def test_fast_matches_legacy(self, topo_name, noise_name):
+    def test_fast_matches_legacy(self, topo_name, noise_name, setup_engines):
         make_topo = TOPOLOGIES[topo_name]
         make_noise = NOISES[noise_name]
         for seed in SEEDS:
@@ -171,17 +210,17 @@ class TestSlpDifferential:
                 noise=make_noise(),
                 setup_kernel="legacy",
             )
-            _assert_identical(fast, legacy, attrs=SLP_ATTRS)
+            _assert_identical(setup_engines, fast, legacy, attrs=SLP_ATTRS)
             assert fast.search_messages == legacy.search_messages
             assert fast.change_messages == legacy.change_messages
             assert fast.start_node == legacy.start_node
             assert fast.decoy_path == legacy.decoy_path
 
-    def test_default_config_matches_legacy(self, grid7):
+    def test_default_config_matches_legacy(self, grid7, setup_engines):
         """The harness-computed CL/SD defaults, full 80 + 20 rounds."""
         fast = run_slp_setup(GridTopology(7), seed=1, setup_kernel="fast")
         legacy = run_slp_setup(GridTopology(7), seed=1, setup_kernel="legacy")
-        _assert_identical(fast, legacy, attrs=SLP_ATTRS)
+        _assert_identical(setup_engines, fast, legacy, attrs=SLP_ATTRS)
 
 
 #: Topologies for the full-length cells: the paper's smallest grid and
@@ -211,7 +250,7 @@ class TestFullLengthDifferential:
 
     @pytest.mark.parametrize("topo_name", sorted(FULL_LENGTH_TOPOLOGIES))
     @pytest.mark.parametrize("noise_name", sorted(NOISES))
-    def test_slp_paper_parameters(self, topo_name, noise_name):
+    def test_slp_paper_parameters(self, topo_name, noise_name, setup_engines):
         make_topo = FULL_LENGTH_TOPOLOGIES[topo_name]
         topology = make_topo()
         config = SlpProtocolConfig(
@@ -236,14 +275,14 @@ class TestFullLengthDifferential:
             if isinstance(legacy, str) or isinstance(fast, str):
                 assert fast == legacy, seed
                 continue
-            _assert_identical(fast, legacy, attrs=SLP_ATTRS)
+            _assert_identical(setup_engines, fast, legacy, attrs=SLP_ATTRS)
             assert fast.phase1_messages == legacy.phase1_messages
             assert fast.phase1_unassigned == legacy.phase1_unassigned
             assert fast.decoy_path == legacy.decoy_path
 
     @pytest.mark.parametrize("topo_name", sorted(FULL_LENGTH_TOPOLOGIES))
     @pytest.mark.parametrize("noise_name", sorted(NOISES))
-    def test_das_paper_parameters(self, topo_name, noise_name):
+    def test_das_paper_parameters(self, topo_name, noise_name, setup_engines):
         make_topo = FULL_LENGTH_TOPOLOGIES[topo_name]
         for seed in range(4):
             fast, legacy = (
@@ -261,7 +300,135 @@ class TestFullLengthDifferential:
             if isinstance(legacy, str) or isinstance(fast, str):
                 assert fast == legacy, seed
                 continue
-            _assert_identical(fast, legacy)
+            _assert_identical(setup_engines, fast, legacy)
+
+
+@st.composite
+def unit_disk_topologies(draw):
+    """A small connected unit-disk network with its sink and source.
+
+    Each node has a position and its own radio range; two nodes are
+    linked when ``distance <= min(src.radio_range, dst.radio_range)``.
+    The network is the sink's connected component, and the source is
+    any other node of it.
+    """
+    nodes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 8), st.integers(0, 8), st.sampled_from((1.5, 2.5, 3.5))
+            ),
+            min_size=3,
+            max_size=16,
+            unique_by=lambda node: node[:2],
+        )
+    )
+    sink = draw(st.integers(0, len(nodes) - 1))
+    links = {
+        (a, b)
+        for a in range(len(nodes))
+        for b in range(a + 1, len(nodes))
+        if math.dist(nodes[a][:2], nodes[b][:2]) <= min(nodes[a][2], nodes[b][2])
+    }
+    reached, frontier = {sink}, [sink]
+    while frontier:
+        frontier = [
+            m
+            for n in frontier
+            for m in range(len(nodes))
+            if m not in reached and ((n, m) in links or (m, n) in links)
+        ]
+        reached.update(frontier)
+    others = sorted(reached - {sink})
+    if not others:
+        return draw(st.nothing())  # an isolated sink is no network
+    source = draw(st.sampled_from(others))
+    edges = sorted((a, b) for a, b in links if a in reached)
+    return Topology.from_edges(edges, sink=sink, source=source)
+
+
+GENERATED_NOISES = {
+    "ideal": IdealNoise,
+    "bernoulli": lambda: BernoulliNoise(0.2),
+    "casino": CasinoLabNoise,
+}
+
+
+def _generated_run(run, topology, config, seed, noise_name, kernel):
+    return _outcome(
+        lambda: run(
+            topology,
+            config=config,
+            seed=seed,
+            noise=GENERATED_NOISES[noise_name](),
+            setup_kernel=kernel,
+        )
+    )
+
+
+class TestGeneratedDifferential:
+    """Fast equals legacy on generated networks, noise, MSP and SD:
+    the schedule, the counted trace kinds, the trace records, every
+    per-node attribute, or the ``ProtocolError`` text."""
+
+    @given(
+        topology=unit_disk_topologies(),
+        noise_name=st.sampled_from(sorted(GENERATED_NOISES)),
+        ndp=st.integers(1, 3),
+        msp_extra=st.integers(1, 20),
+        search_distance=st.one_of(st.none(), st.integers(1, 3)),
+        refinement=st.integers(2, 6),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(
+        max_examples=120,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fast_matches_legacy(
+        self,
+        setup_engines,
+        topology,
+        noise_name,
+        ndp,
+        msp_extra,
+        search_distance,
+        refinement,
+        seed,
+    ):
+        setup_engines.clear()
+        das = DasProtocolConfig(
+            neighbour_discovery_periods=ndp, setup_periods=ndp + msp_extra
+        )
+        if search_distance is None:
+            run, config, attrs = run_das_setup, das, DAS_ATTRS
+        else:
+            change_length = max(1, topology.source_sink_distance() - search_distance)
+            config = SlpProtocolConfig(
+                das=das,
+                search_distance=search_distance,
+                change_length=change_length,
+                refinement_periods=refinement,
+            )
+            run, attrs = run_slp_setup, SLP_ATTRS
+        fast, legacy = (
+            _generated_run(run, topology, config, seed, noise_name, kernel)
+            for kernel in ("fast", "legacy")
+        )
+        if isinstance(fast, str) or isinstance(legacy, str):
+            assert fast == legacy
+            return
+        _assert_identical(setup_engines, fast, legacy, attrs=attrs)
+        if search_distance is not None:
+            for name in (
+                "search_messages",
+                "change_messages",
+                "start_node",
+                "decoy_path",
+                "phase1_messages",
+                "phase1_unassigned",
+            ):
+                assert getattr(fast, name) == getattr(legacy, name), name
 
 
 class _LinkOutage(NoiseModel):
@@ -291,8 +458,19 @@ class _LinkOutage(NoiseModel):
 
 
 class TestIncrementalRounds:
+    @pytest.mark.parametrize("n", [1, 2, 25, 225])
+    def test_silent_round_draw_advances_like_n_jitter_draws(self, n):
+        """A silent round replaces its n ``random()`` jitter draws with
+        one ``getrandbits(64 * n)``: the generator must end in the same
+        state."""
+        drawn, skipped = random.Random(n), random.Random(n)
+        for _ in range(n):
+            drawn.random()
+        skipped.getrandbits(64 * n)
+        assert drawn.getstate() == skipped.getstate()
+
     @pytest.mark.parametrize("link", [(4, 14), (6, 14), (8, 13), (12, 0)])
-    def test_neighbour_first_heard_after_its_entry_is_known(self, link):
+    def test_neighbour_first_heard_after_its_entry_is_known(self, link, setup_engines):
         """The receiver misses its neighbour's hellos and first dissem
         rounds, learns the neighbour's entry from a third node, and only
         then hears it directly.  The neighbour joins ``myN`` while the
@@ -310,7 +488,7 @@ class TestIncrementalRounds:
                 )
                 for kernel in ("fast", "legacy")
             )
-            _assert_identical(fast, legacy)
+            _assert_identical(setup_engines, fast, legacy)
 
 
 class TestProtocolErrors:
@@ -328,7 +506,7 @@ class TestProtocolErrors:
         assert errors[0] == errors[1]
         assert "never obtained a slot" in errors[0]
 
-    def test_short_msp_decoy_recruit_raises_identically(self):
+    def test_short_msp_decoy_recruit_raises_identically(self, setup_engines):
         """Grid 11 with MSP 10: Phase 1 ends with nodes still unassigned,
         and on some seeds Phase 3 would recruit one onto the decoy path.
         Per seed, both engines return identical results or raise the
@@ -358,7 +536,7 @@ class TestProtocolErrors:
                 assert "would recruit node" in legacy
                 raised += 1
             else:
-                _assert_identical(fast, legacy, attrs=SLP_ATTRS)
+                _assert_identical(setup_engines, fast, legacy, attrs=SLP_ATTRS)
                 completed += 1
         assert raised and completed  # both outcomes are exercised
 
@@ -370,25 +548,25 @@ class TestProtocolErrors:
 
 
 class TestFallbackGates:
-    def test_subclass_is_not_compilable(self):
-        class CustomProcess(DasNodeProcess):
-            pass
-
-        processes = {
-            0: CustomProcess(0, is_sink=True, config=DAS_CFG),
-            1: DasNodeProcess(1, is_sink=False, config=DAS_CFG),
-        }
-        assert not fast_setup_compilable(processes, DasNodeProcess)
-        assert fast_setup_compilable(
-            {n: DasNodeProcess(n, is_sink=n == 0, config=DAS_CFG) for n in (0, 1)},
-            DasNodeProcess,
+    def test_process_factory_runs_the_process_engine(self, grid5, setup_engines):
+        """Any ``process_factory``, even one building the stock class,
+        runs the process engine; the default run builds no process."""
+        factory = run_das_setup(
+            grid5, config=DAS_CFG, seed=3, process_factory=DasNodeProcess
         )
+        default = run_das_setup(grid5, config=DAS_CFG, seed=3)
+        processes = setup_engines[factory.simulator]
+        assert all(type(p) is DasNodeProcess for p in processes.values())
+        assert isinstance(setup_engines[default.simulator], fs.FastSetupState)
+        assert default.simulator._processes == {}
+        assert factory.schedule.slots() == default.schedule.slots()
+        assert factory.messages_sent == default.messages_sent
 
     def test_subclass_falls_back_to_heap_with_identical_results(
         self, grid5, monkeypatch
     ):
-        """A process_factory subclass must never enter the fast kernel —
-        and the heap run it falls back to equals an explicit legacy run."""
+        """A process_factory subclass never enters the fast kernel, and
+        the heap run it falls back to equals an explicit legacy run."""
 
         class CustomProcess(DasNodeProcess):
             pass

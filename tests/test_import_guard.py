@@ -18,7 +18,13 @@
   subcommand imports its own dependencies.
 * The overhead experiment runs only the distributed setup kernels, so
   it loads none of the operational engine, and a serial run loads no
-  pool, supervision or fault-plan code either.
+  pool, supervision or fault-plan code either.  The fast setup kernel
+  builds no process object, so the legacy setup engine (the node
+  processes, their wire messages and the event heap) loads only for
+  ``--legacy-setup-kernel``, and a cold serial run stays within a
+  source budget too.
+* A cold ``scenario run`` of a registered scenario loads no JSON
+  document codec: ``ScenarioSpec`` imports it on first use.
 * The other way round, a process that forks workers imports what its
   seeds execute *before* it forks, so the workers inherit it instead of
   each compiling it again (DESIGN.md "Import boundaries").
@@ -56,6 +62,7 @@ DEFERRED = (
     "repro.das.messages",
     "repro.slp.distributed",
     "repro.slp.messages",
+    "repro.scenarios.codec",
     "repro.experiments.faults",
     "repro.experiments.parallel",
     "repro.experiments.resilience",
@@ -88,12 +95,30 @@ LEGACY_ENGINE = (
 )
 
 #: Bytes of repro source a cold ``scenario run paper-baseline --seeds 4``
-#: may load: the measured total (287,752 bytes in 42 modules) plus 5%.
+#: may load: the measured total (280,112 bytes in 42 modules) plus 5%.
 #: Without bytecode caches every byte is compiled on every call.
-SOURCE_BUDGET = 302_140
+SOURCE_BUDGET = 294_117
 
 #: What the distributed setup (the overhead experiment) executes.
 SETUP_PATH = ("repro.das.fast_setup", "repro.slp.distributed")
+
+#: The legacy setup engine: the node processes, their wire messages and
+#: the event heap they run on.  Only ``--legacy-setup-kernel`` and a
+#: ``process_factory`` run it.
+LEGACY_SETUP = (
+    "repro.das.process",
+    "repro.das.messages",
+    "repro.slp.process",
+    "repro.slp.messages",
+    "repro.simulator.process",
+    "repro.simulator.channel",
+    "repro.simulator.event",
+    "repro.simulator.event_queue",
+)
+
+#: Bytes of repro source a cold :data:`SERIAL_OVERHEAD` run may load:
+#: the measured total (182,929 bytes in 29 modules) plus 5%.
+OVERHEAD_SOURCE_BUDGET = 192_075
 
 #: The operational engine and the code that drives it: the overhead
 #: experiment executes none of it.
@@ -266,18 +291,28 @@ def _source_size(module: str) -> int:
     return source.stat().st_size
 
 
-def test_cold_run_source_stays_within_budget():
-    modules = _cli_modules(
-        ("scenario", "run", "paper-baseline", "--seeds", "4", "--quiet")
-    )
+def _assert_source_within(modules: Tuple[str, ...], budget: int, what: str) -> None:
     sizes = sorted(
         (_source_size(m), m) for m in modules if m.split(".")[0] == "repro"
     )
     total = sum(size for size, _ in sizes)
-    assert total <= SOURCE_BUDGET, (
-        f"a cold protectionless run loads {total} bytes of repro source "
-        f"(budget {SOURCE_BUDGET}):\n"
+    assert total <= budget, (
+        f"{what} loads {total} bytes of repro source (budget {budget}):\n"
         + "\n".join(f"{size:>8} {module}" for size, module in sizes)
+    )
+
+
+def test_cold_run_source_stays_within_budget():
+    modules = _cli_modules(
+        ("scenario", "run", "paper-baseline", "--seeds", "4", "--quiet")
+    )
+    _assert_source_within(modules, SOURCE_BUDGET, "a cold protectionless run")
+
+
+def test_cold_overhead_source_stays_within_budget():
+    modules = _modules_after(SERIAL_OVERHEAD)
+    _assert_source_within(
+        modules, OVERHEAD_SOURCE_BUDGET, "a cold serial overhead run"
     )
 
 
@@ -335,6 +370,20 @@ def test_forking_processes_load_the_run_path_before_forking(code, expected):
 )
 def test_overhead_loads_no_operational_engine(code, absent):
     assert _loaded(_modules_after(code), absent) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import repro.experiments.overhead", SERIAL_OVERHEAD, POOLED_OVERHEAD],
+    ids=["import", "serial", "pooled"],
+)
+def test_overhead_loads_no_legacy_setup_engine(code):
+    assert _loaded(_modules_after(code), LEGACY_SETUP) == []
+
+
+def test_legacy_setup_kernel_loads_the_legacy_setup_engine():
+    argv = ("overhead", "--size", "11", "--seeds", "2", "--legacy-setup-kernel")
+    assert _loaded(_cli_modules(argv), LEGACY_SETUP) == list(LEGACY_SETUP)
 
 
 def test_every_public_name_resolves_and_is_listed():

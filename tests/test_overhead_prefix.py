@@ -17,7 +17,6 @@ import gc
 import pytest
 
 from repro.das import (
-    DasNodeProcess,
     DasProtocolConfig,
     fast_setup_supported,
     run_das_setup,
@@ -48,38 +47,34 @@ def slp_config(topology, das: DasProtocolConfig, search_distance: int = 3):
     )
 
 
-def das_reference(topology, das, seed, noise, kernel):
+def das_reference(engines, topology, das, seed, noise, kernel):
     """A real protectionless run: (SENDs, ids left without a slot).
 
-    Read off the processes, so it works whether or not
+    Read off the engine's final state (``engines`` is the test's
+    ``setup_engines`` record), so it works whether or not
     ``run_das_setup`` raises for the unassigned nodes.
     """
-    processes = []
-
-    def factory(node, is_sink, config):
-        process = DasNodeProcess(node, is_sink=is_sink, config=config)
-        processes.append(process)
-        return process
-
+    engines.clear()
     try:
-        run_das_setup(
-            topology, das, seed=seed, noise=noise, process_factory=factory,
-            setup_kernel=kernel,
-        )
+        run_das_setup(topology, das, seed=seed, noise=noise, setup_kernel=kernel)
     except ProtocolError:
         pass
-    sends = processes[0].sim.trace.count(SEND)
-    unassigned = tuple(sorted(p.node for p in processes if not p.assigned))
-    return sends, unassigned
+    [(sim, engine)] = engines.items()
+    if isinstance(engine, dict):  # the process engine's {node: process}
+        slots = {node: process.slot for node, process in engine.items()}
+    else:
+        slots = dict(zip(engine.order, engine.slot))
+    unassigned = tuple(sorted(n for n, slot in slots.items() if slot is None))
+    return sim.trace.count(SEND), unassigned
 
 
-def assert_prefix_matches(topology, das, seed, noise_name, kernel):
+def assert_prefix_matches(engines, topology, das, seed, noise_name, kernel):
     slp = run_slp_setup(
         topology, slp_config(topology, das), seed=seed,
         noise=NOISES[noise_name](), setup_kernel=kernel,
     )
     sends, unassigned = das_reference(
-        topology, das, seed, NOISES[noise_name](), kernel
+        engines, topology, das, seed, NOISES[noise_name](), kernel
     )
     assert slp.phase1_messages == sends
     assert slp.phase1_unassigned == unassigned
@@ -90,15 +85,19 @@ class TestPhase1Prefix:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("noise_name", sorted(NOISES))
     @pytest.mark.parametrize("size", (11, 15))
-    def test_prefix_is_the_protectionless_run(self, size, noise_name, kernel):
+    def test_prefix_is_the_protectionless_run(
+        self, size, noise_name, kernel, setup_engines
+    ):
         topology = paper_grid(size)
         das = DasProtocolConfig(setup_periods=24)
         for seed in (0, 1, 2):
-            assert_prefix_matches(topology, das, seed, noise_name, kernel)
+            assert_prefix_matches(
+                setup_engines, topology, das, seed, noise_name, kernel
+            )
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("noise_name", sorted(NOISES))
-    def test_unassigned_nodes_match(self, noise_name, kernel):
+    def test_unassigned_nodes_match(self, noise_name, kernel, setup_engines):
         """A Phase 1 too short to assign everyone: the same nodes are left
         out in both runs (refinement still completes the SLP run)."""
         topology = paper_grid(11)
@@ -108,10 +107,12 @@ class TestPhase1Prefix:
             noise=NOISES[noise_name](), setup_kernel=kernel,
         )
         assert slp.phase1_unassigned, "the config must leave Phase 1 incomplete"
-        assert_prefix_matches(topology, das, 0, noise_name, kernel)
+        assert_prefix_matches(setup_engines, topology, das, 0, noise_name, kernel)
 
     @pytest.mark.parametrize("noise_name", sorted(NOISES))
-    def test_jitter_fraction_one_falls_back_to_legacy(self, noise_name):
+    def test_jitter_fraction_one_falls_back_to_legacy(
+        self, noise_name, setup_engines
+    ):
         """Broadcasts may land past the round boundary here, so the fast
         kernel refuses the geometry; the legacy heap run must still cut
         Phase 1 at the sink's startS."""
@@ -122,7 +123,9 @@ class TestPhase1Prefix:
             das, 1e-4, cfg.search_distance, cfg.change_length
         )
         for seed in (0, 1, 2):
-            assert_prefix_matches(topology, das, seed, noise_name, "fast")
+            assert_prefix_matches(
+                setup_engines, topology, das, seed, noise_name, "fast"
+            )
 
 
 def two_run_reference(topology, seeds, setup_periods, noise=None):

@@ -176,6 +176,36 @@ class TestResultRoundTrip:
         payload = json.loads(json.dumps(result_to_dict(result)))
         assert result_from_dict(payload) == result
 
+    def test_equals_asdict_captured_and_uncaptured(self):
+        from dataclasses import asdict
+
+        from repro.app import OperationalResult
+
+        captured = OperationalResult(
+            captured=True,
+            capture_period=7,
+            capture_time=3.5,
+            periods_run=7,
+            safety_periods=12,
+            attacker_path=(60, 49, 38),
+            messages_sent=840,
+            aggregation_ratio=0.875,
+            captured_source=38,
+            source_pool=(38, 0),
+        )
+        uncaptured = replace(
+            captured,
+            captured=False,
+            capture_period=None,
+            capture_time=None,
+            captured_source=None,
+            source_pool=(),
+        )
+        for result in (captured, uncaptured):
+            as_dict = result_to_dict(result)
+            assert as_dict == asdict(result)
+            assert list(as_dict) == list(asdict(result))
+
 
 class TestSupervisedChaos:
     def test_transient_fault_retried_away(self, grid5, config, serial, tmp_path):

@@ -159,6 +159,12 @@ class TestDurableAppend:
         durable_append(log, "two")
         assert log.read_text() == "one\ntwo\n"
 
+    def test_creates_missing_parent_directories(self, tmp_path):
+        log = tmp_path / "deep" / "nested" / "log.jsonl"
+        durable_append(log, "one")
+        durable_append(log, "two")
+        assert log.read_text() == "one\ntwo\n"
+
     def test_rejects_embedded_newlines(self, tmp_path):
         with pytest.raises(ValueError):
             durable_append(tmp_path / "log.jsonl", "two\nrecords")
