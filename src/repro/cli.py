@@ -733,8 +733,9 @@ def _sweep_flags(flags: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="seconds one parallel chunk may run before its worker is "
-        "presumed hung and the pool is rebuilt",
+        help="the pooled sweep's lease timeout: seconds a worker may hold "
+        "a shard without landing a seed before it is presumed hung, "
+        "killed, charged an attempt and replaced",
     )
 
 

@@ -68,7 +68,7 @@ class SweepExecutionError(ReproError):
 
     Supervised execution quarantines individual failing seeds and
     completes the sweep with the survivors; this error is the
-    fail-loudly end of that spectrum — *no* seed survived (every chunk
+    fail-loudly end of that spectrum — *no* seed survived (every shard
     crashed, hung past its timeout, or raised on every attempt).  The
     offending seeds and the attempt count are carried as structured
     attributes so tooling can report them without parsing the message.

@@ -58,7 +58,6 @@ _EXPORTS = {
         "Ladder",
         "RetryPolicy",
         "SweepCheckpoint",
-        "WorkerSupervisor",
         "apply_divergence_guard",
         "decode_checkpoint_line",
         "encode_checkpoint_line",

@@ -12,23 +12,24 @@ Fault kinds
 -----------
 ``crash_seeds``
     The worker process calls ``os._exit`` before running the seed —
-    the hard failure mode (a chunk pool breaks; a service's local
+    the hard failure mode (a pooled sweep's or a service's local
     worker dies holding its lease).  Fires once per seed (see
     *once-only faults* below) so respawn-and-retry can succeed.
 ``hang_seeds``
     The worker sleeps ``hang_seconds`` before running the seed,
-    simulating a wedged worker; the chunk or lease timeout is the
+    simulating a wedged worker; the lease timeout is the
     only thing that can recover.  Fires once per seed.
 ``transient_seeds``
     The worker raises :class:`InjectedFault` on the *first* attempt at
     the seed and succeeds on retries — the retry/backoff happy path.
 ``poison_seeds``
     The worker raises :class:`InjectedFault` on *every* attempt — the
-    chunk-splitting/quarantine path.
+    shard-splitting/quarantine path.
 ``pickle_seeds``
-    The parent-side submit of any chunk containing the seed raises
-    :class:`InjectedFault` once, simulating a chunk that fails to
-    pickle (the failure happens before a worker ever sees it).
+    The lease board's grant of any shard containing the seed raises
+    :class:`InjectedFault` once, simulating a shard that fails to reach
+    its worker (a chunk that would not pickle); it is charged
+    ``submit`` before a worker ever sees it.
 ``perturb_seeds``
     The run *completes* but its result is corrupted (``messages_sent``
     off by one) — only when the run used a non-legacy kernel.  This is
@@ -107,9 +108,11 @@ fault, every later attempt proceeds normally.  ``poison``, ``perturb``,
 ``duplicate`` and ``readonly`` need no markers — they fire
 unconditionally.
 
-Nothing in this module runs unless a plan is active: the hot paths
-call :func:`active_fault_plan`, which is a cached environment lookup
-returning ``None`` in production.
+Nothing in this module runs, or even loads, unless a plan is active:
+the hot paths call :func:`~repro.experiments.options.fault_plan`, one
+environment lookup returning ``None`` in production, which imports this
+module only when :data:`~repro.experiments.options.FAULT_PLAN_ENV` is
+set.
 """
 
 from __future__ import annotations
@@ -258,8 +261,8 @@ class FaultPlan:
             raise InjectedFault(f"injected poison failure for seed {seed}")
 
     def before_submit(self, seeds: Sequence[int]) -> None:
-        """Parent-side fault point, called before a chunk is submitted
-        (simulates the chunk failing to pickle)."""
+        """Board-side fault point, called before a shard is leased
+        (simulates the shard failing to reach its worker)."""
         for seed in seeds:
             if seed in self.pickle_seeds and self._once("pickle", seed):
                 raise InjectedFault(

@@ -112,8 +112,9 @@ def run_figure5(
     panel restarts only the missing seeds and reproduces the
     uninterrupted panel bit-for-bit.  ``guard="differential"`` audits a
     sample of every sweep against the legacy engines and degrades a
-    diverging cell to them; ``chunk_timeout`` bounds how long one
-    parallel chunk may run before its worker is presumed hung.
+    diverging cell to them; ``chunk_timeout`` is the pooled sweeps'
+    lease timeout (how long a worker may hold a shard without landing a
+    seed before it is presumed hung).
     ``on_result(seed, result)`` fires after every completed run across
     all sweeps of the panel (the CLI's live progress hook).
     """
@@ -140,8 +141,7 @@ def run_figure5(
     cells = []
     for size in sizes:
         topology = paper_grid(size)
-        # Each size's runner owns its pool (started and stopped here);
-        # both algorithms of the cell share it.
+        # Each sweep of the cell forks its own workers.
         runner = (
             ExperimentRunner(topology)
             if workers is None

@@ -21,6 +21,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: path can skip importing the chaos harness when no plan is set.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
+
+def fault_plan():
+    """The active :class:`~repro.experiments.faults.FaultPlan`, or
+    ``None``; imports the chaos harness only when a plan is set."""
+    if FAULT_PLAN_ENV not in os.environ:
+        return None
+    from .faults import active_fault_plan
+
+    return active_fault_plan()
+
+
 #: Divergence-guard modes accepted by ``run_resilient``/the CLI.
 GUARD_DIFFERENTIAL = "differential"
 GUARD_MODES = (GUARD_DIFFERENTIAL,)

@@ -71,8 +71,8 @@ class _SetupComparison:
     """The baseline-vs-SLP setup comparison on one topology; calling it
     measures one seed.
 
-    Picklable, so pool workers receive the whole measurement setup in
-    one object.  Under an active telemetry session each seed runs in an
+    Pool workers fork after it is built, so they inherit it whole.
+    Under an active telemetry session each seed runs in an
     ``overhead.seed`` span (the setup kernels add their own
     ``setup.phase*`` children).
     """
@@ -178,10 +178,9 @@ def measure_setup_overhead(
     from .pool import SeedPool
     from .resilience import nothing_survived
 
-    with SeedPool(workers=processes) as pool:
-        by_seed, failures = pool.map_seeds(
-            lambda chunk: measure, seeds, active_tracer() is not None
-        )
+    by_seed, failures = SeedPool(workers=processes).map_seeds(
+        measure, seeds, active_tracer() is not None
+    )
     if not by_seed:
         raise nothing_survived("measure_setup_overhead", seeds, failures)
     done = tuple(seed for seed in seeds if seed in by_seed)

@@ -3,30 +3,30 @@
 The evaluation aggregates thousands of independent seeded runs (30
 repeats × sizes × algorithms × ablations), and the seed dimension is
 embarrassingly parallel: run *i* depends only on ``base_seed + i``.
-:class:`ParallelExperimentRunner` fans those runs out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` while preserving the
-serial engine's contract exactly — run *i* still uses ``base_seed + i``
-and results are reassembled in seed order, so the aggregated
-:class:`~repro.metrics.CaptureStats` are bit-identical to a serial
-sweep of the same configuration.
+:class:`ParallelExperimentRunner` fans those runs out over forked
+worker processes while preserving the serial engine's contract exactly
+— run *i* still uses ``base_seed + i`` and results are reassembled in
+seed order, so the aggregated :class:`~repro.metrics.CaptureStats` are
+bit-identical to a serial sweep of the same configuration.
 
-The pool itself — lazy start, chunked dispatch, supervision (retries,
-respawn, poison-seed quarantine) and worker telemetry — is
-:class:`~repro.experiments.pool.SeedPool`, which this runner inherits.
-That pool knows nothing of the operational phase, so the
-message-overhead experiment runs on it without importing this module;
-what the runner adds is the operational per-seed function and the
-schedules each chunk ships to its worker.
+The pool itself — the shard board, the forked pull workers, their
+supervision (retries, respawn, poison-seed quarantine) and worker
+telemetry — is :class:`~repro.experiments.pool.SeedPool`, which this
+runner inherits.  That pool knows nothing of the operational phase, so
+the message-overhead experiment runs on it without importing this
+module; what the runner adds is the operational per-seed function.
+The workers fork after the sweep opens, so they reuse every schedule
+the parent has already built.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..app import OperationalResult
-from ..core import Schedule
 from ..topology import Topology
-from .pool import SeedPool, _run_seed_chunk  # noqa: F401 (tests reach it here)
+from .pool import SeedPool
 from .resilience import FailedRun, RetryPolicy
 from .runner import (
     SLP,
@@ -35,36 +35,7 @@ from .runner import (
     setup_protocols,
     slp_schedule_builder,
 )
-from .schedule_cache import (
-    ScheduleCache,
-    default_schedule_cache,
-    schedule_cache_enabled,
-)
-
-
-class _SweepSeed:
-    """An operational sweep's per-seed function, as shipped to a worker.
-    Its first call preloads ``schedules`` (the chunk's schedules the
-    parent had already built) counter-neutrally into the worker's
-    default cache, so the worker reuses them instead of rebuilding."""
-
-    def __init__(
-        self,
-        topology: Topology,
-        config: ExperimentConfig,
-        schedules: Optional[Dict[Tuple, Schedule]] = None,
-    ) -> None:
-        self._topology = topology
-        self._config = config
-        self._schedules = schedules
-        self._runner: Optional[ExperimentRunner] = None
-
-    def __call__(self, seed: int) -> OperationalResult:
-        if self._runner is None:
-            if self._schedules:
-                default_schedule_cache().preload(self._schedules)
-            self._runner = ExperimentRunner(self._topology)
-        return self._runner.run_once(self._config, seed)
+from .schedule_cache import ScheduleCache
 
 
 class ParallelExperimentRunner(SeedPool, ExperimentRunner):
@@ -80,15 +51,12 @@ class ParallelExperimentRunner(SeedPool, ExperimentRunner):
         without spawning a pool.
     chunks_per_worker:
         Load-balancing granularity: each ``run`` splits its seeds into
-        up to ``workers × chunks_per_worker`` tasks.
+        up to ``workers × chunks_per_worker`` shards.
     schedule_cache:
-        As on :class:`ExperimentRunner` — the parent-side cache
-        consulted by ``build_schedule`` *and* mined for already-built
-        schedules to ship with each worker chunk.
+        As on :class:`ExperimentRunner`; the workers fork with a copy.
     retry_policy, chunk_timeout:
         The pool's supervision, as on
-        :class:`~repro.experiments.pool.SeedPool`, whose lazily started
-        pool is reused across ``run`` calls until :meth:`close`.
+        :class:`~repro.experiments.pool.SeedPool`.
     """
 
     def __init__(
@@ -109,42 +77,13 @@ class ParallelExperimentRunner(SeedPool, ExperimentRunner):
             chunk_timeout=chunk_timeout,
         )
 
-    def _cached_schedules_for(
-        self, config: ExperimentConfig, seeds: Tuple[int, ...]
-    ) -> Optional[Dict[Tuple, Schedule]]:
-        """The chunk's schedules the parent already holds, keyed for the
-        worker's lookups.
-
-        Only entries actually present travel (a cold parent ships
-        nothing — workers build and cache locally exactly as before),
-        and the peek is counter-neutral so parent-side ``cache_hits``
-        accounting keeps meaning "a build was avoided *here*".
-        """
-        if not config.use_schedule_cache:
-            return None
-        cache = self._schedule_cache
-        if cache is None and schedule_cache_enabled():
-            cache = default_schedule_cache()
-        if cache is None:
-            return None
-        shipped: Dict[Tuple, Schedule] = {}
-        for seed in seeds:
-            key = self.schedule_key_for(config, seed)
-            if key in shipped:
-                continue  # unseeded builds: one key covers every seed
-            schedule = cache.peek(key)
-            if schedule is not None:
-                shipped[key] = schedule
-        return shipped or None
-
     def _execute(
         self,
         config: ExperimentConfig,
         seeds: Sequence[int],
         on_result=None,
     ) -> Tuple[Dict[int, OperationalResult], Tuple[FailedRun, ...]]:
-        """Supervised pool execution of a seed sweep; each chunk ships
-        the schedules the parent already built."""
+        """Supervised pool execution of a seed sweep."""
         if self._workers == 1 or len(seeds) <= 1:
             return super()._execute(config, seeds, on_result)
         # Imported here, so forked workers inherit what their seeds run.
@@ -153,10 +92,5 @@ class ParallelExperimentRunner(SeedPool, ExperimentRunner):
         elif config.algorithm == SLP:
             slp_schedule_builder()
         return self.map_seeds(
-            lambda chunk: _SweepSeed(
-                self._topology, config, self._cached_schedules_for(config, chunk)
-            ),
-            seeds,
-            config.telemetry,
-            on_result,
+            partial(self.run_once, config), seeds, config.telemetry, on_result
         )

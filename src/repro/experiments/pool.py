@@ -1,21 +1,26 @@
-"""The supervised seed pool: the library's one process-pool owner.
+"""The supervised seed pool: pooled sweeps on the shard board.
 
 Every sweep the library runs is a set of independent seeds: run *i*
-depends only on its seed.  :class:`SeedPool` fans any picklable
-per-seed function out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` and reassembles the
-results keyed by seed, so a pooled sweep is bit-identical to a serial
-one.  Seeds are dispatched in contiguous chunks (several runs per task)
-to amortise pickling and scheduling overhead; chunk boundaries cannot
+depends only on its seed.  :meth:`SeedPool.map_seeds` opens a sweep's
+seeds as contiguous shards on an in-process
+:class:`~repro.service.transport.ShardBoard` and then forks its pull
+workers, so each worker inherits the per-seed function, the topology
+and the schedule cache instead of unpickling them.  The workers run the
+one :class:`~repro.service.pull.PullWorker` loop a service's workers
+run, over a pipe (:class:`~repro.service.pull.PipeTransport`) that the
+pool serves with the service's own lease dispatch, and the
+:class:`~repro.service.fleet.WorkerFleet` that supervises a service's
+local workers supervises them.  Results come back keyed by seed, so a
+pooled sweep is bit-identical to a serial one; shard boundaries cannot
 affect results because every run re-seeds from scratch.
 
-Execution is *supervised* (see :mod:`repro.experiments.resilience`):
-each chunk is an individually watched future with optional timeout,
-retries with deterministic backoff, pool respawn after worker death,
-and poison-seed isolation via chunk splitting — a failing worker
-quarantines at most its own seeds instead of aborting the sweep, and a
-sweep in which nothing fails is byte-identical to unsupervised
-execution.
+Supervision is the board's: a shard whose run raised walks the
+:class:`~repro.experiments.resilience.Ladder` (retry with backoff,
+bisection, quarantine of the poison seed), a worker that died is
+charged ``crash`` on its own leases and respawned, and with a
+``chunk_timeout`` a lease that lands no seed in time has its worker
+killed and charged ``timeout``.  A sweep in which nothing fails is
+byte-identical to unsupervised execution.
 
 The pool knows nothing of the operational phase.  The message-overhead
 experiment uses it directly and so imports only the setup stack;
@@ -25,23 +30,28 @@ operational sweeps.
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+import threading
+import time
+from multiprocessing import Pipe
+from multiprocessing.connection import wait
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, invalid_field
-from ..telemetry import (
-    MetricsRegistry,
-    SpanTracer,
-    active_tracer,
-    tracing,
-    use_registry,
-)
-from .faults import active_fault_plan
 from .options import default_workers
-from .resilience import FailedRun, RetryPolicy, WorkerSupervisor
+from .resilience import FailedRun, RetryPolicy
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import ProcessPoolExecutor
+#: The board job id of a pool's sweep (a pool's board holds one job).
+_SWEEP = "sweep"
+
+#: How long an idle pool worker waits between claims: the pool answers
+#: every request from one thread, so a claim is never held.
+_POLL = 0.01
+
+#: The longest the pool waits for a request before its supervision tick.
+_TICK = 0.05
+
+#: How long finished workers get to hand in their last report.
+_DRAIN = 5.0
 
 
 def seed_chunks(seeds: Sequence[int], tasks: int) -> List[Tuple[int, ...]]:
@@ -64,71 +74,8 @@ def seed_chunks(seeds: Sequence[int], tasks: int) -> List[Tuple[int, ...]]:
     return chunks
 
 
-class ChunkResults(list):
-    """One chunk's result list plus an optional telemetry payload.
-
-    A ``list`` subclass, so the supervisor's seed↔result zip and every
-    other consumer handle it exactly like the bare list workers used
-    to return; the payload (worker spans + metrics snapshot, see
-    :meth:`SpanTracer.export_payload`) rides back on the same future
-    and is only ever looked for via ``getattr``.
-    """
-
-    telemetry: Optional[dict] = None
-
-
-def _run_seed_chunk(
-    run_seed: Callable[[int], object], seeds: Tuple[int, ...], telemetry: bool
-) -> list:
-    """Worker entry point: ``run_seed`` over one contiguous chunk of seeds.
-
-    ``run_seed`` is any picklable per-seed function; the chaos fault
-    point fires before each seed.  Module-level so it pickles by
-    reference under every start method.
-
-    With ``telemetry`` set the chunk instruments itself — a private
-    tracer and registry for exactly this chunk's work — and ships both
-    back with the results as a :class:`ChunkResults` payload, which the
-    supervisor absorbs onto the parent's timeline as a separate worker
-    track.
-    """
-    # An active tracer owned by *this* process means the chunk is
-    # running inline under the parent session — its spans land on the
-    # parent track directly.  A tracer with a foreign pid is an
-    # artefact of fork-start pools (the child inherits the parent's
-    # module globals); the worker must still instrument itself.
-    parent_tracer = active_tracer()
-    if not telemetry or (
-        parent_tracer is not None and parent_tracer.pid == os.getpid()
-    ):
-        return _run_chunk_seeds(run_seed, seeds)
-    tracer = SpanTracer()
-    registry = MetricsRegistry()
-    with use_registry(registry), tracing(tracer):
-        with tracer.span("chunk.run", seeds=list(seeds)):
-            results = _run_chunk_seeds(run_seed, seeds)
-    payload = tracer.export_payload()
-    payload["metrics"] = registry.snapshot()
-    wrapped = ChunkResults(results)
-    wrapped.telemetry = payload
-    return wrapped
-
-
-def _run_chunk_seeds(
-    run_seed: Callable[[int], object], seeds: Tuple[int, ...]
-) -> list:
-    plan = active_fault_plan()
-    results = []
-    for seed in seeds:
-        if plan is not None:
-            # Chaos-only fault point (crash/hang/transient/poison).
-            plan.before_seed(seed)
-        results.append(run_seed(seed))
-    return results
-
-
 class SeedPool:
-    """A lazily started, supervised worker pool for seed sweeps.
+    """A supervised worker pool for seed sweeps.
 
     Parameters
     ----------
@@ -137,19 +84,19 @@ class SeedPool:
         convention).
     chunks_per_worker:
         Load-balancing granularity: each :meth:`map_seeds` call splits
-        its seeds into up to ``workers × chunks_per_worker`` tasks.
+        its seeds into up to ``workers × chunks_per_worker`` shards.
     retry_policy:
-        Backoff schedule for supervised retries of failed or hung
-        chunks (default: three attempts, 50 ms base delay).  See
+        Backoff schedule for supervised retries of failed shards
+        (default: three attempts, 50 ms base delay).  See
         :class:`~repro.experiments.resilience.RetryPolicy`.
     chunk_timeout:
-        Seconds a chunk future may run before the pool is presumed
-        hung, killed and respawned (``None``, the default, disables the
-        timeout — a crash still recovers, a genuine hang does not).
+        The lease timeout: seconds a worker may hold a shard without
+        landing a seed before it is presumed hung, killed and replaced
+        (``None``, the default, disables it — a crash still recovers, a
+        genuine hang does not).
 
-    The pool is created lazily on first use and reused across calls
-    (pool start-up would otherwise dominate short sweeps) — close it
-    with :meth:`close` or use the pool as a context manager.
+    Each :meth:`map_seeds` call forks its workers and reaps them before
+    it returns, so a pool holds no process between calls.
     """
 
     def __init__(
@@ -178,7 +125,6 @@ class SeedPool:
             )
         self._workers = resolved
         self._chunks_per_worker = chunks_per_worker
-        self._executor: Optional["ProcessPoolExecutor"] = None
         self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._chunk_timeout = chunk_timeout
 
@@ -187,84 +133,131 @@ class SeedPool:
         """The process count seed sweeps fan out over."""
         return self._workers
 
-    def _ensure_executor(self) -> "ProcessPoolExecutor":
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(max_workers=self._workers)
-        return self._executor
-
-    @staticmethod
-    def _terminate_processes(executor: "ProcessPoolExecutor") -> None:
-        """Forcibly end a pool's worker processes (the only way to
-        reclaim a hung worker; ``shutdown`` alone would wait forever)."""
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except (OSError, ValueError):  # already gone
-                pass
-
-    def close(self, kill: bool = False) -> None:
-        """Shut the worker pool down; the next submit spawns a fresh one
-        (this is also the supervisor's ``respawn`` hook).  Idempotent.
-        ``kill=True`` cancels pending futures, terminates the worker
-        processes and does not wait — the only way to reclaim a hung
-        worker, and the interrupt path, which must never orphan workers
-        behind a blocking shutdown."""
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            if kill:
-                self._terminate_processes(executor)
-            executor.shutdown(wait=not kill, cancel_futures=True)
-
-    def __enter__(self) -> "SeedPool":
-        return self
-
-    def __exit__(self, exc_type: object, *exc_info: object) -> None:
-        # On KeyboardInterrupt (or interpreter teardown via SystemExit)
-        # a graceful shutdown would block on in-flight chunks and leave
-        # workers orphaned if the user interrupts again; kill instead.
-        interrupted = isinstance(exc_type, type) and issubclass(
-            exc_type, (KeyboardInterrupt, SystemExit)
-        )
-        self.close(kill=interrupted)
-
     def map_seeds(
         self,
-        task_for: Callable[[Tuple[int, ...]], Callable[[int], object]],
+        run_seed: Callable[[int], object],
         seeds: Sequence[int],
         telemetry: bool,
-        on_result=None,
+        on_result: Optional[Callable[[int, object], None]] = None,
     ) -> Tuple[Dict[int, object], Tuple[FailedRun, ...]]:
-        """Run ``seeds`` on the pool in chunks; a worker runs the
-        picklable per-seed function ``task_for(chunk)`` over its chunk.
+        """Run ``run_seed`` over ``seeds`` on forked pull workers.
 
-        Chunks run as individually supervised futures (fault points,
-        timeout, retry with backoff, pool respawn, poison-seed
-        isolation — see
-        :class:`~repro.experiments.resilience.WorkerSupervisor`);
+        ``on_result`` fires in this process after each seed lands;
         ``telemetry`` has workers ship their spans and metrics back.
         Returns results keyed by seed, so the reassembled sweep is
         bit-identical to a serial one whenever nothing fails, plus the
-        quarantine records.
+        quarantine records, seed-ordered.  Every worker is reaped before
+        this returns or raises (``KeyboardInterrupt`` included).
         """
-        chunks = seed_chunks(list(seeds), self._workers * self._chunks_per_worker)
-        supervisor = WorkerSupervisor(
-            submit=lambda chunk: self._ensure_executor().submit(
-                _run_seed_chunk, task_for(chunk), chunk, telemetry
-            ),
-            respawn=self.close,
-            retry=self._retry_policy,
-            chunk_timeout=self._chunk_timeout,
-            on_result=on_result,
+        from ..service.fleet import WorkerFleet
+        from ..service.pull import PipeTransport, PullWorker
+        from ..service.transport import ShardBoard
+
+        shards = seed_chunks(list(seeds), self._workers * self._chunks_per_worker)
+        results: Dict[int, object] = {}
+        # The board's sink: results wait here for this thread, so an
+        # ``on_result`` error ends the sweep instead of failing a request.
+        landed: List[Tuple[int, object]] = []
+        board = ShardBoard(namespace="supervisor", unit="chunk")
+        board.publish(
+            _SWEEP,
+            self._retry_policy,
+            shards,
+            set(),
+            lambda seed, result: landed.append((seed, result)),
         )
+        # worker id -> (the pool's end, the worker's end) of its pipe.
+        pipes: Dict[str, tuple] = {}
+
+        def prepare(worker_id: str) -> Callable[[], PullWorker]:
+            ours, theirs = Pipe()
+            pipes[worker_id] = (ours, theirs)
+            return lambda: PullWorker(
+                PipeTransport(theirs),
+                worker_id,
+                poll_interval=_POLL,
+                hold=0.0,
+                run_seed=run_seed,
+                telemetry=telemetry,
+            )
+
+        def forked(worker_ids: List[str]) -> None:
+            # Only the worker holds its end now: its exit reads as EOF.
+            for worker_id in worker_ids:
+                pipes[worker_id][1].close()
+
+        fleet = WorkerFleet(board, prepare, self._chunk_timeout, "supervisor")
+        serving = _PipeServer(board, pipes)
         try:
-            return supervisor.execute(chunks)
-        except BaseException:
-            # KeyboardInterrupt (or any other escape) mid-sweep: tear
-            # the pool down hard rather than leave workers running a
-            # sweep nobody will collect.
-            self.close(kill=True)
-            raise
+            forked([fleet.spawn() for _ in range(min(self._workers, len(shards)))])
+            while not board.job_finished(_SWEEP):
+                serving.round(_TICK)
+                for seed, result in landed:
+                    results[seed] = result
+                    if on_result is not None:
+                        on_result(seed, result)
+                landed.clear()
+                halt = board.halt_of(_SWEEP)
+                if halt is not None:
+                    raise halt  # the chaos harness's kill -9 stand-in
+                forked(fleet.supervise())
+            # Let the workers hand in their last reports (a shard's
+            # telemetry rides on its ``done``) and exit.
+            fleet.terminate()
+            deadline = time.monotonic() + _DRAIN
+            while serving.open and time.monotonic() < deadline:
+                serving.round(_TICK)
+            return results, tuple(board.take_failures(_SWEEP))
+        finally:
+            fleet.stop(timeout=0)
+            for ours, theirs in pipes.values():
+                ours.close()
+                theirs.close()
+
+
+class _PipeServer:
+    """The pool's side of its workers' pipes: each request answered
+    with the lease dispatch the service's HTTP front uses."""
+
+    def __init__(self, board, pipes: Dict[str, tuple]) -> None:
+        self._board = board
+        self._pipes = pipes
+        self._closed: set = set()
+        # Claims are answered at once (max_hold=0), so never held.
+        self._stop = threading.Event()
+
+    @property
+    def open(self) -> bool:
+        """Whether any worker's end of its pipe is still open."""
+        return any(ours not in self._closed for ours, _ in self._pipes.values())
+
+    def round(self, timeout: float) -> None:
+        """Answer every request that arrives within ``timeout``."""
+        live = [ours for ours, _ in self._pipes.values() if ours not in self._closed]
+        for connection in wait(live, timeout):
+            if not self._answer(connection):
+                self._closed.add(connection)
+
+    def _answer(self, connection) -> bool:
+        """One request and its reply; ``False`` once the worker is gone."""
+        from ..service.transport import claim_shard, shard_post
+
+        try:
+            path, payload = connection.recv()
+        except (EOFError, OSError):
+            return False
+        telemetry = payload.pop("telemetry", None)
+        if telemetry is not None:
+            from ..telemetry import absorb_worker_payload
+
+            absorb_worker_payload(telemetry)
+        parts = [part for part in path.split("/") if part]
+        if parts == ["shards", "claim"]:
+            reply = claim_shard(self._board, payload, self._stop, max_hold=0.0)
+        else:
+            reply = shard_post(self._board, parts[1], parts[2], payload)
+        try:
+            connection.send(reply)
+        except OSError:
+            return False
+        return True

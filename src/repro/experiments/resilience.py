@@ -4,20 +4,16 @@ The parallel sweep engine's original failure story was all-or-nothing:
 one crashed or hung pool worker aborted the whole sweep and threw away
 every completed seed.  This module gives the experiment layer the same
 degrade-gracefully-or-fail-loudly discipline the paper demands of its
-setup phase, in five pieces:
+setup phase, in four pieces:
 
 :class:`Ladder`
-    The one retry → bisect → quarantine policy, shared by the chunk
-    supervisor below and the service's lease board.
-
-:class:`WorkerSupervisor`
-    Drives per-chunk futures with a configurable timeout, retries
-    failed or hung chunks with exponential backoff and deterministic
-    jitter (:class:`RetryPolicy`), has broken pools respawned, splits a
-    repeatedly failing chunk to isolate poison seeds, and — instead of
-    aborting — quarantines unrecoverable seeds as structured
-    :class:`FailedRun` entries.  A sweep in which nothing fails is
-    byte-identical to the pre-supervision engine.
+    The one retry → bisect → quarantine policy (with the
+    :class:`RetryPolicy` backoff), applied by the shard board
+    (:class:`~repro.service.transport.ShardBoard`) that every pooled
+    sweep and every service job runs on: a repeatedly failing shard is
+    split to isolate poison seeds, and unrecoverable seeds are
+    quarantined as structured :class:`FailedRun` entries instead of
+    aborting the sweep.
 
 :class:`SweepCheckpoint`
     An append-only on-disk store of completed per-seed results, keyed
@@ -48,29 +44,15 @@ from __future__ import annotations
 
 import json
 import random
-import time
-from collections import deque
-from concurrent.futures import BrokenExecutor, CancelledError, Future
 from dataclasses import dataclass, replace
 from hashlib import sha256
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SweepExecutionError, invalid_field, sweep_failed
 from ..storage import atomic_write_text, durable_append
-from ..telemetry import absorb_worker_payload, active_tracer, default_registry
-from .faults import active_fault_plan
-from .options import GUARD_DIFFERENTIAL
+from ..telemetry import active_tracer, default_registry
+from .options import GUARD_DIFFERENTIAL, fault_plan
 from .schedule_cache import topology_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,9 +118,9 @@ class FailedRun:
         Attempts made at the final (single-seed) isolation level.
     kind:
         ``"crash"`` (the worker process died), ``"timeout"`` (hung
-        past the chunk or lease timeout), ``"error"`` (the run raised), or
-        ``"submit"`` (the chunk could not even be dispatched, e.g. a
-        pickling failure).
+        past the lease timeout), ``"error"`` (the run raised), or
+        ``"submit"`` (the lease could not even be granted, e.g. the
+        chaos harness's ``pickle_seeds``).
     error:
         ``TypeName: message`` of the last observed exception.
     """
@@ -166,7 +148,7 @@ class GuardReport:
 
 
 # ----------------------------------------------------------------------
-# Worker supervision
+# The failure ladder
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Rung:
@@ -197,9 +179,9 @@ class Ladder:
 
     Each decision is counted under ``<namespace>.{retries, timeouts,
     bisections, quarantined}`` and, when tracing, marked with a
-    ``<unit>.{retry, bisect, quarantine}`` instant.  The chunk
-    supervisor uses ``("supervisor", "chunk")``, the service's lease
-    board ``("service", "shard")``.
+    ``<unit>.{retry, bisect, quarantine}`` instant.  A pooled sweep's
+    board uses ``("supervisor", "chunk")``, the service's
+    ``("service", "shard")``.
     """
 
     def __init__(
@@ -257,218 +239,6 @@ def nothing_survived(
         attempts=max((f.attempts for f in failures), default=0),
         detail=failures[0].error if failures else "no seeds executed",
     )
-
-
-class _Task:
-    """One chunk of seeds queued for (re-)execution."""
-
-    __slots__ = ("seeds", "attempt")
-
-    def __init__(self, seeds: Tuple[int, ...], attempt: int) -> None:
-        self.seeds = seeds
-        self.attempt = attempt
-
-
-class WorkerSupervisor:
-    """Supervised gather of chunked seed runs over a worker pool.
-
-    The supervisor owns *policy* (timeouts, retries, splitting,
-    quarantine) and delegates *mechanism* to two callables supplied by
-    the runner: ``submit(seeds) -> Future`` dispatches one chunk to the
-    current pool, and ``respawn(kill)`` discards a broken or hung pool
-    so the next ``submit`` gets a fresh one (``kill=True`` additionally
-    terminates the pool's processes — the only way to reclaim a hung
-    worker).
-
-    Failure semantics:
-
-    * a chunk future raising an ordinary exception is retried up to
-      ``retry.max_attempts`` times with backoff;
-    * a broken pool (worker death) is respawned; the observed chunk
-      *and every other unfinished in-flight chunk* get a retry attempt
-      charged, because the culprit cannot be identified — with one
-      deterministic crasher this converges to isolating it, at worst
-      quarantining the seeds that shared its rounds;
-    * a chunk exceeding ``chunk_timeout`` has the pool killed and is
-      charged an attempt; other in-flight chunks are re-queued without
-      blame (their worker was murdered, not wedged);
-    * a chunk out of attempts is *split* in half and both halves start
-      fresh — repeated failures therefore bisect down to the poison
-      seed, which is quarantined as a :class:`FailedRun` while its
-      former chunk-mates complete normally.
-
-    Results are keyed by seed, so completion order — reshuffled by
-    every retry — cannot affect the reassembled sweep.  The supervisor
-    never looks inside a result: a chunk's future resolves to one
-    result per seed, of whatever type the per-seed function returns.
-    """
-
-    def __init__(
-        self,
-        submit: Callable[[Tuple[int, ...]], Future],
-        respawn: Callable[[bool], None],
-        retry: Optional[RetryPolicy] = None,
-        chunk_timeout: Optional[float] = None,
-        on_result: Optional[Callable[[int, object], None]] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise invalid_field(
-                "WorkerSupervisor", "chunk_timeout", chunk_timeout,
-                "a timeout must be positive (None disables it)",
-            )
-        self._submit = submit
-        self._respawn = respawn
-        self._ladder = Ladder(retry, "supervisor", "chunk")
-        self._chunk_timeout = chunk_timeout
-        self._on_result = on_result
-        self._sleep = sleep
-        self._plan = active_fault_plan()
-
-    def execute(
-        self, chunks: Sequence[Tuple[int, ...]]
-    ) -> Tuple[Dict[int, object], Tuple[FailedRun, ...]]:
-        """Run every chunk to completion or quarantine.
-
-        Returns results keyed by seed plus the quarantine records,
-        ordered by seed.
-        """
-        results: Dict[int, object] = {}
-        failures: List[FailedRun] = []
-        queue: Deque[_Task] = deque(
-            _Task(tuple(chunk), 1) for chunk in chunks if chunk
-        )
-        while queue:
-            batch = list(queue)
-            queue.clear()
-            round_delay = 0.0
-
-            in_flight: List[Tuple[_Task, Future]] = []
-            for task in batch:
-                future, delay = self._try_submit(task, queue, failures)
-                round_delay = max(round_delay, delay)
-                if future is not None:
-                    in_flight.append((task, future))
-
-            pool_dead = False
-            blame_rest = False
-            for task, future in in_flight:
-                if pool_dead:
-                    # The pool died earlier in this round.  Harvest
-                    # chunks that had already finished; charge the rest
-                    # an attempt only when worker death left the
-                    # culprit unidentifiable.
-                    if (
-                        future.done()
-                        and not future.cancelled()
-                        and future.exception() is None
-                    ):
-                        self._harvest(task, future.result(), results)
-                    elif blame_rest:
-                        round_delay = max(
-                            round_delay,
-                            self._retry_or_fail(
-                                task,
-                                BrokenExecutor("pool broke mid-round"),
-                                "crash",
-                                queue,
-                                failures,
-                            ),
-                        )
-                    else:
-                        queue.append(task)
-                    continue
-                try:
-                    chunk_results = future.result(timeout=self._chunk_timeout)
-                except CancelledError:
-                    queue.append(task)
-                except BrokenExecutor as exc:
-                    pool_dead = True
-                    blame_rest = True
-                    self._note_respawn(False)
-                    round_delay = max(
-                        round_delay,
-                        self._retry_or_fail(task, exc, "crash", queue, failures),
-                    )
-                except TimeoutError as exc:
-                    pool_dead = True
-                    self._note_respawn(True)
-                    round_delay = max(
-                        round_delay,
-                        self._retry_or_fail(task, exc, "timeout", queue, failures),
-                    )
-                except Exception as exc:
-                    round_delay = max(
-                        round_delay,
-                        self._retry_or_fail(task, exc, "error", queue, failures),
-                    )
-                else:
-                    self._harvest(task, chunk_results, results)
-
-            if queue and round_delay > 0:
-                self._sleep(round_delay)
-
-        failures.sort(key=lambda f: f.seed)
-        return results, tuple(failures)
-
-    # ------------------------------------------------------------------
-    def _try_submit(
-        self, task: _Task, queue: Deque[_Task], failures: List[FailedRun]
-    ) -> Tuple[Optional[Future], float]:
-        try:
-            if self._plan is not None:
-                self._plan.before_submit(task.seeds)
-            future = self._submit(task.seeds)
-        except BrokenExecutor as exc:
-            self._note_respawn(False)
-            return None, self._retry_or_fail(task, exc, "crash", queue, failures)
-        except Exception as exc:
-            return None, self._retry_or_fail(task, exc, "submit", queue, failures)
-        default_registry().inc("supervisor.chunks")
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.instant(
-                "chunk.dispatch", seeds=list(task.seeds), attempt=task.attempt
-            )
-        return future, 0.0
-
-    def _note_respawn(self, kill: bool) -> None:
-        default_registry().inc("supervisor.respawns")
-        self._respawn(kill)
-
-    def _harvest(
-        self,
-        task: _Task,
-        chunk_results: Sequence[object],
-        results: Dict[int, object],
-    ) -> None:
-        payload = getattr(chunk_results, "telemetry", None)
-        if payload is not None:
-            # A telemetry-enabled worker shipped its spans and metrics
-            # with the chunk; merge them onto the parent's timeline.
-            absorb_worker_payload(payload)
-        for seed, result in zip(task.seeds, chunk_results):
-            results[seed] = result
-            if self._on_result is not None:
-                self._on_result(seed, result)
-
-    def _retry_or_fail(
-        self,
-        task: _Task,
-        exc: BaseException,
-        kind: str,
-        queue: Deque[_Task],
-        failures: List[FailedRun],
-    ) -> float:
-        """Requeue, split, or quarantine a failed task as the
-        :class:`Ladder` decides; return the backoff its round owes."""
-        rung = self._ladder.climb(
-            task.seeds, task.attempt, kind, f"{type(exc).__name__}: {exc}"
-        )
-        queue.extend(_Task(seeds, attempt) for seeds, attempt in rung.requeue)
-        if rung.failure is not None:
-            failures.append(rung.failure)
-        return rung.delay
 
 
 # ----------------------------------------------------------------------
@@ -622,7 +392,7 @@ class SweepCheckpoint:
         fail loudly, never report success.
         """
         line = encode_checkpoint_line(seed, result)
-        plan = active_fault_plan()
+        plan = fault_plan()
         if plan is not None:
             line = plan.corrupt_checkpoint_line(seed, line)
         durable_append(self.path_for(key), line)

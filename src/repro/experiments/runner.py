@@ -15,7 +15,6 @@ full message-level setup instead, which the examples demonstrate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
@@ -36,7 +35,7 @@ from ..simulator import CasinoLabNoise, NoiseModel
 from ..telemetry import active_tracer
 from ..topology import Topology
 from .config import PAPER, PaperParameters
-from .options import FAULT_PLAN_ENV, GUARD_MODES
+from .options import GUARD_MODES, fault_plan
 from .schedule_cache import (
     ScheduleCache,
     default_schedule_cache,
@@ -139,7 +138,7 @@ class ExperimentConfig:
         automatically when a :class:`~repro.telemetry.TelemetrySession`
         is active in the dispatching process, and carried on the config
         so pool workers instrument themselves and ship their spans back
-        with each chunk.  Never affects results — instrumentation only
+        with each shard.  Never affects results — instrumentation only
         reads clocks inside already-entered spans and never touches the
         RNG stream.
     """
@@ -296,11 +295,7 @@ class ExperimentRunner:
         return cache.get_or_build(key, lambda: self._traced_build(config, seed))
 
     def schedule_key_for(self, config: ExperimentConfig, seed: int) -> Tuple:
-        """The content-addressed cache key of one run's schedule build.
-
-        Public so the parallel runner can ship the parent's already-built
-        entries to worker processes under exactly the keys the workers
-        will look up."""
+        """The content-addressed cache key of one run's schedule build."""
         if self._fingerprint is None:
             self._fingerprint = topology_fingerprint(self._topology)
         return schedule_key(
@@ -407,13 +402,12 @@ class ExperimentRunner:
             perturbations=config.perturbations,
             kernel=config.kernel,
         )
-        if FAULT_PLAN_ENV in os.environ:
+        plan = fault_plan()
+        if plan is not None:
             # Chaos-only hook (one env lookup in production): lets the
             # fault harness corrupt a fast-kernel result so the
             # divergence guard has something real to catch.
-            from .faults import active_fault_plan
-
-            result = active_fault_plan().on_result(config, seed, result)
+            result = plan.on_result(config, seed, result)
         return result
 
     def _execute(
@@ -460,8 +454,8 @@ class ExperimentRunner:
 
     def _stamp_telemetry(self, config: ExperimentConfig) -> ExperimentConfig:
         """Mark the config telemetry-enabled while a session is active,
-        so pool workers (which only see the pickled config) instrument
-        themselves.  Identity when telemetry is off or already set."""
+        so pool workers instrument each shard they run and ship its
+        spans back.  Identity when telemetry is off or already set."""
         if config.telemetry or active_tracer() is None:
             return config
         return replace(config, telemetry=True)

@@ -19,8 +19,9 @@ protectionless DAS schedule is source-independent, which is what lets
 the same grid.
 
 Each process holds one default cache (:func:`default_schedule_cache`):
-the parent's for serial sweeps, one per worker for parallel sweeps
-(workers populate theirs on first use and keep it across chunks).
+the parent's for serial sweeps; a pooled sweep's workers fork after
+the sweep's job is open, so each starts from a copy of the parent's
+cache and adds to it what it builds itself.
 Hit/miss counters make the cache observable (the CLI prints a one-line
 summary), and ``ExperimentConfig(use_schedule_cache=False)`` or the
 process-wide :func:`configure_schedule_cache` switch it off for
@@ -140,7 +141,6 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.preloads = 0
 
     def attach_store(self, store) -> None:
         """Attach (or with ``None`` detach) a shared on-disk
@@ -203,42 +203,12 @@ class ScheduleCache:
             entries.popitem(last=False)
             self.evictions += 1
 
-    def peek(self, key: Tuple) -> Optional[Schedule]:
-        """A counter-neutral lookup: the cached schedule or ``None``.
-
-        Does not bump hits/misses and does not refresh LRU recency —
-        the parallel runner uses it to see which of a sweep's schedules
-        are already built (to ship them to workers) without distorting
-        the accounting the CLI reports.
-        """
-        return self._entries.get(key)
-
-    def preload(self, entries: Dict[Tuple, Schedule]) -> None:
-        """Seed the cache with already-built schedules, counter-neutrally.
-
-        Worker processes call this with the entries the parent shipped
-        in the chunk payload; the subsequent ``get_or_build`` lookups
-        then count as ordinary hits (they are: the schedule exists and
-        is reused), while the preload itself is neither a hit nor a
-        miss — the worker never looked anything up to install it.  The
-        ``preloads`` counter records each installed entry so shipped
-        schedules stay visible without distorting the hit rate.
-        """
-        cache = self._entries
-        for key, schedule in entries.items():
-            cache[key] = schedule
-            self.preloads += 1
-            if len(cache) > self._maxsize:
-                cache.popitem(last=False)
-                self.evictions += 1
-
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
         self._entries.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.preloads = 0
 
     def stats(self) -> Dict[str, int]:
         """A snapshot of the counters (plus current size).
@@ -250,7 +220,6 @@ class ScheduleCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "preloads": self.preloads,
             "size": len(self._entries),
         }
         if self._store is not None:
@@ -269,8 +238,8 @@ class ScheduleCache:
         )
         if self._store is not None:
             line += f", {store_hits} store hits"
-        if self.evictions or self.preloads:
-            line += f", {self.evictions} evictions, {self.preloads} preloads"
+        if self.evictions:
+            line += f", {self.evictions} evictions"
         return line
 
 
@@ -286,7 +255,7 @@ def default_schedule_cache() -> ScheduleCache:
 
 def default_cache_stats() -> Dict[str, int]:
     """Counter snapshot of the process-default cache
-    (hits/misses/evictions/preloads/size)."""
+    (hits/misses/evictions/size)."""
     return _DEFAULT_CACHE.stats()
 
 
@@ -319,9 +288,9 @@ def configure_schedule_cache(
     ``store`` attaches a shared on-disk tier to the default cache — a
     :class:`~repro.experiments.schedule_store.ScheduleStore`, a path to
     create one at, or ``None`` to detach.  Only affects the *current*
-    process — worker processes of a parallel sweep decide from the
-    pickled ``ExperimentConfig.use_schedule_cache`` flag instead (and
-    the service's shard workers attach their store explicitly).
+    process and the workers it forks later (a pooled sweep's workers
+    inherit the setting; the service's shard workers attach their
+    store explicitly).
     """
     global _ENABLED
     if enabled is not None:

@@ -188,8 +188,9 @@ class ScenarioRunner:
         the legacy engines; on divergence a reproducer bundle is
         written and the whole sweep degrades to legacy.
     chunk_timeout:
-        Seconds one parallel chunk may run before its worker is
-        presumed hung and the pool is rebuilt (``None`` = wait
+        The pooled sweep's lease timeout: seconds a worker may hold a
+        shard without landing a seed before it is presumed hung,
+        killed, charged an attempt and replaced (``None`` = wait
         forever).
     progress:
         Render live sweep progress on stderr (seeds completed, runs/s,

@@ -17,19 +17,24 @@ assembled from the substrates the earlier PRs built:
 * :mod:`repro.service.api` — :class:`SweepService`, the stdlib
   ``ThreadingHTTPServer`` front (submit/status/result, shard leases,
   graceful drain, ``--max-jobs`` concurrent dispatch) and, in local
-  mode, the fleet of workers it forks at its first job and
-  supervises: a dead worker is charged a ``crash`` attempt, a wedged
-  one is killed and charged ``timeout``, both are respawned;
+  mode, the fleet of workers it forks at its first job;
 * :mod:`repro.service.transport` — the :class:`ShardBoard` lease
-  table every worker pulls from (claims, idempotent seed uploads that
-  double as heartbeats, failures charged through the one
-  :class:`~repro.experiments.Ladder`, blame-free revocation of stalled
-  remote leases);
-* :mod:`repro.service.worker` — the pull worker, local or remote
-  (``repro worker start --connect``): :class:`WorkerTransport` with
-  explicit timeouts, bounded retry/backoff and the injected network
-  chaos, and the :class:`ShardWorker` pull-execute-upload loop with
-  graceful SIGTERM drain;
+  table every worker pulls from, a service's or a pooled sweep's
+  (claims, idempotent seed uploads that double as heartbeats, failures
+  charged through the one :class:`~repro.experiments.Ladder`,
+  blame-free revocation of stalled remote leases), and the one lease
+  dispatch the HTTP front and a pool's pipes share;
+* :mod:`repro.service.fleet` — the forked local workers of a service
+  or a pool, supervised under one set of blame rules: a dead worker is
+  charged a ``crash`` attempt on its own leases, a wedged one is killed
+  and charged ``timeout``, both are respawned;
+* :mod:`repro.service.pull` — the one pull-execute-upload loop every
+  worker runs, with graceful SIGTERM drain, and the pipe transport a
+  pool's workers post through;
+* :mod:`repro.service.worker` — the service's workers, local or remote
+  (``repro worker start --connect``): the :class:`ShardWorker` loop over
+  :class:`WorkerTransport`, with explicit timeouts, bounded
+  retry/backoff and the injected network chaos;
 * :mod:`repro.service.client` — :class:`~repro.service.client.HttpChannel`,
   the kept-alive HTTP/1.1 exchange helper every caller of the service
   uses, and the :class:`ServiceClient` behind ``repro service
@@ -73,11 +78,13 @@ _EXPORTS = {
     "transport": (
         "ShardBoard",
     ),
+    "pull": (
+        "TransportError",
+        "worker_main",
+    ),
     "worker": (
         "ShardWorker",
-        "TransportError",
         "WorkerTransport",
-        "worker_main",
     ),
     "state": (
         "DONE",

@@ -22,11 +22,12 @@ long-running process:
   supervision and stop checks still run while nothing happens;
 * the same dispatcher tick supervises lease health with one lease
   timeout (``shard_timeout``, default
-  :data:`~repro.service.transport.DEFAULT_LEASE_TIMEOUT`): a local
-  worker that dies holding a lease is charged a ``crash`` attempt and
-  respawned; one whose lease lands no seed within the timeout is
-  killed, charged ``timeout`` and respawned; a remote lease that
-  times out is re-queued blame-free;
+  :data:`~repro.service.transport.DEFAULT_LEASE_TIMEOUT`): the local
+  workers follow the :class:`~repro.service.fleet.WorkerFleet` blame
+  rules a pooled sweep's workers follow too (a dead worker is charged
+  ``crash`` on its own leases, a wedged one is killed and charged
+  ``timeout``, both are respawned); a remote lease that times out is
+  re-queued blame-free;
 * ``GET /jobs/<id>`` serves the state machine plus live per-shard
   progress and the ``service.*`` slice of the telemetry metrics
   snapshot; ``GET /jobs/<id>/result`` serves the finished report's
@@ -89,19 +90,15 @@ requests are counted in the ``service.connections`` and
 
 from __future__ import annotations
 
-import gc
 import hmac
 import json
-import multiprocessing
-import os
-import signal
 import socket
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import ConfigurationError, ReproError, StorageError, invalid_field
@@ -115,8 +112,16 @@ from ..experiments.runner import slp_schedule_builder
 from ..scenarios import ScenarioSpec, get_scenario
 from ..storage import atomic_write_bytes
 from ..telemetry import default_registry
+from .fleet import WorkerFleet
 from .scheduler import JobInterrupted, ShardScheduler, lower_job
-from .transport import DEFAULT_LEASE_TIMEOUT, ShardBoard
+from .transport import (
+    DEFAULT_LEASE_TIMEOUT,
+    MAX_HOLD,
+    ShardBoard,
+    claim_shard,
+    hold_seconds,
+    shard_post,
+)
 from .worker import ShardWorker
 from .state import (
     DONE,
@@ -134,26 +139,10 @@ _SUBMIT_FIELDS = frozenset(
     {"scenario", "spec", "seeds", "base_seed", "kernel", "setup_kernel"}
 )
 
-#: The longest a held request (a claim, or a status read, with
-#: ``wait``) parks its handler thread, whatever the client asks for.
-MAX_HOLD = 30.0
-
 #: How long a kept-alive connection may sit idle between requests
 #: before the server closes it (above MAX_HOLD: a held request's
 #: client is waiting, not idle).
 IDLE_TIMEOUT = 2 * MAX_HOLD
-
-
-def _hold_seconds(value: object) -> float:
-    """A request's ``wait``: a non-negative number of seconds, capped at
-    :data:`MAX_HOLD` (``ValueError`` if not)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not value >= 0
-    ):
-        raise ValueError(f"'wait' must be a non-negative number, not {value!r}")
-    return min(float(value), MAX_HOLD)
 
 
 class SweepService:
@@ -218,11 +207,10 @@ class SweepService:
             retry=retry,
             poll_interval=poll_interval,
         )
-        # Local mode's forked workers by id (ids are never reused: a
-        # respawned worker gets a fresh one, so a stale upload from the
-        # dead one can never renew the new one's lease).
-        self._fleet: Dict[str, multiprocessing.process.BaseProcess] = {}
-        self._spawned = 0
+        # Local mode's forked workers, under the one lease timeout.
+        self._fleet = WorkerFleet(
+            self._board, self._local_worker, self._lease_timeout, "service"
+        )
         self._host = host
         self._port = port
         self._stop = threading.Event()
@@ -302,7 +290,7 @@ class SweepService:
         self._request_stop()
         if self._drain_thread is not None:
             self._drain_thread.join(timeout=timeout)
-        self._stop_fleet()
+        self._fleet.stop()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -324,105 +312,36 @@ class SweepService:
     # ------------------------------------------------------------------
     # The local worker fleet (local mode only)
     # ------------------------------------------------------------------
-    def _spawn_worker(self) -> None:
-        """Fork one local worker: the :class:`ShardWorker` loop against
-        this service's own URL."""
+    def _local_worker(self, worker_id: str) -> Callable[[], ShardWorker]:
+        """Prepare one local worker, before its fork: the
+        :class:`ShardWorker` loop against this service's own URL."""
         # Imported before the fork, so every worker inherits the SLP
         # pipeline its SLP jobs run instead of compiling it again.
         slp_schedule_builder()
-        self._spawned += 1
-        worker_id = f"local-{self._spawned}"
-        process = multiprocessing.get_context("fork").Process(
-            target=self._local_worker,
-            args=(worker_id, self.url, os.getpid()),
-            name=f"sweep-{worker_id}",
-            daemon=True,
-        )
-        # The child must never finalize objects inherited from this
-        # threaded process: its collector closing an SQLite connection
-        # that another thread held mid-call at the fork would wait on
-        # that lock forever.  Frozen objects sit in the permanent
-        # generation, which the child's collector skips.
-        gc.freeze()
-        try:
-            process.start()
-        finally:
-            gc.unfreeze()
-        self._fleet[worker_id] = process
+        url = self.url
 
-    def _local_worker(self, worker_id: str, url: str, parent: int) -> None:
-        """A local worker's process body (runs in the forked child)."""
-        if self._httpd is not None:
-            self._httpd.socket.close()  # the parent's listener, not ours
-        if self._schedule_store is not None:
-            configure_schedule_cache(store=self._schedule_store)
-        worker = ShardWorker(
-            url,
-            worker_id=worker_id,
-            poll_interval=self._poll_interval,
-            retry=self._retry,
-            token=self.token,
-        )
+        def make_worker() -> ShardWorker:  # runs in the forked child
+            if self._httpd is not None:
+                self._httpd.socket.close()  # the parent's listener, not ours
+            if self._schedule_store is not None:
+                configure_schedule_cache(store=self._schedule_store)
+            return ShardWorker(
+                url,
+                worker_id=worker_id,
+                poll_interval=self._poll_interval,
+                retry=self._retry,
+                token=self.token,
+            )
 
-        # The inherited handlers (the CLI's) would only set the dead
-        # copy of the parent's stop event: drain like `worker start`.
-        def _on_signal(signum: int, frame: object) -> None:
-            worker.request_stop()
-
-        signal.signal(signal.SIGTERM, _on_signal)
-        signal.signal(signal.SIGINT, _on_signal)
-        threading.Thread(
-            target=_exit_when_orphaned, args=(parent,), daemon=True
-        ).start()
-        worker.run()
+        return make_worker
 
     def _supervise_leases(self) -> None:
-        """One tick of lease supervision, under one lease timeout.
-
-        A local worker that died is charged a ``crash`` attempt on every
-        lease it held; one whose lease landed no seed within the timeout
-        is killed and charged ``timeout``; either is respawned under a
-        fresh id.  Stalled remote leases are re-queued blame-free.
-        """
+        """One tick of lease supervision, under one lease timeout: the
+        local fleet's blame rules (:class:`~repro.service.fleet.WorkerFleet`),
+        then stalled remote leases re-queued blame-free."""
         now = time.monotonic()
-        if self._fleet:
-            stale = self._board.stale_workers(self._lease_timeout, now)
-            for worker_id, process in list(self._fleet.items()):
-                if not process.is_alive():
-                    kind = "crash"
-                    error = (
-                        f"WorkerDied: local worker {worker_id} exited "
-                        f"with code {process.exitcode}"
-                    )
-                elif worker_id in stale:
-                    process.kill()
-                    kind = "timeout"
-                    error = (
-                        f"TimeoutError: no seed landed in "
-                        f"{self._lease_timeout}s"
-                    )
-                else:
-                    continue
-                process.join()
-                del self._fleet[worker_id]
-                self._board.fail_worker(worker_id, kind, error)
-                default_registry().inc("service.respawns")
-                self._spawn_worker()
+        self._fleet.supervise(now)
         self._board.revoke_stale(self._lease_timeout, now, spare=self._fleet)
-
-    def _stop_fleet(self, timeout: float = 5.0) -> None:
-        """SIGTERM every local worker (each finishes its seed in flight
-        and hands its lease back), then reap; stragglers are killed."""
-        fleet = list(self._fleet.values())
-        self._fleet.clear()
-        for process in fleet:
-            process.terminate()
-        deadline = time.monotonic() + timeout
-        for process in fleet:
-            process.join(max(0.0, deadline - time.monotonic()))
-            if process.is_alive():
-                process.kill()
-                process.join()
 
     # ------------------------------------------------------------------
     # Submission (shared by HTTP and any in-process caller)
@@ -539,77 +458,15 @@ class SweepService:
     # The worker lease API (HTTP handler threads land here)
     # ------------------------------------------------------------------
     def claim_shard(self, payload: object) -> Tuple[int, Dict[str, object]]:
-        """``POST /shards/claim``: lease the next ready shard, held for
-        up to ``wait`` seconds until one is claimable."""
-        if not isinstance(payload, dict):
-            return 400, {"error": "the claim body must be a JSON object"}
-        worker = payload.get("worker")
-        if not isinstance(worker, str) or not worker:
-            return 400, {"error": "a claim needs a non-empty 'worker' id"}
-        try:
-            wait = _hold_seconds(payload.get("wait", 0))
-        except ValueError as exc:
-            return 400, {"error": str(exc)}
-        claim = self._board.hold_claim(worker, wait, self._stop)
-        if claim is None:
-            return 200, {"shard": None}
-        return 200, claim
+        """``POST /shards/claim`` (:func:`~repro.service.transport.claim_shard`)."""
+        return claim_shard(self._board, payload, self._stop)
 
     def shard_post(
         self, shard_id: str, action: str, payload: object
     ) -> Tuple[int, Dict[str, object]]:
-        """``POST /shards/<id>/{seeds,fail,release,done}``."""
-        if not isinstance(payload, dict):
-            return 400, {"error": "the body must be a JSON object"}
-        job = payload.get("job")
-        worker = payload.get("worker")
-        if not isinstance(job, str) or not isinstance(worker, str):
-            return 400, {"error": "'job' and 'worker' must be strings"}
-        if action == "seeds":
-            # One {"seed", "result"} upload, or a batch of them under
-            # "seeds" answered entry-by-entry with the same per-seed
-            # dedup replies a single upload gets.
-            batched = "seeds" in payload
-            entries = payload.get("seeds") if batched else [payload]
-            if not isinstance(entries, list) or not entries:
-                return 400, {
-                    "error": "'seeds' must be a non-empty list of "
-                    "{'seed', 'result'} entries"
-                }
-            pairs = []
-            for entry in entries:
-                if not isinstance(entry, dict):
-                    return 400, {"error": "each batch entry must be an object"}
-                seed = entry.get("seed")
-                result = entry.get("result")
-                if not isinstance(seed, int) or isinstance(seed, bool):
-                    return 400, {"error": "'seed' must be an integer"}
-                if not isinstance(result, dict):
-                    return 400, {"error": "'result' must be a result document"}
-                pairs.append((seed, result))
-            replies = []
-            for seed, result in pairs:
-                try:
-                    replies.append(
-                        self._board.record_seed(job, shard_id, worker, seed, result)
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    # A malformed result document must not poison the board.
-                    return 400, {
-                        "error": f"malformed result document: "
-                        f"{type(exc).__name__}: {exc}"
-                    }
-            return 200, {"results": replies} if batched else replies[0]
-        if action == "fail":
-            error = payload.get("error")
-            if not isinstance(error, str):
-                return 400, {"error": "'error' must be a string"}
-            return 200, self._board.fail_shard(job, shard_id, worker, error)
-        if action == "release":
-            return 200, self._board.release_shard(job, shard_id, worker)
-        if action == "done":
-            return 200, self._board.complete_shard(job, shard_id, worker)
-        return 404, {"error": f"no such shard action: {action!r}"}
+        """``POST /shards/<id>/{seeds,fail,release,done}``
+        (:func:`~repro.service.transport.shard_post`)."""
+        return shard_post(self._board, shard_id, action, payload)
 
     # ------------------------------------------------------------------
     # Status views
@@ -693,7 +550,7 @@ class SweepService:
                 # Forked lazily: a service that never runs a job never
                 # pays for workers.
                 for _ in range(self._shard_workers):
-                    self._spawn_worker()
+                    self._fleet.spawn()
             thread = threading.Thread(
                 target=self._run_one,
                 args=(job,),
@@ -753,14 +610,6 @@ class SweepService:
             self._active.discard(job.job_id)
             self._wake.set()
             self._job_changed()
-
-
-def _exit_when_orphaned(parent: int) -> None:
-    """A local worker's watchdog: once the service that forked it is
-    gone (``kill -9`` included), nobody can take its uploads — exit."""
-    while os.getppid() == parent:
-        time.sleep(0.25)
-    os._exit(0)
 
 
 class _Server(ThreadingHTTPServer):
@@ -958,7 +807,7 @@ class _Handler(BaseHTTPRequestHandler):
             wait = parse_qs(url.query).get("wait")
             if wait:
                 try:
-                    seconds = _hold_seconds(float(wait[-1]))
+                    seconds = hold_seconds(float(wait[-1]))
                 except ValueError as exc:
                     self._reply(400, {"error": str(exc)})
                     return

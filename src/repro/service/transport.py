@@ -1,14 +1,19 @@
-"""The shard board: the service's lease table, served over HTTP.
+"""The shard board: the one lease table every supervised sweep runs on.
 
 Every job the :class:`~repro.service.scheduler.ShardScheduler` runs is
-published here as shards, and pull workers lease them with ``POST
-/shards/claim`` — the service's own forked local workers and ``repro
-worker start --connect`` processes on any host alike, through the same
-endpoints:
+published here as shards, and so is every pooled sweep
+(:class:`~repro.experiments.pool.SeedPool`) on a board of its own.
+Pull workers lease the shards with ``POST /shards/claim`` — the
+service's forked local workers and ``repro worker start --connect``
+processes over HTTP, a pool's forked workers over a pipe — and every
+request reaches the board through the same dispatch
+(:func:`claim_shard`, :func:`shard_post`):
 
-* every completed seed a worker ``POST /shards/<id>/seeds`` is appended
-  to the job's checkpoint *server-side*, so the durability write
-  doubles as the lease renewal;
+* every completed seed a worker ``POST /shards/<id>/seeds`` goes to the
+  job's result sink, which its owner supplies: a service job's decodes
+  the document and appends it to the job's checkpoint *server-side*, so
+  the durability write doubles as the lease renewal; a pool's keeps the
+  result in memory;
 * seed uploads are **idempotent**: the board dedups by
   ``(job, shard, seed)`` (a seed already durable is never appended
   again), so a duplicated, replayed or post-revocation-stale upload is
@@ -19,7 +24,8 @@ endpoints:
   :meth:`ShardBoard.fail_shard` for a run that raised (``error``),
   :meth:`ShardBoard.fail_worker` for every lease of a local worker
   that died (``crash``) or wedged past the lease timeout
-  (``timeout``);
+  (``timeout``), and a lease the chaos harness's ``pickle_seeds``
+  stops at the grant (``submit``);
 * a remote lease that lands no seed within the lease timeout, and a
   lease handed back by a draining worker, are re-queued **blame-free**
   (same attempt): a silent remote worker convicts the network or the
@@ -41,22 +47,42 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Collection, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Collection,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from ..experiments import (
+from ..experiments.options import fault_plan
+from ..experiments.resilience import (
     FailedRun,
     Ladder,
     RetryPolicy,
-    ServiceHalt,
     SweepCheckpoint,
-    active_fault_plan,
     result_from_dict,
 )
 from ..telemetry import default_registry
 
+if TYPE_CHECKING:  # the chaos harness loads only when a plan is set
+    from ..experiments.faults import ServiceHalt
+
 #: The lease timeout when the operator gives none (``--shard-timeout``):
 #: a dead, wedged or partitioned worker must never wedge a job forever.
 DEFAULT_LEASE_TIMEOUT = 60.0
+
+#: The longest a held request (a claim, or a status read, with
+#: ``wait``) parks its handler thread, whatever the client asks for.
+MAX_HOLD = 30.0
+
+#: Where a job's newly landed seeds go: ``sink(seed, upload)``, called
+#: under the board lock before the seed counts as landed.
+ResultSink = Callable[[int, object], None]
 
 
 class _BoardShard:
@@ -83,35 +109,27 @@ class _Lease:
 
 
 class _BoardJob:
-    """Server-side context of one job open for remote execution."""
+    """The board's context of one open job."""
 
     __slots__ = (
-        "job_id", "spec_json", "repeats", "base_seed", "kernel",
-        "setup_kernel", "key", "ladder", "outstanding", "done",
+        "job_id", "lease", "sink", "ladder", "outstanding", "done",
         "quarantined", "pending", "leases", "failures", "next_shard", "halt",
     )
 
     def __init__(
         self,
         job_id: str,
-        spec_json: str,
-        repeats: int,
-        base_seed: int,
-        kernel: Optional[str],
-        setup_kernel: Optional[str],
-        key: str,
-        retry: RetryPolicy,
+        lease: Dict[str, object],
+        sink: ResultSink,
+        ladder: Ladder,
         shards: List[Tuple[int, ...]],
         done: Set[int],
     ) -> None:
         self.job_id = job_id
-        self.spec_json = spec_json
-        self.repeats = repeats
-        self.base_seed = base_seed
-        self.kernel = kernel
-        self.setup_kernel = setup_kernel
-        self.key = key
-        self.ladder = Ladder(retry, "service", "shard")
+        # What every claim of this job carries besides its seeds.
+        self.lease = lease
+        self.sink = sink
+        self.ladder = ladder
         self.outstanding: Set[int] = {s for chunk in shards for s in chunk}
         self.done: Set[int] = set(done)
         self.quarantined: Set[int] = set()
@@ -123,7 +141,7 @@ class _BoardJob:
         self.next_shard = 0
         # The chaos harness's service halt, raised at a lease grant and
         # re-raised by the job's scheduler thread.
-        self.halt: Optional[ServiceHalt] = None
+        self.halt: Optional["ServiceHalt"] = None
 
     def finished(self) -> bool:
         return self.outstanding <= (self.done | self.quarantined)
@@ -136,18 +154,30 @@ class _BoardJob:
 
 
 class ShardBoard:
-    """The service's lease table: shards out for claim by pull workers.
+    """A lease table: shards out for claim by pull workers.
 
     Thread-safe (HTTP handler threads claim/upload while scheduler and
     fleet threads supervise); supports several concurrently open jobs —
     claims drain jobs in open order, so ``--max-jobs`` and the worker
-    fleet compose.  The checkpoint append inside :meth:`record_seed`
-    runs under the board lock, which also serialises writers to one
-    job's checkpoint file.
+    fleet compose.  A job's result sink runs under the board lock, which
+    also serialises writers to one job's checkpoint file.
+
+    ``checkpoint`` is the store a service job's results are appended to
+    (:meth:`open_job`); a pool's board has none.  Metrics and the
+    ladder's decisions are counted under ``namespace`` and traced as
+    ``unit`` instants: ``("service", "shard")`` for the service's board,
+    ``("supervisor", "chunk")`` for a pool's.
     """
 
-    def __init__(self, checkpoint: SweepCheckpoint) -> None:
+    def __init__(
+        self,
+        checkpoint: Optional[SweepCheckpoint] = None,
+        namespace: str = "service",
+        unit: str = "shard",
+    ) -> None:
         self._checkpoint = checkpoint
+        self._namespace = namespace
+        self._unit = unit
         # The board's (reentrant) lock and its wake-up: every mutation
         # a waiter checks notifies while holding it.
         self._lock = threading.Condition()
@@ -158,8 +188,8 @@ class ShardBoard:
         self._worker_stats: Dict[str, Dict[str, float]] = {}
 
     @property
-    def checkpoint(self) -> SweepCheckpoint:
-        """The per-seed checkpoint store the board appends into."""
+    def checkpoint(self) -> Optional[SweepCheckpoint]:
+        """The per-seed checkpoint store service jobs append into."""
         return self._checkpoint
 
     def _stats_for(self, worker: str) -> Dict[str, float]:
@@ -185,11 +215,40 @@ class ShardBoard:
         shards: List[Tuple[int, ...]],
         done: Set[int],
     ) -> None:
-        """Publish one job's missing shards for claim."""
+        """Publish one service job's missing shards for claim.  Each
+        claim carries the job's spec and knobs, so a worker can lower
+        it; each landed seed's document is decoded and appended to the
+        checkpoint under ``key``."""
+        checkpoint = self._checkpoint
+
+        def append(seed: int, document: object) -> None:
+            checkpoint.append(key, seed, result_from_dict(document))
+
+        lease = {
+            "spec": spec_json,
+            "repeats": repeats,
+            "base_seed": base_seed,
+            "kernel": kernel,
+            "setup_kernel": setup_kernel,
+        }
+        self.publish(job_id, retry, shards, done, append, lease)
+
+    def publish(
+        self,
+        job_id: str,
+        retry: RetryPolicy,
+        shards: List[Tuple[int, ...]],
+        done: Set[int],
+        sink: ResultSink,
+        lease: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """Publish one job's shards for claim; ``sink`` takes each
+        seed's upload the first time it lands, and every claim carries
+        the fields of ``lease``."""
+        ladder = Ladder(retry, self._namespace, self._unit)
         with self._lock:
             self._jobs[job_id] = _BoardJob(
-                job_id, spec_json, repeats, base_seed, kernel,
-                setup_kernel, key, retry, shards, done,
+                job_id, dict(lease or {}), sink, ladder, shards, done
             )
             self._lock.notify_all()
 
@@ -234,7 +293,7 @@ class ShardBoard:
                 return []
             return sorted(job.failures, key=lambda f: f.seed)
 
-    def halt_of(self, job_id: str) -> Optional[ServiceHalt]:
+    def halt_of(self, job_id: str) -> Optional["ServiceHalt"]:
         """The injected service halt a lease grant of this job hit."""
         with self._lock:
             job = self._jobs.get(job_id)
@@ -285,7 +344,7 @@ class ShardBoard:
             if revoked:
                 self._lock.notify_all()
         if revoked:
-            default_registry().inc("service.leases.revoked", revoked)
+            default_registry().inc(f"{self._namespace}.leases.revoked", revoked)
         return revoked
 
     def progress(self, job_id: str) -> Optional[Dict[str, object]]:
@@ -350,7 +409,7 @@ class ShardBoard:
         ever costs its still-missing seeds.
         """
         now = time.monotonic() if now is None else now
-        plan = active_fault_plan()
+        plan = fault_plan()
         with self._lock:
             for job in self._jobs.values():
                 if job.halt is not None:
@@ -363,34 +422,51 @@ class ShardBoard:
                     missing = job.missing(shard.seeds)
                     if not missing:
                         continue  # satisfied while queued; drop it
-                    if plan is not None:
-                        try:
-                            # The kill -9 stand-in: the service "dies"
-                            # as it hands this shard out.
-                            plan.before_shard(missing)
-                        except ServiceHalt as halt:
-                            job.halt = halt
-                            job.pending.appendleft(shard)
-                            self._lock.notify_all()
+                    if plan is not None and self._grant_faulted(
+                        job, shard, missing, plan
+                    ):
+                        if job.halt is not None:
                             return None
+                        continue
                     shard.seeds = missing
                     job.next_shard += 1
                     shard_id = f"{job.job_id[:12]}.{job.next_shard}"
                     job.leases[shard_id] = _Lease(shard_id, shard, worker, now)
                     self._stats_for(worker)["claims"] += 1
-                    default_registry().inc("service.leases.granted")
+                    default_registry().inc(f"{self._namespace}.leases.granted")
                     return {
+                        **job.lease,
                         "job": job.job_id,
                         "shard": shard_id,
                         "seeds": list(missing),
                         "attempt": shard.attempt,
-                        "spec": job.spec_json,
-                        "repeats": job.repeats,
-                        "base_seed": job.base_seed,
-                        "kernel": job.kernel,
-                        "setup_kernel": job.setup_kernel,
                     }
         return None
+
+    def _grant_faulted(
+        self, job: _BoardJob, shard: _BoardShard, missing: Tuple[int, ...], plan
+    ) -> bool:
+        """The chaos harness's grant-time fault points (board lock
+        held); ``True`` when one stopped this grant."""
+        from ..experiments.faults import InjectedFault, ServiceHalt
+
+        try:
+            # The kill -9 stand-in: the service "dies" as it hands this
+            # shard out.
+            plan.before_shard(missing)
+        except ServiceHalt as halt:
+            job.halt = halt
+            job.pending.appendleft(shard)
+            self._lock.notify_all()
+            return True
+        try:
+            # The lease never reaches a worker (a chunk that would not
+            # pickle, in the pool's words): charged ``submit``.
+            plan.before_submit(missing)
+        except InjectedFault as exc:
+            self._charge(job, shard, "submit", f"{type(exc).__name__}: {exc}")
+            return True
+        return False
 
     def hold_claim(
         self, worker: str, wait: float, stop: threading.Event
@@ -420,30 +496,31 @@ class ShardBoard:
         shard_id: str,
         worker: str,
         seed: int,
-        result_doc: Dict[str, object],
+        upload: object,
     ) -> Dict[str, object]:
-        """One uploaded seed result: append-if-new, renew the lease.
+        """One uploaded seed result: sink-if-new, renew the lease.
 
-        The append is the durability write *and* the heartbeat; dedup
-        by ``(job, shard, seed)`` makes duplicated and replayed uploads
-        harmless (``duplicate: true``), and an upload against a revoked
-        lease is still accepted (the result is deterministic, the bytes
-        are the same) but marked ``stale: true`` and renews nothing.
+        The sink's write is the durability write *and* the heartbeat;
+        dedup by ``(job, shard, seed)`` makes duplicated and replayed
+        uploads harmless (``duplicate: true``), and an upload against a
+        revoked lease is still accepted (the result is deterministic,
+        the bytes are the same) but marked ``stale: true`` and renews
+        nothing.  A sink that raises (a malformed document:
+        ``ValueError``/``KeyError``/``TypeError``, a 400 upstream) leaves
+        the seed missing and the board unchanged.
         """
-        # Parse outside the lock: a malformed document must not poison
-        # the board, and ValueError/KeyError surface as a 400 upstream.
-        result = result_from_dict(result_doc)
+        ns = self._namespace
         registry = default_registry()
         with self._lock:
             stats = self._stats_for(worker)
             stats["last_upload"] = time.monotonic()
             job = self._jobs.get(job_id)
             if job is None:
-                registry.inc("service.uploads.unknown")
+                registry.inc(f"{ns}.uploads.unknown")
                 return {"accepted": False, "known": False}
             duplicate = seed in job.done
             if not duplicate:
-                self._checkpoint.append(job.key, seed, result)
+                job.sink(seed, upload)
                 job.done.add(seed)
                 stats["seeds_landed"] += 1
             lease = job.leases.get(shard_id)
@@ -453,11 +530,9 @@ class ShardBoard:
                 if all(s in job.done for s in lease.shard.seeds):
                     del job.leases[shard_id]
             self._lock.notify_all()
-        registry.inc(
-            "service.uploads.duplicate" if duplicate else "service.uploads.accepted"
-        )
+        registry.inc(f"{ns}.uploads.duplicate" if duplicate else f"{ns}.uploads.accepted")
         if stale:
-            registry.inc("service.uploads.stale")
+            registry.inc(f"{ns}.uploads.stale")
         return {
             "accepted": not duplicate,
             "known": True,
@@ -534,7 +609,7 @@ class ShardBoard:
                     _BoardShard(missing, lease.shard.attempt, time.monotonic())
                 )
             self._lock.notify_all()
-        default_registry().inc("service.leases.released")
+        default_registry().inc(f"{self._namespace}.leases.released")
         return {"known": True, "stale": False}
 
     def complete_shard(
@@ -554,3 +629,95 @@ class ShardBoard:
                 # mutation wakes.
                 self._lock.notify_all()
         return {"known": job_id in self._jobs}
+
+
+# ----------------------------------------------------------------------
+# The lease requests: one dispatch for the HTTP front and the pool's pipe
+# ----------------------------------------------------------------------
+def hold_seconds(value: object) -> float:
+    """A request's ``wait``: a non-negative number of seconds, capped at
+    :data:`MAX_HOLD` (``ValueError`` if not)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not value >= 0
+    ):
+        raise ValueError(f"'wait' must be a non-negative number, not {value!r}")
+    return min(float(value), MAX_HOLD)
+
+
+def claim_shard(
+    board: ShardBoard,
+    payload: object,
+    stop: threading.Event,
+    max_hold: float = MAX_HOLD,
+) -> Tuple[int, Dict[str, object]]:
+    """``POST /shards/claim``: lease the next ready shard, held for up
+    to ``wait`` seconds (at most ``max_hold``) until one is claimable."""
+    if not isinstance(payload, dict):
+        return 400, {"error": "the claim body must be a JSON object"}
+    worker = payload.get("worker")
+    if not isinstance(worker, str) or not worker:
+        return 400, {"error": "a claim needs a non-empty 'worker' id"}
+    try:
+        wait = min(hold_seconds(payload.get("wait", 0)), max_hold)
+    except ValueError as exc:
+        return 400, {"error": str(exc)}
+    claim = board.hold_claim(worker, wait, stop)
+    if claim is None:
+        return 200, {"shard": None}
+    return 200, claim
+
+
+def shard_post(
+    board: ShardBoard, shard_id: str, action: str, payload: object
+) -> Tuple[int, Dict[str, object]]:
+    """``POST /shards/<id>/{seeds,fail,release,done}``."""
+    if not isinstance(payload, dict):
+        return 400, {"error": "the body must be a JSON object"}
+    job = payload.get("job")
+    worker = payload.get("worker")
+    if not isinstance(job, str) or not isinstance(worker, str):
+        return 400, {"error": "'job' and 'worker' must be strings"}
+    if action == "seeds":
+        # One {"seed", "result"} upload, or a batch of them under
+        # "seeds" answered entry-by-entry with the same per-seed
+        # dedup replies a single upload gets.
+        batched = "seeds" in payload
+        entries = payload.get("seeds") if batched else [payload]
+        if not isinstance(entries, list) or not entries:
+            return 400, {
+                "error": "'seeds' must be a non-empty list of "
+                "{'seed', 'result'} entries"
+            }
+        pairs = []
+        for entry in entries:
+            if not isinstance(entry, dict):
+                return 400, {"error": "each batch entry must be an object"}
+            seed = entry.get("seed")
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                return 400, {"error": "'seed' must be an integer"}
+            if "result" not in entry:
+                return 400, {"error": "each upload needs a 'result'"}
+            pairs.append((seed, entry["result"]))
+        replies = []
+        for seed, result in pairs:
+            try:
+                replies.append(board.record_seed(job, shard_id, worker, seed, result))
+            except (KeyError, TypeError, ValueError) as exc:
+                # A malformed result document must not poison the board.
+                return 400, {
+                    "error": f"malformed result document: "
+                    f"{type(exc).__name__}: {exc}"
+                }
+        return 200, {"results": replies} if batched else replies[0]
+    if action == "fail":
+        error = payload.get("error")
+        if not isinstance(error, str):
+            return 400, {"error": "'error' must be a string"}
+        return 200, board.fail_shard(job, shard_id, worker, error)
+    if action == "release":
+        return 200, board.release_shard(job, shard_id, worker)
+    if action == "done":
+        return 200, board.complete_shard(job, shard_id, worker)
+    return 404, {"error": f"no such shard action: {action!r}"}

@@ -1,5 +1,6 @@
-"""Shard workers: the pull-execute-upload loop behind ``repro worker
-start --connect URL`` and behind a local-mode service's forked workers.
+"""Service workers: the pull loop (:mod:`repro.service.pull`) over HTTP,
+behind ``repro worker start --connect URL`` and a local-mode service's
+forked workers.
 
 A worker is a plain process on any host that can reach the service (or
 a child the service forked, talking to it over loopback):
@@ -21,7 +22,8 @@ a child the service forked, talking to it over loopback):
   fearlessly; when the transport stays down past the retry budget the
   worker *abandons* the shard silently — the service's lease timeout
   revokes it blame-free and another worker finishes the remainder;
-* SIGTERM (wired in :func:`worker_main`) drains gracefully: the seed
+* SIGTERM (wired in :func:`~repro.service.pull.worker_main`) drains
+  gracefully: the seed
   in flight is finished and uploaded, the rest of the lease is handed
   back with ``POST /shards/<id>/release``, and the process exits 0.
 
@@ -37,38 +39,18 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import socket
-import threading
 import time
-from contextlib import nullcontext
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from ..errors import ReproError
-from ..experiments import (
-    ExperimentRunner,
-    RetryPolicy,
-    active_fault_plan,
-    result_to_dict,
-)
+from ..experiments.options import fault_plan
+from ..experiments.resilience import RetryPolicy, result_to_dict
+from ..experiments.runner import ExperimentRunner
 from ..scenarios import ScenarioSpec
-from ..telemetry import active_tracer, default_registry
+from ..telemetry import default_registry
 from .client import TRANSPORT_ERRORS, HttpChannel, encode_request, error_message
+from .pull import PullWorker, TransportError
 from .scheduler import lower_job
-
-
-class TransportError(ReproError):
-    """A worker-side HTTP failure.
-
-    ``status`` is the HTTP status code when the server answered (the
-    request *arrived*; retrying it would not change the answer) and
-    ``0`` for transport-level failures (connection refused, timeout,
-    injected drop, partition) — the retryable kind.
-    """
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(f"HTTP {status}: {message}" if status else message)
-        self.status = status
 
 
 class WorkerTransport:
@@ -133,7 +115,7 @@ class WorkerTransport:
         ordinal = self._ordinal
         registry = default_registry()
         registry.inc("transport.requests")
-        plan = active_fault_plan()
+        plan = fault_plan()
         if plan is not None:
             if plan.transport_delay(ordinal):
                 registry.inc("transport.delayed")
@@ -154,30 +136,16 @@ class WorkerTransport:
         return json.loads(body.decode())
 
 
-class ShardWorker:
-    """The supervised pull-execute-upload loop of one remote worker.
+class ShardWorker(PullWorker):
+    """The :class:`~repro.service.pull.PullWorker` loop of a service's
+    worker, local or remote: HTTP to ``base_url`` through a
+    :class:`WorkerTransport`, each claim's job lowered to its per-seed
+    function.
 
-    Each claim is *held* server-side for up to ``poll_interval``
-    seconds (bounded by half the request ``timeout``) until a shard is
-    claimable, so an idle worker picks up new work the moment it is
-    published.  After an empty reply the worker sleeps only what is
-    left of its poll interval: a held claim loops at once, and a
-    service that answers at once is never spun against.
-
-    ``idle_exit`` (seconds) makes the worker exit once no work has been
-    claimable for that long — how the smoke drill's workers know the
-    sweep is over; a daemon deployment simply omits it and polls
-    forever.  :meth:`request_stop` (the SIGTERM hook) finishes and
-    uploads the seed in flight, releases the rest of the lease, and
-    returns from :meth:`run`.
-
-    ``upload_batch`` > 1 coalesces up to that many finished seeds into
-    one batched ``POST /shards/<id>/seeds`` (the upload is still the
-    lease heartbeat, so the batch is flushed whenever the buffer fills,
-    the shard ends, a drain starts, or chaos partitions the link — at
-    most ``upload_batch`` seeds ride on one heartbeat).  Dedup is
-    per-seed server-side either way, so crossing a crash or duplicate
-    with a batch changes nothing about the answers.
+    Each claim is held server-side for up to ``poll_interval`` seconds
+    (bounded by half the request ``timeout``).  ``idle_exit`` is how the
+    smoke drill's workers know the sweep is over; a daemon deployment
+    simply omits it and polls forever.
     """
 
     def __init__(
@@ -192,73 +160,25 @@ class ShardWorker:
         token: Optional[str] = None,
         upload_batch: int = 1,
     ) -> None:
-        self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-        self.transport = WorkerTransport(
-            base_url, timeout=timeout, retry=retry, sleep=sleep, token=token
+        super().__init__(
+            WorkerTransport(
+                base_url, timeout=timeout, retry=retry, sleep=sleep, token=token
+            ),
+            worker_id or f"{socket.gethostname()}-{os.getpid()}",
+            poll_interval=poll_interval,
+            hold=min(poll_interval, timeout / 2),
+            idle_exit=idle_exit,
+            upload_batch=upload_batch,
         )
-        self._poll = poll_interval
-        self._hold = min(poll_interval, timeout / 2)
-        self._idle_exit = idle_exit
-        self._batch = max(1, int(upload_batch))
-        self._stop = threading.Event()
-        # job_id -> (runner, config): lowering a job is expensive next
+        # job_id -> per-seed function: lowering a job is expensive next
         # to one seed, and a worker usually drains many shards of the
         # same job — cache per job, keyed by the service's job id.
-        self._contexts: Dict[str, Tuple[ExperimentRunner, object]] = {}
+        self._contexts: Dict[str, Callable[[int], Dict]] = {}
 
-    def request_stop(self) -> None:
-        """Ask the loop to drain (signal-safe: just sets an event)."""
-        self._stop.set()
-
-    @property
-    def stopping(self) -> bool:
-        return self._stop.is_set()
-
-    # ------------------------------------------------------------------
-    def run(self) -> int:
-        """Claim-execute-upload until stopped (or idle past
-        ``idle_exit``); returns the number of seeds executed."""
-        registry = default_registry()
-        executed = 0
-        idle_since: Optional[float] = None
-        while not self._stop.is_set():
-            asked = time.monotonic()
-            claim = self._claim()
-            if claim is None:
-                now = time.monotonic()
-                if idle_since is None:
-                    idle_since = now
-                elif (
-                    self._idle_exit is not None
-                    and now - idle_since >= self._idle_exit
-                ):
-                    break
-                self._stop.wait(max(0.0, asked + self._poll - now))
-                continue
-            idle_since = None
-            registry.inc("worker.shards")
-            executed += self._run_shard(claim)
-        return executed
-
-    def _claim(self) -> Optional[Dict]:
-        """One held claim attempt; any failure is just ``None`` (poll
-        again later — a worker outlives service restarts and
-        partitions)."""
-        try:
-            reply = self.transport.post(
-                "/shards/claim", {"worker": self.worker_id, "wait": self._hold}
-            )
-        except TransportError:
-            return None
-        if not isinstance(reply, dict) or reply.get("shard") is None:
-            return None
-        return reply
-
-    # ------------------------------------------------------------------
-    def _context(self, claim: Dict) -> Tuple[ExperimentRunner, object]:
+    def _seed_runner(self, claim: Dict) -> Callable[[int], Dict]:
         job_id = claim["job"]
-        context = self._contexts.get(job_id)
-        if context is None:
+        run = self._contexts.get(job_id)
+        if run is None:
             spec = ScenarioSpec.from_json(claim["spec"])
             topology, config = lower_job(
                 spec,
@@ -267,207 +187,10 @@ class ShardWorker:
                 claim.get("kernel"),
                 claim.get("setup_kernel"),
             )
-            context = (ExperimentRunner(topology), config)
-            self._contexts[job_id] = context
-        return context
+            runner = ExperimentRunner(topology)
 
-    def _run_shard(self, claim: Dict) -> int:
-        """Execute one leased shard; returns seeds executed.
+            def run(seed: int) -> Dict:
+                return result_to_dict(runner.run_once(config, seed))
 
-        Failure discipline:
-
-        * the *run* raising → report the shard failed (the service
-          charges an attempt and walks its retry ladder);
-        * the *upload* failing past the retry budget → abandon the
-          shard silently (the lease timeout re-queues it blame-free);
-        * :meth:`request_stop` mid-shard → upload the finished seed,
-          release the remainder, stop.
-        """
-        registry = default_registry()
-        tracer = active_tracer()
-        job_id, shard_id = claim["job"], claim["shard"]
-        runner, config = self._context(claim)
-        plan = active_fault_plan()
-        executed = 0
-        span = (
-            tracer.span(f"worker.shard:{shard_id}")
-            if tracer is not None
-            else None
-        )
-        buffer: list = []
-
-        def flush() -> bool:
-            if not buffer:
-                return True
-            entries = list(buffer)
-            buffer.clear()
-            return self._flush(job_id, shard_id, entries, plan)
-
-        with span if span is not None else nullcontext():
-            for index, seed in enumerate(claim["seeds"]):
-                if self._stop.is_set():
-                    if not flush():
-                        registry.inc("worker.abandoned")
-                        return executed
-                    self._release(job_id, shard_id)
-                    return executed
-                if plan is not None:
-                    # The same worker-side chaos points as chunk pool workers
-                    # (crash/hang/transient/poison fire remotely too).
-                    try:
-                        plan.before_seed(seed)
-                    except Exception as exc:
-                        flush()
-                        self._fail(job_id, shard_id, exc)
-                        return executed
-                try:
-                    result = runner.run_once(config, seed)
-                except Exception as exc:
-                    flush()
-                    self._fail(job_id, shard_id, exc)
-                    return executed
-                executed += 1
-                buffer.append((seed, result_to_dict(result)))
-                partitioned = (
-                    plan is not None and plan.partition_before_upload(seed)
-                )
-                if partitioned:
-                    self.transport.partition(plan.partition_seconds)
-                if partitioned or len(buffer) >= self._batch:
-                    if not flush():
-                        registry.inc("worker.abandoned")
-                        return executed
-            if not flush():
-                registry.inc("worker.abandoned")
-                return executed
-        # Usually the last accepted upload already released the lease
-        # server-side; this covers a shard whose seeds all deduped.
-        self._post_quietly(
-            f"/shards/{shard_id}/done",
-            {"job": job_id, "worker": self.worker_id},
-        )
-        return executed
-
-    def _flush(
-        self,
-        job_id: str,
-        shard_id: str,
-        entries: list,
-        plan,
-    ) -> bool:
-        """Upload a buffer of finished ``(seed, document)`` pairs;
-        ``False`` means the shard must be abandoned.
-
-        A single-entry buffer takes the legacy single-seed shape (the
-        common case, and what ``upload_batch=1`` always sends); larger
-        buffers take the batched ``{"seeds": [...]}`` shape and are
-        accepted entry-by-entry with the same per-seed dedup replies.
-        """
-        if len(entries) == 1:
-            seed, document = entries[0]
-            return self._upload(job_id, shard_id, seed, document, plan)
-        registry = default_registry()
-        payload = {
-            "job": job_id,
-            "worker": self.worker_id,
-            "seeds": [
-                {"seed": seed, "result": document}
-                for seed, document in entries
-            ],
-        }
-        duplicate = plan is not None and any(
-            plan.duplicate_upload(seed) for seed, _ in entries
-        )
-        sends = 2 if duplicate else 1
-        reply: Optional[Dict] = None
-        for _ in range(sends):
-            try:
-                reply = self.transport.post(f"/shards/{shard_id}/seeds", payload)
-            except TransportError:
-                return False
-            registry.inc("worker.uploads")
-            registry.inc("worker.batched_seeds", len(entries))
-            if sends == 2:
-                registry.inc("worker.duplicate_uploads")
-        replies = reply.get("results") if isinstance(reply, dict) else None
-        if not isinstance(replies, list) or not any(
-            isinstance(entry, dict) and entry.get("known", False)
-            for entry in replies
-        ):
-            return False  # the job is gone; stop working on it
-        return True
-
-    def _upload(
-        self,
-        job_id: str,
-        shard_id: str,
-        seed: int,
-        document: Dict,
-        plan,
-    ) -> bool:
-        """Upload one seed result (idempotent server-side); ``False``
-        means the shard must be abandoned."""
-        registry = default_registry()
-        payload = {
-            "job": job_id,
-            "worker": self.worker_id,
-            "seed": seed,
-            "result": document,
-        }
-        sends = 2 if plan is not None and plan.duplicate_upload(seed) else 1
-        reply: Optional[Dict] = None
-        for _ in range(sends):
-            try:
-                reply = self.transport.post(f"/shards/{shard_id}/seeds", payload)
-            except TransportError:
-                # Out of retries (or an HTTP error): the seed may or
-                # may not be durable — either is fine, dedup absorbs a
-                # re-run, the lease timeout re-queues the remainder.
-                return False
-            registry.inc("worker.uploads")
-            if sends == 2:
-                registry.inc("worker.duplicate_uploads")
-        if reply is not None and not reply.get("known", False):
-            return False  # the job is gone; stop working on it
-        return True
-
-    def _fail(self, job_id: str, shard_id: str, exc: BaseException) -> None:
-        registry = default_registry()
-        registry.inc("worker.failures")
-        self._post_quietly(
-            f"/shards/{shard_id}/fail",
-            {
-                "job": job_id,
-                "worker": self.worker_id,
-                "error": f"{type(exc).__name__}: {exc}",
-            },
-        )
-
-    def _release(self, job_id: str, shard_id: str) -> None:
-        registry = default_registry()
-        registry.inc("worker.released")
-        self._post_quietly(
-            f"/shards/{shard_id}/release",
-            {"job": job_id, "worker": self.worker_id},
-        )
-
-    def _post_quietly(self, path: str, payload: Dict) -> None:
-        """Best-effort notification: if it does not arrive, the lease
-        timeout delivers the same outcome later."""
-        try:
-            self.transport.post(path, payload)
-        except TransportError:
-            pass
-
-
-def worker_main(worker: ShardWorker) -> int:
-    """Run ``worker`` as this process's main loop (the ``repro worker
-    start`` entry point): SIGTERM and SIGINT trigger the graceful drain.
-    Returns the number of seeds the worker ran."""
-
-    def _on_signal(signum: int, frame: object) -> None:
-        worker.request_stop()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-    return worker.run()
+            self._contexts[job_id] = run
+        return run

@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..errors import storage_failure
+from ..experiments.options import fault_plan
 
 __all__ = [
     "FSYNC_ENV",
@@ -71,14 +72,6 @@ def fsync_enabled() -> bool:
     return os.environ.get(FSYNC_ENV, "1") != "0"
 
 
-def _active_plan():
-    # Imported lazily: repro.storage must stay importable before (and
-    # by) repro.experiments without a cycle.
-    from ..experiments.faults import active_fault_plan
-
-    return active_fault_plan()
-
-
 def _write_payload(handle, data: bytes, path: Path) -> None:
     """Push ``data`` at the OS — the storage-chaos injection point.
 
@@ -89,7 +82,7 @@ def _write_payload(handle, data: bytes, path: Path) -> None:
     writes half and raises ``ENOSPC``; ``readonly`` raises ``EROFS``
     before writing anything.
     """
-    plan = _active_plan()
+    plan = fault_plan()
     if plan is not None:
         data = plan.storage_write_fault(path, handle, data)
     handle.write(data)

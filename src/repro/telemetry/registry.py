@@ -1,7 +1,7 @@
 """Process-wide named counters, gauges, and histograms.
 
 One registry absorbs the tallies that used to live as scattered
-attributes: schedule-cache hits/misses/evictions/preloads
+attributes: schedule-cache hits/misses/evictions
 (``cache.*``), supervisor retries/timeouts/respawns/quarantines
 (``supervisor.*``), per-kind trace counts (``trace.*``), sweep
 capture/safety series and throughput (``sweep.*``), and divergence
@@ -15,9 +15,9 @@ or RNG state, so leaving them unconditional on supervised paths is
 safe; rate gauges (anything per-second) are only computed inside an
 already-entered span.
 
-Pool workers run each chunk under a private registry (installed via
-``use_registry``) and ship its snapshot back with the chunk results;
-the parent merges it with ``merge``.
+Pool workers run each shard under a private registry (installed via
+``use_registry``) and ship its snapshot back with the shard's ``done``
+report; the parent merges it with ``merge``.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     """Install ``registry`` as the process default for the duration.
 
     A telemetry session scopes its metrics this way, and pool workers
-    isolate each chunk's tallies so the shipped snapshot contains only
-    that chunk's work.
+    isolate each shard's tallies so the shipped snapshot contains only
+    that shard's work.
     """
     global _DEFAULT
     previous = _DEFAULT

@@ -17,11 +17,12 @@ given — writes three artifacts:
 ``metrics.json``
     the registry ``snapshot()``.
 
-Pool workers never see the session object: ``ExperimentConfig``
-carries a ``telemetry`` flag (stamped automatically while a session
-is active) and each worker chunk instruments itself with a private
-tracer + registry, shipping both back with the chunk results; the
-supervisor hands the payload to :func:`absorb_worker_payload`.
+Pool workers record nothing into the session object they inherit:
+``ExperimentConfig`` carries a ``telemetry`` flag (stamped
+automatically while a session is active) and each worker instruments
+every shard it runs with a private tracer + registry, shipping both
+back with the shard's ``done`` report; the pool hands the payload to
+:func:`absorb_worker_payload`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ _ACTIVE_SESSION: Optional["TelemetrySession"] = None
 
 
 def absorb_worker_payload(payload: Dict[str, Any]) -> None:
-    """Merge a worker chunk's telemetry payload into the parent's
+    """Merge a worker shard's telemetry payload into the parent's
     tracer and registry.  No-op when telemetry is inactive (a stale
     payload can arrive if a session ends mid-harvest)."""
     tracer = active_tracer()

@@ -12,8 +12,8 @@ check per loop, and never touches the RNG stream or the clock.
 Timestamps are ``time.perf_counter()`` deltas from the tracer's
 creation; each tracer also records a ``time.time()`` anchor (`wall0`)
 so spans recorded by a pool worker's private tracer can be shifted
-onto the parent's timeline when the payload ships back with the chunk
-results (``export_payload``/``absorb``).
+onto the parent's timeline when the payload ships back with the
+worker's shard (``export_payload``/``absorb``).
 
 Two export formats: JSONL (one span object per line) and Chrome
 trace-event JSON, loadable in Perfetto / chrome://tracing, with each
@@ -146,7 +146,7 @@ class SpanTracer:
 
     def export_payload(self) -> Dict[str, Any]:
         """Compact picklable form of all closed spans, for shipping
-        back to the parent alongside a chunk's results."""
+        back to the parent with a worker's shard."""
         return {
             "pid": self.pid,
             "wall0": self.wall0,

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core import Schedule
 from repro.das import centralized_das_schedule
 from repro.topology import GridTopology, LineTopology, RingTopology, Topology
+
+#: CI's deep run of the generated differential tests
+#: (``pytest --hypothesis-profile=deep``): many more examples, drawn at
+#: random and shrunk on failure (see ``differential.py``).
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -15,7 +15,8 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from differential import differential_settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.das.fast_setup as fs
@@ -379,12 +380,7 @@ class TestGeneratedDifferential:
         refinement=st.integers(2, 6),
         seed=st.integers(0, 2**31 - 1),
     )
-    @settings(
-        max_examples=120,
-        deadline=None,
-        derandomize=True,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @differential_settings(max_examples=120)
     def test_fast_matches_legacy(
         self,
         setup_engines,
@@ -682,9 +678,9 @@ class TestExperimentThreading:
         assert fast.to_json() == legacy.to_json()
 
 
-class TestScheduleShipping:
-    """Satellite: the parallel runner ships already-built schedules with
-    each worker chunk, and the accounting stays truthful."""
+class TestScheduleInheritance:
+    """Pooled workers fork after the sweep opens, so they inherit the
+    schedules the parent already built instead of rebuilding them."""
 
     def _distributed_config(self):
         from repro.experiments import ExperimentConfig
@@ -696,53 +692,27 @@ class TestScheduleShipping:
             max_periods=4,
         )
 
-    def test_parent_ships_only_warm_entries_counter_neutrally(self, grid5):
-        from repro.experiments import ParallelExperimentRunner
+    def test_pooled_workers_reuse_the_parents_schedules(self, grid5, monkeypatch):
+        from repro.experiments import ExperimentRunner, ParallelExperimentRunner
         from repro.experiments.schedule_cache import ScheduleCache
 
-        cache = ScheduleCache()
-        runner = ParallelExperimentRunner(grid5, workers=2, schedule_cache=cache)
         config = self._distributed_config()
-        # Cold parent: nothing to ship.
-        assert runner._cached_schedules_for(config, (0, 1, 2)) is None
-        # Warm one seed; exactly that entry travels.
-        built = runner.build_schedule(config, 1)
-        before = cache.stats()
-        shipped = runner._cached_schedules_for(config, (0, 1, 2))
-        assert cache.stats() == before  # peek is counter-neutral
-        assert shipped is not None and len(shipped) == 1
-        key = runner.schedule_key_for(config, 1)
-        assert shipped[key] is built
+        serial = ExperimentRunner(grid5).run(config)
+        with ParallelExperimentRunner(
+            grid5, workers=2, schedule_cache=ScheduleCache()
+        ) as runner:
+            for i in range(config.repeats):
+                runner.build_schedule(config, config.base_seed + i)
 
-    def test_worker_chunk_reuses_preloaded_schedules(self, grid5):
-        """_run_seed_chunk with a shipped payload takes cache hits, not
-        rebuilds — run in-process so the default cache is observable."""
-        from repro.experiments import ExperimentRunner
-        from repro.experiments.parallel import _run_seed_chunk, _SweepSeed
-        from repro.experiments.schedule_cache import (
-            default_schedule_cache,
-            reset_default_cache,
-        )
+            def rebuilt(self, config, seed):
+                raise AssertionError(f"a worker rebuilt seed {seed}'s schedule")
 
-        config = self._distributed_config()
-        parent = ExperimentRunner(grid5)
-        shipped = {
-            parent.schedule_key_for(config, seed): parent._build_schedule(
-                config, seed
-            )
-            for seed in (0, 1)
-        }
-        reset_default_cache()
-        try:
-            results = _run_seed_chunk(
-                _SweepSeed(grid5, config, shipped), (0, 1), telemetry=False
-            )
-            stats = default_schedule_cache().stats()
-            assert len(results) == 2
-            assert stats["hits"] == 2  # both lookups found shipped entries
-            assert stats["misses"] == 0  # preload itself counted nothing
-        finally:
-            reset_default_cache()
+            # The workers fork after this patch: any build they attempt
+            # fails its seed, which the sweep would quarantine.
+            monkeypatch.setattr(ExperimentRunner, "_build_schedule", rebuilt)
+            pooled = runner.run(config)
+        assert pooled.failures == ()
+        assert pooled.results == serial.results
 
     def test_pool_results_identical_with_warm_and_cold_parent(self, grid5):
         from repro.experiments import (
@@ -753,7 +723,7 @@ class TestScheduleShipping:
         config = self._distributed_config()
         serial = ExperimentRunner(grid5).run(config)
         with ParallelExperimentRunner(grid5, workers=2) as pool_runner:
-            # Warm the parent cache so chunks ship real payloads.
+            # Warm the parent cache the workers inherit.
             for i in range(config.repeats):
                 pool_runner.build_schedule(config, config.base_seed + i)
             warm = pool_runner.run(config)

@@ -27,7 +27,10 @@
   document codec: ``ScenarioSpec`` imports it on first use.
 * The other way round, a process that forks workers imports what its
   seeds execute *before* it forks, so the workers inherit it instead of
-  each compiling it again (DESIGN.md "Import boundaries").
+  each compiling it again (DESIGN.md "Import boundaries"); a pooled
+  sweep forks them with the shard board, the fleet and the pull loop.
+* Without a fault plan nothing loads the chaos harness or
+  ``concurrent.futures``: not a remote worker, not a pooled sweep.
 
 The child interpreters run the CLI under ``runpy`` and report which
 modules ended up loaded.  Run under ``python -X importtime -m pytest -s``
@@ -47,6 +50,8 @@ from pathlib import Path
 from typing import List, Tuple
 
 import pytest
+
+from repro.experiments.options import FAULT_PLAN_ENV
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -140,6 +145,15 @@ POOL = (
     "repro.experiments.faults",
     "concurrent.futures",
 )
+
+#: What a pooled sweep forks its workers with: the shard board, the
+#: fleet and the pull loop with its pipe transport.  A serial sweep
+#: loads none of it (``repro.service`` is in :data:`DEFERRED`).
+POOL_FORK = ("repro.service.fleet", "repro.service.pull", "repro.service.transport")
+
+#: The chaos harness and the futures machinery: nothing loads them
+#: unless a fault plan is set.
+CHAOS = ("repro.experiments.faults", "concurrent.futures")
 
 #: A small overhead sweep, serial and on two workers (the pool forks).
 SERIAL_OVERHEAD = (
@@ -348,15 +362,25 @@ def test_service_status_loads_no_run_path():
             "ParallelExperimentRunner(GridTopology(3), workers=2).close()",
             RUN_PATH,
         ),
-        (POOLED_SLP, RUN_PATH + SLP_PATH),
+        (POOLED_SLP, RUN_PATH + SLP_PATH + POOL_FORK),
         ("import repro.experiments.overhead", SETUP_PATH),
-        (POOLED_OVERHEAD, SETUP_PATH + ("repro.experiments.pool",)),
+        (POOLED_OVERHEAD, SETUP_PATH + ("repro.experiments.pool",) + POOL_FORK),
     ],
     ids=["service", "worker", "pool", "pool-slp", "overhead", "overhead-pooled"],
 )
 def test_forking_processes_load_the_run_path_before_forking(code, expected):
     modules = _modules_after(code)
     assert _loaded(modules, expected) == list(expected)
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import repro.service.worker", POOLED_OVERHEAD, POOLED_SLP],
+    ids=["worker", "overhead-pooled", "pool-slp"],
+)
+def test_no_fault_plan_loads_no_chaos_harness(code):
+    assert FAULT_PLAN_ENV not in os.environ
+    assert _loaded(_modules_after(code), CHAOS) == []
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ mode changes no outcome, only what the recorder retains.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 from dataclasses import asdict
 
@@ -146,20 +147,22 @@ class TestSerialParallelIdentity:
         assert serial.results == parallel.results
         assert asdict(serial.stats) == asdict(parallel.stats)
 
-    def test_single_worker_degenerates_to_serial(self, grid5):
+    def test_single_worker_degenerates_to_serial(self, grid5, monkeypatch):
         cfg = ExperimentConfig(repeats=3, noise="ideal")
         serial = ExperimentRunner(grid5).run(cfg)
         runner = ParallelExperimentRunner(grid5, workers=1)
-        assert runner.run(cfg).results == serial.results
-        assert runner._executor is None  # no pool was ever spawned
 
-    def test_pool_reuse_across_runs(self, grid5):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker runner used the pool")
+
+        monkeypatch.setattr(ParallelExperimentRunner, "map_seeds", no_pool)
+        assert runner.run(cfg).results == serial.results
+
+    def test_repeated_runs_fork_afresh_and_agree(self, grid5):
         with ParallelExperimentRunner(grid5, workers=2) as runner:
             a = runner.run(ExperimentConfig(repeats=4, noise="ideal"))
-            executor = runner._executor
+            assert multiprocessing.active_children() == []
             b = runner.run(ExperimentConfig(repeats=4, noise="ideal"))
-            assert runner._executor is executor
-        assert runner._executor is None
         assert a.results == b.results
 
     def test_close_is_idempotent(self, grid5):

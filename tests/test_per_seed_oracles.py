@@ -18,7 +18,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from differential import differential_settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.das.centralized as centralized
@@ -124,7 +125,7 @@ def _component(edges, start):
     radius=st.sampled_from((1.5, 2.5, 3.5)),
     seed=st.integers(0, 2**31 - 1),
 )
-@settings(max_examples=200, deadline=None, derandomize=True)
+@differential_settings(max_examples=200)
 def test_incremental_repair_matches_full_passes_on_unit_disk_graphs(
     points, radius, seed
 ):

@@ -17,7 +17,9 @@ The contracts under test, in roughly increasing order of violence:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -237,6 +239,34 @@ class TestSupervisedChaos:
         )
         assert outcome.failures == ()
         assert outcome.results == serial.results
+
+    def test_dead_worker_charged_on_its_own_lease_only(self, tmp_path):
+        """Two workers, one shard each; the worker leasing seeds 0-5
+        dies at seed 0.  Only its shard is charged an attempt: the
+        other shard's seeds land once, at their first attempt."""
+        topology = paper_grid(11)
+        config = ExperimentConfig(algorithm=PROTECTIONLESS, repeats=12, base_seed=0)
+        plan = FaultPlan(crash_seeds=(0,), marker_dir=str(tmp_path))
+        landed = Counter()
+        with TelemetrySession(label="blame") as session, plan.activated():
+            with ParallelExperimentRunner(
+                topology, workers=2, chunks_per_worker=1, retry_policy=FAST_RETRY
+            ) as runner:
+                outcome = runner.run(
+                    config, on_result=lambda seed, result: landed.update([seed])
+                )
+        assert outcome.failures == ()
+        assert outcome.results == ExperimentRunner(topology).run(config).results
+        assert landed == Counter(range(12))
+        retried = [
+            span.attrs["seeds"]
+            for span in session.tracer.spans()
+            if span.name == "chunk.retry"
+        ]
+        assert retried == [[0, 1, 2, 3, 4, 5]]
+        counters = session.registry.snapshot()["counters"]
+        assert counters["supervisor.retries"] == 1
+        assert counters["supervisor.respawns"] == 1
 
     def test_hung_worker_reclaimed_by_chunk_timeout(
         self, grid5, config, serial, tmp_path
@@ -510,20 +540,19 @@ class TestLifecycleHardening:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert default_workers() == 1
 
-    def test_close_kill_terminates_pool(self, grid5, config):
-        runner = ParallelExperimentRunner(grid5, workers=2)
-        runner.run(config)
-        runner.close(kill=True)
-        runner.close(kill=True)  # idempotent
-        assert runner._executor is None
+    def test_no_worker_outlives_a_sweep(self, grid5, config):
+        with ParallelExperimentRunner(grid5, workers=2) as runner:
+            runner.run(config)
+            assert multiprocessing.active_children() == []
 
-    def test_exit_on_keyboard_interrupt_kills(self, grid5, config):
+    def test_keyboard_interrupt_mid_sweep_reaps_workers(self, grid5, config):
+        def interrupt(seed, result):
+            raise KeyboardInterrupt
+
         runner = ParallelExperimentRunner(grid5, workers=2)
         with pytest.raises(KeyboardInterrupt):
-            with runner:
-                runner.run(config)
-                raise KeyboardInterrupt
-        assert runner._executor is None
+            runner.run(config, on_result=interrupt)
+        assert multiprocessing.active_children() == []
 
     def test_chunk_timeout_validated(self, grid5):
         with pytest.raises(ConfigurationError):

@@ -158,7 +158,6 @@ class TestScheduleCacheLru:
             "hits": 1,
             "misses": 1,
             "evictions": 0,
-            "preloads": 0,
             "size": 1,
         }
         assert "1 hits / 1 misses" in cache.summary()
@@ -179,19 +178,16 @@ class TestScheduleCacheLru:
         cache.get_or_build("a", lambda: "A")
         cache.clear()
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-        assert (cache.evictions, cache.preloads) == (0, 0)
+        assert cache.evictions == 0
 
-    def test_eviction_and_preload_counters(self):
+    def test_eviction_counter(self):
         cache = ScheduleCache(maxsize=2)
         cache.get_or_build("a", lambda: "A")
         cache.get_or_build("b", lambda: "B")
         cache.get_or_build("c", lambda: "C")  # evicts a
         assert cache.evictions == 1
-        cache.preload({"d": "D"})  # installs d, evicts b
-        assert (cache.preloads, cache.evictions) == (1, 2)
-        # Preload is hit/miss-neutral: nothing was looked up.
         assert (cache.hits, cache.misses) == (0, 3)
-        assert "2 evictions, 1 preloads" in cache.summary()
+        assert "1 evictions" in cache.summary()
 
     def test_summary_keeps_short_form_without_evictions(self):
         cache = ScheduleCache()
@@ -323,7 +319,7 @@ class TestDefaultCacheAccessors:
 
     def test_default_cache_stats_snapshot(self, grid5):
         before = default_cache_stats()
-        assert set(before) == {"hits", "misses", "evictions", "preloads", "size"}
+        assert set(before) == {"hits", "misses", "evictions", "size"}
         ExperimentRunner(grid5).build_schedule(
             ExperimentConfig(repeats=1), seed=12345
         )
@@ -339,7 +335,6 @@ class TestDefaultCacheAccessors:
             "hits": 0,
             "misses": 0,
             "evictions": 0,
-            "preloads": 0,
             "size": 0,
         }
 

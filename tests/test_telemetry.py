@@ -350,10 +350,14 @@ class TestSpanTreeUnderFaults:
         _assert_span_forest(session.tracer.spans())
         names = {s.name for s in session.tracer.spans()}
         assert "chunk.retry" in names  # the drill really retried
-        assert {s.pid for s in session.tracer.spans() if s.name == "chunk.run"}
+        assert {
+            s.pid
+            for s in session.tracer.spans()
+            if s.name.startswith("worker.shard:")
+        } - {session.tracer.pid}
         registry = session.registry.snapshot()["counters"]
         assert registry["supervisor.retries"] >= 1
-        assert registry["supervisor.chunks"] >= 4
+        assert registry["supervisor.leases.granted"] >= 4
 
 
 class TestCliTelemetry:
@@ -450,9 +454,8 @@ class TestCliTelemetry:
 
     def test_pooled_overhead_ships_worker_spans(self, tmp_path):
         """A pooled run records the same work spans as a serial one: the
-        workers' spans ride back with their chunks.  Only the pool's own
-        bookkeeping (``chunk.dispatch`` instants, ``chunk.run`` worker
-        roots) is extra."""
+        workers' spans ride back with their shards.  Only the workers'
+        ``worker.shard:<id>`` roots are extra."""
         from collections import Counter
 
         def span_names(*extra):
@@ -467,6 +470,7 @@ class TestCliTelemetry:
         assert serial == Counter(
             {"cli.overhead": 1, "overhead.seed": 2, "setup.phase1": 2, "setup.phase23": 2}
         )
-        assert pooled["chunk.run"] >= 1  # the spans came from workers
-        work = Counter({n: c for n, c in pooled.items() if not n.startswith("chunk.")})
+        shards = [n for n in pooled if n.startswith("worker.shard:")]
+        assert shards  # the spans came from workers
+        work = Counter({n: c for n, c in pooled.items() if n not in shards})
         assert work == serial
