@@ -7,7 +7,7 @@ multiple simultaneous sources, a mobile source rotating through the
 grid corners, node churn and duty-cycled regions, and the promoted
 attacker spectrum of ``attacker_gallery.py`` — all as named, frozen
 :class:`~repro.scenarios.ScenarioSpec` entries swept through the same
-``ExperimentRunner``/``ParallelExperimentRunner`` machinery with
+``ExperimentRunner``, serially or on its worker pool, with
 bit-identical serial/parallel results.
 
 This example drives everything through the ``repro-slp-das scenario``

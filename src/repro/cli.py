@@ -52,10 +52,9 @@ def _runner_options(args: argparse.Namespace) -> dict:
 
     Maps whichever of them the subcommand declares — ``--workers``,
     ``--legacy-kernel``, ``--legacy-setup-kernel``,
-    ``--no-schedule-cache``, ``--force-parallel`` and the resilience
-    flags — onto the keyword names :func:`run_figure5`,
-    :func:`measure_setup_overhead`, :class:`ScenarioRunner` and the
-    service's job payload share.  ``--no-schedule-cache`` also switches
+    ``--no-schedule-cache`` and the resilience flags — onto the keyword
+    names :func:`run_figure5`, :func:`measure_setup_overhead`,
+    :class:`ScenarioRunner` and the service's job payload share.  ``--no-schedule-cache`` also switches
     this process's schedule cache off.
     """
     options = {}
@@ -71,7 +70,6 @@ def _runner_options(args: argparse.Namespace) -> dict:
             configure_schedule_cache(enabled=False)
     for name in (
         "workers",
-        "force_parallel",
         "checkpoint",
         "resume",
         "guard",
@@ -420,7 +418,8 @@ def _cmd_service_start(args: argparse.Namespace) -> int:
 
 def _cmd_service_gc(args: argparse.Namespace) -> int:
     from .experiments import SweepCheckpoint
-    from .service import JobStore, lower_job
+    from .scenarios import lower_job
+    from .service import JobStore
 
     store_path = Path(args.data_dir) / "jobs.sqlite"
     if not store_path.exists():
@@ -743,12 +742,6 @@ def _scenario_sweep_flags(flags: argparse.ArgumentParser) -> None:
     """The sweep flags plus what only scenario sweeps take."""
     _sweep_flags(flags)
     _seeds_flags(flags)
-    flags.add_argument(
-        "--force-parallel",
-        action="store_true",
-        help="honour --workers verbatim even where the worker policy "
-        "would fall back to the serial engine",
-    )
     flags.add_argument(
         "--schedule-store",
         type=Path,

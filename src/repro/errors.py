@@ -123,7 +123,7 @@ def sweep_failed(
     shape, naming the seeds that never completed and how hard the
     supervisor tried::
 
-        raise sweep_failed("ParallelExperimentRunner", [3, 4], 3,
+        raise sweep_failed("ExperimentRunner", [3, 4], 3,
                            "InjectedFault: poison")
     """
     listed = ", ".join(map(str, seeds))

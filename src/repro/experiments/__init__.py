@@ -42,11 +42,9 @@ _EXPORTS = {
         "GUARD_MODES",
         "MIN_NODE_RUNS_FOR_POOL",
         "default_workers",
+        "plan_pool",
         "plan_workers",
         "workers_argument",
-    ),
-    "parallel": (
-        "ParallelExperimentRunner",
     ),
     "pool": (
         "SeedPool",

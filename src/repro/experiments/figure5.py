@@ -19,7 +19,7 @@ from ..errors import ConfigurationError
 from ..metrics import CaptureStats
 from ..topology import paper_grid
 from .config import PAPER, PAPER_SIZES, PaperParameters
-from .parallel import ParallelExperimentRunner
+from .options import plan_pool
 from .resilience import FailedRun, SweepCheckpoint
 from .runner import PROTECTIONLESS, SLP, ExperimentConfig, ExperimentRunner
 
@@ -99,11 +99,13 @@ def run_figure5(
 
     Parameters mirror the paper's setup; reduce ``repeats`` or ``sizes``
     for quick runs (the benchmarks do).  ``workers`` fans the seed
-    sweeps out over that many processes (``None`` = serial); results are
-    identical either way.  ``kernel``, ``setup_kernel`` and
-    ``use_schedule_cache`` are the bisection knobs of the performance
-    layer (also identical either way): the protectionless cells of the
-    two panels share one schedule per (size, seed) through the cache.
+    sweeps out over up to that many processes (``None`` = serial), as
+    :func:`~repro.experiments.plan_workers` resolves it for each grid
+    size; results are identical either way.  ``kernel``,
+    ``setup_kernel`` and ``use_schedule_cache`` are the bisection knobs
+    of the performance layer (also identical either way): the
+    protectionless cells of the two panels share one schedule per
+    (size, seed) through the cache.
     ``use_distributed`` builds every schedule with the full
     message-level setup protocols instead of the centralised pipeline.
 
@@ -119,9 +121,6 @@ def run_figure5(
     all sweeps of the panel (the CLI's live progress hook).
     """
     store = SweepCheckpoint(checkpoint) if checkpoint is not None else None
-    bundle_dir = (
-        str(Path(checkpoint) / "divergence") if checkpoint is not None else "divergence"
-    )
     protectionless = ExperimentConfig(
         algorithm=PROTECTIONLESS,
         repeats=repeats,
@@ -142,25 +141,19 @@ def run_figure5(
     for size in sizes:
         topology = paper_grid(size)
         # Each sweep of the cell forks its own workers.
-        runner = (
-            ExperimentRunner(topology)
-            if workers is None
-            else ParallelExperimentRunner(
-                topology, workers=workers, chunk_timeout=chunk_timeout
-            )
+        runner = ExperimentRunner(
+            topology, pool=plan_pool(workers, repeats, topology, chunk_timeout)
         )
-        with runner:
-            base, slp = [
-                runner.run_resilient(
-                    config,
-                    checkpoint=store,
-                    resume=resume,
-                    guard=guard,
-                    bundle_dir=bundle_dir,
-                    on_result=on_result,
-                )
-                for config in configs
-            ]
+        base, slp = [
+            runner.run(
+                config,
+                on_result=on_result,
+                checkpoint=store,
+                resume=resume,
+                guard=guard,
+            )
+            for config in configs
+        ]
         cells.append(
             Figure5Cell(
                 size=size,

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..topology import Topology
+    from .pool import SeedPool
 
 #: Environment variable carrying the active fault plan (JSON) to
 #: workers (see :mod:`repro.experiments.faults`).  Read here so the run
@@ -32,7 +33,7 @@ def fault_plan():
     return active_fault_plan()
 
 
-#: Divergence-guard modes accepted by ``run_resilient``/the CLI.
+#: Divergence-guard modes accepted by ``ExperimentRunner.run``/the CLI.
 GUARD_DIFFERENTIAL = "differential"
 GUARD_MODES = (GUARD_DIFFERENTIAL,)
 
@@ -74,7 +75,6 @@ def plan_workers(
     workers: Optional[int],
     repeats: Optional[int] = None,
     topology: Optional["Topology"] = None,
-    force_parallel: bool = False,
 ) -> int:
     """Resolve a requested worker count into an *effective* one.
 
@@ -90,15 +90,11 @@ def plan_workers(
       :data:`MIN_NODE_RUNS_FOR_POOL`, the whole sweep runs serially.
 
     Returns the worker count to actually use (``1`` = serial).
-    ``force_parallel`` is the escape hatch: the requested count is used
-    verbatim (benchmarks measuring pool overhead itself need this).
     ``None`` stays serial, ``0`` means one per CPU, as everywhere else.
     """
     resolved = default_workers() if workers == 0 else workers
     if resolved is None or resolved <= 1:
         return 1
-    if force_parallel:
-        return resolved
     effective = min(resolved, default_workers())
     if effective <= 1:
         return 1
@@ -109,3 +105,21 @@ def plan_workers(
     ):
         return 1
     return effective
+
+
+def plan_pool(
+    workers: Optional[int],
+    repeats: int,
+    topology: "Topology",
+    chunk_timeout: Optional[float] = None,
+) -> Optional["SeedPool"]:
+    """The :class:`~repro.experiments.pool.SeedPool` an operational
+    sweep of ``repeats`` seeds over ``topology`` runs on, or ``None``
+    when :func:`plan_workers` gives it one worker (the pool code is
+    imported only when a pool is built)."""
+    effective = plan_workers(workers, repeats, topology)
+    if effective == 1:
+        return None
+    from .pool import SeedPool
+
+    return SeedPool(effective, chunk_timeout=chunk_timeout)

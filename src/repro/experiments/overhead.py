@@ -35,7 +35,7 @@ from ..slp import SlpProtocolConfig, run_slp_setup
 from ..telemetry import active_tracer
 from ..topology import Topology
 from .config import PAPER, PaperParameters
-from .options import default_workers
+from .options import plan_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .resilience import FailedRun
@@ -152,9 +152,9 @@ def measure_setup_overhead(
 
     ``setup_periods`` defaults to the paper's MSP (80); tests pass a
     smaller value to keep runtime down.  ``workers`` spreads the seeds
-    over up to that many processes (``None`` or ``1`` = serial, ``0`` =
-    one per CPU).  A serial run raises a failing seed's error; a pooled
-    run retries it, quarantines it into ``failures`` and raises
+    over up to that many processes, never more than there are cores or
+    seeds (``None`` or ``1`` = serial, ``0`` = one per CPU).  A serial
+    run raises a failing seed's error; a pooled run retries it, quarantines it into ``failures`` and raises
     :class:`~repro.errors.SweepExecutionError` only when no seed
     survives — as scenario sweeps do.  ``setup_kernel`` selects the
     setup engine (``"fast"``/``"legacy"``/``None`` for the default;
@@ -170,7 +170,9 @@ def measure_setup_overhead(
         topology, search_distance, setup_periods, refinement_periods, noise,
         parameters, setup_kernel,
     )
-    processes = 1 if workers is None else min(workers or default_workers(), len(seeds))
+    # The core cap only: the small-sweep threshold is calibrated on
+    # operational seeds, which cost far less than a distributed setup.
+    processes = min(plan_workers(workers), len(seeds))
     if processes <= 1:
         return OverheadMeasurement(
             topology.name, tuple(measure(seed) for seed in seeds), tuple(seeds)

@@ -23,9 +23,9 @@ killed and charged ``timeout``.  A sweep in which nothing fails is
 byte-identical to unsupervised execution.
 
 The pool knows nothing of the operational phase.  The message-overhead
-experiment uses it directly and so imports only the setup stack;
-:class:`~repro.experiments.ParallelExperimentRunner` builds on it for
-operational sweeps.
+experiment uses it directly and so imports only the setup stack; an
+:class:`~repro.experiments.ExperimentRunner` given one runs its
+operational sweeps on it.
 """
 
 from __future__ import annotations

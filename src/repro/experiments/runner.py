@@ -16,6 +16,7 @@ full message-level setup instead, which the examples demonstrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from ..app import (
@@ -45,15 +46,16 @@ from .schedule_cache import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .pool import SeedPool
     from .resilience import FailedRun, GuardReport, SweepCheckpoint
 
 def setup_protocols():
     """``(run_das_setup, SlpProtocolConfig, run_slp_setup)``: the
     message-level setup stack, imported on first use.  Only
     ``use_distributed`` sweeps run it, and no registered scenario is
-    one.  :class:`~repro.experiments.ParallelExperimentRunner` calls
-    this before it forks, so pool workers inherit the modules instead
-    of each compiling them."""
+    one.  A pooled :class:`ExperimentRunner` calls this before it
+    forks, so pool workers inherit the modules instead of each
+    compiling them."""
     from ..das.protocol import run_das_setup
     from ..slp.distributed import SlpProtocolConfig, run_slp_setup
 
@@ -238,40 +240,34 @@ class ExperimentOutcome:
 class ExperimentRunner:
     """Sweeps seeds for one topology and experiment configuration.
 
-    Runs execute serially in-process; the drop-in
-    :class:`~repro.experiments.ParallelExperimentRunner` fans the same
-    sweep out over worker processes with identical results.
+    Runs execute serially in-process unless the runner has a ``pool``
+    (a :class:`~repro.experiments.pool.SeedPool`): then a sweep of more
+    than one seed fans out over its forked workers, with identical
+    results.
 
     ``schedule_cache`` overrides the process-default
     :class:`~repro.experiments.schedule_cache.ScheduleCache` consulted
     by :meth:`build_schedule`; pass an explicit cache to isolate sweeps
     or ``None`` to share the default (the normal mode — cache hits are
     what make identity re-sweeps and algorithm comparisons cheap).
+    Pool workers fork with a copy of it.
     """
 
     def __init__(
         self,
         topology: Topology,
         schedule_cache: Optional[ScheduleCache] = None,
+        pool: Optional[SeedPool] = None,
     ) -> None:
         self._topology = topology
         self._schedule_cache = schedule_cache
+        self._pool = pool
         self._fingerprint: Optional[str] = None
 
     @property
     def topology(self) -> Topology:
         """The network under test."""
         return self._topology
-
-    def close(self) -> None:
-        """Release sweep resources.  A no-op for the serial engine; kept
-        so serial and parallel runners share a lifecycle protocol."""
-
-    def __enter__(self) -> "ExperimentRunner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Schedule construction
@@ -417,11 +413,20 @@ class ExperimentRunner:
         on_result: Optional[Callable[[int, OperationalResult], None]] = None,
     ) -> Tuple[Dict[int, OperationalResult], Tuple[FailedRun, ...]]:
         """Run ``seeds`` and return results keyed by seed plus any
-        quarantine records.  The serial engine runs in-process with no
-        retry machinery (a failure here is a real bug, not a worker
-        casualty); the parallel runner overrides this with supervised
-        pool execution.  ``on_result`` fires after each completed seed
-        (the checkpoint store's append hook)."""
+        quarantine records.  With a pool and more than one seed the
+        seeds run on its supervised workers; otherwise they run
+        in-process with no retry machinery (a failure here is a real
+        bug, not a worker casualty).  ``on_result`` fires after each
+        completed seed (the checkpoint store's append hook)."""
+        if self._pool is not None and len(seeds) > 1:
+            # Imported here, so forked workers inherit what their seeds run.
+            if config.use_distributed:
+                setup_protocols()
+            elif config.algorithm == SLP:
+                slp_schedule_builder()
+            return self._pool.map_seeds(
+                partial(self.run_once, config), seeds, config.telemetry, on_result
+            )
         results: Dict[int, OperationalResult] = {}
         for seed in seeds:
             result = self.run_once(config, seed)
@@ -429,28 +434,6 @@ class ExperimentRunner:
             if on_result is not None:
                 on_result(seed, result)
         return results, ()
-
-    def _outcome(
-        self,
-        config: ExperimentConfig,
-        seeds: Sequence[int],
-        results_by_seed: Dict[int, OperationalResult],
-        failures: Tuple[FailedRun, ...],
-    ) -> ExperimentOutcome:
-        """Assemble surviving results (in seed order) into an outcome;
-        fail loudly when nothing survived."""
-        results = tuple(results_by_seed[s] for s in seeds if s in results_by_seed)
-        if not results:
-            from .resilience import nothing_survived
-
-            raise nothing_survived(type(self).__name__, seeds, failures)
-        return ExperimentOutcome(
-            config=config,
-            topology_name=self._topology.name,
-            results=results,
-            stats=capture_stats(results),
-            failures=failures,
-        )
 
     def _stamp_telemetry(self, config: ExperimentConfig) -> ExperimentConfig:
         """Mark the config telemetry-enabled while a session is active,
@@ -491,74 +474,24 @@ class ExperimentRunner:
         self,
         config: ExperimentConfig,
         on_result: Optional[Callable[[int, OperationalResult], None]] = None,
-    ) -> ExperimentOutcome:
-        """Run all repeats and aggregate.  ``on_result`` fires after
-        each completed seed (progress reporting)."""
-        config = self._stamp_telemetry(config)
-        seeds = [config.base_seed + i for i in range(config.repeats)]
-        tracer = active_tracer()
-        if tracer is None:
-            results_by_seed, failures = self._execute(config, seeds, on_result)
-            return self._outcome(config, seeds, results_by_seed, failures)
-        with tracer.span(
-            "sweep.execute", algorithm=config.algorithm, repeats=config.repeats
-        ) as span:
-            results_by_seed, failures = self._execute(config, seeds, on_result)
-            outcome = self._outcome(config, seeds, results_by_seed, failures)
-        self._publish_sweep_metrics(outcome, span.end - span.start)
-        return outcome
-
-    def run_checkpointed(
-        self,
-        config: ExperimentConfig,
-        checkpoint: SweepCheckpoint,
-        resume: bool = True,
-        on_result: Optional[Callable[[int, OperationalResult], None]] = None,
-    ) -> ExperimentOutcome:
-        """Run the sweep through an on-disk checkpoint store.
-
-        Completed seeds are appended to the store as they finish; with
-        ``resume=True`` seeds already on record are not re-run, and the
-        merged outcome is bit-identical to an uninterrupted sweep (each
-        run re-seeds from scratch, so a result cannot depend on which
-        process produced it or when).  ``resume=False`` discards any
-        prior record first.
-        """
-        config = self._stamp_telemetry(config)
-        key = checkpoint.key_for(self._topology, config)
-        if not resume:
-            checkpoint.clear(key)
-        done = checkpoint.load(key) if resume else {}
-        seeds = [config.base_seed + i for i in range(config.repeats)]
-        missing = [s for s in seeds if s not in done]
-
-        def _record(seed: int, result: OperationalResult) -> None:
-            checkpoint.append(key, seed, result)
-            if on_result is not None:
-                on_result(seed, result)
-
-        fresh, failures = self._execute(config, missing, on_result=_record)
-        merged = {s: done[s] for s in seeds if s in done}
-        merged.update(fresh)
-        return self._outcome(config, seeds, merged, failures)
-
-    def run_resilient(
-        self,
-        config: ExperimentConfig,
         checkpoint: Optional[SweepCheckpoint] = None,
         resume: bool = False,
         guard: Optional[str] = None,
-        bundle_dir: str = "divergence",
-        on_result: Optional[Callable[[int, OperationalResult], None]] = None,
     ) -> ExperimentOutcome:
-        """The fault-tolerance front door: checkpointing and the
-        kernel-divergence guard composed over :meth:`run`.
+        """Run all repeats and aggregate.
 
-        With every knob at its default this is exactly :meth:`run`.
-        ``guard="differential"`` re-runs a sample of the sweep's seeds
-        on the legacy engines after the sweep; a mismatch
-        writes a reproducer bundle under ``bundle_dir`` and degrades
-        the whole sweep to the legacy kernel (see
+        ``on_result`` fires after each completed seed (progress
+        reporting).  With a ``checkpoint`` store, completed seeds are
+        appended to it as they finish; ``resume=True`` re-runs only the
+        seeds not already on record, and the merged outcome is
+        bit-identical to an uninterrupted sweep (each run re-seeds from
+        scratch, so a result cannot depend on which process produced
+        it or when), while ``resume=False`` discards any prior record
+        first.  ``guard="differential"`` re-runs a sample of the seeds
+        on the legacy engines afterwards; a mismatch writes a
+        reproducer bundle under ``<checkpoint>/divergence`` (or
+        ``divergence`` without a store) and degrades the whole sweep to
+        the legacy kernel (see
         :func:`~repro.experiments.resilience.apply_divergence_guard`).
         """
         if guard is not None and guard not in GUARD_MODES:
@@ -566,16 +499,82 @@ class ExperimentRunner:
                 "ExperimentRunner", "guard", guard,
                 f"pick one of {GUARD_MODES} (or None)",
             )
+        stamped = self._stamp_telemetry(config)
+        seeds = [config.base_seed + i for i in range(config.repeats)]
+        done: Dict[int, OperationalResult] = {}
+        record = on_result
         if checkpoint is not None:
-            outcome = self.run_checkpointed(
-                config, checkpoint, resume=resume, on_result=on_result
-            )
+            key = checkpoint.key_for(self._topology, stamped)
+            if resume:
+                done = checkpoint.load(key)
+            else:
+                checkpoint.clear(key)
+
+            def record(seed: int, result: OperationalResult) -> None:
+                checkpoint.append(key, seed, result)
+                if on_result is not None:
+                    on_result(seed, result)
+
+        tracer = active_tracer()
+        if tracer is None:
+            outcome = self._sweep(stamped, seeds, done, record)
         else:
-            outcome = self.run(config, on_result=on_result)
+            with tracer.span(
+                "sweep.execute", algorithm=config.algorithm, repeats=config.repeats
+            ) as span:
+                outcome = self._sweep(stamped, seeds, done, record)
+            self._publish_sweep_metrics(outcome, span.end - span.start)
         if guard is not None:
             from .resilience import apply_divergence_guard
 
+            bundle_dir = (
+                "divergence"
+                if checkpoint is None
+                else str(checkpoint.root / "divergence")
+            )
             outcome = apply_divergence_guard(
                 self, config, outcome, bundle_dir=bundle_dir
             )
         return outcome
+
+    def _sweep(
+        self,
+        config: ExperimentConfig,
+        seeds: Sequence[int],
+        done: Dict[int, OperationalResult],
+        on_result: Optional[Callable[[int, OperationalResult], None]],
+    ) -> ExperimentOutcome:
+        """Run the seeds not already ``done`` and merge them with those
+        into the sweep's outcome."""
+        missing = [s for s in seeds if s not in done]
+        fresh, failures = self._execute(config, missing, on_result)
+        merged = {s: done[s] for s in seeds if s in done}
+        merged.update(fresh)
+        return sweep_outcome(
+            type(self).__name__, config, self._topology.name, seeds, merged, failures
+        )
+
+
+def sweep_outcome(
+    owner: str,
+    config: ExperimentConfig,
+    topology_name: str,
+    seeds: Sequence[int],
+    results_by_seed: Dict[int, OperationalResult],
+    failures: Tuple[FailedRun, ...],
+) -> ExperimentOutcome:
+    """Assemble the surviving results of a sweep of ``seeds`` (in seed
+    order) into an outcome; fail loudly, naming ``owner``, when nothing
+    survived."""
+    results = tuple(results_by_seed[s] for s in seeds if s in results_by_seed)
+    if not results:
+        from .resilience import nothing_survived
+
+        raise nothing_survived(owner, seeds, failures)
+    return ExperimentOutcome(
+        config=config,
+        topology_name=topology_name,
+        results=results,
+        stats=capture_stats(results),
+        failures=failures,
+    )

@@ -11,8 +11,8 @@ a declarative, named workload:
 * the registry (:func:`register_scenario`, :func:`get_scenario`,
   :func:`scenario_names`) with a built-in gallery from
   ``paper-baseline`` to ``churn-10pct``;
-* :class:`ScenarioRunner` — lowers specs onto the serial/parallel
-  experiment engine with bit-identical results either way, reporting
+* :class:`ScenarioRunner` — lowers specs onto the experiment runner,
+  serial or pooled with bit-identical results either way, reporting
   per-source capture ratios and first-capture aggregation.
 
 CLI: ``repro-slp-das scenario list|run|compare``.
@@ -44,6 +44,7 @@ _EXPORTS = {
         "TOPOLOGY_FAMILIES",
         "ScenarioSpec",
         "TopologySpec",
+        "lower_job",
     ),
 }
 

@@ -1,12 +1,12 @@
 """Sweeping scenarios through the experiment engine.
 
 :class:`ScenarioRunner` lowers a :class:`~repro.scenarios.ScenarioSpec`
-onto the existing serial/parallel experiment engine: build the
-topology, lower the spec to an :class:`~repro.experiments.ExperimentConfig`
-(which carries the source plan and perturbations), sweep it on the
-engine :func:`~repro.experiments.plan_workers` picks and wrap the
-outcome with the scenario-level metrics (per-source capture ratios,
-first-capture aggregation).
+onto the experiment runner: build the topology, lower the spec to an
+:class:`~repro.experiments.ExperimentConfig` (which carries the source
+plan and perturbations) with :func:`~repro.scenarios.lower_job`, sweep
+it serially or on the pool :func:`~repro.experiments.plan_pool` picks
+and wrap the outcome with the scenario-level metrics (per-source
+capture ratios, first-capture aggregation).
 
 Determinism contract: a scenario swept with ``workers=N`` produces the
 same per-run results, the same aggregate statistics and — because
@@ -22,15 +22,20 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..experiments.options import plan_workers
+from ..experiments.options import plan_pool
 from ..experiments.runner import ExperimentRunner
 from ..metrics.capture import first_capture_stats, per_source_capture_stats
 from .registry import get_scenario
-from .spec import ScenarioSpec
+from .spec import ScenarioSpec, lower_job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..app import OperationalResult
-    from ..experiments import ExperimentConfig, FailedRun, GuardReport
+    from ..experiments import (
+        ExperimentConfig,
+        ExperimentOutcome,
+        FailedRun,
+        GuardReport,
+    )
     from ..metrics import CaptureStats, FirstCaptureStats, PerSourceCapture
     from ..topology import NodeId
 
@@ -48,6 +53,26 @@ class ScenarioOutcome:
     first_capture: FirstCaptureStats
     failures: Tuple[FailedRun, ...] = ()
     guard: Optional[GuardReport] = None
+
+    @classmethod
+    def from_sweep(
+        cls, spec: ScenarioSpec, config: ExperimentConfig, outcome: ExperimentOutcome
+    ) -> "ScenarioOutcome":
+        """The scenario-level view of a sweep of ``spec`` lowered to
+        ``config``: however its seeds travelled (serial, pooled,
+        resumed or through the service), a sweep's report is built
+        here."""
+        return cls(
+            spec=spec,
+            topology_name=outcome.topology_name,
+            config=config,
+            results=tuple(outcome.results),
+            stats=outcome.stats,
+            per_source=per_source_capture_stats(outcome.results),
+            first_capture=first_capture_stats(outcome.results),
+            failures=tuple(outcome.failures),
+            guard=outcome.guard,
+        )
 
     @property
     def source_pool(self) -> Tuple[NodeId, ...]:
@@ -160,9 +185,6 @@ class ScenarioRunner:
         which falls back to the serial engine when a pool would only
         add overhead (more workers than cores, or a sweep too small to
         amortise dispatch).
-    force_parallel:
-        Bypass that fallback and honour ``workers`` verbatim (the CLI's
-        ``--force-parallel``).
     kernel:
         Operational engine override: ``"fast"`` (the table lane),
         ``"legacy"`` (the oracle and fallback) or ``None`` for the
@@ -202,7 +224,6 @@ class ScenarioRunner:
     def __init__(
         self,
         workers: Optional[int] = None,
-        force_parallel: bool = False,
         kernel: Optional[str] = None,
         setup_kernel: Optional[str] = None,
         use_schedule_cache: bool = True,
@@ -213,7 +234,6 @@ class ScenarioRunner:
         progress: bool = False,
     ) -> None:
         self._workers = workers
-        self._force_parallel = force_parallel
         self._kernel = kernel
         self._setup_kernel = setup_kernel
         self._use_schedule_cache = use_schedule_cache
@@ -226,9 +246,6 @@ class ScenarioRunner:
         self._guard = guard
         self._chunk_timeout = chunk_timeout
         self._progress = progress
-        self._bundle_dir = (
-            str(Path(checkpoint) / "divergence") if checkpoint else "divergence"
-        )
 
     def run(
         self,
@@ -248,19 +265,11 @@ class ScenarioRunner:
             Override the spec's first seed.
         """
         spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        topology = spec.build_topology()
-        config = spec.to_config(repeats=seeds, base_seed=base_seed)
-        if (
-            self._kernel is not None
-            or self._setup_kernel is not None
-            or not self._use_schedule_cache
-        ):
-            config = replace(
-                config,
-                kernel=self._kernel,
-                setup_kernel=self._setup_kernel,
-                use_schedule_cache=self._use_schedule_cache,
-            )
+        topology, config = lower_job(
+            spec, seeds, base_seed, self._kernel, self._setup_kernel
+        )
+        if not self._use_schedule_cache:
+            config = replace(config, use_schedule_cache=False)
         reporter = None
         on_result = None
         if self._progress:
@@ -270,48 +279,21 @@ class ScenarioRunner:
                 total=config.repeats, label=f"{spec.name}: "
             )
             on_result = reporter.on_result
+        pool = plan_pool(
+            self._workers, config.repeats, topology, self._chunk_timeout
+        )
         try:
-            with self._runner_for(topology, config.repeats) as runner:
-                outcome = runner.run_resilient(
-                    config,
-                    checkpoint=self._checkpoint,
-                    resume=self._resume,
-                    guard=self._guard,
-                    bundle_dir=self._bundle_dir,
-                    on_result=on_result,
-                )
+            outcome = ExperimentRunner(topology, pool=pool).run(
+                config,
+                on_result=on_result,
+                checkpoint=self._checkpoint,
+                resume=self._resume,
+                guard=self._guard,
+            )
         finally:
             if reporter is not None:
                 reporter.finish()
-        return ScenarioOutcome(
-            spec=spec,
-            topology_name=outcome.topology_name,
-            config=config,
-            results=tuple(outcome.results),
-            stats=outcome.stats,
-            per_source=per_source_capture_stats(outcome.results),
-            first_capture=first_capture_stats(outcome.results),
-            failures=tuple(outcome.failures),
-            guard=outcome.guard,
-        )
-
-    def _runner_for(self, topology, repeats: int) -> ExperimentRunner:
-        """The serial engine, or a pool when the worker policy gives the
-        sweep more than one worker (the pool code is imported only
-        then)."""
-        workers = plan_workers(
-            self._workers,
-            repeats=repeats,
-            topology=topology,
-            force_parallel=self._force_parallel,
-        )
-        if workers == 1:
-            return ExperimentRunner(topology)
-        from ..experiments.parallel import ParallelExperimentRunner
-
-        return ParallelExperimentRunner(
-            topology, workers=workers, chunk_timeout=self._chunk_timeout
-        )
+        return ScenarioOutcome.from_sweep(spec, config, outcome)
 
     def compare(
         self,

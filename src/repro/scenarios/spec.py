@@ -13,13 +13,15 @@ hashable, picklable and printable.
 Lowering is two calls: :meth:`ScenarioSpec.build_topology` constructs
 the network (designating the primary source so SLP schedule building
 protects it), and :meth:`ScenarioSpec.to_config` produces the
-:class:`~repro.experiments.ExperimentConfig` the serial and parallel
-runners already know how to sweep.
+:class:`~repro.experiments.ExperimentConfig` the experiment runner
+already knows how to sweep.  :func:`lower_job` makes both calls for
+every path that sweeps a scenario: the scenario runner, and the
+service's scheduler, workers, submit validator, ``fsck`` and ``gc``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
 from ..attacker import AttackerSpec, paper_attacker
@@ -315,10 +317,10 @@ class ScenarioSpec:
         """Lower onto the experiment engine's configuration object.
 
         The returned config carries the source plan and perturbations,
-        so both :class:`~repro.experiments.ExperimentRunner` and
-        :class:`~repro.experiments.ParallelExperimentRunner` sweep the
-        scenario without scenario-specific code paths — which is what
-        keeps serial and parallel scenario sweeps bit-identical.
+        so :class:`~repro.experiments.ExperimentRunner` sweeps the
+        scenario, serially or on a pool, without scenario-specific code
+        paths — which is what keeps serial and parallel scenario sweeps
+        bit-identical.  :func:`lower_job` adds the engine overrides.
         """
         return ExperimentConfig(
             algorithm=self.algorithm,
@@ -396,3 +398,21 @@ class ScenarioSpec:
         from .codec import spec_from_json
 
         return spec_from_json(cls, text)
+
+
+def lower_job(
+    spec: ScenarioSpec,
+    repeats: Optional[int] = None,
+    base_seed: Optional[int] = None,
+    kernel: Optional[str] = None,
+    setup_kernel: Optional[str] = None,
+) -> Tuple[Topology, ExperimentConfig]:
+    """Lower a spec plus its seed and engine overrides to ``(topology,
+    config)``: the one lowering every scenario sweep runs, so a direct
+    sweep and a service job agree byte-for-byte — the byte-identity
+    contract starts here."""
+    topology = spec.build_topology()
+    config = spec.to_config(repeats=repeats, base_seed=base_seed)
+    if kernel is not None or setup_kernel is not None:
+        config = replace(config, kernel=kernel, setup_kernel=setup_kernel)
+    return topology, config

@@ -109,11 +109,11 @@ from ..experiments import (
     configure_schedule_cache,
 )
 from ..experiments.runner import slp_schedule_builder
-from ..scenarios import ScenarioSpec, get_scenario
+from ..scenarios import ScenarioSpec, get_scenario, lower_job
 from ..storage import atomic_write_bytes
 from ..telemetry import default_registry
 from .fleet import WorkerFleet
-from .scheduler import JobInterrupted, ShardScheduler, lower_job
+from .scheduler import JobInterrupted, ShardScheduler
 from .transport import (
     DEFAULT_LEASE_TIMEOUT,
     MAX_HOLD,

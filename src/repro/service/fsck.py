@@ -49,8 +49,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..experiments import SweepCheckpoint, decode_checkpoint_line
+from ..scenarios import lower_job
 from ..storage import atomic_write_text
-from .scheduler import lower_job
 from .state import DONE, QUARANTINED, RUNNING, job_key
 from .store import JobStore
 

@@ -28,20 +28,13 @@ disk is sufficient to resume.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from ..errors import invalid_field, sweep_failed
-from ..app import OperationalResult
 from ..experiments import ExperimentConfig, FailedRun, RetryPolicy, seed_chunks
-from ..metrics import (
-    capture_stats,
-    first_capture_stats,
-    per_source_capture_stats,
-)
-from ..scenarios import ScenarioOutcome, ScenarioSpec
+from ..experiments.runner import sweep_outcome
+from ..scenarios import ScenarioOutcome, ScenarioSpec, lower_job
 from ..telemetry import default_registry
-from ..topology import Topology
 from .state import job_key
 
 if TYPE_CHECKING:  # the board module imports this one
@@ -54,72 +47,6 @@ class JobInterrupted(Exception):
     The job's finished seeds are all in the checkpoint; the caller
     re-queues the job so the next service start finishes the rest.
     """
-
-
-def lower_job(
-    spec: ScenarioSpec,
-    repeats: Optional[int] = None,
-    base_seed: Optional[int] = None,
-    kernel: Optional[str] = None,
-    setup_kernel: Optional[str] = None,
-) -> Tuple[Topology, ExperimentConfig]:
-    """Lower a job's spec + knobs to ``(topology, config)``.
-
-    One function used by the scheduler, the shard workers and the
-    submit-time validator, so all three agree byte-for-byte with what
-    ``ScenarioRunner.run`` would have executed directly — the
-    byte-identity contract starts here.
-    """
-    topology = spec.build_topology()
-    config = spec.to_config(repeats=repeats, base_seed=base_seed)
-    if kernel is not None or setup_kernel is not None:
-        config = replace(config, kernel=kernel, setup_kernel=setup_kernel)
-    return topology, config
-
-
-def merge_outcome(
-    spec: ScenarioSpec,
-    topology: Topology,
-    config: ExperimentConfig,
-    on_disk: Dict[int, OperationalResult],
-    seeds: List[int],
-    failures: List[FailedRun],
-    max_attempts: int,
-) -> ScenarioOutcome:
-    """Seed-ordered reassembly of the checkpointed results (``on_disk``)
-    into the same :class:`~repro.scenarios.ScenarioOutcome` a direct
-    ``ScenarioRunner.run`` builds — the report bytes cannot tell the
-    difference, which is the whole point: however the seeds travelled,
-    the merge is the same."""
-    quarantined = {f.seed for f in failures}
-    survivors = [s for s in seeds if s not in quarantined]
-    lost = [s for s in survivors if s not in on_disk]
-    if lost:
-        raise sweep_failed(
-            "ShardScheduler",
-            seeds=lost,
-            attempts=max_attempts,
-            detail="seeds neither checkpointed nor quarantined",
-        )
-    results = tuple(on_disk[s] for s in survivors)
-    if not results:
-        raise sweep_failed(
-            "ShardScheduler",
-            seeds=[f.seed for f in failures] or seeds,
-            attempts=max((f.attempts for f in failures), default=0),
-            detail=failures[0].error if failures else "no seeds executed",
-        )
-    return ScenarioOutcome(
-        spec=spec,
-        topology_name=topology.name,
-        config=config,
-        results=results,
-        stats=capture_stats(results),
-        per_source=per_source_capture_stats(results),
-        first_capture=first_capture_stats(results),
-        failures=tuple(failures),
-        guard=None,
-    )
 
 
 class ShardScheduler:
@@ -216,10 +143,24 @@ class ShardScheduler:
                 key=lambda f: f.seed,
             )
             on_disk = self._checkpoint.load(key)
-        return merge_outcome(
-            spec, topology, config, on_disk, seeds, failures,
-            self._retry.max_attempts,
+        # Seed-ordered reassembly of the checkpoint into the report a
+        # direct ``ScenarioRunner.run`` builds: however the seeds
+        # travelled, the merge is the same.
+        quarantined = {f.seed for f in failures}
+        lost = [s for s in seeds if s not in quarantined and s not in on_disk]
+        if lost:
+            raise sweep_failed(
+                "ShardScheduler",
+                seeds=lost,
+                attempts=self._retry.max_attempts,
+                detail="seeds neither checkpointed nor quarantined",
+            )
+        survivors = {s: on_disk[s] for s in seeds if s not in quarantined}
+        outcome = sweep_outcome(
+            "ShardScheduler", config, topology.name, seeds, survivors,
+            tuple(failures),
         )
+        return ScenarioOutcome.from_sweep(spec, config, outcome)
 
     def _supervise(
         self,

@@ -7,7 +7,7 @@ a child the service forked, talking to it over loopback):
 
 * it ``POST /shards/claim``\\ s with a stable worker id, runs the
   leased shard's seeds through the exact
-  :func:`~repro.service.scheduler.lower_job` +
+  :func:`~repro.scenarios.lower_job` +
   :class:`~repro.experiments.ExperimentRunner` pipeline a direct run
   uses (byte-identity starts at the lowering), and uploads
   each finished seed immediately — the upload is the durability write
@@ -46,11 +46,10 @@ from typing import Callable, Dict, Optional
 from ..experiments.options import fault_plan
 from ..experiments.resilience import RetryPolicy, result_to_dict
 from ..experiments.runner import ExperimentRunner
-from ..scenarios import ScenarioSpec
+from ..scenarios import ScenarioSpec, lower_job
 from ..telemetry import default_registry
 from .client import TRANSPORT_ERRORS, HttpChannel, encode_request, error_message
 from .pull import PullWorker, TransportError
-from .scheduler import lower_job
 
 
 class WorkerTransport:

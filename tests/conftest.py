@@ -70,6 +70,27 @@ def line5_schedule(line5: LineTopology) -> Schedule:
 
 
 @pytest.fixture
+def pooled_sweeps(monkeypatch) -> list:
+    """Lift the worker policy's small-sweep threshold and record the
+    worker count of every pooled sweep, so a test that proves the pool
+    path bit-identical can assert that its sweeps really forked (the
+    policy would run a few-seed sweep serially)."""
+    from repro.experiments import options
+    from repro.experiments.pool import SeedPool
+
+    monkeypatch.setattr(options, "MIN_NODE_RUNS_FOR_POOL", 0)
+    widths: list = []
+    map_seeds = SeedPool.map_seeds
+
+    def recorded(self, *args, **kwargs):
+        widths.append(self.workers)
+        return map_seeds(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeedPool, "map_seeds", recorded)
+    return widths
+
+
+@pytest.fixture
 def setup_engines(monkeypatch) -> dict:
     """The final engine state of every distributed setup run in the test.
 

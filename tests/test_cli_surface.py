@@ -45,7 +45,6 @@ overhead --workers dest=workers default=None type=workers_argument choices=None 
 [scenario compare]
 scenario compare --checkpoint dest=checkpoint default=None type=Path choices=None action=_StoreAction
 scenario compare --chunk-timeout dest=chunk_timeout default=None type=float choices=None action=_StoreAction
-scenario compare --force-parallel dest=force_parallel default=False type=None choices=None action=_StoreTrueAction
 scenario compare --guard dest=guard default=None type=None choices=['differential'] action=_StoreAction
 scenario compare --legacy-kernel dest=legacy_kernel default=False type=None choices=None action=_StoreTrueAction
 scenario compare --legacy-setup-kernel dest=legacy_setup_kernel default=False type=None choices=None action=_StoreTrueAction
@@ -65,7 +64,6 @@ scenario export <name> dest=name default=None type=None choices=None action=_Sto
 [scenario run]
 scenario run --checkpoint dest=checkpoint default=None type=Path choices=None action=_StoreAction
 scenario run --chunk-timeout dest=chunk_timeout default=None type=float choices=None action=_StoreAction
-scenario run --force-parallel dest=force_parallel default=False type=None choices=None action=_StoreTrueAction
 scenario run --guard dest=guard default=None type=None choices=['differential'] action=_StoreAction
 scenario run --jsonl dest=jsonl default=False type=None choices=None action=_StoreTrueAction
 scenario run --legacy-kernel dest=legacy_kernel default=False type=None choices=None action=_StoreTrueAction

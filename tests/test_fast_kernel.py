@@ -125,18 +125,19 @@ class TestKernelEquivalence:
         for trace in traces[1:]:
             assert trace.records == traces[0].records
 
-    def test_scenario_sweeps_identical_serial_and_parallel(self):
+    def test_scenario_sweeps_identical_serial_and_parallel(self, pooled_sweeps):
         """ScenarioRunner reports are byte-identical across kernels,
-        through both the serial engine and a forced worker pool."""
+        through both the serial engine and a worker pool."""
         legacy = ScenarioRunner(workers=1, kernel=LEGACY_KERNEL).run(
             "churn-10pct", seeds=DIFF_SEEDS
         )
         fast_serial = ScenarioRunner(workers=1, kernel=FAST_KERNEL).run(
             "churn-10pct", seeds=DIFF_SEEDS
         )
-        fast_parallel = ScenarioRunner(
-            workers=2, force_parallel=True, kernel=FAST_KERNEL
-        ).run("churn-10pct", seeds=DIFF_SEEDS)
+        fast_parallel = ScenarioRunner(workers=2, kernel=FAST_KERNEL).run(
+            "churn-10pct", seeds=DIFF_SEEDS
+        )
+        assert pooled_sweeps == [2]
         assert legacy.to_json() == fast_serial.to_json()
         assert legacy.to_json() == fast_parallel.to_json()
 

@@ -16,7 +16,7 @@ import random
 
 import pytest
 from differential import differential_settings
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro.das.fast_setup as fs
@@ -380,6 +380,19 @@ class TestGeneratedDifferential:
         refinement=st.integers(2, 6),
         seed=st.integers(0, 2**31 - 1),
     )
+    # The deep run's shrunk counterexample to a merge that skips the
+    # entries stamped one version after the last snapshot merged
+    # (``stamp > seen + 1``).  Pinned, because whether the derandomized
+    # draws catch that bug depends on this test's source text.
+    @example(
+        topology=Topology.from_edges([(0, 1), (1, 2)], sink=0, source=1),
+        noise_name="bernoulli",
+        ndp=1,
+        msp_extra=4,
+        search_distance=None,
+        refinement=2,
+        seed=1,
+    )
     @differential_settings(max_examples=120)
     def test_fast_matches_legacy(
         self,
@@ -693,39 +706,36 @@ class TestScheduleInheritance:
         )
 
     def test_pooled_workers_reuse_the_parents_schedules(self, grid5, monkeypatch):
-        from repro.experiments import ExperimentRunner, ParallelExperimentRunner
+        from repro.experiments import ExperimentRunner, SeedPool
         from repro.experiments.schedule_cache import ScheduleCache
 
         config = self._distributed_config()
         serial = ExperimentRunner(grid5).run(config)
-        with ParallelExperimentRunner(
-            grid5, workers=2, schedule_cache=ScheduleCache()
-        ) as runner:
-            for i in range(config.repeats):
-                runner.build_schedule(config, config.base_seed + i)
+        runner = ExperimentRunner(
+            grid5, schedule_cache=ScheduleCache(), pool=SeedPool(workers=2)
+        )
+        for i in range(config.repeats):
+            runner.build_schedule(config, config.base_seed + i)
 
-            def rebuilt(self, config, seed):
-                raise AssertionError(f"a worker rebuilt seed {seed}'s schedule")
+        def rebuilt(self, config, seed):
+            raise AssertionError(f"a worker rebuilt seed {seed}'s schedule")
 
-            # The workers fork after this patch: any build they attempt
-            # fails its seed, which the sweep would quarantine.
-            monkeypatch.setattr(ExperimentRunner, "_build_schedule", rebuilt)
-            pooled = runner.run(config)
+        # The workers fork after this patch: any build they attempt
+        # fails its seed, which the sweep would quarantine.
+        monkeypatch.setattr(ExperimentRunner, "_build_schedule", rebuilt)
+        pooled = runner.run(config)
         assert pooled.failures == ()
         assert pooled.results == serial.results
 
     def test_pool_results_identical_with_warm_and_cold_parent(self, grid5):
-        from repro.experiments import (
-            ExperimentRunner,
-            ParallelExperimentRunner,
-        )
+        from repro.experiments import ExperimentRunner, SeedPool
 
         config = self._distributed_config()
         serial = ExperimentRunner(grid5).run(config)
-        with ParallelExperimentRunner(grid5, workers=2) as pool_runner:
-            # Warm the parent cache the workers inherit.
-            for i in range(config.repeats):
-                pool_runner.build_schedule(config, config.base_seed + i)
-            warm = pool_runner.run(config)
+        pool_runner = ExperimentRunner(grid5, pool=SeedPool(workers=2))
+        # Warm the parent cache the workers inherit.
+        for i in range(config.repeats):
+            pool_runner.build_schedule(config, config.base_seed + i)
+        warm = pool_runner.run(config)
         assert warm.results == serial.results
         assert warm.stats == serial.stats

@@ -69,7 +69,7 @@ DEFERRED = (
     "repro.slp.messages",
     "repro.scenarios.codec",
     "repro.experiments.faults",
-    "repro.experiments.parallel",
+    "repro.experiments.pool",
     "repro.experiments.resilience",
     "repro.service",
     "concurrent.futures",
@@ -132,7 +132,6 @@ OPERATIONAL = (
     "repro.attacker",
     "repro.scenarios",
     "repro.experiments.runner",
-    "repro.experiments.parallel",
     "repro.das.centralized",
     "repro.slp.refine",
     "repro.slp.search",
@@ -166,10 +165,10 @@ POOLED_OVERHEAD = SERIAL_OVERHEAD[:-1] + ", workers=2)"
 #: A pooled SLP sweep: the workers build every schedule, so the parent
 #: holds the SLP pipeline only if it imported it before forking.
 POOLED_SLP = (
-    "from repro.experiments import ExperimentConfig, ParallelExperimentRunner\n"
+    "from repro.experiments import ExperimentConfig, ExperimentRunner, SeedPool\n"
     "from repro.topology import GridTopology\n"
-    "with ParallelExperimentRunner(GridTopology(5), workers=2) as runner:\n"
-    "    runner.run(ExperimentConfig(algorithm='slp', repeats=2))"
+    "runner = ExperimentRunner(GridTopology(5), pool=SeedPool(workers=2))\n"
+    "runner.run(ExperimentConfig(algorithm='slp', repeats=2))"
 )
 
 #: Every package root whose public names resolve lazily.
@@ -357,9 +356,9 @@ def test_service_status_loads_no_run_path():
         ("from repro.service import SweepService", RUN_PATH + ("repro.scenarios.spec",)),
         ("from repro.service import ShardWorker", RUN_PATH + ("repro.scenarios.spec",)),
         (
-            "from repro.experiments import ParallelExperimentRunner\n"
+            "from repro.experiments import ExperimentRunner, SeedPool\n"
             "from repro.topology import GridTopology\n"
-            "ParallelExperimentRunner(GridTopology(3), workers=2).close()",
+            "ExperimentRunner(GridTopology(3), pool=SeedPool(workers=2))",
             RUN_PATH,
         ),
         (POOLED_SLP, RUN_PATH + SLP_PATH + POOL_FORK),

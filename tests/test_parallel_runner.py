@@ -21,13 +21,13 @@ from repro.experiments import (
     MIN_NODE_RUNS_FOR_POOL,
     ExperimentConfig,
     ExperimentRunner,
-    ParallelExperimentRunner,
+    SeedPool,
     default_workers,
+    plan_pool,
     plan_workers,
     seed_chunks,
 )
 from repro.experiments import options as options_module
-from repro.scenarios import ScenarioRunner
 from repro.simulator import ATTACKER_MOVE, CAPTURE, CasinoLabNoise
 
 
@@ -56,34 +56,33 @@ class TestSeedChunks:
 
 
 class TestEngineChoice:
-    """``ScenarioRunner`` runs a sweep on the engine ``plan_workers`` picks."""
+    """A sweep runs on the pool ``plan_pool`` picks, or serially."""
 
     def test_serial_by_default(self, grid5):
         for workers in (None, 1):
             assert plan_workers(workers) == 1
-            runner = ScenarioRunner(workers)._runner_for(grid5, 1)
-            assert type(runner) is ExperimentRunner
+            assert plan_pool(workers, 1, grid5) is None
 
-    def test_parallel_for_multiple_workers(self, grid5):
-        # force_parallel bypasses the worker policy (which would pick
-        # the serial engine on a single-core host).
-        with ScenarioRunner(2, force_parallel=True)._runner_for(grid5, 1) as runner:
-            assert isinstance(runner, ParallelExperimentRunner)
-            assert runner.workers == 2
+    def test_parallel_for_multiple_workers(self, grid5, monkeypatch):
+        monkeypatch.setattr(options_module, "default_workers", lambda: 2)
+        monkeypatch.setattr(options_module, "MIN_NODE_RUNS_FOR_POOL", 0)
+        pool = plan_pool(2, 1, grid5, chunk_timeout=3.0)
+        assert isinstance(pool, SeedPool)
+        assert pool.workers == 2
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
 
     def test_zero_workers_means_one_per_cpu(self, grid5):
         """The CLI convention holds at the library layer too."""
-        assert ParallelExperimentRunner(grid5, workers=0).workers == default_workers()
-        assert plan_workers(0, force_parallel=True) == default_workers()
+        assert SeedPool(workers=0).workers == default_workers()
+        assert plan_workers(0) == default_workers()
 
     def test_invalid_worker_count_rejected(self, grid5):
         with pytest.raises(ConfigurationError):
-            ParallelExperimentRunner(grid5, workers=-1)
+            SeedPool(workers=-1)
         with pytest.raises(ConfigurationError):
-            ParallelExperimentRunner(grid5, workers=2, chunks_per_worker=0)
+            SeedPool(workers=2, chunks_per_worker=0)
 
 
 class TestWorkerPolicy:
@@ -102,7 +101,7 @@ class TestWorkerPolicy:
     def test_single_core_falls_back_to_serial(self, grid5, monkeypatch):
         monkeypatch.setattr(options_module, "default_workers", lambda: 1)
         assert plan_workers(4) == 1
-        assert type(ScenarioRunner(4)._runner_for(grid5, 1000)) is ExperimentRunner
+        assert plan_pool(4, 1000, grid5) is None
 
     def test_tiny_sweep_falls_back_to_serial(self, grid5, monkeypatch):
         monkeypatch.setattr(options_module, "default_workers", lambda: 8)
@@ -111,23 +110,38 @@ class TestWorkerPolicy:
         big_enough = MIN_NODE_RUNS_FOR_POOL // grid5.num_nodes + 1
         assert plan_workers(4, repeats=big_enough, topology=grid5) == 4
 
-    def test_force_parallel_is_verbatim(self, grid5, monkeypatch):
-        monkeypatch.setattr(options_module, "default_workers", lambda: 1)
-        assert plan_workers(4, repeats=1, topology=grid5, force_parallel=True) == 4
-        runner = ScenarioRunner(3, force_parallel=True)._runner_for(grid5, 1)
-        assert isinstance(runner, ParallelExperimentRunner)
-        assert runner.workers == 3
-
     def test_policy_choice_never_changes_results(self, grid5):
-        """A sweep the policy would serialize equals a forced-pool sweep."""
+        """A sweep the policy would serialize equals a pooled sweep."""
         cfg = ExperimentConfig(repeats=3, noise="casino")
         assert plan_workers(2, repeats=3, topology=grid5) == 1
-        with ExperimentRunner(grid5) as policy_runner:
-            policy = policy_runner.run(cfg)
-        with ParallelExperimentRunner(grid5, workers=2) as forced_runner:
-            forced = forced_runner.run(cfg)
-        assert policy.results == forced.results
-        assert asdict(policy.stats) == asdict(forced.stats)
+        policy = ExperimentRunner(grid5).run(cfg)
+        pooled = ExperimentRunner(grid5, pool=SeedPool(workers=2)).run(cfg)
+        assert policy.results == pooled.results
+        assert asdict(policy.stats) == asdict(pooled.stats)
+
+    def test_figure5_and_overhead_obey_the_core_cap(self, monkeypatch):
+        """``--workers 8`` on a 2-core host forks two workers in every
+        sweep, as a scenario sweep does.  The pool is stubbed to record
+        its width and run the seeds in-process."""
+        from repro.experiments import measure_setup_overhead, run_figure5
+        from repro.topology import GridTopology
+
+        monkeypatch.setattr(options_module, "default_workers", lambda: 2)
+        monkeypatch.setattr(options_module, "MIN_NODE_RUNS_FOR_POOL", 0)
+        widths = []
+
+        def in_process(self, run_seed, seeds, telemetry, on_result=None):
+            widths.append(self.workers)
+            return {seed: run_seed(seed) for seed in seeds}, ()
+
+        monkeypatch.setattr(SeedPool, "map_seeds", in_process)
+        run_figure5(3, sizes=(11,), repeats=2, noise="ideal", workers=8)
+        assert widths == [2, 2]
+        widths.clear()
+        measure_setup_overhead(
+            GridTopology(5), seeds=(0, 1, 2), setup_periods=12, workers=8
+        )
+        assert widths == [2]
 
 
 class TestSerialParallelIdentity:
@@ -142,42 +156,40 @@ class TestSerialParallelIdentity:
             algorithm=algorithm, repeats=5, base_seed=11, noise="casino", **kwargs
         )
         serial = ExperimentRunner(grid5).run(cfg)
-        with ParallelExperimentRunner(grid5, workers=2) as runner:
-            parallel = runner.run(cfg)
+        parallel = ExperimentRunner(grid5, pool=SeedPool(workers=2)).run(cfg)
         assert serial.results == parallel.results
         assert asdict(serial.stats) == asdict(parallel.stats)
 
-    def test_single_worker_degenerates_to_serial(self, grid5, monkeypatch):
-        cfg = ExperimentConfig(repeats=3, noise="ideal")
+    def test_single_seed_runs_in_process(self, grid5, monkeypatch):
+        cfg = ExperimentConfig(repeats=1, noise="ideal")
         serial = ExperimentRunner(grid5).run(cfg)
-        runner = ParallelExperimentRunner(grid5, workers=1)
+        runner = ExperimentRunner(grid5, pool=SeedPool(workers=2))
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a one-worker runner used the pool")
+            raise AssertionError("a one-seed sweep used the pool")
 
-        monkeypatch.setattr(ParallelExperimentRunner, "map_seeds", no_pool)
+        monkeypatch.setattr(SeedPool, "map_seeds", no_pool)
         assert runner.run(cfg).results == serial.results
 
     def test_repeated_runs_fork_afresh_and_agree(self, grid5):
-        with ParallelExperimentRunner(grid5, workers=2) as runner:
-            a = runner.run(ExperimentConfig(repeats=4, noise="ideal"))
-            assert multiprocessing.active_children() == []
-            b = runner.run(ExperimentConfig(repeats=4, noise="ideal"))
+        runner = ExperimentRunner(grid5, pool=SeedPool(workers=2))
+        a = runner.run(ExperimentConfig(repeats=4, noise="ideal"))
+        assert multiprocessing.active_children() == []
+        b = runner.run(ExperimentConfig(repeats=4, noise="ideal"))
         assert a.results == b.results
 
-    def test_close_is_idempotent(self, grid5):
-        runner = ParallelExperimentRunner(grid5, workers=2)
-        runner.close()
-        runner.close()
-
-    def test_figure5_pooled_panel_matches_serial_cell_for_cell(self):
+    def test_figure5_pooled_panel_matches_serial_cell_for_cell(
+        self, pooled_sweeps
+    ):
         """Each size's runner owns its pool; the pooled panel must still
         equal the serial one in every cell."""
         from repro.experiments import run_figure5
 
         kwargs = dict(sizes=(11, 15), repeats=4, noise="ideal")
         serial = run_figure5(3, **kwargs)
+        assert pooled_sweeps == []
         pooled = run_figure5(3, workers=2, **kwargs)
+        assert pooled_sweeps == [2, 2, 2, 2]
         assert [cell.size for cell in pooled.cells] == [11, 15]
         for got, want in zip(pooled.cells, serial.cells):
             assert got == want

@@ -21,6 +21,7 @@ import multiprocessing
 import os
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +39,8 @@ from repro.experiments import (
     FaultPlan,
     InjectedFault,
     Ladder,
-    ParallelExperimentRunner,
     RetryPolicy,
+    SeedPool,
     SweepCheckpoint,
     format_overhead,
     guard_sample,
@@ -69,8 +70,8 @@ def serial(grid5, config):
 def sweep_with_plan(topology, config, plan, workers=2, **kwargs):
     kwargs.setdefault("retry_policy", FAST_RETRY)
     with plan.activated():
-        with ParallelExperimentRunner(topology, workers=workers, **kwargs) as r:
-            return r.run(config)
+        pool = SeedPool(workers=workers, **kwargs)
+        return ExperimentRunner(topology, pool=pool).run(config)
 
 
 class TestRetryPolicy:
@@ -249,12 +250,10 @@ class TestSupervisedChaos:
         plan = FaultPlan(crash_seeds=(0,), marker_dir=str(tmp_path))
         landed = Counter()
         with TelemetrySession(label="blame") as session, plan.activated():
-            with ParallelExperimentRunner(
-                topology, workers=2, chunks_per_worker=1, retry_policy=FAST_RETRY
-            ) as runner:
-                outcome = runner.run(
-                    config, on_result=lambda seed, result: landed.update([seed])
-                )
+            pool = SeedPool(workers=2, chunks_per_worker=1, retry_policy=FAST_RETRY)
+            outcome = ExperimentRunner(topology, pool=pool).run(
+                config, on_result=lambda seed, result: landed.update([seed])
+            )
         assert outcome.failures == ()
         assert outcome.results == ExperimentRunner(topology).run(config).results
         assert landed == Counter(range(12))
@@ -290,12 +289,12 @@ class TestSupervisedChaos:
         plan = FaultPlan(
             poison_seeds=tuple(range(config.repeats)), marker_dir=str(tmp_path)
         )
+        runner = ExperimentRunner(
+            grid5, pool=SeedPool(workers=2, retry_policy=FAST_RETRY)
+        )
         with plan.activated():
-            with ParallelExperimentRunner(
-                grid5, workers=2, retry_policy=FAST_RETRY
-            ) as runner:
-                with pytest.raises(SweepExecutionError) as excinfo:
-                    runner.run(config)
+            with pytest.raises(SweepExecutionError) as excinfo:
+                runner.run(config)
         assert excinfo.value.seeds == tuple(range(config.repeats))
 
     def test_transient_crash_and_poison_in_one_sweep(self, tmp_path):
@@ -329,8 +328,8 @@ class TestSupervisedChaos:
         self, grid5, config, serial
     ):
         for workers in (2, 3):
-            with ParallelExperimentRunner(grid5, workers=workers) as runner:
-                outcome = runner.run(config)
+            pool = SeedPool(workers=workers)
+            outcome = ExperimentRunner(grid5, pool=pool).run(config)
             assert outcome.failures == ()
             assert outcome.results == serial.results
             assert outcome.stats == serial.stats
@@ -446,7 +445,7 @@ class TestSweepCheckpoint:
         # Simulate an interrupted sweep: only some seeds on record.
         for seed in (0, 1, 4, 6):
             store.append(key, seed, runner.run_once(config, seed))
-        resumed = runner.run_checkpointed(config, store, resume=True)
+        resumed = runner.run(config, checkpoint=store, resume=True)
         assert resumed.results == serial.results
         assert resumed.stats == serial.stats
         # And the store now holds the full sweep for the next resume.
@@ -460,7 +459,7 @@ class TestSweepCheckpoint:
             runner.run_once(config, 0), messages_sent=999999
         )
         store.append(key, 3, bogus)
-        outcome = runner.run_checkpointed(config, store, resume=False)
+        outcome = runner.run(config, checkpoint=store, resume=False)
         assert outcome.results == ExperimentRunner(grid5).run(config).results
 
     def test_parallel_resume_matches_serial(self, grid5, config, serial, tmp_path):
@@ -469,8 +468,8 @@ class TestSweepCheckpoint:
         serial_runner = ExperimentRunner(grid5)
         for seed in (2, 7):
             store.append(key, seed, serial_runner.run_once(config, seed))
-        with ParallelExperimentRunner(grid5, workers=2) as runner:
-            outcome = runner.run_checkpointed(config, store, resume=True)
+        runner = ExperimentRunner(grid5, pool=SeedPool(workers=2))
+        outcome = runner.run(config, checkpoint=store, resume=True)
         assert outcome.results == serial.results
 
 
@@ -484,7 +483,7 @@ class TestDivergenceGuard:
 
     def test_clean_sweep_not_degraded(self, grid5, config, serial):
         runner = ExperimentRunner(grid5)
-        outcome = runner.run_resilient(config, guard="differential")
+        outcome = runner.run(config, guard="differential")
         assert outcome.guard is not None
         assert not outcome.guard.degraded
         assert outcome.guard.mismatched_seeds == ()
@@ -494,18 +493,15 @@ class TestDivergenceGuard:
         self, grid5, config, serial, tmp_path
     ):
         plan = FaultPlan(perturb_seeds=tuple(range(config.repeats)))
-        bundle_dir = tmp_path / "bundles"
+        store = SweepCheckpoint(tmp_path / "store")
         with plan.activated():
             runner = ExperimentRunner(grid5)
-            outcome = runner.run_resilient(
-                config, guard="differential", bundle_dir=bundle_dir
-            )
+            outcome = runner.run(config, checkpoint=store, guard="differential")
         guard = outcome.guard
         assert guard.degraded
         assert guard.mismatched_seeds
-        assert guard.bundle_path is not None
-        from pathlib import Path
-
+        # The bundle lands beside the checkpoint store it audited.
+        assert Path(guard.bundle_path).parent == store.root / "divergence"
         bundle = json.loads(Path(guard.bundle_path).read_text())
         assert bundle["mismatches"]
         first = bundle["mismatches"][0]
@@ -516,7 +512,7 @@ class TestDivergenceGuard:
 
     def test_invalid_guard_mode_rejected(self, grid5, config):
         with pytest.raises(ConfigurationError):
-            ExperimentRunner(grid5).run_resilient(config, guard="nonsense")
+            ExperimentRunner(grid5).run(config, guard="nonsense")
 
 
 class TestScenarioReports:
@@ -541,22 +537,21 @@ class TestLifecycleHardening:
         assert default_workers() == 1
 
     def test_no_worker_outlives_a_sweep(self, grid5, config):
-        with ParallelExperimentRunner(grid5, workers=2) as runner:
-            runner.run(config)
-            assert multiprocessing.active_children() == []
+        ExperimentRunner(grid5, pool=SeedPool(workers=2)).run(config)
+        assert multiprocessing.active_children() == []
 
     def test_keyboard_interrupt_mid_sweep_reaps_workers(self, grid5, config):
         def interrupt(seed, result):
             raise KeyboardInterrupt
 
-        runner = ParallelExperimentRunner(grid5, workers=2)
+        runner = ExperimentRunner(grid5, pool=SeedPool(workers=2))
         with pytest.raises(KeyboardInterrupt):
             runner.run(config, on_result=interrupt)
         assert multiprocessing.active_children() == []
 
     def test_chunk_timeout_validated(self, grid5):
         with pytest.raises(ConfigurationError):
-            ParallelExperimentRunner(grid5, workers=2, chunk_timeout=0.0)
+            SeedPool(workers=2, chunk_timeout=0.0)
 
 
 class TestErrors:
@@ -569,7 +564,7 @@ class TestErrors:
 
 
 class TestCliExitCodes:
-    def test_quarantined_seeds_exit_code(self, tmp_path, capsys):
+    def test_quarantined_seeds_exit_code(self, tmp_path, capsys, pooled_sweeps):
         plan = FaultPlan(poison_seeds=(1,), marker_dir=str(tmp_path))
         with plan.activated():
             rc = main(
@@ -585,8 +580,9 @@ class TestCliExitCodes:
             )
         assert rc == EXIT_QUARANTINED
         assert "quarantined" in capsys.readouterr().err
+        assert pooled_sweeps == [2, 2]
 
-    def test_total_failure_exit_code(self, tmp_path, capsys):
+    def test_total_failure_exit_code(self, tmp_path, capsys, pooled_sweeps):
         plan = FaultPlan(poison_seeds=(0, 1), marker_dir=str(tmp_path))
         with plan.activated():
             rc = main(
@@ -602,6 +598,7 @@ class TestCliExitCodes:
             )
         assert rc == EXIT_SWEEP_FAILED
         assert "sweep failed" in capsys.readouterr().err
+        assert pooled_sweeps == [2]
 
     def test_clean_run_exits_zero(self, tmp_path):
         store = tmp_path / "ckpt"

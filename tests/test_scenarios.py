@@ -193,14 +193,15 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 class TestScenarioRunnerDeterminism:
     @pytest.mark.parametrize("name", sorted(scenario_names()))
-    def test_serial_and_parallel_sweeps_are_bit_identical(self, name):
+    def test_serial_and_parallel_sweeps_are_bit_identical(
+        self, name, pooled_sweeps
+    ):
         serial = ScenarioRunner(workers=1).run(name, seeds=IDENTITY_SEEDS)
-        # force_parallel: the worker policy would (rightly) collapse a
-        # 2-seed sweep to the serial engine; this test exists to prove
-        # the pool path is bit-identical, so it must really fan out.
-        parallel = ScenarioRunner(workers=2, force_parallel=True).run(
-            name, seeds=IDENTITY_SEEDS
-        )
+        # The worker policy would (rightly) run a 2-seed sweep serially;
+        # this test exists to prove the pool path is bit-identical, so
+        # ``pooled_sweeps`` lifts the threshold and the sweep must fork.
+        parallel = ScenarioRunner(workers=2).run(name, seeds=IDENTITY_SEEDS)
+        assert pooled_sweeps == [2]
         assert serial.results == parallel.results
         assert serial.stats == parallel.stats
         assert serial.per_source == parallel.per_source

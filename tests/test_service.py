@@ -25,6 +25,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -34,7 +35,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SweepExecutionError
 from repro.experiments import (
     FAULT_PLAN_ENV,
     FaultPlan,
@@ -238,6 +239,37 @@ class TestShardScheduler:
         )
         assert outcome.to_json() == direct.to_json()
         assert board.workers() == []
+
+    def test_every_seed_quarantined_fails_the_merge(self, tmp_path):
+        """Nothing survived: the merge raises the library's uniform
+        sweep error, naming the scheduler, the quarantined seeds, their
+        attempts and the first error."""
+        board = ShardBoard(SweepCheckpoint(tmp_path / "checkpoints"))
+        retry = RetryPolicy(max_attempts=1, base_delay=0.001, max_delay=0.001)
+        done = threading.Event()
+
+        def fail_every_shard():
+            while not done.is_set():
+                claim = board.claim("w1")
+                if claim is None:
+                    time.sleep(0.002)
+                    continue
+                board.fail_shard(claim["job"], claim["shard"], "w1", "boom")
+
+        failing = threading.Thread(target=fail_every_shard, daemon=True)
+        failing.start()
+        try:
+            with pytest.raises(SweepExecutionError) as excinfo:
+                ShardScheduler(board, retry=retry).run_job(
+                    get_scenario("paper-baseline"), repeats=2
+                )
+        finally:
+            done.set()
+            failing.join(timeout=10.0)
+        assert str(excinfo.value) == (
+            "ShardScheduler: sweep failed — seeds [0, 1] unrecovered "
+            "after 1 attempt(s): boom"
+        )
 
     def test_validates_parameters(self, tmp_path):
         board = ShardBoard(SweepCheckpoint(tmp_path / "checkpoints"))

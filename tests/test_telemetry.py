@@ -22,8 +22,8 @@ from repro.experiments import (
     ExperimentConfig,
     ExperimentRunner,
     FaultPlan,
-    ParallelExperimentRunner,
     RetryPolicy,
+    SeedPool,
 )
 from repro.scenarios import ScenarioRunner
 from repro.telemetry import (
@@ -277,9 +277,7 @@ class TestTelemetrySession:
 def _scenario_report(
     name: str, kernel, workers: int = 1, telemetry: bool = False
 ) -> str:
-    runner = ScenarioRunner(
-        workers=workers, force_parallel=workers > 1, kernel=kernel
-    )
+    runner = ScenarioRunner(workers=workers, kernel=kernel)
     if not telemetry:
         return runner.run(name, seeds=4).to_json()
     with TelemetrySession(directory=None):
@@ -298,7 +296,7 @@ class TestTelemetryNeutrality:
             ("churn-10pct", "legacy"),
         ],
     )
-    def test_byte_identical_reports(self, scenario, kernel):
+    def test_byte_identical_reports(self, scenario, kernel, pooled_sweeps):
         reference = _scenario_report(scenario, kernel)
         assert _scenario_report(scenario, kernel, telemetry=True) == reference
         assert _scenario_report(scenario, kernel, workers=2) == reference
@@ -306,6 +304,7 @@ class TestTelemetryNeutrality:
             _scenario_report(scenario, kernel, workers=2, telemetry=True)
             == reference
         )
+        assert pooled_sweeps == [2, 2]
 
 
 def _assert_span_forest(spans) -> None:
@@ -339,13 +338,10 @@ class TestSpanTreeUnderFaults:
         session = TelemetrySession(directory=None, label="drill")
         with session:
             with plan.activated():
-                with ParallelExperimentRunner(
-                    topology,
-                    workers=2,
-                    retry_policy=FAST_RETRY,
-                    chunk_timeout=60.0,
-                ) as runner:
-                    outcome = runner.run(config)
+                pool = SeedPool(
+                    workers=2, retry_policy=FAST_RETRY, chunk_timeout=60.0
+                )
+                outcome = ExperimentRunner(topology, pool=pool).run(config)
         assert not outcome.failures  # crash + transient both recover
         _assert_span_forest(session.tracer.spans())
         names = {s.name for s in session.tracer.spans()}
