@@ -3,8 +3,9 @@
 Each benchmark module regenerates one table or figure of the paper (see
 the experiment index in DESIGN.md).  Repeats are reduced relative to
 the paper to keep the suite's wall-clock reasonable; EXPERIMENTS.md
-records full-scale numbers.  Run with ``pytest benchmarks/
---benchmark-only``; add ``-s`` to see the regenerated tables inline.
+records full-scale numbers.  Run with ``pytest benchmarks/``; add
+``-s`` to see the regenerated tables inline.  Timing is not measured
+here: ``scripts/perf_record.py`` is the one performance harness.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from repro.verification import verify_schedule
 SEEDS = 60
 
 
-def test_decoy_direction(benchmark):
+def test_decoy_direction():
     grid = paper_grid(11)
     delta = safety_period(grid, PAPER.frame().period_length).periods
 
@@ -54,10 +54,8 @@ def test_decoy_direction(benchmark):
     assert uniform <= base_caps
     assert steered <= uniform + max(3, SEEDS // 20)
 
-    benchmark(
-        lambda: build_slp_schedule(
-            grid,
-            SlpParameters(3, avoid_source_pull=False),
-            seed=0,
-        )
+    build_slp_schedule(
+        grid,
+        SlpParameters(3, avoid_source_pull=False),
+        seed=0,
     )

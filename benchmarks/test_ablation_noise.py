@@ -18,7 +18,7 @@ SEEDS = 15
 LOSSES = (0.0, 0.02, 0.05, 0.10, 0.20, 0.40, 0.98)
 
 
-def test_noise_sweep(benchmark):
+def test_noise_sweep():
     grid = paper_grid(11)
     lines = [f"{'loss':>6} {'base':>7} {'slp':>7}"]
     base_at_zero = None
@@ -53,11 +53,9 @@ def test_noise_sweep(benchmark):
     assert base_at_heavy == 0
     assert base_at_zero >= 0  # sweep baseline recorded
 
-    benchmark(
-        lambda: run_operational_phase(
-            grid,
-            centralized_das_schedule(grid, seed=0),
-            noise=BernoulliNoise(0.05),
-            seed=0,
-        )
+    run_operational_phase(
+        grid,
+        centralized_das_schedule(grid, seed=0),
+        noise=BernoulliNoise(0.05),
+        seed=0,
     )

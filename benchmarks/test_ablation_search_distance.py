@@ -20,7 +20,7 @@ SEEDS = 40
 DISTANCES = (1, 2, 3, 4, 5, 6, 7)
 
 
-def test_search_distance_sweep(benchmark):
+def test_search_distance_sweep():
     grid = paper_grid(11)
     delta = safety_period(grid, PAPER.frame().period_length).periods
 
@@ -47,8 +47,6 @@ def test_search_distance_sweep(benchmark):
     assert base_caps > 0
     assert best is not None and best > 0.2
 
-    benchmark(
-        lambda: build_slp_schedule(
-            grid, SlpParameters(search_distance=3), seed=0, baseline=bases[0]
-        )
+    build_slp_schedule(
+        grid, SlpParameters(search_distance=3), seed=0, baseline=bases[0]
     )

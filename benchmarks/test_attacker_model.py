@@ -26,7 +26,7 @@ from repro.verification import verify_schedule
 SEEDS = 60
 
 
-def test_attacker_state_machine_throughput(benchmark):
+def test_attacker_state_machine_throughput():
     """Benchmark Figure 1's hear/decide cycle."""
     spec = paper_attacker()
     rng = random.Random(0)
@@ -39,11 +39,11 @@ def test_attacker_state_machine_throughput(benchmark):
             state.decide(rng)
         return state
 
-    state = benchmark(drive)
+    state = drive()
     assert len(state.path) == 201  # one move per period
 
 
-def test_attacker_strength_ordering(benchmark):
+def test_attacker_strength_ordering():
     """A (2, 0, 2, s0, any-heard) attacker weakly dominates the paper's
     (1, 0, 1, s0, first-heard) attacker in captures."""
     grid = paper_grid(11)
@@ -51,13 +51,11 @@ def test_attacker_strength_ordering(benchmark):
     strong_spec = AttackerSpec(
         messages_per_move=2, moves_per_period=2, decision=FollowAnyHeard()
     )
-    benchmark(
-        lambda: verify_schedule(
-            grid,
-            centralized_das_schedule(grid, seed=0),
-            delta,
-            attacker=strong_spec,
-        )
+    verify_schedule(
+        grid,
+        centralized_das_schedule(grid, seed=0),
+        delta,
+        attacker=strong_spec,
     )
     weak_caps = strong_caps = 0
     for seed in range(SEEDS):

@@ -12,10 +12,10 @@ from repro.experiments import ExperimentConfig, ExperimentRunner, format_figure5
 from repro.topology import paper_grid
 
 
-def test_figure5a_series(figure5_panel_a, benchmark):
+def test_figure5a_series(figure5_panel_a):
     emit("Figure 5a (regenerated)", format_figure5(figure5_panel_a))
     # Benchmark the per-panel aggregation/rendering step.
-    benchmark(lambda: format_figure5(figure5_panel_a))
+    format_figure5(figure5_panel_a)
 
     total_base = sum(c.protectionless.captures for c in figure5_panel_a.cells)
     total_slp = sum(c.slp.captures for c in figure5_panel_a.cells)
@@ -34,10 +34,10 @@ def test_figure5a_series(figure5_panel_a, benchmark):
     assert improved >= 2, "SLP must win on a majority of grid sizes"
 
 
-def test_figure5a_one_run_cost(benchmark):
+def test_figure5a_one_run_cost():
     """Benchmark one protectionless evaluation run on the 11x11 grid —
     the unit of work Figure 5 aggregates."""
     runner = ExperimentRunner(paper_grid(11))
     config = ExperimentConfig(algorithm="protectionless", repeats=1, noise="casino")
-    result = benchmark(lambda: runner.run_once(config, seed=0))
+    result = runner.run_once(config, seed=0)
     assert result.periods_run >= 1

@@ -9,10 +9,10 @@ from repro.experiments import ExperimentConfig, ExperimentRunner, format_figure5
 from repro.topology import paper_grid
 
 
-def test_figure5b_series(figure5_panel_b, benchmark):
+def test_figure5b_series(figure5_panel_b):
     emit("Figure 5b (regenerated)", format_figure5(figure5_panel_b))
     # Benchmark the per-panel aggregation/rendering step.
-    benchmark(lambda: format_figure5(figure5_panel_b))
+    format_figure5(figure5_panel_b)
 
     total_base = sum(c.protectionless.captures for c in figure5_panel_b.cells)
     total_slp = sum(c.slp.captures for c in figure5_panel_b.cells)
@@ -21,11 +21,11 @@ def test_figure5b_series(figure5_panel_b, benchmark):
     assert figure5_panel_b.mean_reduction > 0.15
 
 
-def test_figure5b_one_run_cost(benchmark):
+def test_figure5b_one_run_cost():
     """Benchmark one SLP evaluation run (SD = 5) on the 11x11 grid."""
     runner = ExperimentRunner(paper_grid(11))
     config = ExperimentConfig(
         algorithm="slp", search_distance=5, repeats=1, noise="casino"
     )
-    result = benchmark(lambda: runner.run_once(config, seed=0))
+    result = runner.run_once(config, seed=0)
     assert result.periods_run >= 1

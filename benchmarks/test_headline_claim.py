@@ -20,8 +20,7 @@ from repro.verification import verify_schedule
 VERIFIER_SEEDS = 120
 
 
-def test_headline_reduction_simulation(figure5_panel_a, figure5_panel_b, benchmark):
-    benchmark(lambda: figure5_panel_a.mean_reduction + figure5_panel_b.mean_reduction)
+def test_headline_reduction_simulation(figure5_panel_a, figure5_panel_b):
     pooled_base = sum(
         c.protectionless.captures
         for panel in (figure5_panel_a, figure5_panel_b)
@@ -43,7 +42,7 @@ def test_headline_reduction_simulation(figure5_panel_a, figure5_panel_b, benchma
     assert reduction > 0.2
 
 
-def test_headline_reduction_verifier(benchmark):
+def test_headline_reduction_verifier():
     """High-repeat deterministic estimate on the 11x11 grid, with the
     per-seed pipeline as the benchmarked unit."""
     grid = paper_grid(11)
@@ -59,7 +58,7 @@ def test_headline_reduction_verifier(benchmark):
             not verify_schedule(grid, refined, delta).slp_aware,
         )
 
-    benchmark(lambda: one_seed(0))
+    one_seed(0)
 
     base_caps = slp_caps = 0
     for seed in range(VERIFIER_SEEDS):

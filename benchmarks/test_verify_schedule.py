@@ -16,29 +16,27 @@ from repro.topology import paper_grid
 from repro.verification import generate_attacker_traces, verify_schedule
 
 
-def test_verify_schedule_cost_11(benchmark):
+def test_verify_schedule_cost_11():
     grid = paper_grid(11)
     delta = safety_period(grid, PAPER.frame().period_length).periods
     schedule = centralized_das_schedule(grid, seed=0)
-    result = benchmark(lambda: verify_schedule(grid, schedule, delta))
+    result = verify_schedule(grid, schedule, delta)
     assert result.states_explored > 0
 
 
-def test_verify_schedule_cost_21(benchmark):
+def test_verify_schedule_cost_21():
     grid = paper_grid(21)
     delta = safety_period(grid, PAPER.frame().period_length).periods
     schedule = centralized_das_schedule(grid, seed=0)
-    result = benchmark(lambda: verify_schedule(grid, schedule, delta))
+    result = verify_schedule(grid, schedule, delta)
     assert result.states_explored > 0
 
 
-def test_verdicts_and_counterexamples(benchmark):
+def test_verdicts_and_counterexamples():
     grid = paper_grid(11)
     delta = safety_period(grid, PAPER.frame().period_length).periods
-    benchmark(
-        lambda: verify_schedule(
-            grid, centralized_das_schedule(grid, seed=0), delta
-        )
+    verify_schedule(
+        grid, centralized_das_schedule(grid, seed=0), delta
     )
     lines = []
     for seed in range(10):
@@ -59,7 +57,7 @@ def test_verdicts_and_counterexamples(benchmark):
     emit(f"Algorithm 1 verdicts (delta = {delta} periods)", "\n".join(lines))
 
 
-def test_trace_enumeration_cost(benchmark):
+def test_trace_enumeration_cost():
     """The literal GenerateAllAttackerTraces on the 11x11 grid."""
     grid = paper_grid(11)
     schedule = centralized_das_schedule(grid, seed=0)
@@ -72,4 +70,4 @@ def test_trace_enumeration_cost(benchmark):
             )
         )
 
-    assert benchmark(enumerate_traces) >= 1
+    assert enumerate_traces() >= 1

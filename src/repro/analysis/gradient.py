@@ -16,11 +16,11 @@ counterexample) with the *why*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core import Schedule
 from ..errors import VerificationError
+from ..records import Record
 from ..topology import NodeId, Topology
 
 
@@ -75,8 +75,7 @@ def descent_path(
     return tuple(path)
 
 
-@dataclass(frozen=True)
-class GradientField:
+class GradientField(Record):
     """The complete gradient structure of one schedule.
 
     Attributes

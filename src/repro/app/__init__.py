@@ -11,14 +11,8 @@ _EXPORTS = {
         "ConvergecastNodeProcess",
     ),
     "dynamics": (
-        "DutyCycle",
-        "NodeDeath",
-        "NodeSleep",
-        "Perturbation",
-        "PerturbationStep",
         "SourcePlan",
         "SourceTracker",
-        "lower_perturbations",
     ),
     "fast_kernel": (
         "build_slot_timeline",
@@ -29,6 +23,14 @@ _EXPORTS = {
     ),
     "messages": (
         "AggregateMessage",
+    ),
+    "perturbations": (
+        "DutyCycle",
+        "NodeDeath",
+        "NodeSleep",
+        "Perturbation",
+        "PerturbationStep",
+        "lower_perturbations",
     ),
     "runtime": (
         "DEFAULT_KERNEL",

@@ -27,7 +27,8 @@ from ..mac import TdmaFrame
 from ..mac.tdma import TdmaDriver
 from ..simulator import Process, Simulator
 from ..topology import NodeId
-from .dynamics import PerturbationStep, SourcePlan, SourceTracker, apply_step
+from .dynamics import SourcePlan, SourceTracker
+from .perturbations import PerturbationStep, apply_step
 from .messages import AggregateMessage
 
 

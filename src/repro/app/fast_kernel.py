@@ -19,8 +19,8 @@ senders)`` groups in exactly the order the heap would fire them — and
 then executes periods with plain loops:
 
 * period boundaries apply the run's lowered perturbation steps
-  (:data:`~repro.app.dynamics.PerturbationStep`) directly, through the
-  step semantics both engines share (:func:`~repro.app.dynamics.apply_step`);
+  (:data:`~repro.app.perturbations.PerturbationStep`) directly, through the
+  step semantics both engines share (:func:`~repro.app.perturbations.apply_step`);
 * period-start hooks run in the legacy client order (attacker ``NextP``,
   source-plan advance, then the nodes' period resets);
 * each slot group's broadcasts are transmitted first and delivered
@@ -62,6 +62,7 @@ and runs the lane cannot compile (:func:`fast_lane_compilable`).
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -81,7 +82,10 @@ from ..simulator import trace as trace_kinds
 from ..simulator.noise import LaneDrawer, NoiseModel
 from ..telemetry import active_tracer
 from ..topology import NodeId
-from .dynamics import PerturbationStep, SourceTracker, apply_step
+from .dynamics import SourceTracker
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .perturbations import PerturbationStep
 
 #: Timeline entry: (slot, offset from period start, senders in fire order).
 _SlotGroup = Tuple[int, float, Tuple[NodeId, ...]]
@@ -240,7 +244,7 @@ def run_fast_kernel(
     agent: EavesdropperAgent,
     tracker: SourceTracker,
     timeline: Tuple[_SlotGroup, ...],
-    steps: Sequence[PerturbationStep],
+    steps: Sequence["PerturbationStep"],
 ) -> Tuple[int, Dict[int, int]]:
     """Execute the operational phase; returns the last period begun and
     the sink's per-period count of collected readings.
@@ -321,6 +325,8 @@ def run_fast_kernel(
     built_epoch = radio.epoch
     step_count = len(steps)
     next_step = 0
+    if steps:
+        from .perturbations import apply_step
 
     # The attacker's compiled hear/decide state: its Figure 1 machine,
     # the R/M caps, a per-sender slot memo (one `slot_lookup` call per

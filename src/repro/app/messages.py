@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet
 
+from ..records import Record
 from ..topology import NodeId
 
 
-@dataclass(frozen=True)
-class AggregateMessage:
+class AggregateMessage(Record):
     """One TDMA-slot broadcast during normal operation.
 
     §VI-A: "Each node periodically broadcasts a message in its time

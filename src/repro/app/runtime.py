@@ -16,13 +16,13 @@ one-shot sleeps, recurring duty cycles) applied at period boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..attacker import AttackerSpec, EavesdropperAgent, paper_attacker
 from ..core import Schedule, safety_period
 from ..errors import ConfigurationError, invalid_field
 from ..mac import TdmaFrame
+from ..records import Record
 from ..simulator import (
     ATTACKER_MOVE,
     CAPTURE,
@@ -32,13 +32,16 @@ from ..simulator import (
 )
 from ..telemetry import active_tracer
 from ..topology import NodeId, Topology
-from .dynamics import Perturbation, SourcePlan, SourceTracker, lower_perturbations
+from .dynamics import SourcePlan, SourceTracker
 from .fast_kernel import (
     build_slot_timeline,
     fast_kernel_supported,
     fast_lane_compilable,
     run_fast_kernel,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .perturbations import Perturbation
 
 #: Kernel identifiers for :func:`run_operational_phase`.
 FAST_KERNEL = "fast"
@@ -53,8 +56,7 @@ KERNELS = (FAST_KERNEL, LEGACY_KERNEL)
 DEFAULT_KERNEL = FAST_KERNEL
 
 
-@dataclass(frozen=True)
-class OperationalResult:
+class OperationalResult(Record):
     """Outcome of one operational run.
 
     Attributes
@@ -127,31 +129,6 @@ def _resolve_source_plan(
                 "the sink cannot hold the asset (it is the attacker's anchor)",
             )
     return source_plan
-
-
-def _validate_perturbations(
-    topology: Topology,
-    perturbations: Sequence[Perturbation],
-    plan: SourcePlan,
-) -> None:
-    protected = set(plan.nodes) | {topology.sink}
-    for perturbation in perturbations:
-        for node in perturbation.nodes:
-            if node not in topology:
-                raise invalid_field(
-                    type(perturbation).__name__,
-                    "nodes",
-                    node,
-                    f"is not part of topology {topology.name!r}",
-                )
-            if node in protected:
-                role = "sink" if node == topology.sink else "source"
-                raise invalid_field(
-                    type(perturbation).__name__,
-                    "nodes",
-                    node,
-                    f"cannot perturb the {role} (it anchors the privacy game)",
-                )
 
 
 def run_operational_phase(
@@ -241,7 +218,10 @@ def run_operational_phase(
         )
     spec = attacker if attacker is not None else paper_attacker()
     plan = _resolve_source_plan(topology, source_plan)
-    _validate_perturbations(topology, perturbations, plan)
+    if perturbations:
+        from .perturbations import lower_perturbations, validate_perturbations
+
+        validate_perturbations(topology, perturbations, plan)
     source_pool = plan.nodes
     compressed = schedule.compressed()
     distinct = max(compressed.slots().values())
@@ -284,7 +264,7 @@ def run_operational_phase(
         capture_test=tracker.is_source,
     )
     sim.radio.attach_eavesdropper(agent)
-    steps = lower_perturbations(perturbations, periods_budget)
+    steps = lower_perturbations(perturbations, periods_budget) if perturbations else ()
 
     use_fast = resolved_kernel == FAST_KERNEL and fast_kernel_supported(
         frame, sim.radio.propagation_delay

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence
 
+from ..records import Record
 from ..topology import NodeId
 
 
-@dataclass(frozen=True)
-class HeardMessage:
+class HeardMessage(Record):
     """One captured transmission: who sent it, in which slot, and when."""
 
     sender: NodeId

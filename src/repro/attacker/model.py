@@ -10,16 +10,15 @@ tests drive the exact same logic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..errors import invalid_field
+from ..records import Record, factory
 from ..topology import NodeId
 from .decision import DecisionFunction, FollowFirstHeard, HeardMessage
 
 
-@dataclass(frozen=True)
-class AttackerSpec:
+class AttackerSpec(Record):
     """Parameters of a ``(R, H, M, s0, D)``-attacker.
 
     Attributes
@@ -37,7 +36,7 @@ class AttackerSpec:
     messages_per_move: int = 1
     history_size: int = 0
     moves_per_period: int = 1
-    decision: DecisionFunction = field(default_factory=FollowFirstHeard)
+    decision: DecisionFunction = factory(FollowFirstHeard)
 
     def __post_init__(self) -> None:
         if self.messages_per_move < 1:

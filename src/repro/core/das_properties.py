@@ -12,9 +12,9 @@ procedure read like model-checker counterexamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from ..records import Record, factory
 from ..topology import NodeId, Topology
 from .schedule import Schedule
 
@@ -25,8 +25,7 @@ ORDERING = "ordering"
 COLLISION = "collision"
 
 
-@dataclass(frozen=True)
-class DasViolation:
+class DasViolation(Record):
     """A single violated constraint of Def. 2/3.
 
     Attributes
@@ -48,12 +47,11 @@ class DasViolation:
         return f"[{self.kind}] nodes={self.nodes}: {self.detail}"
 
 
-@dataclass
-class DasCheckResult:
+class DasCheckResult(Record, frozen=False):
     """Outcome of checking a schedule against Def. 2 or Def. 3."""
 
     strong: bool
-    violations: List[DasViolation] = field(default_factory=list)
+    violations: List[DasViolation] = factory(list)
 
     @property
     def ok(self) -> bool:

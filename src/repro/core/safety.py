@@ -18,10 +18,10 @@ period-denominated forms are provided alongside the wall-clock ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError
+from ..records import Record
 from ..topology import Topology
 
 #: Safety period factor used throughout the paper's evaluation (§VI-B).
@@ -31,8 +31,7 @@ PAPER_SAFETY_FACTOR = 1.5
 PAPER_TIME_BOUND_FACTOR = 4
 
 
-@dataclass(frozen=True)
-class SafetyPeriod:
+class SafetyPeriod(Record):
     """A safety period in both wall-clock seconds and whole TDMA periods.
 
     Attributes

@@ -2,7 +2,7 @@
 
 The legacy setup engine drives every dissemination round through the
 generic discrete event machinery: one ``ROUND`` timer event and one
-``TX`` timer event per node per round, one message dataclass (with a
+``TX`` timer event per node per round, one message record (with a
 per-neighbour ``NodeInfo`` snapshot dict) per broadcast, one scheduled
 delivery event per surviving fan-out, and one ``on_receive`` dispatch
 per directed delivery.  Profiling shows that for the paper's setup

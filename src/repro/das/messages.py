@@ -1,6 +1,6 @@
 """Wire messages of the Phase 1 DAS protocol (Figure 2).
 
-Messages are small frozen dataclasses.  ``DissemMessage`` carries the
+Messages are small frozen records.  ``DissemMessage`` carries the
 sender's view of its neighbourhood — the ``{Ninfo[j] | j ∈ myN}`` payload
 of the ``dissem`` action — which is how nodes learn their 2-hop state
 for collision detection.
@@ -8,17 +8,16 @@ for collision detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..records import Record, factory
 from ..topology import NodeId
 
 #: Placeholder for "unknown" hop/slot, the paper's ``⊥``.
 UNKNOWN = None
 
 
-@dataclass(frozen=True)
-class NodeInfo:
+class NodeInfo(Record):
     """One ``Ninfo`` entry: what a node knows about one of its neighbours."""
 
     hop: Optional[int] = UNKNOWN
@@ -30,15 +29,13 @@ class NodeInfo:
         return self.slot is not UNKNOWN
 
 
-@dataclass(frozen=True)
-class HelloMessage:
+class HelloMessage(Record):
     """Neighbour-discovery beacon sent during the NDP periods (Table I)."""
 
     sender: NodeId
 
 
-@dataclass(frozen=True)
-class DissemMessage:
+class DissemMessage(Record):
     """The ``DISSEM`` broadcast of Figure 2.
 
     Attributes
@@ -58,7 +55,7 @@ class DissemMessage:
 
     normal: bool
     sender: NodeId
-    ninfo: Dict[NodeId, NodeInfo] = field(default_factory=dict)
+    ninfo: Dict[NodeId, NodeInfo] = factory(dict)
     parent: Optional[NodeId] = None
 
     def entry(self, node: NodeId) -> NodeInfo:

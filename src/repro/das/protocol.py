@@ -16,11 +16,11 @@ picks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..core import Schedule
 from ..errors import ProtocolError
+from ..records import Record
 from ..simulator import (
     IdealNoise,
     NoiseModel,
@@ -37,8 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .process import DasNodeProcess
 
 
-@dataclass(frozen=True)
-class DasProtocolConfig:
+class DasProtocolConfig(Record):
     """Phase 1 parameters (the protectionless-DAS rows of Table I).
 
     Attributes
@@ -85,8 +84,7 @@ class DasProtocolConfig:
             raise ProtocolError("dissemination timeout must be at least 1")
 
 
-@dataclass
-class DasSetupResult:
+class DasSetupResult(Record, frozen=False):
     """Outcome of a full Phase 1 run.
 
     Attributes

@@ -102,6 +102,19 @@ class StorageError(ReproError):
         self.path = path
 
 
+#: CLI exit code when a sweep could not produce any results at all
+#: (:class:`SweepExecutionError`).
+EXIT_SWEEP_FAILED = 3
+#: CLI exit code when a sweep completed but supervised execution had to
+#: quarantine seeds — the report is usable but incomplete.
+EXIT_QUARANTINED = 4
+#: CLI exit code when the *disk* failed us — a durable write raised
+#: :class:`StorageError` (ENOSPC, EROFS, …).  Distinct from the
+#: sweep-level codes so scripts can tell "the numbers are suspect" apart
+#: from "the machine needs an operator".
+EXIT_STORAGE = 5
+
+
 def storage_failure(op: str, path, exc: OSError) -> StorageError:
     """Build a :class:`StorageError` in the library's uniform shape,
     naming the operation, the artefact, and the underlying OS error::

@@ -12,10 +12,12 @@ from .. import _lazy_exports
 #: access.
 _EXPORTS = {
     "config": (
+        "ALGORITHMS",
         "PAPER",
         "PAPER_SIZES",
+        "PROTECTIONLESS",
         "PaperParameters",
-        "format_table1",
+        "SLP",
     ),
     "figure5": (
         "Figure5Cell",
@@ -65,12 +67,12 @@ _EXPORTS = {
         "write_reproducer_bundle",
     ),
     "runner": (
-        "ALGORITHMS",
-        "PROTECTIONLESS",
-        "SLP",
         "ExperimentConfig",
         "ExperimentOutcome",
         "ExperimentRunner",
+    ),
+    "table1": (
+        "format_table1",
     ),
     "schedule_cache": (
         "ScheduleCache",

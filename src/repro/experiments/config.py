@@ -2,45 +2,31 @@
 
 Every experiment module reads its defaults from here, so a single
 source of truth maps the paper's parameter table onto the library's
-configuration objects.  ``format_table1()`` regenerates the table
-itself (the ``table1`` entry of the experiment index in DESIGN.md).
+configuration objects; :mod:`repro.experiments.table1` prints the
+table itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..errors import invalid_field
 from ..mac.frame import TdmaFrame
+from ..records import Record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..das import DasProtocolConfig
     from ..topology import Topology
 
+#: Algorithm identifiers (the two bars of Figure 5).
+PROTECTIONLESS = "protectionless"
+SLP = "slp"
+ALGORITHMS = (PROTECTIONLESS, SLP)
+
 #: §VI-A: grid sizes of the evaluation.
 PAPER_SIZES: Tuple[int, ...] = (11, 15, 21)
 
-#: Table I rows: (symbol, description, value) for protectionless DAS.
-PROTECTIONLESS_ROWS = (
-    ("Psrc", "Source Period", "5.5 s"),
-    ("Pslot", "Slot Period", "0.05 s"),
-    ("Pdiss", "Dissemination Period", "0.5 s"),
-    ("slots", "Number of Slots", "100"),
-    ("MSP", "Minimum Setup Periods", "80"),
-    ("NDP", "Neighbour Discovery Periods", "4"),
-    ("DT", "Dissemination Timeout", "5"),
-)
-
-#: Table I rows added by SLP DAS.
-SLP_ROWS = (
-    ("SD", "Search Distance", "3, 5"),
-    ("CL", "Change Length", "Δss − SD"),
-)
-
-
-@dataclass(frozen=True)
-class PaperParameters:
+class PaperParameters(Record):
     """The concrete Table I values wired into library objects.
 
     Attributes mirror the table; helper methods construct the
@@ -102,17 +88,3 @@ class PaperParameters:
 
 #: The canonical instance used across experiments and benchmarks.
 PAPER = PaperParameters()
-
-
-def format_table1() -> str:
-    """Regenerate Table I as fixed-width text."""
-    lines = ["Table I: Parameters for protectionless and SLP DAS", ""]
-    lines.append(f"{'Symbol':<8} {'Description':<32} {'Value':<10}")
-    lines.append("-" * 52)
-    lines.append("Protectionless DAS")
-    for symbol, description, value in PROTECTIONLESS_ROWS:
-        lines.append(f"{symbol:<8} {description:<32} {value:<10}")
-    lines.append("SLP DAS")
-    for symbol, description, value in SLP_ROWS:
-        lines.append(f"{symbol:<8} {description:<32} {value:<10}")
-    return "\n".join(lines)

@@ -122,10 +122,10 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Tuple
 
+from ..records import Record, replace
 from .options import FAULT_PLAN_ENV
 
 
@@ -148,8 +148,7 @@ class ServiceHalt(BaseException):
     """
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Record):
     """A declarative, environment-carried set of fault injections.
 
     Activate with :meth:`activated` (a context manager) *before* the
@@ -207,7 +206,7 @@ class FaultPlan:
     # ------------------------------------------------------------------
     def to_env(self) -> str:
         """Serialise the plan for :data:`FAULT_PLAN_ENV`."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload = {name: getattr(self, name) for name in self._fields}
         return json.dumps(payload, sort_keys=True)
 
     @classmethod

@@ -10,13 +10,13 @@ as the text equivalent of the paper's bar chart, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..attacker import AttackerSpec
 from ..errors import ConfigurationError
 from ..metrics import CaptureStats
+from ..records import Record, replace
 from ..topology import paper_grid
 from .config import PAPER, PAPER_SIZES, PaperParameters
 from .options import plan_pool
@@ -31,8 +31,7 @@ PAPER_FIGURE5_REFERENCE = {
 }
 
 
-@dataclass(frozen=True)
-class Figure5Cell:
+class Figure5Cell(Record):
     """One (size, algorithm-pair) measurement of the figure.
 
     ``failures`` is empty unless supervised execution quarantined seeds
@@ -52,8 +51,7 @@ class Figure5Cell:
         return self.slp.reduction_versus(self.protectionless)
 
 
-@dataclass(frozen=True)
-class Figure5Result:
+class Figure5Result(Record):
     """One full panel (one search distance) of Figure 5."""
 
     search_distance: int

@@ -23,26 +23,27 @@ of them and pool workers inherit everything a seed executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ..das import run_das_setup
 from ..das.protocol import unassigned_error
 from ..errors import invalid_field
 from ..metrics import MessageOverhead
+from ..records import Record
 from ..simulator import NoiseModel
 from ..slp import SlpProtocolConfig, run_slp_setup
 from ..telemetry import active_tracer
 from ..topology import Topology
-from .config import PAPER, PaperParameters
+from .config import PAPER, PROTECTIONLESS, PaperParameters
 from .options import plan_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core import Schedule
     from .resilience import FailedRun
+    from .runner import ExperimentConfig
 
 
-@dataclass(frozen=True)
-class OverheadMeasurement:
+class OverheadMeasurement(Record):
     """Setup overhead for one topology across seeds.
 
     ``failures`` is empty unless a pooled run quarantined seeds; those
@@ -66,8 +67,7 @@ class OverheadMeasurement:
         return sum(m.overhead_percent for m in self.per_seed) / len(self.per_seed)
 
 
-@dataclass(frozen=True)
-class _SetupComparison:
+class _SetupComparison(Record):
     """The baseline-vs-SLP setup comparison on one topology; calling it
     measures one seed.
 
@@ -126,6 +126,34 @@ class _SetupComparison:
             search_messages=slp.search_messages,
             change_messages=slp.change_messages,
         )
+
+
+def distributed_schedule(
+    topology: Topology, config: "ExperimentConfig", seed: int
+) -> "Schedule":
+    """The schedule of one ``use_distributed`` run of ``config``, from
+    the message-level setup protocols."""
+    params = config.parameters
+    if config.algorithm == PROTECTIONLESS:
+        return run_das_setup(
+            topology,
+            config=params.das_config(),
+            seed=seed,
+            noise=config.make_noise(),
+            setup_kernel=config.setup_kernel,
+        ).schedule
+    slp_config = SlpProtocolConfig(
+        das=params.das_config(),
+        search_distance=config.search_distance,
+        change_length=params.change_length(topology, config.search_distance),
+    )
+    return run_slp_setup(
+        topology,
+        config=slp_config,
+        seed=seed,
+        noise=config.make_noise(),
+        setup_kernel=config.setup_kernel,
+    ).schedule
 
 
 def measure_setup_overhead(

@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
 from hashlib import sha256
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SweepExecutionError, invalid_field, sweep_failed
+from ..records import Record, replace
 from ..storage import atomic_write_text, durable_append
 from ..telemetry import active_tracer, default_registry
 from .options import GUARD_DIFFERENTIAL, fault_plan
@@ -66,8 +66,7 @@ CHECKPOINT_VERSION = 1
 # ----------------------------------------------------------------------
 # Retry policy
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Record):
     """Exponential backoff with deterministic jitter.
 
     ``delay(attempt, key)`` grows as ``base_delay * 2**(attempt-1)``,
@@ -106,8 +105,7 @@ class RetryPolicy:
 # ----------------------------------------------------------------------
 # Structured failure records
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FailedRun:
+class FailedRun(Record):
     """One quarantined seed: every recovery avenue was exhausted.
 
     Attributes
@@ -131,8 +129,7 @@ class FailedRun:
     error: str
 
 
-@dataclass(frozen=True)
-class GuardReport:
+class GuardReport(Record):
     """What the kernel-divergence guard saw on one sweep.
 
     ``degraded`` means a mismatch was found and the reported results
@@ -150,8 +147,7 @@ class GuardReport:
 # ----------------------------------------------------------------------
 # The failure ladder
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Rung:
+class Rung(Record):
     """One decision of the :class:`Ladder` for a failed unit of seeds.
 
     ``requeue`` lists ``(seeds, attempt)`` units to queue again (one on
@@ -246,8 +242,8 @@ def nothing_survived(
 # ----------------------------------------------------------------------
 def result_to_dict(result: OperationalResult) -> Dict[str, object]:
     """An :class:`OperationalResult` as JSON-ready primitives: what
-    ``dataclasses.asdict`` returns, built field by field instead of by
-    its recursive deep copy (every field is a scalar or a tuple of ids)."""
+    :func:`~repro.records.asdict` returns, built field by field instead
+    of by its recursive walk (every field is a scalar or a tuple of ids)."""
     return {
         "captured": result.captured,
         "capture_period": result.capture_period,

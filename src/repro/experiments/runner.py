@@ -15,14 +15,12 @@ full message-level setup instead, which the examples demonstrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from ..app import (
     KERNELS,
     OperationalResult,
-    Perturbation,
     SourcePlan,
     run_operational_phase,
 )
@@ -32,34 +30,35 @@ from ..das.centralized import centralized_das_schedule
 from ..das.kernels import resolve_setup_kernel
 from ..errors import invalid_field
 from ..metrics import CaptureStats, capture_stats
+from ..records import Record, factory, replace
 from ..simulator import CasinoLabNoise, NoiseModel
 from ..telemetry import active_tracer
 from ..topology import Topology
-from .config import PAPER, PaperParameters
+from .config import ALGORITHMS, PAPER, PROTECTIONLESS, SLP, PaperParameters
 from .options import GUARD_MODES, fault_plan
 from .schedule_cache import (
     ScheduleCache,
     default_schedule_cache,
     schedule_cache_enabled,
     schedule_key,
-    topology_fingerprint,
+    topology_structure,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..app import Perturbation
     from .pool import SeedPool
     from .resilience import FailedRun, GuardReport, SweepCheckpoint
 
 def setup_protocols():
-    """``(run_das_setup, SlpProtocolConfig, run_slp_setup)``: the
+    """:func:`~repro.experiments.overhead.distributed_schedule`: the
     message-level setup stack, imported on first use.  Only
     ``use_distributed`` sweeps run it, and no registered scenario is
     one.  A pooled :class:`ExperimentRunner` calls this before it
     forks, so pool workers inherit the modules instead of each
     compiling them."""
-    from ..das.protocol import run_das_setup
-    from ..slp.distributed import SlpProtocolConfig, run_slp_setup
+    from .overhead import distributed_schedule
 
-    return run_das_setup, SlpProtocolConfig, run_slp_setup
+    return distributed_schedule
 
 
 def slp_schedule_builder():
@@ -72,14 +71,7 @@ def slp_schedule_builder():
     return SlpParameters, build_slp_schedule
 
 
-#: Algorithm identifiers (the two bars of Figure 5).
-PROTECTIONLESS = "protectionless"
-SLP = "slp"
-ALGORITHMS = (PROTECTIONLESS, SLP)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """One experiment cell: topology × algorithm × parameters.
 
     Attributes
@@ -152,7 +144,7 @@ class ExperimentConfig:
     noise: object = "casino"
     attacker: Optional[AttackerSpec] = None
     use_distributed: bool = False
-    parameters: PaperParameters = field(default_factory=lambda: PAPER)
+    parameters: PaperParameters = factory(lambda: PAPER)
     source_plan: Optional[SourcePlan] = None
     perturbations: Tuple[Perturbation, ...] = ()
     max_periods: Optional[int] = None
@@ -219,8 +211,7 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentOutcome:
+class ExperimentOutcome(Record):
     """All runs of one experiment cell plus their aggregation.
 
     ``failures`` is empty unless supervised execution had to quarantine
@@ -262,7 +253,7 @@ class ExperimentRunner:
         self._topology = topology
         self._schedule_cache = schedule_cache
         self._pool = pool
-        self._fingerprint: Optional[str] = None
+        self._structure: Optional[Tuple] = None
 
     @property
     def topology(self) -> Topology:
@@ -292,10 +283,10 @@ class ExperimentRunner:
 
     def schedule_key_for(self, config: ExperimentConfig, seed: int) -> Tuple:
         """The content-addressed cache key of one run's schedule build."""
-        if self._fingerprint is None:
-            self._fingerprint = topology_fingerprint(self._topology)
+        if self._structure is None:
+            self._structure = topology_structure(self._topology)
         return schedule_key(
-            self._fingerprint,
+            self._structure,
             self._topology,
             config.algorithm,
             seed,
@@ -327,7 +318,7 @@ class ExperimentRunner:
 
     def _build_schedule(self, config: ExperimentConfig, seed: int) -> Schedule:
         if config.use_distributed:
-            return self._run_setup(config, seed)
+            return setup_protocols()(self._topology, config, seed)
         params = config.parameters
         if config.algorithm == PROTECTIONLESS:
             return centralized_das_schedule(
@@ -343,33 +334,6 @@ class ExperimentRunner:
             num_slots=params.num_slots,
             seed=seed,
             jitter=config.schedule_jitter,
-        ).schedule
-
-    def _run_setup(self, config: ExperimentConfig, seed: int) -> Schedule:
-        """The run's schedule from the message-level setup protocols."""
-        run_das_setup, SlpProtocolConfig, run_slp_setup = setup_protocols()
-        params = config.parameters
-        if config.algorithm == PROTECTIONLESS:
-            return run_das_setup(
-                self._topology,
-                config=params.das_config(),
-                seed=seed,
-                noise=config.make_noise(),
-                setup_kernel=config.setup_kernel,
-            ).schedule
-        slp_config = SlpProtocolConfig(
-            das=params.das_config(),
-            search_distance=config.search_distance,
-            change_length=params.change_length(
-                self._topology, config.search_distance
-            ),
-        )
-        return run_slp_setup(
-            self._topology,
-            config=slp_config,
-            seed=seed,
-            noise=config.make_noise(),
-            setup_kernel=config.setup_kernel,
         ).schedule
 
     # ------------------------------------------------------------------
@@ -443,33 +407,6 @@ class ExperimentRunner:
             return config
         return replace(config, telemetry=True)
 
-    def _publish_sweep_metrics(
-        self, outcome: ExperimentOutcome, elapsed: float
-    ) -> None:
-        """Fold one sweep's capture metrics into the registry.  Only
-        called with telemetry active — rates read the span clock."""
-        from ..telemetry import default_registry
-
-        registry = default_registry()
-        stats = outcome.stats
-        registry.inc("sweep.runs", stats.runs)
-        registry.inc("sweep.captures", stats.captures)
-        registry.gauge("sweep.capture_ratio", stats.capture_ratio)
-        registry.observe("sweep.capture_ratio", stats.capture_ratio)
-        messages = 0
-        for result in outcome.results:
-            registry.observe("sweep.safety_periods", result.safety_periods)
-            registry.observe("sweep.periods_run", result.periods_run)
-            messages += result.messages_sent
-        registry.inc("sweep.messages", messages)
-        if elapsed > 0:
-            registry.gauge(
-                "sweep.runs_per_second", round(stats.runs / elapsed, 3)
-            )
-            registry.gauge(
-                "sweep.messages_per_second", round(messages / elapsed, 1)
-            )
-
     def run(
         self,
         config: ExperimentConfig,
@@ -523,7 +460,9 @@ class ExperimentRunner:
                 "sweep.execute", algorithm=config.algorithm, repeats=config.repeats
             ) as span:
                 outcome = self._sweep(stamped, seeds, done, record)
-            self._publish_sweep_metrics(outcome, span.end - span.start)
+            from ..telemetry.registry import publish_sweep_metrics
+
+            publish_sweep_metrics(outcome, span.end - span.start)
         if guard is not None:
             from .resilience import apply_divergence_guard
 

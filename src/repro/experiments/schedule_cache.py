@@ -9,10 +9,12 @@ protectionless cell.  Schedule building is deterministic in exactly
 those inputs, so rebuilding is pure waste — ~10–15 % of a sweep run.
 
 :class:`ScheduleCache` is a bounded LRU memo keyed *by content*, not by
-object identity: :func:`topology_fingerprint` hashes the node set, the
-edge set and the sink, so two independently constructed topologies with
-the same structure share cache entries, and changing a single link
-changes the key.  The designated source joins the key only for
+object identity: :func:`topology_structure` (the node set, the edge set
+and the sink) leads the key, so two independently constructed
+topologies with the same structure share cache entries, and changing a
+single link changes the key.  Its SHA-256 digest
+(:func:`topology_fingerprint`) is computed only where a key leaves the
+process: the on-disk store and the checkpoint keys.  The designated source joins the key only for
 algorithms whose schedule depends on it (SLP's decoy path); the
 protectionless DAS schedule is source-independent, which is what lets
 ``scenario compare`` share one schedule across multi-source variants of
@@ -30,7 +32,6 @@ bisection.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
@@ -44,25 +45,36 @@ from ..topology import Topology
 DEFAULT_MAXSIZE = 256
 
 
-def topology_fingerprint(topology: Topology) -> str:
-    """A content hash of a topology's communication structure.
+def topology_structure(topology: Topology) -> Tuple:
+    """A topology's communication structure: its node set, its
+    (canonicalised) edge set and its sink.
 
-    Covers the node set, the (canonicalised) edge set and the sink —
-    everything schedule construction reads apart from the designated
-    source, which :func:`schedule_key` mixes in only when the algorithm
-    depends on it.  Two topologies with identical structure fingerprint
-    identically regardless of name or construction path; adding,
-    removing or rewiring any link changes the fingerprint.
+    That is everything schedule construction reads apart from the
+    designated source, which :func:`schedule_key` mixes in only when
+    the algorithm depends on it.  Two topologies with identical
+    structure compare equal here regardless of name or construction
+    path; adding, removing or rewiring any link changes it.
     """
-    digest = hashlib.sha256()
-    digest.update(repr(topology.nodes).encode())
-    digest.update(repr(topology.edges).encode())
-    digest.update(repr(topology.sink).encode())
-    return digest.hexdigest()
+    return (topology.nodes, topology.edges, topology.sink)
+
+
+def structure_digest(structure: Tuple) -> str:
+    """The SHA-256 hex digest of a :func:`topology_structure`: the same
+    on every process and host."""
+    from hashlib import sha256
+
+    nodes, edges, sink = structure
+    return sha256(f"{nodes!r}{edges!r}{sink!r}".encode()).hexdigest()
+
+
+def topology_fingerprint(topology: Topology) -> str:
+    """A content hash of a topology's communication structure (see
+    :func:`topology_structure`), for keys that leave the process."""
+    return structure_digest(topology_structure(topology))
 
 
 def schedule_key(
-    fingerprint: str,
+    fingerprint: object,
     topology: Topology,
     algorithm: str,
     seed: int,
@@ -76,8 +88,9 @@ def schedule_key(
 ) -> Tuple:
     """The cache key for one schedule build.
 
-    ``fingerprint`` is the topology's content hash (hoisted out so
-    callers can compute it once per sweep).  The source and the search
+    ``fingerprint`` is the topology's content identity, its
+    :func:`topology_structure` or that structure's digest (hoisted out
+    so callers can compute it once per sweep).  The source and the search
     distance join the key only for SLP (protectionless DAS ignores
     both), and the noise specification joins only for distributed
     builds (the centralised pipeline never draws from it) — omitting

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
 from ..core import Schedule
+from .schedule_cache import structure_digest
 
 #: On-disk format version; part of the table name so a format change
 #: can never silently read old rows.
@@ -50,11 +51,16 @@ _TABLE = f"schedules_v{STORE_VERSION}"
 def store_key(key: Tuple) -> str:
     """The SHA-256 hex digest of one ``schedule_key`` tuple.
 
-    The tuple contains only primitives with stable ``repr``\\ s
+    A key led by a :func:`~repro.experiments.schedule_cache.topology_structure`
+    digests as if it were led by that structure's digest.  The rest of
+    the tuple contains only primitives with stable ``repr``\\ s
     (strings, ints, bools, ``None``), so the digest is identical across
     processes and hosts — the same content-addressing argument the
     in-memory cache already relies on.
     """
+    fingerprint = key[0]
+    if not isinstance(fingerprint, str):
+        key = (structure_digest(fingerprint),) + tuple(key[1:])
     return sha256(repr(key).encode()).hexdigest()
 
 

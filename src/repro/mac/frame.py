@@ -14,13 +14,12 @@ place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from ..errors import ConfigurationError, invalid_field
+from ..records import Record
 
 
-@dataclass(frozen=True)
-class TdmaFrame:
+class TdmaFrame(Record):
     """Immutable TDMA frame geometry.
 
     Attributes

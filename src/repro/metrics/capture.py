@@ -12,16 +12,15 @@ happens across a sweep).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..app import OperationalResult
 from ..errors import ConfigurationError
+from ..records import Record
 from ..topology import NodeId
 
 
-@dataclass(frozen=True)
-class CaptureStats:
+class CaptureStats(Record):
     """Aggregated capture statistics over repeated runs.
 
     Attributes
@@ -68,8 +67,7 @@ def capture_stats(results: Sequence[OperationalResult]) -> CaptureStats:
     )
 
 
-@dataclass(frozen=True)
-class PerSourceCapture:
+class PerSourceCapture(Record):
     """Capture statistics attributed to one member of the source pool.
 
     Attributes
@@ -130,8 +128,7 @@ def per_source_capture_stats(
     )
 
 
-@dataclass(frozen=True)
-class FirstCaptureStats:
+class FirstCaptureStats(Record):
     """When the first capture of a run happens, aggregated over a sweep.
 
     With one source this mirrors :class:`CaptureStats`'s period mean;

@@ -10,15 +10,14 @@ tests assert it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..app import OperationalResult
 from ..errors import ConfigurationError
+from ..records import Record
 
 
-@dataclass(frozen=True)
-class AggregationStats:
+class AggregationStats(Record):
     """Sink-side aggregation completeness over repeated runs.
 
     Attributes

@@ -13,13 +13,12 @@ has two components:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..records import Record
 
 
-@dataclass(frozen=True)
-class MessageOverhead:
+class MessageOverhead(Record):
     """Setup message counts of a protectionless/SLP pair.
 
     Attributes

@@ -18,15 +18,19 @@ results bit-for-bit, which the test suite enforces.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List
 
 from ..attacker import AttackerSpec, AvoidRecentlyVisited, FollowAnyHeard
 from ..errors import invalid_field
 from ..experiments import SLP
-from ..app import DutyCycle, NodeDeath
 from .spec import ScenarioSpec, TopologySpec
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
+
+#: Built-in scenarios built on first lookup: name -> builder.  Their
+#: specs need the perturbation classes, which a run of any other
+#: scenario never loads.
+_DEFERRED: Dict[str, Callable[[], ScenarioSpec]] = {}
 
 
 def register_scenario(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
@@ -35,19 +39,22 @@ def register_scenario(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec
     Re-registering an existing name requires ``replace=True`` so a typo
     cannot silently shadow a built-in.
     """
-    if spec.name in _REGISTRY and not replace:
+    if (spec.name in _REGISTRY or spec.name in _DEFERRED) and not replace:
         raise invalid_field(
             "register_scenario",
             "name",
             spec.name,
             "already registered; pass replace=True to overwrite",
         )
+    _DEFERRED.pop(spec.name, None)
     _REGISTRY[spec.name] = spec
     return spec
 
 
 def get_scenario(name: str) -> ScenarioSpec:
     """Look a scenario up by name."""
+    if name in _DEFERRED:
+        _REGISTRY[name] = _DEFERRED.pop(name)()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -61,13 +68,13 @@ def get_scenario(name: str) -> ScenarioSpec:
 
 def scenario_names() -> List[str]:
     """Registered scenario names, sorted."""
-    return sorted(_REGISTRY)
+    return sorted(_REGISTRY.keys() | _DEFERRED.keys())
 
 
 def iter_scenarios() -> Iterator[ScenarioSpec]:
     """All registered scenarios in name order."""
     for name in scenario_names():
-        yield _REGISTRY[name]
+        yield get_scenario(name)
 
 
 # ----------------------------------------------------------------------
@@ -75,19 +82,6 @@ def iter_scenarios() -> Iterator[ScenarioSpec]:
 # ----------------------------------------------------------------------
 
 _GRID11 = TopologySpec(family="grid", size=11)
-
-#: ~10% of the 11×11 grid crashing in three waves: every tenth node,
-#: skipping the source (0) and steering clear of the sink (60).
-_CHURN_WAVES = (
-    NodeDeath(period=2, nodes=(7, 17, 27, 37)),
-    NodeDeath(period=4, nodes=(47, 57, 67, 77)),
-    NodeDeath(period=6, nodes=(87, 97, 107, 117)),
-)
-
-#: Rows 2–3 of the grid duty cycling: asleep 2 of every 5 periods.
-_DUTY_BAND = DutyCycle(
-    nodes=tuple(range(22, 44)), cycle_length=5, sleep_for=2, offset=1
-)
 
 register_scenario(
     ScenarioSpec(
@@ -142,26 +136,6 @@ register_scenario(
 
 register_scenario(
     ScenarioSpec(
-        name="churn-10pct",
-        topology=_GRID11,
-        perturbations=_CHURN_WAVES,
-        description="~10% of the grid crashes in three waves (periods "
-        "2, 4, 6) while the attacker hunts the static source.",
-    )
-)
-
-register_scenario(
-    ScenarioSpec(
-        name="duty-cycle",
-        topology=_GRID11,
-        perturbations=(_DUTY_BAND,),
-        description="Rows 2-3 duty cycle (asleep 2 of every 5 periods), "
-        "thinning the traffic the attacker steers by.",
-    )
-)
-
-register_scenario(
-    ScenarioSpec(
         name="strong-attacker",
         topology=_GRID11,
         attacker=AttackerSpec(2, 0, 2, FollowAnyHeard()),
@@ -189,3 +163,40 @@ register_scenario(
         "first-heard with two locations of anti-oscillation memory.",
     )
 )
+
+
+def _churn_10pct() -> ScenarioSpec:
+    from ..app.perturbations import NodeDeath
+
+    # ~10% of the 11×11 grid crashing in three waves: every tenth node,
+    # skipping the source (0) and steering clear of the sink (60).
+    waves = (
+        NodeDeath(period=2, nodes=(7, 17, 27, 37)),
+        NodeDeath(period=4, nodes=(47, 57, 67, 77)),
+        NodeDeath(period=6, nodes=(87, 97, 107, 117)),
+    )
+    return ScenarioSpec(
+        name="churn-10pct",
+        topology=_GRID11,
+        perturbations=waves,
+        description="~10% of the grid crashes in three waves (periods "
+        "2, 4, 6) while the attacker hunts the static source.",
+    )
+
+
+def _duty_cycle() -> ScenarioSpec:
+    from ..app.perturbations import DutyCycle
+
+    # Rows 2–3 of the grid duty cycling: asleep 2 of every 5 periods.
+    band = DutyCycle(nodes=tuple(range(22, 44)), cycle_length=5, sleep_for=2, offset=1)
+    return ScenarioSpec(
+        name="duty-cycle",
+        topology=_GRID11,
+        perturbations=(band,),
+        description="Rows 2-3 duty cycle (asleep 2 of every 5 periods), "
+        "thinning the traffic the attacker steers by.",
+    )
+
+
+_DEFERRED["churn-10pct"] = _churn_10pct
+_DEFERRED["duty-cycle"] = _duty_cycle

@@ -18,13 +18,13 @@ enforces this for every registered scenario.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..experiments.options import plan_pool
 from ..experiments.runner import ExperimentRunner
 from ..metrics.capture import first_capture_stats, per_source_capture_stats
+from ..records import Record, asdict, replace
 from .registry import get_scenario
 from .spec import ScenarioSpec, lower_job
 
@@ -40,8 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..topology import NodeId
 
 
-@dataclass(frozen=True)
-class ScenarioOutcome:
+class ScenarioOutcome(Record):
     """All runs of one scenario sweep plus scenario-level aggregation."""
 
     spec: ScenarioSpec

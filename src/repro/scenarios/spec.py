@@ -21,14 +21,17 @@ service's scheduler, workers, submit validator, ``fsck`` and ``gc``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from ..attacker import AttackerSpec, paper_attacker
 from ..errors import invalid_field
 from ..experiments import ALGORITHMS, PROTECTIONLESS, ExperimentConfig
-from ..app import Perturbation, SourcePlan
-from ..topology import GridTopology, LineTopology, NodeId, RingTopology, Topology
+from ..records import Record, factory, replace
+from ..app import SourcePlan
+from ..topology import GridTopology, NodeId, Topology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..app import Perturbation
 
 #: Topology families a scenario may request.
 TOPOLOGY_FAMILIES = ("grid", "line", "ring")
@@ -40,8 +43,7 @@ NOISE_REGIMES = ("casino", "ideal")
 Placement = Union[int, str]
 
 
-@dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Record):
     """A topology family plus size, buildable without further input.
 
     Attributes
@@ -96,9 +98,14 @@ class TopologySpec:
         """Construct the topology, optionally designating ``source``."""
         if self.family == "grid":
             return GridTopology(self.size, source=source)
+        # Imported here: the paper's cells are all grids.
         if self.family == "line":
+            from ..topology.line import LineTopology
+
             built: Topology = LineTopology(self.size)
         else:
+            from ..topology.ring import RingTopology
+
             built = RingTopology(self.size)
         if source is not None and source != built.source:
             built = built.with_source(source)
@@ -146,8 +153,7 @@ class TopologySpec:
             ) from None
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """One declarative evaluation workload.
 
     Attributes
@@ -187,7 +193,7 @@ class ScenarioSpec:
     """
 
     name: str
-    topology: TopologySpec = field(default_factory=TopologySpec)
+    topology: TopologySpec = factory(TopologySpec)
     description: str = ""
     algorithm: str = PROTECTIONLESS
     search_distance: int = 3

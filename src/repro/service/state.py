@@ -28,11 +28,11 @@ the job and the scheduler re-runs only the missing seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from hashlib import sha256
 from typing import Dict, Optional, Tuple
 
 from ..errors import invalid_field
+from ..records import Record
 from ..scenarios import ScenarioSpec
 
 #: Job states (the strings stored in the job store).
@@ -94,8 +94,7 @@ def job_key(
     return sha256(canonical.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class JobRecord:
+class JobRecord(Record):
     """One durable job as the store persists it.
 
     ``spec_json`` is the spec's canonical JSON (the submission payload

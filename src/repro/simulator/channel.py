@@ -9,15 +9,14 @@ owning process dequeues them in arrival order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, Iterator
 
 from ..errors import SimulationError
+from ..records import Record
 from ..topology import NodeId
 
 
-@dataclass(frozen=True, slots=True)
-class Delivery:
+class Delivery(Record):
     """A message sitting in a channel: who sent it, what, and when."""
 
     sender: NodeId

@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Event:
     """A scheduled callback.  Ordered by ``(time, seq)``.
 
-    A plain ``__slots__`` class rather than a dataclass: millions of
+    A plain ``__slots__`` class rather than a record: millions of
     events are allocated per experiment sweep, and the heap itself
     orders ``(time, seq, event)`` tuples so comparisons never reach
     Python-level ``__lt__`` on the hot path.

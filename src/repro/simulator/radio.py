@@ -14,20 +14,9 @@ construction, so the window mainly matters for the dissemination phase
 and is disabled by default (TinyOS disseminations are CSMA-spaced, which
 our per-node jitter reproduces).
 
-Hot-path notes.  Broadcast delivery dominates sweep runtime, so the
-medium (a) caches the per-sender fan-out list (attached neighbours and
-their callbacks, plus the receiver-id tuple fed to the noise
-block-draw) and the per-sender audible set instead of rebuilding them
-each transmission, (b) schedules *one* event per broadcast that fans
-out to every surviving receiver when it fires, rather than one event
-per directed delivery, (c) draws all of a broadcast's noise decisions
-through :meth:`NoiseModel.delivers_block` in one call, and (d) bypasses
-trace-record construction entirely for kinds the recorder does not
-retain.  None of this changes the event ordering or RNG draw
-sequence of a run: deliveries of one broadcast share a timestamp and
-fired back-to-back before under the ``(time, seq)`` order anyway, and
-noise draws happen at transmission time in neighbour order exactly as
-before.
+The transmission path itself (a broadcast's noise draws, overhearing
+and its scheduled fan-out) runs only on the event-heap engine and lives
+in :mod:`repro.simulator.engine`.
 """
 
 from __future__ import annotations
@@ -215,108 +204,11 @@ class RadioMedium:
         return self._audible_of(sender)
 
     def broadcast(self, sender: NodeId, message: Any) -> None:
-        """Transmit ``message`` from ``sender`` to all nodes in range.
+        """Transmit ``message`` from ``sender`` to all nodes in range
+        (see :func:`repro.simulator.engine.broadcast`)."""
+        from .engine import broadcast
 
-        Every attached neighbour receives an independent delivery (after
-        noise); every eavesdropper whose location is the sender or one of
-        its neighbours overhears the frame at transmission time.  RNG
-        draw order: one block of noise decisions in neighbour order, then
-        one audibility decision per eavesdropper in range.
-        """
-        sim = self._sim
-        now = sim.now
-        rng = sim.rng
-        trace = sim.trace
-        noise = self._noise
-        if self._keep_send:
-            trace.record(now, trace_kinds.SEND, sender=sender, message=message)
-        else:
-            trace.bump(trace_kinds.SEND)
-
-        fanout, receiver_ids = self._fanout_of(sender)
-        surviving: _Fanout
-        if not fanout:
-            surviving = ()
-        else:
-            flags = noise.delivers_block(sender, receiver_ids, rng)
-            if all(flags):
-                surviving = fanout
-            else:
-                kept: List[Tuple[NodeId, Callable[[NodeId, Any, float], None]]] = []
-                keep_drop = self._keep_drop
-                for pair, delivered in zip(fanout, flags):
-                    if delivered:
-                        kept.append(pair)
-                    elif keep_drop:
-                        trace.record(
-                            now, trace_kinds.DROP, sender=sender, receiver=pair[0]
-                        )
-                    else:
-                        trace.bump(trace_kinds.DROP)
-                surviving = tuple(kept)
-
-        if self._eavesdroppers:
-            audible = self._audible_of(sender)
-            for eavesdropper in list(self._eavesdroppers):
-                if eavesdropper.location in audible:
-                    if noise.delivers(sender, -1, rng):
-                        if self._keep_hear:
-                            trace.record(
-                                now,
-                                trace_kinds.ATTACKER_HEAR,
-                                sender=sender,
-                                location=eavesdropper.location,
-                            )
-                        else:
-                            trace.bump(trace_kinds.ATTACKER_HEAR)
-                        eavesdropper.overhear(sender, message, now)
-        if surviving:
-            sim.schedule_after(
-                self._propagation_delay,
-                self._deliver,
-                (sender, message, surviving),
-            )
-
-    def _deliver(self, sender: NodeId, message: Any, deliveries: _Fanout) -> None:
-        """Fan one broadcast out to all its surviving receivers.
-
-        Receivers fire in neighbour order — identical to the order the
-        per-receiver events of one broadcast popped in before batching,
-        since they shared a timestamp and consecutive sequence numbers.
-        """
-        now = self._sim.now
-        trace = self._sim.trace
-        window = self._collision_window
-        keep_deliver = self._keep_deliver
-        if window > 0.0:
-            last_arrival = self._last_arrival
-            for receiver, callback in deliveries:
-                last = last_arrival.get(receiver)
-                last_arrival[receiver] = now
-                if last is not None and now - last < window:
-                    if self._keep_collide:
-                        trace.record(
-                            now, trace_kinds.COLLIDE, sender=sender, receiver=receiver
-                        )
-                    else:
-                        trace.bump(trace_kinds.COLLIDE)
-                    continue
-                if keep_deliver:
-                    trace.record(
-                        now, trace_kinds.DELIVER, sender=sender, receiver=receiver
-                    )
-                else:
-                    trace.bump(trace_kinds.DELIVER)
-                callback(sender, message, now)
-            return
-        for receiver, callback in deliveries:
-            if keep_deliver:
-                trace.record(
-                    now, trace_kinds.DELIVER, sender=sender, receiver=receiver
-                )
-            else:
-                trace.bump(trace_kinds.DELIVER)
-            callback(sender, message, now)
+        broadcast(self, sender, message)
 
     def close(self) -> None:
         """Forget the engine and every attached receiver (see

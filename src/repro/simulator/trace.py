@@ -7,8 +7,9 @@ clean and the accounting auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
+
+from ..records import Record, factory
 
 #: Well-known event kinds emitted by the library.
 SEND = "send"
@@ -29,13 +30,12 @@ PHASE = "phase"
 COUNTS_ONLY: frozenset = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(Record):
     """One trace entry: a timestamped event kind with free-form detail."""
 
     time: float
     kind: str
-    detail: Dict[str, Any] = field(default_factory=dict)
+    detail: Dict[str, Any] = factory(dict)
 
 
 class TraceRecorder:

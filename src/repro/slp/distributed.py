@@ -21,7 +21,6 @@ legacy oracle, imported only when a run picks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..core import Schedule
@@ -29,6 +28,7 @@ from ..das.fast_setup import fast_setup_supported, run_fast_setup
 from ..das.kernels import resolve_setup_kernel
 from ..das.protocol import DasProtocolConfig, setup_schedule
 from ..errors import ProtocolError
+from ..records import Record, factory
 from ..simulator import (
     IdealNoise,
     NoiseModel,
@@ -44,8 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .process import SlpNodeProcess
 
 
-@dataclass(frozen=True)
-class SlpProtocolConfig:
+class SlpProtocolConfig(Record):
     """Parameters of the full 3-phase SLP DAS protocol (Table I).
 
     Attributes
@@ -63,7 +62,7 @@ class SlpProtocolConfig:
         grids need ~20 rounds of self-stabilising repair.
     """
 
-    das: DasProtocolConfig = field(default_factory=DasProtocolConfig)
+    das: DasProtocolConfig = factory(DasProtocolConfig)
     search_distance: int = 3
     change_length: int = 5
     refinement_periods: int = 20
@@ -77,8 +76,7 @@ class SlpProtocolConfig:
             raise ProtocolError("refinement needs at least 2 rounds to settle")
 
 
-@dataclass
-class SlpSetupResult:
+class SlpSetupResult(Record, frozen=False):
     """Outcome of a full 3-phase distributed run.
 
     Attributes

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..records import Record
 
 from ..topology import NodeId
 
 
-@dataclass(frozen=True)
-class SearchMessage:
+class SearchMessage(Record):
     """The ``SEARCH`` broadcast of Figure 3.
 
     Attributes
@@ -32,8 +31,7 @@ class SearchMessage:
     ttl: int = 64
 
 
-@dataclass(frozen=True)
-class ChangeMessage:
+class ChangeMessage(Record):
     """The ``CHANGE`` broadcast of Figure 4.
 
     Attributes

@@ -10,12 +10,12 @@ jitter and tie-breaks, so a build is fully reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from ..core import Schedule
 from ..das import centralized_das_schedule, DEFAULT_NUM_SLOTS
 from ..errors import invalid_field
+from ..records import Record
 from ..topology import Topology
 from .refine import RefinementResult, refine_slots
 from .search import SearchResult, locate_redirection_node
@@ -29,8 +29,7 @@ def default_change_length(topology: Topology, search_distance: int) -> int:
     return max(1, topology.source_sink_distance() - search_distance)
 
 
-@dataclass(frozen=True)
-class SlpParameters:
+class SlpParameters(Record):
     """The two SLP-specific knobs of Table I.
 
     Attributes
@@ -67,8 +66,7 @@ class SlpParameters:
         return default_change_length(topology, self.search_distance)
 
 
-@dataclass(frozen=True)
-class SlpBuildResult:
+class SlpBuildResult(Record):
     """Everything produced by one 3-phase build.
 
     Attributes

@@ -27,17 +27,16 @@ distinction the paper formalises.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import Schedule
 from ..errors import ProtocolError
+from ..records import Record
 from ..topology import NodeId, Topology
 from .search import SearchResult
 
 
-@dataclass(frozen=True)
-class RefinementResult:
+class RefinementResult(Record):
     """Outcome of Phase 3.
 
     Attributes

@@ -16,16 +16,15 @@ equivalent used by the experiment harness and the verifier benches.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 from ..core import Schedule
 from ..errors import ProtocolError
+from ..records import Record
 from ..topology import NodeId, Topology
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Outcome of the Phase 2 search.
 
     Attributes

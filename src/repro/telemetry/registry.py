@@ -133,3 +133,27 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
         yield registry
     finally:
         _DEFAULT = previous
+
+
+def publish_sweep_metrics(outcome: Any, elapsed: float) -> None:
+    """Fold one sweep's capture metrics (an
+    :class:`~repro.experiments.ExperimentOutcome` that took ``elapsed``
+    seconds) into the default registry.  Only called with telemetry
+    active — rates read the span clock."""
+    registry = default_registry()
+    stats = outcome.stats
+    registry.inc("sweep.runs", stats.runs)
+    registry.inc("sweep.captures", stats.captures)
+    registry.gauge("sweep.capture_ratio", stats.capture_ratio)
+    registry.observe("sweep.capture_ratio", stats.capture_ratio)
+    messages = 0
+    for result in outcome.results:
+        registry.observe("sweep.safety_periods", result.safety_periods)
+        registry.observe("sweep.periods_run", result.periods_run)
+        messages += result.messages_sent
+    registry.inc("sweep.messages", messages)
+    if elapsed > 0:
+        registry.gauge("sweep.runs_per_second", round(stats.runs / elapsed, 3))
+        registry.gauge(
+            "sweep.messages_per_second", round(messages / elapsed, 1)
+        )

@@ -34,14 +34,9 @@ from typing import Any, Dict, Optional, Union
 
 from ..errors import StorageError
 from ..storage import atomic_write_text
+from . import active_tracer, tracing
 from .registry import MetricsRegistry, default_registry, use_registry
-from .spans import (
-    SpanTracer,
-    active_tracer,
-    chrome_trace,
-    spans_jsonl,
-    tracing,
-)
+from .spans import SpanTracer, chrome_trace, spans_jsonl
 
 __all__ = [
     "TelemetrySession",

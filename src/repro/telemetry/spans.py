@@ -3,11 +3,12 @@
 The tracer is deliberately tiny: ``begin``/``end`` push and pop a
 stack, ``instant`` records a point event, and everything lands in a
 bounded in-memory list (overflow increments ``dropped`` instead of
-growing without bound).  Instrumented call sites fetch the module's
-active tracer once (``tracer = active_tracer()``) and guard every
-record with ``if tracer is not None`` — with telemetry off the hot
-path pays one module-global read per function and one ``is not None``
-check per loop, and never touches the RNG stream or the clock.
+growing without bound).  Instrumented call sites fetch the process's
+active tracer once (``tracer = active_tracer()``, from the package
+root) and guard every record with ``if tracer is not None`` — with
+telemetry off the hot path pays one module-global read per function
+and one ``is not None`` check per loop, and never touches the RNG
+stream or the clock.
 
 Timestamps are ``time.perf_counter()`` deltas from the tracer's
 creation; each tracer also records a ``time.time()`` anchor (`wall0`)
@@ -32,8 +33,6 @@ __all__ = [
     "DEFAULT_MAX_SPANS",
     "Span",
     "SpanTracer",
-    "active_tracer",
-    "tracing",
     "spans_jsonl",
     "chrome_trace",
 ]
@@ -172,27 +171,6 @@ class SpanTracer:
             span.end = end + shift
             self._keep(span)
         self.dropped += payload.get("dropped", 0)
-
-
-# One active tracer per process; ``None`` means telemetry is off and
-# every instrumented site short-circuits on the ``is not None`` guard.
-_ACTIVE: Optional[SpanTracer] = None
-
-
-def active_tracer() -> Optional[SpanTracer]:
-    return _ACTIVE
-
-
-@contextmanager
-def tracing(tracer: SpanTracer) -> Iterator[SpanTracer]:
-    """Install ``tracer`` as the process-wide active tracer."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tracer
-    try:
-        yield tracer
-    finally:
-        _ACTIVE = previous
 
 
 # -- export formats ------------------------------------------------

@@ -9,15 +9,15 @@ rules of the Phase 1 protocol) and cheap to copy between processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ..records import Record
 
 #: Type alias for node identifiers.  Kept as ``int`` for cheap hashing and
 #: the identifier-based tie-breaking used by the distributed protocols.
 NodeId = int
 
 
-@dataclass(frozen=True, order=True)
-class Coordinate:
+class Coordinate(Record, order=True):
     """A 2-D physical position in metres.
 
     The paper places nodes on a plane with 4.5 m spacing; positions are
@@ -36,8 +36,7 @@ class Coordinate:
         yield self.y
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(Record):
     """A node identifier bound to a physical position."""
 
     node: NodeId

@@ -391,9 +391,13 @@ class Topology:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         src = self._source if self._source is not None else "-"
+        # A family topology (grid, line, ring) is rebuilt from its
+        # parameters; any other one lists its links, so a generated
+        # topology in a failure report can be rebuilt with from_edges.
+        links = f", links={list(self.edges)}" if type(self) is Topology else ""
         return (
             f"Topology({self._name!r}, nodes={self.num_nodes}, "
-            f"edges={self.num_edges}, sink={self._sink}, source={src})"
+            f"edges={self.num_edges}, sink={self._sink}, source={src}{links})"
         )
 
     # ------------------------------------------------------------------

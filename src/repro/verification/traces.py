@@ -16,17 +16,16 @@ spends one of the ``M`` within-period moves (lines 11–12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..attacker import AttackerSpec, HeardMessage
 from ..core import Schedule
 from ..errors import VerificationError
+from ..records import Record
 from ..topology import NodeId, Topology
 
 
-@dataclass(frozen=True)
-class AttackerStep:
+class AttackerStep(Record):
     """One justified attacker transition."""
 
     destination: NodeId

@@ -19,12 +19,12 @@ capture period canonical.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..attacker import AttackerSpec, paper_attacker
 from ..core import Schedule, check_weak_das
 from ..errors import VerificationError
+from ..records import Record
 from ..topology import NodeId, Topology
 from .traces import valid_steps
 
@@ -32,8 +32,7 @@ from .traces import valid_steps
 _State = Tuple[NodeId, int, Tuple[NodeId, ...]]
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
     """The triple returned by ``VerifySchedule``.
 
     Attributes

@@ -11,8 +11,13 @@ from repro.topology import GridTopology, LineTopology, RingTopology, Topology
 
 #: CI's deep run of the generated differential tests
 #: (``pytest --hypothesis-profile=deep``): many more examples, drawn at
-#: random and shrunk on failure (see ``differential.py``).
-settings.register_profile("deep", max_examples=2000, deadline=None)
+#: random and shrunk on failure (see ``differential.py``).  It reports
+#: the first failure found, shrunk, rather than an exception group of
+#: every distinct one: shrinking several at once multiplies the time and
+#: memory the job takes.
+settings.register_profile(
+    "deep", max_examples=2000, deadline=None, report_multiple_bugs=False
+)
 
 
 @pytest.fixture

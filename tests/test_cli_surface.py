@@ -6,13 +6,30 @@ class.  The flag declarations in ``cli.py`` may be reorganised freely
 (shared parent parsers, helpers), but what a user can type — and what
 each flag parses to — must not move unless this table is edited on
 purpose.  Print the current surface with ``python tests/test_cli_surface.py``.
+
+The ``--help`` text of the top level and of every subcommand is pinned
+byte for byte too (``cli_help.txt``, rendered at ``COLUMNS=80``): a call
+builds only the parser of the subcommand it invokes, and that partial
+parser must print exactly what the full one does.  Regenerate the file
+with ``python tests/test_cli_surface.py --help-text > tests/cli_help.txt``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
+import io
+import os
+import sys
+from pathlib import Path
+from typing import Iterator, List, Tuple
 
-from repro.cli import build_parser
+import pytest
+
+from repro.cli import build_parser, main
+
+HELP_FILE = Path(__file__).resolve().parent / "cli_help.txt"
 
 PINNED = """
 [figure5]
@@ -191,5 +208,65 @@ def test_cli_surface_matches_the_pinned_table():
     assert current == pinned
 
 
+def _command_paths() -> Iterator[Tuple[str, ...]]:
+    """The top level and every subcommand, in help order."""
+
+    def walk(parser: argparse.ArgumentParser, path: Tuple[str, ...]):
+        yield path
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    yield from walk(child, path + (name,))
+
+    yield from walk(build_parser(), ())
+
+
+def help_text() -> str:
+    """Every ``--help`` output at ``COLUMNS=80``, each under a header."""
+    previous = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    chunks: List[str] = []
+    try:
+        for path in _command_paths():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+                main([*path, "--help"])
+            assert exit_.value.code == 0
+            chunks.append(f"=== {' '.join(path) or '(top level)'}\n{out.getvalue()}")
+    finally:
+        if previous is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = previous
+    return "".join(chunks)
+
+
+def test_help_text_matches_the_pinned_file():
+    assert help_text() == HELP_FILE.read_text()
+
+
+def test_full_parser_prints_the_pinned_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = HELP_FILE.read_text()
+    assert "=== (top level)\n" + build_parser().format_help() in pinned
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("table1",), ("scenario", "run", "paper-baseline", "--seeds", "1", "--quiet")],
+    ids=["table1", "scenario-run"],
+)
+def test_in_process_main_keeps_the_default_collector(argv, capsys):
+    # Only the process entry point (``python -m repro.cli``) holds the
+    # collector off during imports and freezes at exit.
+    frozen = gc.get_freeze_count()
+    assert main(list(argv)) == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
 if __name__ == "__main__":  # pragma: no cover - maintenance helper
-    print("\n".join(cli_surface()))
+    if sys.argv[1:] == ["--help-text"]:
+        sys.stdout.write(help_text())
+    else:
+        print("\n".join(cli_surface()))

@@ -25,6 +25,10 @@
   source budget too.
 * A cold ``scenario run`` of a registered scenario loads no JSON
   document codec: ``ScenarioSpec`` imports it on first use.
+* No cold entry point loads ``dataclasses`` or its ``inspect`` chain
+  (the package's records are :class:`repro.records.Record` classes),
+  and a cold ``scenario run`` loads no ``hashlib`` either: the
+  topology digest is taken only where a key leaves the process.
 * The other way round, a process that forks workers imports what its
   seeds execute *before* it forks, so the workers inherit it instead of
   each compiling it again (DESIGN.md "Import boundaries"); a pooled
@@ -100,9 +104,17 @@ LEGACY_ENGINE = (
 )
 
 #: Bytes of repro source a cold ``scenario run paper-baseline --seeds 4``
-#: may load: the measured total (280,112 bytes in 42 modules) plus 5%.
+#: may load: the measured total (276,443 bytes in 43 modules) plus 5%.
 #: Without bytecode caches every byte is compiled on every call.
-SOURCE_BUDGET = 294_117
+SOURCE_BUDGET = 290_265
+
+#: Loaded by no cold entry point: ``dataclasses`` and the ``inspect``
+#: chain it pulls in (``Record`` builds its methods without ``exec``).
+RECORD_MACHINERY = ("dataclasses", "inspect")
+
+#: Loaded by no cold ``scenario run``: the topology digest is computed
+#: only for keys that leave the process (store, checkpoints).
+DIGEST = ("hashlib",)
 
 #: What the distributed setup (the overhead experiment) executes.
 SETUP_PATH = ("repro.das.fast_setup", "repro.slp.distributed")
@@ -122,8 +134,15 @@ LEGACY_SETUP = (
 )
 
 #: Bytes of repro source a cold :data:`SERIAL_OVERHEAD` run may load:
-#: the measured total (182,929 bytes in 29 modules) plus 5%.
-OVERHEAD_SOURCE_BUDGET = 192_075
+#: the measured total (178,469 bytes in 29 modules) plus 5%.
+OVERHEAD_SOURCE_BUDGET = 187_392
+
+#: What a remote worker process imports before its first claim.
+REMOTE_WORKER = "from repro.service import ShardWorker, worker_main"
+
+#: Bytes of repro source :data:`REMOTE_WORKER` may load: the measured
+#: total (322,033 bytes in 47 modules) plus 5%.
+WORKER_SOURCE_BUDGET = 338_134
 
 #: The operational engine and the code that drives it: the overhead
 #: experiment executes none of it.
@@ -322,6 +341,25 @@ def test_cold_run_source_stays_within_budget():
     _assert_source_within(modules, SOURCE_BUDGET, "a cold protectionless run")
 
 
+@pytest.mark.parametrize("scenario", ["paper-baseline", "paper-baseline-slp"])
+def test_cold_run_loads_no_record_machinery_or_digest(scenario):
+    modules = _cli_modules(("scenario", "run", scenario, "--seeds", "4", "--quiet"))
+    assert _loaded(modules, RECORD_MACHINERY + DIGEST) == []
+
+
+@pytest.mark.parametrize(
+    "code", [REMOTE_WORKER, SERIAL_OVERHEAD], ids=["remote-worker", "serial-overhead"]
+)
+def test_worker_and_overhead_load_no_record_machinery(code):
+    assert _loaded(_modules_after(code), RECORD_MACHINERY) == []
+
+
+def test_remote_worker_source_stays_within_budget():
+    _assert_source_within(
+        _modules_after(REMOTE_WORKER), WORKER_SOURCE_BUDGET, "a remote worker"
+    )
+
+
 def test_cold_overhead_source_stays_within_budget():
     modules = _modules_after(SERIAL_OVERHEAD)
     _assert_source_within(
@@ -354,7 +392,7 @@ def test_service_status_loads_no_run_path():
     "code, expected",
     [
         ("from repro.service import SweepService", RUN_PATH + ("repro.scenarios.spec",)),
-        ("from repro.service import ShardWorker", RUN_PATH + ("repro.scenarios.spec",)),
+        (REMOTE_WORKER, RUN_PATH + ("repro.scenarios.spec",)),
         (
             "from repro.experiments import ExperimentRunner, SeedPool\n"
             "from repro.topology import GridTopology\n"

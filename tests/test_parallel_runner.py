@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-from dataclasses import asdict
 
 import pytest
 
@@ -28,6 +27,7 @@ from repro.experiments import (
     seed_chunks,
 )
 from repro.experiments import options as options_module
+from repro.records import asdict
 from repro.simulator import ATTACKER_MOVE, CAPTURE, CasinoLabNoise
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 from differential import differential_settings
@@ -27,6 +26,7 @@ from repro.app import DutyCycle, NodeDeath, run_operational_phase
 from repro.das import centralized_das_schedule
 from repro.errors import ProtocolError
 from repro.experiments import ExperimentRunner
+from repro.records import replace
 from repro.scenarios import get_scenario, scenario_names
 from repro.simulator import BernoulliNoise, CasinoLabNoise, IdealNoise
 from repro.topology import GridTopology, Topology

@@ -156,3 +156,14 @@ def test_bad_arguments_are_usage_errors(recorder, argv, capsys):
         recorder.main(argv)
     assert excinfo.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_current_numbers_cite_the_newest_record():
+    """PERFORMANCE.md's "Current numbers" heading names the newest
+    ``BENCH_*.json`` in the repository root (names sort by date, then
+    by the recorder's ``b``, ``c``, … suffix)."""
+    root = SCRIPT.parent.parent
+    newest = max(path.name for path in root.glob("BENCH_*.json"))
+    lines = (root / "PERFORMANCE.md").read_text().splitlines()
+    heading = next(line for line in lines if line.startswith("## Current numbers"))
+    assert f"`{newest}`" in heading

@@ -20,7 +20,6 @@ import json
 import multiprocessing
 import os
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -50,6 +49,7 @@ from repro.experiments import (
 )
 from repro.experiments.options import default_workers
 from repro.experiments.runner import PROTECTIONLESS, SLP
+from repro.records import replace
 from repro.scenarios import ScenarioRunner
 from repro.telemetry import TelemetrySession
 from repro.topology import GridTopology, paper_grid
@@ -180,7 +180,7 @@ class TestResultRoundTrip:
         assert result_from_dict(payload) == result
 
     def test_equals_asdict_captured_and_uncaptured(self):
-        from dataclasses import asdict
+        from repro.records import asdict
 
         from repro.app import OperationalResult
 
