@@ -10,7 +10,7 @@ The crash-consistency story against *real processes*:
    board lands half a line, fsyncs it, and the service dies —
    ``SIGKILL`` mid-write); the moment the fault's marker appears, this
    script ``SIGKILL``\\ s the service too, so the data dir is left
-   exactly as a crashed box would leave it: a running job row and
+   exactly as a crashed box would leave it: a running job and
    checkpoint debris — and the forked workers of the dead service must
    notice and exit within 5 s;
 3. ``repro service fsck --data-dir`` must *find* the damage (exit 1:
@@ -23,7 +23,14 @@ The crash-consistency story against *real processes*:
    the job, notes the degradation, and self-heals on retry;
 5. the served report must be byte-identical to a direct in-process
    ``ScenarioRunner`` run, and the drained service must leave no
-   worker behind.
+   worker behind;
+6. a third life tears a job-log append instead: a plan on
+   ``jobs.jsonl`` lands half of the next submission's record and the
+   service dies (then this script ``SIGKILL``\\ s it, as in step 2);
+   ``fsck`` must report the torn record, ``--repair`` must keep every
+   verified record, and the restarted service must still serve the
+   finished job's bytes identical to the direct run (and accept the
+   lost submission afresh).
 
 Exit code 0 iff every check passes.  A correctness drill for the
 storage layer, shaped like ``service_smoke.py`` one layer down.
@@ -250,6 +257,67 @@ def main() -> int:
                 process.wait()
         check("second_life_forked_workers", bool(workers))
         check("drained_service_left_no_workers", all_exited(workers))
+
+        # --- Third life: SIGKILL mid-job-log-append.
+        log = data_dir / "jobs.jsonl"
+        verified = log.read_text().splitlines()
+        tear_markers = tmp_path / "markers-job-log"
+        tear = FaultPlan(torn_writes=("jobs.jsonl",), marker_dir=str(tear_markers))
+        tear_env = dict(env)
+        tear_env[FAULT_PLAN_ENV] = tear.to_env()
+        lost = {"scenario": "two-sources", "seeds": 2}
+        process = start_service(data_dir, port, tear_env)
+        try:
+            wait_for_health(client, time.monotonic() + 30.0)
+            try:
+                client.submit(lost)  # the torn append ends the service
+            except ServiceError:
+                pass
+            deadline = time.monotonic() + 60.0
+            while not (tear_markers / "torn-jobs.jsonl").exists():
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.005)
+            check("job_log_tear_fired", (tear_markers / "torn-jobs.jsonl").exists())
+            process.send_signal(signal.SIGKILL)
+            process.wait(timeout=30.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+
+        code, report = run_fsck(data_dir, env)
+        kinds = {f["kind"] for f in report.get("findings", [])}
+        check(
+            "fsck_finds_torn_job_record",
+            code == 1 and kinds == {"torn_job_line"},
+        )
+        code, report = run_fsck(data_dir, env, repair=True)
+        check(
+            "fsck_repair_keeps_verified_job_records",
+            code == 0 and log.read_text().splitlines() == verified,
+        )
+
+        # --- Fourth life: the finished job is served as before.
+        process = start_service(data_dir, port, env)
+        try:
+            wait_for_health(client, time.monotonic() + 30.0)
+            check("job_survives_torn_log", client.status(job)["state"] == "done")
+            check(
+                "report_byte_identical_after_torn_log",
+                client.result_text(job) == expected,
+            )
+            again = client.submit(lost)
+            check("lost_submission_created_afresh", again["created"] is True)
+            final = client.wait(again["job"], timeout=300.0)
+            check("lost_submission_done", final["state"] == "done")
+        finally:
+            process.terminate()
+            try:
+                process.wait(timeout=30.0)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
 
     if not all(checks.values()):
         failed = [name for name, passed in checks.items() if not passed]

@@ -77,9 +77,9 @@ def _cmd_service_start(args: argparse.Namespace) -> int:
 def _cmd_service_gc(args: argparse.Namespace) -> int:
     from ..experiments import SweepCheckpoint
     from ..scenarios import lower_job
-    from ..service import JobStore
+    from ..service import JobStore, job_log_path
 
-    store_path = Path(args.data_dir) / "jobs.sqlite"
+    store_path = job_log_path(args.data_dir)
     if not store_path.exists():
         print(f"error: no job store at {store_path}", file=sys.stderr)
         return 2

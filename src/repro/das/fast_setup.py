@@ -817,11 +817,14 @@ def run_fast_setup(
             qi = 0
             ntx = len(txs)
             while qi < ntx or pending:
-                if pending and (
-                    qi >= ntx or pending[0][:2] < txs[qi][:2]
-                ):
-                    seq = deliver(pending.popleft())
-                    continue
+                # Time, then seq, never whole tuples: keys can tie on both.
+                if pending:
+                    head = pending[0]
+                    if qi >= ntx or head[0] < txs[qi][0] or (
+                        head[0] == txs[qi][0] and head[1] < txs[qi][1]
+                    ):
+                        seq = deliver(pending.popleft())
+                        continue
                 t, s, i = txs[qi]
                 qi += 1
                 if hello_round:

@@ -50,7 +50,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SweepExecutionError, invalid_field, sweep_failed
 from ..records import Record, replace
-from ..storage import atomic_write_text, durable_append
+from ..storage import (
+    atomic_write_text,
+    decode_digest_line,
+    durable_append,
+    encode_digest_line,
+)
 from ..telemetry import active_tracer, default_registry
 from .options import GUARD_DIFFERENTIAL, fault_plan
 from .schedule_cache import topology_fingerprint
@@ -259,14 +264,9 @@ def result_to_dict(result: OperationalResult) -> Dict[str, object]:
 
 
 def encode_checkpoint_line(seed: int, result: OperationalResult) -> str:
-    """One seed's checkpoint record: the JSON entry plus a ``check``
-    digest over its canonical serialisation, so corruption *at rest*
-    (bit rot, a lying disk) is detectable — not just torn writes."""
-    entry = {"result": result_to_dict(result), "seed": seed}
-    body = json.dumps(entry, sort_keys=True)
-    check = sha256(body.encode()).hexdigest()[:16]
-    entry["check"] = check
-    return json.dumps(entry, sort_keys=True)
+    """One seed's checkpoint record, digest-checked like every log line
+    (:func:`~repro.storage.encode_digest_line`)."""
+    return encode_digest_line({"result": result_to_dict(result), "seed": seed})
 
 
 def decode_checkpoint_line(line: str) -> Tuple[int, OperationalResult]:
@@ -276,12 +276,7 @@ def decode_checkpoint_line(line: str) -> Tuple[int, OperationalResult]:
     digest-mismatched lines (pre-digest lines, which carry no ``check``
     field, are accepted — old checkpoints stay resumable).
     """
-    entry = json.loads(line)
-    check = entry.pop("check", None)
-    if check is not None:
-        body = json.dumps(entry, sort_keys=True)
-        if sha256(body.encode()).hexdigest()[:16] != check:
-            raise ValueError("checkpoint line digest mismatch")
+    entry = decode_digest_line(line)
     return int(entry["seed"]), result_from_dict(entry["result"])
 
 

@@ -6,9 +6,10 @@ assembled from the substrates the earlier PRs built:
 * :mod:`repro.service.state` — content-addressed job identity
   (:func:`job_key`) and the ``queued→running→done/failed/quarantined``
   state machine;
-* :mod:`repro.service.store` — the durable SQLite
-  :class:`JobStore` (dedup by primary key, atomic claims, crash
-  recovery via ``running→queued``);
+* :mod:`repro.service.store` — the durable :class:`JobStore`, the
+  fold of a digest-checked job log (dedup by content-addressed id,
+  atomic claims under the log's lock, crash recovery via
+  ``running→queued``);
 * :mod:`repro.service.scheduler` — the one :class:`ShardScheduler`:
   a job's missing seeds as seed-range shards on the lease board,
   a recovery pass for seeds lost on disk, and checkpoint-merged
@@ -41,8 +42,9 @@ assembled from the substrates the earlier PRs built:
   submit|status|result`` (explicit timeouts, bounded retry with
   backoff on connection failures);
 * :mod:`repro.service.fsck` — :func:`fsck_data_dir`, the offline
-  auditor behind ``repro service fsck [--repair]``: cross-checks job
-  rows, checkpoint files and result blobs, reports every inconsistency
+  auditor behind ``repro service fsck [--repair]``: checks the job
+  log's and the checkpoints' lines, cross-checks job records,
+  checkpoint files and result blobs, reports every inconsistency
   as a structured finding, and repairs conservatively (prune orphans,
   demote inconsistent jobs to ``queued``) so a restart reconverges.
 
@@ -100,6 +102,7 @@ _EXPORTS = {
     ),
     "store": (
         "JobStore",
+        "job_log_path",
     ),
 }
 

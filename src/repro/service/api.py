@@ -3,9 +3,10 @@
 :class:`SweepService` ties the PR's pieces together into one
 long-running process:
 
-* submissions land in the durable :class:`~repro.service.store.JobStore`
-  (validated first — a malformed spec is a ``400``, never a crash, and
-  a duplicate dedups to the existing job by content-addressed id);
+* submissions land in the durable :class:`~repro.service.store.JobStore`,
+  the data dir's digest-checked ``jobs.jsonl`` log (validated first — a
+  malformed spec is a ``400``, never a crash, and a duplicate dedups to
+  the existing job by content-addressed id);
 * a dispatcher thread drains the queue FIFO, running up to
   ``max_jobs`` jobs concurrently (default 1) through the one
   :class:`~repro.service.scheduler.ShardScheduler`, which publishes
@@ -110,7 +111,6 @@ from ..experiments import (
 )
 from ..experiments.runner import slp_schedule_builder
 from ..scenarios import ScenarioSpec, get_scenario, lower_job
-from ..storage import atomic_write_bytes
 from ..telemetry import default_registry
 from .fleet import WorkerFleet
 from .scheduler import JobInterrupted, ShardScheduler
@@ -132,7 +132,7 @@ from .state import (
     JobRecord,
     job_key,
 )
-from .store import JobStore
+from .store import JobStore, job_log_path
 
 #: Fields a submission payload may carry.
 _SUBMIT_FIELDS = frozenset(
@@ -184,7 +184,7 @@ class SweepService:
             )
         self._data_dir = Path(data_dir)
         self._data_dir.mkdir(parents=True, exist_ok=True)
-        self._store = JobStore(self._data_dir / "jobs.sqlite")
+        self._store = JobStore(job_log_path(self._data_dir))
         self._shard_workers = shard_workers
         self._lease_timeout = (
             shard_timeout if shard_timeout is not None else DEFAULT_LEASE_TIMEOUT
@@ -356,7 +356,8 @@ class SweepService:
         pressure must refuse new promises while it finishes the ones
         already claimed.
         """
-        self._check_storage()
+        if self._storage_error is not None:
+            raise StorageError(f"service storage degraded: {self._storage_error}")
         if not isinstance(payload, dict):
             raise invalid_field(
                 "Job", "payload", type(payload).__name__,
@@ -425,32 +426,19 @@ class SweepService:
     # ------------------------------------------------------------------
     # Disk-pressure degradation
     # ------------------------------------------------------------------
-    def _check_storage(self) -> None:
-        """Refuse new work while durable writes are failing.
-
-        Two gates: the degraded flag a failed result-blob write set
-        (cleared only when a blob lands again), and a small probe write
-        through the durable seam — so a read-only or full data dir
-        turns away submissions *before* the service promises to finish
-        them.
-        """
-        if self._storage_error is not None:
-            raise StorageError(
-                f"service storage degraded: {self._storage_error}"
-            )
-        atomic_write_bytes(self._data_dir / ".write-probe", b"ok\n")
-
-    def _note_storage_error(self, job: JobRecord, exc: StorageError) -> None:
-        """A durable write failed mid-job: degrade, back off, and put
-        the job back in the queue (its seeds are checkpointed, so the
-        retry costs only the failed write)."""
+    def _note_storage_error(self, job: Optional[JobRecord], exc: StorageError) -> None:
+        """A durable write failed: degrade, back off, and put the job
+        it was for (if any) back in the queue (its seeds are
+        checkpointed, so the retry costs only the failed write)."""
         self._storage_error = str(exc)
         self._storage_retry_at = time.monotonic() + 1.0
         default_registry().inc("service.storage_errors")
+        if job is None:
+            return
         try:
             self._store.transition(job.job_id, QUEUED)
         except Exception:
-            # Even the row update failed (a truly dead disk): leave the
+            # Even the job log failed (a truly dead disk): leave the
             # job `running`; the next start's recover() re-queues it.
             pass
 
@@ -541,7 +529,11 @@ class SweepService:
                 # Disk pressure: don't busy-loop claim/fail cycles.
                 self._stop.wait(self._poll_interval)
                 continue
-            job = self._store.claim_next()
+            try:
+                job = self._store.claim_next()
+            except StorageError as exc:
+                self._note_storage_error(None, exc)  # no claim recorded
+                continue
             if job is None:
                 self._wake.wait(self._poll_interval)
                 continue

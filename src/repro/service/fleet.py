@@ -80,15 +80,17 @@ class WorkerFleet:
             daemon=True,
         )
         # The child must never finalize objects inherited from a
-        # threaded parent: its collector closing an SQLite connection
-        # that another thread held mid-call at the fork would wait on
-        # that lock forever.  Frozen objects sit in the permanent
-        # generation, which the child's collector skips.
+        # threaded parent: a finalizer taking a lock that another thread
+        # held at the fork would wait forever.  Frozen objects sit in
+        # the permanent generation, which the child's collector skips;
+        # a caller's own freeze is kept (unfreeze empties it all).
+        frozen = gc.get_freeze_count()
         gc.freeze()
         try:
             process.start()
         finally:
-            gc.unfreeze()
+            if not frozen:
+                gc.unfreeze()
         self._processes[worker_id] = process
         return worker_id
 

@@ -5,38 +5,42 @@
 idea for the *artefacts* — the cross-checks between the three things a
 data dir persists:
 
-* the job rows in ``jobs.sqlite``,
+* the job log (``jobs.jsonl``),
 * the per-seed checkpoint files (``checkpoints/sweep-<key>.jsonl``),
 * the result blobs (``results/<job_id>.json``).
 
-:func:`fsck_data_dir` walks all three and reports every inconsistency
-a crash, a failing disk, or bit rot can produce as a structured
-finding:
+The two logs share one record format (digest-checked JSON lines,
+:func:`~repro.storage.decode_digest_line`), so both get the same line
+checks.  :func:`fsck_data_dir` walks all three and reports every
+inconsistency a crash, a failing disk, or bit rot can produce as a
+structured finding:
 
 =========================  ====================================================
 kind                       meaning
 =========================  ====================================================
 ``stale_temp_file``        a ``.<name>.tmp-<pid>`` atomic-write temp left by a
                            crash mid-replace
-``torn_checkpoint_line``   a checkpoint's trailing line is an unterminated
+``torn_job_line``          the job log's trailing line is an unterminated
                            fragment (crash mid-append)
-``corrupt_checkpoint_line``  a non-trailing line fails to parse, or its
+``corrupt_job_line``       a non-trailing job-log line fails to parse, or its
                            ``check`` digest mismatches (corruption at rest)
-``orphan_checkpoint``      a checkpoint file no job row accounts for
-``stale_running_job``      a row left ``running`` by a dead process
-``missing_result_blob``    a ``done``/``quarantined`` row without its blob
+``torn_checkpoint_line``   the same two checks on a checkpoint file
+``corrupt_checkpoint_line``
+``orphan_checkpoint``      a checkpoint file no job record accounts for
+``stale_running_job``      a job left ``running`` by a dead process
+``missing_result_blob``    a ``done``/``quarantined`` job without its blob
 ``corrupt_result_blob``    a blob that is not valid JSON
 ``result_blob_mismatch``   a blob whose result/failure count contradicts the
-                           row's ``repeats``
+                           job's ``repeats``
 ``orphan_result_blob``     a blob for an unknown, evicted or non-terminal job
-``unloadable_spec``        a row whose spec no longer lowers (report-only)
-``job_key_mismatch``       a row whose id is not the content hash of its own
+``unloadable_spec``        a job whose spec no longer lowers (report-only)
+``job_key_mismatch``       a job whose id is not the content hash of its own
                            fields (report-only)
 =========================  ====================================================
 
 With ``repair=True`` every repairable finding is fixed the conservative
-way: checkpoint files are rewritten (through the atomic seam) keeping
-only verified lines, orphans and temp debris are pruned, and
+way: the job log and checkpoint files are rewritten (through the atomic
+seam) keeping only verified lines, orphans and temp debris are pruned, and
 inconsistent jobs are *demoted to queued* — never patched in place —
 so the next service start recomputes exactly the missing work from the
 surviving checkpoint lines and reconverges to byte-identical reports.
@@ -46,13 +50,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..experiments import SweepCheckpoint, decode_checkpoint_line
 from ..scenarios import lower_job
-from ..storage import atomic_write_text
+from ..storage import atomic_write_text, decode_digest_line
 from .state import DONE, QUARANTINED, RUNNING, job_key
-from .store import JobStore
+from .store import JobStore, job_log_path
 
 
 def _finding(
@@ -66,11 +70,37 @@ def _finding(
     }
 
 
-def _scan_checkpoint(
-    path: Path, repair: bool, findings: List[Dict[str, object]]
+def _blob_problem(record, blob: Path) -> Optional[Tuple[str, str]]:
+    """What is wrong with a terminal job's result blob, as ``(kind,
+    detail)``, or ``None``."""
+    if not blob.exists():
+        return "missing_result_blob", f"terminal job without {blob.name}"
+    try:
+        doc = json.loads(blob.read_text())
+    except ValueError as exc:
+        return "corrupt_result_blob", f"{blob.name}: {exc}"
+    if not isinstance(doc, dict):
+        return "corrupt_result_blob", f"{blob.name}: not a JSON object"
+    runs, failed = doc.get("runs"), doc.get("failures", [])
+    if isinstance(runs, list) and isinstance(failed, list):
+        if len(runs) + len(failed) == record.repeats:
+            return None
+    runs, failed = (len(x) if isinstance(x, list) else 0 for x in (runs, failed))
+    return (
+        "result_blob_mismatch",
+        f"{runs} runs + {failed} failures != {record.repeats} repeats",
+    )
+
+
+def _scan_log(
+    path: Path,
+    decode: Callable[[str], object],
+    noun: str,
+    repair: bool,
+    findings: List[Dict[str, object]],
 ) -> None:
-    """Verify one checkpoint file line by line; with ``repair``,
-    rewrite it keeping only the lines that verify."""
+    """Verify one log line by line (``decode`` raises on a bad line);
+    with ``repair``, rewrite it keeping only the lines that verify."""
     raw = path.read_text()
     lines = raw.split("\n")
     if lines and lines[-1] == "":
@@ -85,22 +115,20 @@ def _scan_checkpoint(
             continue
         last = index == len(lines) - 1
         try:
-            decode_checkpoint_line(line)
+            decode(line)
         except (ValueError, KeyError, TypeError) as exc:
             bad += 1
             if last and not terminated:
-                kind = "torn_checkpoint_line"
+                kind = f"torn_{noun}_line"
                 detail = "unterminated trailing fragment (crash mid-append)"
             else:
-                kind = "corrupt_checkpoint_line"
+                kind = f"corrupt_{noun}_line"
                 detail = f"line {index + 1}: {type(exc).__name__}: {exc}"
             findings.append(_finding(kind, path.name, detail, repaired=repair))
         else:
             good.append(line)
     if bad and repair:
-        atomic_write_text(
-            path, "".join(line + "\n" for line in good)
-        )
+        atomic_write_text(path, "".join(line + "\n" for line in good))
 
 
 def fsck_data_dir(
@@ -113,6 +141,7 @@ def fsck_data_dir(
     "repaired", "unrepaired", "clean"}``.
     """
     data_dir = Path(data_dir)
+    store_path = job_log_path(data_dir)
     findings: List[Dict[str, object]] = []
 
     # --- atomic-write temp debris anywhere under the data dir.
@@ -136,19 +165,19 @@ def fsck_data_dir(
         else []
     )
     for path in checkpoint_files:
-        _scan_checkpoint(path, repair, findings)
+        _scan_log(path, decode_checkpoint_line, "checkpoint", repair, findings)
 
-    # --- job rows vs artefacts (only when a store exists).
-    store_path = data_dir / "jobs.sqlite"
-    store: Optional[JobStore] = None
+    # --- job records vs artefacts (only when a job log exists).
+    results_dir = data_dir / "results"
+    blobs = sorted(results_dir.glob("*.json")) if results_dir.is_dir() else []
     records = []
     claimed_keys = set()
     if store_path.exists():
+        _scan_log(store_path, decode_digest_line, "job", repair, findings)
         store = JobStore(store_path)
         records = store.list_jobs()
         checkpoint = SweepCheckpoint(checkpoint_dir)
         for record in records:
-            demote = None
             try:
                 topology, config = lower_job(
                     record.spec(),
@@ -176,64 +205,21 @@ def fsck_data_dir(
                         _finding(
                             "job_key_mismatch",
                             record.job_id,
-                            f"row id is not the content hash of its own "
+                            f"job id is not the content hash of its own "
                             f"fields (expected {expected[:12]}…)",
                         )
                     )
             if record.state == RUNNING:
-                findings.append(
-                    _finding(
-                        "stale_running_job",
-                        record.job_id,
-                        "left running by a dead process",
-                        repaired=repair,
-                    )
-                )
-                demote = record.job_id
+                problem = ("stale_running_job", "left running by a dead process")
             elif record.state in (DONE, QUARANTINED) and not record.evicted:
-                blob = store.result_path(record.job_id)
-                if not blob.exists():
-                    findings.append(
-                        _finding(
-                            "missing_result_blob",
-                            record.job_id,
-                            f"terminal job without {blob.name}",
-                            repaired=repair,
-                        )
-                    )
-                    demote = record.job_id
-                else:
-                    try:
-                        doc = json.loads(blob.read_text())
-                    except ValueError as exc:
-                        findings.append(
-                            _finding(
-                                "corrupt_result_blob",
-                                record.job_id,
-                                f"{blob.name}: {exc}",
-                                repaired=repair,
-                            )
-                        )
-                        demote = record.job_id
-                    else:
-                        runs = doc.get("runs")
-                        failed = doc.get("failures", [])
-                        if not isinstance(runs, list) or not isinstance(
-                            failed, list
-                        ) or len(runs) + len(failed) != record.repeats:
-                            count = len(runs) if isinstance(runs, list) else 0
-                            findings.append(
-                                _finding(
-                                    "result_blob_mismatch",
-                                    record.job_id,
-                                    f"{count} runs + {len(failed)} failures "
-                                    f"!= {record.repeats} repeats",
-                                    repaired=repair,
-                                )
-                            )
-                            demote = record.job_id
-            if repair and demote is not None:
-                store.demote(demote)
+                problem = _blob_problem(record, store.result_path(record.job_id))
+            else:
+                problem = None
+            if problem is not None:
+                kind, detail = problem
+                findings.append(_finding(kind, record.job_id, detail, repair))
+                if repair:
+                    store.demote(record.job_id)
 
         # --- orphaned checkpoint files.
         for path in checkpoint_files:
@@ -243,7 +229,7 @@ def fsck_data_dir(
                     _finding(
                         "orphan_checkpoint",
                         path.name,
-                        "no job row accounts for this sweep key",
+                        "no job record accounts for this sweep key",
                         repaired=repair,
                     )
                 )
@@ -252,14 +238,10 @@ def fsck_data_dir(
 
         # --- orphaned result blobs.
         by_id = {record.job_id: record for record in records}
-        results_dir = store.results_dir
-        blobs = (
-            sorted(results_dir.glob("*.json")) if results_dir.is_dir() else []
-        )
         for blob in blobs:
             record = by_id.get(blob.stem)
             if record is None:
-                detail = "no job row accounts for this blob"
+                detail = "no job record accounts for this blob"
             elif record.evicted:
                 detail = "blob survived gc eviction"
             elif record.state not in (DONE, QUARANTINED):
@@ -274,11 +256,6 @@ def fsck_data_dir(
             )
             if repair:
                 blob.unlink(missing_ok=True)
-    else:
-        results_dir = data_dir / "results"
-        blobs = (
-            sorted(results_dir.glob("*.json")) if results_dir.is_dir() else []
-        )
 
     repaired = sum(1 for f in findings if f["repaired"])
     unrepaired = len(findings) - repaired

@@ -1,30 +1,31 @@
-"""The durable job store: SQLite rows + atomic result-blob files.
+"""The durable job store: a digest-checked job log + atomic result blobs.
 
 Design rules, all in service of "a restart never loses a job":
 
-* **Content-addressed primary key** — the job id *is* :func:`~repro.service.state.job_key`,
-  so a duplicate submission is a primary-key collision resolved with
-  ``INSERT OR IGNORE``: the caller gets the existing record back and
-  ``created=False``.  Dedup is a property of the schema, not of any
-  in-memory index that a crash could lose.
-* **Per-call connections** — every method opens its own connection
-  (with a generous busy timeout) and closes it before returning, making
-  the store object safe to use from the HTTP handler threads and the
-  scheduler thread concurrently, and trivially correct across fork: no
-  open connection is ever left for a child to inherit.
-* **Atomic claims** — :meth:`claim_next` moves ``queued → running``
-  inside a single ``UPDATE … WHERE state='queued'`` guarded by an
-  immediate transaction, so two scheduler threads (or a scheduler
-  racing a recovering restart) can never both run one job.
-* **Result blobs are files, not rows** — a finished report's exact
-  bytes live in ``<data-dir>/results/<job_id>.json``, written through
-  the crash-consistent seam (:func:`~repro.storage.atomic_write_text`)
-  *before* the row flips to its terminal state.  A crash between the
-  two leaves an orphan blob for a non-terminal job — debris ``repro
-  service fsck`` prunes — never a ``done`` row whose report is missing
-  or torn.  It also puts the largest artefact the service writes under
-  the disk-fault chaos drill, and makes ``gc`` a file unlink instead
-  of a row rewrite.
+* **One append-only log** — ``<data-dir>/jobs.jsonl`` holds one record
+  per submission, state transition, fsck demotion and gc eviction, each
+  a digest-checked JSON line (:func:`~repro.storage.encode_digest_line`,
+  the codec of the checkpoint lines) appended through
+  :func:`~repro.storage.durable_append`, so every job write crosses the
+  disk-fault chaos seam.  The job table is the fold of the log; a torn
+  or digest-mismatched line is skipped, as a checkpoint line is.
+* **Content-addressed ids** — the job id *is*
+  :func:`~repro.service.state.job_key`, so a duplicate submission finds
+  its job in the fold and gets it back with ``created=False``, across
+  any restart.
+* **Caught-up decisions under a lock** — every call takes an
+  ``fcntl.flock`` on the log (exclusive to write, shared to read) and
+  folds the records appended since its last read before it decides, so
+  stores over one log — scheduler threads, a recovering restart, a
+  ``repro service gc`` process — see each other's records and never
+  both claim a job.  The descriptor is closed before the call returns
+  and a fork waits for the call in flight, so no child inherits it.
+* **Result blobs are files** — a finished report's exact bytes live in
+  ``<data-dir>/results/<job_id>.json``, written through the
+  crash-consistent seam (:func:`~repro.storage.atomic_write_text`)
+  *before* the terminal record is appended.  A crash between the two
+  leaves an orphan blob for a non-terminal job — debris ``repro service
+  fsck`` prunes — never a ``done`` job whose report is missing or torn.
 * **No wall clock** — ordering uses a monotonically assigned
   ``submit_order`` counter.  Nothing in the store (and therefore
   nothing in any report served from it) depends on time or host.
@@ -32,167 +33,167 @@ Design rules, all in service of "a restart never loses a job":
 
 from __future__ import annotations
 
-import sqlite3
+import fcntl
+import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..storage import atomic_write_text
-from .state import (
-    DONE,
-    QUARANTINED,
-    QUEUED,
-    RUNNING,
-    JobRecord,
-    check_transition,
+from ..errors import StorageError, storage_failure
+from ..records import replace
+from ..storage import (
+    atomic_write_text,
+    decode_digest_line,
+    durable_append,
+    encode_digest_line,
+)
+from .state import DONE, QUARANTINED, QUEUED, RUNNING, JobRecord, check_transition
+
+#: The job log's name in a service data dir.
+JOB_LOG = "jobs.jsonl"
+
+#: Held by every store call in this process while its descriptor is
+#: open, and across every fork: a child holding a copy of a descriptor
+#: would hold the log's flock for as long as it lives.
+_CALL_LOCK = threading.Lock()
+os.register_at_fork(
+    before=_CALL_LOCK.acquire,
+    after_in_parent=_CALL_LOCK.release,
+    after_in_child=_CALL_LOCK.release,
 )
 
-#: Store format version (part of the table name: a format change can
-#: never silently read old rows).  v2: the ``result`` column became
-#: result-blob files plus an ``evicted`` flag.
-STORE_VERSION = 2
 
-_TABLE = f"jobs_v{STORE_VERSION}"
+def job_log_path(data_dir: Union[str, Path]) -> Path:
+    """The job log of ``data_dir``.  A data dir whose jobs live only in
+    the SQLite store of earlier versions is refused (there is no
+    migration) with a :class:`StorageError` naming the file."""
+    sqlite = Path(data_dir) / "jobs.sqlite"
+    log = Path(data_dir) / JOB_LOG
+    if sqlite.exists() and not log.exists():
+        raise StorageError(
+            f"{sqlite} is a SQLite job store, which this version does not "
+            f"read (jobs live in {JOB_LOG}); move it aside to start afresh",
+            path=str(sqlite),
+        )
+    return log
 
 
 class JobStore:
-    """Durable job records keyed by content-addressed job id."""
+    """Durable job records keyed by content-addressed job id, folded
+    from the job log at ``path`` (see the module docstring)."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self._path = Path(path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._results_dir = self._path.parent / "results"
-        with self._connect() as conn:
-            conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {_TABLE} ("
-                "  job_id TEXT PRIMARY KEY,"
-                "  spec TEXT NOT NULL,"
-                "  repeats INTEGER NOT NULL,"
-                "  base_seed INTEGER NOT NULL,"
-                "  kernel TEXT,"
-                "  setup_kernel TEXT,"
-                "  state TEXT NOT NULL,"
-                "  error TEXT,"
-                "  evicted INTEGER NOT NULL DEFAULT 0,"
-                "  submit_order INTEGER NOT NULL"
-                ")"
-            )
-
-    @property
-    def path(self) -> Path:
-        """The backing database file."""
-        return self._path
-
-    @property
-    def results_dir(self) -> Path:
-        """The directory holding result-blob files."""
-        return self._results_dir
+        # The fold (jobs in submission order, without result bytes),
+        # the highest submit_order in it, and how far into which file
+        # it has read.
+        self._jobs: Dict[str, JobRecord] = {}
+        self._last_order = 0
+        self._read = 0
+        self._inode: Optional[int] = None
 
     def result_path(self, job_id: str) -> Path:
         """The result-blob file backing one job's report bytes."""
         return self._results_dir / f"{job_id}.json"
 
+    # ------------------------------------------------------------------
+    # The log
+    # ------------------------------------------------------------------
     @contextmanager
-    def _connect(self) -> Iterator[sqlite3.Connection]:
-        """A fresh connection that commits (or rolls back) and closes.
+    def _locked(self, write: bool) -> Iterator[int]:
+        """Hold the log's flock (exclusive to ``write``, shared to read)
+        with the fold caught up; yields the log's descriptor."""
+        with _CALL_LOCK:
+            try:
+                fd = os.open(self._path, os.O_RDONLY | os.O_CREAT, 0o644)
+            except OSError as exc:
+                raise storage_failure("open", self._path, exc) from exc
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX if write else fcntl.LOCK_SH)
+                info = os.fstat(fd)
+                if info.st_ino != self._inode or info.st_size < self._read:
+                    # A new log, or one fsck --repair rewrote: fold afresh.
+                    self._jobs, self._last_order = {}, 0
+                    self._read, self._inode = 0, info.st_ino
+                if info.st_size > self._read:
+                    data = os.pread(fd, info.st_size - self._read, self._read)
+                    self._read += len(data)
+                    for line in data.decode("utf-8", "replace").splitlines():
+                        try:
+                            self._apply(decode_digest_line(line))
+                        except (ValueError, KeyError, TypeError):
+                            continue  # torn or corrupt: skipped
+                yield fd
+            finally:
+                os.close(fd)  # releases the flock
 
-        Closing matters: an unclosed connection sits in a reference
-        cycle until the cyclic GC frees it, so the heap grows with every
-        call, and a forked child can inherit it open.
-        """
-        conn = sqlite3.connect(self._path, timeout=30.0)
-        try:
-            conn.execute("PRAGMA busy_timeout = 30000")
-            with conn:
-                yield conn
-        finally:
-            conn.close()
+    def _apply(self, entry: Dict[str, object]) -> None:
+        """Fold one record: a submission adds its job (once); any other
+        record sets the fields it carries on a known job."""
+        op = entry.pop("op")
+        job_id = entry["job_id"]
+        if op == "submit":
+            if job_id not in self._jobs:
+                self._jobs[job_id] = JobRecord(state=QUEUED, **entry)
+                self._last_order = max(self._last_order, entry["submit_order"])
+        elif job_id in self._jobs:
+            self._jobs[job_id] = replace(self._jobs[job_id], **entry)
+
+    def _write(self, fd: int, op: str, job_id: str, **fields: object) -> None:
+        """Append one record and fold it (the caller holds the exclusive
+        lock, so no other record lands meanwhile)."""
+        entry = {"op": op, "job_id": job_id, **fields}
+        durable_append(self._path, encode_digest_line(entry))
+        self._apply(entry)
+        self._read = os.fstat(fd).st_size
 
     # ------------------------------------------------------------------
-    # Submission (dedup by construction)
+    # Submission (dedup by construction) and reads
     # ------------------------------------------------------------------
     def submit(self, record: JobRecord) -> Tuple[JobRecord, bool]:
-        """Insert a new job, or return the existing one it dedups to.
+        """Record a new job, or return the existing one it dedups to.
 
-        Returns ``(record_on_disk, created)``.  The insert and the
-        read-back run under one immediate transaction so a racing
-        duplicate observes either nothing or the complete row.
+        Returns ``(record_on_disk, created)``.
         """
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            (order,) = conn.execute(
-                f"SELECT COALESCE(MAX(submit_order), 0) + 1 FROM {_TABLE}"
-            ).fetchone()
-            cursor = conn.execute(
-                f"INSERT OR IGNORE INTO {_TABLE} "
-                "(job_id, spec, repeats, base_seed, kernel, setup_kernel,"
-                " state, error, evicted, submit_order) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, NULL, 0, ?)",
-                (
-                    record.job_id,
-                    record.spec_json,
-                    record.repeats,
-                    record.base_seed,
-                    record.kernel,
-                    record.setup_kernel,
-                    QUEUED,
-                    order,
-                ),
-            )
-            created = cursor.rowcount == 1
-            row = conn.execute(
-                f"SELECT * FROM {_TABLE} WHERE job_id = ?", (record.job_id,)
-            ).fetchone()
-        return self._record(row), created
+        with self._locked(write=True) as fd:
+            created = record.job_id not in self._jobs
+            if created:
+                self._write(
+                    fd, "submit", record.job_id,
+                    spec_json=record.spec_json,
+                    repeats=record.repeats,
+                    base_seed=record.base_seed,
+                    kernel=record.kernel,
+                    setup_kernel=record.setup_kernel,
+                    submit_order=self._last_order + 1,
+                )
+            return self._record(self._jobs[record.job_id]), created
 
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
     def get(self, job_id: str) -> Optional[JobRecord]:
         """The job record, or ``None`` for an unknown id."""
-        with self._connect() as conn:
-            row = conn.execute(
-                f"SELECT * FROM {_TABLE} WHERE job_id = ?", (job_id,)
-            ).fetchone()
-        return self._record(row) if row is not None else None
+        with self._locked(write=False):
+            job = self._jobs.get(job_id)
+            return self._record(job) if job is not None else None
 
     def list_jobs(self) -> List[JobRecord]:
         """Every job, in submission order."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                f"SELECT * FROM {_TABLE} ORDER BY submit_order"
-            ).fetchall()
-        return [self._record(row) for row in rows]
-
-    def load_result(self, job_id: str) -> Optional[str]:
-        """The job's report bytes from its blob file, or ``None``."""
-        try:
-            return self.result_path(job_id).read_text()
-        except OSError:
-            return None
+        with self._locked(write=False):
+            return [self._record(job) for job in self._jobs.values()]
 
     # ------------------------------------------------------------------
     # State changes
     # ------------------------------------------------------------------
     def claim_next(self) -> Optional[JobRecord]:
         """Atomically claim the oldest queued job (``queued→running``)."""
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            row = conn.execute(
-                f"SELECT job_id FROM {_TABLE} WHERE state = ? "
-                "ORDER BY submit_order LIMIT 1",
-                (QUEUED,),
-            ).fetchone()
-            if row is None:
-                return None
-            conn.execute(
-                f"UPDATE {_TABLE} SET state = ? WHERE job_id = ? AND state = ?",
-                (RUNNING, row[0], QUEUED),
-            )
-            claimed = conn.execute(
-                f"SELECT * FROM {_TABLE} WHERE job_id = ?", (row[0],)
-            ).fetchone()
-        return self._record(claimed)
+        with self._locked(write=True) as fd:
+            for job_id, job in self._jobs.items():
+                if job.state == QUEUED:
+                    self._write(fd, "state", job_id, state=RUNNING, error=None)
+                    return self._jobs[job_id]
+        return None
 
     def transition(
         self,
@@ -205,34 +206,22 @@ class JobStore:
 
         A ``result_json`` payload is made durable (atomic blob write,
         :class:`~repro.errors.StorageError` on failure) *before* the
-        row flips — the crash window can only ever leave an orphan
-        blob, never a terminal row without its report.  Re-queueing
-        (``running → queued``) discards any stale blob so a resumed
-        job starts clean.
+        terminal record is appended — the crash window can only ever
+        leave an orphan blob, never a terminal job without its report.
+        Re-queueing (``running → queued``) discards any stale blob so a
+        resumed job starts clean.
         """
         if result_json is not None:
             atomic_write_text(self.result_path(job_id), result_json)
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            row = conn.execute(
-                f"SELECT state FROM {_TABLE} WHERE job_id = ?", (job_id,)
-            ).fetchone()
-            if row is None:
+        with self._locked(write=True) as fd:
+            if job_id not in self._jobs:
                 raise KeyError(f"unknown job {job_id!r}")
-            check_transition(row[0], new_state)
-            conn.execute(
-                f"UPDATE {_TABLE} SET state = ?, error = ? WHERE job_id = ?",
-                (new_state, error, job_id),
-            )
-            updated = conn.execute(
-                f"SELECT * FROM {_TABLE} WHERE job_id = ?", (job_id,)
-            ).fetchone()
+            check_transition(self._jobs[job_id].state, new_state)
+            self._write(fd, "state", job_id, state=new_state, error=error)
+            record = self._record(self._jobs[job_id])
         if result_json is None and new_state == QUEUED:
-            try:
-                self.result_path(job_id).unlink(missing_ok=True)
-            except OSError:
-                pass
-        return self._record(updated)
+            self._drop_result(job_id)
+        return record
 
     def demote(self, job_id: str) -> Optional[JobRecord]:
         """Force one job back to ``queued`` — the fsck repair edge.
@@ -242,38 +231,26 @@ class JobStore:
         drops the job's result blob, so the next claim re-runs from the
         checkpoint and rewrites the report atomically.
         """
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            row = conn.execute(
-                f"SELECT job_id FROM {_TABLE} WHERE job_id = ?", (job_id,)
-            ).fetchone()
-            if row is None:
+        with self._locked(write=True) as fd:
+            if job_id not in self._jobs:
                 return None
-            conn.execute(
-                f"UPDATE {_TABLE} SET state = ?, error = NULL, evicted = 0 "
-                "WHERE job_id = ?",
-                (QUEUED, job_id),
+            self._write(
+                fd, "demote", job_id, state=QUEUED, error=None, evicted=False
             )
-            updated = conn.execute(
-                f"SELECT * FROM {_TABLE} WHERE job_id = ?", (job_id,)
-            ).fetchone()
-        try:
-            self.result_path(job_id).unlink(missing_ok=True)
-        except OSError:
-            pass
-        return self._record(updated)
+            record = self._jobs[job_id]
+        self._drop_result(job_id)
+        return record
 
     def recover(self) -> int:
         """Crash recovery at service start: every job the previous
         process died holding ``running`` goes back to ``queued``.  Its
         checkpoint retains the finished seeds, so re-running costs only
         the remainder.  Returns the number of jobs re-queued."""
-        with self._connect() as conn:
-            cursor = conn.execute(
-                f"UPDATE {_TABLE} SET state = ? WHERE state = ?",
-                (QUEUED, RUNNING),
-            )
-        return cursor.rowcount
+        with self._locked(write=True) as fd:
+            running = [job for job in self._jobs.values() if job.state == RUNNING]
+            for job in running:
+                self._write(fd, "state", job.job_id, state=QUEUED, error=None)
+        return len(running)
 
     def gc(self, keep: int) -> List[JobRecord]:
         """Evict result blobs beyond the ``keep`` most recent terminal
@@ -281,56 +258,40 @@ class JobStore:
 
         Ordering is by ``submit_order`` — the store's monotonic
         counter, never a wall clock — and only the blob file is
-        removed (the row gains ``evicted=1``): the :class:`JobRecord`
-        survives, so resubmitting an evicted job still dedups to it
-        (the documented trade-off: recomputing an evicted report
-        requires clearing the row).  Returns the evicted records (as
-        they were *before* eviction, so callers can prune derived
-        artefacts like checkpoint files).
+        removed (an eviction record marks the job ``evicted``): the
+        :class:`JobRecord` survives, so resubmitting an evicted job
+        still dedups to it (the documented trade-off: recomputing an
+        evicted report needs a fresh data dir).  Returns the evicted
+        records (as they were *before* eviction, so callers can prune
+        derived artefacts like checkpoint files).
         """
         if keep < 0:
             raise ValueError(f"gc keep must be >= 0, got {keep}")
-        with self._connect() as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            rows = conn.execute(
-                f"SELECT * FROM {_TABLE} "
-                "WHERE state IN (?, ?) AND evicted = 0 "
-                "ORDER BY submit_order DESC",
-                (DONE, QUARANTINED),
-            ).fetchall()
-            victims = rows[keep:]
-            for row in victims:
-                conn.execute(
-                    f"UPDATE {_TABLE} SET evicted = 1 WHERE job_id = ?",
-                    (row[0],),
-                )
-        records = [self._record(row) for row in victims]
-        for record in records:
-            try:
-                self.result_path(record.job_id).unlink(missing_ok=True)
-            except OSError:
-                pass
-        return records
+        with self._locked(write=True) as fd:
+            terminal = [
+                job
+                for job in self._jobs.values()
+                if job.state in (DONE, QUARANTINED) and not job.evicted
+            ]
+            victims = [self._record(job) for job in terminal[::-1][keep:]]
+            for record in victims:
+                self._write(fd, "evict", record.job_id, evicted=True)
+        for record in victims:
+            self._drop_result(record.job_id)
+        return victims
 
     # ------------------------------------------------------------------
-    def _record(self, row: Tuple) -> JobRecord:
-        (
-            job_id, spec, repeats, base_seed, kernel, setup_kernel,
-            state, error, evicted, submit_order,
-        ) = row
-        result_json = None
-        if state in (DONE, QUARANTINED) and not evicted:
-            result_json = self.load_result(job_id)
-        return JobRecord(
-            job_id=job_id,
-            spec_json=spec,
-            repeats=repeats,
-            base_seed=base_seed,
-            kernel=kernel,
-            setup_kernel=setup_kernel,
-            state=state,
-            error=error,
-            result_json=result_json,
-            submit_order=submit_order,
-            evicted=bool(evicted),
-        )
+    def _drop_result(self, job_id: str) -> None:
+        try:
+            self.result_path(job_id).unlink(missing_ok=True)
+        except OSError:
+            pass
+
+    def _record(self, job: JobRecord) -> JobRecord:
+        """``job`` with its report bytes, if it is terminal and kept."""
+        if job.state not in (DONE, QUARANTINED) or job.evicted:
+            return job
+        try:
+            return replace(job, result_json=self.result_path(job.job_id).read_text())
+        except OSError:
+            return job

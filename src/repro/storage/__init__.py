@@ -1,10 +1,10 @@
 """Crash-consistent storage primitives (see :mod:`repro.storage.io`).
 
-Every on-disk artefact the repo produces — checkpoint lines, result
-blobs, telemetry exports, scenario/report files, bench artifacts —
-flows through this package's two write primitives, which is what makes
-the disk-fault chaos drill (``FaultPlan`` storage kinds) and the
-``repro service fsck`` audit exhaustive rather than per-writer.
+Every on-disk artefact the repo produces — checkpoint lines, job-log
+records, result blobs, telemetry exports, scenario/report files, bench
+artifacts — flows through this package's two write primitives, which
+is what makes the disk-fault chaos drill (``FaultPlan`` storage kinds)
+and the ``repro service fsck`` audit exhaustive rather than per-writer.
 """
 
 from .. import _lazy_exports
@@ -16,7 +16,9 @@ _EXPORTS = {
         "FSYNC_ENV",
         "atomic_write_bytes",
         "atomic_write_text",
+        "decode_digest_line",
         "durable_append",
+        "encode_digest_line",
         "fsync_enabled",
     ),
 }

@@ -13,14 +13,19 @@ discipline lives, in exactly two primitives:
     path either holds the old bytes or the new bytes, across any crash.
 
 :func:`durable_append`
-    Log-structured growth (checkpoint lines).  Opens ``a+b``, welds a
-    torn trailing line from a previous crash (a missing final newline
-    gets one *before* the new record, so the new record is never
-    corrupted by the old one's debris), writes the record in a single
-    ``write`` call, flushes, and — by default — ``fsync``\\ s.  A crash
-    mid-append loses at most the line being written, and the welding
-    plus the checkpoint loader's skip-corrupt-lines policy make that
-    loss recoverable instead of contagious.
+    Log-structured growth (checkpoint lines, job-log records).  Opens
+    ``a+b``, welds a torn trailing line from a previous crash (a
+    missing final newline gets one *before* the new record, so the new
+    record is never corrupted by the old one's debris), writes the
+    record in a single ``write`` call, flushes, and — by default —
+    ``fsync``\\ s.  A crash mid-append loses at most the line being
+    written, and the welding plus the readers' skip-corrupt-lines
+    policy make that loss recoverable instead of contagious.
+
+Both logs a data dir keeps, the sweep checkpoints and the service's job
+log, share one record format (:func:`encode_digest_line`): a JSON
+object with a ``check`` digest of its own serialisation, so readers and
+``repro service fsck`` tell torn or rotted lines apart the same way.
 
 Every ``OSError`` escaping either primitive is wrapped in a typed
 :class:`~repro.errors.StorageError` so callers up the stack (CLI exit
@@ -47,9 +52,10 @@ PERFORMANCE.md records the measured cost.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from ..errors import storage_failure
 from ..experiments.options import fault_plan
@@ -58,7 +64,9 @@ __all__ = [
     "FSYNC_ENV",
     "atomic_write_bytes",
     "atomic_write_text",
+    "decode_digest_line",
     "durable_append",
+    "encode_digest_line",
     "fsync_enabled",
 ]
 
@@ -187,3 +195,31 @@ def durable_append(
                 os.fsync(handle.fileno())
     except OSError as exc:
         raise storage_failure("durable_append", path, exc) from exc
+
+
+def encode_digest_line(entry: Dict[str, object]) -> str:
+    """One log record: ``entry`` as sorted-key JSON plus a ``check``
+    digest of that serialisation, so corruption at rest is detectable,
+    not only torn writes.  ``entry`` must carry no ``check`` key."""
+    return json.dumps({**entry, "check": _digest(entry)}, sort_keys=True)
+
+
+def decode_digest_line(line: str) -> Dict[str, object]:
+    """Invert :func:`encode_digest_line`: ``ValueError`` for a line that
+    is not a JSON object or fails its digest.  A line without one (a
+    checkpoint written before digests) is taken as it stands."""
+    entry = json.loads(line)
+    if not isinstance(entry, dict):
+        raise ValueError("a log record must be a JSON object")
+    check = entry.pop("check", None)
+    if check is not None and check != _digest(entry):
+        raise ValueError("log line digest mismatch")
+    return entry
+
+
+def _digest(entry: Dict[str, object]) -> str:
+    """The ``check`` of ``entry``; ``hashlib`` loads on first use, so a
+    cold sweep, which writes no log, never imports it."""
+    from hashlib import sha256
+
+    return sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest()[:16]

@@ -35,6 +35,9 @@
   sweep forks them with the shard board, the fleet and the pull loop.
 * Without a fault plan nothing loads the chaos harness or
   ``concurrent.futures``: not a remote worker, not a pooled sweep.
+* The service keeps its jobs in a JSONL log, not SQLite: no module of
+  ``repro.service`` imports ``sqlite3``, and neither a cold ``service
+  start`` nor a cold ``worker start`` loads it.
 
 The child interpreters run the CLI under ``runpy`` and report which
 modules ended up loaded.  Run under ``python -X importtime -m pytest -s``
@@ -44,6 +47,7 @@ stderr.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -220,6 +224,18 @@ except SystemExit as exc:
     if exc.code not in {codes!r}:
         raise
 print(json.dumps(sorted(sys.modules)))
+"""
+
+
+#: Prepended to :data:`CLI_CHILD` for a long-running subcommand: once
+#: the subcommand has installed its SIGTERM handler, ask it to drain.
+STOP_WHEN_SERVING = """
+import os, signal, threading, time
+def _stop_when_serving():
+    while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGTERM)
+threading.Thread(target=_stop_when_serving, daemon=True).start()
 """
 
 
@@ -456,3 +472,47 @@ def test_every_public_name_resolves_and_is_listed():
             assert name in listing, (root, name)
         with pytest.raises(AttributeError, match="no_such_name"):
             getattr(package, "no_such_name")
+
+
+def _imported_names(path: Path) -> List[str]:
+    """Every module name an ``import`` statement in ``path`` names."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.append(node.module)
+    return names
+
+
+def test_no_service_module_imports_sqlite3():
+    service = SRC / "repro" / "service"
+    offenders = [
+        path.name
+        for path in sorted(service.glob("*.py"))
+        if any(name.split(".")[0] == "sqlite3" for name in _imported_names(path))
+    ]
+    assert offenders == []
+
+
+def test_cold_service_start_loads_no_sqlite3(tmp_path):
+    argv = ["service", "start", "--data-dir", str(tmp_path / "svc"), "--port", "0"]
+    modules = _child_modules(
+        STOP_WHEN_SERVING + CLI_CHILD.format(argv=argv, codes=(0,))
+    )
+    assert "repro.service.store" in modules
+    assert _loaded(modules, ("sqlite3",)) == []
+    assert (tmp_path / "svc" / "jobs.jsonl").exists()
+    assert not (tmp_path / "svc" / "jobs.sqlite").exists()
+
+
+def test_cold_worker_start_loads_no_sqlite3():
+    # Nothing listens on port 9: both claims fail and the idle worker exits.
+    modules = _cli_modules(
+        (
+            "worker", "start", "--connect", "http://127.0.0.1:9",
+            "--idle-exit", "0", "--poll", "0.01", "--quiet",
+        )
+    )
+    assert "repro.service.worker" in modules
+    assert _loaded(modules, ("sqlite3",)) == []

@@ -35,7 +35,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.errors import ConfigurationError, SweepExecutionError
+from repro.errors import ConfigurationError, StorageError, SweepExecutionError
 from repro.experiments import (
     FAULT_PLAN_ENV,
     FaultPlan,
@@ -136,7 +136,7 @@ class TestSpecJsonRoundTrip:
 # ----------------------------------------------------------------------
 class TestJobStore:
     def test_submit_then_dedup(self, tmp_path):
-        store = JobStore(tmp_path / "jobs.sqlite")
+        store = JobStore(tmp_path / "jobs.jsonl")
         record, created = store.submit(make_record())
         assert created and record.state == QUEUED
         again, created = store.submit(make_record())
@@ -146,7 +146,7 @@ class TestJobStore:
         assert len(store.list_jobs()) == 1
 
     def test_claim_is_fifo_and_exhaustible(self, tmp_path):
-        store = JobStore(tmp_path / "jobs.sqlite")
+        store = JobStore(tmp_path / "jobs.jsonl")
         first, _ = store.submit(make_record(repeats=2))
         second, _ = store.submit(make_record(repeats=3))
         assert store.claim_next().job_id == first.job_id
@@ -155,7 +155,7 @@ class TestJobStore:
         assert all(r.state == RUNNING for r in store.list_jobs())
 
     def test_transition_validates_edges(self, tmp_path):
-        store = JobStore(tmp_path / "jobs.sqlite")
+        store = JobStore(tmp_path / "jobs.jsonl")
         record, _ = store.submit(make_record())
         with pytest.raises(ConfigurationError):  # queued -> done skips running
             store.transition(record.job_id, DONE)
@@ -168,36 +168,76 @@ class TestJobStore:
             store.transition("no-such-job", DONE)
 
     def test_recover_requeues_running_jobs(self, tmp_path):
-        store = JobStore(tmp_path / "jobs.sqlite")
+        store = JobStore(tmp_path / "jobs.jsonl")
         record, _ = store.submit(make_record())
         store.claim_next()
         # A second store over the same file is "the restarted process".
-        restarted = JobStore(tmp_path / "jobs.sqlite")
+        restarted = JobStore(tmp_path / "jobs.jsonl")
         assert restarted.recover() == 1
         assert restarted.get(record.job_id).state == QUEUED
         assert restarted.recover() == 0
 
+    @pytest.mark.skipif(
+        not Path("/proc/self/fd").is_dir(), reason="needs Linux /proc"
+    )
     def test_connections_are_closed_after_each_call(self, tmp_path):
-        # An unclosed sqlite3 connection sits in a reference cycle, so
-        # with the cyclic GC off every leaked one stays visible here.
-        import gc
-        import sqlite3
-
-        store = JobStore(tmp_path / "jobs.sqlite")
+        # Every call opens the log and closes it before returning: a
+        # leaked descriptor would pin the log's flock, and a forked
+        # child would inherit it.
+        store = JobStore(tmp_path / "jobs.jsonl")
         record, _ = store.submit(make_record())
 
-        def live_connections():
-            return sum(isinstance(o, sqlite3.Connection) for o in gc.get_objects())
+        def open_descriptors():
+            return len(os.listdir("/proc/self/fd"))
 
-        gc.collect()
-        gc.disable()
-        try:
-            before = live_connections()
-            for _ in range(50):
-                assert store.get(record.job_id).job_id == record.job_id
-            assert live_connections() == before
-        finally:
-            gc.enable()
+        before = open_descriptors()
+        for _ in range(50):
+            assert store.get(record.job_id).job_id == record.job_id
+        store.claim_next()
+        store.transition(record.job_id, DONE, result_json="{}")
+        assert open_descriptors() == before
+
+    def test_fold_skips_torn_and_corrupt_lines(self, tmp_path):
+        """The job table is the fold of the log's good lines: a record
+        mangled at rest and a torn tail are skipped, and the next
+        append welds the tail into a line of its own."""
+        log = tmp_path / "jobs.jsonl"
+        store = JobStore(log)
+        first, _ = store.submit(make_record(repeats=2))
+        second, _ = store.submit(make_record(repeats=3))
+        store.claim_next()
+        lines = log.read_text().splitlines()
+        assert len(lines) == 3
+        # The claim record rots at rest; a crash tears the next append.
+        lines[2] = lines[2].replace('"running"', '"runninG"')
+        log.write_text("".join(line + "\n" for line in lines) + '{"op": "sub')
+        reader = JobStore(log)
+        assert [r.state for r in reader.list_jobs()] == [QUEUED, QUEUED]
+        assert reader.claim_next().job_id == first.job_id
+        assert store.get(first.job_id).state == RUNNING
+        assert store.get(second.job_id).state == QUEUED
+        assert len(log.read_text().splitlines()) == 5  # torn tail welded
+
+    def test_every_write_goes_through_the_durable_seam(self, tmp_path):
+        """A read-only fault planned on the job log refuses each write
+        with a StorageError and changes nothing; reads keep working."""
+        store = JobStore(tmp_path / "jobs.jsonl")
+        record, _ = store.submit(make_record())
+        with FaultPlan(readonly_writes=("jobs.jsonl",)).activated():
+            with pytest.raises(StorageError):
+                store.submit(make_record(repeats=2))
+            with pytest.raises(StorageError):
+                store.claim_next()
+            assert [r.state for r in store.list_jobs()] == [QUEUED]
+        assert store.claim_next().job_id == record.job_id
+
+    def test_sqlite_only_data_dir_is_refused(self, tmp_path):
+        (tmp_path / "jobs.sqlite").write_bytes(b"SQLite format 3\x00")
+        with pytest.raises(StorageError, match="jobs.sqlite"):
+            SweepService(tmp_path, port=0)
+        assert main(["service", "gc", "--data-dir", str(tmp_path), "--keep", "1"]) == 5
+        assert main(["service", "fsck", "--data-dir", str(tmp_path)]) == 5
+        assert not (tmp_path / "jobs.jsonl").exists()
 
     def test_check_transition_rejects_unknown_states(self):
         with pytest.raises(ConfigurationError):
@@ -393,7 +433,7 @@ class TestRetiredKernel:
     ):
         """A row an older data dir left queued ends ``failed`` naming the
         valid kernels; the next job still runs."""
-        old = JobStore(tmp_path / "svc" / "jobs.sqlite")
+        old = JobStore(tmp_path / "svc" / "jobs.jsonl")
         stale, _ = old.submit(make_record(repeats=2, kernel="fast-object"))
         service = start_service(tmp_path)
         try:
@@ -567,6 +607,28 @@ class TestLocalFleet:
             "service.timeouts": 1,
             "service.leases.revoked": 0,
         }
+
+    def test_spawn_leaves_the_callers_freeze_alone(self):
+        """The fork is bracketed by a freeze so the child finalizes
+        nothing it inherited, but a heap the caller froze stays frozen
+        and an unfrozen one ends unfrozen."""
+        import gc
+
+        from repro.service.fleet import WorkerFleet
+
+        fleet = WorkerFleet(ShardBoard(), lambda worker_id: lambda: os._exit(0))
+        gc.unfreeze()
+        try:
+            fleet.spawn()
+            assert gc.get_freeze_count() == 0
+            gc.freeze()
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            fleet.spawn()
+            assert gc.get_freeze_count() >= frozen
+        finally:
+            gc.unfreeze()
+            fleet.stop()
 
     @pytest.mark.skipif(
         not Path("/proc/self/task").is_dir(), reason="needs Linux /proc"

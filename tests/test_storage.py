@@ -448,6 +448,55 @@ class TestServiceStorageChaos:
             service.drain()
 
 
+    def test_job_log_fault_503s_submissions_until_it_heals(
+        self, tmp_path, direct
+    ):
+        """A job log the disk refuses: a submission is answered 503 and
+        leaves no job behind; when the filesystem heals the same
+        submission is accepted and lands the same bytes."""
+        service = start_service(tmp_path)
+        payload = {"scenario": "paper-baseline", "seeds": SEEDS}
+        try:
+            with FaultPlan(readonly_writes=("jobs.jsonl",)).activated():
+                status, reply = post_json(f"{service.url}/jobs", payload)
+                assert status == 503
+                assert "jobs.jsonl" in reply["error"]
+                assert service.store.list_jobs() == []
+            status, reply = post_json(f"{service.url}/jobs", payload)
+            assert status == 201
+            wait_for(
+                lambda: service.store.get(reply["job"]).state == DONE,
+                timeout=120.0,
+            )
+            assert (
+                service.store.get(reply["job"]).result_json == direct.to_json()
+            )
+        finally:
+            service.drain()
+
+    def test_enospc_on_a_job_record_requeues_and_heals(self, tmp_path, direct):
+        """The disk fills as the service appends the job's claim or
+        terminal record: the service degrades and backs off (its
+        dispatcher survives), and the job lands once a write succeeds."""
+        plan = FaultPlan(
+            enospc_writes=("jobs.jsonl",), marker_dir=str(tmp_path / "markers")
+        )
+        service = start_service(tmp_path)
+        try:
+            record, _ = service.submit(
+                {"scenario": "paper-baseline", "seeds": SEEDS}
+            )
+            with plan.activated():
+                wait_for(
+                    lambda: service.store.get(record.job_id).state == DONE,
+                    timeout=120.0,
+                )
+        finally:
+            service.drain()
+        assert (tmp_path / "markers" / "enospc-jobs.jsonl").exists()
+        assert service.store.get(record.job_id).result_json == direct.to_json()
+
+
 # ----------------------------------------------------------------------
 # fsck
 # ----------------------------------------------------------------------
@@ -519,7 +568,7 @@ class TestFsck:
         # The inconsistent job was demoted, never patched in place.
         from repro.service import JobStore
 
-        assert JobStore(data_dir / "jobs.sqlite").get(job_id).state == QUEUED
+        assert JobStore(data_dir / "jobs.jsonl").get(job_id).state == QUEUED
         assert not (results / f"{job_id}.json").exists()
         assert not (results / "unknown-job.json").exists()
         assert not (checkpoints / "sweep-deadbeef.jsonl").exists()
@@ -542,6 +591,40 @@ class TestFsck:
         finally:
             service.drain()
 
+    def test_job_log_debris_is_found_and_repaired(self, tmp_path, direct):
+        """The job log gets the checkpoints' line checks: a record
+        rotted at rest and a torn tail are reported, ``--repair`` keeps
+        exactly the verified records, and the job is still served."""
+        data_dir, job_id = self.run_job_to_done(tmp_path)
+        log = data_dir / "jobs.jsonl"
+        lines = log.read_text().splitlines()
+        good = lines[:-1]
+        rotted = lines[-1].replace('"done"', '"dane"')
+        log.write_text(
+            "".join(line + "\n" for line in good) + rotted + "\n" + '{"op": "st'
+        )
+        report = fsck_data_dir(data_dir)
+        findings = {f["kind"]: f for f in report["findings"]}
+        assert set(findings) == {
+            "corrupt_job_line",
+            "torn_job_line",
+            "orphan_result_blob",  # the running job's blob
+            "stale_running_job",  # its terminal record was the rotted one
+        }
+        fsck_data_dir(data_dir, repair=True)
+        repaired = log.read_text().splitlines()
+        assert repaired[:-1] == good  # every verified record kept
+        assert json.loads(repaired[-1])["op"] == "demote"
+        assert fsck_data_dir(data_dir)["clean"] is True
+        service = start_service(tmp_path)
+        try:
+            wait_for(
+                lambda: service.store.get(job_id).state == DONE, timeout=120.0
+            )
+            assert service.store.get(job_id).result_json == direct.to_json()
+        finally:
+            service.drain()
+
     def test_missing_blob_is_found_and_demoted(self, tmp_path):
         data_dir, job_id = self.run_job_to_done(tmp_path)
         (data_dir / "results" / f"{job_id}.json").unlink()
@@ -552,7 +635,38 @@ class TestFsck:
         fsck_data_dir(data_dir, repair=True)
         from repro.service import JobStore
 
-        assert JobStore(data_dir / "jobs.sqlite").get(job_id).state == QUEUED
+        assert JobStore(data_dir / "jobs.jsonl").get(job_id).state == QUEUED
+
+    @pytest.mark.parametrize(
+        "blob, kind",
+        [
+            ("[]", "corrupt_result_blob"),
+            ('{"runs": [], "failures": 3}', "result_blob_mismatch"),
+        ],
+        ids=["not-an-object", "failures-not-a-list"],
+    )
+    def test_malformed_blob_is_a_finding_not_a_crash(self, tmp_path, blob, kind):
+        from repro.scenarios import get_scenario
+        from repro.service import JobRecord, JobStore, job_key
+
+        spec = get_scenario("paper-baseline")
+        store = JobStore(tmp_path / "jobs.jsonl")
+        record, _ = store.submit(
+            JobRecord(
+                job_id=job_key(spec, 2, 0),
+                spec_json=spec.to_json(indent=None),
+                repeats=2,
+                base_seed=0,
+                kernel=None,
+                setup_kernel=None,
+                state=QUEUED,
+            )
+        )
+        store.claim_next()
+        store.transition(record.job_id, DONE, result_json=blob)
+        report = fsck_data_dir(tmp_path, repair=True)
+        assert [f["kind"] for f in report["findings"]] == [kind]
+        assert store.get(record.job_id).state == QUEUED
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         # Missing dir: usage error.

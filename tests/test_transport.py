@@ -22,11 +22,16 @@ The contracts under test, in increasing order of violence:
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.experiments import (
     ExperimentRunner,
@@ -708,7 +713,7 @@ class TestServiceGc:
 
     def test_gc_keeps_newest_and_preserves_records(self, tmp_path):
         ids = self.finish_jobs(tmp_path, 3)
-        store = JobStore(tmp_path / "svc" / "jobs.sqlite")
+        store = JobStore(tmp_path / "svc" / "jobs.jsonl")
         evicted = store.gc(keep=1)
         assert [r.job_id for r in evicted] == ids[:2][::-1]  # oldest evicted
         for record in evicted:
@@ -729,7 +734,7 @@ class TestServiceGc:
         still dedups a resubmission, and the result endpoint says 410
         (gone), never 404 (unknown) or a recompute."""
         ids = self.finish_jobs(tmp_path, 2)
-        JobStore(tmp_path / "svc" / "jobs.sqlite").gc(keep=1)
+        JobStore(tmp_path / "svc" / "jobs.jsonl").gc(keep=1)
         service = SweepService(
             tmp_path / "svc", port=0, shard_workers=2, retry=FAST_RETRY
         ).start()
@@ -760,6 +765,39 @@ class TestServiceGc:
         remaining = list((data_dir / "checkpoints").glob("sweep-*.jsonl"))
         assert len(remaining) == 1  # the evicted job's seeds are gone
 
+    def test_gc_process_against_a_live_service(self, tmp_path):
+        """``repro service gc`` in its own process evicts from a data
+        dir a live service is serving: the service's next status read
+        folds the eviction (410, ``evicted``), and a resubmission still
+        dedups."""
+        service = SweepService(
+            tmp_path / "svc", port=0, shard_workers=2, retry=FAST_RETRY
+        ).start()
+        try:
+            client = ServiceClient(service.url)
+            job = client.submit({"scenario": "paper-baseline", "seeds": 2})["job"]
+            assert client.wait(job, timeout=120.0)["state"] == "done"
+            assert "evicted" not in client.status(job)
+            env = dict(os.environ)
+            env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+            gc = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.cli", "service", "gc",
+                    "--data-dir", str(tmp_path / "svc"), "--keep", "0",
+                ],
+                env=env, capture_output=True, text=True, timeout=120.0,
+            )
+            assert gc.returncode == 0, gc.stderr
+            assert gc.stdout.split() == [job]
+            assert client.status(job)["evicted"] is True
+            with pytest.raises(ServiceError) as excinfo:
+                client.result(job)
+            assert excinfo.value.status == 410
+            again = client.submit({"scenario": "paper-baseline", "seeds": 2})
+            assert again["created"] is False and again["job"] == job
+        finally:
+            service.drain()
+
     def test_gc_cli_without_store_is_an_error(self, tmp_path, capsys):
         assert main(
             ["service", "gc", "--data-dir", str(tmp_path / "empty"), "--keep", "1"]
@@ -772,7 +810,7 @@ class TestServiceGc:
 # ----------------------------------------------------------------------
 class TestRecoverEdgeCases:
     def make_jobs(self, tmp_path, count):
-        store = JobStore(tmp_path / "jobs.sqlite")
+        store = JobStore(tmp_path / "jobs.jsonl")
         spec = get_scenario("paper-baseline")
         for i in range(count):
             from repro.service import JobRecord
@@ -799,7 +837,7 @@ class TestRecoverEdgeCases:
 
         def claimer():
             try:
-                local = JobStore(tmp_path / "jobs.sqlite")
+                local = JobStore(tmp_path / "jobs.jsonl")
                 while True:
                     job = local.claim_next()
                     if job is None:
@@ -811,7 +849,7 @@ class TestRecoverEdgeCases:
 
         def recoverer():
             try:
-                local = JobStore(tmp_path / "jobs.sqlite")
+                local = JobStore(tmp_path / "jobs.jsonl")
                 for _ in range(3):
                     local.recover()
             except Exception as exc:  # pragma: no cover - failure detail
@@ -840,6 +878,123 @@ class TestRecoverEdgeCases:
             assert job.job_id not in final  # atomic: never handed out twice
             final.add(job.job_id)
         assert final == set(states)
+
+    def test_threads_sharing_one_store_hand_out_each_job_once(self, tmp_path):
+        """The service shares one store between its handler, dispatcher
+        and job threads: with readers folding the log while claimers on
+        it and on a second store append to it, and threads switching as
+        often as the interpreter allows, every job is claimed once."""
+        store = self.make_jobs(tmp_path, 32)
+        other = JobStore(tmp_path / "jobs.jsonl")
+        claimed, errors = [], []
+        done = threading.Event()
+
+        def claimer(store):
+            try:
+                while True:
+                    job = store.claim_next()
+                    if job is None:
+                        return
+                    claimed.append(job.job_id)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        def reader():
+            try:
+                while not done.is_set():
+                    store.list_jobs()
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            claimers = [
+                threading.Thread(target=claimer, args=(s,))
+                for s in (store, store, other, other)
+            ]
+            for thread in readers + claimers:
+                thread.start()
+            for thread in claimers:
+                thread.join(timeout=60.0)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + claimers)
+        assert errors == []
+        assert sorted(claimed) == sorted(r.job_id for r in store.list_jobs())
+        assert {r.state for r in JobStore(tmp_path / "jobs.jsonl").list_jobs()} == {
+            RUNNING
+        }
+
+    def test_a_fork_mid_call_leaves_the_child_no_lock(self, tmp_path):
+        """A worker forked while another thread is inside a store call
+        must not inherit the call's descriptor: a copy would hold the
+        log's shared lock for the child's whole life, and the parent's
+        next write would wait for the child to exit."""
+        inside, release = threading.Event(), threading.Event()
+
+        class HeldStore(JobStore):
+            def _record(self, job):  # runs under the log's shared lock
+                inside.set()
+                release.wait(30.0)
+                return super()._record(job)
+
+        store = self.make_jobs(tmp_path, 1)
+        reader = threading.Thread(
+            target=HeldStore(tmp_path / "jobs.jsonl").list_jobs
+        )
+        reader.start()
+        assert inside.wait(30.0)
+        threading.Timer(0.3, release.set).start()
+        child = multiprocessing.get_context("fork").Process(
+            target=time.sleep, args=(30.0,)
+        )
+        child.start()  # waits for the reader's call to finish
+        try:
+            claim = threading.Thread(target=store.claim_next)
+            claim.start()
+            claim.join(timeout=10.0)
+            assert not claim.is_alive()
+        finally:
+            child.kill()
+            child.join()
+            reader.join(timeout=30.0)
+        assert store.get(store.list_jobs()[0].job_id).state == RUNNING
+
+    def test_claims_from_separate_processes_never_collide(self, tmp_path):
+        """Three processes, each with its own store over one job log,
+        drain the queue: the log's lock makes every claim atomic across
+        processes, so each job is handed out exactly once."""
+        store = self.make_jobs(tmp_path, 12)
+
+        def claimer(index):
+            local = JobStore(tmp_path / "jobs.jsonl")
+            ids = []
+            while True:
+                job = local.claim_next()
+                if job is None:
+                    break
+                ids.append(job.job_id)
+            (tmp_path / f"claims-{index}").write_text("\n".join(ids))
+
+        context = multiprocessing.get_context("fork")
+        processes = [context.Process(target=claimer, args=(i,)) for i in range(3)]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=60.0)
+            assert process.exitcode == 0
+        claimed = [
+            job_id
+            for i in range(3)
+            for job_id in (tmp_path / f"claims-{i}").read_text().split()
+        ]
+        assert sorted(claimed) == sorted(r.job_id for r in store.list_jobs())
+        assert {r.state for r in store.list_jobs()} == {RUNNING}
 
     def test_server_side_append_tolerates_torn_trailing_line(
         self, tmp_path, result_docs
