@@ -18,8 +18,10 @@ Design rules, all in service of "a restart never loses a job":
   folds the records appended since its last read before it decides, so
   stores over one log — scheduler threads, a recovering restart, a
   ``repro service gc`` process — see each other's records and never
-  both claim a job.  The descriptor is closed before the call returns
-  and a fork waits for the call in flight, so no child inherits it.
+  both claim a job.  A record joins the fold once it is durable, and a
+  read while the store writes serves the fold as it stands instead of
+  waiting for the fsync.  The descriptor is closed before the call
+  returns; a forked child closes its copies, so none pins the flock.
 * **Result blobs are files** — a finished report's exact bytes live in
   ``<data-dir>/results/<job_id>.json``, written through the
   crash-consistent seam (:func:`~repro.storage.atomic_write_text`)
@@ -38,7 +40,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..errors import StorageError, storage_failure
 from ..records import replace
@@ -53,14 +55,24 @@ from .state import DONE, QUARANTINED, QUEUED, RUNNING, JobRecord, check_transiti
 #: The job log's name in a service data dir.
 JOB_LOG = "jobs.jsonl"
 
-#: Held by every store call in this process while its descriptor is
-#: open, and across every fork: a child holding a copy of a descriptor
-#: would hold the log's flock for as long as it lives.
-_CALL_LOCK = threading.Lock()
+#: Guards every store's fold and the descriptor set below; never held
+#: while a call waits for the log's flock or for an fsync.
+_FOLD_LOCK = threading.Lock()
+#: The log descriptors open in this process.  A fork takes _FOLD_LOCK,
+#: and the child closes its copies: one kept would pin the log's flock.
+_OPEN: Set[int] = set()
+
+
+def _close_inherited() -> None:
+    while _OPEN:
+        os.close(_OPEN.pop())
+    _FOLD_LOCK.release()
+
+
 os.register_at_fork(
-    before=_CALL_LOCK.acquire,
-    after_in_parent=_CALL_LOCK.release,
-    after_in_child=_CALL_LOCK.release,
+    before=_FOLD_LOCK.acquire,
+    after_in_parent=_FOLD_LOCK.release,
+    after_in_child=_close_inherited,
 )
 
 
@@ -94,6 +106,7 @@ class JobStore:
         self._last_order = 0
         self._read = 0
         self._inode: Optional[int] = None
+        self._writing = False  # a write of this store is in flight
 
     def result_path(self, job_id: str) -> Path:
         """The result-blob file backing one job's report bytes."""
@@ -105,14 +118,21 @@ class JobStore:
     @contextmanager
     def _locked(self, write: bool) -> Iterator[int]:
         """Hold the log's flock (exclusive to ``write``, shared to read)
-        with the fold caught up; yields the log's descriptor."""
-        with _CALL_LOCK:
+        and _FOLD_LOCK with the fold caught up; yields the descriptor.
+        A read while this store writes takes the fold as it stands, and
+        :meth:`_write` lets go of _FOLD_LOCK for its fsync."""
+        with _FOLD_LOCK:
+            if self._writing and not write:
+                yield -1
+                return
             try:
                 fd = os.open(self._path, os.O_RDONLY | os.O_CREAT, 0o644)
             except OSError as exc:
                 raise storage_failure("open", self._path, exc) from exc
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX if write else fcntl.LOCK_SH)
+            _OPEN.add(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX if write else fcntl.LOCK_SH)
+            with _FOLD_LOCK:
                 info = os.fstat(fd)
                 if info.st_ino != self._inode or info.st_size < self._read:
                     # A new log, or one fsck --repair rewrote: fold afresh.
@@ -126,8 +146,14 @@ class JobStore:
                             self._apply(decode_digest_line(line))
                         except (ValueError, KeyError, TypeError):
                             continue  # torn or corrupt: skipped
-                yield fd
-            finally:
+                self._writing = write
+                try:
+                    yield fd
+                finally:
+                    self._writing = False
+        finally:
+            with _FOLD_LOCK:
+                _OPEN.discard(fd)
                 os.close(fd)  # releases the flock
 
     def _apply(self, entry: Dict[str, object]) -> None:
@@ -143,10 +169,14 @@ class JobStore:
             self._jobs[job_id] = replace(self._jobs[job_id], **entry)
 
     def _write(self, fd: int, op: str, job_id: str, **fields: object) -> None:
-        """Append one record and fold it (the caller holds the exclusive
-        lock, so no other record lands meanwhile)."""
+        """Append one record and fold it once it is durable (the caller
+        holds the exclusive lock, so no other record lands meanwhile)."""
         entry = {"op": op, "job_id": job_id, **fields}
-        durable_append(self._path, encode_digest_line(entry))
+        _FOLD_LOCK.release()
+        try:
+            durable_append(self._path, encode_digest_line(entry))
+        finally:
+            _FOLD_LOCK.acquire()
         self._apply(entry)
         self._read = os.fstat(fd).st_size
 

@@ -231,6 +231,82 @@ class TestJobStore:
             assert [r.state for r in store.list_jobs()] == [QUEUED]
         assert store.claim_next().job_id == record.job_id
 
+    @staticmethod
+    def _held_append(monkeypatch):
+        """Hold every job-log append inside its flush until released;
+        returns the (entered, release) events."""
+        import repro.service.store as store_module
+
+        entered, release = threading.Event(), threading.Event()
+        real = store_module.durable_append
+
+        def held(path, line, fsync=None):
+            entered.set()
+            assert release.wait(10.0), "the held append was never released"
+            real(path, line, fsync)
+
+        monkeypatch.setattr(store_module, "durable_append", held)
+        return entered, release
+
+    def test_read_during_a_write_serves_the_last_durable_state(
+        self, tmp_path, monkeypatch
+    ):
+        """A status read never queues behind a write's flush: while the
+        claim record is being appended, the store answers at once with
+        the job as it was, and shows the claim once it is durable."""
+        store = JobStore(tmp_path / "jobs.jsonl")
+        record, _ = store.submit(make_record())
+        entered, release = self._held_append(monkeypatch)
+        claimer = threading.Thread(target=store.claim_next)
+        claimer.start()
+        try:
+            assert entered.wait(10.0)
+            states = []
+            reader = threading.Thread(
+                target=lambda: states.append(store.get(record.job_id).state)
+            )
+            reader.start()
+            reader.join(5.0)
+            assert not reader.is_alive(), "the read waited for the flush"
+            assert states == [QUEUED]
+            assert [r.state for r in store.list_jobs()] == [QUEUED]
+        finally:
+            release.set()
+            claimer.join(10.0)
+        assert store.get(record.job_id).state == RUNNING
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_never_pins_the_log_flock(self, tmp_path, monkeypatch):
+        """A fork landing while a write holds the log's exclusive flock
+        leaves the child without the descriptor: once the parent's write
+        ends, the flock is free although the child still lives."""
+        import fcntl
+
+        log = tmp_path / "jobs.jsonl"
+        store = JobStore(log)
+        store.submit(make_record())
+        entered, release = self._held_append(monkeypatch)
+        read_end, write_end = os.pipe()
+        claimer = threading.Thread(target=store.claim_next)
+        claimer.start()
+        try:
+            assert entered.wait(10.0)
+            child = os.fork()
+            if child == 0:  # the child: wait until told to go, then leave
+                os.close(write_end)
+                os.read(read_end, 1)
+                os._exit(0)
+            os.close(read_end)
+        finally:
+            release.set()
+            claimer.join(10.0)
+        try:
+            with open(log, "rb") as handle:
+                fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(write_end)  # the child reads EOF and exits
+            os.waitpid(child, 0)
+
     def test_sqlite_only_data_dir_is_refused(self, tmp_path):
         (tmp_path / "jobs.sqlite").write_bytes(b"SQLite format 3\x00")
         with pytest.raises(StorageError, match="jobs.sqlite"):
