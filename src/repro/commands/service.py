@@ -130,7 +130,6 @@ def _cmd_worker_start(args: argparse.Namespace) -> int:
         retry=retry,
         idle_exit=args.idle_exit,
         token=args.token,
-        upload_batch=args.upload_batch,
     )
     status(args, f"worker {worker.worker_id} pulling from {args.connect}")
     executed = worker_main(worker)
@@ -534,15 +533,6 @@ def _add_worker_start(sub) -> None:
         "--token",
         default=None,
         help="bearer token for a 'service start --token' instance",
-    )
-    wrk_start.add_argument(
-        "--upload-batch",
-        type=int,
-        default=1,
-        metavar="N",
-        help="coalesce up to N finished seeds into one upload (default "
-        "1: upload each seed as it finishes; the batch flushes at shard "
-        "end and on drain either way)",
     )
     wrk_start.set_defaults(func=_cmd_worker_start, imports_first=True)
 

@@ -102,6 +102,21 @@ class StorageError(ReproError):
         self.path = path
 
 
+class ServiceError(ReproError):
+    """A failed request to the sweep service or a pool's shard board.
+
+    ``status`` is the HTTP status code when the server answered (the
+    request *arrived*; asking again would not change the answer) and
+    ``0`` when nothing came back (connection refused or reset, a
+    timeout, an injected drop or partition, a closed pipe): the only
+    kind a client retries.
+    """
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(f"HTTP {status}: {message}")
+        self.status = status
+
+
 #: CLI exit code when a sweep could not produce any results at all
 #: (:class:`SweepExecutionError`).
 EXIT_SWEEP_FAILED = 3

@@ -52,11 +52,13 @@ _EXPORTS = {
         "SeedPool",
         "seed_chunks",
     ),
+    "retry": (
+        "RetryPolicy",
+    ),
     "resilience": (
         "FailedRun",
         "GuardReport",
         "Ladder",
-        "RetryPolicy",
         "SweepCheckpoint",
         "apply_divergence_guard",
         "decode_checkpoint_line",

@@ -88,7 +88,7 @@ class SeedPool:
     retry_policy:
         Backoff schedule for supervised retries of failed shards
         (default: three attempts, 50 ms base delay).  See
-        :class:`~repro.experiments.resilience.RetryPolicy`.
+        :class:`~repro.experiments.RetryPolicy`.
     chunk_timeout:
         The lease timeout: seconds a worker may hold a shard without
         landing a seed before it is presumed hung, killed and replaced
@@ -201,8 +201,8 @@ class SeedPool:
                 if halt is not None:
                     raise halt  # the chaos harness's kill -9 stand-in
                 forked(fleet.supervise())
-            # Let the workers hand in their last reports (a shard's
-            # telemetry rides on its ``done``) and exit.
+            # Let the workers hand in their last requests (a drained
+            # shard's telemetry rides on its ``release``) and exit.
             fleet.terminate()
             deadline = time.monotonic() + _DRAIN
             while serving.open and time.monotonic() < deadline:

@@ -48,7 +48,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import SweepExecutionError, invalid_field, sweep_failed
+from ..errors import SweepExecutionError, sweep_failed
 from ..records import Record, replace
 from ..storage import (
     atomic_write_text,
@@ -58,6 +58,7 @@ from ..storage import (
 )
 from ..telemetry import active_tracer, default_registry
 from .options import GUARD_DIFFERENTIAL, fault_plan
+from .retry import RetryPolicy
 from .schedule_cache import topology_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,45 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Checkpoint on-disk format version; part of every store key so a
 #: format change can never silently merge with old entries.
 CHECKPOINT_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# Retry policy
-# ----------------------------------------------------------------------
-class RetryPolicy(Record):
-    """Exponential backoff with deterministic jitter.
-
-    ``delay(attempt, key)`` grows as ``base_delay * 2**(attempt-1)``,
-    capped at ``max_delay``, scaled by a jitter factor in ``[0.5, 1.0)``
-    drawn from ``(seed, attempt, key)`` — deterministic, so a retried
-    sweep sleeps the same amount every time it is replayed (no
-    wall-clock enters any result, but reproducible chaos tests want
-    reproducible schedules too).
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise invalid_field(
-                "RetryPolicy", "max_attempts", self.max_attempts,
-                "a chunk must be attempted at least once",
-            )
-        for name in ("base_delay", "max_delay"):
-            if getattr(self, name) < 0:
-                raise invalid_field(
-                    "RetryPolicy", name, getattr(self, name),
-                    "delays cannot be negative",
-                )
-
-    def delay(self, attempt: int, key: int = 0) -> float:
-        """The back-off before retrying after failed ``attempt``."""
-        raw = min(self.base_delay * (2 ** max(attempt - 1, 0)), self.max_delay)
-        jitter = random.Random(f"{self.seed}:{attempt}:{key}").random()
-        return raw * (0.5 + 0.5 * jitter)
 
 
 # ----------------------------------------------------------------------

@@ -34,13 +34,15 @@ assembled from the substrates the earlier PRs built:
   pool's workers post through;
 * :mod:`repro.service.worker` — the service's workers, local or remote
   (``repro worker start --connect``): the :class:`ShardWorker` loop over
-  :class:`WorkerTransport`, with explicit timeouts, bounded
-  retry/backoff and the injected network chaos;
+  :class:`WorkerTransport`, a :class:`ServiceClient` with the worker's
+  retry policy and the injected network chaos;
 * :mod:`repro.service.client` — :class:`~repro.service.client.HttpChannel`,
   the kept-alive HTTP/1.1 exchange helper every caller of the service
   uses, and the :class:`ServiceClient` behind ``repro service
-  submit|status|result`` (explicit timeouts, bounded retry with
-  backoff on connection failures);
+  submit|status|result`` (explicit timeouts, and the one
+  transport-retry loop: bounded retry with the
+  :class:`~repro.experiments.RetryPolicy` backoff on connection
+  failures, :class:`ServiceError` once it gives up);
 * :mod:`repro.service.fsck` — :func:`fsck_data_dir`, the offline
   auditor behind ``repro service fsck [--repair]``: checks the job
   log's and the checkpoints' lines, cross-checks job records,
@@ -81,7 +83,6 @@ _EXPORTS = {
         "ShardBoard",
     ),
     "pull": (
-        "TransportError",
         "worker_main",
     ),
     "worker": (

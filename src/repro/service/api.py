@@ -58,16 +58,14 @@ HTTP endpoints::
                                  lease, or {"shard": null}; with wait, held
                                  until a shard is claimable, s seconds pass
                                  (capped at MAX_HOLD) or the service drains
-    POST /shards/<id>/seeds      {"job", "worker", "seed", "result"} or the
-                                 batched {"job", "worker", "seeds": [{"seed",
-                                 "result"}, ...]} — the durability write +
-                                 lease heartbeat (idempotent: dedup by
-                                 (job, shard, seed); batches answer
-                                 {"results": [per-seed replies]})
+    POST /shards/<id>/seeds      {"job", "worker", "seed", "result"} — the
+                                 durability write + lease heartbeat
+                                 (idempotent: dedup by (job, shard, seed));
+                                 the upload that lands a lease's last seed
+                                 ends the lease
     POST /shards/<id>/fail       {"job", "worker", "error"} — charge the
                                  shard an attempt (retry/bisect/quarantine)
     POST /shards/<id>/release    hand a lease back blame-free (drain)
-    POST /shards/<id>/done       close out a fully-uploaded lease
 
 When the service is started with a shared token (``--token``), every
 POST must carry ``Authorization: Bearer <token>`` — wrong or missing
@@ -452,7 +450,7 @@ class SweepService:
     def shard_post(
         self, shard_id: str, action: str, payload: object
     ) -> Tuple[int, Dict[str, object]]:
-        """``POST /shards/<id>/{seeds,fail,release,done}``
+        """``POST /shards/<id>/{seeds,fail,release}``
         (:func:`~repro.service.transport.shard_post`)."""
         return shard_post(self._board, shard_id, action, payload)
 

@@ -3,13 +3,15 @@ one kept-alive HTTP/1.1 channel every service caller talks through.
 
 :class:`HttpChannel` is the exchange helper shared by
 :class:`ServiceClient` (the ``repro service submit|status|result`` CLI
-and the drills) and the shard workers' :class:`~repro.service.worker.
-WorkerTransport`: one ``http.client`` connection per calling thread,
-opened on first use and kept alive across requests, so a stream of seed
-uploads pays one TCP connect instead of one per request.  A reused
-connection the peer has closed (its idle timeout, a restart, a drain)
-is retried once on a fresh connection; every other failure is the
-caller's to handle.  Stdlib only, for the same reason the server is.
+and the drills) and the shard workers'
+:class:`~repro.service.worker.WorkerTransport`, itself a
+:class:`ServiceClient`: one ``http.client`` connection per calling
+thread, opened on first use and kept alive across requests, so a stream
+of seed uploads pays one TCP connect instead of one per request.  A
+reused connection the peer has closed (its idle timeout, a restart, a
+drain) is retried once on a fresh connection; every other failure is
+the caller's to handle.  Stdlib only, for the same reason the server
+is.
 
 Every :class:`ServiceClient` call returns the decoded JSON document;
 HTTP error statuses surface as :class:`ServiceError` with the server's
@@ -18,12 +20,15 @@ HTTP error statuses surface as :class:`ServiceError` with the server's
 
 Hardening: every exchange carries an explicit timeout, and
 *connection-level* failures (refused, reset, socket timeouts —
-anywhere the request may never have arrived) are retried a bounded
-number of times with exponential backoff before surfacing as
-:class:`ServiceError` with status 0.  HTTP error statuses are never
-retried: the server answered, and re-asking would not change the
-answer.  Retrying ``POST /jobs`` is safe because submission is
-idempotent by construction (content-addressed job ids dedup).
+anywhere the request may never have arrived) go through the one
+transport-retry loop, :class:`ServiceClient`'s, which the workers'
+transport inherits: retried up to a
+:class:`~repro.experiments.RetryPolicy`'s attempt budget with its
+backoff, then surfaced as :class:`ServiceError` with status 0.  HTTP
+error statuses are never retried: the server answered, and re-asking
+would not change the answer.  Retrying ``POST /jobs`` is safe because
+submission is idempotent by construction (content-addressed job ids
+dedup), and so are seed uploads (the board dedups them).
 """
 
 from __future__ import annotations
@@ -32,10 +37,14 @@ import http.client
 import json
 import threading
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, ServiceError
+
+if TYPE_CHECKING:  # imported at the first retry: a call that reaches
+    # the service at once loads none of the sweep machinery
+    from ..experiments.retry import RetryPolicy
 
 #: What a failed exchange raises when no HTTP status came back.
 TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
@@ -45,14 +54,6 @@ _CONNECTIONS = {
     "http": http.client.HTTPConnection,
     "https": http.client.HTTPSConnection,
 }
-
-
-class ServiceError(ReproError):
-    """An HTTP-level failure talking to the sweep service."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(f"HTTP {status}: {message}")
-        self.status = status
 
 
 class HttpChannel:
@@ -169,75 +170,73 @@ def error_message(status: int, body: bytes) -> str:
     return f"HTTP Error {status}"
 
 
-def _call(
-    channel: HttpChannel,
-    url: str,
-    path: str,
-    payload: Optional[Dict],
-    retries: int,
-    backoff: float,
-    sleep: Callable[[float], None],
-    token: Optional[str],
-) -> bytes:
-    """One API call with the client's retry policy; returns the body.
-
-    ``retries`` bounds the total attempts; attempt *n* failing at the
-    connection level sleeps ``backoff * 2**(n-1)`` before the next.
-    """
-    method, data, headers = encode_request(payload, token)
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            status, body = channel.exchange(method, path, data, headers)
-        except TRANSPORT_ERRORS as exc:
-            if attempt >= max(retries, 1):
-                raise ServiceError(0, f"cannot reach {url}: {exc}") from None
-            sleep(backoff * (2 ** (attempt - 1)))
-            continue
-        if status >= 400:
-            # The server answered: an HTTP status is a result, not an
-            # outage — never retried.
-            raise ServiceError(status, error_message(status, body))
-        return body
-
-
 class ServiceClient:
     """Talks to one running :class:`~repro.service.SweepService`.
 
-    ``retries``/``backoff`` bound the per-call retry schedule on
-    connection-level failures (see the module docstring); ``retries=1``
-    restores fail-fast behaviour.  ``token`` is sent as a ``Bearer``
-    header on every request when the service was started with
-    ``--token`` (mutating endpoints answer 401 without it).
+    Connection-level failures are retried on the default
+    :class:`~repro.experiments.RetryPolicy` (see the module docstring).
+    ``token`` is sent as a ``Bearer`` header on every request when the
+    service was started with ``--token`` (mutating endpoints answer 401
+    without it).
     """
 
     def __init__(
         self,
         base_url: str,
         timeout: float = 30.0,
-        retries: int = 3,
-        backoff: float = 0.2,
         token: Optional[str] = None,
     ) -> None:
         self._base = base_url.rstrip("/")
-        self._retries = retries
-        self._backoff = backoff
         self._token = token
         self._timeout = timeout
         self._channel = HttpChannel(self._base, timeout)
+        # The transport-retry schedule (``None``: the default policy,
+        # built at the first retry) and what waits out its backoff.
+        self._retry: Optional["RetryPolicy"] = None
+        self._sleep = time.sleep
+        # Requests sent, retries included: the backoff's jitter key.
+        self._requests = 0
 
     def _raw(self, path: str, payload: Optional[Dict] = None) -> bytes:
-        return _call(
-            self._channel,
-            f"{self._base}{path}",
-            path,
-            payload,
-            self._retries,
-            self._backoff,
-            time.sleep,
-            self._token,
-        )
+        """One API call through the transport-retry loop; returns the
+        reply's body.  Only a :class:`ServiceError` with status 0 (no
+        reply came back) is retried."""
+        method, data, headers = encode_request(payload, self._token)
+        attempt = 1
+        while True:
+            self._requests += 1
+            try:
+                return self._attempt(attempt, method, path, data, headers)
+            except ServiceError as exc:
+                if exc.status:
+                    # The server answered: a result, not an outage.
+                    raise
+                if self._retry is None:
+                    from ..experiments.retry import RetryPolicy
+
+                    self._retry = RetryPolicy()
+                if attempt >= self._retry.max_attempts:
+                    raise
+            self._sleep(self._retry.delay(attempt, key=self._requests))
+            attempt += 1
+
+    def _attempt(
+        self,
+        attempt: int,
+        method: str,
+        path: str,
+        data: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> bytes:
+        """One exchange (``attempt`` of the call); every failure is a
+        :class:`ServiceError`."""
+        try:
+            status, body = self._channel.exchange(method, path, data, headers)
+        except TRANSPORT_ERRORS as exc:
+            raise ServiceError(0, f"cannot reach {self._base}{path}: {exc}") from None
+        if status >= 400:
+            raise ServiceError(status, error_message(status, body))
+        return body
 
     def _get(self, path: str, payload: Optional[Dict] = None) -> Dict:
         return json.loads(self._raw(path, payload).decode())

@@ -2,9 +2,12 @@
 
 :class:`PullWorker` claims a shard from a
 :class:`~repro.service.transport.ShardBoard`, runs its seeds and uploads
-each finished seed at once — the upload is the durability write *and*
-the lease heartbeat.  It reaches the board only through a transport's
-``post(path, payload)`` seam, so one loop serves every worker:
+each finished seed at once as one ``{"job", "worker", "seed",
+"result"}`` body — the upload is the durability write *and* the lease
+heartbeat, and the board drops the lease when the shard's last seed
+lands, so a finished shard needs no closing request.  The worker
+reaches the board only through a transport's ``post(path, payload)``
+seam, so one loop serves every worker:
 
 * a service's local workers and ``repro worker start --connect``
   processes post over HTTP
@@ -20,8 +23,10 @@ board charges an attempt and walks its retry ladder); an *upload* that
 fails past the transport's retry budget abandons the shard silently
 (the owner's lease timeout re-queues it); :meth:`PullWorker.request_stop`
 mid-shard uploads the finished seed, releases the remainder, and stops.
-The worker-side chaos points (crash, hang, transient, poison, duplicate
-upload, partition) fire here, in whichever process runs the loop.
+Every failed request is a :class:`~repro.errors.ServiceError`.  The
+worker-side chaos points (crash, hang, transient, poison, duplicate
+upload) fire here, in whichever process runs the loop; the network
+kinds fire in the HTTP transport.
 
 Nothing here imports the operational engine, the HTTP client or the
 chaos harness: a pooled overhead sweep loads none of them.
@@ -35,7 +40,7 @@ import time
 from contextlib import nullcontext
 from typing import Callable, Dict, Optional, Tuple
 
-from ..errors import ReproError
+from ..errors import ServiceError
 from ..experiments.options import fault_plan
 from ..telemetry import (
     MetricsRegistry,
@@ -45,20 +50,6 @@ from ..telemetry import (
     tracing,
     use_registry,
 )
-
-
-class TransportError(ReproError):
-    """A worker-side request failure.
-
-    ``status`` is the HTTP status code when the server answered (the
-    request *arrived*; retrying it would not change the answer) and
-    ``0`` for transport-level failures (connection refused, timeout,
-    injected drop, partition, a closed pipe) — the retryable kind.
-    """
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(f"HTTP {status}: {message}" if status else message)
-        self.status = status
 
 
 class PipeTransport:
@@ -79,9 +70,9 @@ class PipeTransport:
             self._connection.send((path, payload))
             status, reply = self._connection.recv()
         except (EOFError, OSError) as exc:
-            raise TransportError(0, f"the pool's pipe closed: {exc}") from None
+            raise ServiceError(0, f"the pool's pipe closed: {exc}") from None
         if status >= 400:
-            raise TransportError(status, str(reply.get("error")))
+            raise ServiceError(status, str(reply.get("error")))
         return reply
 
 
@@ -102,13 +93,9 @@ class PullWorker:
     uploads the seed in flight, releases the rest of the lease, and
     returns from :meth:`run`.
 
-    ``upload_batch`` > 1 coalesces up to that many finished seeds into
-    one batched ``POST /shards/<id>/seeds`` (flushed whenever the buffer
-    fills, the shard ends, a drain starts, or chaos partitions the link).
-    Dedup is per-seed on the board either way.
-
     With ``telemetry`` set every shard runs under a private tracer and
-    metrics registry, shipped with the shard's ``done`` report.
+    metrics registry, shipped home on the request that ends the shard:
+    its last upload, its ``fail`` or its ``release``.
     """
 
     def __init__(
@@ -118,7 +105,6 @@ class PullWorker:
         poll_interval: float = 0.2,
         hold: float = 0.2,
         idle_exit: Optional[float] = None,
-        upload_batch: int = 1,
         run_seed: Optional[Callable[[int], object]] = None,
         telemetry: bool = False,
     ) -> None:
@@ -127,7 +113,6 @@ class PullWorker:
         self._poll = poll_interval
         self._hold = hold
         self._idle_exit = idle_exit
-        self._batch = max(1, int(upload_batch))
         self._run_seed = run_seed
         self._telemetry = telemetry
         self._stop = threading.Event()
@@ -174,7 +159,7 @@ class PullWorker:
             reply = self.transport.post(
                 "/shards/claim", {"worker": self.worker_id, "wait": self._hold}
             )
-        except TransportError:
+        except ServiceError:
             return None
         if not isinstance(reply, dict) or reply.get("shard") is None:
             return None
@@ -199,170 +184,89 @@ class PullWorker:
     ) -> int:
         registry = default_registry()
         tracer = active_tracer()
-        job_id, shard_id = claim["job"], claim["shard"]
+        job_id, shard_id, seeds = claim["job"], claim["shard"], claim["seeds"]
         run_seed = self._seed_runner(claim)
         plan = fault_plan()
         executed = 0
+        # The request that ends the shard: its last upload, or a
+        # ``fail`` or ``release`` cutting it short.
+        action, body = "release", {}
         span = (
             tracer.span(f"worker.shard:{shard_id}")
             if tracer is not None
-            else None
+            else nullcontext()
         )
-        buffer: list = []
-
-        def flush() -> bool:
-            if not buffer:
-                return True
-            entries = list(buffer)
-            buffer.clear()
-            return self._flush(job_id, shard_id, entries, plan)
-
-        with span if span is not None else nullcontext():
-            for seed in claim["seeds"]:
+        with span:
+            for seed in seeds:
                 if self._stop.is_set():
-                    if not flush():
-                        registry.inc("worker.abandoned")
-                        return executed
-                    self._release(job_id, shard_id)
-                    return executed
+                    registry.inc("worker.released")
+                    action, body = "release", {}
+                    break
                 try:
                     if plan is not None:
                         # Worker-side chaos: crash/hang/transient/poison.
                         plan.before_seed(seed)
                     upload = run_seed(seed)
                 except Exception as exc:
-                    flush()
-                    self._fail(job_id, shard_id, exc)
-                    return executed
+                    registry.inc("worker.failures")
+                    action, body = "fail", {"error": f"{type(exc).__name__}: {exc}"}
+                    break
                 executed += 1
-                buffer.append((seed, upload))
-                partitioned = (
-                    plan is not None and plan.partition_before_upload(seed)
-                )
-                if partitioned:
-                    self.transport.partition(plan.partition_seconds)
-                if partitioned or len(buffer) >= self._batch:
-                    if not flush():
-                        registry.inc("worker.abandoned")
-                        return executed
-            if not flush():
+                action, body = "seeds", {"seed": seed, "result": upload}
+                if executed < len(seeds) and not self._post(
+                    shard_id, job_id, action, body, plan
+                ):
+                    registry.inc("worker.abandoned")
+                    return executed
+        # Sent once the shard's span has closed, so it can carry the
+        # shard's telemetry home.  If it does not arrive, the lease
+        # timeout delivers the same outcome later.
+        if not self._post(shard_id, job_id, action, body, plan, telemetry):
+            if action == "seeds":
                 registry.inc("worker.abandoned")
-                return executed
-        # Usually the last accepted upload already released the lease;
-        # this covers a shard whose seeds all deduped, and carries the
-        # shard's telemetry home.
-        done = {"job": job_id, "worker": self.worker_id}
-        if telemetry is not None:
-            tracer, metrics = telemetry
-            done["telemetry"] = tracer.export_payload()
-            done["telemetry"]["metrics"] = metrics.snapshot()
-        self._post_quietly(f"/shards/{shard_id}/done", done)
         return executed
 
-    def _flush(self, job_id: str, shard_id: str, entries: list, plan) -> bool:
-        """Upload a buffer of finished ``(seed, upload)`` pairs;
-        ``False`` means the shard must be abandoned.
-
-        A single-entry buffer takes the single-seed shape (the common
-        case, and what ``upload_batch=1`` always sends); larger buffers
-        take the batched ``{"seeds": [...]}`` shape and are accepted
-        entry-by-entry with the same per-seed dedup replies.
-        """
-        if len(entries) == 1:
-            seed, document = entries[0]
-            return self._upload(job_id, shard_id, seed, document, plan)
-        registry = default_registry()
-        payload = {
-            "job": job_id,
-            "worker": self.worker_id,
-            "seeds": [
-                {"seed": seed, "result": document}
-                for seed, document in entries
-            ],
-        }
-        duplicate = plan is not None and any(
-            plan.duplicate_upload(seed) for seed, _ in entries
-        )
-        sends = 2 if duplicate else 1
-        reply: Optional[Dict] = None
-        for _ in range(sends):
-            try:
-                reply = self.transport.post(f"/shards/{shard_id}/seeds", payload)
-            except TransportError:
-                return False
-            registry.inc("worker.uploads")
-            registry.inc("worker.batched_seeds", len(entries))
-            if sends == 2:
-                registry.inc("worker.duplicate_uploads")
-        replies = reply.get("results") if isinstance(reply, dict) else None
-        if not isinstance(replies, list) or not any(
-            isinstance(entry, dict) and entry.get("known", False)
-            for entry in replies
-        ):
-            return False  # the job is gone; stop working on it
-        return True
-
-    def _upload(
+    def _post(
         self,
-        job_id: str,
         shard_id: str,
-        seed: int,
-        document: object,
+        job_id: str,
+        action: str,
+        body: Dict,
         plan,
+        telemetry: Optional[Tuple[SpanTracer, MetricsRegistry]] = None,
     ) -> bool:
-        """Upload one seed result (idempotent on the board); ``False``
-        means the shard must be abandoned."""
+        """``POST /shards/<id>/<action>``; ``False`` means the shard
+        must be abandoned: the request did not arrive (out of retries,
+        or an HTTP error) or the job is gone.  An upload that does not
+        arrive may still be durable; either way is fine — dedup absorbs
+        a re-run, the lease timeout re-queues the remainder."""
         registry = default_registry()
-        payload = {
-            "job": job_id,
-            "worker": self.worker_id,
-            "seed": seed,
-            "result": document,
-        }
-        sends = 2 if plan is not None and plan.duplicate_upload(seed) else 1
-        reply: Optional[Dict] = None
-        for _ in range(sends):
-            try:
-                reply = self.transport.post(f"/shards/{shard_id}/seeds", payload)
-            except TransportError:
-                # Out of retries (or an HTTP error): the seed may or
-                # may not be durable — either is fine, dedup absorbs a
-                # re-run, the lease timeout re-queues the remainder.
-                return False
+        payload = {"job": job_id, "worker": self.worker_id, **body}
+        sends = 1
+        if action == "seeds":
             registry.inc("worker.uploads")
-            if sends == 2:
+            if plan is not None and plan.duplicate_upload(body["seed"]):
                 registry.inc("worker.duplicate_uploads")
-        if reply is not None and not reply.get("known", False):
-            return False  # the job is gone; stop working on it
-        return True
-
-    def _fail(self, job_id: str, shard_id: str, exc: BaseException) -> None:
-        registry = default_registry()
-        registry.inc("worker.failures")
-        self._post_quietly(
-            f"/shards/{shard_id}/fail",
-            {
-                "job": job_id,
-                "worker": self.worker_id,
-                "error": f"{type(exc).__name__}: {exc}",
-            },
-        )
-
-    def _release(self, job_id: str, shard_id: str) -> None:
-        registry = default_registry()
-        registry.inc("worker.released")
-        self._post_quietly(
-            f"/shards/{shard_id}/release",
-            {"job": job_id, "worker": self.worker_id},
-        )
-
-    def _post_quietly(self, path: str, payload: Dict) -> None:
-        """Best-effort notification: if it does not arrive, the lease
-        timeout delivers the same outcome later."""
+                sends = 2
+        last = payload
+        if telemetry is not None:
+            tracer, metrics = telemetry
+            last = {
+                **payload,
+                "telemetry": {
+                    **tracer.export_payload(),
+                    "metrics": metrics.snapshot(),
+                },
+            }
         try:
-            self.transport.post(path, payload)
-        except TransportError:
-            pass
+            for send in range(sends):
+                reply = self.transport.post(
+                    f"/shards/{shard_id}/{action}",
+                    last if send == sends - 1 else payload,
+                )
+        except ServiceError:
+            return False
+        return bool(reply.get("known", False))
 
 
 def worker_main(worker: PullWorker) -> int:

@@ -9,7 +9,8 @@ processes over HTTP, a pool's forked workers over a pipe — and every
 request reaches the board through the same dispatch
 (:func:`claim_shard`, :func:`shard_post`):
 
-* every completed seed a worker ``POST /shards/<id>/seeds`` goes to the
+* every completed seed a worker ``POST /shards/<id>/seeds`` (one
+  ``{"job", "worker", "seed", "result"}`` body per seed) goes to the
   job's result sink, which its owner supplies: a service job's decodes
   the document and appends it to the job's checkpoint *server-side*, so
   the durability write doubles as the lease renewal; a pool's keeps the
@@ -18,6 +19,9 @@ request reaches the board through the same dispatch
   ``(job, shard, seed)`` (a seed already durable is never appended
   again), so a duplicated, replayed or post-revocation-stale upload is
   harmless and a revoked lease can never double-count a seed;
+* a lease ends with the upload that lands its last missing seed (a
+  duplicate of it too), with a ``fail`` or with a ``release``: there
+  is no separate end-of-shard request;
 * failures are charged through the one
   :class:`~repro.experiments.Ladder` (retry with backoff → bisect →
   quarantine as a :class:`~repro.experiments.FailedRun`):
@@ -32,7 +36,7 @@ request reaches the board through the same dispatch
   worker, never the seeds;
 * nobody polls the board: its lock is a condition, and every change a
   waiter checks (a job opened or closed, a seed landed, a shard failed,
-  released, completed or revoked, a halt) wakes the waiters — held
+  released or revoked, a halt) wakes the waiters — held
   claims (:meth:`ShardBoard.hold_claim`) and the scheduler waiting for
   its job to finish (:meth:`ShardBoard.wait_finished`).
 
@@ -612,24 +616,6 @@ class ShardBoard:
         default_registry().inc(f"{self._namespace}.leases.released")
         return {"known": True, "stale": False}
 
-    def complete_shard(
-        self, job_id: str, shard_id: str, worker: str
-    ) -> Dict[str, object]:
-        """A worker declaring its shard done (all seeds uploaded).  The
-        last accepted upload usually released the lease already; this
-        closes the loop when every seed was deduped away instead."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                return {"known": False}
-            lease = job.leases.get(shard_id)
-            if lease is not None and lease.worker == worker:
-                del job.leases[shard_id]
-                # No waiter checks leases today; kept so every board
-                # mutation wakes.
-                self._lock.notify_all()
-        return {"known": job_id in self._jobs}
-
 
 # ----------------------------------------------------------------------
 # The lease requests: one dispatch for the HTTP front and the pool's pipe
@@ -672,7 +658,7 @@ def claim_shard(
 def shard_post(
     board: ShardBoard, shard_id: str, action: str, payload: object
 ) -> Tuple[int, Dict[str, object]]:
-    """``POST /shards/<id>/{seeds,fail,release,done}``."""
+    """``POST /shards/<id>/{seeds,fail,release}``."""
     if not isinstance(payload, dict):
         return 400, {"error": "the body must be a JSON object"}
     job = payload.get("job")
@@ -680,37 +666,21 @@ def shard_post(
     if not isinstance(job, str) or not isinstance(worker, str):
         return 400, {"error": "'job' and 'worker' must be strings"}
     if action == "seeds":
-        # One {"seed", "result"} upload, or a batch of them under
-        # "seeds" answered entry-by-entry with the same per-seed
-        # dedup replies a single upload gets.
-        batched = "seeds" in payload
-        entries = payload.get("seeds") if batched else [payload]
-        if not isinstance(entries, list) or not entries:
+        seed = payload.get("seed")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            return 400, {"error": "'seed' must be an integer"}
+        if "result" not in payload:
+            return 400, {"error": "an upload needs a 'result'"}
+        try:
+            return 200, board.record_seed(
+                job, shard_id, worker, seed, payload["result"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            # A malformed result document must not poison the board.
             return 400, {
-                "error": "'seeds' must be a non-empty list of "
-                "{'seed', 'result'} entries"
+                "error": f"malformed result document: "
+                f"{type(exc).__name__}: {exc}"
             }
-        pairs = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                return 400, {"error": "each batch entry must be an object"}
-            seed = entry.get("seed")
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                return 400, {"error": "'seed' must be an integer"}
-            if "result" not in entry:
-                return 400, {"error": "each upload needs a 'result'"}
-            pairs.append((seed, entry["result"]))
-        replies = []
-        for seed, result in pairs:
-            try:
-                replies.append(board.record_seed(job, shard_id, worker, seed, result))
-            except (KeyError, TypeError, ValueError) as exc:
-                # A malformed result document must not poison the board.
-                return 400, {
-                    "error": f"malformed result document: "
-                    f"{type(exc).__name__}: {exc}"
-                }
-        return 200, {"results": replies} if batched else replies[0]
     if action == "fail":
         error = payload.get("error")
         if not isinstance(error, str):
@@ -718,6 +688,4 @@ def shard_post(
         return 200, board.fail_shard(job, shard_id, worker, error)
     if action == "release":
         return 200, board.release_shard(job, shard_id, worker)
-    if action == "done":
-        return 200, board.complete_shard(job, shard_id, worker)
     return 404, {"error": f"no such shard action: {action!r}"}

@@ -12,12 +12,13 @@ a child the service forked, talking to it over loopback):
   uses (byte-identity starts at the lowering), and uploads
   each finished seed immediately — the upload is the durability write
   *and* the lease heartbeat;
-* every HTTP call goes through :class:`WorkerTransport`: one kept-alive
-  connection (:class:`~repro.service.client.HttpChannel`), explicit
-  timeout, bounded retry with the deterministic
-  :class:`~repro.experiments.RetryPolicy` backoff on *transport*
-  errors (an HTTP status from the server is an answer, not an outage,
-  and is never retried);
+* every HTTP call goes through :class:`WorkerTransport`: a
+  :class:`~repro.service.client.ServiceClient` with the worker's
+  :class:`~repro.experiments.RetryPolicy`, so it shares the client's
+  one kept-alive connection
+  (:class:`~repro.service.client.HttpChannel`), explicit timeout and
+  transport-retry loop (an HTTP status from the server is an answer,
+  not an outage, and is never retried);
 * uploads are idempotent server-side, so the worker retries them
   fearlessly; when the transport stays down past the retry budget the
   worker *abandons* the shard silently — the service's lease timeout
@@ -28,39 +29,39 @@ a child the service forked, talking to it over loopback):
   back with ``POST /shards/<id>/release``, and the process exits 0.
 
 The transport is also where the network-chaos fault points live
-(:class:`~repro.experiments.FaultPlan`): dropped and delayed requests,
-duplicated uploads, and self-inflicted partitions are injected here —
-below the worker's control flow, exactly where a real network would
-misbehave — so the chaos drills exercise the same retry/abandon/dedup
-paths a lossy link would.
+(:class:`~repro.experiments.FaultPlan`): dropped and delayed requests
+and self-inflicted partitions are injected here — below the worker's
+control flow, exactly where a real network would misbehave — so the
+chaos drills exercise the same retry/abandon/dedup paths a lossy link
+would.  A partition fires as the seed it names is uploaded.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
 from typing import Callable, Dict, Optional
 
+from ..errors import ServiceError
 from ..experiments.options import fault_plan
 from ..experiments.resilience import RetryPolicy, result_to_dict
 from ..experiments.runner import ExperimentRunner
 from ..scenarios import ScenarioSpec, lower_job
 from ..telemetry import default_registry
-from .client import TRANSPORT_ERRORS, HttpChannel, encode_request, error_message
-from .pull import PullWorker, TransportError
+from .client import ServiceClient
+from .pull import PullWorker
 
 
-class WorkerTransport:
+class WorkerTransport(ServiceClient):
     """One worker's HTTP channel to the service, with chaos injected.
 
-    Every request gets an explicit ``timeout`` and transport-level
-    failures are retried up to ``retry.max_attempts`` times with the
-    deterministic backoff.  The active
-    :class:`~repro.experiments.FaultPlan`'s network kinds fire here,
-    keyed by a per-transport 1-based request ordinal (drop/delay) or by
-    the uploading seed (duplicate/partition).
+    A :class:`~repro.service.client.ServiceClient` whose transport
+    failures are retried on ``retry`` (default
+    :class:`~repro.experiments.RetryPolicy`) with ``sleep`` waiting out
+    the backoff.  The active :class:`~repro.experiments.FaultPlan`'s
+    network kinds fire here, keyed by the transport's 1-based request
+    ordinal (drop/delay) or by the uploading seed (partition).
     """
 
     def __init__(
@@ -71,49 +72,40 @@ class WorkerTransport:
         sleep: Callable[[float], None] = time.sleep,
         token: Optional[str] = None,
     ) -> None:
-        self._base = base_url.rstrip("/")
+        super().__init__(base_url, timeout=timeout, token=token)
         self._retry = retry if retry is not None else RetryPolicy()
         self._sleep = sleep
-        self._token = token
-        self._ordinal = 0
         self._partitioned_until = 0.0
-        self._channel = HttpChannel(self._base, timeout)
-
-    @property
-    def base_url(self) -> str:
-        return self._base
-
-    def partition(self, seconds: float) -> None:
-        """Cut this worker off: every request for the next ``seconds``
-        fails client-side without being sent (the chaos stand-in for a
-        network partition — the server sees only silence)."""
-        self._partitioned_until = time.monotonic() + seconds
-        default_registry().inc("transport.partitions")
 
     def post(self, path: str, payload: Dict) -> Dict:
-        """POST with bounded retry on transport errors.
+        """POST through the client's retry loop; raises
+        :class:`~repro.errors.ServiceError` once it gives up."""
+        plan = fault_plan()
+        if (
+            plan is not None
+            and "seed" in payload
+            and plan.partition_before_upload(payload["seed"])
+        ):
+            # Cut this worker off: every request for the next
+            # ``partition_seconds`` fails client-side without being
+            # sent (the server sees only silence).
+            self._partitioned_until = time.monotonic() + plan.partition_seconds
+            default_registry().inc("transport.partitions")
+        return self._get(path, payload)
 
-        HTTP error statuses raise immediately (the server answered);
-        connection-level failures are retried ``max_attempts`` times
-        with backoff, then raised for the caller to abandon on.
-        """
-        registry = default_registry()
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return self._send(path, payload)
-            except TransportError as exc:
-                if exc.status or attempt >= self._retry.max_attempts:
-                    raise
-                registry.inc("transport.retries")
-                self._sleep(self._retry.delay(attempt, key=self._ordinal))
-
-    def _send(self, path: str, payload: Dict) -> Dict:
-        self._ordinal += 1
-        ordinal = self._ordinal
+    def _attempt(
+        self,
+        attempt: int,
+        method: str,
+        path: str,
+        data: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> bytes:
+        ordinal = self._requests
         registry = default_registry()
         registry.inc("transport.requests")
+        if attempt > 1:
+            registry.inc("transport.retries")
         plan = fault_plan()
         if plan is not None:
             if plan.transport_delay(ordinal):
@@ -121,18 +113,10 @@ class WorkerTransport:
                 self._sleep(plan.delay_seconds)
             if plan.transport_drop(ordinal):
                 registry.inc("transport.dropped")
-                raise TransportError(0, f"injected drop of request {ordinal}")
+                raise ServiceError(0, f"injected drop of request {ordinal}")
         if time.monotonic() < self._partitioned_until:
-            raise TransportError(0, "worker is partitioned from the service")
-        method, data, headers = encode_request(payload, self._token)
-        try:
-            status, body = self._channel.exchange(method, path, data, headers)
-        except TRANSPORT_ERRORS as exc:
-            # Refused, reset, timed out — everything retryable lands here.
-            raise TransportError(0, f"cannot reach {self._base}: {exc}") from None
-        if status >= 400:
-            raise TransportError(status, error_message(status, body))
-        return json.loads(body.decode())
+            raise ServiceError(0, "worker is partitioned from the service")
+        return super()._attempt(attempt, method, path, data, headers)
 
 
 class ShardWorker(PullWorker):
@@ -157,7 +141,6 @@ class ShardWorker(PullWorker):
         idle_exit: Optional[float] = None,
         sleep: Callable[[float], None] = time.sleep,
         token: Optional[str] = None,
-        upload_batch: int = 1,
     ) -> None:
         super().__init__(
             WorkerTransport(
@@ -167,7 +150,6 @@ class ShardWorker(PullWorker):
             poll_interval=poll_interval,
             hold=min(poll_interval, timeout / 2),
             idle_exit=idle_exit,
-            upload_batch=upload_batch,
         )
         # job_id -> per-seed function: lowering a job is expensive next
         # to one seed, and a worker usually drains many shards of the

@@ -159,7 +159,6 @@ worker start --poll dest=poll default=0.2 type=float choices=None action=_StoreA
 worker start --quiet dest=quiet default=False type=None choices=None action=_StoreTrueAction
 worker start --timeout dest=timeout default=10.0 type=float choices=None action=_StoreAction
 worker start --token dest=token default=None type=None choices=None action=_StoreAction
-worker start --upload-batch dest=upload_batch default=1 type=int choices=None action=_StoreAction
 """
 
 

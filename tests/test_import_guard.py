@@ -402,6 +402,9 @@ def test_service_status_loads_no_run_path():
         modules,
         ("repro.app", "repro.simulator", "repro.das", "repro.experiments.runner"),
     ) == []
+    # Its retries wait on the RetryPolicy alone, not the sweep machinery.
+    assert "repro.experiments.retry" in modules
+    assert _loaded(modules, ("repro.experiments.resilience",)) == []
 
 
 @pytest.mark.parametrize(

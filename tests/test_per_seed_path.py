@@ -44,7 +44,6 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     SweepService,
-    TransportError,
     WorkerTransport,
 )
 from repro.simulator import (
@@ -264,9 +263,9 @@ class TestKeepAlive:
     def test_restarted_service_is_reached_transparently(self, tmp_path):
         port = _free_port()
         service = SweepService(tmp_path / "svc", port=port, remote=True).start()
-        # retries=1: only the channel's own stale-connection retry may
+        # One attempt: only the channel's own stale-connection retry may
         # bridge the restart.
-        client = ServiceClient(service.url, retries=1)
+        client = WorkerTransport(service.url, retry=ONE_SHOT)
         try:
             assert client.health() == {"ok": True}
         finally:
@@ -288,9 +287,9 @@ class TestKeepAlive:
             }
         finally:
             service.drain()
-        with pytest.raises(TransportError) as after_drain:
+        with pytest.raises(ServiceError) as after_drain:
             transport.post("/shards/claim", {"worker": "w"})
-        with pytest.raises(TransportError) as refused:
+        with pytest.raises(ServiceError) as refused:
             WorkerTransport(url, retry=ONE_SHOT).post(
                 "/shards/claim", {"worker": "w"}
             )
@@ -362,7 +361,7 @@ class TestServiceUrl:
         try:
             url = service.url.replace("http://", "https://")
             with pytest.raises(ServiceError) as failed:
-                ServiceClient(url, retries=1, token="secret").health()
+                ServiceClient(url, token="secret").health()
             assert failed.value.status == 0
         finally:
             service.drain()

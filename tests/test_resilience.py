@@ -267,6 +267,23 @@ class TestSupervisedChaos:
         assert counters["supervisor.retries"] == 1
         assert counters["supervisor.respawns"] == 1
 
+    def test_partition_plan_leaves_pooled_workers_alone(
+        self, grid5, tmp_path, pooled_sweeps
+    ):
+        """A partition is a network fault: it fires in the HTTP
+        transport, and a pooled worker's pipe has none to cut."""
+        config = ExperimentConfig(algorithm=PROTECTIONLESS, repeats=4, base_seed=0)
+        plan = FaultPlan(partition_worker=(1,), marker_dir=str(tmp_path))
+        with TelemetrySession(label="partition") as session, plan.activated():
+            pool = SeedPool(workers=2, chunks_per_worker=1, retry_policy=FAST_RETRY)
+            outcome = ExperimentRunner(grid5, pool=pool).run(config)
+        assert pooled_sweeps == [2]
+        assert outcome.failures == ()
+        assert outcome.results == ExperimentRunner(grid5).run(config).results
+        counters = session.registry.snapshot()["counters"]
+        assert counters.get("supervisor.respawns", 0) == 0
+        assert counters.get("supervisor.retries", 0) == 0
+
     def test_hung_worker_reclaimed_by_chunk_timeout(
         self, grid5, config, serial, tmp_path
     ):

@@ -356,6 +356,29 @@ class TestSpanTreeUnderFaults:
         assert registry["supervisor.leases.granted"] >= 4
 
 
+    def test_every_lease_ships_one_shard_span(self, tmp_path, pooled_sweeps):
+        """Each shard's telemetry rides on the request that ends it (its
+        last upload, or the ``fail`` of a run that raised): one
+        ``worker.shard`` span per granted lease, none lost, none twice."""
+        config = ExperimentConfig(algorithm="protectionless", repeats=4)
+        plan = FaultPlan(transient_seeds=(1,), marker_dir=str(tmp_path))
+        session = TelemetrySession(directory=None, label="leases")
+        with session, plan.activated():
+            pool = SeedPool(workers=2, chunks_per_worker=2, retry_policy=FAST_RETRY)
+            outcome = ExperimentRunner(GridTopology(5), pool=pool).run(config)
+        assert pooled_sweeps == [2]
+        assert not outcome.failures
+        shards = [
+            s.name
+            for s in session.tracer.spans()
+            if s.name.startswith("worker.shard:")
+        ]
+        granted = session.registry.snapshot()["counters"]["supervisor.leases.granted"]
+        assert granted == 5  # four shards, seed 1's retried once
+        assert sorted(shards) == sorted(set(shards))
+        assert len(shards) == granted
+
+
 class TestCliTelemetry:
     def test_quiet_run_writes_artifacts_and_no_status(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -34,12 +34,15 @@ import pytest
 import repro
 from repro.cli import main
 from repro.experiments import (
+    ExperimentConfig,
     ExperimentRunner,
     FaultPlan,
     RetryPolicy,
+    SeedPool,
     SweepCheckpoint,
     result_to_dict,
 )
+from repro.experiments.runner import PROTECTIONLESS
 from repro.scenarios import ScenarioRunner, get_scenario
 from repro.service import (
     DONE,
@@ -52,7 +55,6 @@ from repro.service import (
     ShardBoard,
     ShardWorker,
     SweepService,
-    TransportError,
     WorkerTransport,
     job_key,
     lower_job,
@@ -102,10 +104,11 @@ class StopAfterFirstUpload(ShardWorker):
     the deterministic stand-in for "SIGTERM arrived mid-shard" (a seed
     runs in ~10ms, so wall-clock racing would be flaky)."""
 
-    def _upload(self, job_id, shard_id, seed, document, plan):
-        accepted = super()._upload(job_id, shard_id, seed, document, plan)
-        self.request_stop()
-        return accepted
+    def _post(self, shard_id, job_id, action, body, plan, telemetry=None):
+        arrived = super()._post(shard_id, job_id, action, body, plan, telemetry)
+        if action == "seeds":
+            self.request_stop()
+        return arrived
 
 
 def run_worker_process(url, worker_id):
@@ -323,8 +326,31 @@ class TestShardBoard:
         for seed in claim["seeds"]:
             board.record_seed(job_id, claim["shard"], "w1", seed, result_docs[seed])
         assert board.job_finished(job_id)
-        # The final upload auto-released the lease; done is a no-op.
-        assert board.complete_shard(job_id, claim["shard"], "w1")["known"]
+
+    def test_one_upload_shape_and_no_closing_action(self, tmp_path, result_docs):
+        """Every seed goes up as one ``{"job", "worker", "seed",
+        "result"}`` body; anything else is a 400, never a crash, and a
+        lease needs no closing request."""
+        from repro.service.transport import shard_post
+
+        board, job_id, _, _ = make_board(tmp_path, seeds=1)
+        shard = board.claim("w1")["shard"]
+        base = {"job": job_id, "worker": "w1"}
+        for body in (
+            {**base, "seed": "0", "result": result_docs[0]},
+            {**base, "seed": True, "result": result_docs[0]},
+            {**base, "seed": 0},
+            {**base, "seed": 0, "result": {"captured": "garbage"}},
+            {**base, "seeds": [{"seed": 0, "result": result_docs[0]}]},
+        ):
+            status, reply = shard_post(board, shard, "seeds", body)
+            assert status == 400 and reply["error"]
+        assert not board.job_finished(job_id)
+        upload = {**base, "seed": 0, "result": result_docs[0]}
+        assert shard_post(board, shard, "seeds", upload)[1]["accepted"]
+        assert board.job_finished(job_id)
+        assert board.progress(job_id)["shards"] == []  # the lease ended
+        assert shard_post(board, shard, "done", base)[0] == 404
 
     def test_malformed_result_is_rejected_without_poisoning(self, tmp_path):
         board, job_id, _, checkpoint_key = make_board(tmp_path)
@@ -348,7 +374,7 @@ class TestWorkerTransport:
             retry=RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.002),
             sleep=sleeps.append,
         )
-        with pytest.raises(TransportError) as excinfo:
+        with pytest.raises(ServiceError) as excinfo:
             transport.post("/shards/claim", {"worker": "w"})
         assert excinfo.value.status == 0
         assert len(sleeps) == 2  # attempts 1 and 2 backed off; 3rd raised
@@ -360,21 +386,33 @@ class TestWorkerTransport:
             transport = WorkerTransport(
                 service.url, timeout=5.0, retry=FAST_RETRY, sleep=sleeps.append
             )
-            with pytest.raises(TransportError) as excinfo:
+            with pytest.raises(ServiceError) as excinfo:
                 transport.post("/shards/claim", {"worker": ""})
             assert excinfo.value.status == 400  # a claim needs a worker id
             assert sleeps == []  # an answer is not an outage
         finally:
             service.drain()
 
-    def test_partition_fails_client_side(self):
+    def test_partition_fails_client_side(self, tmp_path):
+        plan = FaultPlan(
+            partition_worker=(3,),
+            partition_seconds=30.0,
+            marker_dir=str(tmp_path / "m"),
+        )
         transport = WorkerTransport(
             "http://127.0.0.1:9", retry=FAST_RETRY, sleep=lambda _: None
         )
-        transport.partition(30.0)
+        upload = {"job": "j", "worker": "w", "seed": 3, "result": {}}
         started = time.monotonic()
-        with pytest.raises(TransportError):
-            transport.post("/healthz", {})
+        with plan.activated():
+            # The partition fires as seed 3's upload leaves, and holds
+            # for the requests after it.
+            with pytest.raises(ServiceError) as excinfo:
+                transport.post("/shards/s/seeds", upload)
+            with pytest.raises(ServiceError):
+                transport.post("/shards/claim", {"worker": "w"})
+        assert excinfo.value.status == 0
+        assert "partitioned" in str(excinfo.value)
         # Partitioned requests never touch a socket (no connect timeout).
         assert time.monotonic() - started < 1.0
 
@@ -400,35 +438,100 @@ class TestWorkerTransport:
 # ----------------------------------------------------------------------
 class TestServiceClientHardening:
     def test_connection_errors_retry_then_surface(self):
-        from repro.service.client import HttpChannel, _call
-
-        url = "http://127.0.0.1:9"
-        channel = HttpChannel(url, timeout=0.2)
+        client = ServiceClient("http://127.0.0.1:9", timeout=0.2)
         sleeps = []
-        try:
-            with pytest.raises(ServiceError) as excinfo:
-                _call(channel, url, "/healthz", None, 3, 0.001, sleeps.append, None)
-        finally:
-            channel.close()
+        client._sleep = sleeps.append
+        with pytest.raises(ServiceError) as excinfo:
+            client.health()
         assert excinfo.value.status == 0
-        assert sleeps == [0.001, 0.002]  # bounded exponential backoff
+        # The default RetryPolicy's budget and backoff, keyed by the
+        # request ordinal: three attempts, two sleeps.
+        policy = RetryPolicy()
+        assert sleeps == [policy.delay(1, key=1), policy.delay(2, key=2)]
 
     def test_http_errors_surface_without_retry(self, tmp_path):
         service = SweepService(tmp_path / "svc", port=0).start()
         try:
-            client = ServiceClient(service.url, retries=3, backoff=0.001)
+            client = ServiceClient(service.url)
+            sleeps = []
+            client._sleep = sleeps.append
             with pytest.raises(ServiceError) as excinfo:
                 client.status("0" * 64)
             assert excinfo.value.status == 404
+            assert sleeps == []  # an answer is not an outage
         finally:
             service.drain()
 
-    def test_fail_fast_configuration(self):
-        client = ServiceClient("http://127.0.0.1:9", timeout=0.2, retries=1)
+    def test_unreachable_service_fails_fast(self):
+        client = ServiceClient("http://127.0.0.1:9", timeout=0.2)
         started = time.monotonic()
         with pytest.raises(ServiceError):
             client.health()
         assert time.monotonic() - started < 2.0
+
+
+# ----------------------------------------------------------------------
+# What a shard costs on the wire
+# ----------------------------------------------------------------------
+class TestShardWireCost:
+    """A shard costs one granted claim plus one upload per seed, and no
+    other request: the upload that lands its last seed ends the lease."""
+
+    @staticmethod
+    def counted(claim_shard, shard_post, granted, posted):
+        def claim(*args, **kwargs):
+            status, reply = claim_shard(*args, **kwargs)
+            if reply.get("shard") is not None:
+                granted.append(reply["shard"])
+            return status, reply
+
+        def post(*args):
+            shard_id, action, payload = args[-3:]
+            posted.append((shard_id, action, payload.get("seed")))
+            return shard_post(*args)
+
+        return claim, post
+
+    def test_over_http(self, tmp_path, monkeypatch):
+        granted, posted = [], []
+        claim, post = self.counted(
+            SweepService.claim_shard, SweepService.shard_post, granted, posted
+        )
+        monkeypatch.setattr(SweepService, "claim_shard", claim)
+        monkeypatch.setattr(SweepService, "shard_post", post)
+        service = SweepService(
+            tmp_path / "svc", port=0, shard_workers=2, retry=FAST_RETRY
+        ).start()
+        try:
+            client = ServiceClient(service.url)
+            job = client.submit({"scenario": "paper-baseline", "seeds": 4})["job"]
+            assert client.wait(job, timeout=120.0)["state"] == "done"
+        finally:
+            service.drain()
+        assert [action for _, action, _ in posted] == ["seeds"] * 4
+        assert sorted(seed for _, _, seed in posted) == [0, 1, 2, 3]
+        assert sorted({shard for shard, _, _ in posted}) == sorted(granted)
+
+    def test_over_a_pools_pipe(self, grid5, monkeypatch, pooled_sweeps):
+        from repro.service import transport
+
+        granted, posted = [], []
+        claim, post = self.counted(
+            transport.claim_shard, transport.shard_post, granted, posted
+        )
+        # What the pool's ``_PipeServer._answer`` dispatches each
+        # request to.
+        monkeypatch.setattr(transport, "claim_shard", claim)
+        monkeypatch.setattr(transport, "shard_post", post)
+        config = ExperimentConfig(algorithm=PROTECTIONLESS, repeats=4, base_seed=0)
+        pool = SeedPool(workers=2, chunks_per_worker=1, retry_policy=FAST_RETRY)
+        outcome = ExperimentRunner(grid5, pool=pool).run(config)
+        assert pooled_sweeps == [2]
+        assert outcome.results == ExperimentRunner(grid5).run(config).results
+        assert [action for _, action, _ in posted] == ["seeds"] * 4
+        assert sorted(seed for _, _, seed in posted) == [0, 1, 2, 3]
+        assert len(granted) == 2
+        assert sorted({shard for shard, _, _ in posted}) == sorted(granted)
 
 
 # ----------------------------------------------------------------------

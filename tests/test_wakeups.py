@@ -43,7 +43,6 @@ from repro.service import (
     ShardBoard,
     ShardWorker,
     SweepService,
-    TransportError,
     WorkerTransport,
     job_key,
     lower_job,
@@ -338,7 +337,7 @@ class TestHeldClaimsOverHttp:
     def test_non_numeric_wait_is_400(self, tmp_path, wait):
         service = remote_service(tmp_path)
         try:
-            with pytest.raises(TransportError) as excinfo:
+            with pytest.raises(ServiceError) as excinfo:
                 post_claim(service.url, {"worker": "w", "wait": wait})
             assert excinfo.value.status == 400
         finally:
