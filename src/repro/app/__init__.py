@@ -16,7 +16,6 @@ _EXPORTS = {
     ),
     "fast_kernel": (
         "build_slot_timeline",
-        "compile_fast_lane",
         "fast_kernel_supported",
         "fast_lane_compilable",
         "run_fast_kernel",

@@ -1,5 +1,5 @@
-"""The operational-phase fast kernel: a flat slot timeline driving a
-table-driven message path.
+"""The operational-phase fast kernel: a flat slot timeline driving
+block-drawn periods.
 
 There are two operational engines.  The **legacy** engine drives one
 evaluation run through the generic event heap: one ``_begin_period``
@@ -16,36 +16,37 @@ scenario perturbations at period boundaries.
 The **fast** kernel (:func:`run_fast_kernel`) exploits that regularity.
 It precomputes the period's slot timeline once — ``(slot, time offset,
 senders)`` groups in exactly the order the heap would fire them — and
-then executes periods with plain loops:
+lays a period out as one list of **spans**, ``(sender, receivers)`` in
+fire order, rebuilt only when the radio's attachment epoch moves
+(node death/sleep/wake perturbations, applied at period boundaries
+through :func:`~repro.app.perturbations.apply_step`, the step semantics
+both engines share).  A span whose sender the attacker can hear from
+its current location ends with the hear lane ``-1``; the spans with
+their hear lanes are memoised per attacker location.
 
-* period boundaries apply the run's lowered perturbation steps
-  (:data:`~repro.app.perturbations.PerturbationStep`) directly, through the
-  step semantics both engines share (:func:`~repro.app.perturbations.apply_step`);
-* period-start hooks run in the legacy client order (attacker ``NextP``,
-  source-plan advance, then the nodes' period resets);
-* each slot group's broadcasts are transmitted first and delivered
-  *after* the whole group has transmitted — the order the
-  ``(time, seq)`` heap produced, since deliveries lag transmissions by
-  the propagation delay.
+A period then runs in **stretches**.  The only RNG consumer besides the
+noise model is the attacker's ``Decide`` (a move tie-break), and it can
+run only right after a hear lane delivers with ``R`` messages buffered
+and moves left.  So a stretch ends at the first hear lane where
+``Decide`` *could* run — counting every hear before it as delivered —
+or at the period's end once the move budget is spent.  Each stretch is
+one :meth:`~repro.simulator.NoiseModel.draw_block` call, which takes
+the stretch's random words in one go and returns the lost lanes; the
+stretch's hears are then replayed in order (``ATTACKER_HEAR``, the
+inline ``ARcv`` buffer, and ``Decide`` on the real agent).  No message
+object, ``RadioMedium.broadcast`` call or node process exists on this
+path; node state (pending origins, mutes, deaths) lives in the kernel's
+own arrays.
 
-The message path itself is the **fast lane** (:func:`compile_fast_lane`):
-the convergecast behaviour of the run is compiled into flat per-node
-forwarding tables — for each sender, the aggregation targets of its
-fan-out and the noise model's compiled drawer for that fan-out
-(:meth:`~repro.simulator.NoiseModel.compile_lane`) — and the whole
-transmit→noise→deliver→forward chain runs as a table-driven loop: no
-:class:`AggregateMessage` construction, no ``RadioMedium.broadcast``
-calls, no ``Process.deliver`` → ``on_receive`` dispatch.  Node state
-(pending origins, mutes, deaths) lives in the kernel's own arrays, so
-the fast path builds no event heap, no ``TdmaDriver`` and no per-node
-process objects; those load only for the legacy engine.  Tables are
-compiled after the run resets the noise model's per-link state (a
-drawer compiled before the reset is stale): first from the topology's
-neighbour rows — at the start every node is attached, so a fan-out is
-just the neighbour order — and then, whenever the radio's attachment
-epoch moves (node death/sleep/wake perturbations), from the live radio
-for the toggled nodes' neighbours only, the only fan-outs a toggle
-changes.
+Aggregation is folded once per period, in fire order, over the lanes
+that reached a sink or parent: each node's pending origins are a
+node-indexed **bitmask int**, so a fold is one ``|=`` and the sink's
+per-period take one ``bit_count()``.  Folding after the fact is exact
+because a slot group's senders cannot hear one another
+(:func:`fast_lane_compilable`), so no sender's mask changes between its
+transmission and its group's delivery.  A capture mid-group ends the
+run with that group's deliveries discarded, as the heap stops with them
+queued: the counters and the fold then cover the earlier groups only.
 
 **Equivalence contract.**  A fast-kernel run is bit-identical to a
 legacy run: same RNG draw order (noise decisions in neighbour order per
@@ -56,16 +57,18 @@ tie-break), same trace records and counters, same
 registered scenario on both engines.  The harness runs a ``"fast"``
 request on the legacy engine whenever the fast kernel cannot prove it
 equivalent: geometries it cannot honour (:func:`fast_kernel_supported`)
-and runs the lane cannot compile (:func:`fast_lane_compilable`).
+and runs it cannot lay out (:func:`fast_lane_compilable`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -79,7 +82,6 @@ from ..attacker.decision import HeardMessage
 from ..mac import TdmaFrame
 from ..simulator import PERIOD_START, Simulator
 from ..simulator import trace as trace_kinds
-from ..simulator.noise import LaneDrawer, NoiseModel
 from ..telemetry import active_tracer
 from ..topology import NodeId
 from .dynamics import SourceTracker
@@ -90,24 +92,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Timeline entry: (slot, offset from period start, senders in fire order).
 _SlotGroup = Tuple[int, float, Tuple[NodeId, ...]]
 
-#: Per-sender forwarding-table entry:
-#: (the sender's dense node index,
-#:  per-receiver aggregation targets: the receiver's dense node index
-#:  when it aggregates this sender's traffic, or ``-1`` when the
-#:  traffic is heard and counted but never folded,
-#:  the noise drawer mapping one broadcast to the targets it reached,
-#:  the targets that fold when every frame arrives: the non-negative ones).
-_LaneEntry = Tuple[int, Tuple[int, ...], LaneDrawer, Tuple[int, ...]]
-
-
-def _no_receivers(rng: object) -> Tuple[int, ...]:
-    """The drawer of a sender with no attached neighbour: no draws."""
-    return ()
+#: The receiver of a hear lane: the attacker, after the sender's fan-out.
+_HEAR = -1
 
 
 def _lane_delivered(sender: NodeId, message: object, time: float) -> None:
-    """The radio callback of a fast-path node: the lane delivers, so the
-    medium only tracks which nodes are attached."""
+    """The radio callback of a fast-path node: the kernel delivers, so
+    the medium only tracks which nodes are attached."""
 
 
 def fast_kernel_supported(frame: TdmaFrame, propagation_delay: float) -> bool:
@@ -157,25 +148,22 @@ def build_slot_timeline(
     )
 
 
-# ----------------------------------------------------------------------
-# The message-path fast lane
-# ----------------------------------------------------------------------
 def fast_lane_compilable(sim: Simulator, timeline: Tuple[_SlotGroup, ...]) -> bool:
-    """Whether the run can be compiled into forwarding tables.
+    """Whether the fast kernel can lay the run out as block-drawn periods.
 
     :func:`~repro.app.runtime.run_operational_phase` builds the medium,
     the attacker and the node state itself, so only two properties of
-    a run can stop the lane:
+    a run can stop the kernel:
 
     * the trace retains SEND/DELIVER/DROP records — those streams are
-      per-message objects the lane deliberately never builds (counts
+      per-message objects the kernel deliberately never builds (counts
       are still maintained exactly);
     * a slot group contains a sender audible to another sender of the
       same group.  Def. 1's 2-hop separation rules this out for every
-      schedule the library builds; it is what lets the lane union live
-      pending sets at delivery time instead of snapshotting a frozen
-      origins set per message, because no sender's aggregate can change
-      between its transmission and its group's delivery.
+      schedule the library builds; it is what lets the kernel fold a
+      period's aggregation after the fact, because no sender's
+      aggregate can change between its transmission and its group's
+      delivery.
     """
     trace = sim.trace
     if (
@@ -184,56 +172,120 @@ def fast_lane_compilable(sim: Simulator, timeline: Tuple[_SlotGroup, ...]) -> bo
         or trace.wants(trace_kinds.DROP)
     ):
         return False
-    neighbours = sim.topology.neighbours
+    metrics = sim.topology.metrics
+    neighbour_ids = metrics.neighbour_ids
+    index = metrics.index
     for _slot, _offset, senders in timeline:
         if len(senders) > 1:
             group = frozenset(senders)
             for node in senders:
                 # A node is audible exactly at itself and its neighbours.
-                if not group.isdisjoint(neighbours(node)):
+                if not group.isdisjoint(neighbour_ids[index[node]]):
                     return False
     return True
 
 
-def compile_fast_lane(
-    noise: NoiseModel,
-    parents: Mapping[NodeId, Optional[NodeId]],
-    sink: NodeId,
-    index: Mapping[NodeId, int],
-    fanouts: Iterable[Tuple[NodeId, Sequence[NodeId]]],
-) -> Dict[NodeId, _LaneEntry]:
-    """Compile the forwarding-table entries of ``(sender, receivers)``
-    fan-outs.
+class _Layout:
+    """One attachment epoch's period, in fire order.
 
-    Each entry stores the sender's dense index into ``index`` (sorted
-    node order — the same order the pending-origin bitmasks are
-    bit-indexed by); per receiver (attached neighbours, in the exact
-    order :meth:`RadioMedium.broadcast` uses) either the receiver's
-    dense index (when the receiver aggregates this sender's traffic: it
-    is the sink or the sender's parent) or ``-1`` (traffic heard and
-    counted, never folded); the noise model's drawer for that fan-out;
-    and the targets that fold when every frame arrives.
-
-    An entry is valid until its fan-out changes (a neighbour attaches
-    or detaches) or the noise model resets; :func:`run_fast_kernel`
-    compiles after the reset and recompiles the toggled nodes'
-    neighbours after every perturbation boundary that touched the
-    medium.
+    ``spans`` holds each transmitting sender's ``(sender, receivers)``
+    and ``lanes_before`` counts the receiver lanes of the spans before
+    each one (one entry more: the period's total); a receiver lane's
+    *base number* counts lanes in that order, hear lanes left out.
+    ``times`` holds each span's slot offset from the dissemination
+    boundary, and ``group_starts`` the first span of each slot group.
+    The lanes that aggregate are, in fire order, ``folds`` (``(sender
+    index, receiver index)``) at base numbers ``fold_lanes``
+    (ascending).  ``views`` memoises :meth:`view` per attacker location.
     """
-    compile_lane = noise.compile_lane
-    tables: Dict[NodeId, _LaneEntry] = {}
-    for node, receivers in fanouts:
-        parent = parents[node]
-        targets = tuple(
-            index[receiver] if receiver == sink or receiver == parent else -1
-            for receiver in receivers
-        )
-        draw = (
-            compile_lane(node, receivers, targets) if receivers else _no_receivers
-        )
-        folds = tuple(target for target in targets if target >= 0)
-        tables[node] = (index[node], targets, draw, folds)
-    return tables
+
+    __slots__ = (
+        "spans", "position", "lanes_before", "times", "group_starts",
+        "folds", "fold_lanes", "views",
+    )
+
+    def __init__(
+        self,
+        timeline: Tuple[_SlotGroup, ...],
+        fanouts: Mapping[NodeId, Tuple[NodeId, ...]],
+        muted: Set[NodeId],
+        parents: Mapping[NodeId, Optional[NodeId]],
+        sink: NodeId,
+        index: Mapping[NodeId, int],
+    ) -> None:
+        spans: List[Tuple[NodeId, Tuple[NodeId, ...]]] = []
+        times: List[float] = []
+        group_starts: List[int] = []
+        folds: List[Tuple[int, int]] = []
+        fold_lanes: List[int] = []
+        lanes = 0
+        for _slot, offset, senders in timeline:
+            group_starts.append(len(spans))
+            for node in senders:
+                if node in muted:
+                    continue  # on_slot() would stay silent
+                receivers = fanouts[node]
+                parent = parents[node]
+                # The lanes that fold, in lane order: to the sender's
+                # parent, and to the sink when it overhears (it
+                # aggregates everything).
+                for i, receiver in enumerate(receivers):
+                    if receiver == parent or receiver == sink:
+                        folds.append((index[node], index[receiver]))
+                        fold_lanes.append(lanes + i)
+                spans.append((node, receivers))
+                times.append(offset)
+                lanes += len(receivers)
+        self.times = times
+        self.group_starts = group_starts
+        self.folds = folds
+        self.fold_lanes = fold_lanes
+        self.spans = spans
+        self.position = {node: k for k, (node, _) in enumerate(spans)}
+        self.lanes_before = [0]
+        self.lanes_before.extend(accumulate(map(len, map(itemgetter(1), spans))))
+        self.views: Dict[NodeId, Tuple[list, List[int], List[int]]] = {}
+
+    def group_of(self, k: int) -> int:
+        """The first span of span ``k``'s slot group."""
+        return self.group_starts[bisect_right(self.group_starts, k) - 1]
+
+    def view(
+        self, location: NodeId, row: FrozenSet[NodeId]
+    ) -> Tuple[list, List[int], List[int]]:
+        """The period's spans as heard from ``location`` (``row``: the
+        senders audible there): each audible span gains the hear lane.
+        Returns the spans, the audible span indices ascending, and the
+        lane number of each one's hear lane in the view."""
+        view = self.views.get(location)
+        if view is None:
+            spans = list(self.spans)
+            position = self.position
+            audible = sorted(position[node] for node in row if node in position)
+            hear_lanes = []
+            for j, k in enumerate(audible):
+                node, receivers = spans[k]
+                spans[k] = (node, receivers + (_HEAR,))
+                hear_lanes.append(self.lanes_before[k + 1] + j)
+            view = self.views[location] = (spans, audible, hear_lanes)
+        return view
+
+    def fold(self, pending: List[int], lanes: int, lost: List[int]) -> None:
+        """Fold the aggregating lanes among the first ``lanes`` base
+        numbers into ``pending``, in fire order, skipping the ``lost``
+        ones (base numbers, ascending)."""
+        fold_lanes = self.fold_lanes
+        folds = self.folds
+        end = bisect_left(fold_lanes, lanes)
+        done = 0
+        for lane in lost:
+            j = bisect_left(fold_lanes, lane, done, end)
+            if j < end and fold_lanes[j] == lane:
+                for source, target in folds[done:j]:
+                    pending[target] |= pending[source]
+                done = j + 1
+        for source, target in folds[done:end]:
+            pending[target] |= pending[source]
 
 
 def run_fast_kernel(
@@ -250,28 +302,21 @@ def run_fast_kernel(
     the sink's per-period count of collected readings.
 
     Mirrors ``TdmaDriver`` + ``Simulator.run`` of the legacy engine on
-    compiled forwarding tables, applying the lowered perturbation
-    ``steps`` at their period boundaries.  The caller must have checked
+    block-drawn periods, applying the lowered perturbation ``steps`` at
+    their period boundaries.  The caller must have checked
     :func:`fast_kernel_supported` and :func:`fast_lane_compilable`
     (with this ``timeline``, from :func:`build_slot_timeline`); see the
-    module docstring for the equivalence contract.  ``parents`` is the
-    compressed schedule's parent map (the sink maps to ``None``).
+    module docstring for the stretches and the equivalence contract.
+    ``parents`` is the compressed schedule's parent map (the sink maps
+    to ``None``).
 
-    The per-message chain — emit, noise block, eavesdropper audibility,
-    fan-out, aggregation — runs as plain loops over the tables.
-    The per-node pending origin sets live as node-indexed **bitmask
-    ints** (bit *i* set ⇔ node ``nodes[i]``'s reading is aggregated),
-    so a delivery's fold is one ``|=`` and the sink's per-period take is
-    one ``bit_count()``.
-    The eavesdropper's hear path runs inline against a precomputed
-    audibility row — the set of senders audible from the attacker's
-    current location, rebuilt only when the attacker moves — and its
-    ``ARcv`` buffering happens without a call; the rare ``Decide`` step
-    (a move, an RNG tie-break, a capture test) delegates to the real
-    agent so times, periods and paths stay bit-identical.  Message and
-    trace totals are flushed onto the trace recorder on every exit
-    path, so downstream accounting observes exactly what the legacy
-    engine would have produced.
+    The eavesdropper's hear path runs inline: its ``ARcv`` buffering
+    happens without a call, and the rare ``Decide`` step (a move, an
+    RNG tie-break, a capture test) delegates to the real agent so
+    times, periods and paths stay bit-identical.  Message and trace
+    totals are flushed onto the trace recorder on every exit path, so
+    downstream accounting observes exactly what the legacy engine would
+    have produced.
     """
     radio = sim.radio
     topology = radio.topology
@@ -279,8 +324,7 @@ def run_fast_kernel(
     trace = sim.trace
     record = trace.record
     rng = sim.rng
-    noise = radio.noise
-    delivers = noise.delivers
+    draw_block = radio.noise.draw_block
     keep_hear = trace.wants(trace_kinds.ATTACKER_HEAR)
 
     metrics = topology.metrics
@@ -308,20 +352,18 @@ def run_fast_kernel(
             detach(node)
             muted.add(node)
 
-    for node in nodes:
-        attach(node, _lane_delivered)
-    # The run's reset comes before any drawer is compiled.
+    if steps:
+        # Attachment only matters to perturbations: the epoch and the
+        # live fan-outs are read only after a toggle.
+        for node in nodes:
+            attach(node, _lane_delivered)
+    # The run's reset clears the noise model's per-link state.
     radio.reset()
     transmitters = frozenset(n for _s, _o, group in timeline for n in group)
     # All attached: each fan-out is the topology's neighbour row.
     neighbour_ids = metrics.neighbour_ids
-    tables = compile_fast_lane(
-        noise,
-        parents,
-        sink,
-        index,
-        ((node, neighbour_ids[index[node]]) for node in sorted(transmitters)),
-    )
+    fanouts = {node: neighbour_ids[index[node]] for node in transmitters}
+    layout = _Layout(timeline, fanouts, muted, parents, sink, index)
     built_epoch = radio.epoch
     step_count = len(steps)
     next_step = 0
@@ -331,8 +373,8 @@ def run_fast_kernel(
     # The attacker's compiled hear/decide state: its Figure 1 machine,
     # the R/M caps, a per-sender slot memo (one `slot_lookup` call per
     # sender heard, instead of one per overheard broadcast), and the
-    # audibility row of its current location (location → row memoised:
-    # audibility is topology-derived and immutable for the run).
+    # audibility row of each location (memoised: audibility is
+    # topology-derived and immutable for the run).
     astate = agent.state
     r_cap = astate.spec.r
     m_cap = astate.spec.m
@@ -340,20 +382,18 @@ def run_fast_kernel(
     slot_memo: Dict[NodeId, int] = {}
     audible_rows: Dict[NodeId, FrozenSet[NodeId]] = {}
 
-    def audibility_row(location: NodeId) -> FrozenSet[NodeId]:
+    def heard_view(location: NodeId) -> Tuple[list, List[int], List[int]]:
         # Audibility is symmetric (s is audible at l ⇔ l ∈ {s} ∪ N(s)
         # ⇔ s ∈ {l} ∪ N(l)), so the row is one set intersection.
         row = audible_rows.get(location)
         if row is None:
             row = radio.audible_set(location) & transmitters
             audible_rows[location] = row
-        return row
-
-    arow = audibility_row(agent.location)
+        return layout.view(location, row)
 
     period_length = frame.period_length
     dissemination = frame.dissemination_duration
-    sends = delivers_count = drops = hears = 0
+    sends = delivered = drops = hears = 0
     current_period = 0
     # One open period span at a time: ended when the next period begins
     # (or in the finally, covering every early return).  Disabled cost
@@ -382,18 +422,9 @@ def run_fast_kernel(
                     for neighbour in neighbours(node)
                 }
                 fanout = radio.fanout
-                tables.update(
-                    compile_fast_lane(
-                        noise,
-                        parents,
-                        sink,
-                        index,
-                        (
-                            (node, fanout(node)[1])
-                            for node in sorted(stale & transmitters)
-                        ),
-                    )
-                )
+                for node in stale & transmitters:
+                    fanouts[node] = fanout(node)[1]
+                layout = _Layout(timeline, fanouts, muted, parents, sink, index)
                 built_epoch = radio.epoch
 
             # Period-start hooks, in the legacy driver's client order:
@@ -416,80 +447,89 @@ def run_fast_kernel(
             # Matches TdmaFrame.slot_start's float-addition order:
             # (period_start + dissemination) + (slot - 1) * slot_duration.
             slot_base = boundary + dissemination
-            for _slot, offset, senders in timeline:
-                slot_time = slot_base + offset
-                group_deliveries: List[Tuple[int, Tuple[int, ...]]] = []
-                group_arrivals = 0
-                for node in senders:
-                    if node in muted:
-                        continue  # on_slot() would stay silent
-                    s_idx, targets, draw, folds = tables[node]
-                    sends += 1
-                    kept = draw(rng)
-                    if kept is targets:
-                        group_arrivals += len(targets)
+            base_spans = layout.spans
+            count = len(base_spans)
+            lanes_before = layout.lanes_before
+            times = layout.times
+            spans, audible, hear_lanes = heard_view(agent.location)
+            #: the base numbers of every lost frame to a receiver, ascending.
+            lost_lanes: List[int] = []
+            start = 0
+            while start < count:
+                # The stretch runs to the first hear lane where Decide
+                # could run, counting every earlier hear as delivered.
+                first = bisect_left(audible, start)
+                stop = count
+                if astate.moves < m_cap:
+                    at = first + max(r_cap - len(amsgs), 1) - 1
+                    if at < len(audible):
+                        stop = audible[at] + 1
+                missed = ()
+                lost = draw_block(spans[start:stop], rng)
+                if lost:
+                    # A view lane numbers a receiver lane by its base
+                    # number plus the hear lanes before it.
+                    missed = []
+                    first_lane = lanes_before[start] + first
+                    for lane in lost:
+                        lane += first_lane
+                        before = bisect_left(hear_lanes, lane)
+                        if before < len(hear_lanes) and hear_lanes[before] == lane:
+                            missed.append(audible[before])
+                        else:
+                            lost_lanes.append(lane - before)
+                for k in audible[first : bisect_left(audible, stop)]:
+                    if k in missed:
+                        continue
+                    node = base_spans[k][0]
+                    slot_time = slot_base + times[k]
+                    if keep_hear:
+                        record(
+                            slot_time,
+                            trace_kinds.ATTACKER_HEAR,
+                            sender=node,
+                            location=agent.location,
+                        )
                     else:
-                        drops += len(targets) - len(kept)
-                        group_arrivals += len(kept)
-                        folds = tuple(target for target in kept if target >= 0)
-                    if folds:
-                        group_deliveries.append((pending[s_idx], folds))
-                    if node in arow:
-                        if delivers(node, -1, rng):
-                            if keep_hear:
-                                record(
-                                    slot_time,
-                                    trace_kinds.ATTACKER_HEAR,
-                                    sender=node,
-                                    location=agent.location,
-                                )
-                            else:
-                                hears += 1
-                            # Inline ARcv: buffer up to R, then Decide.
-                            if len(amsgs) < r_cap:
-                                slot_of = slot_memo.get(node)
-                                if slot_of is None:
-                                    try:
-                                        slot_of = agent._slot_lookup(node)
-                                    except Exception:
-                                        slot_of = 0
-                                    slot_memo[node] = slot_of
-                                amsgs.append(
-                                    HeardMessage(
-                                        sender=node, slot=slot_of, time=slot_time
-                                    )
-                                )
-                            if len(amsgs) >= r_cap and astate.moves < m_cap:
-                                location = astate.location
-                                agent._decide(slot_time)
-                                if agent.captured:
-                                    # A capture ends the run after the
-                                    # event that caused it: later senders
-                                    # of this slot never transmit and the
-                                    # group's buffered deliveries never
-                                    # fire, exactly as the legacy loop
-                                    # stops with those events queued.
-                                    return current_period, collected
-                                if astate.location != location:
-                                    arow = audibility_row(astate.location)
-                # Deliver the whole group after it transmitted (the
-                # (time, seq) heap order).  Each buffered entry snapshots
-                # the sender's origin mask at transmit time — the exact
-                # frozen-origins semantics of AggregateMessage — and the
-                # group-isolation compile check guarantees that equals
-                # the delivery-time value.  DELIVER is counted here, not
-                # at transmit time: a capture mid-group discards the
-                # buffered deliveries, and the legacy engine never
-                # counts undelivered ones.  Only the folding targets are
-                # buffered; the others are just counted.
-                delivers_count += group_arrivals
-                for origins, folds in group_deliveries:
-                    for target in folds:
-                        pending[target] |= origins
+                        hears += 1
+                    # Inline ARcv: buffer up to R, then Decide.
+                    if len(amsgs) < r_cap:
+                        slot_of = slot_memo.get(node)
+                        if slot_of is None:
+                            try:
+                                slot_of = agent._slot_lookup(node)
+                            except Exception:
+                                slot_of = 0
+                            slot_memo[node] = slot_of
+                        # Positional: the record's fast path, no keyword binding.
+                        amsgs.append(HeardMessage(node, slot_of, slot_time))
+                    if len(amsgs) >= r_cap and astate.moves < m_cap:
+                        location = astate.location
+                        agent._decide(slot_time)
+                        if agent.captured:
+                            # A capture ends the run after the hear that
+                            # caused it: later senders never transmit
+                            # and the slot group's deliveries never
+                            # fire, as the legacy loop stops with those
+                            # events queued.
+                            done = lanes_before[layout.group_of(k)]
+                            early = bisect_left(lost_lanes, done)
+                            sends += k + 1
+                            drops += len(lost_lanes)
+                            delivered += done - early
+                            layout.fold(pending, done, lost_lanes[:early])
+                            return current_period, collected
+                        if astate.location != location:
+                            spans, audible, hear_lanes = heard_view(astate.location)
+                start = stop
+            sends += count
+            drops += len(lost_lanes)
+            delivered += lanes_before[count] - len(lost_lanes)
+            layout.fold(pending, lanes_before[count], lost_lanes)
         return current_period, collected
     finally:
         trace.bump_many(trace_kinds.SEND, sends)
-        trace.bump_many(trace_kinds.DELIVER, delivers_count)
+        trace.bump_many(trace_kinds.DELIVER, delivered)
         trace.bump_many(trace_kinds.DROP, drops)
         trace.bump_many(trace_kinds.ATTACKER_HEAR, hears)
         # The sink's take of the period the run ended in.

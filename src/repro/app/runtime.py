@@ -192,16 +192,15 @@ def run_operational_phase(
         Perturbing the sink or a source-pool node is rejected.
     kernel:
         One of two engines: ``"fast"`` (the flat slot timeline driving
-        the table-driven message-path fast lane, the default) or
+        block-drawn periods, the default) or
         ``"legacy"`` (the event-heap TDMA driver — the oracle, and the
         fallback).  They are bit-identical — same results, same RNG
         stream, same trace — so the choice is a performance/bisection
         knob, not a semantic one.  ``None`` means
         :data:`DEFAULT_KERNEL`.  A ``"fast"`` run the fast kernel cannot
         take runs on the legacy engine: frames whose slot is shorter
-        than the propagation delay, and runs the lane cannot compile
-        (process or agent subclasses, retained SEND/DELIVER/DROP
-        traces, collision windows, same-slot audible senders; see
+        than the propagation delay, and runs it cannot lay out
+        (retained SEND/DELIVER/DROP traces, same-slot audible senders; see
         :func:`~repro.app.fast_kernel.fast_lane_compilable`).
     trace_out:
         Optional list the run's :class:`~repro.simulator.TraceRecorder`

@@ -23,9 +23,9 @@ of the operational kernel in :mod:`repro.app.fast_kernel`:
   view of ``Ninfo``, ``Others`` sets, children, the SLP ``from`` sets)
   are node-indexed **bitmask ints**, so ``_merge_entry`` set unions
   become ``|=`` and sibling ranks become a masked ``bit_count()``;
-* each broadcast draws its noise decisions through the sender's
-  compiled lane drawer (``NoiseModel.compile_lane``: the exact RNG
-  stream of :meth:`RadioMedium.broadcast`), and its surviving fan-out
+* each broadcast draws its noise decisions as a one-sender stretch of
+  the noise model's block draw (``NoiseModel.draw_block``: the exact
+  RNG stream of :meth:`RadioMedium.broadcast`), and its surviving fan-out
   is buffered as a *deferred in-round delivery* — a FIFO whose
   ``(time, seq)`` entries are merged against the remaining
   transmissions of the round, reproducing the heap's interleaving
@@ -283,12 +283,10 @@ def run_fast_setup(
     n = len(order)
     node_range = range(n)
     sink_idx = state.sink_idx
-    # One compiled noise drawer per sender, after the reset (the
-    # ``compile_lane`` contract): it draws exactly what
-    # ``delivers_block`` would and returns the surviving receivers.
-    drawers = [
-        noise.compile_lane(order[i], nbr_ids[i], nbr_idx[i]) for i in node_range
-    ]
+    # Each broadcast is a one-sender stretch of the noise model's block
+    # draw: it draws exactly what ``delivers_block`` would.
+    draw_block = noise.draw_block
+    broadcasts = [((order[i], nbr_ids[i]),) for i in node_range]
 
     slot = state.slot
     hop = state.hop
@@ -488,8 +486,12 @@ def run_fast_setup(
         fanout = nbr_idx[i]
         if not fanout:
             return seq
-        surviving = drawers[i](rng)
-        drops += len(fanout) - len(surviving)
+        lost = draw_block(broadcasts[i], rng)
+        if lost:
+            drops += len(lost)
+            surviving = tuple(r for lane, r in enumerate(fanout) if lane not in lost)
+        else:
+            surviving = fanout
         if surviving:
             pending.append((time + delay, seq, kind, i, surviving, payload))
             return seq + 1

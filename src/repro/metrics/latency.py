@@ -43,13 +43,14 @@ def aggregation_stats(results: Sequence[OperationalResult]) -> AggregationStats:
     """Fold the per-run aggregation ratios into :class:`AggregationStats`."""
     if not results:
         raise ConfigurationError("cannot aggregate zero runs")
-    import numpy as np  # deferred: keeps numpy off the CLI start-up path
+    from statistics import fmean, pstdev  # deferred: off the CLI start-up path
 
-    ratios = np.array([r.aggregation_ratio for r in results], dtype=float)
+    ratios = [float(r.aggregation_ratio) for r in results]
     return AggregationStats(
         runs=len(results),
-        mean_ratio=float(ratios.mean()),
-        min_ratio=float(ratios.min()),
-        max_ratio=float(ratios.max()),
-        std_ratio=float(ratios.std()),
+        mean_ratio=fmean(ratios),
+        min_ratio=min(ratios),
+        max_ratio=max(ratios),
+        # The population deviation, not the sample one (``stdev``).
+        std_ratio=pstdev(ratios),
     )

@@ -21,6 +21,7 @@ service's scheduler, workers, submit validator, ``fsck`` and ``gc``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from ..attacker import AttackerSpec, paper_attacker
@@ -41,6 +42,25 @@ NOISE_REGIMES = ("casino", "ideal")
 
 #: A source placement: a concrete node id or a symbolic position.
 Placement = Union[int, str]
+
+
+@lru_cache(maxsize=16)
+def _build_topology(family: str, size: int, source: Optional[NodeId]) -> Topology:
+    """The one construction behind :meth:`TopologySpec.build`."""
+    if family == "grid":
+        return GridTopology(size, source=source)
+    # Imported here: the paper's cells are all grids.
+    if family == "line":
+        from ..topology.line import LineTopology
+
+        built: Topology = LineTopology(size)
+    else:
+        from ..topology.ring import RingTopology
+
+        built = RingTopology(size)
+    if source is not None and source != built.source:
+        built = built.with_source(source)
+    return built
 
 
 class TopologySpec(Record):
@@ -95,21 +115,13 @@ class TopologySpec(Record):
         return 0
 
     def build(self, source: Optional[NodeId] = None) -> Topology:
-        """Construct the topology, optionally designating ``source``."""
-        if self.family == "grid":
-            return GridTopology(self.size, source=source)
-        # Imported here: the paper's cells are all grids.
-        if self.family == "line":
-            from ..topology.line import LineTopology
+        """Construct the topology, optionally designating ``source``.
 
-            built: Topology = LineTopology(self.size)
-        else:
-            from ..topology.ring import RingTopology
-
-            built = RingTopology(self.size)
-        if source is not None and source != built.source:
-            built = built.with_source(source)
-        return built
+        Built once per process for each ``(family, size, source)``:
+        topologies are immutable, so a service that validates a job on
+        submit and runs it on a scheduler thread shares one build.
+        """
+        return _build_topology(self.family, self.size, source)
 
     def resolve_placement(self, placement: Placement) -> NodeId:
         """Turn a symbolic or numeric placement into a node id.

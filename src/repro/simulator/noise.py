@@ -12,20 +12,77 @@ reproduce the two behaviours the algorithms are sensitive to:
 
 Models are stateless with respect to the simulator: they receive the
 run's ``random.Random`` so that all stochasticity flows from one seed.
+
+A model answers in three forms that draw the same stream: per frame
+(:meth:`NoiseModel.delivers`), per broadcast (``delivers_block``, the
+legacy engine's) and per *stretch* of broadcasts (``draw_block``, the
+fast kernels').  A ``random()`` call consumes two 32-bit generator
+words, so ``getrandbits(64 * n)`` consumes exactly the words of ``n``
+calls.  The word-level models take a stretch's words in that one call
+and read each draw's first word's top byte, which bounds the draw to
+1/256 of the unit interval: a C-level ``bytes.translate`` + ``find``
+scan marks the few lanes whose draw can fall under a threshold, and
+only those (and, for the burst chain, the links in the bad state) are
+evaluated, exactly, from their own words.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Sequence, Tuple
+from bisect import bisect_right
+from math import ceil
+from operator import itemgetter
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..topology import NodeId
 
-#: A compiled per-sender lane drawer: given the run's RNG, the lane
-#: targets whose frame arrived (the very ``targets`` tuple when all did).
-LaneDrawer = Callable[[random.Random], Tuple[int, ...]]
+#: One broadcast of a block draw: the sender and its distinct receivers,
+#: in draw order.  Receiver ``-1`` is the attacker's hear lane.
+Span = Tuple[NodeId, Sequence[NodeId]]
+
+_receivers = itemgetter(1)
+
+#: ``random()`` is ``k / 2**53`` for the 53-bit integer ``k`` built from
+#: two generator words: the top 27 bits of the first, then the top 26 of
+#: the second.
+_TWO_53 = 9007199254740992.0
+
+
+def _bound(threshold: float) -> int:
+    """The ``K`` with ``random() < threshold`` exactly when ``k < K``.
+
+    ``threshold * 2**53`` is exact (a power-of-two scale), so ``K`` is
+    its ceiling."""
+    return ceil(threshold * _TWO_53)
+
+
+def _candidates(bound: int) -> bytes:
+    """A ``bytes.translate`` table marking, with 1, each top byte of a
+    draw's first word for which ``k < bound`` can hold.  The top byte
+    fixes ``k`` to ``[v * 2**45, (v + 1) * 2**45)``, so the marked bytes
+    are those under ``ceil(bound / 2**45)``."""
+    cut = -(-bound >> 45)
+    return b"\x01" * cut + bytes(256 - cut)
+
+
+def _marked(flags: bytes) -> List[int]:
+    """The indexes of the 1 bytes of a translated scan, ascending."""
+    out = []
+    find = flags.find
+    i = find(1)
+    while i >= 0:
+        out.append(i)
+        i = find(1, i + 1)
+    return out
+
+
+def _k(raw: bytes, at: int) -> int:
+    """The 53-bit ``k`` of the ``random()`` whose two words start at
+    byte ``at`` of a little-endian ``getrandbits`` block."""
+    u = int.from_bytes(raw[at : at + 8], "little")
+    return ((u & 0xFFFFFFFF) >> 5) << 26 | u >> 38
 
 
 class NoiseModel(ABC):
@@ -40,49 +97,43 @@ class NoiseModel(ABC):
     ) -> List[bool]:
         """Per-receiver outcomes for one broadcast, in receiver order.
 
-        The block form is what :meth:`RadioMedium.broadcast` and the
-        fast setup kernels draw through: concrete models override it
-        with a loop that binds everything locally and advances per-link
-        state inline, removing the per-receiver method dispatch of
-        :meth:`delivers`.  **RNG contract:** the block MUST
+        The legacy engine's :func:`~repro.simulator.engine.broadcast`
+        draws through this form.  **RNG contract:** the block MUST
         consume the run's random stream exactly as ``[self.delivers(
         sender, r, rng) for r in receivers]`` would — same number of
-        draws, same order — so a run is bit-identical whichever form the
-        medium uses.  This default implementation delegates per call,
-        which keeps third-party models that only override
-        :meth:`delivers` correct automatically.
+        draws, same order — and advance the same per-link state.  This
+        default delegates per call, so the legacy engine, the oracle of
+        the fast kernels, draws independently of :meth:`draw_block`.
         """
         return [self.delivers(sender, receiver, rng) for receiver in receivers]
 
-    def compile_lane(
-        self,
-        sender: NodeId,
-        receivers: Sequence[NodeId],
-        targets: Tuple[int, ...],
-    ) -> LaneDrawer:
-        """Compile one sender's broadcast for the operational fast lane.
+    def draw_block(self, spans: Sequence[Span], rng: random.Random) -> List[int]:
+        """The lost lanes of a stretch of broadcasts.
 
-        ``targets`` pairs each receiver with the lane's opaque delivery
-        target; the returned drawer maps one broadcast to the targets
-        whose frame arrived — the ``targets`` tuple itself when every
-        frame did.  **RNG contract:** a drawer consumes the stream
-        exactly as ``delivers_block(sender, receivers, rng)`` would at
-        the same point of the run, and shares its per-link state.  A
-        drawer is valid until the next :meth:`reset`: compile after the
-        run's reset, never before.  This default is built on
-        :meth:`delivers_block`, so models that override only the
-        per-call hooks stay correct.
+        A *lane* is one frame on one directed link; the stretch's lanes
+        are numbered from 0 across ``spans`` in order (an empty span
+        has none).  Returns the numbers of the lanes whose frame was
+        lost, ascending.  The fast kernels draw through this one method:
+        the operational kernel once per stretch of a period, the setup
+        kernel once per broadcast.  A stretch's links are distinct: no
+        sender repeats and no span repeats a receiver, as in every
+        stretch the kernels draw (one broadcast per sender, one fan-out
+        per broadcast).  **RNG contract:** the call consumes the stream
+        and advances per-link state exactly as :meth:`delivers_block`
+        once per non-empty span, in span order, would.  This default is
+        built on :meth:`delivers_block`, so models that override only
+        the per-call hooks stay correct.
         """
-        receivers = tuple(receivers)
+        lost: List[int] = []
+        base = 0
         delivers_block = self.delivers_block
-
-        def draw(rng: random.Random) -> Tuple[int, ...]:
-            flags = delivers_block(sender, receivers, rng)
-            if all(flags):
-                return targets
-            return tuple(t for t, flag in zip(targets, flags) if flag)
-
-        return draw
+        for sender, receivers in spans:
+            if receivers:
+                flags = delivers_block(sender, receivers, rng)
+                if not all(flags):
+                    lost.extend(base + i for i, flag in enumerate(flags) if not flag)
+                base += len(receivers)
+        return lost
 
     def reset(self) -> None:
         """Clear any per-run state.  Called once per simulation run."""
@@ -94,20 +145,9 @@ class IdealNoise(NoiseModel):
     def delivers(self, sender: NodeId, receiver: NodeId, rng: random.Random) -> bool:
         return True
 
-    def delivers_block(
-        self, sender: NodeId, receivers: Sequence[NodeId], rng: random.Random
-    ) -> List[bool]:
-        # No draws in either form: the per-call path never touches the RNG.
-        return [True] * len(receivers)
-
-    def compile_lane(
-        self,
-        sender: NodeId,
-        receivers: Sequence[NodeId],
-        targets: Tuple[int, ...],
-    ) -> LaneDrawer:
+    def draw_block(self, spans: Sequence[Span], rng: random.Random) -> List[int]:
         # Every frame arrives and nothing is drawn.
-        return lambda rng: targets
+        return []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "IdealNoise()"
@@ -126,17 +166,22 @@ class BernoulliNoise(NoiseModel):
                 f"loss probability must be in [0, 1), got {loss_probability}"
             )
         self.loss_probability = loss_probability
+        self._loss = _bound(loss_probability)
+        self._scan = _candidates(self._loss)
 
     def delivers(self, sender: NodeId, receiver: NodeId, rng: random.Random) -> bool:
         return rng.random() >= self.loss_probability
 
-    def delivers_block(
-        self, sender: NodeId, receivers: Sequence[NodeId], rng: random.Random
-    ) -> List[bool]:
-        # One draw per receiver, in order — exactly the per-call stream.
-        loss = self.loss_probability
-        rand = rng.random
-        return [rand() >= loss for _ in receivers]
+    def draw_block(self, spans: Sequence[Span], rng: random.Random) -> List[int]:
+        # One draw (two words) per lane, taken in one call.  Only a lane
+        # whose first word's top byte can fall under the loss bound is
+        # evaluated; every other lane delivers.
+        n = sum(map(len, map(_receivers, spans)))
+        if not n:
+            return []
+        raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        loss = self._loss
+        return [p for p in _marked(raw[3::8].translate(self._scan)) if _k(raw, 8 * p) < loss]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BernoulliNoise(loss_probability={self.loss_probability})"
@@ -182,124 +227,107 @@ class CasinoLabNoise(NoiseModel):
         self.bad_loss = bad_loss
         self.p_good_to_bad = p_good_to_bad
         self.p_bad_to_good = p_bad_to_good
-        #: directed link -> dense link id, interned on a link's first
-        #: draw or lane compile; cleared (with the states) by reset().
-        self._link_ids: Dict[Tuple[NodeId, NodeId], int] = {}
-        #: per-link chain state by link id; True means the bad state.
-        self._states: List[bool] = []
-
-    def _link_id(self, link: Tuple[NodeId, NodeId]) -> int:
-        lid = self._link_ids.get(link)
-        if lid is None:
-            lid = len(self._states)
-            self._link_ids[link] = lid
-            self._states.append(False)
-        return lid
+        #: sender -> the receivers whose link from it is in the bad
+        #: state.  Every other link is good; cleared by reset().
+        self._bad: Dict[NodeId, Set[NodeId]] = {}
+        # The word-level bounds of the four thresholds, and the scans
+        # for the two a good-state lane compares against.
+        self._good_to_bad = _bound(p_good_to_bad)
+        self._bad_to_good = _bound(p_bad_to_good)
+        self._good_loss = _bound(good_loss)
+        self._bad_loss = _bound(bad_loss)
+        self._turn_scan = _candidates(self._good_to_bad)
+        self._loss_scan = _candidates(self._good_loss)
 
     def delivers(self, sender: NodeId, receiver: NodeId, rng: random.Random) -> bool:
-        lid = self._link_id((sender, receiver))
-        bad = self._states[lid]
+        bad_from = self._bad.get(sender)
         # Advance the chain once per frame on this link.
-        if bad:
-            if rng.random() < self.p_bad_to_good:
-                bad = False
+        if bad_from is not None and receiver in bad_from:
+            bad = not rng.random() < self.p_bad_to_good
+            if not bad:
+                bad_from.discard(receiver)
+                if not bad_from:
+                    del self._bad[sender]
         else:
-            if rng.random() < self.p_good_to_bad:
-                bad = True
-        self._states[lid] = bad
+            bad = rng.random() < self.p_good_to_bad
+            if bad:
+                self._bad.setdefault(sender, set()).add(receiver)
         loss = self.bad_loss if bad else self.good_loss
         return rng.random() >= loss
 
-    def delivers_block(
-        self, sender: NodeId, receivers: Sequence[NodeId], rng: random.Random
-    ) -> List[bool]:
-        # Two draws per receiver (chain advance, then loss), in receiver
-        # order — the same stream :meth:`delivers` consumes per call.
-        rand = rng.random
-        link_ids = self._link_ids
-        states = self._states
-        good_loss = self.good_loss
-        bad_loss = self.bad_loss
-        p_good_to_bad = self.p_good_to_bad
-        p_bad_to_good = self.p_bad_to_good
-        out: List[bool] = []
-        append = out.append
-        for receiver in receivers:
-            link = (sender, receiver)
-            lid = link_ids.get(link)
-            if lid is None:
-                lid = len(states)
-                link_ids[link] = lid
-                states.append(False)
-            bad = states[lid]
-            if bad:
-                if rand() < p_bad_to_good:
-                    bad = False
+    def draw_block(self, spans: Sequence[Span], rng: random.Random) -> List[int]:
+        # Two draws (four words) per lane, chain advance then loss, all
+        # taken in one call.  A lane can drop its frame or change its
+        # chain only if its link is bad, or if one of its two draws can
+        # fall under the good state's bound: the bad-link table finds
+        # the former, the top-byte scans the latter.  Every other lane
+        # delivers and stays good, and a stretch's links are distinct,
+        # so only those lanes are evaluated, each against its own words.
+        bad = self._bad
+        ends: List[int] = []
+        hits = []
+        n = 0
+        for sender, receivers in spans:
+            if sender in bad:
+                for receiver in bad[sender]:
+                    if receiver in receivers:
+                        hits.append((n + receivers.index(receiver), sender, receiver))
+            n += len(receivers)
+            ends.append(n)
+        if not n:
+            return []
+        raw = rng.getrandbits(128 * n).to_bytes(16 * n, "little")
+        lost: List[int] = []
+        done = set()
+        turn = self._bad_to_good
+        turn_lo, turn_hi = turn >> 45, -(-turn >> 45)
+        for lane, sender, receiver in hits:
+            # A bad link: a turn draw under the bound turns it good.
+            done.add(lane)
+            at = 16 * lane
+            top = raw[at + 3]
+            if top < turn_lo or (top < turn_hi and _k(raw, at) < turn):
+                bad_from = bad[sender]
+                bad_from.discard(receiver)
+                if not bad_from:
+                    del bad[sender]
+                loss = self._good_loss
             else:
-                if rand() < p_good_to_bad:
-                    bad = True
-            states[lid] = bad
-            append(rand() >= (bad_loss if bad else good_loss))
-        return out
-
-    def compile_lane(
-        self,
-        sender: NodeId,
-        receivers: Sequence[NodeId],
-        targets: Tuple[int, ...],
-    ) -> LaneDrawer:
-        # The drawer walks the sender's link ids over the shared state
-        # list: no link tuples, no dict traffic per frame.  Same draws,
-        # same order and same state as delivers_block.  Nearly every
-        # frame arrives, so the loop only notes the rare lost lanes and
-        # returns ``targets`` itself when there are none.  The sender's
-        # links are interned here, inline: a run's first compile meets
-        # every one of them fresh.
-        link_ids = self._link_ids
-        states = self._states
-        lids = []
-        for receiver in receivers:
-            fresh = len(states)
-            lid = link_ids.setdefault((sender, receiver), fresh)
-            if lid == fresh:
-                states.append(False)
-            lids.append(lid)
-        lanes = tuple(enumerate(lids))
-        good_loss = self.good_loss
-        bad_loss = self.bad_loss
-        p_good_to_bad = self.p_good_to_bad
-        p_bad_to_good = self.p_bad_to_good
-
-        def draw(rng: random.Random) -> Tuple[int, ...]:
-            rand = rng.random
-            lost = None
-            for lane, lid in lanes:
-                if states[lid]:
-                    if rand() < p_bad_to_good:
-                        states[lid] = False
-                        arrived = rand() >= good_loss
-                    else:
-                        arrived = rand() >= bad_loss
-                elif rand() < p_good_to_bad:
-                    states[lid] = True
-                    arrived = rand() >= bad_loss
-                elif rand() >= good_loss:
-                    continue
+                loss = self._bad_loss
+            top = raw[at + 11]
+            if top < loss >> 45 or (top < -(-loss >> 45) and _k(raw, at + 8) < loss):
+                lost.append(lane)
+        turn = self._good_to_bad
+        turn_lo, turn_hi = turn >> 45, -(-turn >> 45)
+        for lane in _marked(raw[3::16].translate(self._turn_scan)) + _marked(
+            raw[11::16].translate(self._loss_scan)
+        ):
+            if lane in done:
+                continue
+            # A good link: a turn draw under the bound turns it bad.
+            done.add(lane)
+            at = 16 * lane
+            top = raw[at + 3]
+            if top < turn_lo or (top < turn_hi and _k(raw, at) < turn):
+                k = bisect_right(ends, lane)
+                sender, receivers = spans[k]
+                receiver = receivers[lane - ends[k] + len(receivers)]
+                bad_from = bad.get(sender)
+                if bad_from is None:
+                    bad[sender] = {receiver}
                 else:
-                    arrived = False
-                if not arrived:
-                    lost = (lane,) if lost is None else lost + (lane,)
-            if lost is None:
-                return targets
-            return tuple(t for lane, t in enumerate(targets) if lane not in lost)
-
-        return draw
+                    bad_from.add(receiver)
+                loss = self._bad_loss
+            else:
+                loss = self._good_loss
+            top = raw[at + 11]
+            if top < loss >> 45 or (top < -(-loss >> 45) and _k(raw, at + 8) < loss):
+                lost.append(lane)
+        lost.sort()
+        return lost
 
     def reset(self) -> None:
-        # In place: the ids and states start over, so a drawer compiled
-        # before this call is stale (see NoiseModel.compile_lane).
-        self._link_ids.clear()
-        self._states.clear()
+        self._bad.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

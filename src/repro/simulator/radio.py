@@ -85,7 +85,7 @@ class RadioMedium:
         self._eavesdroppers: List[Eavesdropper] = []
         #: every node attached or detached, in order.  Its length is the
         #: attachment epoch; fan-out consumers (the operational fast
-        #: lane) rebuild their tables when it moves, and only for the
+        #: kernel) re-read fan-outs when it moves, and only those of the
         #: neighbours of the nodes toggled since.
         self._toggled: List[NodeId] = []
         #: receiver → time of last arrival, for the collision window.
@@ -127,9 +127,9 @@ class RadioMedium:
     @property
     def epoch(self) -> int:
         """Attachment-state version: changes whenever a node attaches to
-        or detaches from the medium.  Consumers holding compiled fan-out
-        tables (the operational fast lane) compare epochs to know when
-        to rebuild."""
+        or detaches from the medium.  Consumers holding fan-outs (the
+        operational fast kernel) compare epochs to know when to re-read
+        them."""
         return len(self._toggled)
 
     def toggled_since(self, epoch: int) -> Tuple[NodeId, ...]:

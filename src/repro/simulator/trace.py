@@ -76,7 +76,7 @@ class TraceRecorder:
     def bump_many(self, kind: str, n: int) -> None:
         """Add ``n`` to ``kind``'s count in one call.
 
-        The operational fast lane accumulates its per-kind totals in
+        The operational fast kernel accumulates its per-kind totals in
         local integers and flushes them here, instead of paying one
         :meth:`bump` per message; the resulting counts are identical.
         """

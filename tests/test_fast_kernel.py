@@ -190,33 +190,35 @@ class TestFastLaneDynamics:
             )
             _assert_identical(outcomes, traces)
 
-    def test_a_detach_recompiles_only_the_neighbours_lanes(self, grid7):
+    def test_a_detach_refreshes_only_the_neighbours_fanouts(self, grid7, monkeypatch):
         """A toggled node changes only its neighbours' fan-outs, so the
-        perturbation boundary recompiles exactly their lane entries."""
+        perturbation boundary reads exactly theirs from the radio."""
+        from repro.simulator import RadioMedium
+
         schedule = centralized_das_schedule(grid7, seed=5)
         victim = self._grid_nodes(grid7)[10]
-        noise = CasinoLabNoise()
-        compiled = []
-        real = noise.compile_lane
+        read = []
+        real = RadioMedium.fanout
 
-        def spy(sender, receivers, targets):
-            compiled.append(sender)
-            return real(sender, receivers, targets)
+        def spy(radio, sender):
+            read.append(sender)
+            return real(radio, sender)
 
-        noise.compile_lane = spy
+        monkeypatch.setattr(RadioMedium, "fanout", spy)
         outcomes, traces = _run_all(
             grid7,
             schedule,
             seed=1,
-            noise=noise,
+            noise=CasinoLabNoise(),
             perturbations=(NodeDeath(period=2, nodes=(victim,)),),
         )
         _assert_identical(outcomes, traces)
         assert outcomes[0].periods_run > 2  # the detach really happened
-        senders = sorted(n for n in grid7.nodes if n != grid7.sink)
-        first, after = compiled[: len(senders)], compiled[len(senders) :]
-        assert sorted(first) == senders
-        assert after == [n for n in grid7.neighbours(victim) if n != grid7.sink]
+        # The legacy run reads every fan-out through _fanout_of, not the
+        # public accessor; the fast run reads the victim's neighbours'.
+        assert sorted(read) == sorted(
+            n for n in grid7.neighbours(victim) if n != grid7.sink
+        )
 
     def test_mobile_source_rotation_capture_is_bit_identical(self, grid7):
         """A rotating source can capture by walking onto the attacker
@@ -246,6 +248,72 @@ class TestFastLaneDynamics:
             _assert_identical(outcomes, traces)
             captured += outcomes[0].captured
         assert captured > 0  # the differential covered real captures
+
+    def test_sink_overhearing_a_non_child_folds_both_lanes_in_lane_order(self, grid7):
+        """A sink neighbour reparented away from the sink sends two
+        aggregating lanes, the sink's before its parent's: under heavy
+        loss both engines fold exactly the lanes that arrived."""
+        from repro.core import Schedule
+
+        schedule = centralized_das_schedule(grid7, seed=3)
+        sink = grid7.sink
+        parents = schedule.parents()
+        for node in grid7.neighbours(sink):
+            row = grid7.neighbours(node)
+            later = [n for n in row[row.index(sink) + 1 :] if n != sink]
+            if later:
+                parents[node] = later[0]
+                break
+        else:  # pragma: no cover - every grid row has one
+            pytest.fail("no sink neighbour with a later neighbour")
+        moved = Schedule(schedule.slots(), parents, sink)
+        hot = dict(p_good_to_bad=0.4, p_bad_to_good=0.3, bad_loss=0.6)
+        for seed in range(8):
+            outcomes, traces = _run_all(
+                grid7, moved, seed=seed, noise=CasinoLabNoise(**hot), max_periods=6
+            )
+            _assert_identical(outcomes, traces)
+
+    def test_capture_mid_slot_group_with_losses_pins_every_counter(self, grid7):
+        """A capture by a sender that shares its slot group, in a run
+        that drops frames: SEND counts the group's senders up to the
+        capturing one, DROP their losses, DELIVER only the earlier
+        groups' arrivals, and the retained ATTACKER_HEAR records match
+        the heap's one for one."""
+        from repro.app import OPERATIONAL_TRACE_KINDS
+        from repro.simulator import ATTACKER_HEAR, DELIVER, DROP, SEND
+
+        schedule = centralized_das_schedule(grid7, seed=0).compressed()
+        slots = schedule.slots()
+        del slots[grid7.sink]
+        by_slot = {}
+        for node, slot in slots.items():
+            by_slot.setdefault(slot, []).append(node)
+        kinds = OPERATIONAL_TRACE_KINDS | {ATTACKER_HEAR}
+        hot = dict(p_good_to_bad=0.3, p_bad_to_good=0.3, bad_loss=0.5)
+        pinned = 0
+        for seed in range(40):
+            outcomes, traces = _run_all(
+                grid7,
+                schedule,
+                seed=seed,
+                noise=CasinoLabNoise(**hot),
+                trace_kinds=kinds,
+            )
+            legacy, legacy_trace = outcomes[0], traces[0]
+            if not legacy.captured or not legacy_trace.count(DROP):
+                continue
+            # The capturing move follows the run's last hear.
+            last_hear = legacy_trace.last(ATTACKER_HEAR)
+            if last_hear is None or len(by_slot[slots[last_hear.detail["sender"]]]) < 2:
+                continue
+            _assert_identical(outcomes, traces)
+            fast_trace = traces[1]
+            for kind in (SEND, DELIVER, DROP, ATTACKER_HEAR):
+                assert fast_trace.count(kind) == legacy_trace.count(kind), kind
+            assert fast_trace.records == legacy_trace.records
+            pinned += 1
+        assert pinned > 0, pinned  # the sweep met such a capture
 
     @pytest.mark.parametrize(
         "spec_name,spec",

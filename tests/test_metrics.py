@@ -98,6 +98,8 @@ class TestAggregationStats:
         stats = aggregation_stats(results)
         assert stats.mean_ratio == pytest.approx(0.9)
         assert stats.min_ratio == pytest.approx(0.8)
+        # The population deviation: sqrt(((0.1)^2 + (0.1)^2 + 0) / 3).
+        assert stats.std_ratio == pytest.approx(0.08164965809277258)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):

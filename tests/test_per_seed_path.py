@@ -8,13 +8,14 @@ Simulation invariants (runs stay bit-identical):
 * the fast kernel's audibility row is one intersection
   (``audible_set(location) ∩ senders``), which must equal the scan over
   every sender — audibility is symmetric;
-* a compiled noise drawer consumes the RNG stream and the per-link
-  state exactly as ``delivers_block`` does;
-* noise drawers are compiled after the run's reset: two back-to-back
-  fast runs sharing one ``CasinoLabNoise`` equal two legacy runs
-  sharing one (the reset-order guard);
+* a block draw over a stretch of broadcasts consumes the RNG stream
+  and the per-link state exactly as ``delivers_block`` per broadcast
+  does;
+* each run resets the noise model first: two back-to-back fast runs
+  sharing one ``CasinoLabNoise`` equal two legacy runs sharing one
+  (the reset-order guard);
 * a third-party ``NoiseModel`` overriding only ``delivers`` runs on the
-  default drawer and still matches the legacy engine.
+  default block draw and still matches the legacy engine.
 
 Transport invariants (one kept-alive connection per client thread):
 
@@ -123,7 +124,7 @@ def test_symmetric_audibility_row_equals_the_scan(topology):
 
 
 # ----------------------------------------------------------------------
-# Noise drawers
+# Block draws
 # ----------------------------------------------------------------------
 def _runs(kernel, noise, seeds, grid):
     """Back-to-back runs on one noise object; results and trace counts."""
@@ -138,7 +139,7 @@ def _runs(kernel, noise, seeds, grid):
     return outcomes
 
 
-DRAWER_MODELS = [
+BLOCK_MODELS = [
     ("ideal", IdealNoise),
     ("bernoulli", lambda: BernoulliNoise(0.2)),
     ("casino-hot", lambda: CasinoLabNoise(p_good_to_bad=0.4, p_bad_to_good=0.3)),
@@ -146,38 +147,35 @@ DRAWER_MODELS = [
 
 
 @pytest.mark.parametrize(
-    "factory", [m[1] for m in DRAWER_MODELS], ids=[m[0] for m in DRAWER_MODELS]
+    "factory", [m[1] for m in BLOCK_MODELS], ids=[m[0] for m in BLOCK_MODELS]
 )
-def test_drawers_consume_the_block_stream(factory):
-    """Drawer outcomes, RNG consumption and per-link state match
-    ``delivers_block``, also when the two forms interleave on one link."""
-    block, compiled = factory(), factory()
-    rng_block, rng_compiled = random.Random(5), random.Random(5)
-    lanes = {
-        sender: (tuple(range(sender, sender + 4)), tuple(range(10, 14)))
-        for sender in range(6)
-    }
-    drawers = {
-        sender: compiled.compile_lane(sender, receivers, targets)
-        for sender, (receivers, targets) in lanes.items()
-    }
+def test_block_draws_consume_the_per_broadcast_stream(factory):
+    """Stretch losses, RNG consumption and per-link state match
+    ``delivers_block`` per broadcast, also when the two forms
+    interleave on one link."""
+    per_broadcast, stretched = factory(), factory()
+    rng_broadcast, rng_stretched = random.Random(5), random.Random(5)
+    spans = [(sender, tuple(range(sender, sender + 4))) for sender in range(6)]
     for step in range(400):
-        sender = step % 6
-        receivers, targets = lanes[sender]
-        flags = block.delivers_block(sender, receivers, rng_block)
-        expected = tuple(t for t, flag in zip(targets, flags) if flag)
+        expected = []
+        for lane_base, (sender, receivers) in zip(range(0, 24, 4), spans):
+            flags = per_broadcast.delivers_block(sender, receivers, rng_broadcast)
+            expected.extend(lane_base + i for i, flag in enumerate(flags) if not flag)
         if step % 7 == 3:
-            flags = compiled.delivers_block(sender, receivers, rng_compiled)
-            got = tuple(t for t, flag in zip(targets, flags) if flag)
+            got = []
+            for lane_base, (sender, receivers) in zip(range(0, 24, 4), spans):
+                flags = stretched.delivers_block(sender, receivers, rng_stretched)
+                got.extend(lane_base + i for i, flag in enumerate(flags) if not flag)
         else:
-            got = drawers[sender](rng_compiled)
+            got = stretched.draw_block(spans, rng_stretched)
         assert got == expected
-    assert rng_block.random() == rng_compiled.random()
+    assert rng_broadcast.random() == rng_stretched.random()
 
 
 def test_back_to_back_fast_runs_share_one_noise_object():
-    """The reset-order guard: each run's drawers are compiled after its
-    reset, so a reused noise object carries no state between runs."""
+    """The reset-order guard: each run resets the noise model before
+    its first draw, so a reused noise object carries no state between
+    runs."""
     grid = GridTopology(7)
     hot = dict(p_good_to_bad=0.3, p_bad_to_good=0.3)
     legacy = _runs(LEGACY_KERNEL, CasinoLabNoise(**hot), (1, 2, 3), grid)
@@ -201,20 +199,20 @@ class _DeliversOnly(NoiseModel):
         self.state.clear()
 
 
-def test_delivers_only_model_matches_legacy_on_the_default_drawer(monkeypatch):
-    compiled = []
-    original = NoiseModel.compile_lane
+def test_delivers_only_model_matches_legacy_on_the_default_block_draw(monkeypatch):
+    stretches = []
+    original = NoiseModel.draw_block
 
-    def spy(self, sender, receivers, targets):
-        compiled.append(sender)
-        return original(self, sender, receivers, targets)
+    def spy(self, spans, rng):
+        stretches.append(len(spans))
+        return original(self, spans, rng)
 
-    monkeypatch.setattr(NoiseModel, "compile_lane", spy)
+    monkeypatch.setattr(NoiseModel, "draw_block", spy)
     grid = GridTopology(7)
     legacy = _runs(LEGACY_KERNEL, _DeliversOnly(), (5, 6), grid)
-    assert not compiled
+    assert not stretches
     fast = _runs(FAST_KERNEL, _DeliversOnly(), (5, 6), grid)
-    assert compiled  # the lane ran on the default drawer
+    assert stretches  # the kernel ran on the default block draw
     assert fast == legacy
 
 

@@ -167,3 +167,13 @@ def test_current_numbers_cite_the_newest_record():
     lines = (root / "PERFORMANCE.md").read_text().splitlines()
     heading = next(line for line in lines if line.startswith("## Current numbers"))
     assert f"`{newest}`" in heading
+
+
+def test_current_numbers_are_the_generated_section():
+    """PERFORMANCE.md's "Current numbers" section is exactly what
+    ``scripts/current_numbers.py`` writes from the newest record."""
+    path = SCRIPT.parent / "current_numbers.py"
+    spec = importlib.util.spec_from_file_location("current_numbers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.current_section() == module.render(module.newest_record())

@@ -437,6 +437,32 @@ class TestServiceHttp:
         finally:
             service.drain()
 
+    def test_each_job_builds_its_topology_once(self, tmp_path, monkeypatch, direct):
+        """Submit validates a job by lowering it and the scheduler
+        thread lowers it again: the service process builds the grid
+        once for both (forked shard workers build their own)."""
+        from repro.scenarios import spec as spec_module
+        from repro.topology import GridTopology
+
+        spec_module._build_topology.cache_clear()
+        calls = []
+        real_init = GridTopology.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(threading.get_ident())
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GridTopology, "__init__", counting_init)
+        service = start_service(tmp_path)
+        try:
+            client = ServiceClient(service.url)
+            job = client.submit({"scenario": "paper-baseline", "seeds": SEEDS})["job"]
+            assert client.wait(job, timeout=120.0)["state"] == "done"
+            assert client.result_text(job) == direct.to_json() + "\n"
+        finally:
+            service.drain()
+        assert len(calls) == 1
+
     def test_malformed_submissions_are_400_never_a_crash(self, tmp_path):
         service = start_service(tmp_path)
         try:

@@ -208,7 +208,7 @@ class TestNoiseModels:
         for _ in range(100):
             noise.delivers(0, 1, rng)
         noise.reset()
-        assert noise._link_ids == {} and noise._states == []
+        assert noise._bad == {}
 
     def test_casino_validation(self):
         with pytest.raises(ConfigurationError):
