@@ -16,8 +16,6 @@ _EXPORTS = {
     ),
     "fast_kernel": (
         "build_slot_timeline",
-        "fast_kernel_supported",
-        "fast_lane_compilable",
         "run_fast_kernel",
     ),
     "messages": (

@@ -12,9 +12,9 @@ it only accumulates and records per-period completeness.
 
 These process objects are the **legacy** operational engine
 (:func:`run_legacy_engine`): the event-heap oracle the fast kernel is
-tested against, and its fallback.  The fast kernel keeps node state in
-flat arrays, so a fast run loads neither this module nor the heap,
-process and TDMA driver modules it imports.
+tested against, run only when asked for.  The fast kernel keeps node
+state in flat arrays, so a fast run loads neither this module nor the
+heap, process and TDMA driver modules it imports.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def run_legacy_engine(
     through a :class:`~repro.mac.TdmaDriver`.  Returns the last period
     begun and the sink's per-period count of collected readings.
 
-    Only this engine (the oracle, and the fallback) builds the heap,
+    Only this engine (the oracle) builds the heap,
     the driver and the process objects, so this module and the ones it
     imports load only when a run takes it.
     """

@@ -5,7 +5,7 @@ There are two operational engines.  The **legacy** engine drives one
 evaluation run through the generic event heap: one ``_begin_period``
 event per TDMA period, one slot event per sender per period, one
 delivery event per broadcast.  It is the oracle the fast kernel is
-tested against and the fallback for runs the fast kernel cannot take.
+tested against, run only when asked for (``kernel="legacy"``).
 Profiling shows that for the paper's workloads this generic machinery —
 heap pushes and pops, ``Event`` dispatch, the per-period client/slot
 re-sorting in the TDMA driver — dominates run time, even though the
@@ -42,11 +42,11 @@ Aggregation is folded once per period, in fire order, over the lanes
 that reached a sink or parent: each node's pending origins are a
 node-indexed **bitmask int**, so a fold is one ``|=`` and the sink's
 per-period take one ``bit_count()``.  Folding after the fact is exact
-because a slot group's senders cannot hear one another
-(:func:`fast_lane_compilable`), so no sender's mask changes between its
-transmission and its group's delivery.  A capture mid-group ends the
-run with that group's deliveries discarded, as the heap stops with them
-queued: the counters and the fold then cover the earlier groups only.
+because a slot group's senders cannot hear one another (see below), so
+no sender's mask changes between its transmission and its group's
+delivery.  A capture mid-group ends the run with that group's
+deliveries discarded, as the heap stops with them queued: the counters
+and the fold then cover the earlier groups only.
 
 **Equivalence contract.**  A fast-kernel run is bit-identical to a
 legacy run: same RNG draw order (noise decisions in neighbour order per
@@ -54,16 +54,23 @@ broadcast, then the eavesdropper's audibility draw, then any attacker
 tie-break), same trace records and counters, same
 :class:`~repro.app.runtime.OperationalResult`.
 ``tests/test_fast_kernel.py`` enforces this differentially for every
-registered scenario on both engines.  The harness runs a ``"fast"``
-request on the legacy engine whenever the fast kernel cannot prove it
-equivalent: geometries it cannot honour (:func:`fast_kernel_supported`)
-and runs it cannot lay out (:func:`fast_lane_compilable`).
+registered scenario on both engines, and on generated networks.
+
+**Refusals.**  The kernel refuses three inputs with a
+:class:`~repro.errors.ConfigurationError` naming the limit, before the
+first period: a slot not longer than the propagation delay plus the
+rounding of the run's timestamps (a delivery would not land before the
+next slot starts), retained SEND/DELIVER/DROP records (it keeps their
+counts only), and audible senders in one slot group (against Def. 1,
+so only a hand-built schedule has them).  The legacy engine runs them
+when asked for; nothing switches engines on its own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from math import ulp
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -79,6 +86,7 @@ from typing import (
 
 from ..attacker import EavesdropperAgent
 from ..attacker.decision import HeardMessage
+from ..errors import ConfigurationError
 from ..mac import TdmaFrame
 from ..simulator import PERIOD_START, Simulator
 from ..simulator import trace as trace_kinds
@@ -101,17 +109,12 @@ def _lane_delivered(sender: NodeId, message: object, time: float) -> None:
     the medium only tracks which nodes are attached."""
 
 
-def fast_kernel_supported(frame: TdmaFrame, propagation_delay: float) -> bool:
-    """Whether the fast kernel preserves legacy event order for ``frame``.
-
-    The kernel delivers each slot group's broadcasts before the next
-    group transmits, which matches the heap order only while a delivery
-    (transmission time + propagation delay) lands strictly before the
-    next slot boundary.  Every realistic frame satisfies this (the
-    paper's slots are 0.05 s against a 0.1 ms delay); degenerate frames
-    fall back to the legacy engine.
-    """
-    return frame.slot_duration > propagation_delay
+def _refusal(limit: str) -> ConfigurationError:
+    """The error for an input the fast kernel cannot run exactly."""
+    return ConfigurationError(
+        f"the fast operational kernel cannot run this: {limit}; request "
+        "the legacy engine (kernel='legacy', --legacy-kernel) to run it"
+    )
 
 
 def build_slot_timeline(
@@ -148,43 +151,6 @@ def build_slot_timeline(
     )
 
 
-def fast_lane_compilable(sim: Simulator, timeline: Tuple[_SlotGroup, ...]) -> bool:
-    """Whether the fast kernel can lay the run out as block-drawn periods.
-
-    :func:`~repro.app.runtime.run_operational_phase` builds the medium,
-    the attacker and the node state itself, so only two properties of
-    a run can stop the kernel:
-
-    * the trace retains SEND/DELIVER/DROP records — those streams are
-      per-message objects the kernel deliberately never builds (counts
-      are still maintained exactly);
-    * a slot group contains a sender audible to another sender of the
-      same group.  Def. 1's 2-hop separation rules this out for every
-      schedule the library builds; it is what lets the kernel fold a
-      period's aggregation after the fact, because no sender's
-      aggregate can change between its transmission and its group's
-      delivery.
-    """
-    trace = sim.trace
-    if (
-        trace.wants(trace_kinds.SEND)
-        or trace.wants(trace_kinds.DELIVER)
-        or trace.wants(trace_kinds.DROP)
-    ):
-        return False
-    metrics = sim.topology.metrics
-    neighbour_ids = metrics.neighbour_ids
-    index = metrics.index
-    for _slot, _offset, senders in timeline:
-        if len(senders) > 1:
-            group = frozenset(senders)
-            for node in senders:
-                # A node is audible exactly at itself and its neighbours.
-                if not group.isdisjoint(neighbour_ids[index[node]]):
-                    return False
-    return True
-
-
 class _Layout:
     """One attachment epoch's period, in fire order.
 
@@ -197,6 +163,11 @@ class _Layout:
     The lanes that aggregate are, in fire order, ``folds`` (``(sender
     index, receiver index)``) at base numbers ``fold_lanes``
     (ascending).  ``views`` memoises :meth:`view` per attacker location.
+
+    A slot group with two senders audible to each other is refused:
+    folding after the group would miss what one hears from the other.
+    Each fan-out is a subset of the sender's neighbour row, so the
+    first layout (every node attached) is the one that can fail.
     """
 
     __slots__ = (
@@ -219,12 +190,20 @@ class _Layout:
         folds: List[Tuple[int, int]] = []
         fold_lanes: List[int] = []
         lanes = 0
-        for _slot, offset, senders in timeline:
+        for slot, offset, senders in timeline:
             group_starts.append(len(spans))
+            group = frozenset(senders) if len(senders) > 1 else ()
             for node in senders:
                 if node in muted:
                     continue  # on_slot() would stay silent
                 receivers = fanouts[node]
+                if group and not group.isdisjoint(receivers):
+                    other = next(r for r in receivers if r in group)
+                    raise _refusal(
+                        f"slot {slot} holds senders {node!r} and {other!r}, "
+                        "which hear each other (Def. 1 keeps one slot's "
+                        "senders two hops apart)"
+                    )
                 parent = parents[node]
                 # The lanes that fold, in lane order: to the sender's
                 # parent, and to the sink when it overhears (it
@@ -303,10 +282,10 @@ def run_fast_kernel(
 
     Mirrors ``TdmaDriver`` + ``Simulator.run`` of the legacy engine on
     block-drawn periods, applying the lowered perturbation ``steps`` at
-    their period boundaries.  The caller must have checked
-    :func:`fast_kernel_supported` and :func:`fast_lane_compilable`
-    (with this ``timeline``, from :func:`build_slot_timeline`); see the
-    module docstring for the stretches and the equivalence contract.
+    their period boundaries; ``timeline`` comes from
+    :func:`build_slot_timeline`.  See the module docstring for the
+    stretches, the equivalence contract and the inputs refused with a
+    :class:`~repro.errors.ConfigurationError` before the first period.
     ``parents`` is the compressed schedule's parent map (the sink maps
     to ``None``).
 
@@ -319,9 +298,26 @@ def run_fast_kernel(
     have produced.
     """
     radio = sim.radio
+    # Each slot group's deliveries must land strictly before the next
+    # group's slot (or period) starts, in the heap's float arithmetic.
+    # Every timestamp is a few roundings of values at most the run's
+    # length, so a slot longer than the delay by four ulps of that
+    # length keeps the order whatever the rounding.
+    margin = 4 * ulp(periods_budget * frame.period_length)
+    if frame.slot_duration - radio.propagation_delay <= margin:
+        raise _refusal(
+            f"a {frame.slot_duration} s slot is not longer than the radio's "
+            f"{radio.propagation_delay} s propagation delay plus the "
+            f"{margin:.3g} s rounding of the run's timestamps"
+        )
+    trace = sim.trace
+    if any(map(trace.wants, (trace_kinds.SEND, trace_kinds.DELIVER, trace_kinds.DROP))):
+        raise _refusal(
+            "the trace retains SEND/DELIVER/DROP records, and the kernel "
+            "keeps their counts, never the records"
+        )
     topology = radio.topology
     neighbours = topology.neighbours
-    trace = sim.trace
     record = trace.record
     rng = sim.rng
     draw_block = radio.noise.draw_block

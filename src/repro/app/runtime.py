@@ -33,12 +33,7 @@ from ..simulator import (
 from ..telemetry import active_tracer
 from ..topology import NodeId, Topology
 from .dynamics import SourcePlan, SourceTracker
-from .fast_kernel import (
-    build_slot_timeline,
-    fast_kernel_supported,
-    fast_lane_compilable,
-    run_fast_kernel,
-)
+from .fast_kernel import build_slot_timeline, run_fast_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .perturbations import Perturbation
@@ -51,8 +46,7 @@ KERNELS = (FAST_KERNEL, LEGACY_KERNEL)
 #: The kernel used when a call does not choose one.  The two engines
 #: are bit-identical (differentially tested), so the fast one is the
 #: default; ``legacy`` (the event heap) stays selectable as the oracle
-#: a regression is bisected against, and is the fallback for runs the
-#: fast kernel cannot take.
+#: a regression is bisected against, and runs only when asked for.
 DEFAULT_KERNEL = FAST_KERNEL
 
 
@@ -180,7 +174,8 @@ def run_operational_phase(
         kept).  Defaults to :data:`OPERATIONAL_TRACE_KINDS` — the
         attacker events the metrics need; pass ``None`` to keep every
         record (slower, for debugging).  The outcome is identical in
-        either mode.
+        either mode.  The fast kernel keeps SEND/DELIVER/DROP as counts
+        only, so retaining any of them needs ``kernel="legacy"``.
     source_plan:
         Which nodes hold the asset (:class:`~repro.app.dynamics.SourcePlan`);
         ``None`` means the paper's single static source, the topology's
@@ -192,16 +187,16 @@ def run_operational_phase(
         Perturbing the sink or a source-pool node is rejected.
     kernel:
         One of two engines: ``"fast"`` (the flat slot timeline driving
-        block-drawn periods, the default) or
-        ``"legacy"`` (the event-heap TDMA driver — the oracle, and the
-        fallback).  They are bit-identical — same results, same RNG
-        stream, same trace — so the choice is a performance/bisection
-        knob, not a semantic one.  ``None`` means
-        :data:`DEFAULT_KERNEL`.  A ``"fast"`` run the fast kernel cannot
-        take runs on the legacy engine: frames whose slot is shorter
-        than the propagation delay, and runs it cannot lay out
-        (retained SEND/DELIVER/DROP traces, same-slot audible senders; see
-        :func:`~repro.app.fast_kernel.fast_lane_compilable`).
+        block-drawn periods, the default) or ``"legacy"`` (the
+        event-heap TDMA driver, the oracle).  They are bit-identical —
+        same results, same RNG stream, same trace — so the choice is a
+        performance/bisection knob, not a semantic one.  ``None`` means
+        :data:`DEFAULT_KERNEL`.  The run takes exactly the engine
+        asked for: an input the fast kernel cannot run exactly (a slot
+        not longer than the propagation delay, retained
+        SEND/DELIVER/DROP records, audible senders sharing a slot)
+        raises :class:`~repro.errors.ConfigurationError` naming the
+        limit, before the first period.
     trace_out:
         Optional list the run's :class:`~repro.simulator.TraceRecorder`
         is appended to, for tests and tooling that need the trace of a
@@ -265,25 +260,20 @@ def run_operational_phase(
     sim.radio.attach_eavesdropper(agent)
     steps = lower_perturbations(perturbations, periods_budget) if perturbations else ()
 
-    use_fast = resolved_kernel == FAST_KERNEL and fast_kernel_supported(
-        frame, sim.radio.propagation_delay
-    )
-    if use_fast:
-        slots = compressed.slots()
-        del slots[topology.sink]  # the sink never transmits
-        timeline = build_slot_timeline(frame, slots)
-        use_fast = fast_lane_compilable(sim, timeline)
     tracer = active_tracer()
     phase_span = None
     if tracer is not None:
         phase_span = tracer.begin(
             "operational.phase",
             kernel=resolved_kernel,
-            fast=use_fast,
+            fast=resolved_kernel == FAST_KERNEL,
             seed=seed,
         )
     try:
-        if use_fast:
+        if resolved_kernel == FAST_KERNEL:
+            slots = compressed.slots()
+            del slots[topology.sink]  # the sink never transmits
+            timeline = build_slot_timeline(frame, slots)
             current_period, collected = run_fast_kernel(
                 sim,
                 frame,

@@ -19,7 +19,6 @@ _EXPORTS = {
         "centralized_das_schedule",
     ),
     "fast_setup": (
-        "fast_setup_supported",
         "run_fast_setup",
     ),
     "kernels": (

@@ -65,9 +65,11 @@ Two details make bit-identity subtle enough to deserve a note:
   does.  Everything order-insensitive runs on the masks.
 * *Timing gate.*  The flat round loop assumes every transmission and
   every delivery (including search/change forward chains) lands
-  strictly before the next round boundary; :func:`fast_setup_supported`
-  checks the worst case statically and the harness falls back to the
-  legacy engine otherwise (e.g. ``jitter_fraction == 1.0``).
+  strictly before the next round boundary; :func:`run_fast_setup`
+  checks the worst case statically before its first round and refuses
+  a geometry that breaks it (e.g. ``jitter_fraction == 1.0``) with a
+  :class:`~repro.errors.ConfigurationError` naming the legacy engine,
+  which runs it when asked for (``setup_kernel="legacy"``).
 
 Rounds are *incremental*: work whose inputs did not change since the
 last round is skipped, and the skips are exact.  One per-node version
@@ -118,7 +120,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ProtocolError
+from ..errors import ConfigurationError, ProtocolError
 from ..simulator import PHASE, SLOT_ASSIGNED, SLOT_CHANGED, Simulator
 from ..simulator import trace as trace_kinds
 from ..telemetry import active_tracer
@@ -128,9 +130,8 @@ def search_ttl(search_distance: int) -> int:
     """The Phase 2 search's hop budget for a given ``SD``.
 
     Shared by the legacy ``startS`` action, the kernel's in-loop copy
-    and the :func:`fast_setup_supported` timing gate — the gate's
-    worst-case chain length must track the actual TTL, so all three
-    sites read one formula.
+    and the kernel's timing gate — the gate's worst-case chain length
+    must track the actual TTL, so all three sites read one formula.
     """
     return 8 * search_distance + 32
 
@@ -144,32 +145,6 @@ def unassigned_decoy_error(node: NodeId) -> ProtocolError:
         f"Phase 3 would recruit node {node} as a decoy, but Phase 1 left "
         "it without a slot (setup_periods too short for this topology)"
     )
-
-
-def fast_setup_supported(
-    config,
-    propagation_delay: float,
-    search_distance: Optional[int] = None,
-    change_length: Optional[int] = None,
-) -> bool:
-    """Whether the flat round loop preserves legacy event order.
-
-    The kernel drains a round's deliveries before the next boundary, so
-    it matches the heap only while the latest possible delivery —
-    ``jitter_fraction × P`` plus the longest broadcast chain — lands
-    strictly before ``P``.  Plain DAS chains are one hop (a delivery
-    never spawns a broadcast); the SLP search/refinement phases chain up
-    to ``ttl + 1`` search hops plus ``change_length`` change hops, all
-    ``propagation_delay`` apart.  Every realistic configuration passes
-    (0.4 s of jitter and a few ms of chain against a 0.5 s round);
-    degenerate ones (``jitter_fraction == 1.0``) fall back.
-    """
-    period = config.dissemination_period
-    chain_hops = 1
-    if search_distance is not None:
-        chain_hops += search_ttl(search_distance) + 2 + (change_length or 0)
-    latest = config.jitter_fraction * period + chain_hops * propagation_delay
-    return latest < period
 
 
 class FastSetupState:
@@ -266,15 +241,35 @@ def run_fast_setup(
     contract; may raise :class:`~repro.errors.ProtocolError` exactly
     where the legacy engine would (the sink's ``startS`` guard, the
     refinement min-slot guard).
+
+    The loop drains a round's deliveries before the next boundary, so
+    the latest possible delivery — ``jitter_fraction × P`` plus the
+    longest chain of ``propagation_delay`` hops (one for DAS; for SLP
+    ``ttl + 1`` search hops plus ``change_length`` change hops) — must
+    land before ``P``.  A geometry past that raises
+    :class:`~repro.errors.ConfigurationError` before the first round.
     """
+    radio = sim.radio
+    delay = radio.propagation_delay
+    period = config.dissemination_period
+    chain_hops = 1
+    if search_distance is not None:
+        chain_hops += search_ttl(search_distance) + 2 + (change_length or 0)
+    latest = config.jitter_fraction * period + chain_hops * delay
+    if latest >= period:
+        raise ConfigurationError(
+            f"the fast setup kernel cannot run this: jitter_fraction "
+            f"{config.jitter_fraction} of the {period} s round plus a "
+            f"{chain_hops}-hop chain of {delay} s hops reaches {latest} s, "
+            "not inside the round; request the legacy engine "
+            "(setup_kernel='legacy', --legacy-setup-kernel) to run it"
+        )
     state = FastSetupState(topology)
     rng = sim.rng
     trace = sim.trace
     record = trace.record
-    radio = sim.radio
     radio.reset()  # the legacy path resets via _start_processes
     noise = radio.noise
-    delay = radio.propagation_delay
 
     order = state.order
     index = state.index

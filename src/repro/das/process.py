@@ -21,8 +21,8 @@ The processes learn everything from messages; the only global inputs
 are the constants of Table I.  The default setup engine
 (:mod:`repro.das.fast_setup`) runs the same protocol on flat arrays and
 builds no process at all, so this module, the wire messages and the
-event heap load only when a run picks the legacy engine
-(``setup_kernel="legacy"``, the oracle) or injects a ``process_factory``.
+event heap load only when a run asks for the legacy engine
+(``setup_kernel="legacy"``, the oracle).
 """
 
 from __future__ import annotations

@@ -10,13 +10,13 @@ actions out).  The only global inputs are the constants of Table I.
 Two engines run it, bit-identically: the flat-round kernel of
 :mod:`repro.das.fast_setup` (the default), whose result is read straight
 off its arrays, and the event-heap process engine of
-:mod:`repro.das.process`, which this module imports only when a run
-picks it.
+:mod:`repro.das.process` (the oracle), which this module imports only
+when a run asks for it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..core import Schedule
 from ..errors import ProtocolError
@@ -30,11 +30,8 @@ from ..simulator import (
     SLOT_CHANGED,
 )
 from ..topology import NodeId, Topology
-from .fast_setup import fast_setup_supported, run_fast_setup
+from .fast_setup import run_fast_setup
 from .kernels import resolve_setup_kernel
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .process import DasNodeProcess
 
 
 class DasProtocolConfig(Record):
@@ -130,7 +127,6 @@ def run_das_setup(
     config: Optional[DasProtocolConfig] = None,
     seed: Optional[int] = None,
     noise: Optional[NoiseModel] = None,
-    process_factory: Optional[Callable[..., DasNodeProcess]] = None,
     setup_kernel: Optional[str] = None,
 ) -> DasSetupResult:
     """Run distributed Phase 1 on ``topology`` and extract the schedule.
@@ -141,12 +137,12 @@ def run_das_setup(
 
     ``setup_kernel`` picks the engine: ``"fast"`` (the flat-round setup
     kernel of :mod:`repro.das.fast_setup`, the default) or ``"legacy"``
-    (the event-heap process engine).  Both are bit-identical — same RNG
-    stream, same schedule, same traces — so the knob exists for
-    bisection.  A ``process_factory`` (harnesses inject
-    :class:`~repro.das.process.DasNodeProcess` subclasses with it), or a
-    round geometry in which the kernel cannot preserve heap event order,
-    runs the process engine whatever the choice.
+    (the event-heap process engine, the oracle).  Both are bit-identical
+    — same RNG stream, same schedule, same traces — so the knob exists
+    for bisection, and the run takes exactly the engine asked for.  A
+    round geometry in which the fast kernel cannot preserve heap event
+    order raises :class:`~repro.errors.ConfigurationError` before the
+    first round (see :func:`~repro.das.fast_setup.run_fast_setup`).
     """
     cfg = config if config is not None else DasProtocolConfig()
     kernel = resolve_setup_kernel(setup_kernel, "run_das_setup")
@@ -156,11 +152,7 @@ def run_das_setup(
         seed=seed,
         trace_kinds=frozenset({SLOT_ASSIGNED, SLOT_CHANGED}),
     )
-    if (
-        kernel == "fast"
-        and process_factory is None
-        and fast_setup_supported(cfg, sim.radio.propagation_delay)
-    ):
+    if kernel == "fast":
         state = run_fast_setup(sim, topology, cfg)
         index = state.index
         slots = {n: state.slot[index[n]] for n in topology.nodes}
@@ -170,7 +162,7 @@ def run_das_setup(
 
         processes = run_process_engine(
             sim,
-            process_factory or DasNodeProcess,
+            DasNodeProcess,
             cfg,
             cfg.setup_periods,
             cfg.dissemination_period,

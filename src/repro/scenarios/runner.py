@@ -186,7 +186,7 @@ class ScenarioRunner:
         amortise dispatch).
     kernel:
         Operational engine override: ``"fast"`` (the table lane),
-        ``"legacy"`` (the oracle and fallback) or ``None`` for the
+        ``"legacy"`` (the oracle) or ``None`` for the
         engine default; bit-identical whichever is chosen.
     setup_kernel:
         Setup-phase engine override for scenarios whose schedules come

@@ -16,15 +16,15 @@ dissemination rounds):
 The default engine is the flat-round kernel of
 :mod:`repro.das.fast_setup`, whose result is read straight off its
 arrays; the event-heap node process of :mod:`repro.slp.process` is the
-legacy oracle, imported only when a run picks it.
+legacy oracle, imported only when a run asks for it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Optional
 
 from ..core import Schedule
-from ..das.fast_setup import fast_setup_supported, run_fast_setup
+from ..das.fast_setup import run_fast_setup
 from ..das.kernels import resolve_setup_kernel
 from ..das.protocol import DasProtocolConfig, setup_schedule
 from ..errors import ProtocolError
@@ -39,9 +39,6 @@ from ..simulator import (
     Simulator,
 )
 from ..topology import NodeId, Topology
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .process import SlpNodeProcess
 
 
 class SlpProtocolConfig(Record):
@@ -119,7 +116,6 @@ def run_slp_setup(
     config: Optional[SlpProtocolConfig] = None,
     seed: Optional[int] = None,
     noise: Optional[NoiseModel] = None,
-    process_factory: Optional[Callable[..., SlpNodeProcess]] = None,
     setup_kernel: Optional[str] = None,
 ) -> SlpSetupResult:
     """Run the complete 3-phase distributed SLP DAS protocol.
@@ -130,9 +126,9 @@ def run_slp_setup(
     ``setup_kernel`` selects the engine exactly as in
     :func:`~repro.das.run_das_setup`: ``"fast"`` (the flat-round setup
     kernel, the default) or ``"legacy"`` (the event-heap process
-    engine), bit-identical either way.  A ``process_factory`` — and a
-    search/refinement chain geometry the kernel cannot prove safe — runs
-    the process engine whatever the choice.
+    engine, the oracle), bit-identical either way.  A search/refinement
+    chain geometry the fast kernel cannot prove safe raises
+    :class:`~repro.errors.ConfigurationError` before the first round.
     """
     if config is None:
         sd = 3
@@ -149,16 +145,7 @@ def run_slp_setup(
     das = config.das
     total = das.setup_periods + config.refinement_periods
     nodes = topology.nodes
-    if (
-        kernel == "fast"
-        and process_factory is None
-        and fast_setup_supported(
-            das,
-            sim.radio.propagation_delay,
-            search_distance=config.search_distance,
-            change_length=config.change_length,
-        )
-    ):
+    if kernel == "fast":
         state = run_fast_setup(
             sim,
             topology,
@@ -183,7 +170,7 @@ def run_slp_setup(
 
         processes = run_process_engine(
             sim,
-            process_factory or SlpNodeProcess,
+            SlpNodeProcess,
             config,
             total,
             das.dissemination_period,

@@ -4,9 +4,9 @@
 ``NSearch`` actions of Figure 3 and the ``SRefine`` actions of Figure 4,
 inheriting all Phase 1 variables exactly as the paper specifies
 ("the algorithm inherits the variables of the Algorithm in Figure 2").
-Like :mod:`repro.das.process`, it loads only when a run picks the legacy
-setup engine or injects a ``process_factory``; the default engine runs
-the same actions on the fast kernel's arrays.
+Like :mod:`repro.das.process`, it loads only when a run asks for the
+legacy setup engine; the default engine runs the same actions on the
+fast kernel's arrays.
 """
 
 from __future__ import annotations

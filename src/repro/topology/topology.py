@@ -13,16 +13,11 @@ map and adds the queries the scheduling and privacy algorithms need:
 Instances are immutable after construction: the algorithms in this
 library never rewire a network mid-run, and immutability lets expensive
 derived data (BFS distance maps, 2-hop sets) be cached safely.
-
-:mod:`networkx` is not needed to build or query a topology; it is
-imported only when a caller asks for :attr:`Topology.graph` (an export
-for plotting and interop).
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -37,9 +32,6 @@ from typing import (
 
 from ..errors import TopologyError
 from .node import Coordinate, NodeId
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
 
 #: Node -> neighbours, both levels in insertion order (values unused).
 Adjacency = Dict[NodeId, Dict[NodeId, None]]
@@ -216,8 +208,7 @@ class Topology:
     ----------
     graph:
         The undirected communication graph, as any mapping from a node
-        to its neighbours (a :class:`networkx.Graph` is one).  A
-        defensive copy is taken.
+        to its neighbours.  A defensive copy is taken.
     sink:
         The node that collects aggregated data (the base station).
     source:
@@ -272,13 +263,12 @@ class Topology:
         self._repair: Optional[RepairTables] = None
         self._metrics: Optional[TopologyMetrics] = None
         self._neighbour_cache: Dict[NodeId, Tuple[NodeId, ...]] = {}
-        self._nx_graph: Optional["nx.Graph"] = None
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle without the derived caches.
 
         The caches (2-hop sets, the repair tables, neighbour tuples, the
-        array-backed :class:`TopologyMetrics`, the networkx export) are rebuilt
+        array-backed :class:`TopologyMetrics`) are rebuilt
         deterministically on demand, and excluding them matters for more
         than size: pickling a ``frozenset`` does not preserve its internal
         layout, so its *iteration order* can change across a round-trip.
@@ -294,7 +284,6 @@ class Topology:
         state["_repair"] = None
         state["_metrics"] = None
         state["_neighbour_cache"] = {}
-        state["_nx_graph"] = None
         return state
 
     @property
@@ -309,23 +298,6 @@ class Topology:
     # ------------------------------------------------------------------
     # Basic structure
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> "nx.Graph":
-        """A frozen :class:`networkx.Graph` export (built on first use).
-
-        Nodes and neighbour rows iterate in the topology's own order.
-        """
-        graph = self._nx_graph
-        if graph is None:
-            import networkx as nx
-
-            graph = nx.Graph()
-            graph.add_nodes_from(self._adj)
-            graph.add_edges_from((a, b) for a, row in self._adj.items() for b in row)
-            graph = nx.freeze(graph)
-            self._nx_graph = graph
-        return graph
-
     @property
     def name(self) -> str:
         """Human-readable name for reports and plots."""

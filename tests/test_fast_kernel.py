@@ -1,20 +1,26 @@
 """Differential tests for the operational-phase fast kernel.
 
-The contract: there are two engines, and a ``"fast"`` run — on the
-table-driven lane, or sent to the legacy fallback when the lane cannot
-compile it — is *bit-identical* to the legacy event-heap engine: same
-:class:`OperationalResult`, same trace counters, same retained records,
-same RNG consumption, for every workload the repository can express.
-Every registered scenario is driven through both kernels here; the
-serial/parallel identity of the fast kernel is additionally covered by
+The contract: there are two engines, a run takes exactly the one it
+asks for, and a ``"fast"`` run is *bit-identical* to the legacy
+event-heap engine: same :class:`OperationalResult`, same trace counters,
+same retained records, same RNG consumption, for every workload the
+repository can express.  The inputs the fast kernel cannot run exactly
+are refused with a :class:`ConfigurationError` naming the limit and the
+legacy request.  Every registered scenario is driven through both
+kernels here, and so are generated networks; the serial/parallel
+identity of the fast kernel is additionally covered by
 ``tests/test_scenarios.py`` (the fast kernel is the default, so those
 sweeps already exercise it).
 """
 
 from __future__ import annotations
 
+import math
 
 import pytest
+from differential import differential_settings, unit_disk_topologies
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.app import (
     FAST_KERNEL,
@@ -24,8 +30,6 @@ from repro.app import (
     NodeSleep,
     SourcePlan,
     build_slot_timeline,
-    fast_kernel_supported,
-    fast_lane_compilable,
     run_operational_phase,
 )
 from repro.das import centralized_das_schedule
@@ -33,7 +37,15 @@ from repro.errors import ConfigurationError
 from repro.experiments import ExperimentRunner
 from repro.mac import TdmaFrame
 from repro.scenarios import ScenarioRunner, get_scenario, scenario_names
-from repro.simulator import CasinoLabNoise
+from repro.simulator import BernoulliNoise, CasinoLabNoise, IdealNoise
+from repro.simulator import trace as kinds
+
+#: The refusal's pointer to the engine that runs what the fast kernel
+#: refuses.
+LEGACY_REQUEST = "kernel='legacy', --legacy-kernel"
+
+#: The radio's propagation delay (``RadioMedium``'s default).
+DELAY = 1e-4
 
 #: Seeds per scenario for the differential sweep (kept small: the suite
 #: runs every registered scenario through both kernels).
@@ -110,18 +122,22 @@ class TestKernelEquivalence:
             _assert_identical(outcomes, traces)
 
     def test_full_trace_records_are_identical(self, grid7):
-        """With every kind retained, the record streams match too (the
-        fast lane declines retained per-message traces, so the fast
-        request runs on the legacy fallback)."""
+        """With every kind retained that the fast kernel keeps as
+        records (all but SEND/DELIVER/DROP, which it only counts), the
+        record streams match too."""
         schedule = centralized_das_schedule(grid7, seed=3)
         outcomes, traces = _run_all(
             grid7,
             schedule,
             seed=3,
             noise=CasinoLabNoise(),
-            trace_kinds=None,
+            trace_kinds=frozenset(
+                {kinds.PERIOD_START, kinds.ATTACKER_HEAR, kinds.ATTACKER_MOVE,
+                 kinds.CAPTURE}
+            ),
         )
         _assert_identical(outcomes, traces)
+        assert traces[0].count(kinds.PERIOD_START) > 0
         for trace in traces[1:]:
             assert trace.records == traces[0].records
 
@@ -351,42 +367,26 @@ class TestFastLaneDynamics:
         assert moved > 0  # the inline Decide really fired
 
 
-class TestFastLaneCompilability:
-    def _setup(self, topology, schedule, **kwargs):
-        """A simulator + agent + slot timeline mirroring the runtime
-        wiring, for direct compile-gate checks."""
-        from repro.app.dynamics import SourceTracker
-        from repro.attacker import EavesdropperAgent, paper_attacker
-        from repro.simulator import Simulator
+class TestRefusals:
+    """An input the fast kernel cannot run exactly is refused before the
+    first period, naming its limit and the legacy request; the legacy
+    engine runs the same input when asked for."""
 
-        compressed = schedule.compressed()
-        sim = Simulator(topology, seed=0, trace_kinds=kwargs.get("trace_kinds"))
-        tracker = SourceTracker(SourcePlan.single(topology.source))
-        agent = EavesdropperAgent(
-            sim,
-            paper_attacker(),
-            start=topology.sink,
-            source=topology.source,
-            slot_lookup=compressed.slot_of,
-            capture_test=tracker.is_source,
+    def test_retained_message_trace_is_refused(self, grid5, grid5_schedule):
+        with pytest.raises(ConfigurationError, match="SEND/DELIVER/DROP") as exc:
+            run_operational_phase(
+                grid5, grid5_schedule, seed=0, kernel=FAST_KERNEL, trace_kinds=None
+            )
+        assert LEGACY_REQUEST in str(exc.value)
+        for kind in (kinds.SEND, kinds.DELIVER, kinds.DROP):
+            with pytest.raises(ConfigurationError, match="SEND/DELIVER/DROP"):
+                run_operational_phase(
+                    grid5, grid5_schedule, seed=0, trace_kinds=frozenset({kind})
+                )
+        legacy = run_operational_phase(
+            grid5, grid5_schedule, seed=0, kernel=LEGACY_KERNEL, trace_kinds=None
         )
-        sim.radio.attach_eavesdropper(agent)
-        slots = compressed.slots()
-        del slots[topology.sink]
-        timeline = build_slot_timeline(TdmaFrame(), slots)
-        return sim, timeline
-
-    def test_standard_run_is_compilable(self, grid5, grid5_schedule):
-        from repro.app import OPERATIONAL_TRACE_KINDS
-
-        sim, timeline = self._setup(
-            grid5, grid5_schedule, trace_kinds=OPERATIONAL_TRACE_KINDS
-        )
-        assert fast_lane_compilable(sim, timeline)
-
-    def test_retained_message_trace_is_not_compilable(self, grid5, grid5_schedule):
-        sim, timeline = self._setup(grid5, grid5_schedule, trace_kinds=None)
-        assert not fast_lane_compilable(sim, timeline)
+        assert legacy == run_operational_phase(grid5, grid5_schedule, seed=0)
 
     def test_fast_run_builds_no_process_objects(
         self, grid5, grid5_schedule, monkeypatch
@@ -408,13 +408,11 @@ class TestFastLaneCompilability:
                 grid5, grid5_schedule, seed=0, kernel=LEGACY_KERNEL
             )
 
-    def test_audible_slot_sharing_is_not_compilable(self, grid5, grid5_schedule):
+    def test_audible_slot_sharing_is_refused(self, grid5, grid5_schedule):
         """Two adjacent senders in one slot group (impossible under
-        Def. 1, but expressible via a hand-built schedule) must force
-        the legacy fallback: live-set delivery would skip the emit-time
-        snapshot the legacy semantics require."""
-        from repro.app import OPERATIONAL_TRACE_KINDS
-
+        Def. 1, but expressible via a hand-built schedule): folding the
+        group's aggregation after the fact would miss what one hears
+        from the other, so the fast kernel refuses the schedule."""
         slots = grid5_schedule.slots()
         a = grid5.sink
         neighbours = [n for n in grid5.neighbours(a) if n != grid5.sink]
@@ -422,16 +420,16 @@ class TestFastLaneCompilability:
         n2 = [m for m in grid5.neighbours(n1) if m not in (a, grid5.sink)][0]
         slots[n2] = slots[n1]  # adjacent nodes, same slot
         shared = grid5_schedule.with_slots(slots)
-        sim, timeline = self._setup(
-            grid5, shared, trace_kinds=OPERATIONAL_TRACE_KINDS
-        )
-        assert not fast_lane_compilable(sim, timeline)
+        with pytest.raises(ConfigurationError, match="hear each other") as exc:
+            run_operational_phase(grid5, shared, seed=1, kernel=FAST_KERNEL)
+        assert LEGACY_REQUEST in str(exc.value)
+        assert f"{min(n1, n2)!r} and {max(n1, n2)!r}" in str(exc.value)
+        legacy = run_operational_phase(grid5, shared, seed=1, kernel=LEGACY_KERNEL)
+        assert legacy.periods_run > 0
 
     @pytest.mark.parametrize("name", sorted(scenario_names()))
     def test_default_run_uses_the_table_lane(self, name, monkeypatch):
-        """Every registered scenario's default run engages the lane: a
-        silent drop to the legacy fallback would cost several times
-        the operational phase's run time."""
+        """Every registered scenario's default run engages the lane."""
         import repro.app.runtime as runtime
 
         calls = []
@@ -448,27 +446,28 @@ class TestFastLaneCompilability:
         ExperimentRunner(topology).run_once(config, config.base_seed)
         assert calls
 
-    def test_non_compilable_run_goes_to_the_legacy_engine(self, grid7):
-        """A fast request the lane cannot compile (retained per-message
-        trace) runs on the legacy engine — the phase span says so — and
-        returns the legacy result."""
+    def test_phase_span_reports_the_requested_engine(self, grid7):
+        """The ``operational.phase`` span's ``fast`` attribute is the
+        request, also on a request the fast kernel refuses."""
         from repro.telemetry import TelemetrySession
 
         schedule = centralized_das_schedule(grid7, seed=3)
         with TelemetrySession(directory=None) as session:
-            fast = run_operational_phase(
-                grid7, schedule, seed=3, kernel=FAST_KERNEL, trace_kinds=None
-            )
+            for kernel in (FAST_KERNEL, LEGACY_KERNEL, None):
+                run_operational_phase(grid7, schedule, seed=3, kernel=kernel)
+            with pytest.raises(ConfigurationError):
+                run_operational_phase(
+                    grid7, schedule, seed=3, kernel=FAST_KERNEL, trace_kinds=None
+                )
         phases = [
             span
             for span in session.tracer.spans()
             if span.name == "operational.phase"
         ]
-        assert [span.attrs["fast"] for span in phases] == [False]
-        legacy = run_operational_phase(
-            grid7, schedule, seed=3, kernel=LEGACY_KERNEL, trace_kinds=None
-        )
-        assert fast == legacy
+        assert [span.attrs["fast"] for span in phases] == [True, False, True, True]
+        assert [span.attrs["kernel"] for span in phases] == [
+            FAST_KERNEL, LEGACY_KERNEL, FAST_KERNEL, FAST_KERNEL,
+        ]
 
 
 class TestKernelSelection:
@@ -476,21 +475,22 @@ class TestKernelSelection:
         with pytest.raises(ConfigurationError, match="kernel"):
             run_operational_phase(grid5, grid5_schedule, seed=0, kernel="warp")
 
-    def test_unsupported_frame_falls_back_to_legacy(self, grid5, grid5_schedule):
-        """A slot shorter than the propagation delay forces the legacy
-        engine; the outcome still matches an explicit legacy run."""
-        frame = TdmaFrame(num_slots=200, slot_duration=5e-5)
-        assert not fast_kernel_supported(frame, 1e-4)
+    @pytest.mark.parametrize("slot", [5e-5, DELAY])
+    def test_slot_not_longer_than_the_delay_is_refused(
+        self, grid5, grid5_schedule, slot
+    ):
+        """A delivery would land at or after the next slot's start, so
+        the fast kernel refuses the frame; the legacy engine runs it."""
+        frame = TdmaFrame(num_slots=200, slot_duration=slot)
+        with pytest.raises(ConfigurationError, match="propagation delay") as exc:
+            run_operational_phase(
+                grid5, grid5_schedule, seed=1, frame=frame, kernel=FAST_KERNEL
+            )
+        assert LEGACY_REQUEST in str(exc.value)
         legacy = run_operational_phase(
             grid5, grid5_schedule, seed=1, frame=frame, kernel=LEGACY_KERNEL
         )
-        fast = run_operational_phase(
-            grid5, grid5_schedule, seed=1, frame=frame, kernel=FAST_KERNEL
-        )
-        assert fast == legacy
-
-    def test_supported_for_paper_frame(self):
-        assert fast_kernel_supported(TdmaFrame(), 1e-4)
+        assert legacy.periods_run > 0
 
     def test_non_default_frame_timestamps_stay_bit_identical(self, grid7):
         """Float addition is not associative: a frame whose slot times
@@ -532,3 +532,184 @@ class TestSlotTimeline:
             assert grid5.sink not in senders
             seen.update(senders)
         assert seen == set(grid5.nodes) - {grid5.sink}
+
+
+# ----------------------------------------------------------------------
+# Generated differential: fast == legacy on generated networks.
+# ----------------------------------------------------------------------
+#: Noise models as ``(name, parameters)``, built fresh for each engine.
+NOISE_CASES = st.one_of(
+    st.just(("ideal", {})),
+    st.tuples(
+        st.just("bernoulli"),
+        st.fixed_dictionaries({"loss_probability": st.floats(0.0, 0.6)}),
+    ),
+    st.tuples(
+        st.just("casino"),
+        st.fixed_dictionaries(
+            {
+                "good_loss": st.floats(0.0, 0.3),
+                "bad_loss": st.floats(0.0, 0.9),
+                "p_good_to_bad": st.floats(0.01, 1.0),
+                "p_bad_to_good": st.floats(0.01, 1.0),
+            }
+        ),
+    ),
+)
+
+NOISE_MODELS = {
+    "ideal": IdealNoise,
+    "bernoulli": BernoulliNoise,
+    "casino": CasinoLabNoise,
+}
+
+
+def perturbation_lists(topology):
+    """Up to three deaths, sleeps and duty cycles of nodes that are
+    neither the sink nor the source."""
+    free = sorted(set(topology.nodes) - {topology.sink, topology.source})
+    if not free:
+        return st.just(())
+    nodes = st.lists(st.sampled_from(free), min_size=1, max_size=3, unique=True)
+    one = st.one_of(
+        st.builds(NodeDeath, period=st.integers(0, 6), nodes=nodes),
+        st.integers(0, 5).flatmap(
+            lambda start: st.builds(
+                NodeSleep,
+                period=st.just(start),
+                wake_period=st.integers(start + 1, start + 4),
+                nodes=nodes,
+            )
+        ),
+        st.integers(2, 4).flatmap(
+            lambda cycle: st.builds(
+                DutyCycle,
+                nodes=nodes,
+                cycle_length=st.just(cycle),
+                sleep_for=st.integers(1, cycle - 1),
+                offset=st.integers(0, 3),
+            )
+        ),
+    )
+    return st.lists(one, max_size=3).map(tuple)
+
+
+def _generated_runs(topology, schedule_seed, noise, seed, reparent=(), **kwargs):
+    """Both engines on one generated case: ``(outcomes, traces)``, or
+    the fast request's refusal in place of its outcome.  Each
+    ``reparent`` pair ``(i, j)`` moves the ``i``-th non-sink node's
+    parent to its ``j``-th neighbour (modulo the counts), so a sink
+    neighbour can send to another parent while the sink overhears it."""
+    from repro.core import Schedule
+
+    name, params = noise
+    schedule = centralized_das_schedule(topology, seed=schedule_seed)
+    if reparent:
+        parents = schedule.parents()
+        movable = [n for n in topology.nodes if n != topology.sink]
+        for i, j in reparent:
+            node = movable[i % len(movable)]
+            row = topology.neighbours(node)
+            parents[node] = row[j % len(row)]
+        schedule = Schedule(schedule.slots(), parents, topology.sink)
+    outcomes, traces = [], []
+    for kernel in ALL_KERNELS:
+        out: list = []
+        try:
+            outcome = run_operational_phase(
+                topology,
+                schedule,
+                seed=seed,
+                noise=NOISE_MODELS[name](**params),
+                kernel=kernel,
+                trace_out=out,
+                **kwargs,
+            )
+        except ConfigurationError as exc:
+            if kernel == LEGACY_KERNEL:
+                raise
+            outcome = exc
+        outcomes.append(outcome)
+        traces.append(out[0] if out else None)
+    return outcomes, traces
+
+
+class TestGeneratedDifferential:
+    """Fast equals legacy on generated unit-disk networks, schedules
+    (reparented too), noise models, attackers, perturbations and seeds:
+    the :class:`OperationalResult` and the SEND/DELIVER/DROP/ATTACKER_HEAR
+    counters."""
+
+    @given(
+        topology=unit_disk_topologies(),
+        data=st.data(),
+        noise=NOISE_CASES,
+        r=st.integers(1, 3),
+        m=st.integers(1, 3),
+        max_periods=st.one_of(st.none(), st.integers(1, 10)),
+        schedule_seed=st.integers(0, 2**16),
+        reparent=st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=3
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @differential_settings(max_examples=200)
+    def test_fast_matches_legacy(
+        self, topology, data, noise, r, m, max_periods, schedule_seed, reparent,
+        seed,
+    ):
+        from repro.attacker import AttackerSpec
+
+        perturbations = data.draw(perturbation_lists(topology), "perturbations")
+        outcomes, traces = _generated_runs(
+            topology,
+            schedule_seed,
+            noise,
+            seed,
+            reparent=reparent,
+            attacker=AttackerSpec(messages_per_move=r, moves_per_period=m),
+            perturbations=perturbations,
+            max_periods=max_periods,
+        )
+        _assert_identical(outcomes, traces)
+        for kind in (kinds.SEND, kinds.DELIVER, kinds.DROP, kinds.ATTACKER_HEAR):
+            assert traces[1].count(kind) == traces[0].count(kind), kind
+
+    @given(
+        topology=unit_disk_topologies(),
+        slot=st.sampled_from(
+            (
+                DELAY / 2,
+                math.nextafter(DELAY, 0.0),
+                DELAY,
+                math.nextafter(DELAY, 1.0),
+                DELAY * (1 + 1e-9),
+                DELAY * 1.5,
+                DELAY * 2,
+            )
+        ),
+        noise=NOISE_CASES,
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @differential_settings(max_examples=60)
+    def test_slot_boundary_matches_legacy_or_is_refused(
+        self, topology, slot, noise, seed
+    ):
+        """Slots around the propagation delay: the fast kernel equals
+        the legacy engine, or refuses the frame with the documented
+        error — always for a slot not longer than the delay, never for
+        one half as long again.  (One ulp above the delay is refused:
+        the heap's rounded timestamps can tie a delivery with the next
+        slot's start.)"""
+        frame = TdmaFrame(slot_duration=slot)
+        outcomes, traces = _generated_runs(
+            topology, seed % 97, noise, seed, frame=frame, max_periods=6
+        )
+        refusal = outcomes[1]
+        if isinstance(refusal, ConfigurationError):
+            assert slot < DELAY * 1.5
+            assert "propagation delay" in str(refusal)
+            assert LEGACY_REQUEST in str(refusal)
+        else:
+            assert slot > DELAY
+            _assert_identical(outcomes, traces)

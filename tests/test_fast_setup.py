@@ -5,8 +5,9 @@ setup kernel (:mod:`repro.das.fast_setup`, the default) are
 *bit-identical* to the legacy event-heap engine — same RNG stream, same
 ``Schedule``, same retained trace records and per-kind counters, same
 ``messages_sent``, same final process state — across topologies, noise
-models and seeds, and the kernel falls back to the heap automatically
-for protocol subclasses and round geometries it cannot prove safe.
+models and seeds.  A run takes exactly the engine it asks for: a round
+geometry the kernel cannot prove safe is refused with a
+``ConfigurationError`` that names the legacy request.
 """
 
 from __future__ import annotations
@@ -15,17 +16,12 @@ import math
 import random
 
 import pytest
-from differential import differential_settings
+from differential import differential_settings, unit_disk_topologies
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro.das.fast_setup as fs
-from repro.das import (
-    DasNodeProcess,
-    DasProtocolConfig,
-    fast_setup_supported,
-    run_das_setup,
-)
+from repro.das import DasNodeProcess, DasProtocolConfig, run_das_setup
 from repro.das.messages import NodeInfo
 from repro.errors import ConfigurationError, ProtocolError
 from repro.experiments import PAPER
@@ -40,6 +36,10 @@ from repro.topology import (
     paper_grid,
     random_geometric_topology,
 )
+
+#: The setup refusal's pointer to the engine that runs what the fast
+#: kernel refuses.
+SETUP_LEGACY_REQUEST = "setup_kernel='legacy', --legacy-setup-kernel"
 
 #: Seeds per (topology, noise) cell.  The issue's floor is 10.
 SEEDS = range(10)
@@ -304,49 +304,6 @@ class TestFullLengthDifferential:
             _assert_identical(setup_engines, fast, legacy)
 
 
-@st.composite
-def unit_disk_topologies(draw):
-    """A small connected unit-disk network with its sink and source.
-
-    Each node has a position and its own radio range; two nodes are
-    linked when ``distance <= min(src.radio_range, dst.radio_range)``.
-    The network is the sink's connected component, and the source is
-    any other node of it.
-    """
-    nodes = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, 8), st.integers(0, 8), st.sampled_from((1.5, 2.5, 3.5))
-            ),
-            min_size=3,
-            max_size=16,
-            unique_by=lambda node: node[:2],
-        )
-    )
-    sink = draw(st.integers(0, len(nodes) - 1))
-    links = {
-        (a, b)
-        for a in range(len(nodes))
-        for b in range(a + 1, len(nodes))
-        if math.dist(nodes[a][:2], nodes[b][:2]) <= min(nodes[a][2], nodes[b][2])
-    }
-    reached, frontier = {sink}, [sink]
-    while frontier:
-        frontier = [
-            m
-            for n in frontier
-            for m in range(len(nodes))
-            if m not in reached and ((n, m) in links or (m, n) in links)
-        ]
-        reached.update(frontier)
-    others = sorted(reached - {sink})
-    if not others:
-        return draw(st.nothing())  # an isolated sink is no network
-    source = draw(st.sampled_from(others))
-    edges = sorted((a, b) for a, b in links if a in reached)
-    return Topology.from_edges(edges, sink=sink, source=source)
-
-
 GENERATED_NOISES = {
     "ideal": IdealNoise,
     "bernoulli": lambda: BernoulliNoise(0.2),
@@ -438,6 +395,65 @@ class TestGeneratedDifferential:
                 "phase1_unassigned",
             ):
                 assert getattr(fast, name) == getattr(legacy, name), name
+
+
+    @given(
+        topology=unit_disk_topologies(),
+        noise_name=st.sampled_from(sorted(GENERATED_NOISES)),
+        search_distance=st.one_of(st.none(), st.integers(1, 3)),
+        step=st.sampled_from((-1e-3, -1e-9, -1, 0, 1, 1e-9, 1e-3, None)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @differential_settings(max_examples=40)
+    def test_jitter_boundary_matches_legacy_or_is_refused(
+        self, setup_engines, topology, noise_name, search_distance, step, seed
+    ):
+        """Jitter around the round's limit — ``jitter_fraction × P``
+        plus the longest chain of ``propagation_delay`` hops reaching
+        ``P`` — one ulp or a relative step either side of it, or the
+        maximum 1.0: the fast kernel equals the legacy engine, or
+        refuses the round geometry with the documented error."""
+        setup_engines.clear()
+        period, delay = 0.5, 1e-4
+        hops = 1
+        if search_distance is not None:
+            change_length = max(1, topology.source_sink_distance() - search_distance)
+            hops += fs.search_ttl(search_distance) + 2 + change_length
+        limit = 1 - hops * delay / period
+        if step is None:
+            jitter = 1.0
+        elif step in (-1, 0, 1):
+            jitter = limit
+            for _ in range(abs(step)):
+                jitter = math.nextafter(jitter, step)
+        else:
+            jitter = min(1.0, limit * (1 + step))
+        das = DasProtocolConfig(
+            neighbour_discovery_periods=1, setup_periods=8, jitter_fraction=jitter
+        )
+        if search_distance is None:
+            run, config, attrs = run_das_setup, das, DAS_ATTRS
+        else:
+            config = SlpProtocolConfig(
+                das=das,
+                search_distance=search_distance,
+                change_length=change_length,
+                refinement_periods=3,
+            )
+            run, attrs = run_slp_setup, SLP_ATTRS
+        try:
+            fast = _generated_run(run, topology, config, seed, noise_name, "fast")
+        except ConfigurationError as exc:
+            assert jitter > limit * (1 - 1e-9), (jitter, limit)
+            assert "jitter_fraction" in str(exc)
+            assert SETUP_LEGACY_REQUEST in str(exc)
+            return
+        assert jitter < limit * (1 + 1e-9), (jitter, limit)
+        legacy = _generated_run(run, topology, config, seed, noise_name, "legacy")
+        if isinstance(fast, str) or isinstance(legacy, str):
+            assert fast == legacy
+            return
+        _assert_identical(setup_engines, fast, legacy, attrs=attrs)
 
 
 class _LinkOutage(NoiseModel):
@@ -556,75 +572,46 @@ class TestProtocolErrors:
             run_slp_setup(grid5, seed=0, setup_kernel="warp")
 
 
-class TestFallbackGates:
-    def test_process_factory_runs_the_process_engine(self, grid5, setup_engines):
-        """Any ``process_factory``, even one building the stock class,
-        runs the process engine; the default run builds no process."""
-        factory = run_das_setup(
-            grid5, config=DAS_CFG, seed=3, process_factory=DasNodeProcess
-        )
+class TestEngineRequest:
+    def test_legacy_request_runs_the_process_engine(self, grid5, setup_engines):
+        """``setup_kernel="legacy"`` runs the stock process engine; the
+        default run builds no process."""
+        legacy = run_das_setup(grid5, config=DAS_CFG, seed=3, setup_kernel="legacy")
         default = run_das_setup(grid5, config=DAS_CFG, seed=3)
-        processes = setup_engines[factory.simulator]
+        processes = setup_engines[legacy.simulator]
         assert all(type(p) is DasNodeProcess for p in processes.values())
         assert isinstance(setup_engines[default.simulator], fs.FastSetupState)
         assert default.simulator._processes == {}
-        assert factory.schedule.slots() == default.schedule.slots()
-        assert factory.messages_sent == default.messages_sent
+        assert legacy.schedule.slots() == default.schedule.slots()
+        assert legacy.messages_sent == default.messages_sent
 
-    def test_subclass_falls_back_to_heap_with_identical_results(
-        self, grid5, monkeypatch
-    ):
-        """A process_factory subclass never enters the fast kernel, and
-        the heap run it falls back to equals an explicit legacy run."""
-
-        class CustomProcess(DasNodeProcess):
-            pass
-
-        called = []
-        real = fs.run_fast_setup
-        monkeypatch.setattr(
-            fs, "run_fast_setup", lambda *a, **k: called.append(True) or real(*a, **k)
-        )
-        import repro.das.protocol as protocol
-
-        monkeypatch.setattr(
-            protocol, "run_fast_setup", fs.run_fast_setup, raising=True
-        )
-        fell_back = run_das_setup(
-            grid5,
-            config=DAS_CFG,
-            seed=3,
-            process_factory=CustomProcess,
-            setup_kernel="fast",
-        )
-        assert not called
-        legacy = run_das_setup(
-            grid5, config=DAS_CFG, seed=3, setup_kernel="legacy"
-        )
-        assert fell_back.schedule.slots() == legacy.schedule.slots()
-        assert fell_back.messages_sent == legacy.messages_sent
-
-    def test_degenerate_jitter_is_not_supported(self):
+    def test_degenerate_jitter_is_refused(self, grid5, setup_engines):
         """jitter_fraction == 1.0 lets a broadcast land past the round
-        boundary; the static gate must refuse it."""
-        cfg = DasProtocolConfig(jitter_fraction=1.0)
-        assert not fast_setup_supported(cfg, 1e-4)
-        assert fast_setup_supported(DasProtocolConfig(), 1e-4)
+        boundary: the fast kernel refuses it before its first round,
+        naming the limit and the legacy request, which runs it."""
+        cfg = DasProtocolConfig(setup_periods=24, jitter_fraction=1.0)
+        with pytest.raises(ConfigurationError, match="jitter_fraction 1.0") as exc:
+            run_das_setup(grid5, config=cfg, seed=3, setup_kernel="fast")
+        assert SETUP_LEGACY_REQUEST in str(exc.value)
+        assert not setup_engines  # no round ran
+        legacy = run_das_setup(grid5, config=cfg, seed=3, setup_kernel="legacy")
+        assert legacy.messages_sent > 0
 
-    def test_slp_chain_budget_counts_against_the_round(self):
-        """The SLP search/change chain tightens the timing gate: a huge
-        propagation delay passes the plain-DAS check but not SLP's."""
-        cfg = DasProtocolConfig()  # 0.5 s period, 0.8 jitter
-        delay = 0.05  # one hop fits (0.4 + 0.05 < 0.5) ...
-        assert fast_setup_supported(cfg, delay)
-        # ... but a 40+-hop search chain does not.
-        assert not fast_setup_supported(
-            cfg, delay, search_distance=3, change_length=5
+    def test_slp_chain_budget_counts_against_the_round(self, grid5):
+        """The SLP search/change chain tightens the timing limit: a
+        jitter that leaves room for one hop runs plain DAS on the fast
+        kernel, but a 64-hop search/change chain no longer fits."""
+        das = DasProtocolConfig(setup_periods=24, jitter_fraction=0.99)
+        run_das_setup(grid5, config=das, seed=0, setup_kernel="fast")
+        slp = SlpProtocolConfig(
+            das=das, search_distance=3, change_length=5, refinement_periods=4
         )
+        with pytest.raises(ConfigurationError, match="64-hop chain") as exc:
+            run_slp_setup(grid5, config=slp, seed=0, setup_kernel="fast")
+        assert SETUP_LEGACY_REQUEST in str(exc.value)
 
     def test_default_run_uses_the_fast_kernel(self, grid5, monkeypatch):
-        """The default engages the kernel (not a silent permanent
-        fallback)."""
+        """The default engages the kernel."""
         import repro.das.protocol as protocol
 
         called = []

@@ -11,7 +11,7 @@
   imports is compiled afresh, so each one is paid for on every call.
 * A fast-kernel run loads no legacy engine: the event heap, the
   process objects, their channels and the TDMA driver load only for
-  ``--legacy-kernel`` (the oracle) and its fallbacks.  A protectionless
+  ``--legacy-kernel`` (the oracle).  A protectionless
   run loads no SLP code.  The repro source a cold protectionless call
   compiles stays within a budget.
 * ``import repro.cli`` loads the parser and nothing else; each
@@ -97,7 +97,7 @@ SLP_PATH = ("repro.slp.protocol", "repro.slp.refine", "repro.slp.search")
 
 #: The legacy operational engine: the event heap, the process objects
 #: and their channels, the TDMA driver, and the convergecast processes
-#: it drives.  Only ``--legacy-kernel`` and the fallbacks run it.
+#: it drives.  Only ``--legacy-kernel`` runs it.
 LEGACY_ENGINE = (
     "repro.simulator.event",
     "repro.simulator.event_queue",
@@ -124,8 +124,7 @@ DIGEST = ("hashlib",)
 SETUP_PATH = ("repro.das.fast_setup", "repro.slp.distributed")
 
 #: The legacy setup engine: the node processes, their wire messages and
-#: the event heap they run on.  Only ``--legacy-setup-kernel`` and a
-#: ``process_factory`` run it.
+#: the event heap they run on.  Only ``--legacy-setup-kernel`` runs it.
 LEGACY_SETUP = (
     "repro.das.process",
     "repro.das.messages",

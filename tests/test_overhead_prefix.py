@@ -16,11 +16,7 @@ import gc
 
 import pytest
 
-from repro.das import (
-    DasProtocolConfig,
-    fast_setup_supported,
-    run_das_setup,
-)
+from repro.das import DasProtocolConfig, run_das_setup
 from repro.errors import ConfigurationError, ProtocolError
 from repro.experiments import PAPER, format_overhead, measure_setup_overhead
 from repro.experiments.overhead import _SetupComparison
@@ -110,21 +106,22 @@ class TestPhase1Prefix:
         assert_prefix_matches(setup_engines, topology, das, 0, noise_name, kernel)
 
     @pytest.mark.parametrize("noise_name", sorted(NOISES))
-    def test_jitter_fraction_one_falls_back_to_legacy(
+    def test_jitter_fraction_one_runs_on_the_legacy_request(
         self, noise_name, setup_engines
     ):
         """Broadcasts may land past the round boundary here, so the fast
-        kernel refuses the geometry; the legacy heap run must still cut
-        Phase 1 at the sink's startS."""
+        kernel refuses the geometry; the legacy heap run it names must
+        still cut Phase 1 at the sink's startS."""
         topology = paper_grid(11)
         das = DasProtocolConfig(setup_periods=24, jitter_fraction=1.0)
-        cfg = slp_config(topology, das)
-        assert not fast_setup_supported(
-            das, 1e-4, cfg.search_distance, cfg.change_length
-        )
+        for run, config in (
+            (run_das_setup, das), (run_slp_setup, slp_config(topology, das))
+        ):
+            with pytest.raises(ConfigurationError, match="--legacy-setup-kernel"):
+                run(topology, config, seed=0, setup_kernel="fast")
         for seed in (0, 1, 2):
             assert_prefix_matches(
-                setup_engines, topology, das, seed, noise_name, "fast"
+                setup_engines, topology, das, seed, noise_name, "legacy"
             )
 
 

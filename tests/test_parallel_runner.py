@@ -230,6 +230,7 @@ class TestTraceModeDeterminism:
     """Counting-only tracing must not change a run's outcome."""
 
     def test_counting_only_vs_full_trace(self, grid5, grid5_schedule):
+        """A full trace (every record kept) needs the legacy engine."""
         noise = CasinoLabNoise()
         counting = run_operational_phase(
             grid5, grid5_schedule, seed=3, noise=noise,
@@ -237,12 +238,16 @@ class TestTraceModeDeterminism:
         noise_full = CasinoLabNoise()
         full = run_operational_phase(
             grid5, grid5_schedule, seed=3, noise=noise_full, trace_kinds=None,
+            kernel="legacy",
         )
         assert counting == full
 
     def test_outcome_identical_across_all_trace_modes(self, grid5, grid5_schedule):
         results = [
-            run_operational_phase(grid5, grid5_schedule, seed=7, trace_kinds=kinds)
+            run_operational_phase(
+                grid5, grid5_schedule, seed=7, trace_kinds=kinds,
+                kernel="legacy" if kinds is None else None,
+            )
             for kinds in (frozenset(), None, frozenset({ATTACKER_MOVE, CAPTURE}))
         ]
         assert results[0] == results[1] == results[2]

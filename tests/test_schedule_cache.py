@@ -58,18 +58,18 @@ class TestTopologyFingerprint:
         )
 
     def test_mutating_a_link_invalidates(self, grid5):
-        graph = nx.Graph(grid5.graph)
+        graph = nx.Graph(grid5.edges)
         graph.remove_edge(0, 1)
         mutated = Topology(graph, sink=grid5.sink, source=0, name=grid5.name)
         assert topology_fingerprint(grid5) != topology_fingerprint(mutated)
 
     def test_sink_is_part_of_the_content(self, grid5):
-        moved = Topology(nx.Graph(grid5.graph), sink=0, source=12, name=grid5.name)
+        moved = Topology(nx.Graph(grid5.edges), sink=0, source=12, name=grid5.name)
         assert topology_fingerprint(grid5) != topology_fingerprint(moved)
 
     def test_name_is_not_content(self, grid5):
         renamed = Topology(
-            nx.Graph(grid5.graph), sink=grid5.sink, source=0, name="other"
+            nx.Graph(grid5.edges), sink=grid5.sink, source=0, name="other"
         )
         assert topology_fingerprint(grid5) == topology_fingerprint(renamed)
 
@@ -92,7 +92,7 @@ class TestScheduleKey:
     def test_seed_and_link_mutations_invalidate(self, grid5):
         cfg = ExperimentConfig(repeats=1)
         assert _key(grid5, cfg, 0) != _key(grid5, cfg, 1)
-        graph = nx.Graph(grid5.graph)
+        graph = nx.Graph(grid5.edges)
         graph.remove_edge(0, 1)
         mutated = Topology(graph, sink=grid5.sink, source=0)
         assert _key(grid5, cfg, 0) != _key(mutated, cfg, 0)
@@ -260,7 +260,7 @@ class TestRunnerIntegration:
         cache = ScheduleCache()
         cfg = ExperimentConfig(repeats=1)
         ExperimentRunner(grid5, schedule_cache=cache).build_schedule(cfg, 0)
-        graph = nx.Graph(grid5.graph)
+        graph = nx.Graph(grid5.edges)
         graph.remove_edge(0, 1)
         mutated = Topology(graph, sink=grid5.sink, source=0, name="mutated")
         ExperimentRunner(mutated, schedule_cache=cache).build_schedule(cfg, 0)
