@@ -128,7 +128,6 @@ _EXPORTS = {
         "ExperimentRunner",
         "format_figure5",
         "format_table1",
-        "headline_reduction",
         "measure_setup_overhead",
         "run_figure5",
     ),

@@ -266,7 +266,6 @@ def run_operational_phase(
         phase_span = tracer.begin(
             "operational.phase",
             kernel=resolved_kernel,
-            fast=resolved_kernel == FAST_KERNEL,
             seed=seed,
         )
     try:

@@ -11,9 +11,10 @@ Usage (installed as ``repro-slp-das`` or via ``python -m repro.cli``)::
     repro-slp-das scenario run two-sources --seeds 20 --workers 2
     repro-slp-das scenario compare paper-baseline mobile-source
 
-Every subcommand prints the same rows/series the paper reports, so the
-EXPERIMENTS.md numbers can be re-derived from a shell; the ``scenario``
-family sweeps the declarative workloads of :mod:`repro.scenarios`.
+Every subcommand prints the same rows/series the paper reports, so
+each of the paper's numbers can be re-derived from a shell; the
+``scenario`` family sweeps the declarative workloads of
+:mod:`repro.scenarios`.
 
 This module holds only the dispatch: each subcommand's arguments and
 handler live in a module of :mod:`repro.commands`, and a call builds

@@ -42,9 +42,11 @@ def runner_options(args: argparse.Namespace) -> dict:
     Maps whichever of them the subcommand declares — ``--workers``,
     ``--legacy-kernel``, ``--legacy-setup-kernel``,
     ``--no-schedule-cache`` and the resilience flags — onto the keyword
-    names :func:`run_figure5`, :func:`measure_setup_overhead`,
-    :class:`ScenarioRunner` and the service's job payload share.  ``--no-schedule-cache`` also switches
-    this process's schedule cache off.
+    names of :class:`ScenarioRunner` (``figure5`` and ``scenario
+    run|compare``, through it the service's job payload) and of
+    :func:`measure_setup_overhead` (``overhead``, which takes only
+    ``workers`` and ``setup_kernel``).  ``--no-schedule-cache`` also
+    switches this process's schedule cache off.
     """
     options = {}
     if "legacy_kernel" in args:

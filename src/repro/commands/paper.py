@@ -30,40 +30,22 @@ def _cmd_table1(_: argparse.Namespace) -> int:
     return 0
 
 
-def _progress_reporter(args: argparse.Namespace, total: int, label: str):
-    """A live progress reporter for ``total`` runs, or ``None`` under
-    ``--quiet`` (the reporter itself stays silent on non-TTY stderr)."""
-    if getattr(args, "quiet", False):
-        return None
-    from ..telemetry import ProgressReporter
-
-    return ProgressReporter(total=total, label=label)
-
-
 def _cmd_figure5(args: argparse.Namespace) -> int:
     from ..experiments.figure5 import format_figure5, run_figure5
 
     options = runner_options(args)
     imports_done()
     with telemetry_session(args, "cli.figure5"):
-        # Each size runs both algorithms over the same repeats.
-        reporter = _progress_reporter(
-            args, total=len(args.sizes) * 2 * args.repeats, label="figure5: "
+        result = run_figure5(
+            args.search_distance,
+            sizes=tuple(args.sizes),
+            repeats=args.repeats,
+            base_seed=args.seed,
+            noise=args.noise,
+            distributed=args.distributed,
+            progress=not args.quiet,
+            **options,
         )
-        try:
-            result = run_figure5(
-                args.search_distance,
-                sizes=tuple(args.sizes),
-                repeats=args.repeats,
-                base_seed=args.seed,
-                noise=args.noise,
-                use_distributed=args.distributed,
-                on_result=reporter.on_result if reporter is not None else None,
-                **options,
-            )
-        finally:
-            if reporter is not None:
-                reporter.finish()
     print(format_figure5(result))
     print_cache_summary(args)
     report_telemetry(args)

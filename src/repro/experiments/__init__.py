@@ -23,8 +23,8 @@ _EXPORTS = {
         "Figure5Cell",
         "Figure5Result",
         "PAPER_FIGURE5_REFERENCE",
+        "figure5_cell_specs",
         "format_figure5",
-        "headline_reduction",
         "run_figure5",
     ),
     "overhead": (

@@ -2,29 +2,27 @@
 
 :func:`run_figure5` regenerates one panel of the figure: for each grid
 size it measures the capture ratio of protectionless DAS and SLP DAS
-over repeated seeded runs.  :func:`format_figure5` renders the series
-as the text equivalent of the paper's bar chart, and
-:func:`headline_reduction` computes the paper's summary statistic
-("the SLP-aware DAS protocol reduces the capture ratio by 50%").
+over repeated seeded runs, each cell as two scenario specs
+(:func:`figure5_cell_specs`) on one
+:class:`~repro.scenarios.ScenarioRunner`.  :func:`format_figure5`
+renders the series as the text equivalent of the paper's bar chart.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
-from ..attacker import AttackerSpec
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, invalid_field
 from ..metrics import CaptureStats
 from ..records import Record, replace
-from ..topology import paper_grid
-from .config import PAPER, PAPER_SIZES, PaperParameters
-from .options import plan_pool
-from .resilience import FailedRun, SweepCheckpoint
-from .runner import PROTECTIONLESS, SLP, ExperimentConfig, ExperimentRunner
+from .config import PAPER_SIZES
 
-#: Paper reference values read off Figure 5 (approximate, for the
-#: paper-vs-measured table in EXPERIMENTS.md, not for assertions).
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..scenarios import ScenarioSpec
+    from .resilience import FailedRun
+
+#: Paper reference values read off Figure 5 (approximate, for reading a
+#: regenerated panel against the paper, not for assertions).
 PAPER_FIGURE5_REFERENCE = {
     3: {11: (0.32, 0.16), 15: (0.29, 0.15), 21: (0.18, 0.09)},
     5: {11: (0.32, 0.15), 15: (0.29, 0.14), 21: (0.18, 0.10)},
@@ -74,90 +72,78 @@ class Figure5Result(Record):
         return sum(reductions) / len(reductions)
 
 
+def figure5_cell_specs(
+    size: int,
+    search_distance: int = 3,
+    repeats: int = 30,
+    base_seed: int = 0,
+    noise: str = "casino",
+) -> Tuple[ScenarioSpec, ScenarioSpec]:
+    """The protectionless and SLP scenario specs of one Figure 5 cell:
+    the registered ``paper-baseline`` and ``paper-baseline-slp`` moved
+    to a ``size`` × ``size`` grid, so the figure and ``scenario run``
+    cannot drift.  At size 11, search distance 3 and the registered
+    noise they sweep exactly what those scenarios sweep, and share
+    their checkpoint store."""
+    from ..scenarios import TopologySpec, get_scenario
+
+    return tuple(
+        replace(
+            get_scenario(name),
+            name=f"{name}-{size}",
+            topology=TopologySpec("grid", size),
+            search_distance=search_distance,
+            noise=noise,
+            repeats=repeats,
+            base_seed=base_seed,
+        )
+        for name in ("paper-baseline", "paper-baseline-slp")
+    )
+
+
 def run_figure5(
     search_distance: int,
     sizes: Sequence[int] = PAPER_SIZES,
     repeats: int = 30,
     base_seed: int = 0,
-    noise: object = "casino",
-    attacker: Optional[AttackerSpec] = None,
-    parameters: PaperParameters = PAPER,
-    workers: Optional[int] = None,
-    kernel: Optional[str] = None,
-    setup_kernel: Optional[str] = None,
-    use_schedule_cache: bool = True,
-    use_distributed: bool = False,
-    checkpoint: Optional[Path] = None,
-    resume: bool = False,
-    guard: Optional[str] = None,
-    chunk_timeout: Optional[float] = None,
-    on_result=None,
+    noise: str = "casino",
+    **runner_options,
 ) -> Figure5Result:
     """Regenerate one panel of Figure 5.
 
     Parameters mirror the paper's setup; reduce ``repeats`` or ``sizes``
-    for quick runs (the benchmarks do).  ``workers`` fans the seed
-    sweeps out over up to that many processes (``None`` = serial), as
-    :func:`~repro.experiments.plan_workers` resolves it for each grid
-    size; results are identical either way.  ``kernel``,
-    ``setup_kernel`` and ``use_schedule_cache`` are the bisection knobs
-    of the performance layer (also identical either way): the
-    protectionless cells of the two panels share one schedule per
-    (size, seed) through the cache.
-    ``use_distributed`` builds every schedule with the full
-    message-level setup protocols instead of the centralised pipeline.
-
-    ``checkpoint`` names a directory where completed per-seed results
-    are persisted as they land; with ``resume=True`` an interrupted
-    panel restarts only the missing seeds and reproduces the
-    uninterrupted panel bit-for-bit.  ``guard="differential"`` audits a
-    sample of every sweep against the legacy engines and degrades a
-    diverging cell to them; ``chunk_timeout`` is the pooled sweeps'
-    lease timeout (how long a worker may hold a shard without landing a
-    seed before it is presumed hung).
-    ``on_result(seed, result)`` fires after every completed run across
-    all sweeps of the panel (the CLI's live progress hook).
+    for quick runs (the benchmarks do).  Each cell's two
+    :func:`figure5_cell_specs` run on one
+    :class:`~repro.scenarios.ScenarioRunner` built from
+    ``runner_options`` (``workers``, the engine and cache switches,
+    ``distributed``, ``checkpoint``/``resume``, ``guard``,
+    ``chunk_timeout`` and ``progress``); none of them changes a
+    result.
     """
-    store = SweepCheckpoint(checkpoint) if checkpoint is not None else None
-    protectionless = ExperimentConfig(
-        algorithm=PROTECTIONLESS,
-        repeats=repeats,
-        base_seed=base_seed,
-        noise=noise,
-        attacker=attacker,
-        parameters=parameters,
-        kernel=kernel,
-        setup_kernel=setup_kernel,
-        use_schedule_cache=use_schedule_cache,
-        use_distributed=use_distributed,
-    )
-    configs = (
-        protectionless,
-        replace(protectionless, algorithm=SLP, search_distance=search_distance),
-    )
-    cells = []
-    for size in sizes:
-        topology = paper_grid(size)
-        # Each sweep of the cell forks its own workers.
-        runner = ExperimentRunner(
-            topology, pool=plan_pool(workers, repeats, topology, chunk_timeout)
+    odd = [size for size in sizes if size not in PAPER_SIZES]
+    if odd:
+        raise invalid_field(
+            "run_figure5",
+            "sizes",
+            odd,
+            f"the paper evaluates grids of size {PAPER_SIZES}",
         )
-        base, slp = [
-            runner.run(
-                config,
-                on_result=on_result,
-                checkpoint=store,
-                resume=resume,
-                guard=guard,
-            )
-            for config in configs
-        ]
+    from ..scenarios import ScenarioRunner
+
+    specs = [
+        figure5_cell_specs(size, search_distance, repeats, base_seed, noise)
+        for size in sizes
+    ]
+    runner = ScenarioRunner(**runner_options)
+    cells = []
+    for size, cell_specs in zip(sizes, specs):
+        base, slp = [runner.run(spec) for spec in cell_specs]
         cells.append(
             Figure5Cell(
                 size=size,
                 protectionless=base.stats,
                 slp=slp.stats,
-                failures=tuple(base.failures) + tuple(slp.failures),
+                failures=base.failures + slp.failures,
                 degraded=any(
                     outcome.guard is not None and outcome.guard.degraded
                     for outcome in (base, slp)
@@ -191,25 +177,3 @@ def format_figure5(result: Figure5Result) -> str:
     lines.append("-" * 47)
     lines.append(f"mean reduction: {100 * result.mean_reduction:.1f}%")
     return "\n".join(lines)
-
-
-def headline_reduction(
-    repeats: int = 30,
-    sizes: Sequence[int] = PAPER_SIZES,
-    base_seed: int = 0,
-    noise: object = "casino",
-    workers: Optional[int] = None,
-) -> Dict[int, float]:
-    """The §VI-E headline: mean capture-ratio reduction per search
-    distance (the paper reports ~50%)."""
-    return {
-        sd: run_figure5(
-            sd,
-            sizes=sizes,
-            repeats=repeats,
-            base_seed=base_seed,
-            noise=noise,
-            workers=workers,
-        ).mean_reduction
-        for sd in PAPER.search_distances
-    }

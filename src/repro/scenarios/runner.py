@@ -196,6 +196,11 @@ class ScenarioRunner:
     use_schedule_cache:
         Whether sweeps may reuse memoised schedules (identical either
         way); ``False`` is the CLI's ``--no-schedule-cache``.
+    distributed:
+        Build every schedule with the full message-level setup
+        protocols instead of the centralised pipeline (the CLI's
+        ``figure5 --distributed``).  A run-request switch like
+        ``kernel``: no spec carries it.
     checkpoint:
         Directory for the per-seed result store (the CLI's
         ``--checkpoint``): completed seeds are persisted as they land,
@@ -226,6 +231,7 @@ class ScenarioRunner:
         kernel: Optional[str] = None,
         setup_kernel: Optional[str] = None,
         use_schedule_cache: bool = True,
+        distributed: bool = False,
         checkpoint: Optional[Path] = None,
         resume: bool = False,
         guard: Optional[str] = None,
@@ -236,6 +242,7 @@ class ScenarioRunner:
         self._kernel = kernel
         self._setup_kernel = setup_kernel
         self._use_schedule_cache = use_schedule_cache
+        self._distributed = distributed
         self._checkpoint = None
         if checkpoint:
             from ..experiments.resilience import SweepCheckpoint
@@ -267,8 +274,12 @@ class ScenarioRunner:
         topology, config = lower_job(
             spec, seeds, base_seed, self._kernel, self._setup_kernel
         )
-        if not self._use_schedule_cache:
-            config = replace(config, use_schedule_cache=False)
+        if self._distributed or not self._use_schedule_cache:
+            config = replace(
+                config,
+                use_distributed=self._distributed,
+                use_schedule_cache=self._use_schedule_cache,
+            )
         reporter = None
         on_result = None
         if self._progress:

@@ -77,7 +77,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: measure_setup_overhead.seeds=[]")
         assert main(["figure5", "--sizes", "11", "--repeats", "0"]) == 2
-        assert capsys.readouterr().err.startswith("error: ExperimentConfig.repeats=0")
+        assert capsys.readouterr().err.startswith("error: ScenarioSpec.repeats=0")
 
     def test_verify(self, capsys):
         assert main(["verify", "--size", "11", "--seed", "0"]) == 0
